@@ -5,9 +5,10 @@ truncated at a decay cap s_cap.  Every slowly convergent series in this
 package has a tail whose terms admit such an expansion: harmonic numbers
 expand through the Bernoulli series for psi, reciprocal binomials are finite
 products of shifted reciprocals, and the central binomial ratio is a
-half-power times the exp of an odd-power series.  The class supplies the
-three things Euler-Maclaurin needs: point values, derivative jets, and the
-closed-form tail integral  int_K^inf ln^a t / t^s dt.
+half-power times the exp of an odd-power series.  The class supplies what
+Euler-Maclaurin needs: point values, termwise derivatives, the closed-form
+tail integral  int_K^inf ln^a t / t^s dt, and a bound on what the truncation
+at s_cap dropped.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .jets import Jet1, constant_jet, jet_add, jet_exp, jet_ln, jet_mul, jet_scale, variable_jet
 from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, riemann_zeta
 
 _DROP = 1e-300
@@ -70,8 +70,13 @@ class LogPowerSeries:
         return out
 
     def diff(self) -> "LogPowerSeries":
-        """Termwise d/dt: ln^a t^-s  ->  a ln^(a-1) t^(-s-1) - s ln^a t^(-s-1)."""
-        out = LogPowerSeries(self.s_cap)
+        """Termwise d/dt: ln^a t^-s  ->  a ln^(a-1) t^(-s-1) - s ln^a t^(-s-1).
+
+        A series exact up to t^-s_cap has a derivative exact up to
+        t^-(s_cap+1), so the cap moves up by one and every derivative keeps
+        as many orders as the series it came from.
+        """
+        out = LogPowerSeries(self.s_cap + 1.0)
         for (a, s), c in self.terms.items():
             if a:
                 out._put(a - 1, s + 1.0, a * c)
@@ -81,24 +86,6 @@ class LogPowerSeries:
     def __call__(self, t: float) -> float:
         lt = math.log(t)
         return math.fsum(c * lt**a * t**-s for (a, s), c in self.terms.items())
-
-    def jet(self, t0: float, order: int) -> Jet1:
-        """Derivative jet at t0 via ln/pow jet primitives."""
-        tj = variable_jet(t0, order)
-        lj = jet_ln(tj)
-        log_pows = [constant_jet(1.0, t0, order)]
-        max_a = max((a for (a, _s) in self.terms), default=0)
-        for _ in range(max_a):
-            log_pows.append(jet_mul(log_pows[-1], lj))
-        pow_cache: dict[float, Jet1] = {}
-        out = constant_jet(0.0, t0, order)
-        for (a, s), c in sorted(self.terms.items()):
-            pj = pow_cache.get(s)
-            if pj is None:
-                pj = jet_exp(jet_scale(lj, -s)) if s else constant_jet(1.0, t0, order)
-                pow_cache[s] = pj
-            out = jet_add(out, jet_scale(jet_mul(log_pows[a], pj), c))
-        return out
 
     def tail_integral(self, K: float) -> float:
         """int_K^inf of the expansion; every monomial must have s > 1."""
@@ -115,6 +102,21 @@ class LogPowerSeries:
                 weight *= (i) / (s - 1.0) if i else 0.0
             vals.append(acc)
         return math.fsum(vals)
+
+    def truncation_bound(self, K: float) -> float:
+        """Bound on int_K^inf of the monomials dropped above s_cap.
+
+        The expansions here are asymptotic in c/t, with c the largest shift
+        in their factors, so at t >= K the dropped monomials are smaller than
+        the last kept order (s_cap - 1 < s <= s_cap) by a further factor of
+        about c s_cap / K.  The tail integral of that order, taken with |c|
+        so no cancellation hides it, bounds them.
+        """
+        last = LogPowerSeries(self.s_cap)
+        for (a, s), c in self.terms.items():
+            if s > self.s_cap - 1.0:
+                last._put(a, s, abs(c))
+        return last.tail_integral(K)
 
     def min_decay(self) -> float:
         return min((s for (_a, s) in self.terms), default=math.inf)

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Any
 
 from .identities import (
@@ -177,8 +177,7 @@ def _worker(item: tuple[str, dict, float, dict]) -> dict:
 
 
 def _run_grid(grid, tol: float, cfg: EvalConfig, jobs: int) -> list[dict]:
-    cfg_kw = {"rel_tol": cfg.rel_tol, "max_terms": cfg.max_terms,
-              "em_order": cfg.em_order, "consecutive_small": cfg.consecutive_small}
+    cfg_kw = asdict(cfg)
     items = [(ident.value, params, tol, cfg_kw) for ident, params in grid]
     if jobs <= 1 or len(items) < 4:
         return [_worker(it) for it in items]

@@ -55,21 +55,6 @@ def _check1(a: Jet1, b: Jet1) -> None:
         )
 
 
-def variable_jet(t0: float, order: int) -> Jet1:
-    """Jet of the identity function t ↦ t at t0."""
-    c = np.zeros(order + 1)
-    c[0] = t0
-    if order >= 1:
-        c[1] = 1.0
-    return Jet1(t0, c)
-
-
-def constant_jet(value: float, t0: float, order: int) -> Jet1:
-    c = np.zeros(order + 1)
-    c[0] = value
-    return Jet1(t0, c)
-
-
 def jet_add(a: Jet1 | "Jet2", b: Jet1 | "Jet2"):
     if isinstance(a, Jet2) and isinstance(b, Jet2):
         _check2(a, b)
@@ -82,12 +67,6 @@ def jet_neg(a: Jet1 | "Jet2"):
     if isinstance(a, Jet2):
         return Jet2(a.x0, a.z0, -a.coeffs)
     return Jet1(a.base, -a.coeffs)
-
-
-def jet_scale(a: Jet1 | "Jet2", c: float):
-    if isinstance(a, Jet2):
-        return Jet2(a.x0, a.z0, c * a.coeffs)
-    return Jet1(a.base, c * a.coeffs)
 
 
 def jet_mul(a: Jet1 | "Jet2", b: Jet1 | "Jet2"):
@@ -122,27 +101,6 @@ def jet_exp(a: Jet1 | "Jet2"):
     if isinstance(a, Jet2):
         return _exp2(a)
     return Jet1(a.base, _exp_series1(a.coeffs))
-
-
-def jet_ln(a: Jet1) -> Jet1:
-    """ln of a jet with positive value part."""
-    if a.coeffs[0] <= 0.0:
-        raise DomainError(f"jet_ln requires positive value part, got {a.coeffs[0]}")
-    n = a.order + 1
-    c = a.coeffs
-    out = np.zeros(n)
-    out[0] = math.log(c[0])
-    inv0 = 1.0 / c[0]
-    for k in range(1, n):
-        acc = c[k]
-        acc -= sum(j * out[j] * c[k - j] for j in range(1, k)) / k
-        out[k] = acc * inv0
-    return Jet1(a.base, out)
-
-
-def jet_pow(a: Jet1, r: float) -> Jet1:
-    """a(t)^r for real r, via exp(r ln a); value part must be positive."""
-    return jet_exp(jet_scale(jet_ln(a), r))
 
 
 def ln_gamma_jet(a: float, order: int) -> Jet1:

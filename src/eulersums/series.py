@@ -21,7 +21,29 @@ from .special import DomainError, HarmonicCache, gen_binom, hurwitz_zeta
 from .summation import EvalConfig, SumResult, em_tail, sum_adaptive
 
 K_CROSSOVER = 10_000
-_DEPTH = 12.0
+
+# Orders kept in each tail model past its leading decay s0: s_cap = s0 + _DEPTH.
+# The model is the 1/t expansion of the term.  From order j to j + 1 it falls
+# by about c (s0 + j) / ((j + 1) t), c being the largest shift in its factors
+# (n + 1, p + n, p, 1/2 or 1), so at t = K the first dropped order is below the
+# term by the product of _DEPTH + 1 such factors, and its share of the sum is
+# that times tail/value.  The bound em_tail reports (the last kept order, one
+# factor above the dropped ones) must stay below the head's rounding bound,
+# which is at least 5 _U |value| = 5.5e-16 |value|, for n, m <= 10, p <= 20.
+# Large s0 makes tail/value ~ K^(1 - s0) negligible; the worst case is
+# lhs_central_binom(p=20, m=0): s0 = 3/2, c = 20, tail/value ~ 0.06.  Depth 5
+# bounds it by 1.9e-16 |value|; depth 4 still gives the same value to 1 ulp
+# there but can only vouch for 1.2e-13 |value|.
+_DEPTH = 5.0
+
+# Rounding of the head terms, in units of _U, to first order: 1 per rounded
+# +, -, *, /; 2 per pow and per cached harmonic number (a compensated sum); a
+# base rounded r times and raised to the power e adds r e; a difference a - b
+# adds (err a + err b) / |a - b|.  That last one peaks at k = 2 for
+# H_k^2 - H_k^(2) and as k grows for H_k - 2 H_2k, giving the budgets below.
+_U = 2.0**-53
+_R_HSQ = 15.0   # H_k^2 - H_k^(2), its own operations included
+_R_HDIFF = 7.0  # H_k - 2 H_2k, likewise
 
 DEFAULT_CONFIG = EvalConfig()
 
@@ -32,11 +54,16 @@ def _cache() -> HarmonicCache:
     return HarmonicCache.build(2 * K_CROSSOVER)
 
 
-def _em_result(exact_terms: np.ndarray, tail_model: ap.LogPowerSeries, cfg: EvalConfig) -> SumResult:
+def _em_result(exact_terms: np.ndarray, tail_model: ap.LogPowerSeries, cfg: EvalConfig,
+               roundings: float | np.ndarray) -> SumResult:
+    """Exact head plus EM tail.  `roundings` bounds each head term's relative
+    rounding error in units of _U (an array where it grows with k); the
+    estimate adds those, the two final roundings and the em_tail error."""
     exact = math.fsum(exact_terms.tolist())
     tail, err = em_tail(tail_model, K_CROSSOVER, cfg)
     value = exact + tail
-    tail_estimate = err + 4e-16 * abs(value)
+    head_err = float(np.sum(roundings * np.abs(exact_terms)))
+    tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
     converged = tail_estimate <= cfg.rel_tol * max(abs(value), 1e-300)
     return SumResult(value, tail_estimate, K_CROSSOVER, converged)
 
@@ -73,7 +100,8 @@ def lhs_variant1(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     s_cap = (m + 1) + n + _DEPTH
     model = (ap.harmonic_lp(s_cap) * ap.inv_binomial_lp(n, s_cap)
              * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap))
-    return _em_result(terms, model, cfg)
+    # H_k 2, binomial 2n, pow 2, * and / 1 each
+    return _em_result(terms, model, cfg, 2 * n + 6.0)
 
 
 def lhs_variant2(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -88,7 +116,8 @@ def lhs_variant2(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     h = ap.harmonic_lp(s_cap)
     numer = h * h + ap.gen_harmonic_lp(2, s_cap).scaled(-1.0)
     model = numer * ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap)
-    return _em_result(terms, model, cfg)
+    # numerator, binomial 2n, pow 2, * and / 1 each
+    return _em_result(terms, model, cfg, 2 * n + 4 + _R_HSQ)
 
 
 def lhs_alt(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -101,7 +130,7 @@ def lhs_alt(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     terms = _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
     s_cap = (m + 1) + n + _DEPTH
     model = ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap)
-    res = _em_result(terms, model, cfg)
+    res = _em_result(terms, model, cfg, 2 * n + 3.0)  # binomial 2n, pow 2, / 1
     sign = 1.0 if (n - 1) % 2 == 0 else -1.0
     return SumResult(sign * res.value, res.tail_estimate, res.terms_used, res.converged)
 
@@ -111,6 +140,8 @@ def _variant3_family(p: float, n: int, m: int, power: int,
     c = _cache()
     k = np.arange(1.0, K_CROSSOVER + 1.0)
     base = _inv_binomial_exact(n, k) / (k * (p + n + k) ** power)
+    # binomial 2n, pow 2 of a base rounded twice (p + n + k), * and / 1 each
+    roundings = 2 * n + 2 * power + 4.0
     s_cap = power + n + 1 + _DEPTH
     t_inv = ap.LogPowerSeries(s_cap, {(0, 1.0): 1.0})
     model = ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(p + n, float(power), s_cap) * t_inv
@@ -118,14 +149,16 @@ def _variant3_family(p: float, n: int, m: int, power: int,
         terms = base
     elif numer_kind == "h_prev":
         terms = base * c.h1[0:K_CROSSOVER]
+        roundings += 3  # H_(k-1) 2, * 1
         model = model * ap.harmonic_prev_lp(s_cap)
     else:  # "h_prev_sq"
         h1 = c.h1[0:K_CROSSOVER]
         h2 = c.h2[0:K_CROSSOVER]
         terms = base * (h1 * h1 - h2)
+        roundings += _R_HSQ + 1  # numerator, * 1
         hp = ap.harmonic_prev_lp(s_cap)
         model = model * (hp * hp + ap.gen_harmonic_prev_lp(2, s_cap).scaled(-1.0))
-    return _em_result(terms, model, cfg)
+    return _em_result(terms, model, cfg, roundings)
 
 
 def lhs_variant3(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -166,7 +199,9 @@ def lhs_central_binom(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
     s_cap = (m + 1) + 0.5 + _DEPTH
     model = (ap.central_harmonic_diff_lp(s_cap) * ap.central_binomial_lp(s_cap)
              * ap.recip_power_shift(p, m + 1.0, s_cap))
-    return _em_result(terms, model, cfg)
+    # numerator; binom(2k,k)/4^k, a running product rounded 2k times by term k;
+    # pow 2 of a base rounded once (p + k); * and / 1 each
+    return _em_result(terms, model, cfg, _R_HDIFF + 2.0 * kf + (m + 1) + 4)
 
 
 def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -179,7 +214,7 @@ def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     s_cap = (m + 2) + _DEPTH
     t_inv = ap.LogPowerSeries(s_cap, {(0, 1.0): 1.0})
     model = ap.harmonic_prev_lp(s_cap) * ap.recip_power_shift(-0.5, m + 1.0, s_cap) * t_inv
-    return _em_result(terms, model, cfg)
+    return _em_result(terms, model, cfg, 6.0)  # H_(k-1) 2, pow 2, * and / 1 each
 
 
 # --------------------- binomial-coefficient base series ---------------------
@@ -252,6 +287,7 @@ def lhs_linear_euler(p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumRes
         raise DomainError(f"q must be >= 2, got {q}")
     c = _cache()
     k = np.arange(1.0, K_CROSSOVER + 1.0)
+    roundings = 5.0  # cached H_k^(p) 2, pow 2, / 1
     if p == 1:
         hp = c.h1[1 : K_CROSSOVER + 1]
     elif p == 2:
@@ -260,11 +296,12 @@ def lhs_linear_euler(p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumRes
         hp = c.h3[1 : K_CROSSOVER + 1]
     else:
         hp = np.cumsum(k ** -float(p))
+        roundings = k + 4.0  # a running sum, rounded k - 1 times by term k, after pow 2
     terms = hp / k**q
     s_cap = q + _DEPTH
     numer = ap.harmonic_lp(s_cap) if p == 1 else ap.gen_harmonic_lp(p, s_cap)
     model = numer * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
-    return _em_result(terms, model, cfg)
+    return _em_result(terms, model, cfg, roundings)
 
 
 def lhs_quadratic_euler(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -278,7 +315,7 @@ def lhs_quadratic_euler(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     s_cap = q + _DEPTH
     h = ap.harmonic_lp(s_cap)
     model = h * h * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
-    return _em_result(terms, model, cfg)
+    return _em_result(terms, model, cfg, 8.0)  # H_k^2 5, pow 2, / 1
 
 
 def quadratic_minus_linear(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -294,7 +331,7 @@ def quadratic_minus_linear(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResul
     h = ap.harmonic_lp(s_cap)
     numer = h * h + ap.gen_harmonic_lp(2, s_cap).scaled(-1.0)
     model = numer * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
-    return _em_result(terms, model, cfg)
+    return _em_result(terms, model, cfg, _R_HSQ + 3)  # numerator, pow 2, / 1
 
 
 # ------------------------ zeta-tail example series --------------------------

@@ -4,8 +4,8 @@ sum_adaptive evaluates terms blockwise (term callables accept numpy arrays),
 accumulates each block with exact fsum and combines blocks with Neumaier
 compensation, so the reported value is correctly rounded up to a few ulp.
 em_tail estimates sum_{k>K} f(k) for a smooth positive decreasing tail from
-its integral, boundary value, and Bernoulli derivative corrections, with
-derivatives taken from univariate jets.
+its integral, boundary value, and Bernoulli derivative corrections, with the
+derivatives taken by termwise differentiation of the tail model.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .jets import Jet1
-from .special import BERNOULLI_2J, DomainError
+from .special import BERNOULLI_2J, DomainError, _neumaier
 
 _BLOCK_START = 256
 _BLOCK_CAP = 1 << 18
@@ -60,22 +59,16 @@ class SumResult:
 
 
 class SmoothTail(Protocol):
-    """What em_tail needs from a tail model: values, derivative jets, integral."""
+    """What em_tail needs from a tail model: values, derivatives, integral,
+    and a bound on what the model leaves out."""
 
     def __call__(self, t: float) -> float: ...
 
-    def jet(self, t0: float, order: int) -> Jet1: ...
+    def diff(self) -> "SmoothTail": ...
 
     def tail_integral(self, K: float) -> float: ...
 
-
-def _neumaier(s: float, c: float, term: float) -> tuple[float, float]:
-    t = s + term
-    if abs(s) >= abs(term):
-        c += (s - t) + term
-    else:
-        c += (term - t) + s
-    return t, c
+    def truncation_bound(self, K: float) -> float: ...
 
 
 def _tail_bound(k_last: float, vals: np.ndarray) -> float:
@@ -149,8 +142,9 @@ def em_tail(term_smooth: SmoothTail, K: int, cfg: EvalConfig) -> tuple[float, fl
     """Euler-Maclaurin estimate of sum_{k>K} term(k) with an error estimate.
 
     With x = K+1:  integral_x^inf f  +  f(x)/2  -  sum_{j=1..r} B_2j/(2j)! f^(2j-1)(x),
-    r = cfg.em_order.  The error estimate is the first omitted correction
-    term; both come from a single derivative jet of order 2r+1.
+    r = cfg.em_order, each f^(2j-1) taken by termwise diff() of the model.
+    The error estimate is the first omitted correction term plus the model's
+    truncation_bound at x.
     """
     x = float(K + 1)
     f0 = term_smooth(x)
@@ -158,11 +152,12 @@ def em_tail(term_smooth: SmoothTail, K: int, cfg: EvalConfig) -> tuple[float, fl
     if abs(f1) > abs(f0):
         raise NonMonotoneTailError(f"tail not decreasing at K={K}: |f({x + 1})| > |f({x})|")
     r = cfg.em_order
-    jet = term_smooth.jet(x, 2 * r + 1)
     out = term_smooth.tail_integral(x) + 0.5 * f0
+    deriv = term_smooth.diff()
     fact = 1.0
     for j in range(1, r + 1):
         fact *= (2 * j - 1) * (2 * j)
-        out -= BERNOULLI_2J[j - 1] / fact * jet.derivative(2 * j - 1)
-    err = abs(BERNOULLI_2J[r] / (fact * (2 * r + 1) * (2 * r + 2)) * jet.derivative(2 * r + 1))
-    return out, err
+        out -= BERNOULLI_2J[j - 1] / fact * deriv(x)
+        deriv = deriv.diff().diff()
+    err = abs(BERNOULLI_2J[r] / (fact * (2 * r + 1) * (2 * r + 2)) * deriv(x))
+    return out, err + term_smooth.truncation_bound(x)

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from eulersums.cli import (
     CSV_HEADER,
     DEFAULT_TOL,
@@ -79,6 +81,17 @@ class TestEval:
 
     def test_domain_violation_exit_2(self, capsys):
         code, _, _ = run(capsys, "eval", "THM_V1_31", "--n", "-3", "--m", "1")
+        assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("order", ["1", "11"])
+    def test_em_order_range(self, capsys, order):
+        code, out, _ = run(capsys, "eval", "THM_V1_31", "--n", "2", "--m", "3",
+                           "--em-order", order)
+        assert code == EXIT_OK
+        assert json.loads(out)["pass"] is True
+
+    def test_em_order_out_of_range_exit_2(self, capsys):
+        code, _, _ = run(capsys, "eval", "THM_V1_31", "--n", "2", "--m", "3", "--em-order", "12")
         assert code == EXIT_DOMAIN
 
     def test_non_convergence_exit_3(self, capsys):

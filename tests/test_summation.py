@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,6 +20,9 @@ from eulersums.special import ZETA3
 from eulersums.summation import NonFiniteTermError, NonMonotoneTailError
 
 from conftest import assert_close
+
+mp.mp.dps = 30
+ULP = 2.0**-52
 
 
 class TestEvalConfig:
@@ -104,14 +108,13 @@ class TestLogPowerSeries:
         with pytest.raises(DomainError):
             LogPowerSeries(10.0, {(0, 1.0): 1.0}).tail_integral(K)
 
-    def test_jet_matches_diff(self):
-        f = LogPowerSeries(12.0, {(2, 1.5): 0.7, (0, 3.0): -2.0, (1, 2.0): 1.0})
-        t = 11.0
-        j = f.jet(t, 3)
-        g = f
-        for order in range(4):
-            assert_close(j.derivative(order), g(t), 1e-12)
-            g = g.diff()
+    def test_truncation_bound_is_last_kept_order(self):
+        f = LogPowerSeries(5.0, {(0, 2.0): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
+        K = 50.0
+        assert f.truncation_bound(K) == LogPowerSeries(5.0, {(1, 4.5): 2.0}).tail_integral(K)
+        assert LogPowerSeries(5.0, {(0, 2.0): 1.0}).truncation_bound(K) == 0.0
+        # a derivative keeps as many orders as the series it came from
+        assert f.diff().s_cap == 6.0
 
     def test_product(self):
         f = LogPowerSeries(10.0, {(1, 1.0): 2.0})
@@ -181,6 +184,20 @@ class TestEmTail:
         model = harmonic_lp(14.0) * LogPowerSeries(14.0, {(0, 2.0): 1.0})
         tail, _ = em_tail(model, K, cfg)
         assert_close(partial + tail, 2.0 * ZETA3, 1e-9)
+
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_every_em_order_against_exact_tails(self, order):
+        # sum_{k>K} 1/k^2 and a log-power tail, whose exact values are Hurwitz
+        # zeta values and s-derivatives: sum ln^a k / k^s = (-1)^a zeta^(a)(s, K+1)
+        cases = [
+            (LogPowerSeries(40.0, {(0, 2.0): 1.0}), 100, mp.zeta(2, 101)),
+            (LogPowerSeries(40.0, {(2, 2.5): 1.0, (1, 3.0): -0.3}), 50,
+             mp.zeta(2.5, 51, 2) + 0.3 * mp.zeta(3, 51, 1)),
+        ]
+        for model, K, exact in cases:
+            tail, err = em_tail(model, K, EvalConfig(em_order=order))
+            assert abs(tail - float(exact)) <= err + 4 * ULP * float(exact)
+            assert err <= 1e-8 * float(exact)
 
     def test_non_monotone_rejected(self, cfg):
         grows = LogPowerSeries(5.0, {(2, 0.0): 1.0})  # ln^2 t
