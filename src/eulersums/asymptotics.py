@@ -4,8 +4,9 @@ A LogPowerSeries is a finite combination  sum_i c_i ln(t)^{a_i} t^{-s_i}
 truncated at a decay cap s_cap.  Every slowly convergent series in this
 package has a tail whose terms admit such an expansion: harmonic numbers
 expand through the Bernoulli series for psi, reciprocal binomials are finite
-products of shifted reciprocals, and the central binomial ratio is a
-half-power times the exp of an odd-power series.  The class supplies what
+products of shifted reciprocals, and gamma ratios, the binomial and central
+binomial coefficients among them, are a power times the exp of the
+difference of two Stirling series.  The class supplies what
 Euler-Maclaurin needs: point values, termwise derivatives, the closed-form
 tail integral  int_K^inf ln^a t / t^s dt, and a bound on what the truncation
 at s_cap dropped.
@@ -16,9 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, riemann_zeta
+from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, bernoulli_poly, riemann_zeta
 
 _DROP = 1e-300
+# Exponents within _S_EPS of the cap count as on it: a cap and an exponent
+# built from the same non-dyadic power (x + 1 + m + 5 against (1 + x) + 5 + m)
+# can differ by an ulp.  Every other exponent is a multiple of 1/2.
+_S_EPS = 1e-9
 
 
 @dataclass
@@ -29,7 +34,7 @@ class LogPowerSeries:
     terms: dict[tuple[int, float], float] = field(default_factory=dict)
 
     def _put(self, a: int, s: float, c: float) -> None:
-        if s > self.s_cap or c == 0.0:
+        if s > self.s_cap + _S_EPS or c == 0.0:
             return
         key = (a, s)
         new = self.terms.get(key, 0.0) + c
@@ -114,7 +119,7 @@ class LogPowerSeries:
         """
         last = LogPowerSeries(self.s_cap)
         for (a, s), c in self.terms.items():
-            if s > self.s_cap - 1.0:
+            if s > self.s_cap - 1.0 + _S_EPS:
                 last._put(a, s, abs(c))
         return last.tail_integral(K)
 
@@ -202,7 +207,7 @@ def exp_lp(x: LogPowerSeries) -> LogPowerSeries:
     out = one(x.s_cap)
     power = one(x.s_cap)
     i = 1
-    while i <= x.s_cap:
+    while i <= x.s_cap + _S_EPS:
         power = power * x
         if not power.terms:
             break
@@ -211,16 +216,23 @@ def exp_lp(x: LogPowerSeries) -> LogPowerSeries:
     return out
 
 
-def central_binomial_lp(s_cap: float) -> LogPowerSeries:
-    """binom(2t, t) / 4^t = (pi t)^(-1/2) exp(sum_j d_j t^(1-2j)) with
-    d_j = B_2j (2^(1-2j) - 2) / (2j (2j-1)) from the Stirling series."""
-    corr = LogPowerSeries(s_cap)
-    for j, b in enumerate(BERNOULLI_2J, start=1):
-        corr._put(0, 2.0 * j - 1.0, b * (2.0 ** (1 - 2 * j) - 2.0) / (2 * j * (2 * j - 1)))
-    out = exp_lp(corr)
-    half = LogPowerSeries(s_cap)
-    half._put(0, 0.5, 1.0 / math.sqrt(math.pi))
-    return out * half
+def gamma_ratio_lp(a: float, b: float, s_cap: float) -> LogPowerSeries:
+    """Gamma(t + a) / Gamma(t + b) = t^(a-b) exp(sum_{n>=1} d_n t^-n) with
+    d_n = (-1)^(n+1) (B_{n+1}(a) - B_{n+1}(b)) / (n (n+1)), the difference of
+    the Stirling series of ln Gamma(t + a) and ln Gamma(t + b) (Tricomi and
+    Erdelyi 1951).  The exponent stops at n = 24, the last Bernoulli number at
+    hand, and so does its exp: the orders past t^(a-b-24) are dropped, which
+    are below the leading one by about (max(|a|, |b|)^2 / t)^25 / 25!.
+    """
+    lead = b - a
+    corr = LogPowerSeries(min(s_cap - lead, 24.0))
+    for n in range(1, int(corr.s_cap + _S_EPS) + 1):
+        d = (bernoulli_poly(n + 1, a) - bernoulli_poly(n + 1, b)) / (n * (n + 1))
+        corr._put(0, float(n), d if n % 2 else -d)
+    out = LogPowerSeries(s_cap)
+    for (_a, s), c in exp_lp(corr).terms.items():
+        out._put(0, s + lead, c)
+    return out
 
 
 __all__ = [
@@ -235,6 +247,6 @@ __all__ = [
     "recip_power_shift",
     "inv_binomial_lp",
     "exp_lp",
-    "central_binomial_lp",
+    "gamma_ratio_lp",
     "EULER_GAMMA",
 ]

@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="comparison tolerance (default: $EULER_SUM_TOL or 1e-7)")
         p.add_argument("--rel-tol", type=float, default=None, help="series relative tolerance")
-        p.add_argument("--max-terms", type=int, default=None, help="direct-summation term cap")
+        p.add_argument("--max-terms", type=int, default=None,
+                       help="term cap of the directly summed zeta series (EX3_GOLDBACH "
+                            "zeta-tail and power-series); no other series reads it")
         p.add_argument("--em-order", type=int, default=None, help="Euler-Maclaurin correction order")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: cores)")
         if with_params:
@@ -303,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="output file (default: stdout)")
     p_sweep.add_argument("--tol", type=float, default=None)
     p_sweep.add_argument("--rel-tol", type=float, default=None)
-    p_sweep.add_argument("--max-terms", type=int, default=None)
+    p_sweep.add_argument("--max-terms", type=int, default=None,
+                         help="term cap of the directly summed zeta series (EX3_GOLDBACH "
+                              "zeta-tail and power-series); no other series reads it")
     p_sweep.add_argument("--em-order", type=int, default=None)
     p_sweep.add_argument("--jobs", type=int, default=None)
     p_sweep.add_argument("--x", default=None, help="range like 0..3 or 0.5,1,2")

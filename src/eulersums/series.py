@@ -2,11 +2,12 @@
 
 These evaluators are the oracles the closed forms are verified against.
 Each slow series is split at K = 10^4: terms up to K are summed exactly
-(harmonic numbers from a precomputed cache, reciprocal binomials by
-incremental ratios), and the tail is an Euler-Maclaurin estimate driven by
+(harmonic numbers from a precomputed cache, reciprocal and signed binomials
+by incremental ratios), and the tail is an Euler-Maclaurin estimate driven by
 the asymptotic log-power expansion of the term function.  Reaching 1e-10 on
 sums like  sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the
-split gets there in 10^4.
+split gets there in 10^4.  Only the two zeta-value series of EX3, whose terms
+fall geometrically, are summed directly by sum_adaptive.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import asymptotics as ap
 from .special import DomainError, HarmonicCache, gen_binom, hurwitz_zeta
-from .summation import EvalConfig, SumResult, em_tail, sum_adaptive
+from .summation import EvalConfig, NonFiniteTermError, SumResult, em_tail, sum_adaptive
 
 K_CROSSOVER = 10_000
 
@@ -55,12 +56,17 @@ def _cache() -> HarmonicCache:
 
 
 def _em_result(exact_terms: np.ndarray, tail_model: ap.LogPowerSeries, cfg: EvalConfig,
-               roundings: float | np.ndarray) -> SumResult:
+               roundings: float | np.ndarray, s_rounding: float = 0.0) -> SumResult:
     """Exact head plus EM tail.  `roundings` bounds each head term's relative
     rounding error in units of _U (an array where it grows with k); the
-    estimate adds those, the two final roundings and the em_tail error."""
+    estimate adds those, the two final roundings and the em_tail error.  A
+    model whose exponents were rounded, by up to `s_rounding`, also adds what
+    that moves the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative
+    of int_K^inf t^-s dt relative to it."""
     exact = math.fsum(exact_terms.tolist())
     tail, err = em_tail(tail_model, K_CROSSOVER, cfg)
+    if s_rounding:
+        err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (tail_model.min_decay() - 1.0))
     value = exact + tail
     head_err = float(np.sum(roundings * np.abs(exact_terms)))
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
@@ -197,7 +203,9 @@ def lhs_central_binom(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
     cb = np.cumprod((2.0 * kf - 1.0) / (2.0 * kf))  # binom(2k,k)/4^k
     terms = (c.h1[k] - 2.0 * c.h1[2 * k]) * cb / (p + kf) ** (m + 1)
     s_cap = (m + 1) + 0.5 + _DEPTH
-    model = (ap.central_harmonic_diff_lp(s_cap) * ap.central_binomial_lp(s_cap)
+    # binom(2t, t)/4^t = Gamma(t + 1/2) / (sqrt(pi) Gamma(t + 1))
+    model = (ap.central_harmonic_diff_lp(s_cap)
+             * ap.gamma_ratio_lp(0.5, 1.0, s_cap).scaled(1.0 / math.sqrt(math.pi))
              * ap.recip_power_shift(p, m + 1.0, s_cap))
     # numerator; binom(2k,k)/4^k, a running product rounded 2k times by term k;
     # pow 2 of a base rounded once (p + k); * and / 1 each
@@ -218,21 +226,41 @@ def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
 
 
 # --------------------- binomial-coefficient base series ---------------------
+#
+# (-1)^k binom(x, k) = Gamma(k - x) / (Gamma(-x) Gamma(k + 1)) falls like
+# k^(-x-1), so at non-integer x both base series split at K like the others:
+# the head by the incremental ratio from binom(x, 0) = 1, the tail model by
+# the gamma-ratio expansion.  Integer x >= 0 ends the series at k = x.
 
 
-def _signed_binom_terms(x: float, k: np.ndarray, sign_start: float, power_fn) -> np.ndarray:
-    """Block of terms t_k starting at k0 = k[0], built from the exact scalar
-    first term and the incremental ratio t_k/t_{k-1}."""
-    k0 = int(k[0])
-    t0 = sign_start * gen_binom(x, float(k0)) * power_fn(float(k0))
-    if len(k) == 1:
-        return np.array([t0])
-    kk = k[1:]
-    ratios = (kk - 1.0 - x) / kk * (power_fn(kk) / power_fn(kk - 1.0))
-    out = np.empty_like(k)
-    out[0] = t0
-    out[1:] = t0 * np.cumprod(ratios)
+def _signed_binom_terms(x: float) -> np.ndarray:
+    """(-1)^k binom(x, k) for k = 0..K: the exact first term times the running
+    product of the ratios (k - 1 - x)/k."""
+    k = np.arange(1.0, K_CROSSOVER + 1.0)
+    out = np.empty(K_CROSSOVER + 1)
+    out[0] = gen_binom(x, 0.0)
+    out[1:] = out[0] * np.cumprod((k - 1.0 - x) / k)
     return out
+
+
+def _binomial_series(x: float, factor: ap.LogPowerSeries, factor_terms: np.ndarray,
+                     cfg: EvalConfig, roundings: np.ndarray) -> SumResult:
+    """sum_k (-1)^k binom(x, k) f(k) over the k of factor_terms, the last of
+    0..K, and past K: f is given by those head values and by its expansion
+    `factor`, whose cap the tail model keeps.  Past x ~ 149 the tail model's
+    derivatives leave binary64, and past x ~ 172 so does 1/Gamma(-x): both
+    end in NonFiniteTermError."""
+    g = math.gamma(-x)
+    if g == 0.0:
+        raise NonFiniteTermError(f"1/Gamma({-x}) overflows binary64: x = {x} is too large")
+    model = ap.gamma_ratio_lp(-x, 1.0, factor.s_cap).scaled(1.0 / g) * factor
+    terms = _signed_binom_terms(x)[K_CROSSOVER + 1 - len(factor_terms):] * factor_terms
+    # each exponent, 1 + x + j + f's own, is rounded up to three times
+    res = _em_result(terms, model, cfg, roundings, 3 * _U * factor.s_cap)
+    if not (math.isfinite(res.value) and math.isfinite(res.tail_estimate)):
+        raise NonFiniteTermError(f"the tail model of the binomial series at x = {x} "
+                                 "overflows binary64")
+    return res
 
 
 def lhs_base_binomial(x: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -247,12 +275,10 @@ def lhs_base_binomial(x: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
             (-1.0) ** (k - 1) * math.comb(n, k) / float(k) ** m for k in range(1, n + 1)
         )
         return SumResult(val, 0.0, n, True)
-
-    def term(ks: np.ndarray) -> np.ndarray:
-        sign0 = 1.0 if (int(ks[0]) - 1) % 2 == 0 else -1.0
-        return _signed_binom_terms(x, ks, sign0, lambda t: t ** -float(m))
-
-    return sum_adaptive(term, cfg, k_start=1)
+    k = np.arange(1.0, K_CROSSOVER + 1.0)
+    factor = ap.LogPowerSeries(x + 1.0 + m + _DEPTH, {(0, float(m)): -1.0})
+    # the running product, rounded 3 times per ratio (- x, / k, *); pow 2, * 1
+    return _binomial_series(x, factor, -(k ** -float(m)), cfg, 3.0 * k + 3.0)
 
 
 def lhs_binomial_shifted(x: float, p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -268,12 +294,10 @@ def lhs_binomial_shifted(x: float, p: float, m: int, cfg: EvalConfig = DEFAULT_C
             (-1.0) ** k * math.comb(n, k) / (p + k) ** (m + 1) for k in range(0, n + 1)
         )
         return SumResult(val, 0.0, n + 1, True)
-
-    def term(ks: np.ndarray) -> np.ndarray:
-        sign0 = 1.0 if int(ks[0]) % 2 == 0 else -1.0
-        return _signed_binom_terms(x, ks, sign0, lambda t: (p + t) ** -float(m + 1))
-
-    return sum_adaptive(term, cfg, k_start=0)
+    k = np.arange(0.0, K_CROSSOVER + 1.0)
+    factor = ap.recip_power_shift(p, m + 1.0, x + 2.0 + m + _DEPTH)
+    # the running product, 3 per ratio; pow 2 of a base rounded once (p + k); * 1
+    return _binomial_series(x, factor, (p + k) ** -float(m + 1), cfg, 3.0 * k + m + 4.0)
 
 
 # ----------------------------- Euler sums -----------------------------------

@@ -48,6 +48,18 @@ BERNOULLI_2J = (
     -236364091.0 / 2730.0,
 )
 
+# B_0, B_1, ..., B_25 with B_1 = -1/2: the odd ones past B_1 vanish.
+_BERNOULLI = (1.0, -0.5) + tuple(v for b in BERNOULLI_2J for v in (b, 0.0))
+
+
+def bernoulli_poly(n: int, a: float) -> float:
+    """Bernoulli polynomial B_n(a) = sum_k binom(n, k) B_k a^(n-k), for
+    0 <= n <= 25 (the numbers in BERNOULLI_2J)."""
+    if not 0 <= n < len(_BERNOULLI):
+        raise DomainError(f"bernoulli_poly requires 0 <= n < {len(_BERNOULLI)}, got {n}")
+    return math.fsum(math.comb(n, k) * _BERNOULLI[k] * a ** (n - k) for k in range(n + 1))
+
+
 _INT_TOL = 1e-12
 
 

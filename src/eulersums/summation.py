@@ -3,6 +3,8 @@
 sum_adaptive evaluates terms blockwise (term callables accept numpy arrays),
 accumulates each block with exact fsum and combines blocks with Neumaier
 compensation, so the reported value is correctly rounded up to a few ulp.
+It serves the geometrically convergent zeta-value series only; every slowly
+convergent series sums a fixed head and hands its tail to em_tail.
 em_tail estimates sum_{k>K} f(k) for a smooth positive decreasing tail from
 its integral, boundary value, and Bernoulli derivative corrections, with the
 derivatives taken by termwise differentiation of the tail model.

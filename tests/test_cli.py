@@ -95,10 +95,23 @@ class TestEval:
         assert code == EXIT_DOMAIN
 
     def test_non_convergence_exit_3(self, capsys):
-        code, out, _ = run(capsys, "eval", "THM_BASE_E15", "--x", "0.5", "--m", "1",
-                           "--max-terms", "100")
+        code, out, _ = run(capsys, "eval", "EX3_GOLDBACH", "--form", "power-series", "--p", "0.4",
+                           "--m", "1", "--max-terms", "10")
         assert code == EXIT_NOT_CONVERGED
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ident, extra", [("THM_BASE_E15", ["--m", "1"]),
+                                              ("THM_BASE_35", ["--p", "1", "--m", "0"])])
+    def test_binomial_large_x(self, capsys, ident, extra):
+        # the head cancels past what binary64 holds: an honest non-convergence
+        code, out, _ = run(capsys, "eval", ident, "--x", "50.5", *extra)
+        assert code == EXIT_NOT_CONVERGED
+        assert json.loads(out)["converged"] is False
+        # 1/Gamma(-x) overflows: a domain-style error, not a traceback
+        code, out, err = run(capsys, "eval", ident, "--x", "500.5", *extra)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:")
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ compared with that term computed directly by mpmath.
 """
 
 import json
+import math
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from eulersums.series import K_CROSSOVER
 mp.mp.dps = 30
 ULP = 2.0**-52
 P_SET = (0.1, 0.5, 2.5, 20.0)
+X_SET = (-0.9, -0.5, 0.5, 2.5, 7.5)
 NM = range(11)
 
 
@@ -33,7 +35,8 @@ def _inv_binom(n, t):
     return 1 / mp.binomial(n + t, t)
 
 
-# oracle name -> (parameter tuples, exact unsigned term at integer t)
+# oracle name -> (parameter tuples, exact term at integer t, without the sign
+# an oracle puts in front of its whole series)
 ORACLES = {
     "lhs_variant1": ([(n, m) for n in NM for m in NM if m >= 1],
                      lambda t, n, m: _h(t) * _inv_binom(n, t) / mp.mpf(n + t + 1) ** (m + 1)),
@@ -61,6 +64,11 @@ ORACLES = {
                             lambda t, q: _h(t) ** 2 / mp.mpf(t) ** q),
     "quadratic_minus_linear": ([(q,) for q in range(2, 11)],
                                lambda t, q: (_h(t) ** 2 - _h(t, 2)) / mp.mpf(t) ** q),
+    "lhs_base_binomial": ([(x, m) for x in X_SET for m in NM if m >= 1],
+                          lambda t, x, m: (-1) ** (t - 1) * mp.binomial(x, t) / mp.mpf(t) ** m),
+    "lhs_binomial_shifted": ([(x, p, m) for x in X_SET for p in P_SET for m in NM],
+                             lambda t, x, p, m: (-1) ** t * mp.binomial(x, t)
+                             / (mp.mpf(p) + t) ** (m + 1)),
 }
 
 
@@ -95,7 +103,11 @@ def test_tail_model_is_the_head_term(tail_models, name):
         # a few ulp of rounding, plus what the depth cut may leave out relative
         # to the tail: the bound em_tail itself reports
         depth_bound = model.truncation_bound(x) / abs(model.tail_integral(x))
-        assert abs(model(x) - want) <= (8 * ULP + depth_bound) * abs(want), (name, params)
+        # exponents off the multiples of 1/2 (x + 1 + m at x = -0.9) are rounded,
+        # each by up to 3 U s_cap, and t^-s moves by that times ln t
+        rounded = any((2 * s) % 1 for _a, s in model.terms)
+        s_bound = 1.5 * ULP * model.s_cap * math.log(x) if rounded else 0.0
+        assert abs(model(x) - want) <= (8 * ULP + depth_bound + s_bound) * abs(want), (name, params)
 
 
 FROM_ZERO = ("lhs_variant1", "lhs_variant2", "lhs_alt", "lhs_central_binom")
@@ -132,6 +144,36 @@ def test_extreme_values_within_tail_estimate(name, params, sign):
     want = float(sign * _reference(name, params))
     assert res.converged
     assert abs(res.value - want) <= res.tail_estimate
+
+
+def _beta_reference(name, params):
+    """30 digits from the beta integral sum_{k>=0} (-1)^k binom(x,k)/(p+k) =
+    B(p, x+1), differentiated in p by mpmath.  Its m-th derivative times
+    (-1)^m/m! is the shifted series; removing the k = 0 term 1/p and letting
+    p -> 0 leaves the base series as (-1)^m/m! times the m-th derivative of
+    p B(p, x+1) = Gamma(p+1) Gamma(x+1) / Gamma(p+x+1) at p = 0."""
+    if name == "lhs_base_binomial":
+        x, m = params
+        p, f = 0, lambda q: mp.gamma(q + 1) * mp.gamma(x + 1) / mp.gamma(q + x + 1)
+    else:
+        x, p, m = params
+        f = lambda q: mp.beta(q, x + 1)
+    return (-1) ** m * mp.diff(f, p, m) / mp.factorial(m)
+
+
+# the two points that stopped at the 10^8-term cap before the binomial series
+# had a tail model, and x = -0.99 and -0.999, whose terms fall like k^-1.01 and
+# k^-1.001: there the rounding of the model's exponent moves the tail by more
+# than the head's rounding, and the estimate must cover it
+BINOMIAL_POINTS = [("lhs_base_binomial", (x, 1)) for x in (-0.5, -0.99, -0.999)]
+BINOMIAL_POINTS += [("lhs_binomial_shifted", (x, 1.0, 0)) for x in (-0.5, -0.99, -0.999)]
+
+
+@pytest.mark.parametrize("name, params", BINOMIAL_POINTS)
+def test_binomial_values_within_tail_estimate(name, params):
+    res = getattr(series, name)(*params)
+    assert res.converged
+    assert abs(res.value - float(_beta_reference(name, params))) <= res.tail_estimate
 
 
 def test_default_grid_lhs_bits():

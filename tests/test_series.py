@@ -33,6 +33,7 @@ from eulersums.series import (
     zeta_tail_sum,
 )
 from eulersums.special import LN2
+from eulersums.summation import NonFiniteTermError
 
 from conftest import REFS, assert_close
 
@@ -167,6 +168,19 @@ class TestBaseBinomial:
         with pytest.raises(DomainError):
             lhs_base_binomial(0.5, 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_x_cancellation_not_converged(self):
+        # terms up to binom(50.5, 25) ~ 1e14 cancel to H_50.5 ~ 4.5: binary64
+        # cannot hold the sum to rel_tol, and the head budget says so
+        assert not lhs_base_binomial(50.5, 1).converged
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [160.5, 500.5])
+    def test_x_past_binary64_raises(self, x):
+        # 160.5: the tail model's derivatives overflow; 500.5: 1/Gamma(-x) does
+        with pytest.raises(NonFiniteTermError):
+            lhs_base_binomial(x, 1)
+
 
 class TestBinomialShifted:
     def test_x_zero_single_term(self):
@@ -184,6 +198,12 @@ class TestBinomialShifted:
     @pytest.mark.parametrize("x,p,m", [(0.5, 1.0, 1), (2.5, 0.5, 2), (1.5, 2.5, 3)])
     def test_frozen(self, x, p, m):
         assert_close(lhs_binomial_shifted(x, p, m).value, REFS[("t35", x, p, m)], DIRECT_TOL)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_x(self):
+        assert not lhs_binomial_shifted(50.5, 1.0, 0).converged
+        with pytest.raises(NonFiniteTermError):
+            lhs_binomial_shifted(500.5, 1.0, 0)
 
 
 class TestEulerSums:

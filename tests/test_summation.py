@@ -9,14 +9,15 @@ import pytest
 from eulersums import DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta, sum_adaptive
 from eulersums.asymptotics import (
     LogPowerSeries,
-    central_binomial_lp,
     central_harmonic_diff_lp,
+    exp_lp,
+    gamma_ratio_lp,
     gen_harmonic_lp,
     harmonic_lp,
     inv_binomial_lp,
     recip_power_shift,
 )
-from eulersums.special import ZETA3
+from eulersums.special import BERNOULLI_2J, ZETA3, bernoulli_poly
 from eulersums.summation import NonFiniteTermError, NonMonotoneTailError
 
 from conftest import assert_close
@@ -143,7 +144,8 @@ class TestAsymptoticModels:
         cb = 1.0
         for i in range(1, self.T + 1):
             cb *= (2 * i - 1) / (2.0 * i)
-        assert_close(central_binomial_lp(14.0)(float(self.T)), cb, 1e-13)
+        model = gamma_ratio_lp(0.5, 1.0, 14.0).scaled(1.0 / math.sqrt(math.pi))
+        assert_close(model(float(self.T)), cb, 1e-13)
 
     def test_central_harmonic_diff(self):
         hk = math.fsum(1.0 / k for k in range(1, self.T + 1))
@@ -159,6 +161,57 @@ class TestAsymptoticModels:
     def test_recip_power_shift(self):
         f = recip_power_shift(2.5, 3.0, 16.0)
         assert_close(f(float(self.T)), (self.T + 2.5) ** -3.0, 1e-13)
+
+
+class TestGammaRatio:
+    """gamma_ratio_lp and the Bernoulli polynomials its exponent is built from."""
+
+    @pytest.mark.parametrize("n", range(26))
+    def test_bernoulli_poly(self, n):
+        for a in (-50.5, -7.5, -0.9, -0.5, 0.0, 0.1, 0.5, 0.99, 1.0, 2.5):
+            # each term binom(n, k) B_k a^(n-k) is rounded a few times before
+            # the exact fsum, so the error is relative to their absolute sum
+            scale = math.fsum(abs(math.comb(n, k) * float(mp.bernoulli(k)) * a ** (n - k))
+                              for k in range(n + 1))
+            assert abs(bernoulli_poly(n, a) - mp.bernpoly(n, a)) <= 4 * ULP * scale, a
+
+    def test_bernoulli_poly_domain(self):
+        for n in (-1, 26):
+            with pytest.raises(DomainError):
+                bernoulli_poly(n, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(-0.5, 1.0), (0.9, 1.0), (-7.5, 1.0), (2.5, 0.5), (1.0, -0.3)])
+    def test_values(self, a, b):
+        t = mp.mpf(400)
+        want = mp.gamma(t + a) / mp.gamma(t + b)
+        assert abs(gamma_ratio_lp(a, b, b - a + 12.0)(400.0) - want) <= 8 * ULP * abs(want)
+
+    def test_order_on_the_cap_is_kept(self):
+        # the cap of lhs_base_binomial(x, 1): s_cap - (1 + x) rounds to just
+        # below 6 at this x, yet the order at t^-s_cap sits on the cap
+        x = -0.1215851027611018
+        s_cap = x + 1.0 + 1 + 5.0
+        ratio = gamma_ratio_lp(-x, 1.0, s_cap)
+        assert len(ratio.terms) == 7
+        assert max(s for _a, s in ratio.terms) == pytest.approx(s_cap)
+
+    @pytest.mark.parametrize("s_cap", [3.0, 7.5, 16.5, 20.0])
+    def test_central_binomial_is_the_half_case(self, s_cap):
+        """binom(2t, t)/4^t = Gamma(t + 1/2) / (sqrt(pi) Gamma(t + 1)), against
+        its Stirling form exp(sum_j d_j t^(1-2j)) / sqrt(pi t) with
+        d_j = B_2j (2^(1-2j) - 2) / (2j (2j-1)), coefficient by coefficient.
+        B_{n+1}(1/2) and B_{n+1}(1) are sums that cancel to a few ulp of their
+        largest term, which is what the tolerance allows for."""
+        corr = LogPowerSeries(s_cap, {(0, 2.0 * j - 1.0): b * (2.0 ** (1 - 2 * j) - 2.0)
+                                      / (2 * j * (2 * j - 1))
+                                      for j, b in enumerate(BERNOULLI_2J, start=1)
+                                      if 2 * j - 1 <= s_cap})
+        inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
+        want = exp_lp(corr) * LogPowerSeries(s_cap, {(0, 0.5): inv_sqrt_pi})
+        got = gamma_ratio_lp(0.5, 1.0, s_cap).scaled(inv_sqrt_pi)
+        assert got.terms.keys() == want.terms.keys()
+        for key, c in want.terms.items():
+            assert abs(got.terms[key] - c) <= 1e-12 * abs(c), key
 
 
 class TestEmTail:
