@@ -19,14 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from typing import Any
 
-from .identities import (
-    FORMULAS,
-    PARAM_SIGNATURES,
-    IdentityId,
-    VerifyReport,
-    default_grid,
-    verify,
-)
+from .identities import REGISTRY, IdentityId, VerifyReport, default_grid, verify
 from .series import DEFAULT_CONFIG
 from .special import DomainError
 from .summation import EvalConfig
@@ -115,20 +108,8 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    if args.n is not None:
-        params["n"] = int(args.n)
-    if args.m is not None:
-        params["m"] = int(args.m)
-    if args.p is not None:
-        params["p"] = args.p
-    if args.x is not None:
-        params["x"] = args.x
-    if getattr(args, "which", None):
-        params["which"] = args.which
-    if getattr(args, "form", None):
-        params["form"] = args.form
-    return params
+    return {key: getattr(args, key) for key in ("n", "m", "p", "x", "which", "form")
+            if getattr(args, key) is not None}
 
 
 # ------------------------------- commands -----------------------------------
@@ -136,8 +117,8 @@ def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_list(args: argparse.Namespace) -> int:
     needle = (args.filter or "").lower()
-    for ident in IdentityId:
-        line = f"{ident.value:16s} params={PARAM_SIGNATURES[ident]:40s} :: {FORMULAS[ident]}"
+    for ident, row in REGISTRY.items():
+        line = f"{ident.value:16s} params={row.signature:40s} :: {row.formula}"
         if needle in line.lower():
             print(line)
     return EXIT_OK
@@ -165,9 +146,9 @@ def _grid_for(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, Any]
         return default_grid()
     ident = _parse_identity(args.identity)
     explicit = _collect_params(args)
-    if explicit or ident.value.startswith("EX"):
+    if explicit:
         return [(ident, explicit)]
-    return [(i, ps) for i, ps in default_grid() if i is ident]
+    return [(ident, dict(params)) for params in REGISTRY[ident].grid]
 
 
 def _worker(item: tuple[str, dict, float, dict]) -> dict:
@@ -303,13 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("identity")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None, help="output file (default: stdout)")
-    p_sweep.add_argument("--tol", type=float, default=None)
-    p_sweep.add_argument("--rel-tol", type=float, default=None)
-    p_sweep.add_argument("--max-terms", type=int, default=None,
-                         help="term cap of the directly summed zeta series (EX3_GOLDBACH "
-                              "zeta-tail and power-series); no other series reads it")
-    p_sweep.add_argument("--em-order", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    add_common(p_sweep, with_params=False)
     p_sweep.add_argument("--x", default=None, help="range like 0..3 or 0.5,1,2")
     p_sweep.add_argument("--n", default=None, help="range like 0..3")
     p_sweep.add_argument("--m", default=None, help="range like 1..4")

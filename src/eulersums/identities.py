@@ -1,10 +1,12 @@
 """Closed-form evaluators for the variant-sum identities and the harness
 pairing them with the direct-summation oracles.
 
-Each THM_*/COR_* entry evaluates a left side (series oracle) and a right
-side (finite harmonic sums plus mixed partials of gamma-ratio jets, or pure
-zeta/polygamma expressions) and reports the comparison.  Two of the closed
-forms are easy to mis-state and are pinned against the oracles:
+REGISTRY holds one row per identity: its parameters, the signature and
+formula `euler-sums list` prints, its grid points, and the function that
+evaluates the left side (series oracle) and the right side (finite harmonic
+sums plus mixed partials of gamma-ratio jets, or pure zeta/polygamma
+expressions).  verify, default_grid and the CLI read only that row.  Two of
+the closed forms are easy to mis-state and are pinned against the oracles:
 
   * the cubic family (THM_V4_311 / COR_312) needs z-derivative order m-1,
     not m, next to the 1/(m-1)! factor;
@@ -20,9 +22,12 @@ next to the corrected comparison.
 from __future__ import annotations
 
 import enum
+import functools
+import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .jets import Jet1, RatioVariant, gamma_ratio_jet, jet_exp, jet_mul, ln_gamma_jet, mixed_partial, psi_jet
 from .series import (
@@ -56,9 +61,7 @@ from .special import (
     polygamma,
     riemann_zeta,
 )
-from .summation import EvalConfig
-
-NEAR_ZERO = 1e-12
+from .summation import EvalConfig, SumResult
 
 
 class IdentityId(enum.Enum):
@@ -84,7 +87,9 @@ class IdentityId(enum.Enum):
 
 @dataclass
 class VerifyReport:
-    """One left/right comparison; near-zero right sides switch to absolute error."""
+    """One left/right comparison.  It passes when the series converged and
+    rel_err = |lhs - rhs| / max(|lhs|, |rhs|) is at most tol, however small
+    the two sides are (rel_err is 0 when both are 0)."""
 
     id: IdentityId
     params: dict[str, Any]
@@ -96,16 +101,6 @@ class VerifyReport:
     lhs_terms: int
     converged: bool = True
     extra: dict[str, Any] = field(default_factory=dict)
-
-
-def _report(ident: IdentityId, params: dict, lhs: float, rhs: float, tol: float,
-            terms: int, converged: bool = True, extra: dict | None = None) -> VerifyReport:
-    abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_err = abs_err / scale if scale > 0.0 else 0.0
-    passed = (abs_err <= tol) if abs(rhs) < NEAR_ZERO else (rel_err <= tol)
-    return VerifyReport(ident, params, lhs, rhs, abs_err, rel_err,
-                        passed and converged, terms, converged, extra or {})
 
 
 # -------------------------- finite-sum helpers ------------------------------
@@ -417,216 +412,221 @@ def ex4_stated_zeta_form(m: int) -> float:
     return out + _sign(m + 1) * 2.0**m * tail
 
 
-# ------------------------------ verification --------------------------------
+# ------------------------------ the inventory --------------------------------
 
-EX1_FORMS = ("quadratic", "linear", "difference")
-EX2_FORMS = ("unit", "half")
+Sides = Callable[..., tuple[SumResult, float]]
+_NONE = inspect.Parameter.empty
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One statement of the paper, described once.
+
+    `sides(cfg, **params)` sums the series, then evaluates the closed form,
+    and returns (series result, closed-form value); its parameters after cfg
+    are the statement's, with a default where the statement fixes one.  A
+    worked example made of several statements maps each value of its
+    `selector` parameter to such a function, the first being the default.
+    `grid` holds the points default_grid checks; `extra(lhs, tol, **params)`,
+    if set, adds diagnostics to the report.
+    """
+
+    signature: str
+    formula: str
+    sides: Sides | dict[str, Sides]
+    grid: list[dict[str, Any]]
+    selector: str | None = None
+    extra: Callable[..., dict[str, Any]] | None = None
+
+    def bind(self, ident: IdentityId, params: dict[str, Any]) -> tuple[Sides, dict[str, Any]]:
+        """The function for `params`, and `params` completed with defaults in
+        the order records print them; DomainError for a missing or unknown
+        parameter or sub-form."""
+        sides, full = self.sides, {}
+        if self.selector is not None:
+            choice = params.get(self.selector, next(iter(self.sides)))
+            if choice not in self.sides:
+                raise DomainError(f"unknown {ident.value} {self.selector} {choice!r}; "
+                                  f"expected one of {'/'.join(self.sides)}")
+            sides, full = self.sides[choice], {self.selector: choice}
+        declared = _declared(sides)
+        bad = [f"missing {name!r}" for name, d in declared.items()
+               if d is _NONE and name not in params]
+        bad += [f"unknown {name!r}" for name in params
+                if name not in declared and name != self.selector]
+        if bad:
+            raise DomainError(f"{ident.value} params={self.signature}: {', '.join(bad)}")
+        full.update((name, d) for name, d in declared.items() if d is not _NONE)
+        return sides, {**full, **params}
+
+
+@functools.cache
+def _declared(sides: Sides) -> dict[str, Any]:
+    """The parameters `sides` takes after cfg, with their defaults or _NONE."""
+    return {p.name: p.default for p in list(inspect.signature(sides).parameters.values())[1:]}
+
+
+def _axes(**axes: Iterable[Any]) -> list[dict[str, Any]]:
+    """Every combination of the axes, the last one varying fastest."""
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+
+
+def _times(c: float, r: SumResult) -> SumResult:
+    return SumResult(c * r.value, abs(c) * r.tail_estimate, r.terms_used, r.converged)
+
+
+def _ex4_stated_form(lhs: float, tol: float, m: int) -> dict[str, Any]:
+    """The unscaled zeta form's value and whether it matches the series."""
+    stated = ex4_stated_zeta_form(m)
+    return {"stated_zeta_form": stated,
+            "stated_matches": abs(stated - lhs) <= tol * max(abs(lhs), 1.0)}
+
+
+P_GRID = (0.5, 1.0, 1.5, 2.5)
+N_GRID = (0, 1, 2, 3, 4)
+_X_GRID = tuple(float(n) for n in N_GRID)
+_M1 = range(1, 6)  # m in 1..5 where the statement needs m >= 1
+_M0 = range(0, 5)  # m in 0..4 where m >= 0 is allowed
+
+# Each row's functions look lhs_*, rhs_* and the other evaluators up by their
+# module-global names at call time, so a wrapper installed on this module's
+# attributes sees every call.
+REGISTRY: dict[IdentityId, Identity] = {
+    IdentityId.THM_BASE_E15: Identity(
+        "(x > -1, m >= 1)",
+        "sum (-1)^(k-1) C(x,k)/k^m = (-1)^m/m! d^m_z R0(x,z)|z=1",
+        lambda cfg, x, m: (lhs_base_binomial(x, m, cfg), rhs_thm_e15(x, m)),
+        _axes(x=_X_GRID, m=_M1)),
+    IdentityId.THM_ALT_T25: Identity(
+        "(n >= 0, m >= 1)",
+        "sum (-1)^(n-1)/((n+k+1)^(m+1) C(n+k,k)) = finite - dx d^m_z R0",
+        lambda cfg, n, m: (lhs_alt(n, m, cfg), rhs_thm_t25(n, m)),
+        _axes(n=N_GRID, m=_M1)),
+    IdentityId.THM_V1_31: Identity(
+        "(n >= 0, m >= 1)",
+        "sum H_k/((n+k+1)^(m+1) C(n+k,k)) = finite + {F1,F2} terms",
+        lambda cfg, n, m: (lhs_variant1(n, m, cfg), rhs_thm_31(n, m)),
+        _axes(n=N_GRID, m=_M1)),
+    IdentityId.COR_EULER_32: Identity(
+        "(m >= 2)",
+        "2 sum H_k/(k+1)^m = m z(m+1) - sum z(k+1) z(m-k)",
+        lambda cfg, m: (_times(2.0, lhs_variant1(0, m - 1, cfg)), rhs_cor_32(m)),
+        _axes(m=range(2, 6))),
+    IdentityId.THM_V2_33: Identity(
+        "(n >= 0, m >= 1)",
+        "sum (H_k^2-H_k^(2))/((n+k+1)^(m+1) C(n+k,k)) = finite + {F1,F2,F3}",
+        lambda cfg, n, m: (lhs_variant2(n, m, cfg), rhs_thm_33(n, m)),
+        _axes(n=N_GRID, m=_M1)),
+    IdentityId.COR_34: Identity(
+        "(m >= 1)",
+        "sum (H_k^2-H_k^(2))/(k+1)^(m+1) = zeta polynomial",
+        lambda cfg, m: (lhs_variant2(0, m, cfg), rhs_cor_34(m)),
+        _axes(m=_M1)),
+    IdentityId.THM_BASE_35: Identity(
+        "(x > -1, p > 0, m >= 0)",
+        "sum (-1)^k C(x,k)/(p+k)^(m+1) = (-1)^m/m! d^m_s R1(x,s)|s=p",
+        lambda cfg, x, p, m: (lhs_binomial_shifted(x, p, m, cfg), rhs_thm_35(x, p, m)),
+        [{"x": x, "p": p, "m": m} for p in P_GRID for x in _X_GRID for m in _M0]),
+    IdentityId.COR_CENTRAL_36: Identity(
+        "(p > 0, m >= 0)",
+        "sum (H_k-2H_2k) C(2k,k)/(4^k (p+k)^(m+1)) = sqrt(pi) psi-ratio deriv",
+        lambda cfg, p, m: (lhs_central_binom(p, m, cfg), rhs_cor_36(p, m)),
+        _axes(p=P_GRID, m=_M0)),
+    IdentityId.THM_V3_37: Identity(
+        "(p > 0, n >= 0, m >= 0)",
+        "sum (-1)^n/(k (p+n+k)^(m+1) C(n+k,k)) = finite - dx d^m_s R1",
+        lambda cfg, p, n, m: (lhs_variant3(p, n, m, cfg), rhs_thm_37(p, n, m)),
+        _axes(p=P_GRID, n=N_GRID, m=_M0)),
+    IdentityId.COR_38: Identity(
+        "(p > 0, m >= 0)",
+        "sum 1/(k (p+k)^(m+1)) = gamma/p^(m+1) + psi-series",
+        lambda cfg, p, m: (lhs_variant3(p, 0, m, cfg), rhs_cor_38(p, m)),
+        _axes(p=P_GRID, m=_M0)),
+    IdentityId.THM_V3H_39: Identity(
+        "(p > 0, n >= 0, m >= 0)",
+        "sum (-1)^n H_(k-1)/(k (p+n+k)^(m+1) C(n+k,k)) = finite + (G2-2H_n G1)/2",
+        lambda cfg, p, n, m: (lhs_variant3h(p, n, m, cfg), rhs_thm_39(p, n, m)),
+        _axes(p=P_GRID, n=N_GRID, m=_M0)),
+    IdentityId.COR_310: Identity(
+        "(p > 0, m >= 0)",
+        "sum H_(k-1)/(k (p+k)^(m+1)) = 1/2 sum_l (-1)^l h^(l)(p)/(l! p^(m-l+1))",
+        lambda cfg, p, m: (lhs_variant3h(p, 0, m, cfg), rhs_cor_310(p, m)),
+        _axes(p=P_GRID, m=_M0)),
+    IdentityId.THM_V4_311: Identity(
+        "(p > 0, n >= 0, m >= 1)",
+        "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+n+k)^m C(n+k,k)) = finite + {G1,G2,G3}",
+        lambda cfg, p, n, m: (lhs_variant4(p, n, m, cfg), rhs_thm_311(p, n, m)),
+        _axes(p=P_GRID, n=N_GRID, m=_M1)),
+    IdentityId.COR_312: Identity(
+        "(p > 0, m >= 1)",
+        "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+k)^m) = -1/3 sum_l (-1)^l g^(l)(p)/(l! p^(m-l))",
+        lambda cfg, p, m: (lhs_variant4(p, 0, m, cfg), rhs_cor_312(p, m)),
+        _axes(p=P_GRID, m=_M1)),
+    IdentityId.EX1_AUYEUNG: Identity(
+        "(which in quadratic/linear/difference)",
+        "S(1^2;2) = 17/4 z(4);  S(2,2) = 7/4 z(4);  difference = 5/2 z(4)",
+        {"quadratic": lambda cfg: (lhs_quadratic_euler(2, cfg), 17.0 / 4.0 * ZETA4),
+         "linear": lambda cfg: (lhs_linear_euler(2, 2, cfg), 7.0 / 4.0 * ZETA4),
+         "difference": lambda cfg: (quadratic_minus_linear(2, cfg), 5.0 / 2.0 * ZETA4)},
+        _axes(which=("quadratic", "linear", "difference")),
+        selector="which"),
+    IdentityId.EX2_CENTRAL: Identity(
+        "(which in unit/half)",
+        "sum (2H_2k-H_k) C(2k,k)/((k+1) 4^(k+1)) = 1;  half-shift = pi (4 ln^2 2 - pi^2/6)",
+        {"unit": lambda cfg: (_times(-0.25, lhs_central_binom(1.0, 0, cfg)), 1.0),
+         "half": lambda cfg: (_times(-1.0, lhs_central_binom(0.5, 1, cfg)),
+                              math.pi * (4.0 * LN2**2 - math.pi**2 / 6.0))},
+        _axes(which=("unit", "half")),
+        selector="which"),
+    IdentityId.EX3_GOLDBACH: Identity(
+        "(form zeta-tail[m]/psi-series[p]/power-series[p,m])",
+        "sum_(j>=2) (z(m+j)-1) = m+1 - sum z(k+1)   (m=0: Goldbach value 1)",
+        {"zeta-tail": lambda cfg, m=0: (
+            zeta_tail_sum(m, cfg),
+            m + 1.0 - math.fsum(riemann_zeta(k + 1.0) for k in range(1, m + 1))),
+         "psi-series": lambda cfg, p=0.5: (
+            _times(p, lhs_variant3(p, 0, 0, cfg)), EULER_GAMMA + digamma(p + 1.0)),
+         "power-series": lambda cfg, p=0.4, m=1: (zeta_power_series(p, m, cfg), rhs_cor_38(p, m))},
+        [{"form": "zeta-tail", "m": m} for m in range(4)]
+        + [{"form": "psi-series", "p": 0.5}, {"form": "power-series", "p": 0.4, "m": 1}],
+        selector="form"),
+    IdentityId.EX4_HALF: Identity(
+        "(m in 0..)",
+        "sum H_(k-1)/(k (k-1/2)^(m+1)) vs half-shifted closed form",
+        lambda cfg, m=0: (half_shift_series(m, cfg), rhs_cor_310(-0.5, m)),
+        _axes(m=(0, 1)),
+        extra=_ex4_stated_form),
+}
 
 
 def verify(ident: IdentityId, params: dict[str, Any], tol: float,
            cfg: EvalConfig = DEFAULT_CONFIG) -> VerifyReport:
-    """Evaluate both sides of one identity instance and compare at tol."""
-    pr = params
-    if ident is IdentityId.THM_BASE_E15:
-        r = lhs_base_binomial(pr["x"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_e15(pr["x"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_ALT_T25:
-        r = lhs_alt(pr["n"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_t25(pr["n"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_V1_31:
-        r = lhs_variant1(pr["n"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_31(pr["n"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.COR_EULER_32:
-        r = lhs_variant1(0, pr["m"] - 1, cfg)
-        return _report(ident, pr, 2.0 * r.value, rhs_cor_32(pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_V2_33:
-        r = lhs_variant2(pr["n"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_33(pr["n"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.COR_34:
-        r = lhs_variant2(0, pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_cor_34(pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_BASE_35:
-        r = lhs_binomial_shifted(pr["x"], pr["p"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_35(pr["x"], pr["p"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.COR_CENTRAL_36:
-        r = lhs_central_binom(pr["p"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_cor_36(pr["p"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_V3_37:
-        r = lhs_variant3(pr["p"], pr["n"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_37(pr["p"], pr["n"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.COR_38:
-        r = lhs_variant3(pr["p"], 0, pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_cor_38(pr["p"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_V3H_39:
-        r = lhs_variant3h(pr["p"], pr["n"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_39(pr["p"], pr["n"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.COR_310:
-        r = lhs_variant3h(pr["p"], 0, pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_cor_310(pr["p"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.THM_V4_311:
-        r = lhs_variant4(pr["p"], pr["n"], pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_thm_311(pr["p"], pr["n"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.COR_312:
-        r = lhs_variant4(pr["p"], 0, pr["m"], cfg)
-        return _report(ident, pr, r.value, rhs_cor_312(pr["p"], pr["m"]), tol, r.terms_used, r.converged)
-    if ident is IdentityId.EX1_AUYEUNG:
-        which = pr.get("which", "quadratic")
-        if which == "quadratic":
-            r = lhs_quadratic_euler(2, cfg)
-            rhs = 17.0 / 4.0 * ZETA4
-        elif which == "linear":
-            r = lhs_linear_euler(2, 2, cfg)
-            rhs = 7.0 / 4.0 * ZETA4
-        elif which == "difference":
-            r = quadratic_minus_linear(2, cfg)
-            rhs = 5.0 / 2.0 * ZETA4
-        else:
-            raise DomainError(f"unknown EX1 form {which!r}; expected one of {EX1_FORMS}")
-        return _report(ident, {"which": which}, r.value, rhs, tol, r.terms_used, r.converged)
-    if ident is IdentityId.EX2_CENTRAL:
-        which = pr.get("which", "unit")
-        if which == "unit":
-            r = lhs_central_binom(1.0, 0, cfg)
-            lhs, rhs = -r.value / 4.0, 1.0
-        elif which == "half":
-            r = lhs_central_binom(0.5, 1, cfg)
-            lhs, rhs = -r.value, math.pi * (4.0 * LN2**2 - math.pi**2 / 6.0)
-        else:
-            raise DomainError(f"unknown EX2 form {which!r}; expected one of {EX2_FORMS}")
-        return _report(ident, {"which": which}, lhs, rhs, tol, r.terms_used, r.converged)
-    if ident is IdentityId.EX3_GOLDBACH:
-        form = pr.get("form", "zeta-tail")
-        if form == "zeta-tail":
-            m = pr.get("m", 0)
-            r = zeta_tail_sum(m, cfg)
-            rhs = m + 1.0 - math.fsum(riemann_zeta(k + 1.0) for k in range(1, m + 1))
-            return _report(ident, {"form": form, "m": m}, r.value, rhs, tol, r.terms_used, r.converged)
-        if form == "psi-series":
-            pp = pr.get("p", 0.5)
-            r = lhs_variant3(pp, 0, 0, cfg)
-            lhs = pp * r.value
-            rhs = EULER_GAMMA + digamma(pp + 1.0)
-            return _report(ident, {"form": form, "p": pp}, lhs, rhs, tol, r.terms_used, r.converged)
-        if form == "power-series":
-            pp, m = pr.get("p", 0.4), pr.get("m", 1)
-            r = zeta_power_series(pp, m, cfg)
-            return _report(ident, {"form": form, "p": pp, "m": m}, r.value,
-                           rhs_cor_38(pp, m), tol, r.terms_used, r.converged)
-        raise DomainError(f"unknown EX3 form {form!r}")
-    if ident is IdentityId.EX4_HALF:
-        m = pr.get("m", 0)
-        r = half_shift_series(m, cfg)
-        rhs = rhs_cor_310(-0.5, m)
-        stated = ex4_stated_zeta_form(m)
-        stated_matches = abs(stated - r.value) <= tol * max(abs(r.value), 1.0)
-        rep = _report(ident, {"m": m}, r.value, rhs, tol, r.terms_used, r.converged,
-                      extra={"stated_zeta_form": stated, "stated_matches": stated_matches})
-        return rep
-    raise DomainError(f"unknown identity {ident}")
-
-
-def example_suite(tol: float = 1e-8, cfg: EvalConfig = DEFAULT_CONFIG) -> list[VerifyReport]:
-    """Run the worked-example battery: the Au-Yeung and classical Euler sums,
-    the two central-binomial values, the zeta-tail family, and the
-    half-shifted instance with its mismatch diagnostics."""
-    reports = []
-    for which in EX1_FORMS:
-        reports.append(verify(IdentityId.EX1_AUYEUNG, {"which": which}, tol, cfg))
-    for which in EX2_FORMS:
-        reports.append(verify(IdentityId.EX2_CENTRAL, {"which": which}, tol, cfg))
-    reports.append(verify(IdentityId.EX3_GOLDBACH, {"form": "psi-series", "p": 0.5}, tol, cfg))
-    reports.append(verify(IdentityId.EX3_GOLDBACH, {"form": "power-series", "p": 0.4, "m": 1}, tol, cfg))
-    for m in (0, 1, 2, 3):
-        reports.append(verify(IdentityId.EX3_GOLDBACH, {"form": "zeta-tail", "m": m}, tol, cfg))
-    for m in (0, 1):
-        reports.append(verify(IdentityId.EX4_HALF, {"m": m}, tol, cfg))
-    return reports
-
-
-# ------------------------------ grid inventory -------------------------------
-
-P_GRID = (0.5, 1.0, 1.5, 2.5)
-N_GRID = (0, 1, 2, 3, 4)
-
-PARAM_SIGNATURES: dict[IdentityId, str] = {
-    IdentityId.THM_BASE_E15: "(x > -1, m >= 1)",
-    IdentityId.THM_ALT_T25: "(n >= 0, m >= 1)",
-    IdentityId.THM_V1_31: "(n >= 0, m >= 1)",
-    IdentityId.COR_EULER_32: "(m >= 2)",
-    IdentityId.THM_V2_33: "(n >= 0, m >= 1)",
-    IdentityId.COR_34: "(m >= 1)",
-    IdentityId.THM_BASE_35: "(x > -1, p > 0, m >= 0)",
-    IdentityId.COR_CENTRAL_36: "(p > 0, m >= 0)",
-    IdentityId.THM_V3_37: "(p > 0, n >= 0, m >= 0)",
-    IdentityId.COR_38: "(p > 0, m >= 0)",
-    IdentityId.THM_V3H_39: "(p > 0, n >= 0, m >= 0)",
-    IdentityId.COR_310: "(p > 0, m >= 0)",
-    IdentityId.THM_V4_311: "(p > 0, n >= 0, m >= 1)",
-    IdentityId.COR_312: "(p > 0, m >= 1)",
-    IdentityId.EX1_AUYEUNG: "(which in " + "/".join(EX1_FORMS) + ")",
-    IdentityId.EX2_CENTRAL: "(which in " + "/".join(EX2_FORMS) + ")",
-    IdentityId.EX3_GOLDBACH: "(form zeta-tail[m]/psi-series[p]/power-series[p,m])",
-    IdentityId.EX4_HALF: "(m in 0..)",
-}
-
-FORMULAS: dict[IdentityId, str] = {
-    IdentityId.THM_BASE_E15: "sum (-1)^(k-1) C(x,k)/k^m = (-1)^m/m! d^m_z R0(x,z)|z=1",
-    IdentityId.THM_ALT_T25: "sum (-1)^(n-1)/((n+k+1)^(m+1) C(n+k,k)) = finite - dx d^m_z R0",
-    IdentityId.THM_V1_31: "sum H_k/((n+k+1)^(m+1) C(n+k,k)) = finite + {F1,F2} terms",
-    IdentityId.COR_EULER_32: "2 sum H_k/(k+1)^m = m z(m+1) - sum z(k+1) z(m-k)",
-    IdentityId.THM_V2_33: "sum (H_k^2-H_k^(2))/((n+k+1)^(m+1) C(n+k,k)) = finite + {F1,F2,F3}",
-    IdentityId.COR_34: "sum (H_k^2-H_k^(2))/(k+1)^(m+1) = zeta polynomial",
-    IdentityId.THM_BASE_35: "sum (-1)^k C(x,k)/(p+k)^(m+1) = (-1)^m/m! d^m_s R1(x,s)|s=p",
-    IdentityId.COR_CENTRAL_36: "sum (H_k-2H_2k) C(2k,k)/(4^k (p+k)^(m+1)) = sqrt(pi) psi-ratio deriv",
-    IdentityId.THM_V3_37: "sum (-1)^n/(k (p+n+k)^(m+1) C(n+k,k)) = finite - dx d^m_s R1",
-    IdentityId.COR_38: "sum 1/(k (p+k)^(m+1)) = gamma/p^(m+1) + psi-series",
-    IdentityId.THM_V3H_39: "sum (-1)^n H_(k-1)/(k (p+n+k)^(m+1) C(n+k,k)) = finite + (G2-2H_n G1)/2",
-    IdentityId.COR_310: "sum H_(k-1)/(k (p+k)^(m+1)) = 1/2 sum_l (-1)^l h^(l)(p)/(l! p^(m-l+1))",
-    IdentityId.THM_V4_311: "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+n+k)^m C(n+k,k)) = finite + {G1,G2,G3}",
-    IdentityId.COR_312: "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+k)^m) = -1/3 sum_l (-1)^l g^(l)(p)/(l! p^(m-l))",
-    IdentityId.EX1_AUYEUNG: "S(1^2;2) = 17/4 z(4);  S(2,2) = 7/4 z(4);  difference = 5/2 z(4)",
-    IdentityId.EX2_CENTRAL: "sum (2H_2k-H_k) C(2k,k)/((k+1) 4^(k+1)) = 1;  half-shift = pi (4 ln^2 2 - pi^2/6)",
-    IdentityId.EX3_GOLDBACH: "sum_(j>=2) (z(m+j)-1) = m+1 - sum z(k+1)   (m=0: Goldbach value 1)",
-    IdentityId.EX4_HALF: "sum H_(k-1)/(k (k-1/2)^(m+1)) vs half-shifted closed form",
-}
+    """Evaluate both sides of one identity instance and compare at tol; a
+    missing or unknown parameter is a DomainError."""
+    row = REGISTRY[ident]
+    sides, full = row.bind(ident, params)
+    args = {name: v for name, v in full.items() if name != row.selector}
+    res, rhs = sides(cfg, **args)
+    lhs = res.value
+    abs_err = abs(lhs - rhs)
+    scale = max(abs(lhs), abs(rhs))
+    rel_err = abs_err / scale if scale > 0.0 else 0.0
+    extra = row.extra(lhs, tol, **args) if row.extra else {}
+    return VerifyReport(ident, full, lhs, rhs, abs_err, rel_err, rel_err <= tol and res.converged,
+                        res.terms_used, res.converged, extra)
 
 
 def default_grid() -> list[tuple[IdentityId, dict[str, Any]]]:
-    """The full verification grid: n in 0..4, m in each identity's range
-    intersected with 1..5 (0..4 where m >= 0 is allowed), p in the 4-point set."""
-    grid: list[tuple[IdentityId, dict[str, Any]]] = []
-    for n in N_GRID:
-        for m in range(1, 6):
-            grid.append((IdentityId.THM_BASE_E15, {"x": float(n), "m": m}))
-            grid.append((IdentityId.THM_ALT_T25, {"n": n, "m": m}))
-            grid.append((IdentityId.THM_V1_31, {"n": n, "m": m}))
-            grid.append((IdentityId.THM_V2_33, {"n": n, "m": m}))
-    for m in range(2, 6):
-        grid.append((IdentityId.COR_EULER_32, {"m": m}))
-    for m in range(1, 6):
-        grid.append((IdentityId.COR_34, {"m": m}))
-    for pp in P_GRID:
-        for n in N_GRID:
-            for m in range(0, 5):
-                grid.append((IdentityId.THM_BASE_35, {"x": float(n), "p": pp, "m": m}))
-                grid.append((IdentityId.THM_V3_37, {"p": pp, "n": n, "m": m}))
-                grid.append((IdentityId.THM_V3H_39, {"p": pp, "n": n, "m": m}))
-            for m in range(1, 6):
-                grid.append((IdentityId.THM_V4_311, {"p": pp, "n": n, "m": m}))
-        for m in range(0, 5):
-            grid.append((IdentityId.COR_CENTRAL_36, {"p": pp, "m": m}))
-            grid.append((IdentityId.COR_38, {"p": pp, "m": m}))
-            grid.append((IdentityId.COR_310, {"p": pp, "m": m}))
-        for m in range(1, 6):
-            grid.append((IdentityId.COR_312, {"p": pp, "m": m}))
-    for which in EX1_FORMS:
-        grid.append((IdentityId.EX1_AUYEUNG, {"which": which}))
-    for which in EX2_FORMS:
-        grid.append((IdentityId.EX2_CENTRAL, {"which": which}))
-    for m in (0, 1, 2, 3):
-        grid.append((IdentityId.EX3_GOLDBACH, {"form": "zeta-tail", "m": m}))
-    grid.append((IdentityId.EX3_GOLDBACH, {"form": "psi-series", "p": 0.5}))
-    grid.append((IdentityId.EX3_GOLDBACH, {"form": "power-series", "p": 0.4, "m": 1}))
-    for m in (0, 1):
-        grid.append((IdentityId.EX4_HALF, {"m": m}))
-    return grid
+    """The full verification grid, every row's points in IdentityId order: n
+    in 0..4, m in each identity's range intersected with 1..5 (0..4 where
+    m >= 0 is allowed), p in the 4-point set, and the worked examples."""
+    return [(ident, dict(params)) for ident in IdentityId for params in REGISTRY[ident].grid]
+
+
+def example_suite(tol: float = 1e-8, cfg: EvalConfig = DEFAULT_CONFIG) -> list[VerifyReport]:
+    """Run the worked-example battery, the grid points of the EX rows: the
+    Au-Yeung and classical Euler sums, the two central-binomial values, the
+    zeta-tail family, and the half-shifted instance with its mismatch
+    diagnostics."""
+    return [verify(ident, params, tol, cfg) for ident, params in default_grid()
+            if ident.value.startswith("EX")]

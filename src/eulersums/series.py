@@ -46,6 +46,9 @@ _U = 2.0**-53
 _R_HSQ = 15.0   # H_k^2 - H_k^(2), its own operations included
 _R_HDIFF = 7.0  # H_k - 2 H_2k, likewise
 
+# At large m a head's power overflows to inf and its term becomes 0, which it
+# would underflow to anyway; np.errstate(over="ignore") keeps that silent.
+
 DEFAULT_CONFIG = EvalConfig()
 
 
@@ -102,7 +105,8 @@ def lhs_variant1(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     _check_nm(n, m, 1)
     c = _cache()
     k = np.arange(1.0, K_CROSSOVER + 1.0)
-    terms = c.h1[1 : K_CROSSOVER + 1] * _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
+    with np.errstate(over="ignore"):
+        terms = c.h1[1 : K_CROSSOVER + 1] * _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
     s_cap = (m + 1) + n + _DEPTH
     model = (ap.harmonic_lp(s_cap) * ap.inv_binomial_lp(n, s_cap)
              * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap))
@@ -117,7 +121,8 @@ def lhs_variant2(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     k = np.arange(1.0, K_CROSSOVER + 1.0)
     h1 = c.h1[1 : K_CROSSOVER + 1]
     h2 = c.h2[1 : K_CROSSOVER + 1]
-    terms = (h1 * h1 - h2) * _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
+    with np.errstate(over="ignore"):
+        terms = (h1 * h1 - h2) * _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
     s_cap = (m + 1) + n + _DEPTH
     h = ap.harmonic_lp(s_cap)
     numer = h * h + ap.gen_harmonic_lp(2, s_cap).scaled(-1.0)
@@ -133,7 +138,8 @@ def lhs_alt(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """
     _check_nm(n, m, 1)
     k = np.arange(0.0, K_CROSSOVER + 1.0)
-    terms = _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
+    with np.errstate(over="ignore"):
+        terms = _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
     s_cap = (m + 1) + n + _DEPTH
     model = ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap)
     res = _em_result(terms, model, cfg, 2 * n + 3.0)  # binomial 2n, pow 2, / 1
@@ -145,7 +151,8 @@ def _variant3_family(p: float, n: int, m: int, power: int,
                      numer_kind: str, cfg: EvalConfig) -> SumResult:
     c = _cache()
     k = np.arange(1.0, K_CROSSOVER + 1.0)
-    base = _inv_binomial_exact(n, k) / (k * (p + n + k) ** power)
+    with np.errstate(over="ignore"):
+        base = _inv_binomial_exact(n, k) / (k * (p + n + k) ** power)
     # binomial 2n, pow 2 of a base rounded twice (p + n + k), * and / 1 each
     roundings = 2 * n + 2 * power + 4.0
     s_cap = power + n + 1 + _DEPTH
@@ -201,7 +208,8 @@ def lhs_central_binom(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
     k = np.arange(1, K_CROSSOVER + 1)
     kf = k.astype(np.float64)
     cb = np.cumprod((2.0 * kf - 1.0) / (2.0 * kf))  # binom(2k,k)/4^k
-    terms = (c.h1[k] - 2.0 * c.h1[2 * k]) * cb / (p + kf) ** (m + 1)
+    with np.errstate(over="ignore"):
+        terms = (c.h1[k] - 2.0 * c.h1[2 * k]) * cb / (p + kf) ** (m + 1)
     s_cap = (m + 1) + 0.5 + _DEPTH
     # binom(2t, t)/4^t = Gamma(t + 1/2) / (sqrt(pi) Gamma(t + 1))
     model = (ap.central_harmonic_diff_lp(s_cap)
@@ -218,7 +226,8 @@ def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
         raise DomainError(f"m must be >= 0, got {m}")
     c = _cache()
     k = np.arange(1.0, K_CROSSOVER + 1.0)
-    terms = c.h1[0:K_CROSSOVER] / (k * (k - 0.5) ** (m + 1))
+    with np.errstate(over="ignore"):
+        terms = c.h1[0:K_CROSSOVER] / (k * (k - 0.5) ** (m + 1))
     s_cap = (m + 2) + _DEPTH
     t_inv = ap.LogPowerSeries(s_cap, {(0, 1.0): 1.0})
     model = ap.harmonic_prev_lp(s_cap) * ap.recip_power_shift(-0.5, m + 1.0, s_cap) * t_inv
@@ -321,7 +330,8 @@ def lhs_linear_euler(p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumRes
     else:
         hp = np.cumsum(k ** -float(p))
         roundings = k + 4.0  # a running sum, rounded k - 1 times by term k, after pow 2
-    terms = hp / k**q
+    with np.errstate(over="ignore"):
+        terms = hp / k**q
     s_cap = q + _DEPTH
     numer = ap.harmonic_lp(s_cap) if p == 1 else ap.gen_harmonic_lp(p, s_cap)
     model = numer * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
@@ -335,7 +345,8 @@ def lhs_quadratic_euler(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     c = _cache()
     k = np.arange(1.0, K_CROSSOVER + 1.0)
     h1 = c.h1[1 : K_CROSSOVER + 1]
-    terms = h1 * h1 / k**q
+    with np.errstate(over="ignore"):
+        terms = h1 * h1 / k**q
     s_cap = q + _DEPTH
     h = ap.harmonic_lp(s_cap)
     model = h * h * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
@@ -350,7 +361,8 @@ def quadratic_minus_linear(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResul
     k = np.arange(1.0, K_CROSSOVER + 1.0)
     h1 = c.h1[1 : K_CROSSOVER + 1]
     h2 = c.h2[1 : K_CROSSOVER + 1]
-    terms = (h1 * h1 - h2) / k**q
+    with np.errstate(over="ignore"):
+        terms = (h1 * h1 - h2) / k**q
     s_cap = q + _DEPTH
     h = ap.harmonic_lp(s_cap)
     numer = h * h + ap.gen_harmonic_lp(2, s_cap).scaled(-1.0)

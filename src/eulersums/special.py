@@ -111,7 +111,8 @@ def polygamma(k: int, x: float) -> float:
     x >= 10 + k, then sums the Bernoulli asymptotic series truncated at its
     smallest term (at most 12 Bernoulli terms).  The order-dependent
     threshold keeps the truncation floor below 1e-13 relative through
-    k ~ 16; a flat threshold of 10 degrades to ~1e-10 by k = 16.
+    k ~ 16; a flat threshold of 10 degrades to ~1e-10 by k = 16.  If k! or
+    a power overflows binary64 (k! does from k = 171), DomainError.
     """
     if k < 1:
         raise DomainError(f"polygamma requires k >= 1, got {k}")
@@ -119,20 +120,24 @@ def polygamma(k: int, x: float) -> float:
         raise PoleError(f"polygamma pole at x = {x}")
     threshold = 10.0 + k
     sign = -1.0 if k % 2 == 0 else 1.0  # (-1)^(k+1)
-    fact_k = math.factorial(k)
-    acc = 0.0
-    while x < threshold:
-        acc += sign * fact_k / x ** (k + 1)
-        x += 1.0
-    inv = 1.0 / x
-    s = math.factorial(k - 1) * inv**k + 0.5 * fact_k * inv ** (k + 1)
-    prev = math.inf
-    for j, b in enumerate(BERNOULLI_2J, start=1):
-        t = b * math.factorial(2 * j + k - 1) / math.factorial(2 * j) * inv ** (2 * j + k)
-        if abs(t) > prev:
-            break
-        s += t
-        prev = abs(t)
+    try:
+        fact_k = math.factorial(k)
+        acc = 0.0
+        y = x
+        while y < threshold:
+            acc += sign * fact_k / y ** (k + 1)
+            y += 1.0
+        inv = 1.0 / y
+        s = math.factorial(k - 1) * inv**k + 0.5 * fact_k * inv ** (k + 1)
+        prev = math.inf
+        for j, b in enumerate(BERNOULLI_2J, start=1):
+            t = b * math.factorial(2 * j + k - 1) / math.factorial(2 * j) * inv ** (2 * j + k)
+            if abs(t) > prev:
+                break
+            s += t
+            prev = abs(t)
+    except OverflowError:
+        raise DomainError(f"polygamma({k}, {x}) overflows binary64") from None
     return sign * s + acc
 
 

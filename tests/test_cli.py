@@ -15,6 +15,7 @@ from eulersums.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from eulersums.identities import REGISTRY, IdentityId
 
 
 def run(capsys, *argv):
@@ -113,6 +114,27 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")
+    def test_polygamma_overflow_exit_2(self, capsys):
+        # psi^(k) at the orders the m = 400 jets need leaves binary64
+        code, out, err = run(capsys, "eval", "COR_CENTRAL_36", "--p", "1", "--m", "400")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("ident", list(IdentityId))
+    def test_missing_or_unknown_param_exit_2(self, capsys, ident):
+        point = REGISTRY[ident].grid[0]
+        cases = [] if ident.value.startswith("EX") else [  # the examples have defaults
+            ({k: v for k, v in point.items() if k != name}, f"missing '{name}'") for name in point]
+        foreign = next(k for k in ("x", "n", "p", "m") if k not in point)
+        cases.append(({**point, foreign: 1}, f"unknown '{foreign}'"))
+        for params, why in cases:
+            argv = [arg for key, val in params.items() for arg in (f"--{key}", str(val))]
+            code, out, err = run(capsys, "eval", ident.value, *argv)
+            assert code == EXIT_DOMAIN, params
+            assert out == "" and err.startswith("error:") and why in err
+            assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_single_point_pass(self, capsys):
@@ -128,6 +150,18 @@ class TestVerify:
         lines = out.splitlines()
         assert len(lines) == 20  # 4 p-values x m in 0..4
         assert all(json.loads(l)["pass"] for l in lines)
+
+    def test_example_runs_its_sub_forms(self, capsys):
+        code, out, _ = run(capsys, "verify", "EX1_AUYEUNG", "--jobs", "1")
+        assert code == EXIT_OK
+        recs = [json.loads(l) for l in out.splitlines()]
+        assert [r["params"]["which"] for r in recs] == ["quadratic", "linear", "difference"]
+        assert all(r["pass"] for r in recs)
+
+    def test_tiny_wrong_rhs_exit_1(self, capsys):
+        code, out, _ = run(capsys, "verify", "THM_V2_33", "--n", "10", "--m", "10", "--jobs", "1")
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(out)["pass"] is False
 
     def test_unattainable_tolerance_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "COR_38", "--tol", "1e-30", "--jobs", "1")
@@ -181,6 +215,11 @@ class TestSweep:
             rel = float(row[CSV_HEADER.index("rel_err")])
             assert rel < 1e-9
             assert row[CSV_HEADER.index("converged")] == "True"
+
+    def test_missing_param_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", "0..1", "--jobs", "1")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:") and "missing 'm'" in err
 
     def test_empty_range(self, capsys):
         code, out, _ = run(capsys, "sweep", "COR_38", "--p", "", "--m", "0..3", "--jobs", "1")

@@ -146,6 +146,27 @@ def test_extreme_values_within_tail_estimate(name, params, sign):
     assert abs(res.value - want) <= res.tail_estimate
 
 
+# every EM oracle at m = 400 (q = 400 for the Euler sums), where the heads'
+# powers overflow to inf, and its first nonzero term: the next one is smaller
+# by (2/3)^400 or less
+LARGE_M = [("lhs_variant1", (0, 400), 2.0**-401), ("lhs_variant2", (0, 400), 3.0**-401),
+           ("lhs_alt", (0, 400), -1.0), ("lhs_variant3", (1.0, 0, 400), 2.0**-401),
+           ("lhs_variant3h", (1.0, 0, 400), 0.5 * 3.0**-401),
+           ("lhs_variant4", (1.0, 0, 400), 4.0**-400 / 3.0),
+           ("lhs_central_binom", (1.0, 400), -(2.0**-401)),
+           ("half_shift_series", (400,), 0.5 * 1.5**-401), ("lhs_linear_euler", (1, 400), 1.0),
+           ("lhs_quadratic_euler", (400,), 1.0), ("quadratic_minus_linear", (400,), 2.0**-400),
+           ("lhs_base_binomial", (0.5, 400), 0.5), ("lhs_binomial_shifted", (0.5, 1.0, 400), 1.0)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, params, want", LARGE_M)
+def test_large_m_heads_overflow_quietly(name, params, want):
+    res = getattr(series, name)(*params)
+    assert res.converged
+    assert res.value == pytest.approx(want, rel=1e-14)
+
+
 def _beta_reference(name, params):
     """30 digits from the beta integral sum_{k>=0} (-1)^k binom(x,k)/(p+k) =
     B(p, x+1), differentiated in p by mpmath.  Its m-th derivative times

@@ -32,7 +32,7 @@ from eulersums import (
     rhs_thm_t25,
     verify,
 )
-from eulersums.identities import P_GRID, ex4_stated_zeta_form, rhs_cor_34_unsimplified
+from eulersums.identities import P_GRID, REGISTRY, ex4_stated_zeta_form, rhs_cor_34_unsimplified
 from eulersums.special import LN2
 
 from conftest import REFS, assert_close
@@ -179,11 +179,17 @@ class TestVerifyHarness:
         rep = verify(IdentityId.THM_V2_33, {"n": 2, "m": 2}, 1e-7)
         assert rep.passed
 
-    def test_near_zero_uses_absolute_error(self):
+    def test_zero_sides_pass(self):
         rep = verify(IdentityId.THM_BASE_E15, {"x": 0.0, "m": 2}, 1e-14)
         assert rep.passed
         assert rep.lhs == rep.rhs == 0.0
         assert rep.rel_err == 0.0
+
+    def test_tiny_wrong_rhs_fails(self):
+        # |rhs| < 1e-12 and 79% off the series: no absolute-error pass
+        rep = verify(IdentityId.THM_V2_33, {"n": 10, "m": 10}, 1e-7)
+        assert abs(rep.rhs) < 1e-12 and rep.rel_err > 0.5
+        assert rep.converged and not rep.passed
 
     def test_report_fields_consistent(self):
         rep = verify(IdentityId.COR_38, {"p": 1.5, "m": 1}, 1e-7)
@@ -195,6 +201,31 @@ class TestVerifyHarness:
     def test_unattainable_tolerance_fails(self):
         rep = verify(IdentityId.COR_38, {"p": 1.5, "m": 1}, 1e-30)
         assert not rep.passed
+
+
+class TestRegistry:
+    def test_one_row_per_identity_in_order(self):
+        assert list(REGISTRY) == list(IdentityId)
+
+    @pytest.mark.parametrize("ident", list(IdentityId))
+    def test_missing_or_unknown_param_is_domain_error(self, ident):
+        point = REGISTRY[ident].grid[0]
+        for name in point:
+            dropped = {k: v for k, v in point.items() if k != name}
+            if ident.value.startswith("EX"):
+                # a worked example fixes a default for each of its parameters,
+                # and its first grid point is those defaults
+                assert verify(ident, dropped, 1e-7).params == point
+            else:
+                with pytest.raises(DomainError, match=f"missing '{name}'"):
+                    verify(ident, dropped, 1e-7)
+        foreign = next(k for k in ("x", "n", "p", "m") if k not in point)
+        with pytest.raises(DomainError, match=f"unknown '{foreign}'"):
+            verify(ident, {**point, foreign: 1}, 1e-7)
+
+    def test_unknown_sub_form(self):
+        with pytest.raises(DomainError, match="expected one of zeta-tail/psi-series/power-series"):
+            verify(IdentityId.EX3_GOLDBACH, {"form": "nope"}, 1e-7)
 
 
 class TestExampleSuite:

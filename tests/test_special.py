@@ -104,6 +104,10 @@ class TestPolygamma:
         with pytest.raises(PoleError):
             polygamma(1, -3.0)
 
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows binary64"):
+            polygamma(400, 1.0)
+
 
 class TestZeta:
     def test_two(self):
