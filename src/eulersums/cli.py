@@ -194,6 +194,9 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
         if text is not None:
             vals = _parse_range(text)
             if key in ("n", "m"):
+                for v in vals:
+                    if not v.is_integer():
+                        raise DomainError(f"--{key} takes integers, got {_fmt(v)}")
                 vals = [int(v) for v in vals]
             axes.append((key, vals))
     combos: list[dict[str, Any]] = [{}]

@@ -471,10 +471,6 @@ def _axes(**axes: Iterable[Any]) -> list[dict[str, Any]]:
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
-def _times(c: float, r: SumResult) -> SumResult:
-    return SumResult(c * r.value, abs(c) * r.tail_estimate, r.terms_used, r.converged)
-
-
 def _ex4_stated_form(lhs: float, tol: float, m: int) -> dict[str, Any]:
     """The unscaled zeta form's value and whether it matches the series."""
     stated = ex4_stated_zeta_form(m)
@@ -510,7 +506,7 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.COR_EULER_32: Identity(
         "(m >= 2)",
         "2 sum H_k/(k+1)^m = m z(m+1) - sum z(k+1) z(m-k)",
-        lambda cfg, m: (_times(2.0, lhs_variant1(0, m - 1, cfg)), rhs_cor_32(m)),
+        lambda cfg, m: (lhs_variant1(0, m - 1, cfg).scaled(2.0), rhs_cor_32(m)),
         _axes(m=range(2, 6))),
     IdentityId.THM_V2_33: Identity(
         "(n >= 0, m >= 1)",
@@ -573,8 +569,8 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.EX2_CENTRAL: Identity(
         "(which in unit/half)",
         "sum (2H_2k-H_k) C(2k,k)/((k+1) 4^(k+1)) = 1;  half-shift = pi (4 ln^2 2 - pi^2/6)",
-        {"unit": lambda cfg: (_times(-0.25, lhs_central_binom(1.0, 0, cfg)), 1.0),
-         "half": lambda cfg: (_times(-1.0, lhs_central_binom(0.5, 1, cfg)),
+        {"unit": lambda cfg: (lhs_central_binom(1.0, 0, cfg).scaled(-0.25), 1.0),
+         "half": lambda cfg: (lhs_central_binom(0.5, 1, cfg).scaled(-1.0),
                               math.pi * (4.0 * LN2**2 - math.pi**2 / 6.0))},
         _axes(which=("unit", "half")),
         selector="which"),
@@ -585,7 +581,7 @@ REGISTRY: dict[IdentityId, Identity] = {
             zeta_tail_sum(m, cfg),
             m + 1.0 - math.fsum(riemann_zeta(k + 1.0) for k in range(1, m + 1))),
          "psi-series": lambda cfg, p=0.5: (
-            _times(p, lhs_variant3(p, 0, 0, cfg)), EULER_GAMMA + digamma(p + 1.0)),
+            lhs_variant3(p, 0, 0, cfg).scaled(p), EULER_GAMMA + digamma(p + 1.0)),
          "power-series": lambda cfg, p=0.4, m=1: (zeta_power_series(p, m, cfg), rhs_cor_38(p, m))},
         [{"form": "zeta-tail", "m": m} for m in range(4)]
         + [{"form": "psi-series", "p": 0.5}, {"form": "power-series", "p": 0.4, "m": 1}],

@@ -55,20 +55,6 @@ def _check1(a: Jet1, b: Jet1) -> None:
         )
 
 
-def jet_add(a: Jet1 | "Jet2", b: Jet1 | "Jet2"):
-    if isinstance(a, Jet2) and isinstance(b, Jet2):
-        _check2(a, b)
-        return Jet2(a.x0, a.z0, a.coeffs + b.coeffs)
-    _check1(a, b)
-    return Jet1(a.base, a.coeffs + b.coeffs)
-
-
-def jet_neg(a: Jet1 | "Jet2"):
-    if isinstance(a, Jet2):
-        return Jet2(a.x0, a.z0, -a.coeffs)
-    return Jet1(a.base, -a.coeffs)
-
-
 def jet_mul(a: Jet1 | "Jet2", b: Jet1 | "Jet2"):
     """Truncated Cauchy product."""
     if isinstance(a, Jet2) and isinstance(b, Jet2):

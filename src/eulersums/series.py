@@ -1,12 +1,13 @@
 """Direct summation of the variant Euler harmonic sums and their relatives.
 
 These evaluators are the oracles the closed forms are verified against.
-Each slow series is split at K = 10^4: terms up to K are summed exactly
-(harmonic numbers from a precomputed cache, reciprocal and signed binomials
-by incremental ratios), and the tail is an Euler-Maclaurin estimate driven by
-the asymptotic log-power expansion of the term function.  Reaching 1e-10 on
-sums like  sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the
-split gets there in 10^4.  Only the two zeta-value series of EX3, whose terms
+Each slow series is split at K = 10^4: terms up to K are summed exactly, and
+the tail is an Euler-Maclaurin estimate driven by the asymptotic log-power
+expansion of the term function.  Reaching 1e-10 on sums like
+sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
+in 10^4.  Each term is a list of factors (_Factor), each written once with
+both its head values and its 1/t expansion, so the head and the tail model
+come from the same list.  Only the two zeta-value series of EX3, whose terms
 fall geometrically, are summed directly by sum_adaptive.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,17 +39,12 @@ K_CROSSOVER = 10_000
 # there but can only vouch for 1.2e-13 |value|.
 _DEPTH = 5.0
 
-# Rounding of the head terms, in units of _U, to first order: 1 per rounded
+# Head rounding is counted in units of _U, to first order: 1 per rounded
 # +, -, *, /; 2 per pow and per cached harmonic number (a compensated sum); a
 # base rounded r times and raised to the power e adds r e; a difference a - b
-# adds (err a + err b) / |a - b|.  That last one peaks at k = 2 for
-# H_k^2 - H_k^(2) and as k grows for H_k - 2 H_2k, giving the budgets below.
+# adds (err a + err b) / |a - b|.  Each factor constructor below counts its
+# own head; _em_sum adds 1 per * or / that joins the factors.
 _U = 2.0**-53
-_R_HSQ = 15.0   # H_k^2 - H_k^(2), its own operations included
-_R_HDIFF = 7.0  # H_k - 2 H_2k, likewise
-
-# At large m a head's power overflows to inf and its term becomes 0, which it
-# would underflow to anyway; np.errstate(over="ignore") keeps that silent.
 
 DEFAULT_CONFIG = EvalConfig()
 
@@ -58,31 +55,186 @@ def _cache() -> HarmonicCache:
     return HarmonicCache.build(2 * K_CROSSOVER)
 
 
-def _em_result(exact_terms: np.ndarray, tail_model: ap.LogPowerSeries, cfg: EvalConfig,
-               roundings: float | np.ndarray, s_rounding: float = 0.0) -> SumResult:
-    """Exact head plus EM tail.  `roundings` bounds each head term's relative
-    rounding error in units of _U (an array where it grows with k); the
-    estimate adds those, the two final roundings and the em_tail error.  A
-    model whose exponents were rounded, by up to `s_rounding`, also adds what
-    that moves the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative
-    of int_K^inf t^-s dt relative to it."""
-    exact = math.fsum(exact_terms.tolist())
-    tail, err = em_tail(tail_model, K_CROSSOVER, cfg)
+@lru_cache(maxsize=2)
+def _ks(lo: int) -> np.ndarray:
+    """The summed k = lo..K as floats, read-only."""
+    k = np.arange(float(lo), K_CROSSOVER + 1.0)
+    k.setflags(write=False)
+    return k
+
+
+class _Factor(NamedTuple):
+    """One factor of a series term.  `head(lo)` gives its values at the
+    summed k = lo..K; `tail(s_cap)` its expansion in 1/t, cut at s_cap;
+    `decay` that expansion's leading power.  `rounding + rounding_per_k k`
+    bounds the relative rounding error of its value at k, in units of _U;
+    `divides` says the term divides by it.  `s_rounding` bounds, in units of
+    _U s_cap, how far the expansion's exponents were rounded."""
+
+    head: Callable[[int], np.ndarray]
+    tail: Callable[[float], ap.LogPowerSeries]
+    decay: float
+    rounding: float
+    rounding_per_k: float = 0.0
+    divides: bool = False
+    s_rounding: float = 0.0
+
+
+def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
+    """sum_{k>=lo} of the product of `factors`, taken left to right: the head
+    k <= K exactly, the rest by em_tail on the product of their expansions,
+    cut at s_cap = (sum of decays) + _DEPTH.
+
+    The estimate adds the em_tail error, the head's rounding (the factors'
+    own plus 1 per * or /) and the two final roundings.  A model whose
+    exponents were rounded, by up to s_rounding, also adds what that moves
+    the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative of
+    int_K^inf t^-s dt relative to it.  A sum that is not finite raises
+    NonFiniteTermError."""
+    s_cap = sum(f.decay for f in factors) + _DEPTH
+    model = factors[0].tail(s_cap)
+    terms = factors[0].head(lo)
+    for f in factors[1:]:
+        model = model * f.tail(s_cap)
+        terms = terms / f.head(lo) if f.divides else terms * f.head(lo)
+    roundings = sum(f.rounding for f in factors) + (len(factors) - 1)
+    per_k = sum(f.rounding_per_k for f in factors)
+    if per_k:
+        roundings = per_k * _ks(lo) + roundings
+    s_rounding = sum(f.s_rounding for f in factors) * _U * s_cap
+
+    exact = math.fsum(terms.tolist())
+    tail, err = em_tail(model, K_CROSSOVER, cfg)
     if s_rounding:
-        err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (tail_model.min_decay() - 1.0))
+        err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.min_decay() - 1.0))
     value = exact + tail
-    head_err = float(np.sum(roundings * np.abs(exact_terms)))
+    head_err = float(np.sum(roundings * np.abs(terms)))
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
+    if not (math.isfinite(value) and math.isfinite(tail_estimate)):
+        raise NonFiniteTermError(f"the series sums to {value} with error {tail_estimate}, "
+                                 "outside binary64")
     converged = tail_estimate <= cfg.rel_tol * max(abs(value), 1e-300)
     return SumResult(value, tail_estimate, K_CROSSOVER, converged)
 
 
-def _inv_binomial_exact(n: int, k: np.ndarray) -> np.ndarray:
-    """1/binom(n+k, k) = n!/((k+1)...(k+n)) elementwise."""
-    out = np.ones_like(k)
-    for i in range(1, n + 1):
-        out *= i / (k + i)
-    return out
+# ------------------------------- the factors --------------------------------
+#
+# Heads are computed when _em_sum combines them, so no factor's array
+# outlives its product.
+
+
+def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
+    """H_k^(order), or H_{k-1}^(order) with prev: a cached compensated sum
+    (2) for order <= 3; past that a running sum of pows from k = 1, rounded
+    k - 1 times by term k after its pow (2)."""
+    def head(lo: int) -> np.ndarray:
+        if order > 3:
+            return np.cumsum(_ks(lo) ** -float(order))
+        return getattr(_cache(), f"h{order}")[lo - prev : K_CROSSOVER + 1 - prev]
+
+    def tail(s_cap: float) -> ap.LogPowerSeries:
+        if order == 1:
+            return (ap.harmonic_prev_lp if prev else ap.harmonic_lp)(s_cap)
+        return (ap.gen_harmonic_prev_lp if prev else ap.gen_harmonic_lp)(order, s_cap)
+
+    return _Factor(head, tail, 0.0, 1.0 if order > 3 else 2.0, float(order > 3))
+
+
+def _harmonic_square_diff(prev: bool = False) -> _Factor:
+    """H_k^2 - H_k^(2), or H_{k-1}^2 - H_{k-1}^(2) with prev: the
+    difference's rounding peaks at k = 2, at 15."""
+    h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
+
+    def tail(s_cap: float) -> ap.LogPowerSeries:
+        t = h.tail(s_cap)
+        return t * t + h2.tail(s_cap).scaled(-1.0)
+
+    return _Factor(lambda lo: h.head(lo) ** 2 - h2.head(lo), tail, 0.0, 15.0)
+
+
+def _central_harmonic_diff() -> _Factor:
+    """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
+    h = _cache().h1
+    return _Factor(lambda lo: h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2],
+                   lambda s_cap: ap.central_harmonic_diff_lp(s_cap), 0.0, 7.0)
+
+
+def _inv_binomial(n: int) -> _Factor:
+    """1/binom(n+k, k) = n!/((k+1)...(k+n)): n ratios i/(k+i), each a / and
+    a *."""
+    def head(lo: int) -> np.ndarray:
+        out = np.ones(K_CROSSOVER + 1 - lo)
+        for i in range(1, n + 1):
+            out *= i / (_ks(lo) + i)
+        return out
+
+    return _Factor(head, lambda s_cap: ap.inv_binomial_lp(n, s_cap), n, 2.0 * n)
+
+
+def _central_binomial() -> _Factor:
+    """binom(2k, k)/4^k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)): a running
+    product of the ratios (2k - 1)/(2k), rounded 2k times by term k."""
+    def head(lo: int) -> np.ndarray:
+        k = _ks(1)
+        return np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))[lo:]
+
+    scale = 1.0 / math.sqrt(math.pi)
+    return _Factor(head, lambda s_cap: ap.gamma_ratio_lp(0.5, 1.0, s_cap).scaled(scale),
+                   0.5, 0.0, 2.0)
+
+
+def _signed_binomial(x: float) -> _Factor:
+    """(-1)^k binom(x, k) = Gamma(k - x) / (Gamma(-x) Gamma(k + 1)), falling
+    like k^(-x-1).  The head is the exact first term binom(x, 0) times the
+    running product of the ratios (k - 1 - x)/k, each rounded 3 times (- x,
+    / k, *); the tail is the gamma-ratio expansion over Gamma(-x), whose
+    exponents, 1 + x + j plus the other factors' own, are rounded up to 3
+    times.  Past x ~ 149 the tail model's derivatives leave binary64, and past
+    x ~ 172 so does 1/Gamma(-x): both end in NonFiniteTermError."""
+    g = math.gamma(-x)
+    if g == 0.0:
+        raise NonFiniteTermError(f"1/Gamma({-x}) overflows binary64: x = {x} is too large")
+
+    def head(lo: int) -> np.ndarray:
+        first, k = gen_binom(x, 0.0), _ks(1)
+        return np.concatenate(([first], first * np.cumprod((k - 1.0 - x) / k)))[lo:]
+
+    return _Factor(head, lambda s_cap: ap.gamma_ratio_lp(-x, 1.0, s_cap).scaled(1.0 / g),
+                   x + 1.0, 0.0, 3.0, s_rounding=3.0)
+
+
+def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
+           times_k: bool = False, divides: bool = True) -> _Factor:
+    """(c + k)^s, or k (c + k)^s with times_k, which the term divides by; with
+    divides=False the head is (c + k)^-s and the term multiplies by it.
+
+    `shift` is c either as a number whose sum with k is exact (an integer or
+    a half) or as a tuple of real addends (p, or p and n), summed left to
+    right and then added to k, each + rounded once.  The pow adds 2 and its
+    base's roundings times s, times_k 1.  At large s the pow overflows to
+    inf, and the term becomes 0, which it would underflow to anyway."""
+    if isinstance(shift, tuple):
+        c, base_roundings = sum(shift[1:], shift[0]), len(shift)
+    else:
+        c, base_roundings = shift, 0
+
+    def head(lo: int) -> np.ndarray:
+        k = _ks(lo)
+        with np.errstate(over="ignore"):
+            out = (c + k if c else k) ** (s if divides else -float(s))
+            return k * out if times_k else out
+
+    def tail(s_cap: float) -> ap.LogPowerSeries:
+        out = ap.recip_power_shift(c, float(s), s_cap) if c else _t_power(float(s), s_cap)
+        return out * _t_power(1.0, s_cap) if times_k else out
+
+    return _Factor(head, tail, s + 1 if times_k else s, 2.0 + base_roundings * s + times_k,
+                   divides=divides)
+
+
+def _t_power(s: float, s_cap: float) -> ap.LogPowerSeries:
+    """t^-s, the expansion of (c + t)^-s at c = 0."""
+    return ap.LogPowerSeries(s_cap, {(0, s): 1.0})
 
 
 def _check_nm(n: int, m: int, m_min: int) -> None:
@@ -103,32 +255,13 @@ def _check_p(p: float) -> None:
 def lhs_variant1(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=0} H_k / ((n+k+1)^(m+1) binom(n+k,k))."""
     _check_nm(n, m, 1)
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    with np.errstate(over="ignore"):
-        terms = c.h1[1 : K_CROSSOVER + 1] * _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
-    s_cap = (m + 1) + n + _DEPTH
-    model = (ap.harmonic_lp(s_cap) * ap.inv_binomial_lp(n, s_cap)
-             * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap))
-    # H_k 2, binomial 2n, pow 2, * and / 1 each
-    return _em_result(terms, model, cfg, 2 * n + 6.0)
+    return _em_sum(cfg, 1, _harmonic(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
 def lhs_variant2(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=0} (H_k^2 - H_k^(2)) / ((n+k+1)^(m+1) binom(n+k,k))."""
     _check_nm(n, m, 1)
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    h1 = c.h1[1 : K_CROSSOVER + 1]
-    h2 = c.h2[1 : K_CROSSOVER + 1]
-    with np.errstate(over="ignore"):
-        terms = (h1 * h1 - h2) * _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
-    s_cap = (m + 1) + n + _DEPTH
-    h = ap.harmonic_lp(s_cap)
-    numer = h * h + ap.gen_harmonic_lp(2, s_cap).scaled(-1.0)
-    model = numer * ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap)
-    # numerator, binomial 2n, pow 2, * and / 1 each
-    return _em_result(terms, model, cfg, 2 * n + 4 + _R_HSQ)
+    return _em_sum(cfg, 1, _harmonic_square_diff(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
 def lhs_alt(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -137,66 +270,32 @@ def lhs_alt(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     The sign factor is constant in k and multiplies the whole sum.
     """
     _check_nm(n, m, 1)
-    k = np.arange(0.0, K_CROSSOVER + 1.0)
-    with np.errstate(over="ignore"):
-        terms = _inv_binomial_exact(n, k) / (n + k + 1.0) ** (m + 1)
-    s_cap = (m + 1) + n + _DEPTH
-    model = ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(n + 1.0, m + 1.0, s_cap)
-    res = _em_result(terms, model, cfg, 2 * n + 3.0)  # binomial 2n, pow 2, / 1
-    sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-    return SumResult(sign * res.value, res.tail_estimate, res.terms_used, res.converged)
-
-
-def _variant3_family(p: float, n: int, m: int, power: int,
-                     numer_kind: str, cfg: EvalConfig) -> SumResult:
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    with np.errstate(over="ignore"):
-        base = _inv_binomial_exact(n, k) / (k * (p + n + k) ** power)
-    # binomial 2n, pow 2 of a base rounded twice (p + n + k), * and / 1 each
-    roundings = 2 * n + 2 * power + 4.0
-    s_cap = power + n + 1 + _DEPTH
-    t_inv = ap.LogPowerSeries(s_cap, {(0, 1.0): 1.0})
-    model = ap.inv_binomial_lp(n, s_cap) * ap.recip_power_shift(p + n, float(power), s_cap) * t_inv
-    if numer_kind == "one":
-        terms = base
-    elif numer_kind == "h_prev":
-        terms = base * c.h1[0:K_CROSSOVER]
-        roundings += 3  # H_(k-1) 2, * 1
-        model = model * ap.harmonic_prev_lp(s_cap)
-    else:  # "h_prev_sq"
-        h1 = c.h1[0:K_CROSSOVER]
-        h2 = c.h2[0:K_CROSSOVER]
-        terms = base * (h1 * h1 - h2)
-        roundings += _R_HSQ + 1  # numerator, * 1
-        hp = ap.harmonic_prev_lp(s_cap)
-        model = model * (hp * hp + ap.gen_harmonic_prev_lp(2, s_cap).scaled(-1.0))
-    return _em_result(terms, model, cfg, roundings)
+    return _em_sum(cfg, 0, _inv_binomial(n), _power(m + 1, n + 1.0)).scaled((-1.0) ** (n - 1))
 
 
 def lhs_variant3(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=1} (-1)^n / (k (p+n+k)^(m+1) binom(n+k,k))."""
     _check_p(p)
     _check_nm(n, m, 0)
-    res = _variant3_family(p, n, m, m + 1, "one", cfg)
-    sign = 1.0 if n % 2 == 0 else -1.0
-    return SumResult(sign * res.value, res.tail_estimate, res.terms_used, res.converged)
+    res = _em_sum(cfg, 1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True))
+    return res.scaled((-1.0) ** n)
 
 
 def lhs_variant3h(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=1} (-1)^n H_{k-1} / (k (p+n+k)^(m+1) binom(n+k,k))."""
     _check_p(p)
     _check_nm(n, m, 0)
-    res = _variant3_family(p, n, m, m + 1, "h_prev", cfg)
-    sign = 1.0 if n % 2 == 0 else -1.0
-    return SumResult(sign * res.value, res.tail_estimate, res.terms_used, res.converged)
+    res = _em_sum(cfg, 1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
+                  _harmonic(prev=True))
+    return res.scaled((-1.0) ** n)
 
 
 def lhs_variant4(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=1} (H_{k-1}^2 - H_{k-1}^(2)) / (k (p+n+k)^m binom(n+k,k))."""
     _check_p(p)
     _check_nm(n, m, 1)
-    return _variant3_family(p, n, m, m, "h_prev_sq", cfg)
+    return _em_sum(cfg, 1, _inv_binomial(n), _power(m, (p, n), times_k=True),
+                   _harmonic_square_diff(prev=True))
 
 
 def lhs_central_binom(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -204,72 +303,20 @@ def lhs_central_binom(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
     _check_p(p)
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    c = _cache()
-    k = np.arange(1, K_CROSSOVER + 1)
-    kf = k.astype(np.float64)
-    cb = np.cumprod((2.0 * kf - 1.0) / (2.0 * kf))  # binom(2k,k)/4^k
-    with np.errstate(over="ignore"):
-        terms = (c.h1[k] - 2.0 * c.h1[2 * k]) * cb / (p + kf) ** (m + 1)
-    s_cap = (m + 1) + 0.5 + _DEPTH
-    # binom(2t, t)/4^t = Gamma(t + 1/2) / (sqrt(pi) Gamma(t + 1))
-    model = (ap.central_harmonic_diff_lp(s_cap)
-             * ap.gamma_ratio_lp(0.5, 1.0, s_cap).scaled(1.0 / math.sqrt(math.pi))
-             * ap.recip_power_shift(p, m + 1.0, s_cap))
-    # numerator; binom(2k,k)/4^k, a running product rounded 2k times by term k;
-    # pow 2 of a base rounded once (p + k); * and / 1 each
-    return _em_result(terms, model, cfg, _R_HDIFF + 2.0 * kf + (m + 1) + 4)
+    return _em_sum(cfg, 1, _central_harmonic_diff(), _central_binomial(), _power(m + 1, (p,)))
 
 
 def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=1} H_{k-1} / (k (k - 1/2)^(m+1)); every denominator is positive."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    with np.errstate(over="ignore"):
-        terms = c.h1[0:K_CROSSOVER] / (k * (k - 0.5) ** (m + 1))
-    s_cap = (m + 2) + _DEPTH
-    t_inv = ap.LogPowerSeries(s_cap, {(0, 1.0): 1.0})
-    model = ap.harmonic_prev_lp(s_cap) * ap.recip_power_shift(-0.5, m + 1.0, s_cap) * t_inv
-    return _em_result(terms, model, cfg, 6.0)  # H_(k-1) 2, pow 2, * and / 1 each
+    return _em_sum(cfg, 1, _harmonic(prev=True), _power(m + 1, -0.5, times_k=True))
 
 
 # --------------------- binomial-coefficient base series ---------------------
 #
-# (-1)^k binom(x, k) = Gamma(k - x) / (Gamma(-x) Gamma(k + 1)) falls like
-# k^(-x-1), so at non-integer x both base series split at K like the others:
-# the head by the incremental ratio from binom(x, 0) = 1, the tail model by
-# the gamma-ratio expansion.  Integer x >= 0 ends the series at k = x.
-
-
-def _signed_binom_terms(x: float) -> np.ndarray:
-    """(-1)^k binom(x, k) for k = 0..K: the exact first term times the running
-    product of the ratios (k - 1 - x)/k."""
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    out = np.empty(K_CROSSOVER + 1)
-    out[0] = gen_binom(x, 0.0)
-    out[1:] = out[0] * np.cumprod((k - 1.0 - x) / k)
-    return out
-
-
-def _binomial_series(x: float, factor: ap.LogPowerSeries, factor_terms: np.ndarray,
-                     cfg: EvalConfig, roundings: np.ndarray) -> SumResult:
-    """sum_k (-1)^k binom(x, k) f(k) over the k of factor_terms, the last of
-    0..K, and past K: f is given by those head values and by its expansion
-    `factor`, whose cap the tail model keeps.  Past x ~ 149 the tail model's
-    derivatives leave binary64, and past x ~ 172 so does 1/Gamma(-x): both
-    end in NonFiniteTermError."""
-    g = math.gamma(-x)
-    if g == 0.0:
-        raise NonFiniteTermError(f"1/Gamma({-x}) overflows binary64: x = {x} is too large")
-    model = ap.gamma_ratio_lp(-x, 1.0, factor.s_cap).scaled(1.0 / g) * factor
-    terms = _signed_binom_terms(x)[K_CROSSOVER + 1 - len(factor_terms):] * factor_terms
-    # each exponent, 1 + x + j + f's own, is rounded up to three times
-    res = _em_result(terms, model, cfg, roundings, 3 * _U * factor.s_cap)
-    if not (math.isfinite(res.value) and math.isfinite(res.tail_estimate)):
-        raise NonFiniteTermError(f"the tail model of the binomial series at x = {x} "
-                                 "overflows binary64")
-    return res
+# At non-integer x both base series split at K like the others, with the
+# signed binomial as a factor.  Integer x >= 0 ends the series at k = x.
 
 
 def lhs_base_binomial(x: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -284,10 +331,8 @@ def lhs_base_binomial(x: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
             (-1.0) ** (k - 1) * math.comb(n, k) / float(k) ** m for k in range(1, n + 1)
         )
         return SumResult(val, 0.0, n, True)
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    factor = ap.LogPowerSeries(x + 1.0 + m + _DEPTH, {(0, float(m)): -1.0})
-    # the running product, rounded 3 times per ratio (- x, / k, *); pow 2, * 1
-    return _binomial_series(x, factor, -(k ** -float(m)), cfg, 3.0 * k + 3.0)
+    # (-1)^(k-1) = -(-1)^k
+    return _em_sum(cfg, 1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
 
 
 def lhs_binomial_shifted(x: float, p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
@@ -303,10 +348,7 @@ def lhs_binomial_shifted(x: float, p: float, m: int, cfg: EvalConfig = DEFAULT_C
             (-1.0) ** k * math.comb(n, k) / (p + k) ** (m + 1) for k in range(0, n + 1)
         )
         return SumResult(val, 0.0, n + 1, True)
-    k = np.arange(0.0, K_CROSSOVER + 1.0)
-    factor = ap.recip_power_shift(p, m + 1.0, x + 2.0 + m + _DEPTH)
-    # the running product, 3 per ratio; pow 2 of a base rounded once (p + k); * 1
-    return _binomial_series(x, factor, (p + k) ** -float(m + 1), cfg, 3.0 * k + m + 4.0)
+    return _em_sum(cfg, 0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
 
 
 # ----------------------------- Euler sums -----------------------------------
@@ -318,56 +360,21 @@ def lhs_linear_euler(p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumRes
         raise DomainError(f"p must be >= 1, got {p}")
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    roundings = 5.0  # cached H_k^(p) 2, pow 2, / 1
-    if p == 1:
-        hp = c.h1[1 : K_CROSSOVER + 1]
-    elif p == 2:
-        hp = c.h2[1 : K_CROSSOVER + 1]
-    elif p == 3:
-        hp = c.h3[1 : K_CROSSOVER + 1]
-    else:
-        hp = np.cumsum(k ** -float(p))
-        roundings = k + 4.0  # a running sum, rounded k - 1 times by term k, after pow 2
-    with np.errstate(over="ignore"):
-        terms = hp / k**q
-    s_cap = q + _DEPTH
-    numer = ap.harmonic_lp(s_cap) if p == 1 else ap.gen_harmonic_lp(p, s_cap)
-    model = numer * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
-    return _em_result(terms, model, cfg, roundings)
+    return _em_sum(cfg, 1, _harmonic(p), _power(q))
 
 
 def lhs_quadratic_euler(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """S(1^2; q) = sum_{n>=1} H_n^2 / n^q."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    h1 = c.h1[1 : K_CROSSOVER + 1]
-    with np.errstate(over="ignore"):
-        terms = h1 * h1 / k**q
-    s_cap = q + _DEPTH
-    h = ap.harmonic_lp(s_cap)
-    model = h * h * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
-    return _em_result(terms, model, cfg, 8.0)  # H_k^2 5, pow 2, / 1
+    return _em_sum(cfg, 1, _harmonic(), _harmonic(), _power(q))
 
 
 def quadratic_minus_linear(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{k>=1} (H_k^2 - H_k^(2)) / k^q = S(1^2; q) - S(2, q)."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    c = _cache()
-    k = np.arange(1.0, K_CROSSOVER + 1.0)
-    h1 = c.h1[1 : K_CROSSOVER + 1]
-    h2 = c.h2[1 : K_CROSSOVER + 1]
-    with np.errstate(over="ignore"):
-        terms = (h1 * h1 - h2) / k**q
-    s_cap = q + _DEPTH
-    h = ap.harmonic_lp(s_cap)
-    numer = h * h + ap.gen_harmonic_lp(2, s_cap).scaled(-1.0)
-    model = numer * ap.LogPowerSeries(s_cap, {(0, float(q)): 1.0})
-    return _em_result(terms, model, cfg, _R_HSQ + 3)  # numerator, pow 2, / 1
+    return _em_sum(cfg, 1, _harmonic_square_diff(), _power(q))
 
 
 # ------------------------ zeta-tail example series --------------------------

@@ -3,8 +3,9 @@
 sum_adaptive evaluates terms blockwise (term callables accept numpy arrays),
 accumulates each block with exact fsum and combines blocks with Neumaier
 compensation, so the reported value is correctly rounded up to a few ulp.
-It serves the geometrically convergent zeta-value series only; every slowly
-convergent series sums a fixed head and hands its tail to em_tail.
+It serves the geometrically convergent zeta-value series only and stops after
+three small terms in a row; every slowly convergent series sums a fixed head
+and hands its tail to em_tail.
 em_tail estimates sum_{k>K} f(k) for a smooth positive decreasing tail from
 its integral, boundary value, and Bernoulli derivative corrections, with the
 derivatives taken by termwise differentiation of the tail model.
@@ -22,6 +23,7 @@ from .special import BERNOULLI_2J, DomainError, _neumaier
 
 _BLOCK_START = 256
 _BLOCK_CAP = 1 << 18
+_CONSECUTIVE_SMALL = 3
 
 
 class NonFiniteTermError(ValueError):
@@ -39,7 +41,6 @@ class EvalConfig:
     rel_tol: float = 1e-10
     max_terms: int = 10**8
     em_order: int = 6
-    consecutive_small: int = 3
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
@@ -58,6 +59,11 @@ class SumResult:
     tail_estimate: float
     terms_used: int
     converged: bool
+
+    def scaled(self, c: float) -> "SumResult":
+        """The result for c times the series."""
+        return SumResult(c * self.value, abs(c) * self.tail_estimate, self.terms_used,
+                         self.converged)
 
 
 class SmoothTail(Protocol):
@@ -134,7 +140,7 @@ def sum_adaptive(
         below = np.abs(vals) <= thresh
         small_run = int(np.argmin(below[::-1])) if not below.all() else small_run + n
         tail = _tail_bound(k_next - 1.0, vals)
-        if small_run >= cfg.consecutive_small and tail <= thresh:
+        if small_run >= _CONSECUTIVE_SMALL and tail <= thresh:
             return SumResult(partial, tail, used, True)
         block = min(block * 2, _BLOCK_CAP)
     return SumResult(total + comp, tail, used, False)

@@ -221,6 +221,13 @@ class TestSweep:
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error:") and "missing 'm'" in err
 
+    @pytest.mark.parametrize("n, m, bad", [("0.5,1.7", "1", "--n takes integers, got 0.5"),
+                                           ("0..1", "1,2.5", "--m takes integers, got 2.5")])
+    def test_non_integer_axis_exit_2(self, capsys, n, m, bad):
+        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", n, "--m", m, "--jobs", "1")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.splitlines() == [f"error: {bad}"]
+
     def test_empty_range(self, capsys):
         code, out, _ = run(capsys, "sweep", "COR_38", "--p", "", "--m", "0..3", "--jobs", "1")
         assert code == EXIT_OK

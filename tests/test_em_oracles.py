@@ -2,9 +2,10 @@
 against 30-digit references, and the default grid's LHS bits.
 
 Every oracle that ends in em_tail sums its first K terms exactly and hands a
-LogPowerSeries for the rest.  Nothing in the code ties the two together, so
-here the model captured on its way into em_tail is evaluated at t = K + 1 and
-compared with that term computed directly by mpmath.
+LogPowerSeries for the rest, both built from one list of series factors.
+Here the model captured on its way into em_tail is evaluated at t = K + 1 and
+compared with that term computed directly by mpmath, and oracle_bits.json pins
+every oracle's result bit for bit.
 """
 
 import json
@@ -65,7 +66,7 @@ ORACLES = {
     "quadratic_minus_linear": ([(q,) for q in range(2, 11)],
                                lambda t, q: (_h(t) ** 2 - _h(t, 2)) / mp.mpf(t) ** q),
     "lhs_base_binomial": ([(x, m) for x in X_SET for m in NM if m >= 1],
-                          lambda t, x, m: (-1) ** (t - 1) * mp.binomial(x, t) / mp.mpf(t) ** m),
+                          lambda t, x, m: (-1) ** t * mp.binomial(x, t) / mp.mpf(t) ** m),
     "lhs_binomial_shifted": ([(x, p, m) for x in X_SET for p in P_SET for m in NM],
                              lambda t, x, p, m: (-1) ** t * mp.binomial(x, t)
                              / (mp.mpf(p) + t) ** (m + 1)),
@@ -195,6 +196,26 @@ def test_binomial_values_within_tail_estimate(name, params):
     res = getattr(series, name)(*params)
     assert res.converged
     assert abs(res.value - float(_beta_reference(name, params))) <= res.tail_estimate
+
+
+@lru_cache(maxsize=1)
+def _oracle_bits():
+    return json.loads((Path(__file__).parent / "oracle_bits.json").read_text())["oracles"]
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_bits(name):
+    """Every ORACLES parameter set, bit for bit in value and tail_estimate and
+    exactly in converged and terms_used, as recorded in oracle_bits.json before
+    the oracles were built from factor lists: their tail caps and head rounding
+    budgets, now derived from the factors, must equal the hand-written ones."""
+    params_list, _ = ORACLES[name]
+    got = []
+    for params in params_list:
+        res = getattr(series, name)(*params)
+        got.append([list(params), res.value.hex(), res.tail_estimate.hex(), res.converged,
+                    res.terms_used])
+    assert got == _oracle_bits()[name]
 
 
 def test_default_grid_lhs_bits():

@@ -22,10 +22,8 @@ from eulersums import (
     digamma,
     gamma,
     gamma_ratio_jet,
-    jet_add,
     jet_exp,
     jet_mul,
-    jet_neg,
     ln_gamma_jet,
     mixed_partial,
     polygamma,
@@ -82,13 +80,13 @@ class TestJetArithmetic:
     @pytest.mark.parametrize("a", [0.7, 1.0, 3.2])
     def test_exp_inverse_property(self, a):
         j = ln_gamma_jet(a, 8)
-        prod = jet_mul(jet_exp(j), jet_exp(jet_neg(j)))
+        prod = jet_mul(jet_exp(j), jet_exp(Jet1(j.base, -j.coeffs)))
         assert abs(prod.coeffs[0] - 1.0) < 1e-12
         assert np.max(np.abs(prod.coeffs[1:])) < 1e-12
 
     def test_mismatch_errors(self):
         with pytest.raises(JetMismatchError):
-            jet_add(ln_gamma_jet(1.0, 2), ln_gamma_jet(2.0, 2))
+            jet_mul(ln_gamma_jet(1.0, 2), ln_gamma_jet(2.0, 2))
         with pytest.raises(JetMismatchError):
             jet_mul(ln_gamma_jet(1.0, 2), ln_gamma_jet(1.0, 3))
 

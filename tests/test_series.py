@@ -205,6 +205,12 @@ class TestBinomialShifted:
         with pytest.raises(NonFiniteTermError):
             lhs_binomial_shifted(500.5, 1.0, 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_first_term_past_binary64_raises(self):
+        # the k = 0 term 0.1^-401 overflows: an error, without a numpy warning
+        with pytest.raises(NonFiniteTermError):
+            lhs_binomial_shifted(0.5, 0.1, 400)
+
 
 class TestEulerSums:
     def test_classical(self):

@@ -32,7 +32,6 @@ class TestEvalConfig:
         assert cfg.rel_tol == 1e-10
         assert cfg.max_terms == 10**8
         assert cfg.em_order == 6
-        assert cfg.consecutive_small == 3
 
     def test_validation(self):
         with pytest.raises(DomainError):
