@@ -1,102 +1,148 @@
 """Asymptotic log-power expansions for series tails.
 
-A LogPowerSeries is a finite combination  sum_i c_i ln(t)^{a_i} t^{-s_i}
-truncated at a decay cap s_cap.  Every slowly convergent series in this
-package has a tail whose terms admit such an expansion: harmonic numbers
-expand through the Bernoulli series for psi, reciprocal binomials are finite
-products of shifted reciprocals, and gamma ratios, the binomial and central
-binomial coefficients among them, are a power times the exp of the
-difference of two Stirling series.  The class supplies what
-Euler-Maclaurin needs: point values, termwise derivatives, the closed-form
-tail integral  int_K^inf ln^a t / t^s dt, and a bound on what the truncation
-at s_cap dropped.
+A LogPowerSeries is t^-s0 times a polynomial in ln t and 1/t,
+sum_{a, j} C[a][j] ln(t)^a t^-j for j = 0..depth, stored densely as one row
+of coefficients per power of ln t.  Every slowly convergent series in this
+package has a tail whose terms admit such an expansion, on one lattice
+s0 + j: harmonic numbers expand through the Bernoulli series for psi
+(s0 = 0), reciprocal binomials are finite products of shifted reciprocals
+(s0 = n), and gamma ratios, the binomial and central binomial coefficients
+among them, are a power t^-s0 times the exp of the difference of two
+Stirling series.  Depth is counted from each series' own leading order, so a
+product keeps the smaller depth of its operands and no factor is built deeper
+than the product can use.  The class supplies what Euler-Maclaurin needs:
+point values, termwise derivatives, the closed-form tail integral
+int_K^inf ln^a t / t^s dt, and a bound on what the truncation dropped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, bernoulli_poly, riemann_zeta
 
-_DROP = 1e-300
-# Exponents within _S_EPS of the cap count as on it: a cap and an exponent
-# built from the same non-dyadic power (x + 1 + m + 5 against (1 + x) + 5 + m)
-# can differ by an ulp.  Every other exponent is a multiple of 1/2.
-_S_EPS = 1e-9
+def _depth(s0: float, s_cap: float) -> int:
+    """The last order kept under s_cap: the largest integer j with
+    s0 + j <= s_cap, compared as the exponent s0 + j itself is rounded, so a
+    cap built as s0 + depth keeps exactly depth + 1 orders."""
+    j = math.floor(s_cap - s0)
+    if s0 + (j + 1) <= s_cap:
+        return j + 1
+    return j - 1 if s0 + j > s_cap else j
 
 
-@dataclass
+def _offset(s0: float, s: float) -> int:
+    """The integer j with s0 + j == s; DomainError off that lattice."""
+    j = round(s - s0)
+    if s0 + j != s:
+        raise DomainError(f"exponent {s} is not {s0} plus an integer")
+    return j
+
+
 class LogPowerSeries:
-    """sum of c * ln(t)^a * t^(-s) monomials, truncated at s <= s_cap."""
+    """t^-s0 sum_{a, j} C[a][j] ln(t)^a t^-j over the orders j = 0..depth,
+    exact up to t^-s_cap (s0 + depth <= s_cap < s0 + depth + 1).
 
-    s_cap: float
-    terms: dict[tuple[int, float], float] = field(default_factory=dict)
+    `rows[a]` holds C[a][0..depth].  Built from monomials,
+    LogPowerSeries(s_cap, {(a, s): c}), every exponent s must be the smallest
+    one, s0, plus an integer.  A product keeps the smaller of its operands'
+    depths: each is counted from its own leading order, so a factor built
+    deeper than its partner is cut, not carried."""
 
-    def _put(self, a: int, s: float, c: float) -> None:
-        if s > self.s_cap + _S_EPS or c == 0.0:
-            return
-        key = (a, s)
-        new = self.terms.get(key, 0.0) + c
-        if abs(new) < _DROP:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+    __slots__ = ("s0", "depth", "s_cap", "rows")
+
+    def __init__(self, s_cap: float, terms: Mapping[tuple[int, float], float]) -> None:
+        s0 = min((s for _a, s in terms), default=0.0)
+        depth = _depth(s0, s_cap)
+        rows = [[0.0] * (depth + 1) for _ in range(1 + max((a for a, _s in terms), default=-1))]
+        for (a, s), c in terms.items():
+            j = _offset(s0, s)
+            if j <= depth:
+                rows[a][j] += c
+        self.s0, self.depth, self.s_cap, self.rows = s0, depth, s_cap, rows
+
+    @classmethod
+    def _of(cls, s0: float, depth: int, s_cap: float, rows: list[list[float]]) -> "LogPowerSeries":
+        out = cls.__new__(cls)
+        out.s0, out.depth, out.s_cap, out.rows = s0, depth, s_cap, rows
+        return out
+
+    def _monomials(self) -> Iterator[tuple[int, float, float]]:
+        """(a, s, c) for every nonzero c ln^a t / t^s."""
+        s0 = self.s0
+        for a, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                if c:
+                    yield a, s0 + j, c
+
+    @property
+    def terms(self) -> Mapping[tuple[int, float], float]:
+        """The nonzero monomials as a read-only {(a, s): c}."""
+        return MappingProxyType({(a, s): c for a, s, c in self._monomials()})
+
+    def __repr__(self) -> str:
+        return f"LogPowerSeries({self.s_cap!r}, {dict(self.terms)!r})"
 
     def copy(self) -> "LogPowerSeries":
-        out = LogPowerSeries(self.s_cap)
-        out.terms = dict(self.terms)
-        return out
+        return self._of(self.s0, self.depth, self.s_cap, [row[:] for row in self.rows])
 
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        out = LogPowerSeries(min(self.s_cap, other.s_cap))
-        for (a, s), c in self.terms.items():
-            out._put(a, s, c)
-        for (a, s), c in other.terms.items():
-            out._put(a, s, c)
-        return out
+        s0 = min(self.s0, other.s0)
+        parts = [(_offset(s0, f.s0), f.rows) for f in (self, other)]
+        depth = min(self.depth + parts[0][0], other.depth + parts[1][0])
+        rows = [[0.0] * (depth + 1) for _ in range(max(len(self.rows), len(other.rows)))]
+        for off, f_rows in parts:
+            for row, f_row in zip(rows, f_rows):
+                for j, c in enumerate(f_row[: max(depth + 1 - off, 0)]):
+                    row[off + j] += c
+        return self._of(s0, depth, min(self.s_cap, other.s_cap), rows)
 
     def __mul__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        out = LogPowerSeries(min(self.s_cap, other.s_cap))
-        for (a1, s1), c1 in self.terms.items():
-            for (a2, s2), c2 in other.terms.items():
-                out._put(a1 + a2, s1 + s2, c1 * c2)
-        return out
+        n = min(self.depth, other.depth) + 1
+        rows = [[0.0] * max(n, 0) for _ in range(len(self.rows) + len(other.rows) - 1)]
+        for a1, r1 in enumerate(self.rows):
+            for a2, r2 in enumerate(other.rows):
+                out = rows[a1 + a2]
+                for j1 in range(n):
+                    c1 = r1[j1]
+                    if c1:
+                        for j2 in range(n - j1):
+                            out[j1 + j2] += c1 * r2[j2]
+        s_cap = min(self.s_cap + other.s0, other.s_cap + self.s0)
+        return self._of(self.s0 + other.s0, n - 1, s_cap, rows)
 
     def scaled(self, c: float) -> "LogPowerSeries":
-        out = LogPowerSeries(self.s_cap)
-        for (a, s), v in self.terms.items():
-            out._put(a, s, c * v)
-        return out
+        return self._of(self.s0, self.depth, self.s_cap, [[c * v for v in row] for row in self.rows])
 
     def plus_const(self, c: float) -> "LogPowerSeries":
-        out = self.copy()
-        out._put(0, 0.0, c)
-        return out
+        return self + LogPowerSeries(self.s_cap, {(0, 0.0): c})
 
     def diff(self) -> "LogPowerSeries":
-        """Termwise d/dt: ln^a t^-s  ->  a ln^(a-1) t^(-s-1) - s ln^a t^(-s-1).
-
-        A series exact up to t^-s_cap has a derivative exact up to
-        t^-(s_cap+1), so the cap moves up by one and every derivative keeps
-        as many orders as the series it came from.
+        """Termwise d/dt: C[a][j] ln^a t t^-(s0+j) gives a C[a][j] ln^(a-1) t
+        and -(s0+j) C[a][j] ln^a t, both at t^-(s0+j+1): a shift of s0 by one
+        and two scalings, at the same depth, so the cap moves up by one and
+        every derivative keeps as many orders as the series it came from.
         """
-        out = LogPowerSeries(self.s_cap + 1.0)
-        for (a, s), c in self.terms.items():
-            if a:
-                out._put(a - 1, s + 1.0, a * c)
-            out._put(a, s + 1.0, -s * c)
-        return out
+        s0, rows = self.s0, self.rows
+        out = []
+        for a, row in enumerate(rows):
+            new = [-(s0 + j) * c for j, c in enumerate(row)]
+            if a + 1 < len(rows):
+                new = [(a + 1) * d + v for d, v in zip(rows[a + 1], new)]
+            out.append(new)
+        return self._of(s0 + 1.0, self.depth, self.s_cap + 1.0, out)
 
     def __call__(self, t: float) -> float:
         lt = math.log(t)
-        return math.fsum(c * lt**a * t**-s for (a, s), c in self.terms.items())
+        return math.fsum(c * lt**a * t**-s for a, s, c in self._monomials())
 
     def tail_integral(self, K: float) -> float:
         """int_K^inf of the expansion; every monomial must have s > 1."""
         vals = []
         lk = math.log(K)
-        for (a, s), c in self.terms.items():
+        for a, s, c in self._monomials():
             if s <= 1.0:
                 raise DomainError(f"tail integral diverges for monomial with s = {s}")
             # I(a, s) = K^(1-s)/(s-1) ln^a K + a/(s-1) I(a-1, s)
@@ -109,40 +155,34 @@ class LogPowerSeries:
         return math.fsum(vals)
 
     def truncation_bound(self, K: float) -> float:
-        """Bound on int_K^inf of the monomials dropped above s_cap.
+        """Bound on int_K^inf of the orders dropped past the last one kept.
 
         The expansions here are asymptotic in c/t, with c the largest shift
-        in their factors, so at t >= K the dropped monomials are smaller than
-        the last kept order (s_cap - 1 < s <= s_cap) by a further factor of
-        about c s_cap / K.  The tail integral of that order, taken with |c|
-        so no cancellation hides it, bounds them.
+        in their factors, so at t >= K the dropped orders are smaller than
+        the last kept one, j = depth, by a further factor of about
+        c s_cap / K.  The tail integral of that order, taken with |C| so no
+        cancellation hides it, bounds them.
         """
-        last = LogPowerSeries(self.s_cap)
-        for (a, s), c in self.terms.items():
-            if s > self.s_cap - 1.0 + _S_EPS:
-                last._put(a, s, abs(c))
-        return last.tail_integral(K)
+        if self.depth < 0:
+            return 0.0
+        last = [[abs(row[-1])] for row in self.rows]
+        return self._of(self.s0 + self.depth, 0, self.s_cap, last).tail_integral(K)
 
     def min_decay(self) -> float:
-        return min((s for (_a, s) in self.terms), default=math.inf)
+        return min((s for _a, s, _c in self._monomials()), default=math.inf)
 
 
 def one(s_cap: float) -> LogPowerSeries:
-    out = LogPowerSeries(s_cap)
-    out._put(0, 0.0, 1.0)
-    return out
+    return LogPowerSeries(s_cap, {(0, 0.0): 1.0})
 
 
 def psi_shifted(scale: float, s_cap: float) -> LogPowerSeries:
     """Expansion of psi(scale*t + 1) for large t:
     ln(scale) + ln t + 1/(2 scale t) - sum_j B_2j / (2j (scale t)^{2j})."""
-    out = LogPowerSeries(s_cap)
-    out._put(0, 0.0, math.log(scale))
-    out._put(1, 0.0, 1.0)
-    out._put(0, 1.0, 0.5 / scale)
+    terms = {(0, 0.0): math.log(scale), (1, 0.0): 1.0, (0, 1.0): 0.5 / scale}
     for j, b in enumerate(BERNOULLI_2J, start=1):
-        out._put(0, 2.0 * j, -b / (2 * j * scale ** (2 * j)))
-    return out
+        terms[(0, 2.0 * j)] = -b / (2 * j * scale ** (2 * j))
+    return LogPowerSeries(s_cap, terms)
 
 
 def harmonic_lp(s_cap: float) -> LogPowerSeries:
@@ -152,9 +192,7 @@ def harmonic_lp(s_cap: float) -> LogPowerSeries:
 
 def harmonic_prev_lp(s_cap: float) -> LogPowerSeries:
     """H_{t-1} = H_t - 1/t (exact)."""
-    out = harmonic_lp(s_cap)
-    out._put(0, 1.0, -1.0)
-    return out
+    return harmonic_lp(s_cap) + LogPowerSeries(s_cap, {(0, 1.0): -1.0})
 
 
 def gen_harmonic_lp(m: int, s_cap: float) -> LogPowerSeries:
@@ -170,9 +208,7 @@ def gen_harmonic_lp(m: int, s_cap: float) -> LogPowerSeries:
 
 def gen_harmonic_prev_lp(m: int, s_cap: float) -> LogPowerSeries:
     """H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
-    out = gen_harmonic_lp(m, s_cap)
-    out._put(0, float(m), -1.0)
-    return out
+    return gen_harmonic_lp(m, s_cap) + LogPowerSeries(s_cap, {(0, float(m)): -1.0})
 
 
 def central_harmonic_diff_lp(s_cap: float) -> LogPowerSeries:
@@ -182,21 +218,22 @@ def central_harmonic_diff_lp(s_cap: float) -> LogPowerSeries:
 
 def recip_power_shift(c: float, s: float, s_cap: float) -> LogPowerSeries:
     """(t + c)^(-s) expanded in 1/t: sum_j binom(-s, j) c^j t^(-s-j)."""
-    out = LogPowerSeries(s_cap)
+    depth = _depth(s, s_cap)
+    row = []
     coeff = 1.0
-    j = 0
-    while s + j <= s_cap:
-        out._put(0, s + j, coeff)
+    for j in range(depth + 1):
+        row.append(coeff)
         coeff *= -(s + j) * c / (j + 1)
-        j += 1
-    return out
+    return LogPowerSeries._of(s, depth, s_cap, [row])
 
 
 def inv_binomial_lp(n: int, s_cap: float) -> LogPowerSeries:
-    """1 / binom(n+t, t) = n! / ((t+1)(t+2)...(t+n))."""
-    out = one(s_cap)
+    """1 / binom(n+t, t) = n! / ((t+1)(t+2)...(t+n)), each ratio i/(t+i)
+    built at the depth the product keeps."""
+    depth = _depth(float(n), s_cap)
+    out = one(float(depth))
     for i in range(1, n + 1):
-        out = out * recip_power_shift(float(i), 1.0, s_cap).scaled(float(i))
+        out = out * recip_power_shift(float(i), 1.0, 1.0 + depth).scaled(float(i))
     return out
 
 
@@ -204,15 +241,10 @@ def exp_lp(x: LogPowerSeries) -> LogPowerSeries:
     """exp of a series with no constant or log part and min decay >= 1."""
     if any(a != 0 or s < 1.0 for (a, s) in x.terms):
         raise DomainError("exp_lp needs a pure power series with decay >= 1")
-    out = one(x.s_cap)
-    power = one(x.s_cap)
-    i = 1
-    while i <= x.s_cap + _S_EPS:
+    out = power = one(x.s_cap)
+    for i in range(1, out.depth + 1):
         power = power * x
-        if not power.terms:
-            break
         out = out + power.scaled(1.0 / math.factorial(i))
-        i += 1
     return out
 
 
@@ -225,14 +257,13 @@ def gamma_ratio_lp(a: float, b: float, s_cap: float) -> LogPowerSeries:
     are below the leading one by about (max(|a|, |b|)^2 / t)^25 / 25!.
     """
     lead = b - a
-    corr = LogPowerSeries(min(s_cap - lead, 24.0))
-    for n in range(1, int(corr.s_cap + _S_EPS) + 1):
+    depth = min(_depth(lead, s_cap), 24)
+    corr = {}
+    for n in range(1, depth + 1):
         d = (bernoulli_poly(n + 1, a) - bernoulli_poly(n + 1, b)) / (n * (n + 1))
-        corr._put(0, float(n), d if n % 2 else -d)
-    out = LogPowerSeries(s_cap)
-    for (_a, s), c in exp_lp(corr).terms.items():
-        out._put(0, s + lead, c)
-    return out
+        corr[(0, float(n))] = d if n % 2 else -d
+    ratio = exp_lp(LogPowerSeries(float(depth), corr))
+    return LogPowerSeries._of(lead, depth, min(s_cap, lead + depth), ratio.rows)
 
 
 __all__ = [

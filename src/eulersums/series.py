@@ -83,7 +83,8 @@ class _Factor(NamedTuple):
 def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
     k <= K exactly, the rest by em_tail on the product of their expansions,
-    cut at s_cap = (sum of decays) + _DEPTH.
+    each built _DEPTH orders past its own decay, so the product keeps _DEPTH
+    orders past its leading one, s_cap = (sum of decays) + _DEPTH.
 
     The estimate adds the em_tail error, the head's rounding (the factors'
     own plus 1 per * or /) and the two final roundings.  A model whose
@@ -91,16 +92,16 @@ def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
     the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative of
     int_K^inf t^-s dt relative to it.  A sum that is not finite raises
     NonFiniteTermError."""
-    s_cap = sum(f.decay for f in factors) + _DEPTH
-    model = factors[0].tail(s_cap)
+    model = factors[0].tail(factors[0].decay + _DEPTH)
     terms = factors[0].head(lo)
     for f in factors[1:]:
-        model = model * f.tail(s_cap)
+        model = model * f.tail(f.decay + _DEPTH)
         terms = terms / f.head(lo) if f.divides else terms * f.head(lo)
     roundings = sum(f.rounding for f in factors) + (len(factors) - 1)
     per_k = sum(f.rounding_per_k for f in factors)
     if per_k:
         roundings = per_k * _ks(lo) + roundings
+    s_cap = sum(f.decay for f in factors) + _DEPTH
     s_rounding = sum(f.s_rounding for f in factors) * _U * s_cap
 
     exact = math.fsum(terms.tolist())
@@ -225,7 +226,8 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
             return k * out if times_k else out
 
     def tail(s_cap: float) -> ap.LogPowerSeries:
-        out = ap.recip_power_shift(c, float(s), s_cap) if c else _t_power(float(s), s_cap)
+        cap = s_cap - times_k
+        out = ap.recip_power_shift(c, float(s), cap) if c else _t_power(float(s), cap)
         return out * _t_power(1.0, s_cap) if times_k else out
 
     return _Factor(head, tail, s + 1 if times_k else s, 2.0 + base_roundings * s + times_k,

@@ -109,12 +109,17 @@ class TestLogPowerSeries:
             LogPowerSeries(10.0, {(0, 1.0): 1.0}).tail_integral(K)
 
     def test_truncation_bound_is_last_kept_order(self):
-        f = LogPowerSeries(5.0, {(0, 2.0): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
+        f = LogPowerSeries(5.0, {(0, 2.5): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
         K = 50.0
         assert f.truncation_bound(K) == LogPowerSeries(5.0, {(1, 4.5): 2.0}).tail_integral(K)
         assert LogPowerSeries(5.0, {(0, 2.0): 1.0}).truncation_bound(K) == 0.0
         # a derivative keeps as many orders as the series it came from
         assert f.diff().s_cap == 6.0
+
+    def test_exponents_off_one_lattice_are_rejected(self):
+        # the dense form stores orders s0 + j for integer j only
+        with pytest.raises(DomainError):
+            LogPowerSeries(5.0, {(0, 2.0): 1.0, (0, 3.5): 0.5})
 
     def test_product(self):
         f = LogPowerSeries(10.0, {(1, 1.0): 2.0})
@@ -186,13 +191,15 @@ class TestGammaRatio:
         assert abs(gamma_ratio_lp(a, b, b - a + 12.0)(400.0) - want) <= 8 * ULP * abs(want)
 
     def test_order_on_the_cap_is_kept(self):
-        # the cap of lhs_base_binomial(x, 1): s_cap - (1 + x) rounds to just
-        # below 6 at this x, yet the order at t^-s_cap sits on the cap
+        # a signed-binomial factor's cap is its decay 1 + x plus a depth: at
+        # this x, s_cap - (1 + x) rounds to just below 8, yet the order at
+        # t^-s_cap, rounded the same way, sits on the cap
         x = -0.1215851027611018
-        s_cap = x + 1.0 + 1 + 5.0
+        s_cap = x + 1.0 + 8.0
+        assert s_cap - (1.0 + x) < 8.0
         ratio = gamma_ratio_lp(-x, 1.0, s_cap)
-        assert len(ratio.terms) == 7
-        assert max(s for _a, s in ratio.terms) == pytest.approx(s_cap)
+        assert len(ratio.terms) == 9
+        assert max(s for _a, s in ratio.terms) == s_cap
 
     @pytest.mark.parametrize("s_cap", [3.0, 7.5, 16.5, 20.0])
     def test_central_binomial_is_the_half_case(self, s_cap):
@@ -243,8 +250,8 @@ class TestEmTail:
         # zeta values and s-derivatives: sum ln^a k / k^s = (-1)^a zeta^(a)(s, K+1)
         cases = [
             (LogPowerSeries(40.0, {(0, 2.0): 1.0}), 100, mp.zeta(2, 101)),
-            (LogPowerSeries(40.0, {(2, 2.5): 1.0, (1, 3.0): -0.3}), 50,
-             mp.zeta(2.5, 51, 2) + 0.3 * mp.zeta(3, 51, 1)),
+            (LogPowerSeries(40.0, {(2, 2.5): 1.0, (1, 3.5): -0.3}), 50,
+             mp.zeta(2.5, 51, 2) + 0.3 * mp.zeta(3.5, 51, 1)),
         ]
         for model, K, exact in cases:
             tail, err = em_tail(model, K, EvalConfig(em_order=order))
