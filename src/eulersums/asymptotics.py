@@ -135,8 +135,9 @@ class LogPowerSeries:
         return self._of(s0 + 1.0, self.depth, self.s_cap + 1.0, out)
 
     def __call__(self, t: float) -> float:
-        lt = math.log(t)
-        return math.fsum(c * lt**a * t**-s for a, s, c in self._monomials())
+        lt, s0 = math.log(t), self.s0
+        return math.fsum([c * lt**a * t**-(s0 + j)
+                          for a, row in enumerate(self.rows) for j, c in enumerate(row) if c])
 
     def tail_integral(self, K: float) -> float:
         """int_K^inf of the expansion; every monomial must have s > 1."""

@@ -1,11 +1,11 @@
 """Direct summation of the variant Euler harmonic sums and their relatives.
 
 These evaluators are the oracles the closed forms are verified against.
-Each slow series is split at K = 10^4: terms up to K are summed exactly, and
+Each slow series is split at K = 10^3: terms up to K are summed exactly, and
 the tail is an Euler-Maclaurin estimate driven by the asymptotic log-power
 expansion of the term function.  Reaching 1e-10 on sums like
 sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
-in 10^4.  Each term is a list of factors (_Factor), each written once with
+in 10^3.  Each term is a list of factors (_Factor), each written once with
 both its head values and its 1/t expansion, so the head and the tail model
 come from the same list.  Only the two zeta-value series of EX3, whose terms
 fall geometrically, are summed directly by sum_adaptive.
@@ -23,21 +23,27 @@ from . import asymptotics as ap
 from .special import DomainError, HarmonicCache, gen_binom, hurwitz_zeta
 from .summation import EvalConfig, NonFiniteTermError, SumResult, em_tail, sum_adaptive
 
-K_CROSSOVER = 10_000
+K_CROSSOVER = 1_000
 
 # Orders kept in each tail model past its leading decay s0: s_cap = s0 + _DEPTH.
-# The model is the 1/t expansion of the term.  From order j to j + 1 it falls
-# by about c (s0 + j) / ((j + 1) t), c being the largest shift in its factors
-# (n + 1, p + n, p, 1/2 or 1), so at t = K the first dropped order is below the
-# term by the product of _DEPTH + 1 such factors, and its share of the sum is
-# that times tail/value.  The bound em_tail reports (the last kept order, one
-# factor above the dropped ones) must stay below the head's rounding bound,
-# which is at least 5 _U |value| = 5.5e-16 |value|, for n, m <= 10, p <= 20.
-# Large s0 makes tail/value ~ K^(1 - s0) negligible; the worst case is
-# lhs_central_binom(p=20, m=0): s0 = 3/2, c = 20, tail/value ~ 0.06.  Depth 5
-# bounds it by 1.9e-16 |value|; depth 4 still gives the same value to 1 ulp
-# there but can only vouch for 1.2e-13 |value|.
-_DEPTH = 5.0
+# The model is the 1/t expansion of the term, and the shifted power
+# (c + t)^-s in it falls from order j to j + 1 by c (s + j) / ((j + 1) t), c
+# being its shift (p + n, n + 1, p or 1/2; 1/binom(n+t, t) and the harmonic
+# numbers fall faster).  The bound em_tail reports is the tail integral of
+# the last kept order, which is below the tail by about
+#     (s0 - 1) / (s0 + _DEPTH - 1) * prod_{j < _DEPTH} c (s + j) / ((j + 1) K),
+# and it must stay below the head's rounding bound, at least
+# 5 _U |value| = 5.5e-16 |value|, for n, m <= 10 and p <= 20.  Each order
+# gains a factor of about K / c = 50 at c = 20.  Each unit of s costs
+# tail/value a factor of K and the product at most (s + _DEPTH) / s, so the
+# worst cases have s <= 2 and the smallest s0:
+#   lhs_binomial_shifted(x=-0.9, p=20, m=1): s = 2, s0 = 2.1,
+#       tail/value = 0.012: 145 _U |value| at depth 7, 2.9 _U at depth 8;
+#   lhs_central_binom(p=20, m=0): s = 1, s0 = 3/2, tail/value = 0.20:
+#       150 _U at depth 7, 2.6 _U at depth 8.
+# Hence depth 8.  test_em_oracles checks the reported bound against 5 _U
+# |value| for every parameter set it pins.
+_DEPTH = 8.0
 
 # Head rounding is counted in units of _U, to first order: 1 per rounded
 # +, -, *, /; 2 per pow and per cached harmonic number (a compensated sum); a
@@ -51,7 +57,7 @@ DEFAULT_CONFIG = EvalConfig()
 
 @lru_cache(maxsize=1)
 def _cache() -> HarmonicCache:
-    # central-binomial sums index H_{2k}, so build out to 2K
+    # central-binomial sums index H_{2k}, so build out to 2K: 2000 entries
     return HarmonicCache.build(2 * K_CROSSOVER)
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from eulersums import identities, series
 from eulersums.series import K_CROSSOVER
+from eulersums.summation import em_tail
 
 mp.mp.dps = 30
 ULP = 2.0**-52
@@ -26,9 +27,14 @@ X_SET = (-0.9, -0.5, 0.5, 2.5, 7.5)
 NM = range(11)
 
 
-@lru_cache(maxsize=None)
 def _h(t, order=1):
-    """H_t^(order) for a positive integer t."""
+    """H_t^(order) for t > 0, cached per working precision: mp.diff raises it
+    and must not be handed a value computed at a lower one."""
+    return _h_at(t, order, mp.mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _h_at(t, order, prec):
     return mp.harmonic(t) if order == 1 else mp.zeta(order) - mp.zeta(order, t + 1)
 
 
@@ -111,22 +117,58 @@ def test_tail_model_is_the_head_term(tail_models, name):
         assert abs(model(x) - want) <= (8 * ULP + depth_bound + s_bound) * abs(want), (name, params)
 
 
+@pytest.mark.parametrize("name", ORACLES)
+def test_depth_argument(monkeypatch, name):
+    """The argument for series._DEPTH, checked: at t = K + 1 the bound em_tail
+    reports for the orders the tail model drops stays below 5 U |value|, the
+    least head rounding bound, for every parameter set."""
+    models = []
+
+    def capture(model, K, cfg):
+        models.append(model)
+        return em_tail(model, K, cfg)
+
+    monkeypatch.setattr(series, "em_tail", capture)
+    for params in ORACLES[name][0]:
+        models.clear()
+        value = getattr(series, name)(*params).value
+        (model,) = models
+        assert model.truncation_bound(K_CROSSOVER + 1.0) <= 2.5 * ULP * abs(value), (name, params)
+
+
 FROM_ZERO = ("lhs_variant1", "lhs_variant2", "lhs_alt", "lhs_central_binom")
+
+
+# past this many terms _reference hands the rest to Euler-Maclaurin
+DIRECT_TERMS = 4000
 
 
 def _reference(name, params):
     """30-digit sum of the oracle's unsigned series, stopped once the rest is
     out of reach: every extreme series decays at least like k^-11, so the
-    terms after k add less than term_k * k / 10."""
+    terms after k add less than term_k * k / 10.  A series still short of
+    that after DIRECT_TERMS terms gets the rest from _em_rest."""
     _, exact_term = ORACLES[name]
     k = 0 if name in FROM_ZERO else 1
     total = mp.mpf(0)
-    while True:
+    while k < DIRECT_TERMS:
         term = exact_term(k, *params)
         total += term
         if k and abs(term) * k < mp.mpf(10) ** -22 * abs(total):
             return total
         k += 1
+    return total + _em_rest(lambda t: exact_term(t, *params), k)
+
+
+def _em_rest(f, n, order=8):
+    """sum_{k>=n} f(k) for a term f smooth in real t, by Euler-Maclaurin in
+    mpmath: the integral by quadrature and the derivatives by mp.diff, so
+    nothing is shared with the oracles' log-power tail models.  At
+    n = DIRECT_TERMS the first omitted correction is below the 30 digits."""
+    out = mp.quad(f, [n, 2 * n, 8 * n, mp.inf]) + f(n) / 2
+    for j in range(1, order + 1):
+        out -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(f, n, 2 * j - 1)
+    return out
 
 
 # (oracle, parameters, the sign the oracle puts in front of its series)

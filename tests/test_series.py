@@ -282,8 +282,9 @@ class TestOracleContracts:
         # positive-term series: partial sums never exceed value + tail_estimate
         res = lhs_variant1(1, 1)
         c = _cache()
-        k = np.arange(1.0, 3001.0)
-        terms = c.h1[1:3001] / ((k + 2.0) ** 2 * (k + 1.0))
+        n = 2 * K_CROSSOVER  # as far as the cache reaches, past the summed head
+        k = np.arange(1.0, n + 1.0)
+        terms = c.h1[1 : n + 1] / ((k + 2.0) ** 2 * (k + 1.0))
         partials = np.cumsum(terms)
         assert (np.diff(partials) >= 0.0).all()
         assert (partials <= res.value + res.tail_estimate).all()
