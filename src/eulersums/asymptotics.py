@@ -85,9 +85,6 @@ class LogPowerSeries:
     def __repr__(self) -> str:
         return f"LogPowerSeries({self.s_cap!r}, {dict(self.terms)!r})"
 
-    def copy(self) -> "LogPowerSeries":
-        return self._of(self.s0, self.depth, self.s_cap, [row[:] for row in self.rows])
-
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
         s0 = min(self.s0, other.s0)
         parts = [(_offset(s0, f.s0), f.rows) for f in (self, other)]

@@ -99,12 +99,17 @@ def _parse_identity(name: str) -> IdentityId:
         ) from None
 
 
-def _parse_range(text: str) -> list[float]:
-    """Accept '0..3', '0.5,1,2', or a single number."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return [float(v) for v in range(int(lo), int(hi) + 1)]
-    return [float(v) for v in text.split(",") if v != ""]
+def _parse_range(key: str, text: str) -> list[float]:
+    """Accept '0..3' (integer bounds, inclusive), '0.5,1,2', or a single
+    number, as the values of the --key axis."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return [float(v) for v in range(int(lo), int(hi) + 1)]
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        rule = "range a..b takes integer bounds" if ".." in text else "takes numbers"
+        raise DomainError(f"--{key} {rule}, got {text}") from None
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
@@ -192,7 +197,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
     for key in ("x", "n", "m", "p"):
         text = getattr(args, key)
         if text is not None:
-            vals = _parse_range(text)
+            vals = _parse_range(key, text)
             if key in ("n", "m"):
                 for v in vals:
                     if not v.is_integer():

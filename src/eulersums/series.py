@@ -232,7 +232,7 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
             return k * out if times_k else out
 
     def tail(s_cap: float) -> ap.LogPowerSeries:
-        cap = s_cap - times_k
+        cap = s_cap - times_k  # the factor k takes one order of the decay
         out = ap.recip_power_shift(c, float(s), cap) if c else _t_power(float(s), cap)
         return out * _t_power(1.0, s_cap) if times_k else out
 

@@ -228,6 +228,17 @@ class TestSweep:
         assert code == EXIT_DOMAIN
         assert out == "" and err.splitlines() == [f"error: {bad}"]
 
+    @pytest.mark.parametrize("axis, text, bad", [
+        ("--p", "0.5..2", "--p range a..b takes integer bounds, got 0.5..2"),
+        ("--p", "0.5,one", "--p takes numbers, got 0.5,one"),
+        ("--m", "1..x", "--m range a..b takes integer bounds, got 1..x")])
+    def test_unparsable_axis_exit_2(self, capsys, axis, text, bad):
+        args = {"--p": "1", "--m": "1", axis: text}
+        code, out, err = run(capsys, "sweep", "COR_38", "--p", args["--p"], "--m", args["--m"],
+                             "--jobs", "1")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.splitlines() == [f"error: {bad}"]
+
     def test_empty_range(self, capsys):
         code, out, _ = run(capsys, "sweep", "COR_38", "--p", "", "--m", "0..3", "--jobs", "1")
         assert code == EXIT_OK

@@ -133,7 +133,8 @@ def test_depth_argument(monkeypatch, name):
         models.clear()
         value = getattr(series, name)(*params).value
         (model,) = models
-        assert model.truncation_bound(K_CROSSOVER + 1.0) <= 2.5 * ULP * abs(value), (name, params)
+        assert model.truncation_bound(K_CROSSOVER + 1.0) <= 5 * series._U * abs(value), \
+            (name, params)
 
 
 FROM_ZERO = ("lhs_variant1", "lhs_variant2", "lhs_alt", "lhs_central_binom")
@@ -248,9 +249,9 @@ def _oracle_bits():
 @pytest.mark.parametrize("name", ORACLES)
 def test_oracle_bits(name):
     """Every ORACLES parameter set, bit for bit in value and tail_estimate and
-    exactly in converged and terms_used, as recorded in oracle_bits.json before
-    the oracles were built from factor lists: their tail caps and head rounding
-    budgets, now derived from the factors, must equal the hand-written ones."""
+    exactly in converged and terms_used, as pinned in oracle_bits.json.
+    repin_fixtures.py rewrites it only after checking every moved value
+    against a 30-digit reference."""
     params_list, _ = ORACLES[name]
     got = []
     for params in params_list:
@@ -261,8 +262,8 @@ def test_oracle_bits(name):
 
 
 def test_default_grid_lhs_bits():
-    """The LHS of every default_grid() point, bit for bit, as recorded in
-    grid_lhs.json before the tail models were cut to binary64 depth."""
+    """The LHS of every default_grid() point, bit for bit, as pinned in
+    grid_lhs.json (rewritten only by repin_fixtures.py)."""
     fixture = json.loads((Path(__file__).parent / "grid_lhs.json").read_text())["points"]
     grid = identities.default_grid()
     assert [(ident.value, params) for ident, params in grid] == [(n, p) for n, p, _ in fixture]
