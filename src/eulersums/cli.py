@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -69,12 +70,22 @@ def record_from_report(rep: VerifyReport, wall_ms: float, side: str = "both") ->
     return rec
 
 
+def _finite_positive(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _tol_from(args: argparse.Namespace) -> float:
     if args.tol is not None:
-        return args.tol
+        return _finite_positive("--tol", args.tol)
     env = os.environ.get("EULER_SUM_TOL")
     if env:
-        return float(env)
+        try:
+            value = float(env)
+        except ValueError:
+            raise DomainError(f"EULER_SUM_TOL must be a number, got {env!r}") from None
+        return _finite_positive("EULER_SUM_TOL", value)
     return DEFAULT_TOL
 
 
@@ -82,9 +93,7 @@ def _cfg_from(args: argparse.Namespace) -> EvalConfig:
     cfg = DEFAULT_CONFIG
     overrides = {}
     if getattr(args, "rel_tol", None) is not None:
-        overrides["rel_tol"] = args.rel_tol
-    if getattr(args, "max_terms", None) is not None:
-        overrides["max_terms"] = args.max_terms
+        overrides["rel_tol"] = _finite_positive("--rel-tol", args.rel_tol)
     if getattr(args, "em_order", None) is not None:
         overrides["em_order"] = args.em_order
     return replace(cfg, **overrides) if overrides else cfg
@@ -263,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="comparison tolerance (default: $EULER_SUM_TOL or 1e-7)")
         p.add_argument("--rel-tol", type=float, default=None, help="series relative tolerance")
-        p.add_argument("--max-terms", type=int, default=None,
-                       help="term cap of the directly summed zeta series (EX3_GOLDBACH "
-                            "zeta-tail and power-series); no other series reads it")
         p.add_argument("--em-order", type=int, default=None, help="Euler-Maclaurin correction order")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: cores)")
         if with_params:

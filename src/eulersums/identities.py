@@ -598,7 +598,10 @@ REGISTRY: dict[IdentityId, Identity] = {
 def verify(ident: IdentityId, params: dict[str, Any], tol: float,
            cfg: EvalConfig = DEFAULT_CONFIG) -> VerifyReport:
     """Evaluate both sides of one identity instance and compare at tol; a
-    missing or unknown parameter is a DomainError."""
+    missing or unknown parameter, or a tol that is not positive and finite,
+    is a DomainError."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     row = REGISTRY[ident]
     sides, full = row.bind(ident, params)
     args = {name: v for name, v in full.items() if name != row.selector}

@@ -8,7 +8,8 @@ sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
 in 10^3.  Each term is a list of factors (_Factor), each written once with
 both its head values and its 1/t expansion, so the head and the tail model
 come from the same list.  Only the two zeta-value series of EX3, whose terms
-fall geometrically, are summed directly by sum_adaptive.
+fall geometrically with a proven ratio, are summed term by term, by
+_sum_geometric.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as ap
 from .special import DomainError, HarmonicCache, gen_binom, hurwitz_zeta
-from .summation import EvalConfig, NonFiniteTermError, SumResult, em_tail, sum_adaptive
+from .summation import EvalConfig, NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
 
@@ -387,27 +388,64 @@ def quadratic_minus_linear(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResul
 
 # ------------------------ zeta-tail example series --------------------------
 
+# hurwitz_zeta(s, a) is within this many _U of zeta(s, a) at the (s, a) the
+# two series reach: integer s >= 2, a = 2 or 1 < a < 2.  The worst measured,
+# against 30-digit mpmath on a = 1 + p for p on a 0.001 grid and s = 2..80,
+# is 3.2 _U at s = 11; test_series checks it.
+_HURWITZ_ROUNDING = 4.0
+
+# A series with r <= 1/2 at least halves its terms at every step.  A first
+# term is below 2^1024, so within 1024 + 1074 halvings the terms fall below
+# 2^-1074, the least binary64, round to 0 and stop the loop: no series of
+# finite terms that keeps its ratio bound reaches this cap.
+_GEOMETRIC_CAP = 2100
+
+
+def _sum_geometric(term: Callable[[int], float], j0: int, r: float, rounding: float,
+                   rounding_per_j: float, cfg: EvalConfig) -> SumResult:
+    """sum_{j>=j0} term(j) for positive terms with t_{j+1} <= r t_j.
+
+    Terms are taken until the bound on the rest, t_J r / (1 - r), is below
+    _U/4 of the first term, and so of the sum, then summed exactly by fsum.
+    `rounding + rounding_per_j j` bounds term j's relative error in units of
+    _U.  The estimate adds the bound on the rest, the terms' errors and the
+    final rounding.  A term that is not finite raises NonFiniteTermError."""
+    terms: list[float] = []
+    err = 0.0
+    for j in range(j0, j0 + _GEOMETRIC_CAP):
+        t = term(j)
+        if not math.isfinite(t):
+            raise NonFiniteTermError(f"term {j} of the series is {t}")
+        terms.append(t)
+        err += (rounding + rounding_per_j * j) * t
+        rest = t * r / (1.0 - r)
+        if rest <= 0.25 * _U * terms[0]:
+            break
+    value = math.fsum(terms)
+    tail_estimate = rest + _U * (err + value)
+    return SumResult(value, tail_estimate, len(terms), tail_estimate <= cfg.rel_tol * value)
+
 
 def zeta_tail_sum(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
     """sum_{j>=2} (zeta(m+j) - 1), each term evaluated as zeta(m+j, 2) so no
-    cancellation occurs for large j."""
+    cancellation occurs for large j.  Each k^-(s+1) <= k^-s / 2 for k >= 2,
+    so zeta(s+1, 2) <= zeta(s, 2) / 2: r = 1/2."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-
-    def term(js: np.ndarray) -> np.ndarray:
-        return np.array([hurwitz_zeta(m + float(j), 2.0) for j in js])
-
-    return sum_adaptive(term, cfg, k_start=2)
+    return _sum_geometric(lambda j: hurwitz_zeta(m + float(j), 2.0), 2, 0.5,
+                          _HURWITZ_ROUNDING, 0.0, cfg)
 
 
 def zeta_power_series(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
-    """sum_{j>=0} p^j zeta(m+j+2, p+1), valid for 0 < p < 1."""
+    """sum_{j>=0} p^j zeta(m+j+2, p+1), valid for 0 < p < 1.  Each
+    (k + p + 1)^-1 <= 1/(p + 1), so p zeta(s+1, p+1) <= p/(p+1) zeta(s, p+1):
+    r = p/(p+1) < 1/2.  Term j adds the pow and the * to hurwitz_zeta's
+    error, and the rounded a = p + 1 moves zeta(s, a) by up to s _U, s =
+    m + j + 2."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-
-    def term(js: np.ndarray) -> np.ndarray:
-        return np.array([p ** float(j) * hurwitz_zeta(m + float(j) + 2.0, p + 1.0) for j in js])
-
-    return sum_adaptive(term, cfg, k_start=0)
+    a = p + 1.0
+    return _sum_geometric(lambda j: p ** float(j) * hurwitz_zeta(m + float(j) + 2.0, a), 0,
+                          p / a, _HURWITZ_ROUNDING + 3.0 + (m + 2.0), 1.0, cfg)

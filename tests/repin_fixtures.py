@@ -6,11 +6,12 @@
 A change to the tail models or to the split point K may move pinned values
 by an ulp or so.  Before anything is written, every oracle result whose value
 moved must lie within its own tail_estimate of a 30-digit mpmath reference
-(test_em_oracles._reference, or _beta_reference for the binomial series), and
-no oracle's converged flag may change.  A moved grid value is checked through
-the oracle calls identities.verify makes for it.  If any check fails the
-script writes nothing and exits 1.  It prints the number of moved values and
-the largest move in ulp.  The 30-digit references take a few seconds each.
+(test_em_oracles._reference, _beta_reference for the binomial series, or
+test_series.ZETA_REFERENCES for the two zeta-value series), and no oracle's
+converged flag may change.  A moved grid value is checked through the oracle
+calls identities.verify makes for it.  If any check fails the script writes
+nothing and exits 1.  It prints the number of moved values and the largest
+move in ulp.  The 30-digit references take a few seconds each.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE))
 
 import test_em_oracles as T  # noqa: E402
+import test_series  # noqa: E402
 from eulersums import identities, series  # noqa: E402
 from eulersums.summation import EvalConfig  # noqa: E402
 
@@ -46,6 +48,8 @@ BITS_ABOUT = ("Every parameter set of test_em_oracles.ORACLES through its series
 def reference(name: str, params: tuple) -> mp.mpf:
     """The oracle's value to 30 digits, with the sign it puts in front of its
     series."""
+    if name in test_series.ZETA_REFERENCES:
+        return test_series.ZETA_REFERENCES[name](*params)
     if name in ("lhs_base_binomial", "lhs_binomial_shifted"):
         return T._beta_reference(name, params)
     sign = 1
@@ -89,7 +93,7 @@ def repin_oracles(moves: list[tuple[float, float]], problems: list[str]) -> dict
 
 
 def repin_grid(moves: list[tuple[float, float]], problems: list[str]) -> list[list]:
-    """The grid's LHS bits.  Every EM oracle identities.verify calls is
+    """The grid's LHS bits.  Every series oracle identities.verify calls is
     wrapped, so a moved value can be checked through the calls behind it."""
     calls = []
 
@@ -100,7 +104,8 @@ def repin_grid(moves: list[tuple[float, float]], problems: list[str]) -> list[li
             return res
         return wrapper
 
-    originals = {name: getattr(identities, name) for name in T.ORACLES}
+    originals = {name: getattr(identities, name)
+                 for name in (*T.ORACLES, *test_series.ZETA_REFERENCES)}
     pinned = json.loads(GRID.read_text())["points"]
     out = []
     try:
@@ -115,7 +120,7 @@ def repin_grid(moves: list[tuple[float, float]], problems: list[str]) -> list[li
                 continue
             moves.append(move(old, lhs))
             if not calls:
-                problems.append(f"{ident.value} {params}: moved without an EM oracle call to check")
+                problems.append(f"{ident.value} {params}: moved without an oracle call to check")
             problems.extend(check(name, args, res) for name, args, res in calls)
     finally:
         for name, fn in originals.items():

@@ -96,8 +96,8 @@ class TestEval:
         assert code == EXIT_DOMAIN
 
     def test_non_convergence_exit_3(self, capsys):
-        code, out, _ = run(capsys, "eval", "EX3_GOLDBACH", "--form", "power-series", "--p", "0.4",
-                           "--m", "1", "--max-terms", "10")
+        # the head cancels past what binary64 holds at rel_tol
+        code, out, _ = run(capsys, "eval", "THM_BASE_E15", "--x", "50.5", "--m", "1")
         assert code == EXIT_NOT_CONVERGED
         assert json.loads(out)["converged"] is False
 
@@ -134,6 +134,31 @@ class TestEval:
             assert code == EXIT_DOMAIN, params
             assert out == "" and err.startswith("error:") and why in err
             assert len(err.splitlines()) == 1
+
+
+class TestTolerances:
+    """A tolerance that is not positive and finite is a parameter error that
+    names where it came from, not a silent fail or a false convergence."""
+
+    POINT = ("THM_V1_31", "--n", "0", "--m", "1")
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                                             ("--tol", "inf"), ("--rel-tol", "nan"),
+                                             ("--rel-tol", "inf"), ("--rel-tol", "-1")])
+    def test_flag_exit_2(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, *self.POINT, f"{flag}={value}", "--jobs", "1")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:") and flag in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1e-3", "inf"])
+    def test_env_var_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("EULER_SUM_TOL", value)
+        code, out, err = run(capsys, "eval", *self.POINT)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:") and "EULER_SUM_TOL" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestVerify:

@@ -202,6 +202,11 @@ class TestVerifyHarness:
         rep = verify(IdentityId.COR_38, {"p": 1.5, "m": 1}, 1e-30)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            verify(IdentityId.COR_38, {"p": 1.5, "m": 1}, tol)
+
 
 class TestRegistry:
     def test_one_row_per_identity_in_order(self):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from eulersums import (
     ZETA2,
     ZETA3,
     ZETA4,
+    hurwitz_zeta,
     lhs_alt,
     lhs_base_binomial,
     lhs_binomial_shifted,
@@ -24,6 +26,7 @@ from eulersums import (
     lhs_variant4,
     riemann_zeta,
 )
+from eulersums import series
 from eulersums.series import (
     K_CROSSOVER,
     _cache,
@@ -38,7 +41,7 @@ from eulersums.summation import NonFiniteTermError
 from conftest import REFS, assert_close
 
 EM_TOL = 1e-11       # split-at-K + Euler-Maclaurin routes
-DIRECT_TOL = 1e-9    # adaptive direct-summation routes (rel_tol 1e-10 + slack)
+DIRECT_TOL = 1e-9    # the binomial base series, at the tolerance of their former direct sums
 
 
 class TestVariant1:
@@ -244,6 +247,28 @@ class TestIndexShiftBridge:
         assert_close(stated, power + correction, 1e-8)
 
 
+def zeta_tail_reference(m):
+    """sum_{j>=2} zeta(m+j, 2) to 30 digits."""
+    with mp.workdps(30):
+        return mp.nsum(lambda j: mp.zeta(m + j, 2), [2, mp.inf])
+
+
+def zeta_power_reference(p, m):
+    """sum_{j>=0} p^j zeta(m+j+2, p+1) to 30 digits, p taken exactly."""
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        return mp.nsum(lambda j: p**j * mp.zeta(m + j + 2, p + 1), [0, mp.inf])
+
+
+# the series summed by series._sum_geometric, with their 30-digit references
+ZETA_REFERENCES = {"zeta_tail_sum": zeta_tail_reference, "zeta_power_series": zeta_power_reference}
+
+# (series, parameters, the ratio r proven in its docstring)
+GEOMETRIC_POINTS = [("zeta_tail_sum", (m,), 0.5) for m in range(11)]
+GEOMETRIC_POINTS += [("zeta_power_series", (p, m), p / (p + 1.0))
+                     for p in (0.1, 0.4, 0.9) for m in range(6)]
+
+
 class TestZetaTailSeries:
     def test_goldbach(self):
         r = zeta_tail_sum(0)
@@ -259,6 +284,60 @@ class TestZetaTailSeries:
         assert_close(zeta_power_series(0.4, 1).value, REFS[("cor38", 0.4, 1)], 1e-11)
         with pytest.raises(DomainError):
             zeta_power_series(1.5, 1)
+
+    @pytest.mark.parametrize("name, params, r", GEOMETRIC_POINTS)
+    def test_ratio_bound_and_value(self, monkeypatch, name, params, r):
+        """The proof as a check: every term the loop took is at most r times
+        the one before, the value lies within its estimate of the reference,
+        and the stop comes within 60 terms."""
+        seen = []
+        sum_geometric = series._sum_geometric
+
+        def recording(term, *args):
+            def recorded(j):
+                seen.append(term(j))
+                return seen[-1]
+
+            return sum_geometric(recorded, *args)
+
+        monkeypatch.setattr(series, "_sum_geometric", recording)
+        res = getattr(series, name)(*params)
+        assert len(seen) == res.terms_used <= 60
+        assert all(b <= r * a for a, b in zip(seen, seen[1:]))
+        assert res.converged
+        assert abs(res.value - ZETA_REFERENCES[name](*params)) <= res.tail_estimate
+
+    def test_hurwitz_rounding_covers_the_terms(self):
+        """hurwitz_zeta within _HURWITZ_ROUNDING U over the (s, a) the two
+        series reach: integer s >= 2, a = 2 and a = 1 + p, 0 < p < 1; (11,
+        1.457) is the worst point measured on a finer grid."""
+        points = [(11, 1.457)] + [(s, a) for a in [2.0] + [1.0 + k / 50 for k in range(1, 50)]
+                                  for s in [*range(2, 13), 20, 40, 70]]
+        with mp.workdps(30):
+            for s, a in points:
+                want = mp.zeta(s, a)
+                got = hurwitz_zeta(float(s), a)
+                assert abs(got - want) <= series._HURWITZ_ROUNDING * series._U * want, (s, a)
+
+    def test_underflowing_zeta_tail_stops_at_once(self):
+        # zeta(1102, 2) is below the least binary64: the first term is 0
+        r = zeta_tail_sum(1100)
+        assert (r.value, r.tail_estimate, r.terms_used, r.converged) == (0.0, 0.0, 1, True)
+
+
+class TestGeometricStop:
+    """series._sum_geometric on series whose sums are known."""
+
+    def test_geometric(self):
+        res = series._sum_geometric(lambda j: 2.0**-j, 0, 0.5, 0.0, 0.0, EvalConfig())
+        assert res.converged
+        assert abs(res.value - 2.0) <= res.tail_estimate <= 1e-15
+        assert res.terms_used <= 60
+
+    def test_non_finite(self):
+        with pytest.raises(NonFiniteTermError):
+            series._sum_geometric(lambda j: math.inf if j == 5 else 2.0**-j, 0, 0.5, 0.0, 0.0,
+                                  EvalConfig())
 
 
 class TestHalfShift:

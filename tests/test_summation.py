@@ -1,12 +1,11 @@
-"""Summation engine: adaptive direct sums, tail models, Euler-Maclaurin."""
+"""Summation engine: configuration, tail models, Euler-Maclaurin."""
 
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
-from eulersums import DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta, sum_adaptive
+from eulersums import DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta
 from eulersums.asymptotics import (
     LogPowerSeries,
     central_harmonic_diff_lp,
@@ -18,7 +17,7 @@ from eulersums.asymptotics import (
     recip_power_shift,
 )
 from eulersums.special import BERNOULLI_2J, ZETA3, bernoulli_poly
-from eulersums.summation import NonFiniteTermError, NonMonotoneTailError
+from eulersums.summation import NonMonotoneTailError
 
 from conftest import assert_close
 
@@ -30,64 +29,14 @@ class TestEvalConfig:
     def test_defaults(self):
         cfg = EvalConfig()
         assert cfg.rel_tol == 1e-10
-        assert cfg.max_terms == 10**8
         assert cfg.em_order == 6
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            EvalConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            EvalConfig(max_terms=0)
+        for rel_tol in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                EvalConfig(rel_tol=rel_tol)
         with pytest.raises(DomainError):
             EvalConfig(em_order=12)
-
-
-class TestSumAdaptive:
-    def test_geometric(self):
-        res = sum_adaptive(lambda k: 2.0**-k, EvalConfig(), k_start=0)
-        assert res.converged
-        assert_close(res.value, 2.0, 1e-12)
-        assert res.tail_estimate <= 1e-10 * 2.0 * 1.01
-
-    def test_telescoping(self):
-        cfg = EvalConfig(rel_tol=1e-6, max_terms=10**7)
-        res = sum_adaptive(lambda k: 1.0 / (k * (k + 1.0)), cfg, k_start=1)
-        assert res.converged
-        assert_close(res.value, 1.0, 3e-6)
-
-    def test_non_finite(self):
-        def term(k):
-            with np.errstate(divide="ignore"):
-                return 1.0 / (k - 10.0)
-
-        with pytest.raises(NonFiniteTermError):
-            sum_adaptive(term, EvalConfig(), k_start=1)
-
-    def test_max_terms_guard(self):
-        cfg = EvalConfig(rel_tol=1e-10, max_terms=1000)
-        res = sum_adaptive(lambda k: 1.0 / (k * (k + 1.0)), cfg, k_start=1)
-        assert not res.converged
-        assert res.terms_used == 1000
-
-    def test_alternating_tail_bound(self):
-        cfg = EvalConfig(rel_tol=1e-8, max_terms=10**7)
-        res = sum_adaptive(lambda k: (-1.0) ** k * 0.5**k, cfg, k_start=0)
-        assert res.converged
-        assert_close(res.value, 2.0 / 3.0, 1e-8)
-
-    def test_determinism(self):
-        cfg = EvalConfig(rel_tol=1e-8)
-        a = sum_adaptive(lambda k: k**-3.0, cfg, k_start=1)
-        b = sum_adaptive(lambda k: k**-3.0, cfg, k_start=1)
-        assert a == b  # bit-identical fields
-
-    def test_partial_sums_bounded_by_value_plus_tail(self):
-        cfg = EvalConfig(rel_tol=1e-8)
-        res = sum_adaptive(lambda k: k**-4.0, cfg, k_start=1)
-        k = np.arange(1.0, 2001.0)
-        partials = np.cumsum(k**-4.0)
-        assert (np.diff(partials) >= 0).all()
-        assert (partials <= res.value + res.tail_estimate + 1e-15).all()
 
 
 class TestLogPowerSeries:
