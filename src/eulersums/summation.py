@@ -27,9 +27,9 @@ class NonMonotoneTailError(ValueError):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Settings shared by the series evaluators: a result has converged when
-    its tail_estimate is at most rel_tol times its value, a positive finite
-    rel_tol; em_tail takes em_order Bernoulli corrections."""
+    """Settings shared by the series evaluators.  A result has converged
+    when its tail_estimate is at most rel_tol times its value; rel_tol must
+    be positive and finite.  em_tail takes em_order Bernoulli corrections."""
 
     rel_tol: float = 1e-10
     em_order: int = 6
