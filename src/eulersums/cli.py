@@ -17,11 +17,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any
 
-from .identities import REGISTRY, IdentityId, VerifyReport, default_grid, verify
-from .series import DEFAULT_CONFIG
+from .identities import DEFAULT_CONFIG, REGISTRY, IdentityId, VerifyReport, default_grid, verify
 from .special import DomainError
 from .summation import EvalConfig
 
@@ -90,13 +89,9 @@ def _tol_from(args: argparse.Namespace) -> float:
 
 
 def _cfg_from(args: argparse.Namespace) -> EvalConfig:
-    cfg = DEFAULT_CONFIG
-    overrides = {}
-    if getattr(args, "rel_tol", None) is not None:
-        overrides["rel_tol"] = _finite_positive("--rel-tol", args.rel_tol)
-    if getattr(args, "em_order", None) is not None:
-        overrides["em_order"] = args.em_order
-    return replace(cfg, **overrides) if overrides else cfg
+    if args.rel_tol is None:
+        return DEFAULT_CONFIG
+    return EvalConfig(rel_tol=_finite_positive("--rel-tol", args.rel_tol))
 
 
 def _parse_identity(name: str) -> IdentityId:
@@ -271,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, with_params: bool = True) -> None:
         p.add_argument("--tol", type=float, default=None,
                        help="comparison tolerance (default: $EULER_SUM_TOL or 1e-7)")
-        p.add_argument("--rel-tol", type=float, default=None, help="series relative tolerance")
-        p.add_argument("--em-order", type=int, default=None, help="Euler-Maclaurin correction order")
+        p.add_argument("--rel-tol", type=float, default=None,
+                       help="largest tail estimate / |lhs| of a converged series (default 1e-10)")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: cores)")
         if with_params:
             p.add_argument("--n", type=int, default=None)
@@ -314,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("verify needs an identity name or --all")
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -31,7 +31,6 @@ from typing import Any, Callable, Iterable
 
 from .jets import Jet1, RatioVariant, gamma_ratio_jet, jet_exp, jet_mul, ln_gamma_jet, mixed_partial, psi_jet
 from .series import (
-    DEFAULT_CONFIG,
     half_shift_series,
     lhs_alt,
     lhs_base_binomial,
@@ -214,24 +213,6 @@ def _zeta_double_sum(m: int) -> float:
         * math.fsum(riemann_zeta(j + 1.0) * riemann_zeta(float(l - j + 1)) for j in range(1, l))
         for l in range(1, m)
     ) / m if m > 1 else 0.0
-
-
-def rhs_cor_34_unsimplified(m: int) -> float:
-    """The same value before algebraic simplification; agreement with
-    rhs_cor_34 to 1e-12 is a consistency check of the zeta algebra."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    out = ZETA2 * riemann_zeta(m + 1.0) + (m + 1) * (m + 2) / 3.0 * riemann_zeta(m + 3.0)
-    out -= math.fsum(
-        (j + 1) * (j + 2) * riemann_zeta(3.0 + j) * riemann_zeta(float(m - j))
-        for j in range(0, m - 1)
-    ) / m
-    out -= math.fsum(
-        (j + 1) * (m - j) * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j))
-        for j in range(0, m)
-    ) / m
-    out += _zeta_double_sum(m)
-    return out
 
 
 def rhs_cor_34a(m: int) -> float:
@@ -422,9 +403,9 @@ _NONE = inspect.Parameter.empty
 class Identity:
     """One statement of the paper, described once.
 
-    `sides(cfg, **params)` sums the series, then evaluates the closed form,
-    and returns (series result, closed-form value); its parameters after cfg
-    are the statement's, with a default where the statement fixes one.  A
+    `sides(**params)` sums the series, then evaluates the closed form, and
+    returns (series result, closed-form value); its parameters are the
+    statement's, with a default where the statement fixes one.  A
     worked example made of several statements maps each value of its
     `selector` parameter to such a function, the first being the default.
     `grid` holds the points default_grid checks; `extra(lhs, tol, **params)`,
@@ -462,8 +443,8 @@ class Identity:
 
 @functools.cache
 def _declared(sides: Sides) -> dict[str, Any]:
-    """The parameters `sides` takes after cfg, with their defaults or _NONE."""
-    return {p.name: p.default for p in list(inspect.signature(sides).parameters.values())[1:]}
+    """The parameters `sides` takes, with their defaults or _NONE."""
+    return {p.name: p.default for p in inspect.signature(sides).parameters.values()}
 
 
 def _axes(**axes: Iterable[Any]) -> list[dict[str, Any]]:
@@ -491,128 +472,132 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.THM_BASE_E15: Identity(
         "(x > -1, m >= 1)",
         "sum (-1)^(k-1) C(x,k)/k^m = (-1)^m/m! d^m_z R0(x,z)|z=1",
-        lambda cfg, x, m: (lhs_base_binomial(x, m, cfg), rhs_thm_e15(x, m)),
+        lambda x, m: (lhs_base_binomial(x, m), rhs_thm_e15(x, m)),
         _axes(x=_X_GRID, m=_M1)),
     IdentityId.THM_ALT_T25: Identity(
         "(n >= 0, m >= 1)",
         "sum (-1)^(n-1)/((n+k+1)^(m+1) C(n+k,k)) = finite - dx d^m_z R0",
-        lambda cfg, n, m: (lhs_alt(n, m, cfg), rhs_thm_t25(n, m)),
+        lambda n, m: (lhs_alt(n, m), rhs_thm_t25(n, m)),
         _axes(n=N_GRID, m=_M1)),
     IdentityId.THM_V1_31: Identity(
         "(n >= 0, m >= 1)",
         "sum H_k/((n+k+1)^(m+1) C(n+k,k)) = finite + {F1,F2} terms",
-        lambda cfg, n, m: (lhs_variant1(n, m, cfg), rhs_thm_31(n, m)),
+        lambda n, m: (lhs_variant1(n, m), rhs_thm_31(n, m)),
         _axes(n=N_GRID, m=_M1)),
     IdentityId.COR_EULER_32: Identity(
         "(m >= 2)",
         "2 sum H_k/(k+1)^m = m z(m+1) - sum z(k+1) z(m-k)",
-        lambda cfg, m: (lhs_variant1(0, m - 1, cfg).scaled(2.0), rhs_cor_32(m)),
+        lambda m: (lhs_variant1(0, m - 1).scaled(2.0), rhs_cor_32(m)),
         _axes(m=range(2, 6))),
     IdentityId.THM_V2_33: Identity(
         "(n >= 0, m >= 1)",
         "sum (H_k^2-H_k^(2))/((n+k+1)^(m+1) C(n+k,k)) = finite + {F1,F2,F3}",
-        lambda cfg, n, m: (lhs_variant2(n, m, cfg), rhs_thm_33(n, m)),
+        lambda n, m: (lhs_variant2(n, m), rhs_thm_33(n, m)),
         _axes(n=N_GRID, m=_M1)),
     IdentityId.COR_34: Identity(
         "(m >= 1)",
         "sum (H_k^2-H_k^(2))/(k+1)^(m+1) = zeta polynomial",
-        lambda cfg, m: (lhs_variant2(0, m, cfg), rhs_cor_34(m)),
+        lambda m: (lhs_variant2(0, m), rhs_cor_34(m)),
         _axes(m=_M1)),
     IdentityId.THM_BASE_35: Identity(
         "(x > -1, p > 0, m >= 0)",
         "sum (-1)^k C(x,k)/(p+k)^(m+1) = (-1)^m/m! d^m_s R1(x,s)|s=p",
-        lambda cfg, x, p, m: (lhs_binomial_shifted(x, p, m, cfg), rhs_thm_35(x, p, m)),
+        lambda x, p, m: (lhs_binomial_shifted(x, p, m), rhs_thm_35(x, p, m)),
         [{"x": x, "p": p, "m": m} for p in P_GRID for x in _X_GRID for m in _M0]),
     IdentityId.COR_CENTRAL_36: Identity(
         "(p > 0, m >= 0)",
         "sum (H_k-2H_2k) C(2k,k)/(4^k (p+k)^(m+1)) = sqrt(pi) psi-ratio deriv",
-        lambda cfg, p, m: (lhs_central_binom(p, m, cfg), rhs_cor_36(p, m)),
+        lambda p, m: (lhs_central_binom(p, m), rhs_cor_36(p, m)),
         _axes(p=P_GRID, m=_M0)),
     IdentityId.THM_V3_37: Identity(
         "(p > 0, n >= 0, m >= 0)",
         "sum (-1)^n/(k (p+n+k)^(m+1) C(n+k,k)) = finite - dx d^m_s R1",
-        lambda cfg, p, n, m: (lhs_variant3(p, n, m, cfg), rhs_thm_37(p, n, m)),
+        lambda p, n, m: (lhs_variant3(p, n, m), rhs_thm_37(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M0)),
     IdentityId.COR_38: Identity(
         "(p > 0, m >= 0)",
         "sum 1/(k (p+k)^(m+1)) = gamma/p^(m+1) + psi-series",
-        lambda cfg, p, m: (lhs_variant3(p, 0, m, cfg), rhs_cor_38(p, m)),
+        lambda p, m: (lhs_variant3(p, 0, m), rhs_cor_38(p, m)),
         _axes(p=P_GRID, m=_M0)),
     IdentityId.THM_V3H_39: Identity(
         "(p > 0, n >= 0, m >= 0)",
         "sum (-1)^n H_(k-1)/(k (p+n+k)^(m+1) C(n+k,k)) = finite + (G2-2H_n G1)/2",
-        lambda cfg, p, n, m: (lhs_variant3h(p, n, m, cfg), rhs_thm_39(p, n, m)),
+        lambda p, n, m: (lhs_variant3h(p, n, m), rhs_thm_39(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M0)),
     IdentityId.COR_310: Identity(
         "(p > 0, m >= 0)",
         "sum H_(k-1)/(k (p+k)^(m+1)) = 1/2 sum_l (-1)^l h^(l)(p)/(l! p^(m-l+1))",
-        lambda cfg, p, m: (lhs_variant3h(p, 0, m, cfg), rhs_cor_310(p, m)),
+        lambda p, m: (lhs_variant3h(p, 0, m), rhs_cor_310(p, m)),
         _axes(p=P_GRID, m=_M0)),
     IdentityId.THM_V4_311: Identity(
         "(p > 0, n >= 0, m >= 1)",
         "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+n+k)^m C(n+k,k)) = finite + {G1,G2,G3}",
-        lambda cfg, p, n, m: (lhs_variant4(p, n, m, cfg), rhs_thm_311(p, n, m)),
+        lambda p, n, m: (lhs_variant4(p, n, m), rhs_thm_311(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M1)),
     IdentityId.COR_312: Identity(
         "(p > 0, m >= 1)",
         "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+k)^m) = -1/3 sum_l (-1)^l g^(l)(p)/(l! p^(m-l))",
-        lambda cfg, p, m: (lhs_variant4(p, 0, m, cfg), rhs_cor_312(p, m)),
+        lambda p, m: (lhs_variant4(p, 0, m), rhs_cor_312(p, m)),
         _axes(p=P_GRID, m=_M1)),
     IdentityId.EX1_AUYEUNG: Identity(
         "(which in quadratic/linear/difference)",
         "S(1^2;2) = 17/4 z(4);  S(2,2) = 7/4 z(4);  difference = 5/2 z(4)",
-        {"quadratic": lambda cfg: (lhs_quadratic_euler(2, cfg), 17.0 / 4.0 * ZETA4),
-         "linear": lambda cfg: (lhs_linear_euler(2, 2, cfg), 7.0 / 4.0 * ZETA4),
-         "difference": lambda cfg: (quadratic_minus_linear(2, cfg), 5.0 / 2.0 * ZETA4)},
+        {"quadratic": lambda: (lhs_quadratic_euler(2), 17.0 / 4.0 * ZETA4),
+         "linear": lambda: (lhs_linear_euler(2, 2), 7.0 / 4.0 * ZETA4),
+         "difference": lambda: (quadratic_minus_linear(2), 5.0 / 2.0 * ZETA4)},
         _axes(which=("quadratic", "linear", "difference")),
         selector="which"),
     IdentityId.EX2_CENTRAL: Identity(
         "(which in unit/half)",
         "sum (2H_2k-H_k) C(2k,k)/((k+1) 4^(k+1)) = 1;  half-shift = pi (4 ln^2 2 - pi^2/6)",
-        {"unit": lambda cfg: (lhs_central_binom(1.0, 0, cfg).scaled(-0.25), 1.0),
-         "half": lambda cfg: (lhs_central_binom(0.5, 1, cfg).scaled(-1.0),
+        {"unit": lambda: (lhs_central_binom(1.0, 0).scaled(-0.25), 1.0),
+         "half": lambda: (lhs_central_binom(0.5, 1).scaled(-1.0),
                               math.pi * (4.0 * LN2**2 - math.pi**2 / 6.0))},
         _axes(which=("unit", "half")),
         selector="which"),
     IdentityId.EX3_GOLDBACH: Identity(
         "(form zeta-tail[m]/psi-series[p]/power-series[p,m])",
         "sum_(j>=2) (z(m+j)-1) = m+1 - sum z(k+1)   (m=0: Goldbach value 1)",
-        {"zeta-tail": lambda cfg, m=0: (
-            zeta_tail_sum(m, cfg),
+        {"zeta-tail": lambda m=0: (
+            zeta_tail_sum(m),
             m + 1.0 - math.fsum(riemann_zeta(k + 1.0) for k in range(1, m + 1))),
-         "psi-series": lambda cfg, p=0.5: (
-            lhs_variant3(p, 0, 0, cfg).scaled(p), EULER_GAMMA + digamma(p + 1.0)),
-         "power-series": lambda cfg, p=0.4, m=1: (zeta_power_series(p, m, cfg), rhs_cor_38(p, m))},
+         "psi-series": lambda p=0.5: (
+            lhs_variant3(p, 0, 0).scaled(p), EULER_GAMMA + digamma(p + 1.0)),
+         "power-series": lambda p=0.4, m=1: (zeta_power_series(p, m), rhs_cor_38(p, m))},
         [{"form": "zeta-tail", "m": m} for m in range(4)]
         + [{"form": "psi-series", "p": 0.5}, {"form": "power-series", "p": 0.4, "m": 1}],
         selector="form"),
     IdentityId.EX4_HALF: Identity(
         "(m in 0..)",
         "sum H_(k-1)/(k (k-1/2)^(m+1)) vs half-shifted closed form",
-        lambda cfg, m=0: (half_shift_series(m, cfg), rhs_cor_310(-0.5, m)),
+        lambda m=0: (half_shift_series(m), rhs_cor_310(-0.5, m)),
         _axes(m=(0, 1)),
         extra=_ex4_stated_form),
 }
 
 
+DEFAULT_CONFIG = EvalConfig()
+
+
 def verify(ident: IdentityId, params: dict[str, Any], tol: float,
            cfg: EvalConfig = DEFAULT_CONFIG) -> VerifyReport:
-    """Evaluate both sides of one identity instance and compare at tol; a
-    missing or unknown parameter, or a tol that is not positive and finite,
-    is a DomainError."""
+    """Evaluate both sides of one identity instance and compare at tol; the
+    series counts as converged when cfg says so.  A missing or unknown
+    parameter, or a tol that is not positive and finite, is a DomainError."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     row = REGISTRY[ident]
     sides, full = row.bind(ident, params)
     args = {name: v for name, v in full.items() if name != row.selector}
-    res, rhs = sides(cfg, **args)
+    res, rhs = sides(**args)
+    converged = cfg.converged(res)
     lhs = res.value
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     rel_err = abs_err / scale if scale > 0.0 else 0.0
     extra = row.extra(lhs, tol, **args) if row.extra else {}
-    return VerifyReport(ident, full, lhs, rhs, abs_err, rel_err, rel_err <= tol and res.converged,
-                        res.terms_used, res.converged, extra)
+    return VerifyReport(ident, full, lhs, rhs, abs_err, rel_err, rel_err <= tol and converged,
+                        res.terms_used, converged, extra)
 
 
 def default_grid() -> list[tuple[IdentityId, dict[str, Any]]]:
@@ -627,5 +612,5 @@ def example_suite(tol: float = 1e-8, cfg: EvalConfig = DEFAULT_CONFIG) -> list[V
     Au-Yeung and classical Euler sums, the two central-binomial values, the
     zeta-tail family, and the half-shifted instance with its mismatch
     diagnostics."""
-    return [verify(ident, params, tol, cfg) for ident, params in default_grid()
+    return [verify(ident, params, tol) for ident, params in default_grid()
             if ident.value.startswith("EX")]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as ap
 from .special import DomainError, HarmonicCache, gen_binom, hurwitz_zeta
-from .summation import EvalConfig, NonFiniteTermError, SumResult, em_tail
+from .summation import NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
 
@@ -52,8 +52,6 @@ _DEPTH = 8.0
 # adds (err a + err b) / |a - b|.  Each factor constructor below counts its
 # own head; _em_sum adds 1 per * or / that joins the factors.
 _U = 2.0**-53
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 @lru_cache(maxsize=1)
@@ -87,7 +85,7 @@ class _Factor(NamedTuple):
     s_rounding: float = 0.0
 
 
-def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
+def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
     k <= K exactly, the rest by em_tail on the product of their expansions,
     each built _DEPTH orders past its own decay, so the product keeps _DEPTH
@@ -98,7 +96,8 @@ def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
     exponents were rounded, by up to s_rounding, also adds what that moves
     the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative of
     int_K^inf t^-s dt relative to it.  A sum that is not finite raises
-    NonFiniteTermError."""
+    NonFiniteTermError; whether the estimate is small enough is for the
+    caller to judge (identities.verify, through EvalConfig.converged)."""
     model = factors[0].tail(factors[0].decay + _DEPTH)
     terms = factors[0].head(lo)
     for f in factors[1:]:
@@ -112,7 +111,7 @@ def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
     s_rounding = sum(f.s_rounding for f in factors) * _U * s_cap
 
     exact = math.fsum(terms.tolist())
-    tail, err = em_tail(model, K_CROSSOVER, cfg)
+    tail, err = em_tail(model, K_CROSSOVER)
     if s_rounding:
         err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.min_decay() - 1.0))
     value = exact + tail
@@ -121,8 +120,7 @@ def _em_sum(cfg: EvalConfig, lo: int, *factors: _Factor) -> SumResult:
     if not (math.isfinite(value) and math.isfinite(tail_estimate)):
         raise NonFiniteTermError(f"the series sums to {value} with error {tail_estimate}, "
                                  "outside binary64")
-    converged = tail_estimate <= cfg.rel_tol * max(abs(value), 1e-300)
-    return SumResult(value, tail_estimate, K_CROSSOVER, converged)
+    return SumResult(value, tail_estimate, K_CROSSOVER)
 
 
 # ------------------------------- the factors --------------------------------
@@ -261,65 +259,65 @@ def _check_p(p: float) -> None:
 # ----------------------- the four variant families --------------------------
 
 
-def lhs_variant1(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_variant1(n: int, m: int) -> SumResult:
     """sum_{k>=0} H_k / ((n+k+1)^(m+1) binom(n+k,k))."""
     _check_nm(n, m, 1)
-    return _em_sum(cfg, 1, _harmonic(), _inv_binomial(n), _power(m + 1, n + 1.0))
+    return _em_sum(1, _harmonic(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
-def lhs_variant2(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_variant2(n: int, m: int) -> SumResult:
     """sum_{k>=0} (H_k^2 - H_k^(2)) / ((n+k+1)^(m+1) binom(n+k,k))."""
     _check_nm(n, m, 1)
-    return _em_sum(cfg, 1, _harmonic_square_diff(), _inv_binomial(n), _power(m + 1, n + 1.0))
+    return _em_sum(1, _harmonic_square_diff(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
-def lhs_alt(n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_alt(n: int, m: int) -> SumResult:
     """sum_{k>=0} (-1)^(n-1) / ((n+k+1)^(m+1) binom(n+k,k)).
 
     The sign factor is constant in k and multiplies the whole sum.
     """
     _check_nm(n, m, 1)
-    return _em_sum(cfg, 0, _inv_binomial(n), _power(m + 1, n + 1.0)).scaled((-1.0) ** (n - 1))
+    return _em_sum(0, _inv_binomial(n), _power(m + 1, n + 1.0)).scaled((-1.0) ** (n - 1))
 
 
-def lhs_variant3(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_variant3(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (-1)^n / (k (p+n+k)^(m+1) binom(n+k,k))."""
     _check_p(p)
     _check_nm(n, m, 0)
-    res = _em_sum(cfg, 1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True))
+    res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True))
     return res.scaled((-1.0) ** n)
 
 
-def lhs_variant3h(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_variant3h(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (-1)^n H_{k-1} / (k (p+n+k)^(m+1) binom(n+k,k))."""
     _check_p(p)
     _check_nm(n, m, 0)
-    res = _em_sum(cfg, 1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
+    res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
                   _harmonic(prev=True))
     return res.scaled((-1.0) ** n)
 
 
-def lhs_variant4(p: float, n: int, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_variant4(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (H_{k-1}^2 - H_{k-1}^(2)) / (k (p+n+k)^m binom(n+k,k))."""
     _check_p(p)
     _check_nm(n, m, 1)
-    return _em_sum(cfg, 1, _inv_binomial(n), _power(m, (p, n), times_k=True),
+    return _em_sum(1, _inv_binomial(n), _power(m, (p, n), times_k=True),
                    _harmonic_square_diff(prev=True))
 
 
-def lhs_central_binom(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_central_binom(p: float, m: int) -> SumResult:
     """sum_{k>=0} (H_k - 2 H_{2k}) binom(2k,k) / (4^k (p+k)^(m+1))."""
     _check_p(p)
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    return _em_sum(cfg, 1, _central_harmonic_diff(), _central_binomial(), _power(m + 1, (p,)))
+    return _em_sum(1, _central_harmonic_diff(), _central_binomial(), _power(m + 1, (p,)))
 
 
-def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def half_shift_series(m: int) -> SumResult:
     """sum_{k>=1} H_{k-1} / (k (k - 1/2)^(m+1)); every denominator is positive."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    return _em_sum(cfg, 1, _harmonic(prev=True), _power(m + 1, -0.5, times_k=True))
+    return _em_sum(1, _harmonic(prev=True), _power(m + 1, -0.5, times_k=True))
 
 
 # --------------------- binomial-coefficient base series ---------------------
@@ -328,7 +326,7 @@ def half_shift_series(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
 # signed binomial as a factor.  Integer x >= 0 ends the series at k = x.
 
 
-def lhs_base_binomial(x: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_base_binomial(x: float, m: int) -> SumResult:
     """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m."""
     if not x > -1.0:
         raise DomainError(f"x must be > -1, got {x}")
@@ -339,12 +337,12 @@ def lhs_base_binomial(x: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
         val = math.fsum(
             (-1.0) ** (k - 1) * math.comb(n, k) / float(k) ** m for k in range(1, n + 1)
         )
-        return SumResult(val, 0.0, n, True)
+        return SumResult(val, 0.0, n)
     # (-1)^(k-1) = -(-1)^k
-    return _em_sum(cfg, 1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
+    return _em_sum(1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
 
 
-def lhs_binomial_shifted(x: float, p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
     """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1)."""
     if not x > -1.0:
         raise DomainError(f"x must be > -1, got {x}")
@@ -356,34 +354,34 @@ def lhs_binomial_shifted(x: float, p: float, m: int, cfg: EvalConfig = DEFAULT_C
         val = math.fsum(
             (-1.0) ** k * math.comb(n, k) / (p + k) ** (m + 1) for k in range(0, n + 1)
         )
-        return SumResult(val, 0.0, n + 1, True)
-    return _em_sum(cfg, 0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
+        return SumResult(val, 0.0, n + 1)
+    return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
 
 
 # ----------------------------- Euler sums -----------------------------------
 
 
-def lhs_linear_euler(p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_linear_euler(p: int, q: int) -> SumResult:
     """S(p, q) = sum_{n>=1} H_n^(p) / n^q."""
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    return _em_sum(cfg, 1, _harmonic(p), _power(q))
+    return _em_sum(1, _harmonic(p), _power(q))
 
 
-def lhs_quadratic_euler(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def lhs_quadratic_euler(q: int) -> SumResult:
     """S(1^2; q) = sum_{n>=1} H_n^2 / n^q."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    return _em_sum(cfg, 1, _harmonic(), _harmonic(), _power(q))
+    return _em_sum(1, _harmonic(), _harmonic(), _power(q))
 
 
-def quadratic_minus_linear(q: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def quadratic_minus_linear(q: int) -> SumResult:
     """sum_{k>=1} (H_k^2 - H_k^(2)) / k^q = S(1^2; q) - S(2, q)."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
-    return _em_sum(cfg, 1, _harmonic_square_diff(), _power(q))
+    return _em_sum(1, _harmonic_square_diff(), _power(q))
 
 
 # ------------------------ zeta-tail example series --------------------------
@@ -402,7 +400,7 @@ _GEOMETRIC_CAP = 2100
 
 
 def _sum_geometric(term: Callable[[int], float], j0: int, r: float, rounding: float,
-                   rounding_per_j: float, cfg: EvalConfig) -> SumResult:
+                   rounding_per_j: float) -> SumResult:
     """sum_{j>=j0} term(j) for positive terms with t_{j+1} <= r t_j.
 
     Terms are taken until the bound on the rest, t_J r / (1 - r), is below
@@ -423,20 +421,20 @@ def _sum_geometric(term: Callable[[int], float], j0: int, r: float, rounding: fl
             break
     value = math.fsum(terms)
     tail_estimate = rest + _U * (err + value)
-    return SumResult(value, tail_estimate, len(terms), tail_estimate <= cfg.rel_tol * value)
+    return SumResult(value, tail_estimate, len(terms))
 
 
-def zeta_tail_sum(m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def zeta_tail_sum(m: int) -> SumResult:
     """sum_{j>=2} (zeta(m+j) - 1), each term evaluated as zeta(m+j, 2) so no
     cancellation occurs for large j.  Each k^-(s+1) <= k^-s / 2 for k >= 2,
     so zeta(s+1, 2) <= zeta(s, 2) / 2: r = 1/2."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     return _sum_geometric(lambda j: hurwitz_zeta(m + float(j), 2.0), 2, 0.5,
-                          _HURWITZ_ROUNDING, 0.0, cfg)
+                          _HURWITZ_ROUNDING, 0.0)
 
 
-def zeta_power_series(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> SumResult:
+def zeta_power_series(p: float, m: int) -> SumResult:
     """sum_{j>=0} p^j zeta(m+j+2, p+1), valid for 0 < p < 1.  Each
     (k + p + 1)^-1 <= 1/(p + 1), so p zeta(s+1, p+1) <= p/(p+1) zeta(s, p+1):
     r = p/(p+1) < 1/2.  Term j adds the pow and the * to hurwitz_zeta's
@@ -448,4 +446,4 @@ def zeta_power_series(p: float, m: int, cfg: EvalConfig = DEFAULT_CONFIG) -> Sum
         raise DomainError(f"m must be >= 0, got {m}")
     a = p + 1.0
     return _sum_geometric(lambda j: p ** float(j) * hurwitz_zeta(m + float(j) + 2.0, a), 0,
-                          p / a, _HURWITZ_ROUNDING + 3.0 + (m + 2.0), 1.0, cfg)
+                          p / a, _HURWITZ_ROUNDING + 3.0 + (m + 2.0), 1.0)

@@ -8,7 +8,7 @@ by an ulp or so.  Before anything is written, every oracle result whose value
 moved must lie within its own tail_estimate of a 30-digit mpmath reference
 (test_em_oracles._reference, _beta_reference for the binomial series, or
 test_series.ZETA_REFERENCES for the two zeta-value series), and no oracle's
-converged flag may change.  A moved grid value is checked through the oracle
+converged flag, EvalConfig().converged of its result, may change.  A moved grid value is checked through the oracle
 calls identities.verify makes for it.  If any check fails the script writes
 nothing and exits 1.  It prints the number of moved values and the largest
 move in ulp.  The 30-digit references take a few seconds each.
@@ -81,10 +81,11 @@ def repin_oracles(moves: list[tuple[float, float]], problems: list[str]) -> dict
         rows = []
         for params, old in zip(params_list, pinned[name], strict=True):
             res = getattr(series, name)(*params)
-            rows.append([list(params), res.value.hex(), res.tail_estimate.hex(), res.converged,
+            converged = EvalConfig().converged(res)
+            rows.append([list(params), res.value.hex(), res.tail_estimate.hex(), converged,
                          res.terms_used])
-            if old[3] != res.converged:
-                problems.append(f"{name}{params}: converged went from {old[3]} to {res.converged}")
+            if old[3] != converged:
+                problems.append(f"{name}{params}: converged went from {old[3]} to {converged}")
             if old[1] != rows[-1][1]:
                 moves.append(move(float.fromhex(old[1]), res.value))
                 problems.append(check(name, params, res))
@@ -100,7 +101,7 @@ def repin_grid(moves: list[tuple[float, float]], problems: list[str]) -> list[li
     def recording(name, fn):
         def wrapper(*args):
             res = fn(*args)
-            calls.append((name, tuple(a for a in args if not isinstance(a, EvalConfig)), res))
+            calls.append((name, args, res))
             return res
         return wrapper
 

@@ -1,11 +1,11 @@
-"""Summation engine: configuration, tail models, Euler-Maclaurin."""
+"""Summation engine: the convergence test, tail models, Euler-Maclaurin."""
 
 import math
 
 import mpmath as mp
 import pytest
 
-from eulersums import DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta
+from eulersums import DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta, summation
 from eulersums.asymptotics import (
     LogPowerSeries,
     central_harmonic_diff_lp,
@@ -29,14 +29,20 @@ class TestEvalConfig:
     def test_defaults(self):
         cfg = EvalConfig()
         assert cfg.rel_tol == 1e-10
-        assert cfg.em_order == 6
 
     def test_validation(self):
         for rel_tol in (0.0, -1e-10, math.nan, math.inf):
             with pytest.raises(DomainError):
                 EvalConfig(rel_tol=rel_tol)
-        with pytest.raises(DomainError):
-            EvalConfig(em_order=12)
+
+    def test_converged(self):
+        cfg = EvalConfig(rel_tol=1e-10)
+        assert cfg.converged(SumResult(2.0, 2e-10, 1))
+        assert not cfg.converged(SumResult(2.0, 2.1e-10, 1))
+        assert cfg.converged(SumResult(-2.0, 2e-10, 1))
+        # a value of 0 is judged against 1e-300, not against 0
+        assert cfg.converged(SumResult(0.0, 0.0, 1))
+        assert not cfg.converged(SumResult(0.0, 1e-300, 1))
 
 
 class TestLogPowerSeries:
@@ -170,18 +176,18 @@ class TestGammaRatio:
 
 
 class TestEmTail:
-    def test_inverse_square(self, cfg):
+    def test_inverse_square(self):
         f = LogPowerSeries(14.0, {(0, 2.0): 1.0})
-        tail, err = em_tail(f, 100, cfg)
+        tail, err = em_tail(f, 100)
         assert_close(tail, hurwitz_zeta(2.0, 101.0), 1e-12)
         assert err < 1e-20
 
-    def test_inverse_fourth(self, cfg):
+    def test_inverse_fourth(self):
         f = LogPowerSeries(16.0, {(0, 4.0): 1.0})
-        tail, _ = em_tail(f, 50, cfg)
+        tail, _ = em_tail(f, 50)
         assert_close(tail, hurwitz_zeta(4.0, 51.0), 1e-13)
 
-    def test_harmonic_tail_reaches_double_zeta3(self, cfg):
+    def test_harmonic_tail_reaches_double_zeta3(self):
         # partial sum of H_k/k^2 to 1e3 plus the smooth-tail estimate
         K = 1000
         h = 0.0
@@ -190,30 +196,34 @@ class TestEmTail:
             h += 1.0 / k
             partial += h / k**2
         model = harmonic_lp(14.0) * LogPowerSeries(14.0, {(0, 2.0): 1.0})
-        tail, _ = em_tail(model, K, cfg)
+        tail, _ = em_tail(model, K)
         assert_close(partial + tail, 2.0 * ZETA3, 1e-9)
 
     @pytest.mark.parametrize("order", range(1, 12))
-    def test_every_em_order_against_exact_tails(self, order):
+    def test_every_em_order_against_exact_tails(self, order, monkeypatch):
         # sum_{k>K} 1/k^2 and a log-power tail, whose exact values are Hurwitz
-        # zeta values and s-derivatives: sum ln^a k / k^s = (-1)^a zeta^(a)(s, K+1)
+        # zeta values and s-derivatives: sum ln^a k / k^s = (-1)^a zeta^(a)(s, K+1).
+        # The reported error covers the tail at every order the Bernoulli table
+        # reaches, not only at the fixed _EM_ORDER: that is why the order can
+        # be fixed low without hiding error.
+        monkeypatch.setattr(summation, "_EM_ORDER", order)
         cases = [
             (LogPowerSeries(40.0, {(0, 2.0): 1.0}), 100, mp.zeta(2, 101)),
             (LogPowerSeries(40.0, {(2, 2.5): 1.0, (1, 3.5): -0.3}), 50,
              mp.zeta(2.5, 51, 2) + 0.3 * mp.zeta(3.5, 51, 1)),
         ]
         for model, K, exact in cases:
-            tail, err = em_tail(model, K, EvalConfig(em_order=order))
+            tail, err = em_tail(model, K)
             assert abs(tail - float(exact)) <= err + 4 * ULP * float(exact)
             assert err <= 1e-8 * float(exact)
 
-    def test_non_monotone_rejected(self, cfg):
+    def test_non_monotone_rejected(self):
         grows = LogPowerSeries(5.0, {(2, 0.0): 1.0})  # ln^2 t
         with pytest.raises(NonMonotoneTailError):
-            em_tail(grows, 100, cfg)
+            em_tail(grows, 100)
 
 
 def test_sum_result_is_frozen():
-    r = SumResult(1.0, 0.0, 1, True)
+    r = SumResult(1.0, 0.0, 1)
     with pytest.raises(AttributeError):
         r.value = 2.0
