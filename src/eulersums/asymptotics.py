@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, bernoulli_poly, riemann_zeta
 
@@ -64,7 +64,8 @@ class LogPowerSeries:
         self.s0, self.depth, self.s_cap, self.rows = s0, depth, s_cap, rows
 
     @classmethod
-    def _of(cls, s0: float, depth: int, s_cap: float, rows: list[list[float]]) -> "LogPowerSeries":
+    def _of(cls, s0: float, depth: int, s_cap: float,
+            rows: Sequence[Sequence[float]]) -> "LogPowerSeries":
         out = cls.__new__(cls)
         out.s0, out.depth, out.s_cap, out.rows = s0, depth, s_cap, rows
         return out
@@ -109,6 +110,11 @@ class LogPowerSeries:
                             out[j1 + j2] += c1 * r2[j2]
         s_cap = min(self.s_cap + other.s0, other.s_cap + self.s0)
         return self._of(self.s0 + other.s0, n - 1, s_cap, rows)
+
+    def frozen(self) -> "LogPowerSeries":
+        """The same series with tuple rows, safe to share: every operation
+        reads its operands and builds a new series."""
+        return self._of(self.s0, self.depth, self.s_cap, tuple(map(tuple, self.rows)))
 
     def scaled(self, c: float) -> "LogPowerSeries":
         return self._of(self.s0, self.depth, self.s_cap, [[c * v for v in row] for row in self.rows])

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Any
 
@@ -171,6 +170,8 @@ def _run_grid(grid, tol: float, cfg: EvalConfig, jobs: int) -> list[dict]:
     items = [(ident.value, params, tol, cfg_kw) for ident, params in grid]
     if jobs <= 1 or len(items) < 4:
         return [_worker(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_worker, items, chunksize=8))
 

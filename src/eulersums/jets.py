@@ -10,6 +10,11 @@ Jet2 carries the mixed partials of the two gamma ratios
 that appear in every closed-form right-hand side.  Division never happens:
 ratios are assembled as exp(sum of log-gamma jets), so one exp code path
 serves everything.
+
+The closed forms meet only a few base points, so ln_gamma_jet and psi_jet
+keep each jet by its exact (a, order) (special.memo) and hand the same
+read-only Jet1 to every caller: a jet's polygamma values are computed once
+per process.  series._cache.cache_clear() drops them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import DomainError, digamma, ln_gamma, polygamma
+from .special import DomainError, digamma, ln_gamma, memo, polygamma
 
 MAX_OX = 3
 MAX_OZ = 12
@@ -93,12 +98,18 @@ def ln_gamma_jet(a: float, order: int) -> Jet1:
     """Jet of ln Gamma at a > 0: [lnGamma(a), psi(a), psi'(a)/2!, ...]."""
     if a <= 0.0:
         raise DomainError(f"ln_gamma_jet requires a > 0, got {a}")
+    return _ln_gamma_jet(a, order)
+
+
+@memo
+def _ln_gamma_jet(a: float, order: int) -> Jet1:
     c = np.zeros(order + 1)
     c[0] = ln_gamma(a)
     if order >= 1:
         c[1] = digamma(a)
     for k in range(2, order + 1):
         c[k] = polygamma(k - 1, a) / math.factorial(k)
+    c.setflags(write=False)
     return Jet1(a, c)
 
 
@@ -106,10 +117,16 @@ def psi_jet(a: float, order: int) -> Jet1:
     """Jet of psi at a > 0: coeffs[k] = psi^(k)(a)/k!."""
     if a <= 0.0:
         raise DomainError(f"psi_jet requires a > 0, got {a}")
+    return _psi_jet(a, order)
+
+
+@memo
+def _psi_jet(a: float, order: int) -> Jet1:
     c = np.zeros(order + 1)
     c[0] = digamma(a)
     for k in range(1, order + 1):
         c[k] = polygamma(k, a) / math.factorial(k)
+    c.setflags(write=False)
     return Jet1(a, c)
 
 

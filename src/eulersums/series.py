@@ -7,9 +7,13 @@ expansion of the term function.  Reaching 1e-10 on sums like
 sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
 in 10^3.  Each term is a list of factors (_Factor), each written once with
 both its head values and its 1/t expansion, so the head and the tail model
-come from the same list.  Only the two zeta-value series of EX3, whose terms
-fall geometrically with a proven ratio, are summed term by term, by
-_sum_geometric.
+come from the same list.  A factor depends only on its own parameters (the
+order of a harmonic number, n of a binomial, the power and shift of a
+denominator), so each is built once per process, tail model included, and
+shared by every sum that uses it; _cache.cache_clear() drops these memo
+tables, the jets' and the HarmonicCache together.  Only the two zeta-value
+series of EX3, whose terms fall geometrically with a proven ratio, are summed
+term by term, by _sum_geometric.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import asymptotics as ap
-from .special import DomainError, HarmonicCache, gen_binom, hurwitz_zeta
+from .special import DomainError, HarmonicCache, clear_memos, gen_binom, hurwitz_zeta, memo
 from .summation import NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
@@ -54,10 +58,28 @@ _DEPTH = 8.0
 _U = 2.0**-53
 
 
-@lru_cache(maxsize=1)
-def _cache() -> HarmonicCache:
-    # central-binomial sums index H_{2k}, so build out to 2K: 2000 entries
-    return HarmonicCache.build(2 * K_CROSSOVER)
+class _LazyState:
+    """What the oracles build on first use and keep for the process: the
+    HarmonicCache, which _cache() returns, and the memo tables of
+    special.memo, which hold the factors below and the ln Gamma and psi jets
+    of the closed forms.  cache_clear() drops all of it, so the next call
+    builds each piece again."""
+
+    def __init__(self) -> None:
+        self._table: HarmonicCache | None = None
+
+    def __call__(self) -> HarmonicCache:
+        if self._table is None:
+            # central-binomial sums index H_{2k}, so build out to 2K: 2000 entries
+            self._table = HarmonicCache.build(2 * K_CROSSOVER)
+        return self._table
+
+    def cache_clear(self) -> None:
+        self._table = None
+        clear_memos()
+
+
+_cache = _LazyState()
 
 
 @lru_cache(maxsize=2)
@@ -70,14 +92,19 @@ def _ks(lo: int) -> np.ndarray:
 
 class _Factor(NamedTuple):
     """One factor of a series term.  `head(lo)` gives its values at the
-    summed k = lo..K; `tail(s_cap)` its expansion in 1/t, cut at s_cap;
-    `decay` that expansion's leading power.  `rounding + rounding_per_k k`
-    bounds the relative rounding error of its value at k, in units of _U;
-    `divides` says the term divides by it.  `s_rounding` bounds, in units of
-    _U s_cap, how far the expansion's exponents were rounded."""
+    summed k = lo..K; `tail` is its expansion in 1/t, built _DEPTH orders past
+    its leading power `decay`.  `rounding + rounding_per_k k` bounds the
+    relative rounding error of its value at k, in units of _U; `divides` says
+    the term divides by it.  `s_rounding` bounds, in units of _U s_cap, how
+    far the expansion's exponents were rounded.
+
+    A factor depends on its constructor's arguments alone, so each
+    constructor below is memoized (special.memo): the tail model is built
+    once per process and frozen, and every sum that shares it only reads
+    it."""
 
     head: Callable[[int], np.ndarray]
-    tail: Callable[[float], ap.LogPowerSeries]
+    tail: ap.LogPowerSeries
     decay: float
     rounding: float
     rounding_per_k: float = 0.0
@@ -87,8 +114,8 @@ class _Factor(NamedTuple):
 
 def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
-    k <= K exactly, the rest by em_tail on the product of their expansions,
-    each built _DEPTH orders past its own decay, so the product keeps _DEPTH
+    k <= K exactly, the rest by em_tail on the product of their tails.  Each
+    tail keeps _DEPTH orders past its own decay, so the product keeps _DEPTH
     orders past its leading one, s_cap = (sum of decays) + _DEPTH.
 
     The estimate adds the em_tail error, the head's rounding (the factors'
@@ -98,10 +125,10 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     int_K^inf t^-s dt relative to it.  A sum that is not finite raises
     NonFiniteTermError; whether the estimate is small enough is for the
     caller to judge (identities.verify, through EvalConfig.converged)."""
-    model = factors[0].tail(factors[0].decay + _DEPTH)
+    model = factors[0].tail
     terms = factors[0].head(lo)
     for f in factors[1:]:
-        model = model * f.tail(f.decay + _DEPTH)
+        model = model * f.tail
         terms = terms / f.head(lo) if f.divides else terms * f.head(lo)
     roundings = sum(f.rounding for f in factors) + (len(factors) - 1)
     per_k = sum(f.rounding_per_k for f in factors)
@@ -126,9 +153,11 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
 # ------------------------------- the factors --------------------------------
 #
 # Heads are computed when _em_sum combines them, so no factor's array
-# outlives its product.
+# outlives its product.  Tails are built here, at s_cap = decay + _DEPTH, by
+# the asymptotics constructors, looked up as ap.<name> at call time.
 
 
+@memo
 def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
     """H_k^(order), or H_{k-1}^(order) with prev: a cached compensated sum
     (2) for order <= 3; past that a running sum of pows from k = 1, rounded
@@ -138,33 +167,33 @@ def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
             return np.cumsum(_ks(lo) ** -float(order))
         return getattr(_cache(), f"h{order}")[lo - prev : K_CROSSOVER + 1 - prev]
 
-    def tail(s_cap: float) -> ap.LogPowerSeries:
-        if order == 1:
-            return (ap.harmonic_prev_lp if prev else ap.harmonic_lp)(s_cap)
-        return (ap.gen_harmonic_prev_lp if prev else ap.gen_harmonic_lp)(order, s_cap)
+    if order == 1:
+        tail = (ap.harmonic_prev_lp if prev else ap.harmonic_lp)(_DEPTH)
+    else:
+        tail = (ap.gen_harmonic_prev_lp if prev else ap.gen_harmonic_lp)(order, _DEPTH)
+    return _Factor(head, tail.frozen(), 0.0, 1.0 if order > 3 else 2.0, float(order > 3))
 
-    return _Factor(head, tail, 0.0, 1.0 if order > 3 else 2.0, float(order > 3))
 
-
+@memo
 def _harmonic_square_diff(prev: bool = False) -> _Factor:
     """H_k^2 - H_k^(2), or H_{k-1}^2 - H_{k-1}^(2) with prev: the
     difference's rounding peaks at k = 2, at 15."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
-
-    def tail(s_cap: float) -> ap.LogPowerSeries:
-        t = h.tail(s_cap)
-        return t * t + h2.tail(s_cap).scaled(-1.0)
-
-    return _Factor(lambda lo: h.head(lo) ** 2 - h2.head(lo), tail, 0.0, 15.0)
+    tail = h.tail * h.tail + h2.tail.scaled(-1.0)
+    return _Factor(lambda lo: h.head(lo) ** 2 - h2.head(lo), tail.frozen(), 0.0, 15.0)
 
 
+@memo
 def _central_harmonic_diff() -> _Factor:
     """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
-    h = _cache().h1
-    return _Factor(lambda lo: h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2],
-                   lambda s_cap: ap.central_harmonic_diff_lp(s_cap), 0.0, 7.0)
+    def head(lo: int) -> np.ndarray:
+        h = _cache().h1
+        return h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2]
+
+    return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH).frozen(), 0.0, 7.0)
 
 
+@memo
 def _inv_binomial(n: int) -> _Factor:
     """1/binom(n+k, k) = n!/((k+1)...(k+n)): n ratios i/(k+i), each a / and
     a *."""
@@ -174,9 +203,10 @@ def _inv_binomial(n: int) -> _Factor:
             out *= i / (_ks(lo) + i)
         return out
 
-    return _Factor(head, lambda s_cap: ap.inv_binomial_lp(n, s_cap), n, 2.0 * n)
+    return _Factor(head, ap.inv_binomial_lp(n, n + _DEPTH).frozen(), n, 2.0 * n)
 
 
+@memo
 def _central_binomial() -> _Factor:
     """binom(2k, k)/4^k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)): a running
     product of the ratios (2k - 1)/(2k), rounded 2k times by term k."""
@@ -184,11 +214,11 @@ def _central_binomial() -> _Factor:
         k = _ks(1)
         return np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))[lo:]
 
-    scale = 1.0 / math.sqrt(math.pi)
-    return _Factor(head, lambda s_cap: ap.gamma_ratio_lp(0.5, 1.0, s_cap).scaled(scale),
-                   0.5, 0.0, 2.0)
+    tail = ap.gamma_ratio_lp(0.5, 1.0, 0.5 + _DEPTH).scaled(1.0 / math.sqrt(math.pi))
+    return _Factor(head, tail.frozen(), 0.5, 0.0, 2.0)
 
 
+@memo
 def _signed_binomial(x: float) -> _Factor:
     """(-1)^k binom(x, k) = Gamma(k - x) / (Gamma(-x) Gamma(k + 1)), falling
     like k^(-x-1).  The head is the exact first term binom(x, 0) times the
@@ -205,10 +235,12 @@ def _signed_binomial(x: float) -> _Factor:
         first, k = gen_binom(x, 0.0), _ks(1)
         return np.concatenate(([first], first * np.cumprod((k - 1.0 - x) / k)))[lo:]
 
-    return _Factor(head, lambda s_cap: ap.gamma_ratio_lp(-x, 1.0, s_cap).scaled(1.0 / g),
-                   x + 1.0, 0.0, 3.0, s_rounding=3.0)
+    decay = x + 1.0
+    tail = ap.gamma_ratio_lp(-x, 1.0, decay + _DEPTH).scaled(1.0 / g)
+    return _Factor(head, tail.frozen(), decay, 0.0, 3.0, s_rounding=3.0)
 
 
+@memo
 def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
            times_k: bool = False, divides: bool = True) -> _Factor:
     """(c + k)^s, or k (c + k)^s with times_k, which the term divides by; with
@@ -230,12 +262,13 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
             out = (c + k if c else k) ** (s if divides else -float(s))
             return k * out if times_k else out
 
-    def tail(s_cap: float) -> ap.LogPowerSeries:
-        cap = s_cap - times_k  # the factor k takes one order of the decay
-        out = ap.recip_power_shift(c, float(s), cap) if c else _t_power(float(s), cap)
-        return out * _t_power(1.0, s_cap) if times_k else out
-
-    return _Factor(head, tail, s + 1 if times_k else s, 2.0 + base_roundings * s + times_k,
+    decay = s + 1 if times_k else s
+    s_cap = decay + _DEPTH
+    cap = s_cap - times_k  # the factor k takes one order of the decay
+    tail = ap.recip_power_shift(c, float(s), cap) if c else _t_power(float(s), cap)
+    if times_k:
+        tail = tail * _t_power(1.0, s_cap)
+    return _Factor(head, tail.frozen(), decay, 2.0 + base_roundings * s + times_k,
                    divides=divides)
 
 

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +302,13 @@ class TestFullGrid:
         assert code == EXIT_OK
         summary = json.loads(err.splitlines()[-1])
         assert summary["checked"] == summary["passed"] >= 600
+
+
+def test_import_leaves_the_process_pool_out():
+    """concurrent.futures is imported only when verify starts a pool, so
+    import and a cold eval do not pay for it."""
+    code = "import sys, eulersums.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -234,6 +234,21 @@ class TestHarmonicCache:
         assert_close(c.h1[100], harmonic(100), 1e-15)
         assert_close(c.h3[77], gen_harmonic(77, 3), 1e-15)
 
+    def test_bits_of_the_scalar_neumaier_loop(self):
+        """The vectorized build gives, bit for bit, the compensated running
+        sum taken one term at a time."""
+        c = HarmonicCache.build(2000)
+        for arr, m in ((c.h1, 1), (c.h2, 2), (c.h3, 3)):
+            s = comp = 0.0
+            want = [0.0]
+            for n in range(1, 2001):
+                term = 1.0 / float(n) ** m
+                t = s + term
+                comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
+                s = t
+                want.append(s + comp)
+            assert [v.hex() for v in arr.tolist()] == [v.hex() for v in want]
+
     def test_readonly(self):
         c = HarmonicCache.build(10)
         with pytest.raises(ValueError):
