@@ -10,9 +10,10 @@ s0 + j: harmonic numbers expand through the Bernoulli series for psi
 among them, are a power t^-s0 times the exp of the difference of two
 Stirling series.  Depth is counted from each series' own leading order, so a
 product keeps the smaller depth of its operands and no factor is built deeper
-than the product can use.  The class supplies what Euler-Maclaurin needs:
-point values, termwise derivatives, the closed-form tail integral
-int_K^inf ln^a t / t^s dt, and a bound on what the truncation dropped.
+than the product can use.  The class supplies point values and termwise
+derivatives, and log_power_integral the closed-form tail integral
+int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
+Euler-Maclaurin weights.
 """
 
 from __future__ import annotations
@@ -142,38 +143,22 @@ class LogPowerSeries:
         return math.fsum([c * lt**a * t**-(s0 + j)
                           for a, row in enumerate(self.rows) for j, c in enumerate(row) if c])
 
-    def tail_integral(self, K: float) -> float:
-        """int_K^inf of the expansion; every monomial must have s > 1."""
-        vals = []
-        lk = math.log(K)
-        for a, s, c in self._monomials():
-            if s <= 1.0:
-                raise DomainError(f"tail integral diverges for monomial with s = {s}")
-            # I(a, s) = K^(1-s)/(s-1) ln^a K + a/(s-1) I(a-1, s)
-            acc = 0.0
-            weight = c * K ** (1.0 - s) / (s - 1.0)
-            for i in range(a, -1, -1):
-                acc += weight * lk**i
-                weight *= (i) / (s - 1.0) if i else 0.0
-            vals.append(acc)
-        return math.fsum(vals)
-
-    def truncation_bound(self, K: float) -> float:
-        """Bound on int_K^inf of the orders dropped past the last one kept.
-
-        The expansions here are asymptotic in c/t, with c the largest shift
-        in their factors, so at t >= K the dropped orders are smaller than
-        the last kept one, j = depth, by a further factor of about
-        c s_cap / K.  The tail integral of that order, taken with |C| so no
-        cancellation hides it, bounds them.
-        """
-        if self.depth < 0:
-            return 0.0
-        last = [[abs(row[-1])] for row in self.rows]
-        return self._of(self.s0 + self.depth, 0, self.s_cap, last).tail_integral(K)
-
     def min_decay(self) -> float:
         return min((s for _a, s, _c in self._monomials()), default=math.inf)
+
+
+def log_power_integral(a: int, s: float, K: float) -> float:
+    """int_K^inf ln^a t / t^s dt, for s > 1: by parts,
+    I(a, s) = K^(1-s)/(s-1) ln^a K + a/(s-1) I(a-1, s)."""
+    if s <= 1.0:
+        raise DomainError(f"tail integral diverges for monomial with s = {s}")
+    acc = 0.0
+    lk = math.log(K)
+    weight = K ** (1.0 - s) / (s - 1.0)
+    for i in range(a, -1, -1):
+        acc += weight * lk**i
+        weight *= i / (s - 1.0)
+    return acc
 
 
 def one(s_cap: float) -> LogPowerSeries:
@@ -272,6 +257,7 @@ def gamma_ratio_lp(a: float, b: float, s_cap: float) -> LogPowerSeries:
 
 __all__ = [
     "LogPowerSeries",
+    "log_power_integral",
     "one",
     "psi_shifted",
     "harmonic_lp",

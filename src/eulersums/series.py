@@ -9,11 +9,12 @@ in 10^3.  Each term is a list of factors (_Factor), each written once with
 both its head values and its 1/t expansion, so the head and the tail model
 come from the same list.  A factor depends only on its own parameters (the
 order of a harmonic number, n of a binomial, the power and shift of a
-denominator), so each is built once per process, tail model included, and
-shared by every sum that uses it; _cache.cache_clear() drops these memo
-tables, the jets' and the HarmonicCache together.  Only the two zeta-value
-series of EX3, whose terms fall geometrically with a proven ratio, are summed
-term by term, by _sum_geometric.
+denominator), so each is built once per process, head values and tail model
+included, and shared by every sum that uses it; _cache.cache_clear() drops
+these memo tables, the jets', em_tail's weights and the HarmonicCache
+together.  Only the two zeta-value series of EX3, whose terms fall
+geometrically with a proven ratio, are summed term by term, by
+_sum_geometric.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ def _ks(lo: int) -> np.ndarray:
     return k
 
 
+def _kept(head: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
+    """`head` with its array for each lo (0 or 1) kept, read-only, for as long
+    as the factor that owns it."""
+    @lru_cache(maxsize=2)
+    def kept(lo: int) -> np.ndarray:
+        out = head(lo)
+        out.setflags(write=False)
+        return out
+
+    return kept
+
+
 class _Factor(NamedTuple):
     """One factor of a series term.  `head(lo)` gives its values at the
     summed k = lo..K; `tail` is its expansion in 1/t, built _DEPTH orders past
@@ -99,9 +112,9 @@ class _Factor(NamedTuple):
     far the expansion's exponents were rounded.
 
     A factor depends on its constructor's arguments alone, so each
-    constructor below is memoized (special.memo): the tail model is built
-    once per process and frozen, and every sum that shares it only reads
-    it."""
+    constructor below is memoized (special.memo): its head arrays and its
+    tail model are built once per process, read-only, and every sum that
+    shares them only reads them."""
 
     head: Callable[[int], np.ndarray]
     tail: ap.LogPowerSeries
@@ -152,9 +165,10 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
 
 # ------------------------------- the factors --------------------------------
 #
-# Heads are computed when _em_sum combines them, so no factor's array
-# outlives its product.  Tails are built here, at s_cap = decay + _DEPTH, by
-# the asymptotics constructors, looked up as ap.<name> at call time.
+# Each head is _kept: computed on its factor's first sum from lo and then
+# read, like the tail, by every sum that shares the factor.  Tails are built
+# here, at s_cap = decay + _DEPTH, by the asymptotics constructors, looked up
+# as ap.<name> at call time.
 
 
 @memo
@@ -162,6 +176,7 @@ def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
     """H_k^(order), or H_{k-1}^(order) with prev: a cached compensated sum
     (2) for order <= 3; past that a running sum of pows from k = 1, rounded
     k - 1 times by term k after its pow (2)."""
+    @_kept
     def head(lo: int) -> np.ndarray:
         if order > 3:
             return np.cumsum(_ks(lo) ** -float(order))
@@ -180,12 +195,13 @@ def _harmonic_square_diff(prev: bool = False) -> _Factor:
     difference's rounding peaks at k = 2, at 15."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
     tail = h.tail * h.tail + h2.tail.scaled(-1.0)
-    return _Factor(lambda lo: h.head(lo) ** 2 - h2.head(lo), tail.frozen(), 0.0, 15.0)
+    return _Factor(_kept(lambda lo: h.head(lo) ** 2 - h2.head(lo)), tail.frozen(), 0.0, 15.0)
 
 
 @memo
 def _central_harmonic_diff() -> _Factor:
     """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
+    @_kept
     def head(lo: int) -> np.ndarray:
         h = _cache().h1
         return h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2]
@@ -197,6 +213,7 @@ def _central_harmonic_diff() -> _Factor:
 def _inv_binomial(n: int) -> _Factor:
     """1/binom(n+k, k) = n!/((k+1)...(k+n)): n ratios i/(k+i), each a / and
     a *."""
+    @_kept
     def head(lo: int) -> np.ndarray:
         out = np.ones(K_CROSSOVER + 1 - lo)
         for i in range(1, n + 1):
@@ -210,6 +227,7 @@ def _inv_binomial(n: int) -> _Factor:
 def _central_binomial() -> _Factor:
     """binom(2k, k)/4^k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)): a running
     product of the ratios (2k - 1)/(2k), rounded 2k times by term k."""
+    @_kept
     def head(lo: int) -> np.ndarray:
         k = _ks(1)
         return np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))[lo:]
@@ -225,12 +243,13 @@ def _signed_binomial(x: float) -> _Factor:
     running product of the ratios (k - 1 - x)/k, each rounded 3 times (- x,
     / k, *); the tail is the gamma-ratio expansion over Gamma(-x), whose
     exponents, 1 + x + j plus the other factors' own, are rounded up to 3
-    times.  Past x ~ 149 the tail model's derivatives leave binary64, and past
-    x ~ 172 so does 1/Gamma(-x): both end in NonFiniteTermError."""
+    times.  Past x ~ 158 the tail model's coefficients leave binary64, and
+    past x ~ 172 so does 1/Gamma(-x): both end in NonFiniteTermError."""
     g = math.gamma(-x)
     if g == 0.0:
         raise NonFiniteTermError(f"1/Gamma({-x}) overflows binary64: x = {x} is too large")
 
+    @_kept
     def head(lo: int) -> np.ndarray:
         first, k = gen_binom(x, 0.0), _ks(1)
         return np.concatenate(([first], first * np.cumprod((k - 1.0 - x) / k)))[lo:]
@@ -256,6 +275,7 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
     else:
         c, base_roundings = shift, 0
 
+    @_kept
     def head(lo: int) -> np.ndarray:
         k = _ks(lo)
         with np.errstate(over="ignore"):

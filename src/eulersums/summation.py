@@ -1,21 +1,28 @@
 """Series summation engine: the result type the series oracles share, the
 convergence test verify applies to it, and Euler-Maclaurin tails.
 
-Every slowly convergent series sums a fixed head and hands its tail to
-em_tail, which estimates sum_{k>K} f(k) for a smooth positive decreasing
-tail from its integral, boundary value, and _EM_ORDER Bernoulli derivative
-corrections, with the derivatives taken by termwise differentiation of the
-tail model.  The oracles only compute: a SumResult carries a value and its
-error estimate, and EvalConfig.converged is the one place that judges it.
+Every slowly convergent series sums a fixed head and hands its tail model, a
+LogPowerSeries, to em_tail, which estimates sum_{k>K} f(k) for a smooth
+decreasing tail from its integral, boundary value, and _EM_ORDER Bernoulli
+derivative corrections.  At the fixed point x = K + 1 each of these, and the
+error estimate's parts, is a linear functional of the model's coefficients,
+whose weight on each monomial depends only on the model's leading decay,
+depth and number of ln rows.  _em_weights builds those weights once per shape
+(memoized, so series._cache.cache_clear() drops them), by termwise
+differentiation of one basis model per ln row, and em_tail is a few fsums
+of coefficients times weights.  The oracles only compute: a SumResult
+carries a value and its error estimate, and EvalConfig.converged is the one
+place that judges it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Sequence
 
-from .special import BERNOULLI_2J, DomainError
+from .asymptotics import LogPowerSeries, log_power_integral
+from .special import BERNOULLI_2J, DomainError, memo
 
 
 class NonFiniteTermError(ValueError):
@@ -56,19 +63,6 @@ class SumResult:
         return SumResult(c * self.value, abs(c) * self.tail_estimate, self.terms_used)
 
 
-class SmoothTail(Protocol):
-    """What em_tail needs from a tail model: values, derivatives, integral,
-    and a bound on what the model leaves out."""
-
-    def __call__(self, t: float) -> float: ...
-
-    def diff(self) -> "SmoothTail": ...
-
-    def tail_integral(self, K: float) -> float: ...
-
-    def truncation_bound(self, K: float) -> float: ...
-
-
 # Bernoulli corrections em_tail takes.  The reported error includes the first
 # omitted correction, so no order can hide error; a higher one only shrinks a
 # bound that is already far below one ulp.  Correction j is about
@@ -78,27 +72,89 @@ class SmoothTail(Protocol):
 # moves 145 tail estimates, order 2 moves 439, and order 1 moves 37 values.
 _EM_ORDER = 4
 
+_Rows = tuple[tuple[float, ...], ...]
 
-def em_tail(term_smooth: SmoothTail, K: int) -> tuple[float, float]:
-    """Euler-Maclaurin estimate of sum_{k>K} term(k) with an error estimate.
+
+def _columns(model: LogPowerSeries, x: float, lx: float) -> list[float]:
+    """The model at x, order by order: column j summed over the ln rows."""
+    s0, rows = model.s0, model.rows
+    return [math.fsum([row[j] * lx**a * x**-(s0 + j) for a, row in enumerate(rows)])
+            for j in range(model.depth + 1)]
+
+
+@memo
+def _em_weights(s0: float, depth: int, n_rows: int, K: int,
+                order: int) -> tuple[_Rows, _Rows, _Rows, _Rows, tuple[float, ...], int]:
+    """What em_tail computes from every model with this leading decay, depth
+    and number of ln rows, as weights on its coefficients, at x = K + 1 with
+    `order` Bernoulli corrections: (f0, f1, tail, omitted, last, diverges).
+    The first four hold at [a][j] the value, for the monomial
+    ln^a t t^-(s0+j), of f at x and at x + 1, of the Euler-Maclaurin tail
+    estimate and of the first omitted correction; last[a] is the tail
+    integral of the last kept order, j = depth.  The first `diverges` orders
+    have s <= 1 and no tail integral.
+
+    Each comes from one basis model per ln row (row a all ones) and its
+    derivatives by termwise diff(), which maps each order j to itself:
+    column j of each is the monomial (a, j) alone."""
+    x = float(K + 1)
+    lx, lx1 = math.log(x), math.log(x + 1.0)
+    diverges = sum(s0 + j <= 1.0 for j in range(depth + 1))
+    f0, f1, tail, omitted, last = [], [], [], [], []
+    for a in range(n_rows):
+        basis = [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)]
+        model = LogPowerSeries._of(s0, depth, s0 + depth, basis)
+        f0.append(tuple(_columns(model, x, lx)))
+        f1.append(tuple(_columns(model, x + 1.0, lx1)))
+        integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0
+                    for j in range(depth + 1)]
+        parts = [[w, 0.5 * v] for w, v in zip(integral, f0[a])]
+        deriv = model.diff()
+        fact = 1.0
+        for i in range(1, order + 1):
+            fact *= (2 * i - 1) * (2 * i)
+            b = BERNOULLI_2J[i - 1] / fact
+            for part, v in zip(parts, _columns(deriv, x, lx)):
+                part.append(-(b * v))
+            deriv = deriv.diff().diff()
+        tail.append(tuple(math.fsum(part) for part in parts))
+        b = BERNOULLI_2J[order] / (fact * (2 * order + 1) * (2 * order + 2))
+        omitted.append(tuple(b * v for v in _columns(deriv, x, lx)))
+        last.extend(integral[-1:])  # none at depth < 0
+    return tuple(f0), tuple(f1), tuple(tail), tuple(omitted), tuple(last), diverges
+
+
+def _apply(rows: Sequence[Sequence[float]], weights: _Rows) -> float:
+    return math.fsum([c * w for row, w_row in zip(rows, weights) for c, w in zip(row, w_row)])
+
+
+def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
+    """Euler-Maclaurin estimate of sum_{k>K} f(k) for the tail model f, with
+    an error estimate.
 
     With x = K+1:  integral_x^inf f  +  f(x)/2  -  sum_{j=1..r} B_2j/(2j)! f^(2j-1)(x),
-    r = _EM_ORDER, each f^(2j-1) taken by termwise diff() of the model.
-    The error estimate is the first omitted correction term plus the model's
-    truncation_bound at x.
+    r = _EM_ORDER.  The error estimate is the first omitted correction term
+    plus a bound on the orders the model dropped.  The expansions are
+    asymptotic in c/t, with c the largest shift in their factors, so at
+    t >= x the dropped orders are smaller than the last kept one, j = depth,
+    by a further factor of about c s_cap / x; the tail integral of that order,
+    taken with |C| so that no cancellation hides it, bounds them.
+
+    Each of these is one fsum of the model's coefficients times their
+    _em_weights.  A tail that grows from x to x + 1 raises
+    NonMonotoneTailError, and then a nonzero monomial with s <= 1, whose
+    integral diverges, DomainError.
     """
-    x = float(K + 1)
-    f0 = term_smooth(x)
-    f1 = term_smooth(x + 1.0)
+    rows = model.rows
+    w0, w1, tail, omitted, last, diverges = _em_weights(model.s0, model.depth, len(rows), K,
+                                                        _EM_ORDER)
+    f0, f1 = _apply(rows, w0), _apply(rows, w1)
     if abs(f1) > abs(f0):
+        x = float(K + 1)
         raise NonMonotoneTailError(f"tail not decreasing at K={K}: |f({x + 1})| > |f({x})|")
-    r = _EM_ORDER
-    out = term_smooth.tail_integral(x) + 0.5 * f0
-    deriv = term_smooth.diff()
-    fact = 1.0
-    for j in range(1, r + 1):
-        fact *= (2 * j - 1) * (2 * j)
-        out -= BERNOULLI_2J[j - 1] / fact * deriv(x)
-        deriv = deriv.diff().diff()
-    err = abs(BERNOULLI_2J[r] / (fact * (2 * r + 1) * (2 * r + 2)) * deriv(x))
-    return out, err + term_smooth.truncation_bound(x)
+    for row in rows:
+        for j in range(diverges):
+            if row[j]:
+                raise DomainError(f"tail integral diverges for monomial with s = {model.s0 + j}")
+    truncation = math.fsum([abs(row[-1]) * v for row, v in zip(rows, last)])
+    return _apply(rows, tail), abs(_apply(rows, omitted)) + truncation

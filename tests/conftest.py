@@ -10,6 +10,8 @@ fast and hermetic.
 
 import math
 
+from eulersums.asymptotics import LogPowerSeries, log_power_integral
+
 # (family, params...) -> value; 22 significant digits (rounds to nearest binary64)
 REFS = {
     ("v1", 0, 1): 1.2020569031595942854,
@@ -86,3 +88,17 @@ def assert_close(got: float, want: float, tol: float) -> None:
 
 GAMMA = 0.5772156649015328606
 LN_SQRT_PI = 0.5 * math.log(math.pi)
+
+
+def tail_integral(model: LogPowerSeries, K: float) -> float:
+    """int_K^inf of the model; every monomial must have s > 1."""
+    return math.fsum([c * log_power_integral(a, s, K) for (a, s), c in model.terms.items()])
+
+
+def truncation_bound(model: LogPowerSeries, K: float) -> float:
+    """int_K^inf of the model's last kept order, j = depth, taken with |C|:
+    the part of em_tail's error estimate that bounds the orders the model
+    dropped."""
+    s = model.s0 + model.depth
+    return math.fsum([abs(row[-1]) * log_power_integral(a, s, K)
+                      for a, row in enumerate(model.rows) if row and row[-1]])

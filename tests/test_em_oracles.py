@@ -20,6 +20,8 @@ from eulersums import identities, series
 from eulersums.series import K_CROSSOVER
 from eulersums.summation import EvalConfig, em_tail
 
+from conftest import tail_integral, truncation_bound
+
 mp.mp.dps = 30
 ULP = 2.0**-52
 P_SET = (0.1, 0.5, 2.5, 20.0)
@@ -109,7 +111,7 @@ def test_tail_model_is_the_head_term(tail_models, name):
         want = float(exact_term(t, *params))
         # a few ulp of rounding, plus what the depth cut may leave out relative
         # to the tail: the bound em_tail itself reports
-        depth_bound = model.truncation_bound(x) / abs(model.tail_integral(x))
+        depth_bound = truncation_bound(model, x) / abs(tail_integral(model, x))
         # exponents off the multiples of 1/2 (x + 1 + m at x = -0.9) are rounded,
         # each by up to 3 U s_cap, and t^-s moves by that times ln t
         rounded = any((2 * s) % 1 for _a, s in model.terms)
@@ -133,7 +135,7 @@ def test_depth_argument(monkeypatch, name):
         models.clear()
         value = getattr(series, name)(*params).value
         (model,) = models
-        assert model.truncation_bound(K_CROSSOVER + 1.0) <= 5 * series._U * abs(value), \
+        assert truncation_bound(model, K_CROSSOVER + 1.0) <= 5 * series._U * abs(value), \
             (name, params)
 
 

@@ -147,3 +147,15 @@ def test_memoized_tail_models_are_read_only():
         with pytest.raises(TypeError):
             factor.tail.rows[0][0] = 0.0
 
+
+
+def test_memoized_heads_are_kept_and_read_only():
+    from_one = (series._harmonic(), series._harmonic(4), series._harmonic_square_diff())
+    from_zero = (series._inv_binomial(2), series._power(3, 1.0), series._signed_binomial(0.5))
+    for lo, factors in ((1, from_one + from_zero), (0, from_zero)):
+        for factor in factors:
+            head = factor.head(lo)
+            assert factor.head(lo) is head
+            assert len(head) == series.K_CROSSOVER + 1 - lo
+            with pytest.raises(ValueError):
+                head[0] = 0.0

@@ -5,7 +5,8 @@ import math
 import mpmath as mp
 import pytest
 
-from eulersums import DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta, summation
+from eulersums import (DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta, identities,
+                       series, summation)
 from eulersums.asymptotics import (
     LogPowerSeries,
     central_harmonic_diff_lp,
@@ -14,15 +15,48 @@ from eulersums.asymptotics import (
     gen_harmonic_lp,
     harmonic_lp,
     inv_binomial_lp,
+    log_power_integral,
     recip_power_shift,
 )
-from eulersums.special import BERNOULLI_2J, ZETA3, bernoulli_poly
+from eulersums.special import BERNOULLI_2J, MEMO_SIZE, ZETA3, bernoulli_poly
 from eulersums.summation import NonMonotoneTailError
 
-from conftest import assert_close
+from conftest import assert_close, tail_integral, truncation_bound
+from test_em_oracles import ORACLES
 
 mp.mp.dps = 30
 ULP = 2.0**-52
+
+
+def _omitted_correction(model, x):
+    """|B_2(r+1) / (2r+2)! f^(2r+1)(x)|, r = _EM_ORDER: the first Euler-Maclaurin
+    correction em_tail leaves out."""
+    r = summation._EM_ORDER
+    deriv = model
+    for _ in range(2 * r + 1):
+        deriv = deriv.diff()
+    return abs(BERNOULLI_2J[r] / math.factorial(2 * r + 2) * deriv(x))
+
+
+def _reference_em_tail(model, K):
+    """em_tail computed directly: each derivative of the model is a series of
+    its own, by termwise diff(), evaluated at x = K + 1.  em_tail applies the
+    same functionals as weights tabulated once per model shape."""
+    x = float(K + 1)
+    f0 = model(x)
+    f1 = model(x + 1.0)
+    if abs(f1) > abs(f0):
+        raise NonMonotoneTailError(f"tail not decreasing at K={K}: |f({x + 1})| > |f({x})|")
+    r = summation._EM_ORDER
+    out = tail_integral(model, x) + 0.5 * f0
+    deriv = model.diff()
+    fact = 1.0
+    for j in range(1, r + 1):
+        fact *= (2 * j - 1) * (2 * j)
+        out -= BERNOULLI_2J[j - 1] / fact * deriv(x)
+        deriv = deriv.diff().diff()
+    err = abs(BERNOULLI_2J[r] / (fact * (2 * r + 1) * (2 * r + 2)) * deriv(x))
+    return out, err + truncation_bound(model, x)
 
 
 class TestEvalConfig:
@@ -55,19 +89,24 @@ class TestLogPowerSeries:
 
     def test_tail_integral(self):
         K = 50.0
-        f = LogPowerSeries(10.0, {(0, 3.0): 2.0})
-        assert_close(f.tail_integral(K), 2.0 * K**-2.0 / 2.0, 1e-14)
-        g = LogPowerSeries(10.0, {(1, 2.0): 1.0})
+        assert_close(log_power_integral(0, 3.0, K), K**-2.0 / 2.0, 1e-14)
         want = (math.log(K) + 1.0) / K  # int ln t/t^2 = (ln K + 1)/K
-        assert_close(g.tail_integral(K), want, 1e-14)
+        assert_close(log_power_integral(1, 2.0, K), want, 1e-14)
         with pytest.raises(DomainError):
-            LogPowerSeries(10.0, {(0, 1.0): 1.0}).tail_integral(K)
+            log_power_integral(0, 1.0, K)
 
     def test_truncation_bound_is_last_kept_order(self):
+        # em_tail's error is the first omitted correction plus the tail
+        # integral of the last kept order, taken with |C|
         f = LogPowerSeries(5.0, {(0, 2.5): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
-        K = 50.0
-        assert f.truncation_bound(K) == LogPowerSeries(5.0, {(1, 4.5): 2.0}).tail_integral(K)
-        assert LogPowerSeries(5.0, {(0, 2.0): 1.0}).truncation_bound(K) == 0.0
+        K = 50
+        x = K + 1.0
+        last = 2.0 * log_power_integral(1, 4.5, x)
+        assert truncation_bound(f, x) == last
+        assert em_tail(f, K)[1] == pytest.approx(_omitted_correction(f, x) + last, rel=4 * ULP)
+        g = LogPowerSeries(5.0, {(0, 2.0): 1.0})  # depth 3, its last order 0
+        assert truncation_bound(g, x) == 0.0
+        assert em_tail(g, K)[1] == pytest.approx(_omitted_correction(g, x), rel=4 * ULP)
         # a derivative keeps as many orders as the series it came from
         assert f.diff().s_cap == 6.0
 
@@ -221,6 +260,78 @@ class TestEmTail:
         grows = LogPowerSeries(5.0, {(2, 0.0): 1.0})  # ln^2 t
         with pytest.raises(NonMonotoneTailError):
             em_tail(grows, 100)
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    """(model, K) of every em_tail call that the pinned oracle parameter sets
+    (tests/oracle_bits.json) and the default grid's points make."""
+    seen = []
+    real = series.em_tail
+
+    def capture(model, K):
+        seen.append((model, K))
+        return real(model, K)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "em_tail", capture)
+        for name, (params_list, _) in ORACLES.items():
+            for params in params_list:
+                getattr(series, name)(*params)
+        for ident, params in identities.default_grid():
+            identities.verify(ident, params, 1e-8)
+    return seen
+
+
+class TestEmWeights:
+    """em_tail's tabulated weights: the same tail and error as the direct
+    computation, read-only, bounded and dropped with the other memo tables."""
+
+    def test_every_oracle_model_against_the_reference(self, oracle_models):
+        assert len(oracle_models) > 2171
+        for model, K in oracle_models:
+            got, want = em_tail(model, K), _reference_em_tail(model, K)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 8 * ULP * abs(w), (model, K, got, want)
+
+    def test_divergent_orders_must_be_zero(self):
+        # after the monotone check, a nonzero order with s <= 1 is an error;
+        # a zero one on the same lattice is left out
+        with pytest.raises(DomainError):
+            em_tail(LogPowerSeries(6.0, {(0, 1.0): 1.0, (0, 2.0): 1.0}), 100)
+        zero_first = LogPowerSeries(6.0, {(0, 1.0): 0.0, (0, 2.0): 1.0})
+        assert zero_first.s0 == 1.0
+        assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(7.0, {(0, 2.0): 1.0}), 100)
+
+    def test_shapes_are_shared(self, oracle_models):
+        shapes = {(m.s0, m.depth, len(m.rows), K) for m, K in oracle_models}
+        assert len(shapes) < len(oracle_models) / 4
+
+    def test_tables_are_read_only(self):
+        weights = summation._em_weights(2.0, 12, 2, 100, summation._EM_ORDER)
+        assert isinstance(weights, tuple)
+        *tables, last, _diverges = weights
+        for rows in tables:
+            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+            with pytest.raises(TypeError):
+                rows[0][0] = 0.0
+        assert isinstance(last, tuple)
+
+    def test_tables_stay_within_the_memo_bound(self):
+        series._cache.cache_clear()
+        for i in range(MEMO_SIZE + 10):
+            s = 2.0 + i / 64.0
+            em_tail(LogPowerSeries(s + 1.0, {(0, s): 1.0}), 100)
+        info = summation._em_weights.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize == MEMO_SIZE
+        series._cache.cache_clear()
+
+    def test_clear_drops_the_tables(self):
+        em_tail(LogPowerSeries(3.0, {(0, 2.0): 1.0}), 100)
+        assert summation._em_weights.cache_info().currsize > 0
+        series._cache.cache_clear()
+        assert summation._em_weights.cache_info().currsize == 0
 
 
 def test_sum_result_is_frozen():
