@@ -15,6 +15,21 @@ The closed forms meet only a few base points, so ln_gamma_jet and psi_jet
 keep each jet by its exact (a, order) (special.memo) and hand the same
 read-only Jet1 to every caller: a jet's polygamma values are computed once
 per process.  series._cache.cache_clear() drops them.
+
+A jet has at most MAX_OZ + 1 = 13 coefficients, so per-call overhead sets
+its cost.  The kernels make few calls and keep every bit of the plain loops
+(one np.dot per coefficient) they replace.  The Cauchy products of one exp
+step are one batched np.matmul over zero-padded Toeplitz gathers, row q
+holding ca[0..q] and cb[q..0]: on C-contiguous rows each coefficient is the
+loop's dot, which OpenBLAS computes as a sequential fused multiply-add chain
+up to 15 terms, and trailing zeros add nothing to it.  The gathers are
+copies, so a strided operand gets the bits of its contiguous copy (a strided
+row would take numpy's other dot loop).  The exp recurrence sums left to
+right on Python floats, never with sum(), which compensates from Python 3.12
+on.  The bits are numpy's rather than a correctly rounded fsum's on purpose:
+at closed-form points within one rounding of their tolerance, exact dots
+flip verdicts, and which side is right needs an error bound on the right
+side first.
 """
 
 from __future__ import annotations
@@ -69,21 +84,52 @@ def jet_mul(a: Jet1 | "Jet2", b: Jet1 | "Jet2"):
     return Jet1(a.base, _conv1(a.coeffs, b.coeffs))
 
 
+# Cauchy products of at most this many coefficients are batched dots: padding
+# a row with zeros leaves a sequential dot's bits alone, but OpenBLAS sums 16
+# or more entries over several vector accumulators, so a longer product keeps
+# one dot per coefficient.
+_BATCH_MAX = MAX_OZ + 1
+
+
+@memo
+def _gather(pairs: int, n: int) -> np.ndarray:
+    """Index table into concatenate((ca.ravel(), cb.ravel(), [0.0])) for
+    `pairs` stacked n-term products: row q of pair p picks ca[p, 0..q] in
+    [0] and cb[p, q..0] in [1], both padded with the trailing zero.
+    Read-only; built on first use."""
+    p = np.arange(pairs)[:, None, None] * n
+    q = np.arange(n)[:, None]
+    i = np.arange(n)
+    zero = 2 * pairs * n
+    idx = np.stack((np.where(i <= q, p + i, zero), np.where(i <= q, pairs * n + p + q - i, zero)))
+    idx = idx.reshape(2, pairs * n, n)
+    idx.setflags(write=False)
+    return idx
+
+
 def _conv1(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    n = len(ca)
-    out = np.zeros(n)
-    for k in range(n):
-        out[k] = np.dot(ca[: k + 1], cb[k::-1])
-    return out
+    """Truncated Cauchy product along the last axis, of one pair of
+    coefficient arrays or of a stack of pairs."""
+    n = ca.shape[-1]
+    if n > _BATCH_MAX:
+        out = np.zeros(ca.shape)
+        for pair in np.ndindex(ca.shape[:-1]):
+            a, b = np.ascontiguousarray(ca[pair]), np.ascontiguousarray(cb[pair])
+            for k in range(n):
+                out[pair + (k,)] = np.dot(a[: k + 1], b[k::-1])
+        return out
+    rows = np.concatenate((ca.ravel(), cb.ravel(), (0.0,)))[_gather(ca.size // n, n)]
+    return np.matmul(rows[0][:, None, :], rows[1][:, :, None]).reshape(ca.shape)
 
 
-def _exp_series1(c: np.ndarray) -> np.ndarray:
-    """exp of a univariate normalized-coefficient array."""
-    n = len(c)
-    out = np.zeros(n)
-    out[0] = math.exp(c[0])
-    for k in range(1, n):
-        out[k] = sum(j * c[j] * out[k - j] for j in range(1, k + 1)) / k
+def _exp_series1(c: list[float]) -> list[float]:
+    """exp of a univariate normalized-coefficient list."""
+    out = [math.exp(c[0])]
+    for k in range(1, len(c)):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += j * c[j] * out[k - j]
+        out.append(acc / k)
     return out
 
 
@@ -91,7 +137,7 @@ def jet_exp(a: Jet1 | "Jet2"):
     """exp of a jet; satisfies exp(j) * exp(-j) = 1 to roundoff."""
     if isinstance(a, Jet2):
         return _exp2(a)
-    return Jet1(a.base, _exp_series1(a.coeffs))
+    return Jet1(a.base, np.array(_exp_series1(a.coeffs.tolist())))
 
 
 def ln_gamma_jet(a: float, order: int) -> Jet1:
@@ -177,14 +223,14 @@ def _conv2(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 def _exp2(a: Jet2) -> Jet2:
     """exp of a bivariate jet: univariate exp recurrence in dx over the
     ring of truncated dz-polynomials."""
-    ox, oz = a.ox, a.oz
     f = a.coeffs
-    g = np.zeros_like(f)
-    g[0] = _exp_series1(f[0])
-    for k in range(1, ox + 1):
-        row = np.zeros(oz + 1)
+    g = np.empty_like(f)
+    g[0] = _exp_series1(f[0].tolist())
+    for k in range(1, a.ox + 1):
+        conv = _conv1(f[1 : k + 1], g[k - 1 :: -1])  # f[i] * g[k - i], i = 1..k
+        row = np.zeros(a.oz + 1)
         for i in range(1, k + 1):
-            row += i * _conv1(f[i], g[k - i])
+            row += i * conv[i - 1]
         g[k] = row / k
     return Jet2(a.x0, a.z0, g)
 
@@ -206,13 +252,24 @@ def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int, oz: in
     ux = ln_gamma_jet(x0 + 1.0, ox).coeffs
     uz = ln_gamma_jet(z0, oz).coeffs
     uw = ln_gamma_jet(w0, ox + oz).coeffs
+    diag, weight = _binomial_spread(ox, oz)
     log_jet = np.zeros((ox + 1, oz + 1))
     log_jet[:, 0] += ux
     log_jet[0, :] += uz
-    for a in range(ox + 1):
-        for b in range(oz + 1):
-            log_jet[a, b] -= uw[a + b] * math.comb(a + b, a)
+    log_jet -= uw[diag] * weight
     return _exp2(Jet2(x0, z0, log_jet))
+
+
+@memo
+def _binomial_spread(ox: int, oz: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b, comb(a + b, a)) at [a, b]: where (dx + dz)^(a+b) puts its
+    weight in the rectangle."""
+    diag = np.arange(ox + 1)[:, None] + np.arange(oz + 1)
+    weight = np.array([[math.comb(a + b, a) for b in range(oz + 1)] for a in range(ox + 1)],
+                      dtype=float)
+    diag.setflags(write=False)
+    weight.setflags(write=False)
+    return diag, weight
 
 
 def mixed_partial(j: Jet2, a: int, b: int) -> float:

@@ -7,10 +7,11 @@ decreasing tail from its integral, boundary value, and _EM_ORDER Bernoulli
 derivative corrections.  At the fixed point x = K + 1 each of these, and the
 error estimate's parts, is a linear functional of the model's coefficients,
 whose weight on each monomial depends only on the model's leading decay,
-depth and number of ln rows.  _em_weights builds those weights once per shape
-(memoized, so series._cache.cache_clear() drops them), by termwise
-differentiation of one basis model per ln row, and em_tail is a few fsums
-of coefficients times weights.  The oracles only compute: a SumResult
+depth and ln power.  _em_row builds the weights of one ln row, by termwise
+differentiation of a basis model, and _em_weights stacks them into a table
+per shape; both are memoized (so series._cache.cache_clear() drops them), and
+tables with more ln rows reuse the rows of smaller ones.  em_tail is a few
+fsums of coefficients times weights.  The oracles only compute: a SumResult
 carries a value and its error estimate, and EvalConfig.converged is the one
 place that judges it.
 """
@@ -92,36 +93,46 @@ def _em_weights(s0: float, depth: int, n_rows: int, K: int,
     ln^a t t^-(s0+j), of f at x and at x + 1, of the Euler-Maclaurin tail
     estimate and of the first omitted correction; last[a] is the tail
     integral of the last kept order, j = depth.  The first `diverges` orders
-    have s <= 1 and no tail integral.
+    have s <= 1 and no tail integral.  Row a comes from _em_row, which
+    tables of every n_rows > a share."""
+    rows = [_em_row(s0, depth, a, K, order) for a in range(n_rows)]
+    f0, f1, tail, omitted = (tuple(row[i] for row in rows) for i in range(4))
+    last = tuple(v for row in rows for v in row[4])
+    return f0, f1, tail, omitted, last, _diverges(s0, depth)
 
-    Each comes from one basis model per ln row (row a all ones) and its
-    derivatives by termwise diff(), which maps each order j to itself:
-    column j of each is the monomial (a, j) alone."""
+
+def _diverges(s0: float, depth: int) -> int:
+    return sum(s0 + j <= 1.0 for j in range(depth + 1))
+
+
+@memo
+def _em_row(s0: float, depth: int, a: int, K: int, order: int) -> tuple:
+    """Row a of _em_weights: (f0[a], f1[a], tail[a], omitted[a], (last[a],)),
+    the last one empty at depth < 0.  It comes from the basis model whose
+    row a is all ones and its derivatives by termwise diff(), which maps
+    each order j to itself: column j of each is the monomial (a, j) alone."""
     x = float(K + 1)
     lx, lx1 = math.log(x), math.log(x + 1.0)
-    diverges = sum(s0 + j <= 1.0 for j in range(depth + 1))
-    f0, f1, tail, omitted, last = [], [], [], [], []
-    for a in range(n_rows):
-        basis = [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)]
-        model = LogPowerSeries._of(s0, depth, s0 + depth, basis)
-        f0.append(tuple(_columns(model, x, lx)))
-        f1.append(tuple(_columns(model, x + 1.0, lx1)))
-        integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0
-                    for j in range(depth + 1)]
-        parts = [[w, 0.5 * v] for w, v in zip(integral, f0[a])]
-        deriv = model.diff()
-        fact = 1.0
-        for i in range(1, order + 1):
-            fact *= (2 * i - 1) * (2 * i)
-            b = BERNOULLI_2J[i - 1] / fact
-            for part, v in zip(parts, _columns(deriv, x, lx)):
-                part.append(-(b * v))
-            deriv = deriv.diff().diff()
-        tail.append(tuple(math.fsum(part) for part in parts))
-        b = BERNOULLI_2J[order] / (fact * (2 * order + 1) * (2 * order + 2))
-        omitted.append(tuple(b * v for v in _columns(deriv, x, lx)))
-        last.extend(integral[-1:])  # none at depth < 0
-    return tuple(f0), tuple(f1), tuple(tail), tuple(omitted), tuple(last), diverges
+    diverges = _diverges(s0, depth)
+    basis = [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)]
+    model = LogPowerSeries._of(s0, depth, s0 + depth, basis)
+    f0 = tuple(_columns(model, x, lx))
+    f1 = tuple(_columns(model, x + 1.0, lx1))
+    integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0
+                for j in range(depth + 1)]
+    parts = [[w, 0.5 * v] for w, v in zip(integral, f0)]
+    deriv = model.diff()
+    fact = 1.0
+    for i in range(1, order + 1):
+        fact *= (2 * i - 1) * (2 * i)
+        b = BERNOULLI_2J[i - 1] / fact
+        for part, v in zip(parts, _columns(deriv, x, lx)):
+            part.append(-(b * v))
+        deriv = deriv.diff().diff()
+    tail = tuple(math.fsum(part) for part in parts)
+    b = BERNOULLI_2J[order] / (fact * (2 * order + 1) * (2 * order + 2))
+    omitted = tuple(b * v for v in _columns(deriv, x, lx))
+    return f0, f1, tail, omitted, tuple(integral[-1:])
 
 
 def _apply(rows: Sequence[Sequence[float]], weights: _Rows) -> float:

@@ -312,3 +312,17 @@ def test_import_leaves_the_process_pool_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_builds_no_memoized_value():
+    """The jets' gather tables and the harmonic numbers, like every memo
+    table, are built on first use: import builds none of them, so start-up
+    does not pay for them."""
+    code = ("import eulersums; from eulersums import jets, special; "
+            "print(jets._gather.cache_info().currsize, "
+            "special._gen_harmonic.cache_info().currsize, "
+            "sum(kept.cache_info().currsize for kept in special._MEMOS))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.split() == ["0", "0", "0"]

@@ -6,6 +6,8 @@ step h = 1e-4 keeps its O(h^2) truncation floor without roundoff blow-up
 mpmath's own gamma, fully independent of the package code under test.
 """
 
+import inspect
+import itertools
 import math
 
 import mpmath as mp
@@ -28,7 +30,9 @@ from eulersums import (
     mixed_partial,
     polygamma,
 )
-from eulersums.jets import JetMismatchError
+from eulersums import identities, jets
+from eulersums.identities import REGISTRY, default_grid
+from eulersums.jets import Jet2, JetMismatchError
 from eulersums.series import lhs_base_binomial, lhs_variant2
 from eulersums.summation import EvalConfig
 
@@ -229,3 +233,146 @@ def test_jet1_is_value_type():
     j = ln_gamma_jet(2.0, 3)
     k = Jet1(j.base, j.coeffs.copy())
     assert np.array_equal(j.coeffs, k.coeffs) and j.base == k.base
+
+
+# ------------------- the kernels against their loop reference -------------------
+#
+# The loop kernels below are the jets as they were written before the batched
+# dots: one np.dot per coefficient and the exp recurrence summed by sum().
+# The kernels must give their bits, so every closed form keeps its bits.
+
+
+def _ref_conv1(ca, cb):
+    n = len(ca)
+    out = np.zeros(n)
+    for k in range(n):
+        out[k] = np.dot(ca[: k + 1], cb[k::-1])
+    return out
+
+
+def _ref_exp_series1(c):
+    n = len(c)
+    out = np.zeros(n)
+    out[0] = math.exp(c[0])
+    for k in range(1, n):
+        out[k] = sum(j * c[j] * out[k - j] for j in range(1, k + 1)) / k
+    return out
+
+
+def _ref_exp2(f):
+    ox, oz = f.shape[0] - 1, f.shape[1] - 1
+    g = np.zeros_like(f)
+    g[0] = _ref_exp_series1(f[0])
+    for k in range(1, ox + 1):
+        row = np.zeros(oz + 1)
+        for i in range(1, k + 1):
+            row += i * _ref_conv1(f[i], g[k - i])
+        g[k] = row / k
+    return g
+
+
+def _ref_gamma_ratio_jet(variant, x0, z0, ox, oz):
+    shift = 1.0 if variant is RatioVariant.BETA_SHIFT1 else 0.0
+    w0 = x0 + z0 + shift
+    ux = ln_gamma_jet(x0 + 1.0, ox).coeffs
+    uz = ln_gamma_jet(z0, oz).coeffs
+    uw = ln_gamma_jet(w0, ox + oz).coeffs
+    log_jet = np.zeros((ox + 1, oz + 1))
+    log_jet[:, 0] += ux
+    log_jet[0, :] += uz
+    for a in range(ox + 1):
+        for b in range(oz + 1):
+            log_jet[a, b] -= uw[a + b] * math.comb(a + b, a)
+    return _ref_exp2(log_jet)
+
+
+def _hex(coeffs):
+    return [float(v).hex() for v in np.ravel(coeffs)]
+
+
+def _recording(monkeypatch, name):
+    """Record the arguments of every call the closed forms make to
+    identities.<name>."""
+    calls = []
+    real = getattr(identities, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, name, recorded)
+    return calls
+
+
+# A superset of the closed-form benchmark's parameter sets: x and n in 0..10,
+# p in {0.5, 1, 2.5}, m in 0..10 (out-of-domain combinations raise).
+_AXES = {"x": [float(v) for v in range(11)], "n": list(range(11)), "p": [0.5, 1.0, 2.5],
+         "m": list(range(11))}
+
+
+def _run_closed_forms():
+    for name in dir(identities):
+        if not name.startswith("rhs_"):
+            continue
+        fn = getattr(identities, name)
+        for args in itertools.product(*(_AXES[p] for p in inspect.signature(fn).parameters)):
+            try:
+                fn(*args)
+            except DomainError:
+                pass
+    for ident, params in default_grid():
+        row = REGISTRY[ident]
+        sides, full = row.bind(ident, params)
+        sides(**{k: v for k, v in full.items() if k != row.selector})
+
+
+def test_gamma_ratio_jets_keep_the_loop_bits(monkeypatch):
+    """Every gamma-ratio jet the default grid and the closed-form parameter
+    sets reach, coefficient by coefficient."""
+    calls = _recording(monkeypatch, "gamma_ratio_jet")
+    _run_closed_forms()
+    reached = set(calls)
+    assert len(reached) > 1000
+    assert {args[3] for args in reached} == {0, 1, 2, 3}
+    for args in sorted(reached, key=repr):
+        got = gamma_ratio_jet(*args).coeffs
+        assert _hex(got) == _hex(_ref_gamma_ratio_jet(*args)), args
+
+
+def test_cor_36_products_keep_the_loop_bits(monkeypatch):
+    """jet_exp and jet_mul on every input rhs_cor_36 gives them, up to m = 20,
+    past the longest batched product."""
+    exps = _recording(monkeypatch, "jet_exp")
+    muls = _recording(monkeypatch, "jet_mul")
+    for p, m in itertools.product([0.5, 1.0, 1.5, 2.5, 4.0], range(21)):
+        identities.rhs_cor_36(p, m)
+    assert len(exps) == len(muls) == 105
+    for (a,) in exps:
+        assert _hex(jet_exp(a).coeffs) == _hex(_ref_exp_series1(a.coeffs))
+    for a, b in muls:
+        assert _hex(jet_mul(a, b).coeffs) == _hex(_ref_conv1(a.coeffs, b.coeffs))
+    assert max(len(a.coeffs) for a, _ in muls) > jets._BATCH_MAX
+
+
+@pytest.mark.parametrize("n", [2, 5, 13, 20])
+def test_strided_operands_get_the_contiguous_bits(n):
+    """The kernels' bits do not depend on how an operand is laid out: a
+    strided view gives the loop's bits on a contiguous copy.  (The loop's
+    own bits did: np.dot hands a positive stride to BLAS, whose strided dot
+    rounds differently, so a strided loop reference would not do here.)"""
+    rng = np.random.default_rng(n)
+    a = (rng.standard_normal(3 * n) * 10.0 ** rng.integers(-6, 6, 3 * n))[::3]
+    b = rng.standard_normal(2 * n)[::-2]
+    assert not (a.flags.c_contiguous or b.flags.c_contiguous)
+    got = jet_mul(Jet1(1.0, a), Jet1(1.0, b)).coeffs
+    assert _hex(got) == _hex(_ref_conv1(a.copy(), b.copy()))
+    f = rng.standard_normal((n, 4)).T
+    assert not f[1].flags.c_contiguous
+    assert _hex(jet_exp(Jet2(1.0, 1.0, f)).coeffs) == _hex(_ref_exp2(f.copy()))
+
+
+def test_gather_tables_are_read_only():
+    idx = jets._gather(2, 4)
+    assert idx.shape == (2, 8, 4)
+    with pytest.raises(ValueError):
+        idx[0, 0, 0] = 1

@@ -1,16 +1,19 @@
 """The parameter-only memo tables: the series factors (each with its tail
-model) and the ln Gamma / psi jets are built once per process, give the same
-bits cold and warm, are dropped by series._cache.cache_clear(), stay within
-special.MEMO_SIZE and cannot be written through."""
+model), the ln Gamma / psi jets and the harmonic numbers are built once per
+process, give the same bits cold and warm, are dropped by
+series._cache.cache_clear(), stay within special.MEMO_SIZE and cannot be
+written through."""
 
 import inspect
 import itertools
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
 
-from eulersums import asymptotics, identities, jets, series
+from eulersums import asymptotics, identities, jets, series, special
 from eulersums.identities import REGISTRY, default_grid
 from eulersums.special import MEMO_SIZE, DomainError, HarmonicCache
 
@@ -159,3 +162,51 @@ def test_memoized_heads_are_kept_and_read_only():
             assert len(head) == series.K_CROSSOVER + 1 - lo
             with pytest.raises(ValueError):
                 head[0] = 0.0
+
+
+def _fresh_harmonic(n, m):
+    return math.fsum(k**-m if m > 1 else 1.0 / k for k in range(1, n + 1))
+
+
+def test_harmonic_numbers_keep_their_bits():
+    rng = random.Random(11)
+    ns = [0, 1, 2, 3, 10, 999, 1000, 2000] + rng.sample(range(2001), 40)
+    for n, m in itertools.product(ns, range(1, 6)):
+        want = _fresh_harmonic(n, m).hex()
+        assert special.gen_harmonic(n, m).hex() == want, (n, m)
+        assert special.gen_harmonic(n, m).hex() == want, (n, m)
+    assert all(special.harmonic(n).hex() == _fresh_harmonic(n, 1).hex() for n in ns)
+
+
+def test_clear_drops_the_harmonic_memo():
+    identities.rhs_thm_t25(4, 2)
+    assert special._gen_harmonic.cache_info().currsize > 0
+    series._cache.cache_clear()
+    assert special._gen_harmonic.cache_info().currsize == 0
+
+
+def test_harmonic_keys_are_typed():
+    special.gen_harmonic(10, 2)
+    special.gen_harmonic(10, 2.0)
+    special.gen_harmonic(True, 2)
+    special.gen_harmonic(1, 2)
+    assert special._gen_harmonic.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("n,m", [(-1, 1), (-1, 2), (3, 0), (-2, -1)])
+def test_harmonic_domain_errors_are_not_kept(n, m):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            special.gen_harmonic(n, m)
+    if m == 1:
+        with pytest.raises(DomainError):
+            special.harmonic(n)
+    assert special._gen_harmonic.cache_info().currsize == 0
+
+
+def test_harmonic_memo_stays_within_its_bound():
+    for n in range(MEMO_SIZE + 10):
+        special.gen_harmonic(n, 2)
+    info = special._gen_harmonic.cache_info()
+    assert info.maxsize == MEMO_SIZE
+    assert info.currsize == MEMO_SIZE

@@ -307,6 +307,17 @@ class TestEmWeights:
         shapes = {(m.s0, m.depth, len(m.rows), K) for m, K in oracle_models}
         assert len(shapes) < len(oracle_models) / 4
 
+    def test_rows_are_built_once_per_ln_power(self):
+        """Tables with 3, 1 and 2 ln rows at one decay, depth and K build
+        three rows between them, and a table holds what it holds alone."""
+        alone = summation._em_weights(2.0, 12, 2, 100, summation._EM_ORDER)
+        series._cache.cache_clear()
+        tables = [summation._em_weights(2.0, 12, n, 100, summation._EM_ORDER) for n in (3, 1, 2)]
+        assert summation._em_row.cache_info().misses == 3
+        assert tables[2] == alone
+        assert all(table[0][0] is tables[0][0][0] for table in tables)
+        series._cache.cache_clear()
+
     def test_tables_are_read_only(self):
         weights = summation._em_weights(2.0, 12, 2, 100, summation._EM_ORDER)
         assert isinstance(weights, tuple)
