@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -198,7 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, Any]]]:
     ident = _parse_identity(args.identity)
-    axes: list[tuple[str, list[Any]]] = []
+    axes: dict[str, list[Any]] = {}
     for key in ("x", "n", "m", "p"):
         text = getattr(args, key)
         if text is not None:
@@ -208,13 +209,9 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
                     if not v.is_integer():
                         raise DomainError(f"--{key} takes integers, got {_fmt(v)}")
                 vals = [int(v) for v in vals]
-            axes.append((key, vals))
-    combos: list[dict[str, Any]] = [{}]
-    for key, vals in axes:
-        combos = [dict(c, **{key: v}) for c in combos for v in vals]
-    if any(not vals for _key, vals in axes):
-        combos = []
-    return [(ident, c) for c in combos]
+            axes[key] = vals
+    # the last axis varies fastest, and an empty axis gives no rows
+    return [(ident, dict(zip(axes, combo))) for combo in itertools.product(*axes.values())]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -29,7 +29,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from .jets import Jet1, RatioVariant, gamma_ratio_jet, jet_exp, jet_mul, ln_gamma_jet, mixed_partial, psi_jet
+from .jets import (
+    RatioVariant,
+    gamma_ratio_jet,
+    jet_exp,
+    jet_mul,
+    ln_gamma_jet,
+    mixed_partial,
+    psi_derivatives,
+    psi_jet,
+)
 from .series import (
     half_shift_series,
     lhs_alt,
@@ -57,7 +66,6 @@ from .special import (
     digamma,
     gen_harmonic,
     harmonic,
-    polygamma,
     riemann_zeta,
 )
 from .summation import EvalConfig, SumResult
@@ -248,11 +256,10 @@ def rhs_cor_36(p: float, m: int) -> float:
         raise DomainError(f"m must be >= 0, got {m}")
     if p <= 0.0:
         raise DomainError(f"p must be > 0, got {p}")
-    ratio = jet_exp(Jet1(p, ln_gamma_jet(p, m).coeffs - ln_gamma_jet(p + 0.5, m).coeffs))
-    delta = -psi_jet(p + 0.5, m).coeffs
+    ratio = jet_exp(ln_gamma_jet(p, m) - ln_gamma_jet(p + 0.5, m))
+    delta = -psi_jet(p + 0.5, m)
     delta[0] += digamma(0.5)
-    prod = jet_mul(ratio, Jet1(p, delta))
-    return SQRT_PI * _sign(m) * float(prod.coeffs[m])
+    return SQRT_PI * _sign(m) * float(jet_mul(ratio, delta)[m])
 
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:
@@ -271,11 +278,12 @@ def rhs_cor_38(p: float, m: int) -> float:
     """gamma/p^(m+1) + p^-(m+1) sum_{j=0}^m (-1)^j p^j/j! psi^(j)(p+1)."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    acc = EULER_GAMMA + digamma(p + 1.0)
+    pg = psi_derivatives(p + 1.0, m)
+    acc = EULER_GAMMA + pg[0]
     pj = 1.0
     for jx in range(1, m + 1):
         pj *= -p
-        acc += pj / math.factorial(jx) * polygamma(jx, p + 1.0)
+        acc += pj / math.factorial(jx) * pg[jx]
     return acc / p ** (m + 1)
 
 
@@ -294,11 +302,6 @@ def rhs_thm_39(p: float, n: int, m: int) -> float:
     return 0.5 * fs + _sign(m) / (2.0 * math.factorial(m)) * (g2 - 2.0 * _h(n) * g1)
 
 
-def _psi_list(p: float, top: int) -> list[float]:
-    """[psi(p+1), psi'(p+1), ..., psi^(top)(p+1)]."""
-    return [digamma(p + 1.0)] + [polygamma(j, p + 1.0) for j in range(1, top + 1)]
-
-
 def rhs_cor_310(p: float, m: int) -> float:
     """(1/2) sum_{l=0}^m (-1)^l/(l! p^(m-l+1)) h^(l)(p), where
     h(s) = (gamma+psi(s+1))^2 + zeta(2) - psi'(s+1).
@@ -310,7 +313,7 @@ def rhs_cor_310(p: float, m: int) -> float:
         raise DomainError(f"m must be >= 0, got {m}")
     if p == 0.0 or p <= -1.0:
         raise DomainError(f"p must be nonzero and > -1, got {p}")
-    pg = _psi_list(p, m + 1)
+    pg = psi_derivatives(p + 1.0, m + 1)
     out = 0.0
     for l in range(0, m + 1):
         if l == 0:
@@ -349,7 +352,7 @@ def rhs_cor_312(p: float, m: int) -> float:
         raise DomainError(f"m must be >= 1, got {m}")
     if p == 0.0 or p <= -1.0:
         raise DomainError(f"p must be nonzero and > -1, got {p}")
-    pg = _psi_list(p, m + 1)
+    pg = psi_derivatives(p + 1.0, m + 1)
     out = 0.0
     for l in range(0, m):
         if l == 0:
@@ -608,9 +611,9 @@ def default_grid() -> list[tuple[IdentityId, dict[str, Any]]]:
 
 
 def example_suite(tol: float = 1e-8, cfg: EvalConfig = DEFAULT_CONFIG) -> list[VerifyReport]:
-    """Run the worked-example battery, the grid points of the EX rows: the
-    Au-Yeung and classical Euler sums, the two central-binomial values, the
-    zeta-tail family, and the half-shifted instance with its mismatch
-    diagnostics."""
-    return [verify(ident, params, tol) for ident, params in default_grid()
+    """Run the worked-example battery, the grid points of the EX rows, each
+    judged by cfg: the Au-Yeung and classical Euler sums, the two
+    central-binomial values, the zeta-tail family, and the half-shifted
+    instance with its mismatch diagnostics."""
+    return [verify(ident, params, tol, cfg) for ident, params in default_grid()
             if ident.value.startswith("EX")]

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import asymptotics as ap
-from .special import DomainError, HarmonicCache, clear_memos, gen_binom, hurwitz_zeta, memo
+from .special import DomainError, HarmonicCache, clear_memos, hurwitz_zeta, memo
 from .summation import NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
@@ -62,7 +62,7 @@ _U = 2.0**-53
 class _LazyState:
     """What the oracles build on first use and keep for the process: the
     HarmonicCache, which _cache() returns, and the memo tables of
-    special.memo, which hold the factors below and the ln Gamma and psi jets
+    special.memo, which hold the factors below and the psi tuples and jets
     of the closed forms.  cache_clear() drops all of it, so the next call
     builds each piece again."""
 
@@ -239,7 +239,7 @@ def _central_binomial() -> _Factor:
 @memo
 def _signed_binomial(x: float) -> _Factor:
     """(-1)^k binom(x, k) = Gamma(k - x) / (Gamma(-x) Gamma(k + 1)), falling
-    like k^(-x-1).  The head is the exact first term binom(x, 0) times the
+    like k^(-x-1).  The head is the exact first term binom(x, 0) = 1 and the
     running product of the ratios (k - 1 - x)/k, each rounded 3 times (- x,
     / k, *); the tail is the gamma-ratio expansion over Gamma(-x), whose
     exponents, 1 + x + j plus the other factors' own, are rounded up to 3
@@ -251,8 +251,8 @@ def _signed_binomial(x: float) -> _Factor:
 
     @_kept
     def head(lo: int) -> np.ndarray:
-        first, k = gen_binom(x, 0.0), _ks(1)
-        return np.concatenate(([first], first * np.cumprod((k - 1.0 - x) / k)))[lo:]
+        k = _ks(1)
+        return np.concatenate(([1.0], np.cumprod((k - 1.0 - x) / k)))[lo:]
 
     decay = x + 1.0
     tail = ap.gamma_ratio_lp(-x, 1.0, decay + _DEPTH).scaled(1.0 / g)

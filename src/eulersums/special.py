@@ -6,11 +6,11 @@ The digamma/polygamma evaluators use upward recurrence to a large argument
 followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
-parameter-only builders (series factors, ln Gamma and psi jets, harmonic
-numbers) in bounded tables that clear_memos empties.  gen_harmonic, and
-harmonic through it, checks its arguments on every call and keeps each fsum
-by its exact (n, m): the closed forms' finite sums ask for a few dozen
-distinct harmonic numbers tens of thousands of times.
+parameter-only builders (series factors, psi-derivative tuples, ln Gamma and
+psi jets, harmonic numbers) in bounded tables that clear_memos empties.
+gen_harmonic, and harmonic through it, checks its arguments on every call and
+keeps each fsum by its exact (n, m): the closed forms' finite sums ask for a
+few dozen distinct harmonic numbers tens of thousands of times.
 """
 
 from __future__ import annotations
@@ -310,8 +310,9 @@ def _running_neumaier(terms: np.ndarray) -> np.ndarray:
 
 # The most results one memo table keeps; past it the least recently used goes.
 # One pass over the default grid builds 163 distinct series factors, 114
-# distinct ln Gamma jets and 15 harmonic numbers; one over the closed_form
-# benchmark builds 347 jets and 33 harmonic numbers, which it reads 32120 times.
+# distinct ln Gamma jets from 115 psi-derivative tuples and 15 harmonic
+# numbers; one over the closed_form benchmark builds 347 psi-derivative tuples,
+# 380 jets and 33 harmonic numbers, which it reads 32120 times.
 MEMO_SIZE = 1024
 
 _MEMOS: list = []

@@ -34,6 +34,7 @@ from eulersums import (
 )
 from eulersums.identities import P_GRID, REGISTRY, _zeta_double_sum, ex4_stated_zeta_form
 from eulersums.special import LN2
+from eulersums.summation import EvalConfig
 
 from conftest import REFS, assert_close
 
@@ -260,6 +261,13 @@ class TestExampleSuite:
             # harness must surface the published form's mismatch, not hide it
             assert "stated_zeta_form" in rep.extra
             assert rep.extra["stated_matches"] is False
+
+    def test_judged_by_the_given_config(self):
+        strict = EvalConfig(rel_tol=1e-30)
+        reports = example_suite(tol=1e-8, cfg=strict)
+        want = [verify(r.id, r.params, 1e-8, strict).converged for r in reports]
+        assert [r.converged for r in reports] == want
+        assert not all(want)
 
     def test_auyeung_values(self):
         rep = verify(IdentityId.EX1_AUYEUNG, {"which": "quadratic"}, 1e-8)

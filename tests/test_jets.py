@@ -19,7 +19,6 @@ from eulersums import (
     ZETA2,
     ZETA4,
     DomainError,
-    Jet1,
     RatioVariant,
     digamma,
     gamma,
@@ -32,7 +31,7 @@ from eulersums import (
 )
 from eulersums import identities, jets
 from eulersums.identities import REGISTRY, default_grid
-from eulersums.jets import Jet2, JetMismatchError
+from eulersums.jets import JetMismatchError
 from eulersums.series import lhs_base_binomial, lhs_variant2
 from eulersums.summation import EvalConfig
 
@@ -44,18 +43,18 @@ mp.mp.dps = 30
 class TestLnGammaJet:
     def test_at_one_order_two(self):
         j = ln_gamma_jet(1.0, 2)
-        assert abs(j.coeffs[0]) < 1e-15
-        assert_close(j.coeffs[1], -EULER_GAMMA, 1e-13)
-        assert_close(j.coeffs[2], ZETA2 / 2.0, 1e-12)
+        assert abs(j[0]) < 1e-15
+        assert_close(j[1], -EULER_GAMMA, 1e-13)
+        assert_close(j[2], ZETA2 / 2.0, 1e-12)
 
     def test_at_two_order_one(self):
         j = ln_gamma_jet(2.0, 1)
-        assert abs(j.coeffs[0]) < 1e-15
-        assert_close(j.coeffs[1], 1.0 - EULER_GAMMA, 1e-13)
+        assert abs(j[0]) < 1e-15
+        assert_close(j[1], 1.0 - EULER_GAMMA, 1e-13)
 
     def test_order_zero(self):
         j = ln_gamma_jet(1.0, 0)
-        assert list(j.coeffs) == [0.0]
+        assert list(j) == [0.0]
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -64,36 +63,35 @@ class TestLnGammaJet:
 
 class TestJetArithmetic:
     def test_exp_of_zero_is_unit(self):
-        z = Jet1(2.0, np.zeros(6))
-        e = jet_exp(z)
-        assert e.coeffs[0] == 1.0
-        assert np.all(e.coeffs[1:] == 0.0)
+        e = jet_exp(np.zeros(6))
+        assert e[0] == 1.0
+        assert np.all(e[1:] == 0.0)
 
     def test_mul_by_unit(self):
         j = ln_gamma_jet(2.5, 6)
-        unit = Jet1(2.5, np.array([1.0] + [0.0] * 6))
-        assert np.allclose(jet_mul(j, unit).coeffs, j.coeffs, rtol=0, atol=0)
+        unit = np.array([1.0] + [0.0] * 6)
+        assert np.allclose(jet_mul(j, unit), j, rtol=0, atol=0)
 
     def test_exp_value_part(self):
-        assert_close(jet_exp(ln_gamma_jet(1.0, 2)).coeffs[0], 1.0, 1e-15)
+        assert_close(jet_exp(ln_gamma_jet(1.0, 2))[0], 1.0, 1e-15)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 4.0])
     def test_exp_log_roundtrip_value(self, a):
         j = jet_exp(ln_gamma_jet(a, 4))
-        assert_close(j.coeffs[0], gamma(a), 1e-13)
+        assert_close(j[0], gamma(a), 1e-13)
 
     @pytest.mark.parametrize("a", [0.7, 1.0, 3.2])
     def test_exp_inverse_property(self, a):
         j = ln_gamma_jet(a, 8)
-        prod = jet_mul(jet_exp(j), jet_exp(Jet1(j.base, -j.coeffs)))
-        assert abs(prod.coeffs[0] - 1.0) < 1e-12
-        assert np.max(np.abs(prod.coeffs[1:])) < 1e-12
+        prod = jet_mul(jet_exp(j), jet_exp(-j))
+        assert abs(prod[0] - 1.0) < 1e-12
+        assert np.max(np.abs(prod[1:])) < 1e-12
 
     def test_mismatch_errors(self):
         with pytest.raises(JetMismatchError):
-            jet_mul(ln_gamma_jet(1.0, 2), ln_gamma_jet(2.0, 2))
-        with pytest.raises(JetMismatchError):
             jet_mul(ln_gamma_jet(1.0, 2), ln_gamma_jet(1.0, 3))
+        with pytest.raises(JetMismatchError):
+            jet_mul(np.zeros(4), np.zeros(3))
 
 
 def _ratio_mp(variant: RatioVariant, x, z):
@@ -104,7 +102,7 @@ def _ratio_mp(variant: RatioVariant, x, z):
 class TestGammaRatioJet:
     def test_value_at_origin(self):
         j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, 0, 0)
-        assert j.coeffs[0, 0] == 1.0
+        assert j.shape == (1, 1) and j[0, 0] == 1.0
 
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("m", range(0, 5))
@@ -221,20 +219,6 @@ def test_base_theorem_consistency(x, m):
         assert_close(series.value, closed, 1e-8)
 
 
-def test_jet1_derivative_accessor():
-    j = ln_gamma_jet(2.0, 3)
-    assert_close(j.derivative(1), digamma(2.0), 1e-13)
-    assert_close(j.derivative(2), polygamma(1, 2.0), 1e-12)
-    with pytest.raises(DomainError):
-        j.derivative(4)
-
-
-def test_jet1_is_value_type():
-    j = ln_gamma_jet(2.0, 3)
-    k = Jet1(j.base, j.coeffs.copy())
-    assert np.array_equal(j.coeffs, k.coeffs) and j.base == k.base
-
-
 # ------------------- the kernels against their loop reference -------------------
 #
 # The loop kernels below are the jets as they were written before the batched
@@ -274,9 +258,9 @@ def _ref_exp2(f):
 def _ref_gamma_ratio_jet(variant, x0, z0, ox, oz):
     shift = 1.0 if variant is RatioVariant.BETA_SHIFT1 else 0.0
     w0 = x0 + z0 + shift
-    ux = ln_gamma_jet(x0 + 1.0, ox).coeffs
-    uz = ln_gamma_jet(z0, oz).coeffs
-    uw = ln_gamma_jet(w0, ox + oz).coeffs
+    ux = ln_gamma_jet(x0 + 1.0, ox)
+    uz = ln_gamma_jet(z0, oz)
+    uw = ln_gamma_jet(w0, ox + oz)
     log_jet = np.zeros((ox + 1, oz + 1))
     log_jet[:, 0] += ux
     log_jet[0, :] += uz
@@ -335,7 +319,7 @@ def test_gamma_ratio_jets_keep_the_loop_bits(monkeypatch):
     assert len(reached) > 1000
     assert {args[3] for args in reached} == {0, 1, 2, 3}
     for args in sorted(reached, key=repr):
-        got = gamma_ratio_jet(*args).coeffs
+        got = gamma_ratio_jet(*args)
         assert _hex(got) == _hex(_ref_gamma_ratio_jet(*args)), args
 
 
@@ -348,10 +332,10 @@ def test_cor_36_products_keep_the_loop_bits(monkeypatch):
         identities.rhs_cor_36(p, m)
     assert len(exps) == len(muls) == 105
     for (a,) in exps:
-        assert _hex(jet_exp(a).coeffs) == _hex(_ref_exp_series1(a.coeffs))
+        assert _hex(jet_exp(a)) == _hex(_ref_exp_series1(a))
     for a, b in muls:
-        assert _hex(jet_mul(a, b).coeffs) == _hex(_ref_conv1(a.coeffs, b.coeffs))
-    assert max(len(a.coeffs) for a, _ in muls) > jets._BATCH_MAX
+        assert _hex(jet_mul(a, b)) == _hex(_ref_conv1(a, b))
+    assert max(len(a) for a, _ in muls) > jets._BATCH_MAX
 
 
 @pytest.mark.parametrize("n", [2, 5, 13, 20])
@@ -364,11 +348,11 @@ def test_strided_operands_get_the_contiguous_bits(n):
     a = (rng.standard_normal(3 * n) * 10.0 ** rng.integers(-6, 6, 3 * n))[::3]
     b = rng.standard_normal(2 * n)[::-2]
     assert not (a.flags.c_contiguous or b.flags.c_contiguous)
-    got = jet_mul(Jet1(1.0, a), Jet1(1.0, b)).coeffs
+    got = jet_mul(a, b)
     assert _hex(got) == _hex(_ref_conv1(a.copy(), b.copy()))
     f = rng.standard_normal((n, 4)).T
     assert not f[1].flags.c_contiguous
-    assert _hex(jet_exp(Jet2(1.0, 1.0, f)).coeffs) == _hex(_ref_exp2(f.copy()))
+    assert _hex(jets._exp2(f)) == _hex(_ref_exp2(f.copy()))
 
 
 def test_gather_tables_are_read_only():

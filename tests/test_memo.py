@@ -133,16 +133,48 @@ def test_factor_memo_stays_within_its_bound():
 
 def test_keys_are_exact():
     """1 and 1.0 are two keys, so a hit never returns another argument's jet."""
-    assert type(jets.ln_gamma_jet(2.0, 3).base) is float
-    assert type(jets.ln_gamma_jet(2, 3).base) is int
+    from_float, from_int = jets.ln_gamma_jet(2.0, 3), jets.ln_gamma_jet(2, 3)
+    assert from_float is not from_int
+    assert from_float is jets.ln_gamma_jet(2.0, 3) and from_int is jets.ln_gamma_jet(2, 3)
     assert jets._ln_gamma_jet.cache_info().currsize == 2
 
 
 def test_memoized_jets_are_read_only():
     for jet in (jets.ln_gamma_jet(2.5, 4), jets.psi_jet(2.5, 4)):
         with pytest.raises(ValueError):
-            jet.coeffs[1] = 0.0
-    assert jets.ln_gamma_jet(2.5, 4).coeffs[1] != 0.0
+            jet[1] = 0.0
+    assert jets.ln_gamma_jet(2.5, 4)[1] != 0.0
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.5, 11.25])
+def test_jets_divide_the_psi_derivatives(a):
+    """ln Gamma and psi jets are the kept psi values over k!, bit for bit, and
+    those are digamma's and polygamma's."""
+    psi = jets.psi_derivatives(a, 12)
+    assert psi == (special.digamma(a),) + tuple(special.polygamma(k, a) for k in range(1, 13))
+    assert jets.psi_jet(a, 12).tolist() == [d / math.factorial(k) for k, d in enumerate(psi)]
+    lg = jets.ln_gamma_jet(a, 13).tolist()
+    assert lg == [special.ln_gamma(a)] + [d / math.factorial(k + 1) for k, d in enumerate(psi)]
+    assert jets.ln_gamma_jet(a, 0).tolist() == [special.ln_gamma(a)]
+
+
+def test_repeated_psi_closed_forms_call_no_polygamma(monkeypatch):
+    """The corollaries' Leibniz sums read the kept psi values: a second call
+    evaluates no polygamma and gives the same bits."""
+    points = [(identities.rhs_cor_38, 0.5, 6), (identities.rhs_cor_310, 2.5, 7),
+              (identities.rhs_cor_312, 1.0, 8)]
+    first = [fn(p, m).hex() for fn, p, m in points]
+    calls = []
+    real = special.polygamma
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (special, jets, identities):
+        monkeypatch.setattr(mod, "polygamma", spy, raising=False)
+    assert [fn(p, m).hex() for fn, p, m in points] == first
+    assert calls == []
 
 
 def test_memoized_tail_models_are_read_only():
