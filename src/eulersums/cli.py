@@ -3,7 +3,11 @@
 Output records are JSON objects (one per line for streams) with every real
 serialized at 17 significant digits, so parsing a record back reproduces the
 binary64 values exactly.  Exit codes: 0 success / all passed, 1 verification
-failures, 2 parameter or domain errors, 3 non-convergence.
+failures, 2 parameter or domain errors, 3 non-convergence.  Arithmetic that
+leaves binary64 (an ArithmeticError, such as a closed form's p ** k
+underflowing to zero at p = 1e-300) is a domain error too: one `error:` line
+on stderr and exit 2, never a traceback.  Grids and sweeps run in the process
+that parsed them; `--jobs` is still accepted and ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import Any
 
 from .identities import DEFAULT_CONFIG, REGISTRY, IdentityId, VerifyReport, default_grid, verify
@@ -40,17 +43,28 @@ def _fmt(x: Any) -> Any:
     return x
 
 
+def _json_value(val: Any) -> str:
+    """One JSON value, dispatched on the exact type so that the common ones
+    skip json.dumps; a float gets 17 significant digits."""
+    kind = type(val)
+    if kind is float:
+        return format(val, ".17g")
+    if kind is bool:
+        return "true" if val else "false"
+    if kind is int:
+        return repr(val)
+    if kind is dict:
+        return _json_record(val)
+    return json.dumps(val)
+
+
 def _json_record(obj: dict[str, Any]) -> str:
     """Flat-dict JSON writer with controlled float formatting."""
-    parts = []
-    for key, val in obj.items():
-        if isinstance(val, float):
-            parts.append(f'"{key}": {_fmt(val)}')
-        elif isinstance(val, dict):
-            parts.append(f'"{key}": {_json_record(val)}')
-        else:
-            parts.append(f'"{key}": {json.dumps(val)}')
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(f'"{key}": {_json_value(val)}' for key, val in obj.items()) + "}"
+
+
+def _ndjson(records: list[dict[str, Any]]) -> str:
+    return "".join(_json_record(rec) + "\n" for rec in records)
 
 
 def record_from_report(rep: VerifyReport, wall_ms: float, side: str = "both") -> dict[str, Any]:
@@ -160,41 +174,20 @@ def _grid_for(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, Any]
     return [(ident, dict(params)) for params in REGISTRY[ident].grid]
 
 
-def _worker(item: tuple[str, dict, float, dict]) -> dict:
-    name, params, tol, cfg_kw = item
-    rep, ms = _verify_timed(IdentityId[name], params, tol, EvalConfig(**cfg_kw))
-    return record_from_report(rep, ms)
-
-
-def _run_grid(grid, tol: float, cfg: EvalConfig, jobs: int) -> list[dict]:
-    cfg_kw = asdict(cfg)
-    items = [(ident.value, params, tol, cfg_kw) for ident, params in grid]
-    if jobs <= 1 or len(items) < 4:
-        return [_worker(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_worker, items, chunksize=8))
+def _run_grid(grid, tol: float, cfg: EvalConfig) -> list[dict]:
+    return [record_from_report(*_verify_timed(ident, params, tol, cfg)) for ident, params in grid]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tol_from(args)
     cfg = _cfg_from(args)
-    grid = _grid_for(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    records = _run_grid(grid, tol, cfg, jobs)
-    all_pass = True
-    any_nonconverged = False
-    for rec in records:
-        print(_json_record(rec))
-        all_pass &= bool(rec.get("pass", False))
-        any_nonconverged |= not rec.get("converged", True)
-    summary = {"checked": len(records), "passed": sum(bool(r.get("pass")) for r in records),
-               "tol": tol}
-    print(_json_record(summary), file=sys.stderr)
-    if any_nonconverged:
+    records = _run_grid(_grid_for(args), tol, cfg)
+    sys.stdout.write(_ndjson(records))
+    passed = sum(bool(rec.get("pass")) for rec in records)
+    print(_json_record({"checked": len(records), "passed": passed, "tol": tol}), file=sys.stderr)
+    if not all(rec.get("converged", True) for rec in records):
         return EXIT_NOT_CONVERGED
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
+    return EXIT_OK if passed == len(records) else EXIT_VERIFY_FAILED
 
 
 def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, Any]]]:
@@ -217,9 +210,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
 def cmd_sweep(args: argparse.Namespace) -> int:
     tol = _tol_from(args)
     cfg = _cfg_from(args)
-    grid = _sweep_grid(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    records = _run_grid(grid, tol, cfg, jobs)
+    records = _run_grid(_sweep_grid(args), tol, cfg)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -240,7 +231,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ])
         text = buf.getvalue()
     else:
-        text = "\n".join(_json_record(r) for r in records) + ("\n" if records else "")
+        text = _ndjson(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -266,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comparison tolerance (default: $EULER_SUM_TOL or 1e-7)")
         p.add_argument("--rel-tol", type=float, default=None,
                        help="largest tail estimate / |lhs| of a converged series (default 1e-10)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: cores)")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="ignored: grids run in this process (kept so old scripts parse)")
         if with_params:
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--m", type=int, default=None)
@@ -307,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("verify needs an identity name or --all")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -278,6 +278,8 @@ def rhs_cor_38(p: float, m: int) -> float:
     """gamma/p^(m+1) + p^-(m+1) sum_{j=0}^m (-1)^j p^j/j! psi^(j)(p+1)."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
+    if p == 0.0 or p <= -1.0:
+        raise DomainError(f"p must be nonzero and > -1, got {p}")
     pg = psi_derivatives(p + 1.0, m)
     acc = EULER_GAMMA + pg[0]
     pj = 1.0

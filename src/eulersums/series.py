@@ -150,7 +150,7 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     s_cap = sum(f.decay for f in factors) + _DEPTH
     s_rounding = sum(f.s_rounding for f in factors) * _U * s_cap
 
-    exact = math.fsum(terms.tolist())
+    exact = math.fsum(memoryview(terms))  # the same floats in order, without a list
     tail, err = em_tail(model, K_CROSSOVER)
     if s_rounding:
         err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.min_decay() - 1.0))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +18,12 @@ from eulersums.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    _json_record,
+    _verify_timed,
     main,
+    record_from_report,
 )
-from eulersums.identities import REGISTRY, IdentityId
+from eulersums.identities import DEFAULT_CONFIG, REGISTRY, IdentityId, default_grid
 
 
 def run(capsys, *argv):
@@ -123,6 +127,16 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("COR_38", "--p", "1e-300", "--m", "2"),
+                                      ("THM_V4_311", "--p", "1e-300", "--n", "1", "--m", "3"),
+                                      ("COR_310", "--p", "1e-200", "--m", "3")])
+    def test_underflow_exit_2(self, capsys, argv):
+        # the closed form's p ** k underflows to zero and it divides by it:
+        # an arithmetic error is a domain error, not a traceback with exit 1
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == "error: float division by zero\n"
+
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_missing_or_unknown_param_exit_2(self, capsys, ident):
         point = REGISTRY[ident].grid[0]
@@ -149,7 +163,7 @@ class TestTolerances:
                                              ("--tol", "inf"), ("--rel-tol", "nan"),
                                              ("--rel-tol", "inf"), ("--rel-tol", "-1")])
     def test_flag_exit_2(self, capsys, command, flag, value):
-        code, out, err = run(capsys, command, *self.POINT, f"{flag}={value}", "--jobs", "1")
+        code, out, err = run(capsys, command, *self.POINT, f"{flag}={value}")
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error:") and flag in err
         assert len(err.splitlines()) == 1
@@ -165,76 +179,75 @@ class TestTolerances:
 
 class TestVerify:
     def test_single_point_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "THM_V4_311", "--p", "1", "--n", "0", "--m", "1",
-                           "--jobs", "1")
+        code, out, _ = run(capsys, "verify", "THM_V4_311", "--p", "1", "--n", "0", "--m", "1")
         assert code == EXIT_OK
         rec = json.loads(out.splitlines()[0])
         assert rec["pass"] is True
 
     def test_identity_grid_stream(self, capsys):
-        code, out, _ = run(capsys, "verify", "COR_38", "--jobs", "1")
+        code, out, _ = run(capsys, "verify", "COR_38")
         assert code == EXIT_OK
         lines = out.splitlines()
         assert len(lines) == 20  # 4 p-values x m in 0..4
         assert all(json.loads(l)["pass"] for l in lines)
 
     def test_example_runs_its_sub_forms(self, capsys):
-        code, out, _ = run(capsys, "verify", "EX1_AUYEUNG", "--jobs", "1")
+        code, out, _ = run(capsys, "verify", "EX1_AUYEUNG")
         assert code == EXIT_OK
         recs = [json.loads(l) for l in out.splitlines()]
         assert [r["params"]["which"] for r in recs] == ["quadratic", "linear", "difference"]
         assert all(r["pass"] for r in recs)
 
     def test_tiny_wrong_rhs_exit_1(self, capsys):
-        code, out, _ = run(capsys, "verify", "THM_V2_33", "--n", "10", "--m", "10", "--jobs", "1")
+        code, out, _ = run(capsys, "verify", "THM_V2_33", "--n", "10", "--m", "10")
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(out)["pass"] is False
 
     def test_unattainable_tolerance_exit_1(self, capsys):
-        code, out, _ = run(capsys, "verify", "COR_38", "--tol", "1e-30", "--jobs", "1")
+        code, out, _ = run(capsys, "verify", "COR_38", "--tol", "1e-30")
         assert code == EXIT_VERIFY_FAILED
         assert any(not json.loads(l)["pass"] for l in out.splitlines())
 
     def test_env_var_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("EULER_SUM_TOL", "1e-3")
-        code, _, err = run(capsys, "verify", "EX3_GOLDBACH", "--jobs", "1")
+        code, _, err = run(capsys, "verify", "EX3_GOLDBACH")
         assert code == EXIT_OK
         assert json.loads(err.splitlines()[-1])["tol"] == 1e-3
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EULER_SUM_TOL", "1e-3")
-        _, _, err = run(capsys, "verify", "EX3_GOLDBACH", "--tol", "1e-9", "--jobs", "1")
+        _, _, err = run(capsys, "verify", "EX3_GOLDBACH", "--tol", "1e-9")
         assert json.loads(err.splitlines()[-1])["tol"] == 1e-9
 
     def test_default_tolerance(self, capsys, monkeypatch):
         monkeypatch.delenv("EULER_SUM_TOL", raising=False)
-        _, _, err = run(capsys, "verify", "EX4_HALF", "--jobs", "1")
+        _, _, err = run(capsys, "verify", "EX4_HALF")
         assert json.loads(err.splitlines()[-1])["tol"] == DEFAULT_TOL
 
-    def test_parallel_jobs_deterministic_order(self, capsys):
+    def test_jobs_flag_is_accepted_and_ignored(self, capsys):
+        # older scripts still pass --jobs; the grid runs in this process either way
         def strip_timing(text):
             recs = [json.loads(l) for l in text.splitlines()]
             for rec in recs:
                 rec.pop("wall_ms")
             return recs
 
-        _, out1, _ = run(capsys, "verify", "COR_310", "--jobs", "2")
-        _, out2, _ = run(capsys, "verify", "COR_310", "--jobs", "1")
+        code1, out1, _ = run(capsys, "verify", "COR_310", "--jobs", "2")
+        code2, out2, _ = run(capsys, "verify", "COR_310")
+        assert code1 == code2 == EXIT_OK
         assert strip_timing(out1) == strip_timing(out2)
 
 
 class TestSweep:
     def test_csv_shape(self, capsys):
-        code, out, _ = run(capsys, "sweep", "THM_V1_31", "--n", "0..3", "--m", "1..4",
-                           "--jobs", "1")
+        code, out, _ = run(capsys, "sweep", "THM_V1_31", "--n", "0..3", "--m", "1..4")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == CSV_HEADER
         assert len(rows) - 1 == 16  # inclusive ranges: 4 n-values x 4 m-values
 
     def test_csv_p_list(self, capsys):
-        code, out, _ = run(capsys, "sweep", "COR_38", "--p", "0.5,1,2", "--m", "0..3",
-                           "--jobs", "1")
+        code, out, _ = run(capsys, "sweep", "COR_38", "--p", "0.5,1,2", "--m", "0..3")
         rows = list(csv.reader(io.StringIO(out)))
         assert code == EXIT_OK
         assert len(rows) - 1 == 12
@@ -244,14 +257,14 @@ class TestSweep:
             assert row[CSV_HEADER.index("converged")] == "True"
 
     def test_missing_param_exit_2(self, capsys):
-        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", "0..1", "--jobs", "1")
+        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", "0..1")
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error:") and "missing 'm'" in err
 
     @pytest.mark.parametrize("n, m, bad", [("0.5,1.7", "1", "--n takes integers, got 0.5"),
                                            ("0..1", "1,2.5", "--m takes integers, got 2.5")])
     def test_non_integer_axis_exit_2(self, capsys, n, m, bad):
-        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", n, "--m", m, "--jobs", "1")
+        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", n, "--m", m)
         assert code == EXIT_DOMAIN
         assert out == "" and err.splitlines() == [f"error: {bad}"]
 
@@ -261,20 +274,19 @@ class TestSweep:
         ("--m", "1..x", "--m range a..b takes integer bounds, got 1..x")])
     def test_unparsable_axis_exit_2(self, capsys, axis, text, bad):
         args = {"--p": "1", "--m": "1", axis: text}
-        code, out, err = run(capsys, "sweep", "COR_38", "--p", args["--p"], "--m", args["--m"],
-                             "--jobs", "1")
+        code, out, err = run(capsys, "sweep", "COR_38", "--p", args["--p"], "--m", args["--m"])
         assert code == EXIT_DOMAIN
         assert out == "" and err.splitlines() == [f"error: {bad}"]
 
     def test_empty_range(self, capsys):
-        code, out, _ = run(capsys, "sweep", "COR_38", "--p", "", "--m", "0..3", "--jobs", "1")
+        code, out, _ = run(capsys, "sweep", "COR_38", "--p", "", "--m", "0..3")
         assert code == EXIT_OK
         rows = [r for r in csv.reader(io.StringIO(out))]
         assert len(rows) == 1  # header only
 
     def test_json_format_round_trip(self, capsys):
         code, out, _ = run(capsys, "sweep", "COR_310", "--p", "0.5,1", "--m", "0..1",
-                           "--format", "json", "--jobs", "1")
+                           "--format", "json")
         assert code == EXIT_OK
         recs = [json.loads(l) for l in out.splitlines()]
         assert len(recs) == 4
@@ -284,34 +296,64 @@ class TestSweep:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(capsys, "sweep", "THM_V1_31", "--n", "0..1", "--m", "1..1",
-                           "--out", str(target), "--jobs", "1")
+                           "--out", str(target))
         assert code == EXIT_OK and out == ""
         rows = list(csv.reader(io.StringIO(target.read_text())))
         assert rows[0] == CSV_HEADER and len(rows) == 3
 
     def test_x_maps_to_n_column(self, capsys):
-        _, out, _ = run(capsys, "sweep", "THM_BASE_E15", "--x", "0.5,1", "--m", "1..2",
-                        "--jobs", "1")
+        _, out, _ = run(capsys, "sweep", "THM_BASE_E15", "--x", "0.5,1", "--m", "1..2")
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][CSV_HEADER.index("n")] == "0.5"
 
 
 class TestFullGrid:
     def test_verify_all_passes(self, capsys):
-        code, out, err = run(capsys, "verify", "--all", "--tol", "1e-7", "--jobs", "2")
+        code, out, err = run(capsys, "verify", "--all", "--tol", "1e-7")
         assert code == EXIT_OK
         summary = json.loads(err.splitlines()[-1])
         assert summary["checked"] == summary["passed"] >= 600
 
 
+def _old_json_record(obj):
+    """The writer _json_record replaced: json.dumps for every value that is
+    not a float or a dict."""
+    parts = []
+    for key, val in obj.items():
+        if isinstance(val, float):
+            text = format(val, ".17g")
+        elif isinstance(val, dict):
+            text = _old_json_record(val)
+        else:
+            text = json.dumps(val)
+        parts.append(f'"{key}": {text}')
+    return "{" + ", ".join(parts) + "}"
+
+
+def test_record_writer_matches_json_dumps_on_the_default_grid():
+    records = [record_from_report(*_verify_timed(ident, params, DEFAULT_TOL, DEFAULT_CONFIG))
+               for ident, params in default_grid()]
+    keys = {key for rec in records for key in rec}
+    assert {"stated_zeta_form", "stated_matches"} <= keys  # EX4's extras
+    assert any(type(rec["params"].get("which")) is str for rec in records)
+    assert any(type(rec["params"].get("form")) is str for rec in records)
+    for rec in records:
+        assert _json_record(rec) == _old_json_record(rec)
+    odd = {"none": None, "nan": math.nan, "inf": -math.inf, "big": 2**70, "text": 'a"b'}
+    assert _json_record(odd) == _old_json_record(odd)
+
+
 def test_import_leaves_the_process_pool_out():
-    """concurrent.futures is imported only when verify starts a pool, so
-    import and a cold eval do not pay for it."""
-    code = "import sys, eulersums.cli; print('concurrent.futures' in sys.modules)"
+    """verify runs its grid in one process: neither import nor a verify
+    loads concurrent.futures, so neither pays for it."""
+    code = ("import sys, io; from eulersums.cli import main; "
+            "print('concurrent.futures' in sys.modules); "
+            "sys.stdout = io.StringIO(); main(['verify', 'COR_38']); sys.stdout = sys.__stdout__; "
+            "print('concurrent.futures' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_import_builds_no_memoized_value():

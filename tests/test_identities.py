@@ -141,6 +141,9 @@ class TestVariantClosedForms:
             (rhs_cor_32, (1,)),
             (rhs_thm_311, (1.0, 0, 0)),
             (rhs_cor_310, (0.0, 1)),
+            (rhs_cor_38, (0.0, 1)),
+            (rhs_cor_38, (-1.0, 1)),
+            (rhs_cor_38, (-1.5, 1)),
             (rhs_cor_36, (-1.0, 0)),
         ):
             with pytest.raises(DomainError):
