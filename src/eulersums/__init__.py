@@ -26,7 +26,6 @@ from .jets import (
     RatioVariant,
     gamma_ratio_jet,
     jet_exp,
-    jet_mul,
     ln_gamma_jet,
     mixed_partial,
 )
@@ -51,16 +50,11 @@ from .special import (
     DomainError,
     HarmonicCache,
     PoleError,
-    beta,
     digamma,
-    extended_harmonic,
-    falling_factorial,
     gamma,
-    gen_binom,
     gen_harmonic,
     harmonic,
     hurwitz_zeta,
-    laurent_alpha,
     ln_gamma,
     polygamma,
     riemann_zeta,

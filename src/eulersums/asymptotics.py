@@ -8,12 +8,13 @@ s0 + j: harmonic numbers expand through the Bernoulli series for psi
 (s0 = 0), reciprocal binomials are finite products of shifted reciprocals
 (s0 = n), and gamma ratios, the binomial and central binomial coefficients
 among them, are a power t^-s0 times the exp of the difference of two
-Stirling series.  Depth is counted from each series' own leading order, so a
-product keeps the smaller depth of its operands and no factor is built deeper
-than the product can use.  The class supplies point values and termwise
-derivatives, and log_power_integral the closed-form tail integral
-int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
-Euler-Maclaurin weights.
+Stirling series.  A series keeps the orders s0 .. s0 + depth, and the
+integer depth is the only truncation it knows: each constructor takes the
+number of orders to keep past its own leading one, so a product keeps the
+smaller depth of its operands and no factor is built deeper than the product
+can use.  The class supplies point values and termwise derivatives, and
+log_power_integral the closed-form tail integral int_K^inf ln^a t / t^s dt,
+from which summation.em_tail builds its Euler-Maclaurin weights.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, bernoulli_poly, riemann_zeta
-
-def _depth(s0: float, s_cap: float) -> int:
-    """The last order kept under s_cap: the largest integer j with
-    s0 + j <= s_cap, compared as the exponent s0 + j itself is rounded, so a
-    cap built as s0 + depth keeps exactly depth + 1 orders."""
-    j = math.floor(s_cap - s0)
-    if s0 + (j + 1) <= s_cap:
-        return j + 1
-    return j - 1 if s0 + j > s_cap else j
 
 
 def _offset(s0: float, s: float) -> int:
@@ -44,31 +36,30 @@ def _offset(s0: float, s: float) -> int:
 
 class LogPowerSeries:
     """t^-s0 sum_{a, j} C[a][j] ln(t)^a t^-j over the orders j = 0..depth,
-    exact up to t^-s_cap (s0 + depth <= s_cap < s0 + depth + 1).
+    exact up to t^-(s0 + depth).
 
     `rows[a]` holds C[a][0..depth].  Built from monomials,
-    LogPowerSeries(s_cap, {(a, s): c}), every exponent s must be the smallest
-    one, s0, plus an integer.  A product keeps the smaller of its operands'
-    depths: each is counted from its own leading order, so a factor built
-    deeper than its partner is cut, not carried."""
+    LogPowerSeries(depth, {(a, s): c}), every exponent s must be the smallest
+    one, s0, plus an integer, and the orders past s0 + depth are dropped.  A
+    product keeps the smaller of its operands' depths: each is counted from
+    its own leading order, so a factor built deeper than its partner is cut,
+    not carried."""
 
-    __slots__ = ("s0", "depth", "s_cap", "rows")
+    __slots__ = ("s0", "depth", "rows")
 
-    def __init__(self, s_cap: float, terms: Mapping[tuple[int, float], float]) -> None:
+    def __init__(self, depth: int, terms: Mapping[tuple[int, float], float]) -> None:
         s0 = min((s for _a, s in terms), default=0.0)
-        depth = _depth(s0, s_cap)
         rows = [[0.0] * (depth + 1) for _ in range(1 + max((a for a, _s in terms), default=-1))]
         for (a, s), c in terms.items():
             j = _offset(s0, s)
             if j <= depth:
                 rows[a][j] += c
-        self.s0, self.depth, self.s_cap, self.rows = s0, depth, s_cap, rows
+        self.s0, self.depth, self.rows = s0, depth, rows
 
     @classmethod
-    def _of(cls, s0: float, depth: int, s_cap: float,
-            rows: Sequence[Sequence[float]]) -> "LogPowerSeries":
+    def _of(cls, s0: float, depth: int, rows: Sequence[Sequence[float]]) -> "LogPowerSeries":
         out = cls.__new__(cls)
-        out.s0, out.depth, out.s_cap, out.rows = s0, depth, s_cap, rows
+        out.s0, out.depth, out.rows = s0, depth, rows
         return out
 
     def _monomials(self) -> Iterator[tuple[int, float, float]]:
@@ -85,7 +76,7 @@ class LogPowerSeries:
         return MappingProxyType({(a, s): c for a, s, c in self._monomials()})
 
     def __repr__(self) -> str:
-        return f"LogPowerSeries({self.s_cap!r}, {dict(self.terms)!r})"
+        return f"LogPowerSeries({self.depth!r}, {dict(self.terms)!r})"
 
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
         s0 = min(self.s0, other.s0)
@@ -96,7 +87,7 @@ class LogPowerSeries:
             for row, f_row in zip(rows, f_rows):
                 for j, c in enumerate(f_row[: max(depth + 1 - off, 0)]):
                     row[off + j] += c
-        return self._of(s0, depth, min(self.s_cap, other.s_cap), rows)
+        return self._of(s0, depth, rows)
 
     def __mul__(self, other: "LogPowerSeries") -> "LogPowerSeries":
         n = min(self.depth, other.depth) + 1
@@ -109,25 +100,25 @@ class LogPowerSeries:
                     if c1:
                         for j2 in range(n - j1):
                             out[j1 + j2] += c1 * r2[j2]
-        s_cap = min(self.s_cap + other.s0, other.s_cap + self.s0)
-        return self._of(self.s0 + other.s0, n - 1, s_cap, rows)
+        return self._of(self.s0 + other.s0, n - 1, rows)
 
     def frozen(self) -> "LogPowerSeries":
         """The same series with tuple rows, safe to share: every operation
         reads its operands and builds a new series."""
-        return self._of(self.s0, self.depth, self.s_cap, tuple(map(tuple, self.rows)))
+        return self._of(self.s0, self.depth, tuple(map(tuple, self.rows)))
 
     def scaled(self, c: float) -> "LogPowerSeries":
-        return self._of(self.s0, self.depth, self.s_cap, [[c * v for v in row] for row in self.rows])
+        return self._of(self.s0, self.depth, [[c * v for v in row] for row in self.rows])
 
     def plus_const(self, c: float) -> "LogPowerSeries":
-        return self + LogPowerSeries(self.s_cap, {(0, 0.0): c})
+        """The series plus c t^0, the constant kept to the same last order."""
+        return self + LogPowerSeries(round(self.s0) + self.depth, {(0, 0.0): c})
 
     def diff(self) -> "LogPowerSeries":
         """Termwise d/dt: C[a][j] ln^a t t^-(s0+j) gives a C[a][j] ln^(a-1) t
         and -(s0+j) C[a][j] ln^a t, both at t^-(s0+j+1): a shift of s0 by one
-        and two scalings, at the same depth, so the cap moves up by one and
-        every derivative keeps as many orders as the series it came from.
+        and two scalings, at the same depth, so every derivative keeps as many
+        orders as the series it came from.
         """
         s0, rows = self.s0, self.rows
         out = []
@@ -136,7 +127,7 @@ class LogPowerSeries:
             if a + 1 < len(rows):
                 new = [(a + 1) * d + v for d, v in zip(rows[a + 1], new)]
             out.append(new)
-        return self._of(s0 + 1.0, self.depth, self.s_cap + 1.0, out)
+        return self._of(s0 + 1.0, self.depth, out)
 
     def __call__(self, t: float) -> float:
         lt, s0 = math.log(t), self.s0
@@ -161,83 +152,82 @@ def log_power_integral(a: int, s: float, K: float) -> float:
     return acc
 
 
-def one(s_cap: float) -> LogPowerSeries:
-    return LogPowerSeries(s_cap, {(0, 0.0): 1.0})
+def one(depth: int) -> LogPowerSeries:
+    return LogPowerSeries(depth, {(0, 0.0): 1.0})
 
 
-def psi_shifted(scale: float, s_cap: float) -> LogPowerSeries:
+def psi_shifted(scale: float, depth: int) -> LogPowerSeries:
     """Expansion of psi(scale*t + 1) for large t:
     ln(scale) + ln t + 1/(2 scale t) - sum_j B_2j / (2j (scale t)^{2j})."""
     terms = {(0, 0.0): math.log(scale), (1, 0.0): 1.0, (0, 1.0): 0.5 / scale}
     for j, b in enumerate(BERNOULLI_2J, start=1):
         terms[(0, 2.0 * j)] = -b / (2 * j * scale ** (2 * j))
-    return LogPowerSeries(s_cap, terms)
+    return LogPowerSeries(depth, terms)
 
 
-def harmonic_lp(s_cap: float) -> LogPowerSeries:
+def harmonic_lp(depth: int) -> LogPowerSeries:
     """H_t = gamma + psi(t+1)."""
-    return psi_shifted(1.0, s_cap).plus_const(EULER_GAMMA)
+    return psi_shifted(1.0, depth).plus_const(EULER_GAMMA)
 
 
-def harmonic_prev_lp(s_cap: float) -> LogPowerSeries:
+def harmonic_prev_lp(depth: int) -> LogPowerSeries:
     """H_{t-1} = H_t - 1/t (exact)."""
-    return harmonic_lp(s_cap) + LogPowerSeries(s_cap, {(0, 1.0): -1.0})
+    return harmonic_lp(depth) + LogPowerSeries(depth - 1, {(0, 1.0): -1.0})
 
 
-def gen_harmonic_lp(m: int, s_cap: float) -> LogPowerSeries:
+def gen_harmonic_lp(m: int, depth: int) -> LogPowerSeries:
     """H_t^(m) = zeta(m) + (-1)^(m-1)/(m-1)! psi^(m-1)(t+1) for m >= 2."""
     if m < 2:
         raise DomainError(f"gen_harmonic_lp requires m >= 2, got {m}")
-    d = psi_shifted(1.0, s_cap)
+    d = psi_shifted(1.0, depth)
     for _ in range(m - 1):
         d = d.diff()
     sign = 1.0 if (m - 1) % 2 == 0 else -1.0
     return d.scaled(sign / math.factorial(m - 1)).plus_const(riemann_zeta(float(m)))
 
 
-def gen_harmonic_prev_lp(m: int, s_cap: float) -> LogPowerSeries:
+def gen_harmonic_prev_lp(m: int, depth: int) -> LogPowerSeries:
     """H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
-    return gen_harmonic_lp(m, s_cap) + LogPowerSeries(s_cap, {(0, float(m)): -1.0})
+    return gen_harmonic_lp(m, depth) + LogPowerSeries(depth - m, {(0, float(m)): -1.0})
 
 
-def central_harmonic_diff_lp(s_cap: float) -> LogPowerSeries:
+def central_harmonic_diff_lp(depth: int) -> LogPowerSeries:
     """H_t - 2 H_{2t} = psi(t+1) - 2 psi(2t+1) - gamma."""
-    return (psi_shifted(1.0, s_cap) + psi_shifted(2.0, s_cap).scaled(-2.0)).plus_const(-EULER_GAMMA)
+    return (psi_shifted(1.0, depth) + psi_shifted(2.0, depth).scaled(-2.0)).plus_const(-EULER_GAMMA)
 
 
-def recip_power_shift(c: float, s: float, s_cap: float) -> LogPowerSeries:
+def recip_power_shift(c: float, s: float, depth: int) -> LogPowerSeries:
     """(t + c)^(-s) expanded in 1/t: sum_j binom(-s, j) c^j t^(-s-j)."""
-    depth = _depth(s, s_cap)
     row = []
     coeff = 1.0
     for j in range(depth + 1):
         row.append(coeff)
         coeff *= -(s + j) * c / (j + 1)
-    return LogPowerSeries._of(s, depth, s_cap, [row])
+    return LogPowerSeries._of(s, depth, [row])
 
 
-def inv_binomial_lp(n: int, s_cap: float) -> LogPowerSeries:
+def inv_binomial_lp(n: int, depth: int) -> LogPowerSeries:
     """1 / binom(n+t, t) = n! / ((t+1)(t+2)...(t+n)), each ratio i/(t+i)
     built at the depth the product keeps."""
-    depth = _depth(float(n), s_cap)
-    out = one(float(depth))
+    out = one(depth)
     for i in range(1, n + 1):
-        out = out * recip_power_shift(float(i), 1.0, 1.0 + depth).scaled(float(i))
+        out = out * recip_power_shift(float(i), 1.0, depth).scaled(float(i))
     return out
 
 
 def exp_lp(x: LogPowerSeries) -> LogPowerSeries:
-    """exp of a series with no constant or log part and min decay >= 1."""
+    """exp of a series with no constant or log part and min decay >= 1, kept
+    to the last order of x."""
     if any(a != 0 or s < 1.0 for (a, s) in x.terms):
         raise DomainError("exp_lp needs a pure power series with decay >= 1")
-    out = power = one(x.s_cap)
+    out = power = one(round(x.s0) + x.depth)
     for i in range(1, out.depth + 1):
         power = power * x
         out = out + power.scaled(1.0 / math.factorial(i))
     return out
 
 
-def gamma_ratio_lp(a: float, b: float, s_cap: float) -> LogPowerSeries:
+def gamma_ratio_lp(a: float, b: float, depth: int) -> LogPowerSeries:
     """Gamma(t + a) / Gamma(t + b) = t^(a-b) exp(sum_{n>=1} d_n t^-n) with
     d_n = (-1)^(n+1) (B_{n+1}(a) - B_{n+1}(b)) / (n (n+1)), the difference of
     the Stirling series of ln Gamma(t + a) and ln Gamma(t + b) (Tricomi and
@@ -245,14 +235,14 @@ def gamma_ratio_lp(a: float, b: float, s_cap: float) -> LogPowerSeries:
     hand, and so does its exp: the orders past t^(a-b-24) are dropped, which
     are below the leading one by about (max(|a|, |b|)^2 / t)^25 / 25!.
     """
-    lead = b - a
-    depth = min(_depth(lead, s_cap), 24)
-    corr = {}
+    depth = min(depth, 24)
+    exponent = []
     for n in range(1, depth + 1):
         d = (bernoulli_poly(n + 1, a) - bernoulli_poly(n + 1, b)) / (n * (n + 1))
-        corr[(0, float(n))] = d if n % 2 else -d
-    ratio = exp_lp(LogPowerSeries(float(depth), corr))
-    return LogPowerSeries._of(lead, depth, min(s_cap, lead + depth), ratio.rows)
+        exponent.append(d if n % 2 else -d)
+    # t^-1 .. t^-depth: depth - 1 orders past its leading one
+    ratio = exp_lp(LogPowerSeries._of(1.0, depth - 1, [exponent]))
+    return LogPowerSeries._of(b - a, depth, ratio.rows)
 
 
 __all__ = [

@@ -33,7 +33,6 @@ from .jets import (
     RatioVariant,
     gamma_ratio_jet,
     jet_exp,
-    jet_mul,
     ln_gamma_jet,
     mixed_partial,
     psi_derivatives,
@@ -259,7 +258,8 @@ def rhs_cor_36(p: float, m: int) -> float:
     ratio = jet_exp(ln_gamma_jet(p, m) - ln_gamma_jet(p + 0.5, m))
     delta = -psi_jet(p + 0.5, m)
     delta[0] += digamma(0.5)
-    return SQRT_PI * _sign(m) * float(jet_mul(ratio, delta)[m])
+    # coefficient m of the Cauchy product ratio * delta, as one dot
+    return SQRT_PI * _sign(m) * float(ratio.dot(delta[::-1]))
 
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:

@@ -20,15 +20,17 @@ divide its entries by k! and keep each read-only array by its exact
 (a, order), so every caller shares it: a polygamma value is computed once
 per process.  series._cache.cache_clear() drops them all.
 
-A jet has at most MAX_OZ + 1 = 13 coefficients, so per-call overhead sets
-its cost.  The kernels make few calls and keep every bit of the plain loops
-(one np.dot per coefficient) they replace.  The Cauchy products of one exp
-step are one batched np.matmul over zero-padded Toeplitz gathers, row q
-holding ca[0..q] and cb[q..0]: on C-contiguous rows each coefficient is the
-loop's dot, which OpenBLAS computes as a sequential fused multiply-add chain
-up to 15 terms, and trailing zeros add nothing to it.  The gathers are
-copies, so a strided operand gets the bits of its contiguous copy (a strided
-row would take numpy's other dot loop).  The exp recurrence sums left to
+A bivariate jet has at most MAX_OZ + 1 = 13 coefficients per row, so
+per-call overhead sets its cost.  The kernels make few calls and keep every
+bit of the plain loops (one np.dot per coefficient) they replace.  The
+Cauchy products of one exp step are one batched np.matmul over zero-padded
+Toeplitz gathers, row q holding ca[0..q] and cb[q..0]: on C-contiguous rows
+each coefficient is the loop's dot, which OpenBLAS computes as a sequential
+fused multiply-add chain up to 15 terms, and trailing zeros add nothing to
+it.  The gathers are copies, so a strided operand gets the bits of its
+contiguous copy (a strided row would take numpy's other dot loop).  A
+closed form that needs one coefficient of a univariate product takes it as
+one np.dot (identities.rhs_cor_36).  The exp recurrence sums left to
 right on Python floats, never with sum(), which compensates from Python 3.12
 on.  The bits are numpy's rather than a correctly rounded fsum's on purpose:
 at closed-form points within one rounding of their tolerance, exact dots
@@ -49,24 +51,6 @@ MAX_OX = 3
 MAX_OZ = 12
 
 
-class JetMismatchError(ValueError):
-    """Operands disagree on truncation order."""
-
-
-def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated Cauchy product of two univariate jets."""
-    if len(a) != len(b):
-        raise JetMismatchError(f"jet mismatch: order {len(a) - 1} vs {len(b) - 1}")
-    return _conv1(a, b)
-
-
-# Cauchy products of at most this many coefficients are batched dots: padding
-# a row with zeros leaves a sequential dot's bits alone, but OpenBLAS sums 16
-# or more entries over several vector accumulators, so a longer product keeps
-# one dot per coefficient.
-_BATCH_MAX = MAX_OZ + 1
-
-
 @memo
 def _gather(pairs: int, n: int) -> np.ndarray:
     """Index table into concatenate((ca.ravel(), cb.ravel(), [0.0])) for
@@ -85,15 +69,11 @@ def _gather(pairs: int, n: int) -> np.ndarray:
 
 def _conv1(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product along the last axis, of one pair of
-    coefficient arrays or of a stack of pairs."""
+    coefficient arrays or of a stack of pairs, at most MAX_OZ + 1 = 13
+    coefficients long: padding a row with zeros leaves a sequential dot's
+    bits alone, but OpenBLAS sums 16 or more entries over several vector
+    accumulators."""
     n = ca.shape[-1]
-    if n > _BATCH_MAX:
-        out = np.zeros(ca.shape)
-        for pair in np.ndindex(ca.shape[:-1]):
-            a, b = np.ascontiguousarray(ca[pair]), np.ascontiguousarray(cb[pair])
-            for k in range(n):
-                out[pair + (k,)] = np.dot(a[: k + 1], b[k::-1])
-        return out
     rows = np.concatenate((ca.ravel(), cb.ravel(), (0.0,)))[_gather(ca.size // n, n)]
     return np.matmul(rows[0][:, None, :], rows[1][:, :, None]).reshape(ca.shape)
 

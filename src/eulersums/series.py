@@ -31,7 +31,7 @@ from .summation import NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
 
-# Orders kept in each tail model past its leading decay s0: s_cap = s0 + _DEPTH.
+# Orders kept in each tail model past its leading decay s0, up to t^-(s0 + _DEPTH).
 # The model is the 1/t expansion of the term, and the shifted power
 # (c + t)^-s in it falls from order j to j + 1 by c (s + j) / ((j + 1) t), c
 # being its shift (p + n, n + 1, p or 1/2; 1/binom(n+t, t) and the harmonic
@@ -49,7 +49,7 @@ K_CROSSOVER = 1_000
 #       150 _U at depth 7, 2.6 _U at depth 8.
 # Hence depth 8.  test_em_oracles checks the reported bound against 5 _U
 # |value| for every parameter set it pins.
-_DEPTH = 8.0
+_DEPTH = 8
 
 # Head rounding is counted in units of _U, to first order: 1 per rounded
 # +, -, *, /; 2 per pow and per cached harmonic number (a compensated sum); a
@@ -106,10 +106,10 @@ def _kept(head: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
 class _Factor(NamedTuple):
     """One factor of a series term.  `head(lo)` gives its values at the
     summed k = lo..K; `tail` is its expansion in 1/t, built _DEPTH orders past
-    its leading power `decay`.  `rounding + rounding_per_k k` bounds the
+    its leading power t^-tail.s0.  `rounding + rounding_per_k k` bounds the
     relative rounding error of its value at k, in units of _U; `divides` says
-    the term divides by it.  `s_rounding` bounds, in units of _U s_cap, how
-    far the expansion's exponents were rounded.
+    the term divides by it.  `s_rounding` bounds, in units of _U times the
+    model's last exponent, how far the expansion's exponents were rounded.
 
     A factor depends on its constructor's arguments alone, so each
     constructor below is memoized (special.memo): its head arrays and its
@@ -118,7 +118,6 @@ class _Factor(NamedTuple):
 
     head: Callable[[int], np.ndarray]
     tail: ap.LogPowerSeries
-    decay: float
     rounding: float
     rounding_per_k: float = 0.0
     divides: bool = False
@@ -128,8 +127,8 @@ class _Factor(NamedTuple):
 def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
     k <= K exactly, the rest by em_tail on the product of their tails.  Each
-    tail keeps _DEPTH orders past its own decay, so the product keeps _DEPTH
-    orders past its leading one, s_cap = (sum of decays) + _DEPTH.
+    tail keeps _DEPTH orders past its own leading one, and so does the
+    product, up to t^-(model.s0 + model.depth).
 
     The estimate adds the em_tail error, the head's rounding (the factors'
     own plus 1 per * or /) and the two final roundings.  A model whose
@@ -147,8 +146,7 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     per_k = sum(f.rounding_per_k for f in factors)
     if per_k:
         roundings = per_k * _ks(lo) + roundings
-    s_cap = sum(f.decay for f in factors) + _DEPTH
-    s_rounding = sum(f.s_rounding for f in factors) * _U * s_cap
+    s_rounding = sum(f.s_rounding for f in factors) * _U * (model.s0 + model.depth)
 
     exact = math.fsum(memoryview(terms))  # the same floats in order, without a list
     tail, err = em_tail(model, K_CROSSOVER)
@@ -167,8 +165,8 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
 #
 # Each head is _kept: computed on its factor's first sum from lo and then
 # read, like the tail, by every sum that shares the factor.  Tails are built
-# here, at s_cap = decay + _DEPTH, by the asymptotics constructors, looked up
-# as ap.<name> at call time.
+# here, _DEPTH orders past their leading one, by the asymptotics constructors,
+# looked up as ap.<name> at call time.
 
 
 @memo
@@ -186,7 +184,7 @@ def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
         tail = (ap.harmonic_prev_lp if prev else ap.harmonic_lp)(_DEPTH)
     else:
         tail = (ap.gen_harmonic_prev_lp if prev else ap.gen_harmonic_lp)(order, _DEPTH)
-    return _Factor(head, tail.frozen(), 0.0, 1.0 if order > 3 else 2.0, float(order > 3))
+    return _Factor(head, tail.frozen(), 1.0 if order > 3 else 2.0, float(order > 3))
 
 
 @memo
@@ -195,7 +193,7 @@ def _harmonic_square_diff(prev: bool = False) -> _Factor:
     difference's rounding peaks at k = 2, at 15."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
     tail = h.tail * h.tail + h2.tail.scaled(-1.0)
-    return _Factor(_kept(lambda lo: h.head(lo) ** 2 - h2.head(lo)), tail.frozen(), 0.0, 15.0)
+    return _Factor(_kept(lambda lo: h.head(lo) ** 2 - h2.head(lo)), tail.frozen(), 15.0)
 
 
 @memo
@@ -206,7 +204,7 @@ def _central_harmonic_diff() -> _Factor:
         h = _cache().h1
         return h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2]
 
-    return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH).frozen(), 0.0, 7.0)
+    return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH).frozen(), 7.0)
 
 
 @memo
@@ -220,7 +218,7 @@ def _inv_binomial(n: int) -> _Factor:
             out *= i / (_ks(lo) + i)
         return out
 
-    return _Factor(head, ap.inv_binomial_lp(n, n + _DEPTH).frozen(), n, 2.0 * n)
+    return _Factor(head, ap.inv_binomial_lp(n, _DEPTH).frozen(), 2.0 * n)
 
 
 @memo
@@ -232,8 +230,8 @@ def _central_binomial() -> _Factor:
         k = _ks(1)
         return np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))[lo:]
 
-    tail = ap.gamma_ratio_lp(0.5, 1.0, 0.5 + _DEPTH).scaled(1.0 / math.sqrt(math.pi))
-    return _Factor(head, tail.frozen(), 0.5, 0.0, 2.0)
+    tail = ap.gamma_ratio_lp(0.5, 1.0, _DEPTH).scaled(1.0 / math.sqrt(math.pi))
+    return _Factor(head, tail.frozen(), 0.0, 2.0)
 
 
 @memo
@@ -254,9 +252,8 @@ def _signed_binomial(x: float) -> _Factor:
         k = _ks(1)
         return np.concatenate(([1.0], np.cumprod((k - 1.0 - x) / k)))[lo:]
 
-    decay = x + 1.0
-    tail = ap.gamma_ratio_lp(-x, 1.0, decay + _DEPTH).scaled(1.0 / g)
-    return _Factor(head, tail.frozen(), decay, 0.0, 3.0, s_rounding=3.0)
+    tail = ap.gamma_ratio_lp(-x, 1.0, _DEPTH).scaled(1.0 / g)
+    return _Factor(head, tail.frozen(), 0.0, 3.0, s_rounding=3.0)
 
 
 @memo
@@ -282,19 +279,15 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
             out = (c + k if c else k) ** (s if divides else -float(s))
             return k * out if times_k else out
 
-    decay = s + 1 if times_k else s
-    s_cap = decay + _DEPTH
-    cap = s_cap - times_k  # the factor k takes one order of the decay
-    tail = ap.recip_power_shift(c, float(s), cap) if c else _t_power(float(s), cap)
+    tail = ap.recip_power_shift(c, float(s), _DEPTH) if c else _t_power(float(s))
     if times_k:
-        tail = tail * _t_power(1.0, s_cap)
-    return _Factor(head, tail.frozen(), decay, 2.0 + base_roundings * s + times_k,
-                   divides=divides)
+        tail = tail * _t_power(1.0)
+    return _Factor(head, tail.frozen(), 2.0 + base_roundings * s + times_k, divides=divides)
 
 
-def _t_power(s: float, s_cap: float) -> ap.LogPowerSeries:
+def _t_power(s: float) -> ap.LogPowerSeries:
     """t^-s, the expansion of (c + t)^-s at c = 0."""
-    return ap.LogPowerSeries(s_cap, {(0, s): 1.0})
+    return ap.LogPowerSeries(_DEPTH, {(0, s): 1.0})
 
 
 def _check_nm(n: int, m: int, m_min: int) -> None:

@@ -202,78 +202,6 @@ def gen_harmonic(n: int, m: int) -> float:
     return _gen_harmonic(n, m)
 
 
-def extended_harmonic(eta: float, m: int) -> float:
-    """Harmonic number of real index eta >= order m, via psi/polygamma."""
-    if m < 1:
-        raise DomainError(f"extended_harmonic requires m >= 1, got {m}")
-    if eta <= -0.5 and abs(eta - round(eta)) < _INT_TOL:
-        raise PoleError(f"extended_harmonic pole at eta = {eta}")
-    if m == 1:
-        return EULER_GAMMA + digamma(eta + 1.0)
-    sign = 1.0 if (m - 1) % 2 == 0 else -1.0
-    return riemann_zeta(float(m)) + sign / math.factorial(m - 1) * polygamma(m - 1, eta + 1.0)
-
-
-def gen_binom(s: float, t: float) -> float:
-    """Binomial coefficient C(s, t) = Gamma(s+1)/(Gamma(t+1) Gamma(s-t+1)).
-
-    When exactly one denominator gamma sits on a pole while the numerator
-    does not, the coefficient is the limiting value 0 (this is what makes
-    C(n, k) vanish for integer k > n >= 0).
-    """
-    if _is_nonpositive_integer(s + 1.0):
-        raise PoleError(f"gen_binom pole: Gamma({s + 1}) diverges")
-    if (
-        s == int(s)
-        and t == int(t)
-        and s >= 0
-        and 0 <= t <= s
-    ):
-        return float(math.comb(int(s), int(t)))
-    den_poles = int(_is_nonpositive_integer(t + 1.0)) + int(_is_nonpositive_integer(s - t + 1.0))
-    if den_poles:
-        return 0.0
-    num, sg = _ln_abs_gamma(s + 1.0)
-    d1, g1 = _ln_abs_gamma(t + 1.0)
-    d2, g2 = _ln_abs_gamma(s - t + 1.0)
-    return sg * g1 * g2 * math.exp(num - d1 - d2)
-
-
-def _ln_abs_gamma(x: float) -> tuple[float, float]:
-    """(ln|Gamma(x)|, sign of Gamma(x)) for non-pole x."""
-    if x > 0.0:
-        return math.lgamma(x), 1.0
-    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
-    return math.lgamma(x), sign
-
-
-def beta(mu: float, nu: float) -> float:
-    """Euler beta B(mu, nu) for mu, nu > 0."""
-    if mu <= 0.0 or nu <= 0.0:
-        raise DomainError(f"beta requires positive arguments, got ({mu}, {nu})")
-    return math.exp(math.lgamma(mu) + math.lgamma(nu) - math.lgamma(mu + nu))
-
-
-def falling_factorial(lam: float, l: int) -> float:
-    """lam (lam-1) ... (lam-l+1); empty product 1 for l = 0."""
-    if l < 0:
-        raise DomainError(f"falling_factorial requires l >= 0, got {l}")
-    out = 1.0
-    for i in range(l):
-        out *= lam - i
-    return out
-
-
-def laurent_alpha(n: int, k: int) -> float:
-    """Coefficient (-1)^n zeta(n) + H_k^(n) from the psi Laurent data at -k."""
-    if n < 2:
-        raise DomainError(f"laurent_alpha requires n >= 2, got {n}")
-    if k < 0:
-        raise DomainError(f"laurent_alpha requires k >= 0, got {k}")
-    sign = 1.0 if n % 2 == 0 else -1.0
-    return sign * riemann_zeta(float(n)) + gen_harmonic(k, n)
-
-
 @dataclass(frozen=True)
 class HarmonicCache:
     """Read-only table of H_n, H_n^(2), H_n^(3) for n = 0..n_max."""

@@ -115,7 +115,7 @@ def _em_row(s0: float, depth: int, a: int, K: int, order: int) -> tuple:
     lx, lx1 = math.log(x), math.log(x + 1.0)
     diverges = _diverges(s0, depth)
     basis = [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)]
-    model = LogPowerSeries._of(s0, depth, s0 + depth, basis)
+    model = LogPowerSeries._of(s0, depth, basis)
     f0 = tuple(_columns(model, x, lx))
     f1 = tuple(_columns(model, x + 1.0, lx1))
     integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0
@@ -148,8 +148,8 @@ def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
     plus a bound on the orders the model dropped.  The expansions are
     asymptotic in c/t, with c the largest shift in their factors, so at
     t >= x the dropped orders are smaller than the last kept one, j = depth,
-    by a further factor of about c s_cap / x; the tail integral of that order,
-    taken with |C| so that no cancellation hides it, bounds them.
+    by a further factor of about c (s0 + depth) / x; the tail integral of
+    that order, taken with |C| so that no cancellation hides it, bounds them.
 
     Each of these is one fsum of the model's coefficients times their
     _em_weights.  A tail that grows from x to x + 1 raises

@@ -113,10 +113,19 @@ def test_tail_model_is_the_head_term(tail_models, name):
         # to the tail: the bound em_tail itself reports
         depth_bound = truncation_bound(model, x) / abs(tail_integral(model, x))
         # exponents off the multiples of 1/2 (x + 1 + m at x = -0.9) are rounded,
-        # each by up to 3 U s_cap, and t^-s moves by that times ln t
+        # each by up to 3 U times the last exponent s0 + depth, and t^-s moves
+        # by that times ln t
         rounded = any((2 * s) % 1 for _a, s in model.terms)
-        s_bound = 1.5 * ULP * model.s_cap * math.log(x) if rounded else 0.0
+        s_bound = 1.5 * ULP * (model.s0 + model.depth) * math.log(x) if rounded else 0.0
         assert abs(model(x) - want) <= (8 * ULP + depth_bound + s_bound) * abs(want), (name, params)
+
+
+def test_every_tail_model_is_built_at_the_depth(tail_models):
+    """Depth is the one truncation a tail model knows: every model a pinned
+    oracle hands to em_tail keeps series._DEPTH orders past its leading one."""
+    for name, (params_list, _) in ORACLES.items():
+        for params in params_list:
+            assert tail_models(name, *params).depth == series._DEPTH, (name, params)
 
 
 @pytest.mark.parametrize("name", ORACLES)

@@ -12,16 +12,11 @@ from eulersums import (
     DomainError,
     HarmonicCache,
     PoleError,
-    beta,
     digamma,
-    extended_harmonic,
-    falling_factorial,
     gamma,
-    gen_binom,
     gen_harmonic,
     harmonic,
     hurwitz_zeta,
-    laurent_alpha,
     ln_gamma,
     polygamma,
     riemann_zeta,
@@ -165,60 +160,6 @@ class TestHarmonic:
             gen_harmonic(-1, 1)
         with pytest.raises(DomainError):
             gen_harmonic(3, 0)
-
-
-class TestExtendedHarmonic:
-    def test_integer_consistency(self):
-        assert_close(extended_harmonic(3.0, 1), 11.0 / 6.0, 1e-12)
-        assert_close(extended_harmonic(2.0, 2), 1.25, 1e-11)
-
-    def test_half(self):
-        assert_close(extended_harmonic(0.5, 1), 2.0 - 2.0 * math.log(2.0), 1e-12)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            extended_harmonic(-2.0, 1)
-
-
-class TestGenBinom:
-    def test_n_zero_row(self):
-        for k in range(0, 6):
-            assert gen_binom(float(k), float(k)) == 1.0
-            assert gen_binom(0.0 + k, float(k)) == 1.0
-
-    def test_half(self):
-        assert_close(gen_binom(0.5, 2.0), -0.125, 1e-13)
-
-    def test_integers(self):
-        assert gen_binom(5.0, 2.0) == 10.0
-
-    def test_vanishing(self):
-        assert gen_binom(5.0, 7.0) == 0.0
-        assert gen_binom(5.0, -1.0) == 0.0
-        assert gen_binom(3.0, 5.5) != 0.0  # no pole in the denominator here
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            gen_binom(-2.0, 1.0)
-
-
-class TestBetaFalling:
-    def test_beta(self):
-        assert beta(1.0, 1.0) == 1.0
-        assert_close(beta(0.5, 0.5), math.pi, 1e-13)
-        assert_close(beta(2.0, 3.0), 1.0 / 12.0, 1e-13)
-        with pytest.raises(DomainError):
-            beta(-1.0, 2.0)
-
-    def test_falling_factorial(self):
-        assert falling_factorial(12.34, 0) == 1.0
-        assert falling_factorial(5.0, 3) == 60.0
-        assert falling_factorial(0.5, 2) == -0.25
-
-    def test_laurent_alpha(self):
-        assert_close(laurent_alpha(2, 0), ZETA2, 1e-14)
-        assert_close(laurent_alpha(3, 0), -ZETA3, 1e-14)
-        assert_close(laurent_alpha(2, 2), ZETA2 + 1.25, 1e-14)
 
 
 class TestHarmonicCache:

@@ -81,7 +81,7 @@ class TestEvalConfig:
 
 class TestLogPowerSeries:
     def test_eval_and_diff(self):
-        f = LogPowerSeries(10.0, {(1, 2.0): 1.0})  # ln t / t^2
+        f = LogPowerSeries(8, {(1, 2.0): 1.0})  # ln t / t^2
         t = 7.0
         assert_close(f(t), math.log(t) / t**2, 1e-14)
         df = f.diff()
@@ -98,26 +98,26 @@ class TestLogPowerSeries:
     def test_truncation_bound_is_last_kept_order(self):
         # em_tail's error is the first omitted correction plus the tail
         # integral of the last kept order, taken with |C|
-        f = LogPowerSeries(5.0, {(0, 2.5): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
+        f = LogPowerSeries(2, {(0, 2.5): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
         K = 50
         x = K + 1.0
         last = 2.0 * log_power_integral(1, 4.5, x)
         assert truncation_bound(f, x) == last
         assert em_tail(f, K)[1] == pytest.approx(_omitted_correction(f, x) + last, rel=4 * ULP)
-        g = LogPowerSeries(5.0, {(0, 2.0): 1.0})  # depth 3, its last order 0
+        g = LogPowerSeries(3, {(0, 2.0): 1.0})  # its last order is 0
         assert truncation_bound(g, x) == 0.0
         assert em_tail(g, K)[1] == pytest.approx(_omitted_correction(g, x), rel=4 * ULP)
         # a derivative keeps as many orders as the series it came from
-        assert f.diff().s_cap == 6.0
+        assert f.diff().depth == f.depth
 
     def test_exponents_off_one_lattice_are_rejected(self):
         # the dense form stores orders s0 + j for integer j only
         with pytest.raises(DomainError):
-            LogPowerSeries(5.0, {(0, 2.0): 1.0, (0, 3.5): 0.5})
+            LogPowerSeries(3, {(0, 2.0): 1.0, (0, 3.5): 0.5})
 
     def test_product(self):
-        f = LogPowerSeries(10.0, {(1, 1.0): 2.0})
-        g = LogPowerSeries(10.0, {(1, 2.0): 3.0})
+        f = LogPowerSeries(9, {(1, 1.0): 2.0})
+        g = LogPowerSeries(8, {(1, 2.0): 3.0})
         h = f * g
         t = 5.0
         assert_close(h(t), 6.0 * math.log(t) ** 2 / t**3, 1e-14)
@@ -130,34 +130,34 @@ class TestAsymptoticModels:
 
     def test_harmonic(self):
         h = math.fsum(1.0 / k for k in range(1, self.T + 1))
-        assert_close(harmonic_lp(14.0)(float(self.T)), h, 1e-14)
+        assert_close(harmonic_lp(14)(float(self.T)), h, 1e-14)
 
     def test_gen_harmonic(self):
         h2 = math.fsum(k**-2.0 for k in range(1, self.T + 1))
-        assert_close(gen_harmonic_lp(2, 14.0)(float(self.T)), h2, 1e-14)
+        assert_close(gen_harmonic_lp(2, 14)(float(self.T)), h2, 1e-14)
         h3 = math.fsum(k**-3.0 for k in range(1, self.T + 1))
-        assert_close(gen_harmonic_lp(3, 14.0)(float(self.T)), h3, 1e-14)
+        assert_close(gen_harmonic_lp(3, 14)(float(self.T)), h3, 1e-14)
 
     def test_central_binomial(self):
         cb = 1.0
         for i in range(1, self.T + 1):
             cb *= (2 * i - 1) / (2.0 * i)
-        model = gamma_ratio_lp(0.5, 1.0, 14.0).scaled(1.0 / math.sqrt(math.pi))
+        model = gamma_ratio_lp(0.5, 1.0, 13).scaled(1.0 / math.sqrt(math.pi))
         assert_close(model(float(self.T)), cb, 1e-13)
 
     def test_central_harmonic_diff(self):
         hk = math.fsum(1.0 / k for k in range(1, self.T + 1))
         h2k = math.fsum(1.0 / k for k in range(1, 2 * self.T + 1))
-        assert_close(central_harmonic_diff_lp(14.0)(float(self.T)), hk - 2.0 * h2k, 1e-13)
+        assert_close(central_harmonic_diff_lp(14)(float(self.T)), hk - 2.0 * h2k, 1e-13)
 
     def test_inv_binomial(self):
         n = 3
         t = float(self.T)
         want = math.factorial(n) / ((t + 1) * (t + 2) * (t + 3))
-        assert_close(inv_binomial_lp(n, 16.0)(t), want, 1e-13)
+        assert_close(inv_binomial_lp(n, 13)(t), want, 1e-13)
 
     def test_recip_power_shift(self):
-        f = recip_power_shift(2.5, 3.0, 16.0)
+        f = recip_power_shift(2.5, 3.0, 13)
         assert_close(f(float(self.T)), (self.T + 2.5) ** -3.0, 1e-13)
 
 
@@ -182,33 +182,34 @@ class TestGammaRatio:
     def test_values(self, a, b):
         t = mp.mpf(400)
         want = mp.gamma(t + a) / mp.gamma(t + b)
-        assert abs(gamma_ratio_lp(a, b, b - a + 12.0)(400.0) - want) <= 8 * ULP * abs(want)
+        assert abs(gamma_ratio_lp(a, b, 12)(400.0) - want) <= 8 * ULP * abs(want)
 
     def test_order_on_the_cap_is_kept(self):
-        # a signed-binomial factor's cap is its decay 1 + x plus a depth: at
-        # this x, s_cap - (1 + x) rounds to just below 8, yet the order at
-        # t^-s_cap, rounded the same way, sits on the cap
+        # a signed-binomial factor leads with t^-(1 + x): at this x,
+        # (1 + x + 8) - (1 + x) rounds to just below 8, yet depth 8 keeps the
+        # order at t^-(1 + x + 8), rounded the same way
         x = -0.1215851027611018
-        s_cap = x + 1.0 + 8.0
-        assert s_cap - (1.0 + x) < 8.0
-        ratio = gamma_ratio_lp(-x, 1.0, s_cap)
+        assert (1 + x + 8) - (1.0 + x) < 8.0
+        ratio = gamma_ratio_lp(-x, 1.0, 8)
         assert len(ratio.terms) == 9
-        assert max(s for _a, s in ratio.terms) == s_cap
+        assert max(s for _a, s in ratio.terms) == 1 + x + 8
 
-    @pytest.mark.parametrize("s_cap", [3.0, 7.5, 16.5, 20.0])
-    def test_central_binomial_is_the_half_case(self, s_cap):
+    @pytest.mark.parametrize("top", [3.0, 7.5, 16.5, 20.0])
+    def test_central_binomial_is_the_half_case(self, top):
         """binom(2t, t)/4^t = Gamma(t + 1/2) / (sqrt(pi) Gamma(t + 1)), against
         its Stirling form exp(sum_j d_j t^(1-2j)) / sqrt(pi t) with
-        d_j = B_2j (2^(1-2j) - 2) / (2j (2j-1)), coefficient by coefficient.
-        B_{n+1}(1/2) and B_{n+1}(1) are sums that cancel to a few ulp of their
-        largest term, which is what the tolerance allows for."""
-        corr = LogPowerSeries(s_cap, {(0, 2.0 * j - 1.0): b * (2.0 ** (1 - 2 * j) - 2.0)
-                                      / (2 * j * (2 * j - 1))
-                                      for j, b in enumerate(BERNOULLI_2J, start=1)
-                                      if 2 * j - 1 <= s_cap})
+        d_j = B_2j (2^(1-2j) - 2) / (2j (2j-1)), coefficient by coefficient
+        down to t^-top.  B_{n+1}(1/2) and B_{n+1}(1) are sums that cancel to a
+        few ulp of their largest term, which is what the tolerance allows for."""
+        corr = LogPowerSeries(math.floor(top) - 1,
+                              {(0, 2.0 * j - 1.0): b * (2.0 ** (1 - 2 * j) - 2.0)
+                               / (2 * j * (2 * j - 1))
+                               for j, b in enumerate(BERNOULLI_2J, start=1)
+                               if 2 * j - 1 <= top})
+        depth = math.floor(top - 0.5)  # orders past the leading t^-1/2
         inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-        want = exp_lp(corr) * LogPowerSeries(s_cap, {(0, 0.5): inv_sqrt_pi})
-        got = gamma_ratio_lp(0.5, 1.0, s_cap).scaled(inv_sqrt_pi)
+        want = exp_lp(corr) * LogPowerSeries(depth, {(0, 0.5): inv_sqrt_pi})
+        got = gamma_ratio_lp(0.5, 1.0, depth).scaled(inv_sqrt_pi)
         assert got.terms.keys() == want.terms.keys()
         for key, c in want.terms.items():
             assert abs(got.terms[key] - c) <= 1e-12 * abs(c), key
@@ -216,13 +217,13 @@ class TestGammaRatio:
 
 class TestEmTail:
     def test_inverse_square(self):
-        f = LogPowerSeries(14.0, {(0, 2.0): 1.0})
+        f = LogPowerSeries(12, {(0, 2.0): 1.0})
         tail, err = em_tail(f, 100)
         assert_close(tail, hurwitz_zeta(2.0, 101.0), 1e-12)
         assert err < 1e-20
 
     def test_inverse_fourth(self):
-        f = LogPowerSeries(16.0, {(0, 4.0): 1.0})
+        f = LogPowerSeries(12, {(0, 4.0): 1.0})
         tail, _ = em_tail(f, 50)
         assert_close(tail, hurwitz_zeta(4.0, 51.0), 1e-13)
 
@@ -234,7 +235,7 @@ class TestEmTail:
         for k in range(1, K + 1):
             h += 1.0 / k
             partial += h / k**2
-        model = harmonic_lp(14.0) * LogPowerSeries(14.0, {(0, 2.0): 1.0})
+        model = harmonic_lp(14) * LogPowerSeries(12, {(0, 2.0): 1.0})
         tail, _ = em_tail(model, K)
         assert_close(partial + tail, 2.0 * ZETA3, 1e-9)
 
@@ -247,8 +248,8 @@ class TestEmTail:
         # be fixed low without hiding error.
         monkeypatch.setattr(summation, "_EM_ORDER", order)
         cases = [
-            (LogPowerSeries(40.0, {(0, 2.0): 1.0}), 100, mp.zeta(2, 101)),
-            (LogPowerSeries(40.0, {(2, 2.5): 1.0, (1, 3.5): -0.3}), 50,
+            (LogPowerSeries(38, {(0, 2.0): 1.0}), 100, mp.zeta(2, 101)),
+            (LogPowerSeries(37, {(2, 2.5): 1.0, (1, 3.5): -0.3}), 50,
              mp.zeta(2.5, 51, 2) + 0.3 * mp.zeta(3.5, 51, 1)),
         ]
         for model, K, exact in cases:
@@ -257,7 +258,7 @@ class TestEmTail:
             assert err <= 1e-8 * float(exact)
 
     def test_non_monotone_rejected(self):
-        grows = LogPowerSeries(5.0, {(2, 0.0): 1.0})  # ln^2 t
+        grows = LogPowerSeries(5, {(2, 0.0): 1.0})  # ln^2 t
         with pytest.raises(NonMonotoneTailError):
             em_tail(grows, 100)
 
@@ -298,10 +299,10 @@ class TestEmWeights:
         # after the monotone check, a nonzero order with s <= 1 is an error;
         # a zero one on the same lattice is left out
         with pytest.raises(DomainError):
-            em_tail(LogPowerSeries(6.0, {(0, 1.0): 1.0, (0, 2.0): 1.0}), 100)
-        zero_first = LogPowerSeries(6.0, {(0, 1.0): 0.0, (0, 2.0): 1.0})
+            em_tail(LogPowerSeries(5, {(0, 1.0): 1.0, (0, 2.0): 1.0}), 100)
+        zero_first = LogPowerSeries(5, {(0, 1.0): 0.0, (0, 2.0): 1.0})
         assert zero_first.s0 == 1.0
-        assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(7.0, {(0, 2.0): 1.0}), 100)
+        assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(5, {(0, 2.0): 1.0}), 100)
 
     def test_shapes_are_shared(self, oracle_models):
         shapes = {(m.s0, m.depth, len(m.rows), K) for m, K in oracle_models}
@@ -332,14 +333,14 @@ class TestEmWeights:
         series._cache.cache_clear()
         for i in range(MEMO_SIZE + 10):
             s = 2.0 + i / 64.0
-            em_tail(LogPowerSeries(s + 1.0, {(0, s): 1.0}), 100)
+            em_tail(LogPowerSeries(1, {(0, s): 1.0}), 100)
         info = summation._em_weights.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert info.currsize == MEMO_SIZE
         series._cache.cache_clear()
 
     def test_clear_drops_the_tables(self):
-        em_tail(LogPowerSeries(3.0, {(0, 2.0): 1.0}), 100)
+        em_tail(LogPowerSeries(1, {(0, 2.0): 1.0}), 100)
         assert summation._em_weights.cache_info().currsize > 0
         series._cache.cache_clear()
         assert summation._em_weights.cache_info().currsize == 0
