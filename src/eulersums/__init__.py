@@ -48,7 +48,6 @@ from .special import (
     ZETA3,
     ZETA4,
     DomainError,
-    HarmonicCache,
     PoleError,
     digamma,
     gamma,

@@ -4,11 +4,11 @@ A LogPowerSeries is t^-s0 times a polynomial in ln t and 1/t,
 sum_{a, j} C[a][j] ln(t)^a t^-j for j = 0..depth, stored densely as one row
 of coefficients per power of ln t.  Every slowly convergent series in this
 package has a tail whose terms admit such an expansion, on one lattice
-s0 + j: harmonic numbers expand through the Bernoulli series for psi
-(s0 = 0), reciprocal binomials are finite products of shifted reciprocals
-(s0 = n), and gamma ratios, the binomial and central binomial coefficients
-among them, are a power t^-s0 times the exp of the difference of two
-Stirling series.  A series keeps the orders s0 .. s0 + depth, and the
+s0 + j: harmonic numbers of every order expand, in harmonic_lp, through the
+Bernoulli series for psi and its derivatives (s0 = 0), reciprocal binomials
+are finite products of shifted reciprocals (s0 = n), and gamma ratios, the
+binomial and central binomial coefficients among them, are a power t^-s0
+times the exp of the difference of two Stirling series.  A series keeps the orders s0 .. s0 + depth, and the
 integer depth is the only truncation it knows: each constructor takes the
 number of orders to keep past its own leading one, so a product keeps the
 smaller depth of its operands and no factor is built deeper than the product
@@ -165,30 +165,21 @@ def psi_shifted(scale: float, depth: int) -> LogPowerSeries:
     return LogPowerSeries(depth, terms)
 
 
-def harmonic_lp(depth: int) -> LogPowerSeries:
-    """H_t = gamma + psi(t+1)."""
-    return psi_shifted(1.0, depth).plus_const(EULER_GAMMA)
-
-
-def harmonic_prev_lp(depth: int) -> LogPowerSeries:
-    """H_{t-1} = H_t - 1/t (exact)."""
-    return harmonic_lp(depth) + LogPowerSeries(depth - 1, {(0, 1.0): -1.0})
-
-
-def gen_harmonic_lp(m: int, depth: int) -> LogPowerSeries:
-    """H_t^(m) = zeta(m) + (-1)^(m-1)/(m-1)! psi^(m-1)(t+1) for m >= 2."""
-    if m < 2:
-        raise DomainError(f"gen_harmonic_lp requires m >= 2, got {m}")
+def harmonic_lp(m: int, depth: int, prev: bool = False) -> LogPowerSeries:
+    """H_t^(m) for m >= 1: gamma + psi(t+1) at m = 1 and
+    zeta(m) + (-1)^(m-1)/(m-1)! psi^(m-1)(t+1) above.  With prev,
+    H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
+    if m < 1:
+        raise DomainError(f"harmonic_lp requires m >= 1, got {m}")
     d = psi_shifted(1.0, depth)
     for _ in range(m - 1):
         d = d.diff()
     sign = 1.0 if (m - 1) % 2 == 0 else -1.0
-    return d.scaled(sign / math.factorial(m - 1)).plus_const(riemann_zeta(float(m)))
-
-
-def gen_harmonic_prev_lp(m: int, depth: int) -> LogPowerSeries:
-    """H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
-    return gen_harmonic_lp(m, depth) + LogPowerSeries(depth - m, {(0, float(m)): -1.0})
+    out = d.scaled(sign / math.factorial(m - 1))
+    out = out.plus_const(EULER_GAMMA if m == 1 else riemann_zeta(float(m)))
+    if prev:
+        out = out + LogPowerSeries(depth - m, {(0, float(m)): -1.0})
+    return out
 
 
 def central_harmonic_diff_lp(depth: int) -> LogPowerSeries:
@@ -251,9 +242,6 @@ __all__ = [
     "one",
     "psi_shifted",
     "harmonic_lp",
-    "harmonic_prev_lp",
-    "gen_harmonic_lp",
-    "gen_harmonic_prev_lp",
     "central_harmonic_diff_lp",
     "recip_power_shift",
     "inv_binomial_lp",

@@ -26,6 +26,7 @@ import functools
 import inspect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -133,6 +134,28 @@ def _cubic_weight(n: int, k: int) -> float:
 
 def _sign(j: int) -> float:
     return 1.0 if j % 2 == 0 else -1.0
+
+
+_MIN_NORMAL = sys.float_info.min
+
+
+def _check_p(p: float, e: int, n: int | None = None) -> None:
+    """DomainError naming p unless the closed form can divide by its powers:
+    with n, the finite sum's (p + k)^e for k = 0..n, which needs p > 0;
+    without, the zeta form's p^1 .. p^e, which needs p nonzero and > -1.
+    Either set of powers lies between p^e and its other end, (p + n)^e or
+    p, so those must be normal binary64 numbers."""
+    if not (p > -1.0 and p != 0.0 if n is None else p > 0.0):
+        raise DomainError(f"p must be {'nonzero and > -1' if n is None else '> 0'}, got {p}")
+    try:
+        least = abs(p**e)
+        most = abs((p + n) ** e) if n else least
+    except OverflowError:
+        least, most = _MIN_NORMAL, math.inf
+    if least < _MIN_NORMAL:
+        raise DomainError(f"p = {p} puts p^{e} outside binary64")
+    if most == math.inf:
+        raise DomainError(f"p = {p} puts {f'(p + {n})' if n else 'p'}^{e} outside binary64")
 
 
 # ------------------------- closed-form right sides ---------------------------
@@ -266,6 +289,7 @@ def rhs_thm_37(p: float, n: int, m: int) -> float:
     """Shifted finite sum minus the first x-partial of the shifted ratio."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
+    _check_p(p, m + 1, n)
     fs = math.fsum(
         _sign(k) / (p + k) ** (m + 1) * math.comb(n, k) * (_h(n) - _h(n - k))
         for k in range(0, n + 1)
@@ -278,8 +302,7 @@ def rhs_cor_38(p: float, m: int) -> float:
     """gamma/p^(m+1) + p^-(m+1) sum_{j=0}^m (-1)^j p^j/j! psi^(j)(p+1)."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    if p == 0.0 or p <= -1.0:
-        raise DomainError(f"p must be nonzero and > -1, got {p}")
+    _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m)
     acc = EULER_GAMMA + pg[0]
     pj = 1.0
@@ -293,6 +316,7 @@ def rhs_thm_39(p: float, n: int, m: int) -> float:
     """Half the quadratic finite sum plus (G2 - 2 H_n G1)/(2 m!) partials."""
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
+    _check_p(p, m + 1, n)
     fs = math.fsum(
         _sign(k) / (p + k) ** (m + 1) * math.comb(n, k)
         * (_h(n) ** 2 + _h2(n) - _h(n - k) ** 2 - _h2(n - k))
@@ -313,8 +337,7 @@ def rhs_cor_310(p: float, m: int) -> float:
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    if p == 0.0 or p <= -1.0:
-        raise DomainError(f"p must be nonzero and > -1, got {p}")
+    _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m + 1)
     out = 0.0
     for l in range(0, m + 1):
@@ -333,6 +356,7 @@ def rhs_thm_311(p: float, n: int, m: int) -> float:
     z-order m-1 (the order that pairs with the 1/(m-1)! factor)."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    _check_p(p, m, n)
     fs = math.fsum(
         _sign(k) / (p + k) ** m * math.comb(n, k) * _cubic_weight(n, k)
         for k in range(0, n + 1)
@@ -352,8 +376,7 @@ def rhs_cor_312(p: float, m: int) -> float:
     psi polynomial and g^(l) its Leibniz expansion (all psi arguments at p+1)."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if p == 0.0 or p <= -1.0:
-        raise DomainError(f"p must be nonzero and > -1, got {p}")
+    _check_p(p, m)
     pg = psi_derivatives(p + 1.0, m + 1)
     out = 0.0
     for l in range(0, m):

@@ -10,23 +10,25 @@ both its head values and its 1/t expansion, so the head and the tail model
 come from the same list.  A factor depends only on its own parameters (the
 order of a harmonic number, n of a binomial, the power and shift of a
 denominator), so each is built once per process, head values and tail model
-included, and shared by every sum that uses it; _cache.cache_clear() drops
-these memo tables, the jets', em_tail's weights and the HarmonicCache
-together.  Only the two zeta-value series of EX3, whose terms fall
-geometrically with a proven ratio, are summed term by term, by
-_sum_geometric.
+included, and shared by every sum that uses it.  Every harmonic number
+H_k^(order) comes from one memoized compensated table per order, and its tail
+from one constructor, ap.harmonic_lp.  _cache.cache_clear() drops these memo
+tables together with the jets' and em_tail's weights.  Only the two
+zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
+are summed term by term, by _sum_geometric.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import asymptotics as ap
-from .special import DomainError, HarmonicCache, clear_memos, hurwitz_zeta, memo
+from .special import DomainError, clear_memos, hurwitz_zeta, memo
 from .summation import NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
@@ -52,38 +54,22 @@ K_CROSSOVER = 1_000
 _DEPTH = 8
 
 # Head rounding is counted in units of _U, to first order: 1 per rounded
-# +, -, *, /; 2 per pow and per cached harmonic number (a compensated sum); a
-# base rounded r times and raised to the power e adds r e; a difference a - b
-# adds (err a + err b) / |a - b|.  Each factor constructor below counts its
-# own head; _em_sum adds 1 per * or / that joins the factors.
+# +, -, *, /; 2 per pow; a base rounded r times and raised to the power e adds
+# r e; a compensated sum of positive terms adds 1 to the most its terms are
+# rounded; a difference a - b adds (err a + err b) / |a - b|.  Each factor
+# constructor below counts its own head; _em_sum adds 1 per * or / that joins
+# the factors.
 _U = 2.0**-53
 
-
-class _LazyState:
-    """What the oracles build on first use and keep for the process: the
-    HarmonicCache, which _cache() returns, and the memo tables of
-    special.memo, which hold the factors below and the psi tuples and jets
-    of the closed forms.  cache_clear() drops all of it, so the next call
-    builds each piece again."""
-
-    def __init__(self) -> None:
-        self._table: HarmonicCache | None = None
-
-    def __call__(self) -> HarmonicCache:
-        if self._table is None:
-            # central-binomial sums index H_{2k}, so build out to 2K: 2000 entries
-            self._table = HarmonicCache.build(2 * K_CROSSOVER)
-        return self._table
-
-    def cache_clear(self) -> None:
-        self._table = None
-        clear_memos()
+# Everything the oracles build on first use (the factors below, the harmonic
+# tables, _ks) and the closed forms' psi tuples and jets are special.memo
+# tables.  _cache.cache_clear() empties all of them, so the next call builds
+# each piece again; perfbench resets a process through this name before every
+# timed pass.
+_cache = SimpleNamespace(cache_clear=clear_memos)
 
 
-_cache = _LazyState()
-
-
-@lru_cache(maxsize=2)
+@memo
 def _ks(lo: int) -> np.ndarray:
     """The summed k = lo..K as floats, read-only."""
     k = np.arange(float(lo), K_CROSSOVER + 1.0)
@@ -169,22 +155,36 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
 # looked up as ap.<name> at call time.
 
 
+def _running_neumaier(terms: np.ndarray) -> np.ndarray:
+    """[0, s_1 + c_1, s_2 + c_2, ...], read-only: Neumaier's compensated
+    running sum s_i = s_(i-1) + t_i, c_i = c_(i-1) + ((s_(i-1) - s_i) + t_i).
+    That form of the error term needs |s_(i-1)| >= |t_i|, which holds for
+    positive terms that never exceed the first (and at i = 1 both forms give
+    0).  cumsum adds left to right, as the scalar loop does, so every s_i and
+    c_i is that loop's, bit for bit."""
+    s = np.cumsum(terms)
+    prev = np.concatenate(([0.0], s[:-1]))
+    out = np.concatenate(([0.0], s + np.cumsum((prev - s) + terms)))
+    out.setflags(write=False)
+    return out
+
+
+@memo
+def _harmonic_numbers(order: int) -> np.ndarray:
+    """H_0^(order) .. H_2K^(order), read-only: the central-binomial sums read
+    H_2k."""
+    return _running_neumaier(1.0 / np.arange(1.0, 2 * K_CROSSOVER + 1.0) ** order)
+
+
 @memo
 def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
-    """H_k^(order), or H_{k-1}^(order) with prev: a cached compensated sum
-    (2) for order <= 3; past that a running sum of pows from k = 1, rounded
-    k - 1 times by term k after its pow (2)."""
-    @_kept
-    def head(lo: int) -> np.ndarray:
-        if order > 3:
-            return np.cumsum(_ks(lo) ** -float(order))
-        return getattr(_cache(), f"h{order}")[lo - prev : K_CROSSOVER + 1 - prev]
-
-    if order == 1:
-        tail = (ap.harmonic_prev_lp if prev else ap.harmonic_lp)(_DEPTH)
-    else:
-        tail = (ap.gen_harmonic_prev_lp if prev else ap.gen_harmonic_lp)(order, _DEPTH)
-    return _Factor(head, tail.frozen(), 1.0 if order > 3 else 2.0, float(order > 3))
+    """H_k^(order), or H_{k-1}^(order) with prev, read from _harmonic_numbers.
+    Its compensated sum adds 1 to its terms' rounding: 1/n and 1/n^2 round
+    once (n^2 is exact below 2^26), and 1/n^order past that rounds three
+    times (the pow, 2, and the /).  Hence 2 for orders 1 and 2, 4 above."""
+    head = _kept(lambda lo: _harmonic_numbers(order)[lo - prev : K_CROSSOVER + 1 - prev])
+    tail = ap.harmonic_lp(order, _DEPTH, prev)
+    return _Factor(head, tail.frozen(), 2.0 if order <= 2 else 4.0)
 
 
 @memo
@@ -201,7 +201,7 @@ def _central_harmonic_diff() -> _Factor:
     """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
     @_kept
     def head(lo: int) -> np.ndarray:
-        h = _cache().h1
+        h = _harmonic_numbers(1)
         return h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2]
 
     return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH).frozen(), 7.0)

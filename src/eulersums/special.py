@@ -6,21 +6,19 @@ The digamma/polygamma evaluators use upward recurrence to a large argument
 followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
-parameter-only builders (series factors, psi-derivative tuples, ln Gamma and
-psi jets, harmonic numbers) in bounded tables that clear_memos empties.
-gen_harmonic, and harmonic through it, checks its arguments on every call and
-keeps each fsum by its exact (n, m): the closed forms' finite sums ask for a
-few dozen distinct harmonic numbers tens of thousands of times.
+parameter-only builders (series factors and their harmonic-number tables,
+psi-derivative tuples, ln Gamma and psi jets, scalar harmonic numbers) in
+bounded tables that clear_memos empties.  gen_harmonic, and harmonic through
+it, checks its arguments on every call and keeps each fsum by its exact
+(n, m): the closed forms' finite sums ask for a few dozen distinct harmonic
+numbers tens of thousands of times.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -200,38 +198,6 @@ def gen_harmonic(n: int, m: int) -> float:
     if m < 1:
         raise DomainError(f"gen_harmonic requires m >= 1, got {m}")
     return _gen_harmonic(n, m)
-
-
-@dataclass(frozen=True)
-class HarmonicCache:
-    """Read-only table of H_n, H_n^(2), H_n^(3) for n = 0..n_max."""
-
-    n_max: int
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
-
-    @classmethod
-    def build(cls, n_max: int) -> "HarmonicCache":
-        if n_max < 0:
-            raise DomainError(f"HarmonicCache requires n_max >= 0, got {n_max}")
-        n = np.arange(1.0, n_max + 1.0)
-        return cls(n_max, _running_neumaier(1.0 / n), _running_neumaier(1.0 / n**2),
-                   _running_neumaier(1.0 / n**3))
-
-
-def _running_neumaier(terms: np.ndarray) -> np.ndarray:
-    """[0, s_1 + c_1, s_2 + c_2, ...], read-only: Neumaier's compensated
-    running sum s_i = s_(i-1) + t_i, c_i = c_(i-1) + ((s_(i-1) - s_i) + t_i).
-    That form of the error term needs |s_(i-1)| >= |t_i|, which holds for
-    positive terms that never exceed the first (and at i = 1 both forms give
-    0).  cumsum adds left to right, as the scalar loop does, so every s_i and
-    c_i is that loop's, bit for bit."""
-    s = np.cumsum(terms)
-    prev = np.concatenate(([0.0], s[:-1]))
-    out = np.concatenate(([0.0], s + np.cumsum((prev - s) + terms)))
-    out.setflags(write=False)
-    return out
 
 
 # ------------------- parameter-only values, built once ----------------------

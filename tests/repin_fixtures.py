@@ -4,14 +4,17 @@
     PYTHONPATH=src python tests/repin_fixtures.py --dry-run  # check only
 
 A change to the tail models or to the split point K may move pinned values
-by an ulp or so.  Before anything is written, every oracle result whose value
+by an ulp or so, and a change to the rounding count may move tail estimates.
+Before anything is written, every oracle result whose value or tail_estimate
 moved must lie within its own tail_estimate of a 30-digit mpmath reference
 (test_em_oracles._reference, _beta_reference for the binomial series, or
 test_series.ZETA_REFERENCES for the two zeta-value series), and no oracle's
-converged flag, EvalConfig().converged of its result, may change.  A moved grid value is checked through the oracle
-calls identities.verify makes for it.  If any check fails the script writes
-nothing and exits 1.  It prints the number of moved values and the largest
-move in ulp.  The 30-digit references take a few seconds each.
+converged flag, EvalConfig().converged of its result, may change.  A moved
+grid value is checked through the oracle calls identities.verify makes for
+it.  If any check fails the script writes nothing and exits 1.  It prints the
+number of moved values and the largest move in ulp, and the number of moved
+tail estimates with the range of new/old.  The 30-digit references take a few
+seconds each.
 """
 
 from __future__ import annotations
@@ -74,7 +77,11 @@ def move(old: float, new: float) -> tuple[float, float]:
     return abs(new - old) / math.ulp(old), abs(new - old) / abs(old)
 
 
-def repin_oracles(moves: list[tuple[float, float]], problems: list[str]) -> dict[str, list]:
+def repin_oracles(moves: list[tuple[float, float]], estimates: list[float],
+                  problems: list[str]) -> dict[str, list]:
+    """The oracles' bits.  A result whose value or tail_estimate moved is
+    checked against its reference; `estimates` gets new/old of each moved
+    tail_estimate."""
     pinned = json.loads(BITS.read_text())["oracles"]
     out = {}
     for name, (params_list, _) in T.ORACLES.items():
@@ -88,14 +95,19 @@ def repin_oracles(moves: list[tuple[float, float]], problems: list[str]) -> dict
                 problems.append(f"{name}{params}: converged went from {old[3]} to {converged}")
             if old[1] != rows[-1][1]:
                 moves.append(move(float.fromhex(old[1]), res.value))
+            if old[2] != rows[-1][2]:
+                estimates.append(res.tail_estimate / float.fromhex(old[2]))
+            if old[1:3] != rows[-1][1:3]:
                 problems.append(check(name, params, res))
         out[name] = rows
     return out
 
 
-def repin_grid(moves: list[tuple[float, float]], problems: list[str]) -> list[list]:
-    """The grid's LHS bits.  Every series oracle identities.verify calls is
-    wrapped, so a moved value can be checked through the calls behind it."""
+def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
+               problems: list[str]) -> list[list]:
+    """The grid's LHS bits (it pins no estimates, so `estimates` stays
+    empty).  Every series oracle identities.verify calls is wrapped, so a
+    moved value can be checked through the calls behind it."""
     calls = []
 
     def recording(name, fn):
@@ -149,12 +161,13 @@ def main(argv: list[str] | None = None) -> int:
     problems, texts = [], {}
     for label, path, repin, dump in (("oracle", BITS, repin_oracles, dump_bits),
                                      ("grid", GRID, repin_grid, dump_grid)):
-        moves = []
-        texts[path] = dump(repin(moves, problems))
+        moves, estimates = [], []
+        texts[path] = dump(repin(moves, estimates, problems))
         ulp = max((u for u, _ in moves), default=0.0)
         rel = max((r for _, r in moves), default=0.0)
+        spread = f", new/old {min(estimates):.3g} to {max(estimates):.3g}" if estimates else ""
         print(f"{path.name}: {len(moves)} {label} values moved, the largest by {ulp:.3g} ulp "
-              f"({rel:.3g} relative)")
+              f"({rel:.3g} relative); {len(estimates)} tail estimates moved{spread}")
     problems = [p for p in problems if p]
     if problems:
         print("\n".join(problems))

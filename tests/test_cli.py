@@ -131,11 +131,12 @@ class TestEval:
                                       ("THM_V4_311", "--p", "1e-300", "--n", "1", "--m", "3"),
                                       ("COR_310", "--p", "1e-200", "--m", "3")])
     def test_underflow_exit_2(self, capsys, argv):
-        # the closed form's p ** k underflows to zero and it divides by it:
-        # an arithmetic error is a domain error, not a traceback with exit 1
+        # the closed form's p ** k underflows to zero: a domain error naming
+        # p, not a division by zero
         code, out, err = run(capsys, "eval", *argv)
         assert code == EXIT_DOMAIN
-        assert out == "" and err == "error: float division by zero\n"
+        assert out == "" and err.startswith(f"error: p = {float(argv[2])} puts p^")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_missing_or_unknown_param_exit_2(self, capsys, ident):

@@ -148,6 +148,19 @@ class TestVariantClosedForms:
         ):
             with pytest.raises(DomainError):
                 fn(*args)
+        for fn, args in (
+            # p out of the domain the series have
+            (rhs_thm_37, (0.0, 1, 2)), (rhs_thm_39, (0.0, 1, 2)), (rhs_thm_311, (0.0, 1, 2)),
+            (rhs_thm_311, (-2.0, 3, 1)),
+            # a power of p that underflows to zero
+            (rhs_cor_38, (1e-300, 2)), (rhs_cor_310, (1e-200, 3)), (rhs_cor_312, (1e-200, 3)),
+            (rhs_thm_37, (1e-300, 1, 3)), (rhs_thm_39, (1e-300, 1, 3)),
+            (rhs_thm_311, (1e-300, 1, 3)),
+            # and one that overflows
+            (rhs_cor_38, (1e200, 2)), (rhs_thm_37, (1e200, 1, 2)), (rhs_cor_310, (1e200, 2)),
+        ):
+            with pytest.raises(DomainError, match=r"\bp\b"):
+                fn(*args)
 
 
 class TestDegeneracyChains:

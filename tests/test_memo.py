@@ -15,7 +15,7 @@ import pytest
 
 from eulersums import asymptotics, identities, jets, series, special
 from eulersums.identities import REGISTRY, default_grid
-from eulersums.special import MEMO_SIZE, DomainError, HarmonicCache
+from eulersums.special import MEMO_SIZE, DomainError
 
 TESTS = Path(__file__).parent
 
@@ -107,14 +107,35 @@ def test_clear_drops_the_jet_memo(monkeypatch):
     assert calls
 
 
-def test_closed_forms_leave_the_harmonic_cache_unbuilt(monkeypatch):
-    builds = _counting(monkeypatch, HarmonicCache, "build")
+def test_closed_forms_leave_the_harmonic_cache_unbuilt():
+    """No rhs_* builds a harmonic-number table; the first series that needs
+    one builds it."""
     for name in RHS:
         fn = getattr(identities, name)
         fn(*[_AXES[p][2] for p in inspect.signature(fn).parameters])
-    assert builds == []
+    assert series._harmonic_numbers.cache_info().currsize == 0
     series.lhs_variant1(1, 1)
-    assert len(builds) == 1
+    assert series._harmonic_numbers.cache_info().currsize == 1
+
+
+def test_clear_empties_every_memo_table_and_the_next_pass_rebuilds_them():
+    """series._cache.cache_clear(), which perfbench calls before every timed
+    pass, leaves every special.memo table empty, the summed k and the
+    harmonic tables included, and the next grid pass builds them again with
+    the same bits."""
+    grid = default_grid()
+    first = _grid_pass(grid)
+    tables = {order: series._harmonic_numbers(order) for order in (1, 2)}
+    ks = series._ks(1)
+    series._cache.cache_clear()
+    assert series._ks.cache_info().currsize == 0
+    assert series._harmonic_numbers.cache_info().currsize == 0
+    assert all(kept.cache_info().currsize == 0 for kept in special._MEMOS)
+    assert _grid_pass(grid) == first
+    for order, table in tables.items():
+        rebuilt = series._harmonic_numbers(order)
+        assert rebuilt is not table and rebuilt.tobytes() == table.tobytes()
+    assert series._ks(1) is not ks and series._ks(1).tobytes() == ks.tobytes()
 
 
 def test_memo_stays_within_its_bound():

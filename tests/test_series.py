@@ -29,7 +29,6 @@ from eulersums import (
 from eulersums import series
 from eulersums.series import (
     K_CROSSOVER,
-    _cache,
     half_shift_series,
     quadratic_minus_linear,
     zeta_power_series,
@@ -357,13 +356,25 @@ class TestOracleContracts:
     def test_monotone_partial_sums(self):
         # positive-term series: partial sums never exceed value + tail_estimate
         res = lhs_variant1(1, 1)
-        c = _cache()
-        n = 2 * K_CROSSOVER  # as far as the cache reaches, past the summed head
+        n = 2 * K_CROSSOVER  # as far as the harmonic table reaches, past the summed head
         k = np.arange(1.0, n + 1.0)
-        terms = c.h1[1 : n + 1] / ((k + 2.0) ** 2 * (k + 1.0))
+        terms = series._harmonic_numbers(1)[1 : n + 1] / ((k + 2.0) ** 2 * (k + 1.0))
         partials = np.cumsum(terms)
         assert (np.diff(partials) >= 0.0).all()
         assert (partials <= res.value + res.tail_estimate).all()
+
+    @pytest.mark.parametrize("prev", [False, True])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_harmonic_factor_is_its_definition(self, order, prev):
+        """Entry k of the harmonic factor's head is H_k^(order), or
+        H_{k-1}^(order) with prev, within the factor's stated rounding of the
+        correctly rounded sum of the correctly rounded terms."""
+        f = series._harmonic(order, prev)
+        head = f.head(1)
+        for k in (1, 2, 3, 10, 100, 500, 999, K_CROSSOVER):
+            want = math.fsum(1 / j**order for j in range(1, k - prev + 1))
+            bound = (f.rounding + f.rounding_per_k * k) * series._U * want
+            assert abs(head[k - 1] - want) <= bound, (k, head[k - 1], want)
 
     def test_terms_used_reports_crossover(self):
         assert lhs_variant1(0, 1).terms_used == K_CROSSOVER

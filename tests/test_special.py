@@ -10,7 +10,6 @@ from eulersums import (
     ZETA3,
     ZETA4,
     DomainError,
-    HarmonicCache,
     PoleError,
     digamma,
     gamma,
@@ -21,6 +20,8 @@ from eulersums import (
     polygamma,
     riemann_zeta,
 )
+
+from eulersums.series import _harmonic_numbers
 
 from conftest import REFS, assert_close
 
@@ -163,23 +164,25 @@ class TestHarmonic:
 
 
 class TestHarmonicCache:
+    """The series' memoized harmonic-number tables, one per order:
+    H_0^(m) .. H_2000^(m)."""
+
     def test_build(self):
-        c = HarmonicCache.build(500)
-        assert c.h1[0] == c.h2[0] == c.h3[0] == 0.0
-        for arr, m in ((c.h1, 1), (c.h2, 2), (c.h3, 3)):
+        for m in (1, 2, 3, 4):
+            arr = _harmonic_numbers(m)
+            assert len(arr) == 2001 and arr[0] == 0.0
             assert (arr[1:] > arr[:-1]).all()
             # adjacent stored values differ by n^-m up to the entry rounding,
             # which compensation keeps at ~eps * H_n absolute
-            for n in (1, 7, 499):
+            for n in (1, 7, 499, 2000):
                 assert abs((arr[n] - arr[n - 1]) - float(n) ** -m) <= 5e-15
-        assert_close(c.h1[100], harmonic(100), 1e-15)
-        assert_close(c.h3[77], gen_harmonic(77, 3), 1e-15)
+            for n in (1, 77, 100, 2000):
+                assert_close(arr[n], gen_harmonic(n, m), 1e-15)
 
     def test_bits_of_the_scalar_neumaier_loop(self):
         """The vectorized build gives, bit for bit, the compensated running
         sum taken one term at a time."""
-        c = HarmonicCache.build(2000)
-        for arr, m in ((c.h1, 1), (c.h2, 2), (c.h3, 3)):
+        for m in (1, 2, 3):
             s = comp = 0.0
             want = [0.0]
             for n in range(1, 2001):
@@ -188,12 +191,11 @@ class TestHarmonicCache:
                 comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
                 s = t
                 want.append(s + comp)
-            assert [v.hex() for v in arr.tolist()] == [v.hex() for v in want]
+            assert [v.hex() for v in _harmonic_numbers(m).tolist()] == [v.hex() for v in want]
 
     def test_readonly(self):
-        c = HarmonicCache.build(10)
         with pytest.raises(ValueError):
-            c.h1[3] = 0.0
+            _harmonic_numbers(1)[3] = 0.0
 
 
 # ------------------------- invariants and sweeps -----------------------------

@@ -12,7 +12,6 @@ from eulersums.asymptotics import (
     central_harmonic_diff_lp,
     exp_lp,
     gamma_ratio_lp,
-    gen_harmonic_lp,
     harmonic_lp,
     inv_binomial_lp,
     log_power_integral,
@@ -130,13 +129,18 @@ class TestAsymptoticModels:
 
     def test_harmonic(self):
         h = math.fsum(1.0 / k for k in range(1, self.T + 1))
-        assert_close(harmonic_lp(14)(float(self.T)), h, 1e-14)
+        assert_close(harmonic_lp(1, 14)(float(self.T)), h, 1e-14)
 
     def test_gen_harmonic(self):
         h2 = math.fsum(k**-2.0 for k in range(1, self.T + 1))
-        assert_close(gen_harmonic_lp(2, 14)(float(self.T)), h2, 1e-14)
+        assert_close(harmonic_lp(2, 14)(float(self.T)), h2, 1e-14)
         h3 = math.fsum(k**-3.0 for k in range(1, self.T + 1))
-        assert_close(gen_harmonic_lp(3, 14)(float(self.T)), h3, 1e-14)
+        assert_close(harmonic_lp(3, 14)(float(self.T)), h3, 1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_prev(self, m):
+        h = math.fsum(k ** -float(m) for k in range(1, self.T))
+        assert_close(harmonic_lp(m, 14, prev=True)(float(self.T)), h, 1e-14)
 
     def test_central_binomial(self):
         cb = 1.0
@@ -235,7 +239,7 @@ class TestEmTail:
         for k in range(1, K + 1):
             h += 1.0 / k
             partial += h / k**2
-        model = harmonic_lp(14) * LogPowerSeries(12, {(0, 2.0): 1.0})
+        model = harmonic_lp(1, 14) * LogPowerSeries(12, {(0, 2.0): 1.0})
         tail, _ = em_tail(model, K)
         assert_close(partial + tail, 2.0 * ZETA3, 1e-9)
 
