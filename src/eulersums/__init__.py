@@ -4,7 +4,6 @@ from .identities import (
     IdentityId,
     VerifyReport,
     default_grid,
-    example_suite,
     rhs_cor_32,
     rhs_cor_34,
     rhs_cor_34a,

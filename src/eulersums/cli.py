@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -23,7 +22,8 @@ import sys
 import time
 from typing import Any
 
-from .identities import DEFAULT_CONFIG, REGISTRY, IdentityId, VerifyReport, default_grid, verify
+from .identities import (DEFAULT_CONFIG, REGISTRY, IdentityId, VerifyReport, _axes, default_grid,
+                         verify)
 from .special import DomainError
 from .summation import EvalConfig
 
@@ -204,7 +204,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
                 vals = [int(v) for v in vals]
             axes[key] = vals
     # the last axis varies fastest, and an empty axis gives no rows
-    return [(ident, dict(zip(axes, combo))) for combo in itertools.product(*axes.values())]
+    return [(ident, params) for params in _axes(**axes)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -5,8 +5,17 @@ REGISTRY holds one row per identity: its parameters, the signature and
 formula `euler-sums list` prints, its grid points, and the function that
 evaluates the left side (series oracle) and the right side (finite harmonic
 sums plus mixed partials of gamma-ratio jets, or pure zeta/polygamma
-expressions).  verify, default_grid and the CLI read only that row.  Two of
-the closed forms are easy to mis-state and are pinned against the oracles:
+expressions).  verify, default_grid and the CLI read only that row.
+
+Six theorems (THM_ALT_T25, THM_V1_31, THM_V2_33, THM_V3_37, THM_V3H_39,
+THM_V4_311) share one shape: a finite binomial-harmonic sum
+sum_k (-1)^k C(n,k) w(k)/(c+k)^s, which _finite_sum evaluates, plus the
+x-partials of one gamma-ratio jet, which _x_partials reads.  Each writes out
+its own weight and final combination: passing points sit within one rounding
+of tol, so reordering either could flip a verdict.
+
+Two of the closed forms are easy to mis-state and are pinned against the
+oracles:
 
   * the cubic family (THM_V4_311 / COR_312) needs z-derivative order m-1,
     not m, next to the 1/(m-1)! factor;
@@ -136,6 +145,26 @@ def _sign(j: int) -> float:
     return 1.0 if j % 2 == 0 else -1.0
 
 
+def _finite_sum(n: int, lo: int, power: Callable[[int], float],
+                weight: Callable[[int], float]) -> float:
+    """sum_{k=lo}^n (-1)^k C(n,k) weight(k) / power(k), each term rounded as
+    written and the terms summed exactly by fsum.  Negating a term negates
+    every rounding in it and fsum is odd, so -_finite_sum is bit for bit the
+    sum whose sign is (-1)^(k-1), but for the sign of an exact zero."""
+    return math.fsum(_sign(k) / power(k) * math.comb(n, k) * weight(k) for k in range(lo, n + 1))
+
+
+def _x_partials(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -> list[float]:
+    """d_x^a d_z^oz of the gamma ratio at (x0, z0) for a = 1..ox, from one jet."""
+    j = gamma_ratio_jet(variant, x0, z0, ox, oz)
+    return [mixed_partial(j, a, oz) for a in range(1, ox + 1)]
+
+
+def _check_m(m: int, least: int) -> None:
+    if m < least:
+        raise DomainError(f"m must be >= {least}, got {m}")
+
+
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -163,36 +192,25 @@ def _check_p(p: float, e: int, n: int | None = None) -> None:
 
 def rhs_thm_e15(x: float, m: int) -> float:
     """(-1)^m/m! d^m/dz^m Gamma(x+1)Gamma(z)/Gamma(z+x) at z=1."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m, 1)
     j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, 0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 
 def rhs_thm_t25(n: int, m: int) -> float:
     """Finite binomial-harmonic sum minus the first x-partial of the ratio."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    fs = math.fsum(
-        _sign(k - 1) / float(k) ** m * math.comb(n, k) * (_h(n) - _h(n - k))
-        for k in range(1, n + 1)
-    )
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, float(n), 1.0, 1, m)
-    return fs - _sign(m) / math.factorial(m) * mixed_partial(j, 1, m)
+    _check_m(m, 1)
+    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: _h(n) - _h(n - k))
+    (f1,) = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 1, m)
+    return fs - _sign(m) / math.factorial(m) * f1
 
 
 def rhs_thm_31(n: int, m: int) -> float:
     """Variant-1 closed form: quadratic-harmonic finite sum plus F1/F2 terms."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    fs = math.fsum(
-        _sign(k - 1) / float(k) ** m * math.comb(n, k)
-        * (_h(n - k) ** 2 + _h2(n - k) - _h2(n) - _h(n) ** 2)
-        for k in range(1, n + 1)
-    )
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, float(n), 1.0, 2, m)
-    f1 = mixed_partial(j, 1, m)
-    f2 = mixed_partial(j, 2, m)
+    _check_m(m, 1)
+    fs = -_finite_sum(n, 1, lambda k: float(k) ** m,
+                      lambda k: _h(n - k) ** 2 + _h2(n - k) - _h2(n) - _h(n) ** 2)
+    f1, f2 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 2, m)
     smn = _sign(m + n)
     return (_sign(n) / 2.0 * fs
             - smn / (2.0 * math.factorial(m)) * f2
@@ -201,8 +219,7 @@ def rhs_thm_31(n: int, m: int) -> float:
 
 def rhs_cor_32(m: int) -> float:
     """m zeta(m+1) - sum_{k=1}^{m-2} zeta(k+1) zeta(m-k)  (= 2 sum H_k/(k+1)^m)."""
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
+    _check_m(m, 2)
     return m * riemann_zeta(m + 1.0) - math.fsum(
         riemann_zeta(k + 1.0) * riemann_zeta(float(m - k)) for k in range(1, m - 1)
     )
@@ -210,16 +227,9 @@ def rhs_cor_32(m: int) -> float:
 
 def rhs_thm_33(n: int, m: int) -> float:
     """Variant-2 closed form: cubic-harmonic finite sum plus F1/F2/F3 combination."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    fs = math.fsum(
-        _sign(k - 1) / float(k) ** m * math.comb(n, k) * _cubic_weight(n, k)
-        for k in range(1, n + 1)
-    )
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, float(n), 1.0, 3, m)
-    f1 = mixed_partial(j, 1, m)
-    f2 = mixed_partial(j, 2, m)
-    f3 = mixed_partial(j, 3, m)
+    _check_m(m, 1)
+    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: _cubic_weight(n, k))
+    f1, f2, f3 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 3, m)
     return (_sign(n - 1) / 3.0 * fs
             + _sign(m + n) / math.factorial(m)
             * ((_h(n) ** 2 + _h2(n)) * f1 - _h(n) * f2 + f3 / 3.0))
@@ -227,8 +237,7 @@ def rhs_thm_33(n: int, m: int) -> float:
 
 def rhs_cor_34(m: int) -> float:
     """Zeta-polynomial value of sum (H_k^2 - H_k^(2))/(k+1)^(m+1), simplified form."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m, 1)
     out = (m + 1) * (m + 2) / 3.0 * riemann_zeta(m + 3.0)
     out -= math.fsum(
         (j + 1) * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j)) for j in range(1, m)
@@ -247,8 +256,7 @@ def _zeta_double_sum(m: int) -> float:
 
 def rhs_cor_34a(m: int) -> float:
     """Zeta-polynomial value of the k-power form sum (H_k^2 - H_k^(2))/k^(m+1)."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m, 1)
     out = (m + 2) * (m + 4) / 3.0 * riemann_zeta(m + 3.0) - ZETA2 * riemann_zeta(m + 1.0)
     out -= 2.0 * math.fsum(
         riemann_zeta(j + 1.0) * riemann_zeta(float(m + 2 - j)) for j in range(2, m + 1)
@@ -262,8 +270,7 @@ def rhs_cor_34a(m: int) -> float:
 
 def rhs_thm_35(x: float, p: float, m: int) -> float:
     """(-1)^m/m! d^m/ds^m Gamma(x+1)Gamma(s)/Gamma(x+s+1) at s=p."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p, 0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
@@ -274,8 +281,7 @@ def rhs_cor_36(p: float, m: int) -> float:
     Both factors are s-jets at s0 = p; the shifted-argument jets share the
     same normalized coefficients as jets at p+1/2, only rebased.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     if p <= 0.0:
         raise DomainError(f"p must be > 0, got {p}")
     ratio = jet_exp(ln_gamma_jet(p, m) - ln_gamma_jet(p + 0.5, m))
@@ -287,21 +293,16 @@ def rhs_cor_36(p: float, m: int) -> float:
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:
     """Shifted finite sum minus the first x-partial of the shifted ratio."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     _check_p(p, m + 1, n)
-    fs = math.fsum(
-        _sign(k) / (p + k) ** (m + 1) * math.comb(n, k) * (_h(n) - _h(n - k))
-        for k in range(0, n + 1)
-    )
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, float(n), p, 1, m)
-    return fs - _sign(m) / math.factorial(m) * mixed_partial(j, 1, m)
+    fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1), lambda k: _h(n) - _h(n - k))
+    (g1,) = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 1, m)
+    return fs - _sign(m) / math.factorial(m) * g1
 
 
 def rhs_cor_38(p: float, m: int) -> float:
     """gamma/p^(m+1) + p^-(m+1) sum_{j=0}^m (-1)^j p^j/j! psi^(j)(p+1)."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m)
     acc = EULER_GAMMA + pg[0]
@@ -314,17 +315,11 @@ def rhs_cor_38(p: float, m: int) -> float:
 
 def rhs_thm_39(p: float, n: int, m: int) -> float:
     """Half the quadratic finite sum plus (G2 - 2 H_n G1)/(2 m!) partials."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     _check_p(p, m + 1, n)
-    fs = math.fsum(
-        _sign(k) / (p + k) ** (m + 1) * math.comb(n, k)
-        * (_h(n) ** 2 + _h2(n) - _h(n - k) ** 2 - _h2(n - k))
-        for k in range(0, n + 1)
-    )
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, float(n), p, 2, m)
-    g1 = mixed_partial(j, 1, m)
-    g2 = mixed_partial(j, 2, m)
+    fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1),
+                     lambda k: _h(n) ** 2 + _h2(n) - _h(n - k) ** 2 - _h2(n - k))
+    g1, g2 = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 2, m)
     return 0.5 * fs + _sign(m) / (2.0 * math.factorial(m)) * (g2 - 2.0 * _h(n) * g1)
 
 
@@ -335,8 +330,7 @@ def rhs_cor_310(p: float, m: int) -> float:
     Every term carries the p^-(m-l+1) factor, including l = 0; dropping it
     from the leading term reproduces the series only at p = 1.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m + 1)
     out = 0.0
@@ -354,17 +348,10 @@ def rhs_cor_310(p: float, m: int) -> float:
 def rhs_thm_311(p: float, n: int, m: int) -> float:
     """Cubic finite sum plus the three x-partials of the shifted ratio at
     z-order m-1 (the order that pairs with the 1/(m-1)! factor)."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m, 1)
     _check_p(p, m, n)
-    fs = math.fsum(
-        _sign(k) / (p + k) ** m * math.comb(n, k) * _cubic_weight(n, k)
-        for k in range(0, n + 1)
-    )
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, float(n), p, 3, m - 1)
-    g1 = mixed_partial(j, 1, m - 1)
-    g2 = mixed_partial(j, 2, m - 1)
-    g3 = mixed_partial(j, 3, m - 1)
+    fs = _finite_sum(n, 0, lambda k: (p + k) ** m, lambda k: _cubic_weight(n, k))
+    g1, g2, g3 = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 3, m - 1)
     smn = _sign(m + n)
     return (_sign(n) / 3.0 * fs
             + smn / math.factorial(m - 1)
@@ -374,8 +361,7 @@ def rhs_thm_311(p: float, n: int, m: int) -> float:
 def rhs_cor_312(p: float, m: int) -> float:
     """-(1/3) sum_{l=0}^{m-1} (-1)^l/(l! p^(m-l)) g^(l)(p), with g the cubic
     psi polynomial and g^(l) its Leibniz expansion (all psi arguments at p+1)."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    _check_m(m, 1)
     _check_p(p, m)
     pg = psi_derivatives(p + 1.0, m + 1)
     out = 0.0
@@ -406,8 +392,7 @@ def ex4_stated_zeta_form(m: int) -> float:
     rhs_cor_310 applies, so this value disagrees with the series; it is kept
     for the mismatch diagnostics in EX4 reports.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    _check_m(m, 0)
     out = 2.0 * LN2**2 - ZETA2
     tail = 0.0
     for l in range(1, m + 1):
@@ -634,11 +619,3 @@ def default_grid() -> list[tuple[IdentityId, dict[str, Any]]]:
     m >= 0 is allowed), p in the 4-point set, and the worked examples."""
     return [(ident, dict(params)) for ident in IdentityId for params in REGISTRY[ident].grid]
 
-
-def example_suite(tol: float = 1e-8, cfg: EvalConfig = DEFAULT_CONFIG) -> list[VerifyReport]:
-    """Run the worked-example battery, the grid points of the EX rows, each
-    judged by cfg: the Au-Yeung and classical Euler sums, the two
-    central-binomial values, the zeta-tail family, and the half-shifted
-    instance with its mismatch diagnostics."""
-    return [verify(ident, params, tol, cfg) for ident, params in default_grid()
-            if ident.value.startswith("EX")]

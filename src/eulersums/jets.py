@@ -16,9 +16,11 @@ exp(sum of log-gamma jets), so one exp code path serves everything.
 psi_derivatives keeps the raw tuple (psi(a), psi'(a), ..., psi^(top)(a)) by
 its exact (a, top) (special.memo); it is the one source of psi values for
 the jets and for the closed forms' Leibniz sums.  ln_gamma_jet and psi_jet
-divide its entries by k! and keep each read-only array by its exact
-(a, order), so every caller shares it: a polygamma value is computed once
-per process.  series._cache.cache_clear() drops them all.
+divide its entries by k! and are memoized themselves, each read-only array
+kept by its exact (a, order), so every caller shares it: a polygamma value
+is computed once per process.  A memo table keeps no raised DomainError, so
+a bad a is checked on every call.  series._cache.cache_clear() drops them
+all.
 
 A bivariate jet has at most MAX_OZ + 1 = 13 coefficients per row, so
 per-call overhead sets its cost.  The kernels make few calls and keep every
@@ -100,30 +102,22 @@ def psi_derivatives(a: float, top: int) -> tuple[float, ...]:
     return tuple(digamma(a) if k == 0 else polygamma(k, a) for k in range(top + 1))
 
 
+@memo
 def ln_gamma_jet(a: float, order: int) -> np.ndarray:
     """Jet of ln Gamma at a > 0: [lnGamma(a), psi(a), psi'(a)/2!, ...]."""
     if a <= 0.0:
         raise DomainError(f"ln_gamma_jet requires a > 0, got {a}")
-    return _ln_gamma_jet(a, order)
-
-
-@memo
-def _ln_gamma_jet(a: float, order: int) -> np.ndarray:
     psi = psi_derivatives(a, order - 1)
     c = np.array([ln_gamma(a)] + [d / math.factorial(k) for k, d in enumerate(psi, start=1)])
     c.setflags(write=False)
     return c
 
 
+@memo
 def psi_jet(a: float, order: int) -> np.ndarray:
     """Jet of psi at a > 0: c[k] = psi^(k)(a)/k!."""
     if a <= 0.0:
         raise DomainError(f"psi_jet requires a > 0, got {a}")
-    return _psi_jet(a, order)
-
-
-@memo
-def _psi_jet(a: float, order: int) -> np.ndarray:
     c = np.array([d / math.factorial(k) for k, d in enumerate(psi_derivatives(a, order))])
     c.setflags(write=False)
     return c

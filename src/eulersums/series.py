@@ -276,18 +276,13 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
     def head(lo: int) -> np.ndarray:
         k = _ks(lo)
         with np.errstate(over="ignore"):
-            out = (c + k if c else k) ** (s if divides else -float(s))
+            out = (c + k) ** (s if divides else -float(s))
             return k * out if times_k else out
 
-    tail = ap.recip_power_shift(c, float(s), _DEPTH) if c else _t_power(float(s))
+    tail = ap.recip_power_shift(c, float(s), _DEPTH)
     if times_k:
-        tail = tail * _t_power(1.0)
+        tail = tail * ap.recip_power_shift(0.0, 1.0, _DEPTH)
     return _Factor(head, tail.frozen(), 2.0 + base_roundings * s + times_k, divides=divides)
-
-
-def _t_power(s: float) -> ap.LogPowerSeries:
-    """t^-s, the expansion of (c + t)^-s at c = 0."""
-    return ap.LogPowerSeries(_DEPTH, {(0, s): 1.0})
 
 
 def _check_nm(n: int, m: int, m_min: int) -> None:
@@ -372,6 +367,16 @@ def half_shift_series(m: int) -> SumResult:
 # signed binomial as a factor.  Integer x >= 0 ends the series at k = x.
 
 
+def _finite_binomial(terms: list[float], rounding: float) -> SumResult:
+    """The fsum of an integer-x series, which ends at k = x.  Its terms
+    alternate and cancel, so nothing bounds its error by |value|: the
+    estimate is `rounding`, each term's rounding in units of _U, times
+    sum |term|, plus the final rounding.  Each term converts comb(x, k) to a
+    float (1), takes a pow (2) and divides (1)."""
+    value = math.fsum(terms)
+    return SumResult(value, _U * (rounding * math.fsum(map(abs, terms)) + abs(value)), len(terms))
+
+
 def lhs_base_binomial(x: float, m: int) -> SumResult:
     """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m."""
     if not x > -1.0:
@@ -380,10 +385,8 @@ def lhs_base_binomial(x: float, m: int) -> SumResult:
         raise DomainError(f"m must be >= 1, got {m}")
     if float(x).is_integer():
         n = int(x)
-        val = math.fsum(
-            (-1.0) ** (k - 1) * math.comb(n, k) / float(k) ** m for k in range(1, n + 1)
-        )
-        return SumResult(val, 0.0, n)
+        return _finite_binomial(
+            [(-1.0) ** (k - 1) * math.comb(n, k) / float(k) ** m for k in range(1, n + 1)], 4.0)
     # (-1)^(k-1) = -(-1)^k
     return _em_sum(1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
 
@@ -397,10 +400,10 @@ def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
         raise DomainError(f"m must be >= 0, got {m}")
     if float(x).is_integer():
         n = int(x)
-        val = math.fsum(
-            (-1.0) ** k * math.comb(n, k) / (p + k) ** (m + 1) for k in range(0, n + 1)
-        )
-        return SumResult(val, 0.0, n + 1)
+        # p + k rounds once and is raised to the power m + 1
+        return _finite_binomial(
+            [(-1.0) ** k * math.comb(n, k) / (p + k) ** (m + 1) for k in range(0, n + 1)],
+            4.0 + (m + 1))
     return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
 
 

@@ -107,6 +107,13 @@ class TestEval:
         assert code == EXIT_NOT_CONVERGED
         assert json.loads(out)["converged"] is False
 
+    def test_integer_x_cancellation_exit_3(self, capsys):
+        # the finite sum at x = 60 cancels to 4.19 against H_60 = 4.68: its
+        # rounding bound says so, and the identity is not blamed
+        code, out, _ = run(capsys, "eval", "THM_BASE_E15", "--x", "60", "--m", "1")
+        assert code == EXIT_NOT_CONVERGED
+        assert json.loads(out)["converged"] is False
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ident, extra", [("THM_BASE_E15", ["--m", "1"]),
                                               ("THM_BASE_35", ["--p", "1", "--m", "0"])])

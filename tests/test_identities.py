@@ -1,6 +1,7 @@
 """Closed-form right sides, the verify harness, and cross-identity chains."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,6 @@ from eulersums import (
     ZETA4,
     DomainError,
     digamma,
-    example_suite,
     gamma,
     polygamma,
     riemann_zeta,
@@ -32,7 +32,17 @@ from eulersums import (
     rhs_thm_t25,
     verify,
 )
-from eulersums.identities import P_GRID, REGISTRY, _zeta_double_sum, ex4_stated_zeta_form
+from eulersums.identities import (
+    P_GRID,
+    REGISTRY,
+    _cubic_weight,
+    _finite_sum,
+    _h,
+    _h2,
+    _zeta_double_sum,
+    default_grid,
+    ex4_stated_zeta_form,
+)
 from eulersums.special import LN2
 from eulersums.summation import EvalConfig
 
@@ -265,9 +275,15 @@ class TestRegistry:
             verify(IdentityId.EX3_GOLDBACH, {"form": "nope"}, 1e-7)
 
 
+def _example_reports(cfg: EvalConfig = EvalConfig()) -> list:
+    """verify at tol 1e-8 over the grid points of the worked-example rows."""
+    return [verify(ident, params, 1e-8, cfg) for ident, params in default_grid()
+            if ident.value.startswith("EX")]
+
+
 class TestExampleSuite:
     def test_all_pass_and_ex4_flagged(self):
-        reports = example_suite(tol=1e-8)
+        reports = _example_reports()
         assert len(reports) >= 13
         for rep in reports:
             assert rep.passed, f"{rep.id} {rep.params}: rel_err={rep.rel_err}"
@@ -280,8 +296,13 @@ class TestExampleSuite:
 
     def test_judged_by_the_given_config(self):
         strict = EvalConfig(rel_tol=1e-30)
-        reports = example_suite(tol=1e-8, cfg=strict)
-        want = [verify(r.id, r.params, 1e-8, strict).converged for r in reports]
+        reports = _example_reports(strict)
+        want = []
+        for r in reports:
+            row = REGISTRY[r.id]
+            sides, full = row.bind(r.id, r.params)
+            series, _ = sides(**{k: v for k, v in full.items() if k != row.selector})
+            want.append(strict.converged(series))
         assert [r.converged for r in reports] == want
         assert not all(want)
 
@@ -296,3 +317,58 @@ class TestExampleSuite:
         stated = ex4_stated_zeta_form(0)
         assert stated < 0.0 < lhs
         assert_close(-2.0 * stated, lhs, 1e-12)
+
+
+def _exact_h(n, order):
+    return sum((Fraction(1, k**order) for k in range(1, n + 1)), Fraction(0))
+
+
+# The finite sums' weights are P(n) - P(n - k) for a polynomial P in harmonic
+# numbers; `parts` lists P's terms, on floats or on exact Fractions.  Each
+# weight is (its float value as the closed forms write it, the sign it puts
+# on P(n) - P(n - k), the parts of P).
+_WEIGHTS = {
+    "order 1": (lambda n, k: _h(n) - _h(n - k), 1, lambda h1, h2, h3: [h1]),
+    "order 2": (lambda n, k: _h(n) ** 2 + _h2(n) - _h(n - k) ** 2 - _h2(n - k), 1,
+                lambda h1, h2, h3: [h1**2, h2]),
+    "order 2, reversed": (lambda n, k: _h(n - k) ** 2 + _h2(n - k) - _h2(n) - _h(n) ** 2, -1,
+                          lambda h1, h2, h3: [h1**2, h2]),
+    "order 3": (_cubic_weight, 1, lambda h1, h2, h3: [h1**3, 2 * h3, 3 * h1 * h2]),
+}
+
+
+class TestFiniteSum:
+    """_finite_sum against exact rationals, within a running error bound."""
+
+    @pytest.mark.parametrize("name", _WEIGHTS)
+    @pytest.mark.parametrize("shift", [None, 0.5, 1.0, 2.5])
+    def test_within_running_error_bound(self, name, shift):
+        weight, sign, parts = _WEIGHTS[name]
+        u = 2.0**-53
+        for n in range(11):
+            exact_p = {j: parts(*(_exact_h(j, r) for r in (1, 2, 3))) for j in range(n + 1)}
+            float_p = {j: parts(*(float(_exact_h(j, r)) for r in (1, 2, 3))) for j in range(n + 1)}
+            for m in (1, 4):
+                if shift is None:  # sum_{k=1}^n (-1)^k C(n,k) w(k) / k^m
+                    lo, e, base_roundings = 1, m, 0
+                    power, exact_power = (lambda k: float(k) ** m), (lambda k: Fraction(k) ** m)
+                else:  # sum_{k=0}^n (-1)^k C(n,k) w(k) / (p + k)^(m+1)
+                    lo, e, base_roundings = 0, m + 1, 1
+                    power = lambda k: (shift + k) ** (m + 1)  # noqa: E731
+                    exact_power = lambda k: (Fraction(shift) + k) ** (m + 1)  # noqa: E731
+                got = _finite_sum(n, lo, power, lambda k: weight(n, k))
+                exact = sum((Fraction((-1) ** k * math.comb(n, k) * sign)
+                             * (sum(exact_p[n]) - sum(exact_p[n - k])) / exact_power(k)
+                             for k in range(lo, n + 1)), Fraction(0))
+                # Each harmonic number is within 3 u of its value and each part
+                # of P within 8 u, so with the additions that join the parts a
+                # weight is within 16 u of the sum of its parts' absolute
+                # values, A.  The term then takes the pow (2 u), its rounded
+                # base raised to the power e, the / and the *.
+                bound = 0.0
+                for k in range(lo, n + 1):
+                    a = math.fsum(abs(v) for v in float_p[n] + float_p[n - k])
+                    scale = math.comb(n, k) / abs(power(k))
+                    bound += scale * (16.0 * a + (4.0 + base_roundings * e) * abs(weight(n, k)))
+                bound = u * (bound + abs(got))
+                assert abs(Fraction(got) - exact) <= Fraction(bound), (n, m)

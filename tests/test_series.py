@@ -1,6 +1,7 @@
 """Direct-summation oracles: frozen references, classical values, invariants."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -158,6 +159,22 @@ class TestBaseBinomial:
         assert_close(lhs_base_binomial(2.0, 1).value, 1.5, 1e-15)
         assert lhs_base_binomial(0.0, 3).value == 0.0
 
+    @pytest.mark.parametrize("x", [10, 30, 60, 120])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_integer_error_within_estimate(self, x, m):
+        # the finite sum cancels as x grows: at x = 60, m = 1 it gives 4.19
+        # against H_60 = 4.68, and its estimate must cover that
+        r = lhs_base_binomial(float(x), m)
+        exact = sum(Fraction((-1) ** (k - 1) * math.comb(x, k), k**m) for k in range(1, x + 1))
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.tail_estimate)
+        assert r.tail_estimate > 0.0
+
+    def test_integer_cancellation_not_converged(self):
+        assert EvalConfig().converged(lhs_base_binomial(10.0, 1))
+        r = lhs_base_binomial(60.0, 1)
+        assert abs(r.value - float(sum(Fraction(1, k) for k in range(1, 61)))) > 0.1
+        assert not EvalConfig().converged(r)
+
     @pytest.mark.parametrize("x,m", [(0.5, 1), (0.5, 2), (2.5, 1), (3.5, 3)])
     def test_frozen(self, x, m):
         r = lhs_base_binomial(x, m)
@@ -191,6 +208,15 @@ class TestBinomialShifted:
 
     def test_x_one(self):
         assert_close(lhs_binomial_shifted(1.0, 1.0, 0).value, 0.5, 1e-15)
+
+    @pytest.mark.parametrize("x", [10, 30, 60, 120])
+    @pytest.mark.parametrize("p,m", [(0.5, 0), (2.5, 0), (1.0, 3), (2.5, 9)])
+    def test_integer_error_within_estimate(self, x, p, m):
+        r = lhs_binomial_shifted(float(x), p, m)
+        exact = sum(Fraction((-1) ** k * math.comb(x, k)) / (Fraction(p) + k) ** (m + 1)
+                    for k in range(0, x + 1))
+        assert abs(Fraction(r.value) - exact) <= Fraction(r.tail_estimate)
+        assert r.tail_estimate > 0.0
 
     def test_half_pi(self):
         # x = p = 1/2, m = 0 sums to the beta value pi/2
