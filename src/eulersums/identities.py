@@ -12,7 +12,9 @@ THM_V4_311) share one shape: a finite binomial-harmonic sum
 sum_k (-1)^k C(n,k) w(k)/(c+k)^s, which _finite_sum evaluates, plus the
 x-partials of one gamma-ratio jet, which _x_partials reads.  Each writes out
 its own weight and final combination: passing points sit within one rounding
-of tol, so reordering either could flip a verdict.
+of tol, so reordering either could flip a verdict.  The weights and
+combinations index the harmonic numbers H_0^(r) .. H_n^(r) of one memoized
+tuple per (n, r), _harmonics, each entry gen_harmonic's fsum.
 
 Two of the closed forms are easy to mis-state and are pinned against the
 oracles:
@@ -74,7 +76,7 @@ from .special import (
     DomainError,
     digamma,
     gen_harmonic,
-    harmonic,
+    memo,
     riemann_zeta,
 )
 from .summation import EvalConfig, SumResult
@@ -122,23 +124,17 @@ class VerifyReport:
 # -------------------------- finite-sum helpers ------------------------------
 
 
-def _h(n: int) -> float:
-    return harmonic(n)
+@memo
+def _harmonics(n: int, order: int) -> tuple[float, ...]:
+    """(H_0^(order), ..., H_n^(order)), each entry gen_harmonic's fsum."""
+    return tuple(gen_harmonic(j, order) for j in range(n + 1))
 
 
-def _h2(n: int) -> float:
-    return gen_harmonic(n, 2)
-
-
-def _h3(n: int) -> float:
-    return gen_harmonic(n, 3)
-
-
-def _cubic_weight(n: int, k: int) -> float:
-    """H_n^3 + 2H_n^(3) + 3H_n H_n^(2) minus the same at index n-k."""
-    hn, hn2, hn3 = _h(n), _h2(n), _h3(n)
-    hk, hk2, hk3 = _h(n - k), _h2(n - k), _h3(n - k)
-    return hn**3 + 2 * hn3 + 3 * hn * hn2 - hk**3 - 2 * hk3 - 3 * hk * hk2
+def _cubic_weight(n: int) -> Callable[[int], float]:
+    """k -> H_n^3 + 2H_n^(3) + 3H_n H_n^(2) minus the same at index n-k."""
+    h, h2, h3 = _harmonics(n, 1), _harmonics(n, 2), _harmonics(n, 3)
+    return lambda k: (h[n] ** 3 + 2 * h3[n] + 3 * h[n] * h2[n]
+                      - h[n - k] ** 3 - 2 * h3[n - k] - 3 * h[n - k] * h2[n - k])
 
 
 def _sign(j: int) -> float:
@@ -200,7 +196,8 @@ def rhs_thm_e15(x: float, m: int) -> float:
 def rhs_thm_t25(n: int, m: int) -> float:
     """Finite binomial-harmonic sum minus the first x-partial of the ratio."""
     _check_m(m, 1)
-    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: _h(n) - _h(n - k))
+    h = _harmonics(n, 1)
+    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: h[n] - h[n - k])
     (f1,) = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 1, m)
     return fs - _sign(m) / math.factorial(m) * f1
 
@@ -208,13 +205,14 @@ def rhs_thm_t25(n: int, m: int) -> float:
 def rhs_thm_31(n: int, m: int) -> float:
     """Variant-1 closed form: quadratic-harmonic finite sum plus F1/F2 terms."""
     _check_m(m, 1)
+    h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = -_finite_sum(n, 1, lambda k: float(k) ** m,
-                      lambda k: _h(n - k) ** 2 + _h2(n - k) - _h2(n) - _h(n) ** 2)
+                      lambda k: h[n - k] ** 2 + h2[n - k] - h2[n] - h[n] ** 2)
     f1, f2 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 2, m)
     smn = _sign(m + n)
     return (_sign(n) / 2.0 * fs
             - smn / (2.0 * math.factorial(m)) * f2
-            + smn * _h(n) / math.factorial(m) * f1)
+            + smn * h[n] / math.factorial(m) * f1)
 
 
 def rhs_cor_32(m: int) -> float:
@@ -228,11 +226,12 @@ def rhs_cor_32(m: int) -> float:
 def rhs_thm_33(n: int, m: int) -> float:
     """Variant-2 closed form: cubic-harmonic finite sum plus F1/F2/F3 combination."""
     _check_m(m, 1)
-    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: _cubic_weight(n, k))
+    h, h2 = _harmonics(n, 1), _harmonics(n, 2)
+    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, _cubic_weight(n))
     f1, f2, f3 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 3, m)
     return (_sign(n - 1) / 3.0 * fs
             + _sign(m + n) / math.factorial(m)
-            * ((_h(n) ** 2 + _h2(n)) * f1 - _h(n) * f2 + f3 / 3.0))
+            * ((h[n] ** 2 + h2[n]) * f1 - h[n] * f2 + f3 / 3.0))
 
 
 def rhs_cor_34(m: int) -> float:
@@ -295,7 +294,8 @@ def rhs_thm_37(p: float, n: int, m: int) -> float:
     """Shifted finite sum minus the first x-partial of the shifted ratio."""
     _check_m(m, 0)
     _check_p(p, m + 1, n)
-    fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1), lambda k: _h(n) - _h(n - k))
+    h = _harmonics(n, 1)
+    fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1), lambda k: h[n] - h[n - k])
     (g1,) = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 1, m)
     return fs - _sign(m) / math.factorial(m) * g1
 
@@ -317,10 +317,11 @@ def rhs_thm_39(p: float, n: int, m: int) -> float:
     """Half the quadratic finite sum plus (G2 - 2 H_n G1)/(2 m!) partials."""
     _check_m(m, 0)
     _check_p(p, m + 1, n)
+    h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1),
-                     lambda k: _h(n) ** 2 + _h2(n) - _h(n - k) ** 2 - _h2(n - k))
+                     lambda k: h[n] ** 2 + h2[n] - h[n - k] ** 2 - h2[n - k])
     g1, g2 = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 2, m)
-    return 0.5 * fs + _sign(m) / (2.0 * math.factorial(m)) * (g2 - 2.0 * _h(n) * g1)
+    return 0.5 * fs + _sign(m) / (2.0 * math.factorial(m)) * (g2 - 2.0 * h[n] * g1)
 
 
 def rhs_cor_310(p: float, m: int) -> float:
@@ -350,12 +351,13 @@ def rhs_thm_311(p: float, n: int, m: int) -> float:
     z-order m-1 (the order that pairs with the 1/(m-1)! factor)."""
     _check_m(m, 1)
     _check_p(p, m, n)
-    fs = _finite_sum(n, 0, lambda k: (p + k) ** m, lambda k: _cubic_weight(n, k))
+    h, h2 = _harmonics(n, 1), _harmonics(n, 2)
+    fs = _finite_sum(n, 0, lambda k: (p + k) ** m, _cubic_weight(n))
     g1, g2, g3 = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 3, m - 1)
     smn = _sign(m + n)
     return (_sign(n) / 3.0 * fs
             + smn / math.factorial(m - 1)
-            * ((_h(n) ** 2 + _h2(n)) * g1 - _h(n) * g2 + g3 / 3.0))
+            * ((h[n] ** 2 + h2[n]) * g1 - h[n] * g2 + g3 / 3.0))
 
 
 def rhs_cor_312(p: float, m: int) -> float:

@@ -13,14 +13,23 @@ that appear in every closed-form right-hand side, and mixed_partial reads
 the derivatives off it.  Division never happens: ratios are assembled as
 exp(sum of log-gamma jets), so one exp code path serves everything.
 
+The closed forms take x-orders 1, 2 and 3 of one ratio at one base point, so
+gamma_ratio_jet keeps one read-only jet per (variant, x0, z0, oz) at x-order
+MAX_OX (special.memo) and returns its rows 0..ox.  A truncated Taylor
+coefficient of order <= k does not depend on where the series is truncated
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), and here
+row a of the exp recurrence reads rows <= a only, so the rows keep the bits
+of a build at ox.  x-order 0 is kept apart: the x-rows need psi at x0 + 1,
+a pole at x0 = -1 where the ox = 0 jet is finite.
+
 psi_derivatives keeps the raw tuple (psi(a), psi'(a), ..., psi^(top)(a)) by
 its exact (a, top) (special.memo); it is the one source of psi values for
 the jets and for the closed forms' Leibniz sums.  ln_gamma_jet and psi_jet
 divide its entries by k! and are memoized themselves, each read-only array
 kept by its exact (a, order), so every caller shares it: a polygamma value
 is computed once per process.  A memo table keeps no raised DomainError, so
-a bad a is checked on every call.  series._cache.cache_clear() drops them
-all.
+a bad a or base point is checked on every call.  series._cache.cache_clear()
+drops them all, the gamma-ratio jets included.
 
 A bivariate jet has at most MAX_OZ + 1 = 13 coefficients per row, so
 per-call overhead sets its cost.  The kernels make few calls and keep every
@@ -148,15 +157,25 @@ def _exp2(f: np.ndarray) -> np.ndarray:
 
 
 def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -> np.ndarray:
-    """Bivariate jet of the chosen gamma ratio at (x0, z0): the
+    """Bivariate jet of the chosen gamma ratio at (x0, z0): the read-only
     (ox+1) x (oz+1) array of d_x^a d_z^b f(x0, z0) / (a! b!).
+
+    Rows 0..ox of the jet kept for (variant, x0, z0, oz) at x-order MAX_OX,
+    or at x-order 0 when ox = 0 (see the module docstring).
+    """
+    if not (0 <= ox <= MAX_OX and 0 <= oz <= MAX_OZ):
+        raise DomainError(f"orders ({ox},{oz}) outside supported (<= {MAX_OX}, <= {MAX_OZ})")
+    return _ratio_jet(variant, x0, z0, MAX_OX if ox else 0, oz)[: ox + 1]
+
+
+@memo
+def _ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -> np.ndarray:
+    """gamma_ratio_jet at exactly (ox, oz), read-only.
 
     Built as exp of  lnGamma(x0+1+dx) + lnGamma(z0+dz) - lnGamma(w0+dx+dz)
     with w0 = x0+z0 (+1 for BETA_SHIFT1); the composite (dx+dz)^r term
     spreads over the rectangle with binomial weights.
     """
-    if not (0 <= ox <= MAX_OX and 0 <= oz <= MAX_OZ):
-        raise DomainError(f"orders ({ox},{oz}) outside supported (<= {MAX_OX}, <= {MAX_OZ})")
     shift = 1.0 if variant is RatioVariant.BETA_SHIFT1 else 0.0
     w0 = x0 + z0 + shift
     for arg, name in ((x0 + 1.0, "x0+1"), (z0, "z0"), (w0, "x0+z0+shift")):
@@ -170,7 +189,9 @@ def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int, oz: in
     log_jet[:, 0] += ux
     log_jet[0, :] += uz
     log_jet -= uw[diag] * weight
-    return _exp2(log_jet)
+    g = _exp2(log_jet)
+    g.setflags(write=False)
+    return g
 
 
 @memo

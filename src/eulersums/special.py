@@ -7,11 +7,10 @@ followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
 parameter-only builders (series factors and their harmonic-number tables,
-psi-derivative tuples, ln Gamma and psi jets, scalar harmonic numbers) in
-bounded tables that clear_memos empties.  gen_harmonic, and harmonic through
-it, checks its arguments on every call and keeps each fsum by its exact
-(n, m): the closed forms' finite sums ask for a few dozen distinct harmonic
-numbers tens of thousands of times.
+psi-derivative tuples, ln Gamma, psi and gamma-ratio jets, the closed forms'
+harmonic-number tuples, scalar harmonic numbers) in bounded tables that
+clear_memos empties.  gen_harmonic, and harmonic through it, checks its
+arguments on every call and keeps each fsum by its exact (n, m).
 """
 
 from __future__ import annotations
@@ -116,8 +115,9 @@ def polygamma(k: int, x: float) -> float:
     x >= 10 + k, then sums the Bernoulli asymptotic series truncated at its
     smallest term (at most 12 Bernoulli terms).  The order-dependent
     threshold keeps the truncation floor below 1e-13 relative through
-    k ~ 16; a flat threshold of 10 degrades to ~1e-10 by k = 16.  If k! or
-    a power overflows binary64 (k! does from k = 171), DomainError.
+    k ~ 16; a flat threshold of 10 degrades to ~1e-10 by k = 16.  If k!, a
+    power or a recurrence term k!/y^(k+1) leaves binary64 (k! does from
+    k = 171; y^(k+1) underflows to 0 near a pole), DomainError.
     """
     if k < 1:
         raise DomainError(f"polygamma requires k >= 1, got {k}")
@@ -141,9 +141,12 @@ def polygamma(k: int, x: float) -> float:
                 break
             s += t
             prev = abs(t)
-    except OverflowError:
-        raise DomainError(f"polygamma({k}, {x}) overflows binary64") from None
-    return sign * s + acc
+        out = sign * s + acc
+    except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: y^(k+1) rounded to 0
+        out = math.inf
+    if math.isinf(out):
+        raise DomainError(f"polygamma({k}, {x}) overflows binary64")
+    return out
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -204,9 +207,12 @@ def gen_harmonic(n: int, m: int) -> float:
 
 # The most results one memo table keeps; past it the least recently used goes.
 # One pass over the default grid builds 163 distinct series factors, 114
-# distinct ln Gamma jets from 115 psi-derivative tuples and 15 harmonic
-# numbers; one over the closed_form benchmark builds 347 psi-derivative tuples,
-# 380 jets and 33 harmonic numbers, which it reads 32120 times.
+# distinct ln Gamma jets from 115 psi-derivative tuples, 250 gamma-ratio jets
+# for its 500 gamma_ratio_jet calls (the 375 at x-order >= 1 share 125) and 15
+# harmonic numbers in 15 tuples; one over the closed_form benchmark builds 347
+# psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio jets for
+# 1760 calls (the 1320 at x-order >= 1 share 440) and 33 harmonic numbers in
+# 33 tuples, which it reads 3520 times.
 MEMO_SIZE = 1024
 
 _MEMOS: list = []

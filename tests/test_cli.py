@@ -134,6 +134,16 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, m, k", [("2e-12", "25", 24), ("1e-11", "30", 25)])
+    def test_polygamma_near_pole_exit_2(self, capsys, p, m, k):
+        # a recurrence term k!/p^(k+1) overflows (at 2e-12) or p^(k+1)
+        # underflows to 0 (at 1e-11): polygamma says so, instead of a value
+        # of -inf that blames the identity or a division by zero
+        code, out, err = run(capsys, "eval", "COR_CENTRAL_36", "--p", p, "--m", m)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: polygamma({k}, {float(p)}) overflows binary64\n"
+
     @pytest.mark.parametrize("argv", [("COR_38", "--p", "1e-300", "--m", "2"),
                                       ("THM_V4_311", "--p", "1e-300", "--n", "1", "--m", "3"),
                                       ("COR_310", "--p", "1e-200", "--m", "3")])

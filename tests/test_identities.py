@@ -1,5 +1,6 @@
 """Closed-form right sides, the verify harness, and cross-identity chains."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -37,8 +38,7 @@ from eulersums.identities import (
     REGISTRY,
     _cubic_weight,
     _finite_sum,
-    _h,
-    _h2,
+    _harmonics,
     _zeta_double_sum,
     default_grid,
     ex4_stated_zeta_form,
@@ -323,16 +323,22 @@ def _exact_h(n, order):
     return sum((Fraction(1, k**order) for k in range(1, n + 1)), Fraction(0))
 
 
+def _weight(expr):
+    """n -> the weight k -> expr(h, h2, n, k), on the harmonic-number tuples
+    h = _harmonics(n, 1) and h2 = _harmonics(n, 2) the closed forms read."""
+    return lambda n: functools.partial(expr, _harmonics(n, 1), _harmonics(n, 2), n)
+
+
 # The finite sums' weights are P(n) - P(n - k) for a polynomial P in harmonic
 # numbers; `parts` lists P's terms, on floats or on exact Fractions.  Each
-# weight is (its float value as the closed forms write it, the sign it puts
-# on P(n) - P(n - k), the parts of P).
+# weight is (n -> its float value as the closed forms write it, the sign it
+# puts on P(n) - P(n - k), the parts of P).
 _WEIGHTS = {
-    "order 1": (lambda n, k: _h(n) - _h(n - k), 1, lambda h1, h2, h3: [h1]),
-    "order 2": (lambda n, k: _h(n) ** 2 + _h2(n) - _h(n - k) ** 2 - _h2(n - k), 1,
+    "order 1": (_weight(lambda h, h2, n, k: h[n] - h[n - k]), 1, lambda h1, h2, h3: [h1]),
+    "order 2": (_weight(lambda h, h2, n, k: h[n] ** 2 + h2[n] - h[n - k] ** 2 - h2[n - k]), 1,
                 lambda h1, h2, h3: [h1**2, h2]),
-    "order 2, reversed": (lambda n, k: _h(n - k) ** 2 + _h2(n - k) - _h2(n) - _h(n) ** 2, -1,
-                          lambda h1, h2, h3: [h1**2, h2]),
+    "order 2, reversed": (_weight(lambda h, h2, n, k: h[n - k] ** 2 + h2[n - k] - h2[n] - h[n] ** 2),
+                          -1, lambda h1, h2, h3: [h1**2, h2]),
     "order 3": (_cubic_weight, 1, lambda h1, h2, h3: [h1**3, 2 * h3, 3 * h1 * h2]),
 }
 
@@ -343,9 +349,10 @@ class TestFiniteSum:
     @pytest.mark.parametrize("name", _WEIGHTS)
     @pytest.mark.parametrize("shift", [None, 0.5, 1.0, 2.5])
     def test_within_running_error_bound(self, name, shift):
-        weight, sign, parts = _WEIGHTS[name]
+        weight_of, sign, parts = _WEIGHTS[name]
         u = 2.0**-53
         for n in range(11):
+            weight = weight_of(n)
             exact_p = {j: parts(*(_exact_h(j, r) for r in (1, 2, 3))) for j in range(n + 1)}
             float_p = {j: parts(*(float(_exact_h(j, r)) for r in (1, 2, 3))) for j in range(n + 1)}
             for m in (1, 4):
@@ -356,7 +363,7 @@ class TestFiniteSum:
                     lo, e, base_roundings = 0, m + 1, 1
                     power = lambda k: (shift + k) ** (m + 1)  # noqa: E731
                     exact_power = lambda k: (Fraction(shift) + k) ** (m + 1)  # noqa: E731
-                got = _finite_sum(n, lo, power, lambda k: weight(n, k))
+                got = _finite_sum(n, lo, power, weight)
                 exact = sum((Fraction((-1) ** k * math.comb(n, k) * sign)
                              * (sum(exact_p[n]) - sum(exact_p[n - k])) / exact_power(k)
                              for k in range(lo, n + 1)), Fraction(0))
@@ -369,6 +376,6 @@ class TestFiniteSum:
                 for k in range(lo, n + 1):
                     a = math.fsum(abs(v) for v in float_p[n] + float_p[n - k])
                     scale = math.comb(n, k) / abs(power(k))
-                    bound += scale * (16.0 * a + (4.0 + base_roundings * e) * abs(weight(n, k)))
+                    bound += scale * (16.0 * a + (4.0 + base_roundings * e) * abs(weight(k)))
                 bound = u * (bound + abs(got))
                 assert abs(Fraction(got) - exact) <= Fraction(bound), (n, m)

@@ -28,7 +28,7 @@ from eulersums import (
     mixed_partial,
     polygamma,
 )
-from eulersums import identities, jets
+from eulersums import identities, jets, series
 from eulersums.identities import REGISTRY, default_grid
 from eulersums.series import lhs_base_binomial, lhs_variant2
 from eulersums.special import SQRT_PI
@@ -349,3 +349,63 @@ def test_gather_tables_are_read_only():
     assert idx.shape == (2, 8, 4)
     with pytest.raises(ValueError):
         idx[0, 0, 0] = 1
+
+
+# ----------------- one shared jet per base point and z-order -----------------
+
+_BASES = list(itertools.product(RatioVariant, [float(v) for v in range(11)] + [0.5, 2.5],
+                                [0.5, 1.0, 2.5]))
+
+
+def test_shared_jets_keep_the_bits_of_a_fresh_build():
+    """Every x-order reads rows of one kept jet (x-order MAX_OX, or 0 on its
+    own), whichever order asked first: the bits of an unshared build at
+    exactly (ox, oz), read-only."""
+    series._cache.cache_clear()
+    fresh = jets._ratio_jet.__wrapped__
+    for k, (variant, x0, z0) in enumerate(_BASES):
+        for oz in range(jets.MAX_OZ + 1):
+            builds = jets._ratio_jet.cache_info().misses
+            orders = list(range(jets.MAX_OX + 1))
+            for ox in orders[k % 4:] + orders[: k % 4]:  # each order goes first somewhere
+                got = gamma_ratio_jet(variant, x0, z0, ox, oz)
+                assert got.shape == (ox + 1, oz + 1)
+                assert _hex(got) == _hex(fresh(variant, x0, z0, ox, oz)), (variant, x0, z0, ox, oz)
+                with pytest.raises(ValueError):
+                    got[0, 0] = 0.0
+            assert jets._ratio_jet.cache_info().misses == builds + 2
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.0, 4, 1), (0.0, 1.0, -1, 1), (0.0, 1.0, 1, 13),
+                                  (-1.0, 1.0, 1, 1), (0.0, 0.0, 0, 1), (-1.0, 0.5, 0, 2)])
+def test_bad_orders_and_arguments_raise_on_every_call(args):
+    series._cache.cache_clear()
+    for variant in RatioVariant:
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                gamma_ratio_jet(variant, *args)
+    assert jets._ratio_jet.cache_info().currsize == 0
+
+
+_NEAR_MINUS_ONE = -0.9999999999999999  # -1 + 2^-53
+
+
+@pytest.mark.parametrize("fn, args, bits", [
+    (identities.rhs_thm_35, (_NEAR_MINUS_ONE, 0.5, 0), "0x1.ffffffffffffap+52"),
+    (identities.rhs_thm_35, (_NEAR_MINUS_ONE, 2.5, 0), "0x1.ffffffffffffap+52"),
+    (identities.rhs_thm_35, (_NEAR_MINUS_ONE, 0.5, 2), "0x1.ffffffffffffap+2"),
+    (identities.rhs_thm_35, (_NEAR_MINUS_ONE, 0.5, 3), "0x1.ffffffffffffap+3"),
+    (identities.rhs_thm_e15, (-1.0 + 2.0**-36, 1), "-0x1.fffffffffffffp+35"),
+    (identities.rhs_thm_e15, (-1.0 + 2.0**-36, 2), "-0x1.0000000000000p+19"),
+    (identities.rhs_thm_e15, (-1.0 + 2.0**-20, 3), "0x1.5555555555555p+6"),
+])
+def test_x_order_zero_jets_stay_finite_next_to_the_pole(fn, args, bits):
+    """The ox = 0 jets of the two base theorems need no psi at x0 + 1, so at
+    x0 = -1 + 2^-53, where an x-row's psi is a pole, they keep their values,
+    also after an x-order >= 1 jet at the same point has raised."""
+    x0, z0 = args[0], args[1] if fn is identities.rhs_thm_35 else 1.0
+    variant = RatioVariant.BETA_SHIFT1 if fn is identities.rhs_thm_35 else RatioVariant.BETA_SHIFT0
+    with pytest.raises(DomainError):
+        gamma_ratio_jet(variant, _NEAR_MINUS_ONE, z0, 1, args[-1])
+    assert fn(*args).hex() == bits
+    assert fn(*args).hex() == bits

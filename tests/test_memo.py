@@ -1,6 +1,6 @@
 """The parameter-only memo tables: the series factors (each with its tail
-model), the ln Gamma / psi jets and the harmonic numbers are built once per
-process, give the same bits cold and warm, are dropped by
+model), the ln Gamma / psi and gamma-ratio jets and the harmonic numbers and
+their tuples are built once per process, give the same bits cold and warm, are dropped by
 series._cache.cache_clear(), stay within special.MEMO_SIZE and cannot be
 written through."""
 
@@ -73,6 +73,44 @@ def test_closed_forms_cold_and_warm_bits():
     first = _rhs_pass()
     assert sum(v.startswith(("0x", "-0x")) for _, _, v in first) > 300
     assert _rhs_pass() == first
+
+
+def test_closed_forms_alone_give_the_shared_bits():
+    """A point computed alone, with every table empty, gets the bits it gets
+    in a pass where other points built the jets and harmonic numbers it
+    reads: sharing does not depend on call order."""
+    shared = _rhs_pass()
+    for name, args, want in shared:
+        series._cache.cache_clear()
+        try:
+            got = float(getattr(identities, name)(*args)).hex()
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want, (name, args)
+
+
+def test_clear_drops_the_ratio_jets_and_harmonic_tuples():
+    _rhs_pass()
+    tables = (jets._ratio_jet, identities._harmonics)
+    assert all(table.cache_info().currsize > 0 for table in tables)
+    series._cache.cache_clear()
+    assert all(table.cache_info().currsize == 0 for table in tables)
+
+
+def test_ratio_jets_and_harmonic_tuples_stay_within_the_bound():
+    for i in range(MEMO_SIZE + 10):
+        jets.gamma_ratio_jet(jets.RatioVariant.BETA_SHIFT0, 1.0 + i / 64.0, 1.0, 1, 0)
+        identities._harmonics(1, i + 1)
+    for table in (jets._ratio_jet, identities._harmonics):
+        info = table.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize == MEMO_SIZE
+
+
+def test_harmonic_tuples_hold_gen_harmonic():
+    for n, order in itertools.product(range(12), (1, 2, 3)):
+        assert identities._harmonics(n, order) == tuple(
+            special.gen_harmonic(j, order) for j in range(n + 1))
 
 
 def _counting(monkeypatch, owner, name):

@@ -104,6 +104,17 @@ class TestPolygamma:
         with pytest.raises(DomainError, match="overflows binary64"):
             polygamma(400, 1.0)
 
+    @pytest.mark.parametrize("k, x", [(24, 2e-12), (23, -1e-12), (30, 1e-11), (30, -1 + 1e-11)])
+    def test_near_pole_overflow_is_domain_error(self, k, x):
+        # k!/x^(k+1) past binary64, or x^(k+1) rounded to 0
+        with pytest.raises(DomainError, match=rf"polygamma\({k}, {x}\) overflows binary64"):
+            polygamma(k, x)
+
+    def test_near_pole_finite_value(self):
+        # the largest order at 2e-12 whose terms stay finite: the pole term
+        # 23!/x^24 near the top of binary64
+        assert polygamma(23, 2e-12) == pytest.approx(math.factorial(23) / 2e-12**24, rel=1e-12)
+
 
 class TestZeta:
     def test_two(self):
