@@ -5,14 +5,16 @@ sum_{a, j} C[a][j] ln(t)^a t^-j for j = 0..depth, stored densely as one row
 of coefficients per power of ln t.  Every slowly convergent series in this
 package has a tail whose terms admit such an expansion, on one lattice
 s0 + j: harmonic numbers of every order expand, in harmonic_lp, through the
-Bernoulli series for psi and its derivatives (s0 = 0), reciprocal binomials
-are finite products of shifted reciprocals (s0 = n), and gamma ratios, the
-binomial and central binomial coefficients among them, are a power t^-s0
-times the exp of the difference of two Stirling series.  A series keeps the orders s0 .. s0 + depth, and the
-integer depth is the only truncation it knows: each constructor takes the
-number of orders to keep past its own leading one, so a product keeps the
-smaller depth of its operands and no factor is built deeper than the product
-can use.  The class supplies point values and termwise derivatives, and
+Bernoulli series for psi and its derivatives (s0 = 0), and every
+binomial-type factor is a gamma ratio Gamma(t + a) / Gamma(t + b) up to a
+constant: 1/binom(n+t, t) = n! Gamma(t+1) / Gamma(t+n+1) (s0 = n),
+binom(2t, t)/4^t and (-1)^t binom(x, t).  gamma_ratio_lp expands each as a
+power t^-s0 times the exp of the difference of two Stirling series, through
+the exp recurrence the jets use.  A series keeps the orders
+s0 .. s0 + depth, and the integer depth is the only truncation it knows: each
+constructor takes the number of orders to keep past its own leading one, so a
+product keeps the smaller depth of its operands and no factor is built deeper
+than the product can use.  The class supplies point values and termwise derivatives, and
 log_power_integral the closed-form tail integral int_K^inf ln^a t / t^s dt,
 from which summation.em_tail builds its Euler-Maclaurin weights.
 """
@@ -23,6 +25,7 @@ import math
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
+from .jets import _exp_series1
 from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, bernoulli_poly, riemann_zeta
 
 
@@ -152,10 +155,6 @@ def log_power_integral(a: int, s: float, K: float) -> float:
     return acc
 
 
-def one(depth: int) -> LogPowerSeries:
-    return LogPowerSeries(depth, {(0, 0.0): 1.0})
-
-
 def psi_shifted(scale: float, depth: int) -> LogPowerSeries:
     """Expansion of psi(scale*t + 1) for large t:
     ln(scale) + ln t + 1/(2 scale t) - sum_j B_2j / (2j (scale t)^{2j})."""
@@ -197,55 +196,31 @@ def recip_power_shift(c: float, s: float, depth: int) -> LogPowerSeries:
     return LogPowerSeries._of(s, depth, [row])
 
 
-def inv_binomial_lp(n: int, depth: int) -> LogPowerSeries:
-    """1 / binom(n+t, t) = n! / ((t+1)(t+2)...(t+n)), each ratio i/(t+i)
-    built at the depth the product keeps."""
-    out = one(depth)
-    for i in range(1, n + 1):
-        out = out * recip_power_shift(float(i), 1.0, depth).scaled(float(i))
-    return out
-
-
-def exp_lp(x: LogPowerSeries) -> LogPowerSeries:
-    """exp of a series with no constant or log part and min decay >= 1, kept
-    to the last order of x."""
-    if any(a != 0 or s < 1.0 for (a, s) in x.terms):
-        raise DomainError("exp_lp needs a pure power series with decay >= 1")
-    out = power = one(round(x.s0) + x.depth)
-    for i in range(1, out.depth + 1):
-        power = power * x
-        out = out + power.scaled(1.0 / math.factorial(i))
-    return out
-
-
 def gamma_ratio_lp(a: float, b: float, depth: int) -> LogPowerSeries:
     """Gamma(t + a) / Gamma(t + b) = t^(a-b) exp(sum_{n>=1} d_n t^-n) with
     d_n = (-1)^(n+1) (B_{n+1}(a) - B_{n+1}(b)) / (n (n+1)), the difference of
     the Stirling series of ln Gamma(t + a) and ln Gamma(t + b) (Tricomi and
-    Erdelyi 1951).  The exponent stops at n = 24, the last Bernoulli number at
-    hand, and so does its exp: the orders past t^(a-b-24) are dropped, which
-    are below the leading one by about (max(|a|, |b|)^2 / t)^25 / 25!.
+    Erdelyi 1951).  The exp is the jets' recurrence on the coefficients of
+    1/t, jets._exp_series1.  The exponent stops at n = 24, the last Bernoulli
+    number at hand, and so does its exp: the orders past t^(a-b-24) are
+    dropped, which are below the leading one by about
+    (max(|a|, |b|)^2 / t)^25 / 25!.
     """
     depth = min(depth, 24)
-    exponent = []
+    exponent = [0.0]
     for n in range(1, depth + 1):
         d = (bernoulli_poly(n + 1, a) - bernoulli_poly(n + 1, b)) / (n * (n + 1))
         exponent.append(d if n % 2 else -d)
-    # t^-1 .. t^-depth: depth - 1 orders past its leading one
-    ratio = exp_lp(LogPowerSeries._of(1.0, depth - 1, [exponent]))
-    return LogPowerSeries._of(b - a, depth, ratio.rows)
+    return LogPowerSeries._of(b - a, depth, [_exp_series1(exponent)])
 
 
 __all__ = [
     "LogPowerSeries",
     "log_power_integral",
-    "one",
     "psi_shifted",
     "harmonic_lp",
     "central_harmonic_diff_lp",
     "recip_power_shift",
-    "inv_binomial_lp",
-    "exp_lp",
     "gamma_ratio_lp",
     "EULER_GAMMA",
 ]

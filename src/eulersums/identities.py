@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .jets import (
+    MAX_OZ,
     RatioVariant,
     gamma_ratio_jet,
     jet_exp,
@@ -156,9 +157,13 @@ def _x_partials(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -
     return [mixed_partial(j, a, oz) for a in range(1, ox + 1)]
 
 
-def _check_m(m: int, least: int) -> None:
+def _check_m(m: int, least: int, most: float = math.inf) -> None:
+    """DomainError naming m unless least <= m <= most; a closed form that
+    reads z-order m of a gamma-ratio jet takes most = MAX_OZ."""
     if m < least:
         raise DomainError(f"m must be >= {least}, got {m}")
+    if m > most:
+        raise DomainError(f"m must be <= {most}, got {m}")
 
 
 _MIN_NORMAL = sys.float_info.min
@@ -188,14 +193,14 @@ def _check_p(p: float, e: int, n: int | None = None) -> None:
 
 def rhs_thm_e15(x: float, m: int) -> float:
     """(-1)^m/m! d^m/dz^m Gamma(x+1)Gamma(z)/Gamma(z+x) at z=1."""
-    _check_m(m, 1)
+    _check_m(m, 1, MAX_OZ)
     j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, 0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 
 def rhs_thm_t25(n: int, m: int) -> float:
     """Finite binomial-harmonic sum minus the first x-partial of the ratio."""
-    _check_m(m, 1)
+    _check_m(m, 1, MAX_OZ)
     h = _harmonics(n, 1)
     fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: h[n] - h[n - k])
     (f1,) = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 1, m)
@@ -204,7 +209,7 @@ def rhs_thm_t25(n: int, m: int) -> float:
 
 def rhs_thm_31(n: int, m: int) -> float:
     """Variant-1 closed form: quadratic-harmonic finite sum plus F1/F2 terms."""
-    _check_m(m, 1)
+    _check_m(m, 1, MAX_OZ)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = -_finite_sum(n, 1, lambda k: float(k) ** m,
                       lambda k: h[n - k] ** 2 + h2[n - k] - h2[n] - h[n] ** 2)
@@ -225,7 +230,7 @@ def rhs_cor_32(m: int) -> float:
 
 def rhs_thm_33(n: int, m: int) -> float:
     """Variant-2 closed form: cubic-harmonic finite sum plus F1/F2/F3 combination."""
-    _check_m(m, 1)
+    _check_m(m, 1, MAX_OZ)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = -_finite_sum(n, 1, lambda k: float(k) ** m, _cubic_weight(n))
     f1, f2, f3 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 3, m)
@@ -269,7 +274,7 @@ def rhs_cor_34a(m: int) -> float:
 
 def rhs_thm_35(x: float, p: float, m: int) -> float:
     """(-1)^m/m! d^m/ds^m Gamma(x+1)Gamma(s)/Gamma(x+s+1) at s=p."""
-    _check_m(m, 0)
+    _check_m(m, 0, MAX_OZ)
     j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p, 0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
@@ -292,7 +297,7 @@ def rhs_cor_36(p: float, m: int) -> float:
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:
     """Shifted finite sum minus the first x-partial of the shifted ratio."""
-    _check_m(m, 0)
+    _check_m(m, 0, MAX_OZ)
     _check_p(p, m + 1, n)
     h = _harmonics(n, 1)
     fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1), lambda k: h[n] - h[n - k])
@@ -315,7 +320,7 @@ def rhs_cor_38(p: float, m: int) -> float:
 
 def rhs_thm_39(p: float, n: int, m: int) -> float:
     """Half the quadratic finite sum plus (G2 - 2 H_n G1)/(2 m!) partials."""
-    _check_m(m, 0)
+    _check_m(m, 0, MAX_OZ)
     _check_p(p, m + 1, n)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1),
@@ -349,7 +354,7 @@ def rhs_cor_310(p: float, m: int) -> float:
 def rhs_thm_311(p: float, n: int, m: int) -> float:
     """Cubic finite sum plus the three x-partials of the shifted ratio at
     z-order m-1 (the order that pairs with the 1/(m-1)! factor)."""
-    _check_m(m, 1)
+    _check_m(m, 1, MAX_OZ + 1)
     _check_p(p, m, n)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = _finite_sum(n, 0, lambda k: (p + k) ** m, _cubic_weight(n))
@@ -474,6 +479,12 @@ def _ex4_stated_form(lhs: float, tol: float, m: int) -> dict[str, Any]:
             "stated_matches": abs(stated - lhs) <= tol * max(abs(lhs), 1.0)}
 
 
+def _euler_32_sides(m: int) -> tuple[SumResult, float]:
+    """COR_EULER_32's series takes m - 1, so m is checked first, as given."""
+    _check_m(m, 2)
+    return lhs_variant1(0, m - 1).scaled(2.0), rhs_cor_32(m)
+
+
 P_GRID = (0.5, 1.0, 1.5, 2.5)
 N_GRID = (0, 1, 2, 3, 4)
 _X_GRID = tuple(float(n) for n in N_GRID)
@@ -502,7 +513,7 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.COR_EULER_32: Identity(
         "(m >= 2)",
         "2 sum H_k/(k+1)^m = m z(m+1) - sum z(k+1) z(m-k)",
-        lambda m: (lhs_variant1(0, m - 1).scaled(2.0), rhs_cor_32(m)),
+        _euler_32_sides,
         _axes(m=range(2, 6))),
     IdentityId.THM_V2_33: Identity(
         "(n >= 0, m >= 1)",

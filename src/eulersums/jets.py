@@ -11,7 +11,11 @@ of the two gamma ratios
 
 that appear in every closed-form right-hand side, and mixed_partial reads
 the derivatives off it.  Division never happens: ratios are assembled as
-exp(sum of log-gamma jets), so one exp code path serves everything.
+exp(sum of log-gamma jets), so one exp code path serves everything.  That
+path is _exp_series1, the exp recurrence on a coefficient list: jet_exp and
+the first row of _exp2 take it, and so does asymptotics.gamma_ratio_lp, whose
+tail models of the binomial-type series factors are the exp of a Stirling
+exponent in 1/t.  This module imports nothing from asymptotics.
 
 The closed forms take x-orders 1, 2 and 3 of one ratio at one base point, so
 gamma_ratio_jet keeps one read-only jet per (variant, x0, z0, oz) at x-order
@@ -90,7 +94,8 @@ def _conv1(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
 
 def _exp_series1(c: list[float]) -> list[float]:
-    """exp of a univariate normalized-coefficient list."""
+    """exp of a univariate normalized-coefficient list, or of a power series
+    in 1/t: out[k] = sum_{j=1..k} j c[j] out[k-j] / k."""
     out = [math.exp(c[0])]
     for k in range(1, len(c)):
         acc = 0.0

@@ -209,8 +209,9 @@ def _central_harmonic_diff() -> _Factor:
 
 @memo
 def _inv_binomial(n: int) -> _Factor:
-    """1/binom(n+k, k) = n!/((k+1)...(k+n)): n ratios i/(k+i), each a / and
-    a *."""
+    """1/binom(n+k, k) = n!/((k+1)...(k+n)) = n! Gamma(k + 1) / Gamma(k + n + 1):
+    the head takes n ratios i/(k+i), each a / and a *, and the tail is the
+    gamma-ratio expansion times n!."""
     @_kept
     def head(lo: int) -> np.ndarray:
         out = np.ones(K_CROSSOVER + 1 - lo)
@@ -218,7 +219,8 @@ def _inv_binomial(n: int) -> _Factor:
             out *= i / (_ks(lo) + i)
         return out
 
-    return _Factor(head, ap.inv_binomial_lp(n, _DEPTH).frozen(), 2.0 * n)
+    tail = ap.gamma_ratio_lp(1.0, n + 1.0, _DEPTH).scaled(float(math.factorial(n)))
+    return _Factor(head, tail.frozen(), 2.0 * n)
 
 
 @memo
@@ -280,8 +282,8 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
             return k * out if times_k else out
 
     tail = ap.recip_power_shift(c, float(s), _DEPTH)
-    if times_k:
-        tail = tail * ap.recip_power_shift(0.0, 1.0, _DEPTH)
+    if times_k:  # k^-1 (c + k)^-s: the same coefficients, each one order down
+        tail = ap.LogPowerSeries._of(tail.s0 + 1.0, tail.depth, tail.rows)
     return _Factor(head, tail.frozen(), 2.0 + base_roundings * s + times_k, divides=divides)
 
 

@@ -101,6 +101,13 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "THM_V1_31", "--n", "-3", "--m", "1")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("m", ["1", "0"])
+    def test_euler_32_names_the_given_m(self, capsys, m):
+        # the series takes m - 1; the error is about the m on the command line
+        code, out, err = run(capsys, "eval", "COR_EULER_32", "--m", m)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: m must be >= 2, got {m}\n"
+
     def test_non_convergence_exit_3(self, capsys):
         # the head cancels past what binary64 holds at rel_tol
         code, out, _ = run(capsys, "eval", "THM_BASE_E15", "--x", "50.5", "--m", "1")

@@ -172,6 +172,18 @@ class TestVariantClosedForms:
             with pytest.raises(DomainError, match=r"\bp\b"):
                 fn(*args)
 
+    @pytest.mark.parametrize("fn, args", [
+        (rhs_thm_e15, (2.5,)), (rhs_thm_t25, (3,)), (rhs_thm_31, (3,)), (rhs_thm_33, (3,)),
+        (rhs_thm_35, (2.5, 1.0)), (rhs_thm_37, (1.0, 3)), (rhs_thm_39, (1.0, 3)),
+        (rhs_thm_311, (1.0, 3))])
+    def test_jet_forms_name_m_past_the_last_jet_order(self, fn, args):
+        # each reads z-order m of a gamma-ratio jet, which keeps orders up to
+        # MAX_OZ = 12; THM_V4_311 reads z-order m - 1
+        last = 13 if fn is rhs_thm_311 else 12
+        assert math.isfinite(fn(*args, last))
+        with pytest.raises(DomainError, match=r"\bm\b"):
+            fn(*args, last + 1)
+
 
 class TestDegeneracyChains:
     """n = 0 / x = 0 reductions across the (p, m) grid, 1e-10 relative."""

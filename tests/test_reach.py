@@ -1,0 +1,99 @@
+"""Every statement of the numeric layers runs on the default grid.
+
+Under stdlib trace, one verify pass over every default_grid() point and two
+non-integer-x points, after series._cache.cache_clear(), must run every
+function-body statement of asymptotics, summation, series and jets, but for
+docstrings, raise statements and the commented ALLOWED list.  A statement it
+leaves out is either dead code or a path the grid does not check.
+"""
+
+import ast
+import inspect
+import trace
+
+from eulersums import asymptotics, identities, jets, series, summation
+from eulersums.identities import IdentityId
+
+MODULES = (asymptotics, summation, series, jets)
+
+# (module, function) -> the first source lines of the statements in it that
+# may stay unrun, or None for its whole body.
+ALLOWED = {
+    # perfbench/tracing.py counts the monomials em_tail is handed through it
+    ("asymptotics", "LogPowerSeries.terms"): None,
+    # only tests use these
+    ("asymptotics", "LogPowerSeries.__repr__"): None,
+    ("asymptotics", "LogPowerSeries.__call__"): None,
+    # its check runs at import, for identities.DEFAULT_CONFIG
+    ("summation", "EvalConfig.__post_init__"): None,
+    # em_tail's error guards: a tail that grows, an integral that diverges
+    ("summation", "em_tail"): {"x = float(K + 1)", "if row[j]:"},
+}
+
+# The grid has integer x only; these reach the signed-binomial factor.
+EXTRA_POINTS = ((IdentityId.THM_BASE_E15, {"x": 2.5, "m": 2}),
+                (IdentityId.THM_BASE_35, {"x": -0.5, "p": 1.0, "m": 1}))
+
+
+def _statements(tree, prefix=""):
+    """(function, statement) for every statement in a function body, nested
+    functions under their dotted names."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _statements(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield from _body(f"{prefix}{node.name}", node.body)
+
+
+def _body(func, stmts):
+    for stmt in stmts:
+        yield func, stmt
+        if isinstance(stmt, ast.FunctionDef):
+            yield from _body(f"{func}.{stmt.name}", stmt.body)
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            yield from _body(func, getattr(stmt, field, []))
+        for handler in getattr(stmt, "handlers", []):
+            yield from _body(func, handler.body)
+
+
+def _lines(stmt):
+    """The lines on which running `stmt` shows: its decorators and the lines
+    up to its body, or all of a simple statement."""
+    if isinstance(stmt, ast.FunctionDef):
+        return {d.lineno for d in stmt.decorator_list} | {stmt.lineno}
+    body = getattr(stmt, "body", None)
+    last = body[0].lineno - 1 if body else stmt.end_lineno
+    return set(range(stmt.lineno, last + 1))
+
+
+def _is_docstring(stmt):
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str))
+
+
+def _run():
+    series._cache.cache_clear()
+    for ident, params in identities.default_grid() + list(EXTRA_POINTS):
+        identities.verify(ident, params, 1e-7)
+
+
+def test_every_numeric_statement_runs():
+    tracer = trace.Trace(count=1, trace=0)
+    tracer.runfunc(_run)
+    counts = tracer.results().counts
+    unrun = []
+    for mod in MODULES:
+        short = mod.__name__.rsplit(".", 1)[-1]
+        source = inspect.getsource(mod)
+        lines = source.splitlines()
+        ran = {line for (path, line) in counts if path == mod.__file__}
+        for func, stmt in _statements(ast.parse(source)):
+            if _is_docstring(stmt) or isinstance(stmt, ast.Raise) or _lines(stmt) & ran:
+                continue
+            allowed = ALLOWED.get((short, func), set())
+            text = lines[stmt.lineno - 1].strip()
+            if allowed is None or text in allowed:
+                continue
+            unrun.append(f"{short}.{func}:{stmt.lineno}: {text}")
+    assert not unrun, "\n".join(unrun)

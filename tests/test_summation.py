@@ -1,6 +1,7 @@
 """Summation engine: the convergence test, tail models, Euler-Maclaurin."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -10,10 +11,8 @@ from eulersums import (DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta
 from eulersums.asymptotics import (
     LogPowerSeries,
     central_harmonic_diff_lp,
-    exp_lp,
     gamma_ratio_lp,
     harmonic_lp,
-    inv_binomial_lp,
     log_power_integral,
     recip_power_shift,
 )
@@ -158,7 +157,22 @@ class TestAsymptoticModels:
         n = 3
         t = float(self.T)
         want = math.factorial(n) / ((t + 1) * (t + 2) * (t + 3))
-        assert_close(inv_binomial_lp(n, 13)(t), want, 1e-13)
+        assert_close(series._inv_binomial(n).tail(t), want, 1e-13)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_inv_binomial_rows(self, n):
+        """1/((t+1)...(t+n)) = t^-n sum_j (-1)^j h_j(1..n) t^-j, with h_j the
+        complete homogeneous polynomial, here in Python integers: the
+        gamma-ratio tail keeps n! times each to 16 u."""
+        tail = series._inv_binomial(n).tail
+        h = [1] + [0] * tail.depth  # h_j of the empty set
+        for i in range(1, n + 1):
+            for j in range(1, tail.depth + 1):
+                h[j] += i * h[j - 1]
+        assert tail.s0 == n and len(tail.rows) == 1
+        for j, (got, hj) in enumerate(zip(tail.rows[0], h)):
+            want = (-1) ** j * math.factorial(n) * hj
+            assert abs(Fraction(got) - want) <= 16 * 2.0**-53 * abs(want), (n, j)
 
     def test_recip_power_shift(self):
         f = recip_power_shift(2.5, 3.0, 13)
@@ -203,19 +217,20 @@ class TestGammaRatio:
         """binom(2t, t)/4^t = Gamma(t + 1/2) / (sqrt(pi) Gamma(t + 1)), against
         its Stirling form exp(sum_j d_j t^(1-2j)) / sqrt(pi t) with
         d_j = B_2j (2^(1-2j) - 2) / (2j (2j-1)), coefficient by coefficient
-        down to t^-top.  B_{n+1}(1/2) and B_{n+1}(1) are sums that cancel to a
-        few ulp of their largest term, which is what the tolerance allows for."""
-        corr = LogPowerSeries(math.floor(top) - 1,
-                              {(0, 2.0 * j - 1.0): b * (2.0 ** (1 - 2 * j) - 2.0)
-                               / (2 * j * (2 * j - 1))
-                               for j, b in enumerate(BERNOULLI_2J, start=1)
-                               if 2 * j - 1 <= top})
+        down to t^-top; the reference takes the exact B_2j and the Taylor
+        coefficients of mpmath's exp at 40 digits.  B_{n+1}(1/2) and
+        B_{n+1}(1) are sums that cancel to a few ulp of their largest term,
+        which is what the tolerance allows for."""
         depth = math.floor(top - 0.5)  # orders past the leading t^-1/2
-        inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-        want = exp_lp(corr) * LogPowerSeries(depth, {(0, 0.5): inv_sqrt_pi})
-        got = gamma_ratio_lp(0.5, 1.0, depth).scaled(inv_sqrt_pi)
-        assert got.terms.keys() == want.terms.keys()
-        for key, c in want.terms.items():
+        with mp.workdps(40):
+            d = {2 * j - 1: mp.bernoulli(2 * j) * (mp.mpf(2) ** (1 - 2 * j) - 2)
+                 / (2 * j * (2 * j - 1))
+                 for j in range(1, len(BERNOULLI_2J) + 1) if 2 * j - 1 <= top}
+            corr = mp.taylor(lambda u: mp.exp(mp.fsum(c * u**k for k, c in d.items())), 0, depth)
+            want = {(0, 0.5 + j): float(c / mp.sqrt(mp.pi)) for j, c in enumerate(corr)}
+        got = gamma_ratio_lp(0.5, 1.0, depth).scaled(1.0 / math.sqrt(math.pi))
+        assert got.terms.keys() == want.keys()
+        for key, c in want.items():
             assert abs(got.terms[key] - c) <= 1e-12 * abs(c), key
 
 
