@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from typing import Any
@@ -90,16 +89,9 @@ def _finite_positive(name: str, value: float) -> float:
 
 
 def _tol_from(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        return _finite_positive("--tol", args.tol)
-    env = os.environ.get("EULER_SUM_TOL")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise DomainError(f"EULER_SUM_TOL must be a number, got {env!r}") from None
-        return _finite_positive("EULER_SUM_TOL", value)
-    return DEFAULT_TOL
+    if args.tol is None:
+        return DEFAULT_TOL
+    return _finite_positive("--tol", args.tol)
 
 
 def _cfg_from(args: argparse.Namespace) -> EvalConfig:
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, with_params: bool = True) -> None:
         p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance (default: $EULER_SUM_TOL or 1e-7)")
+                       help="comparison tolerance (default 1e-7)")
         p.add_argument("--rel-tol", type=float, default=None,
                        help="largest tail estimate / |lhs| of a converged series (default 1e-10)")
         p.add_argument("--jobs", type=int, default=None,

@@ -6,9 +6,10 @@ the tail is an Euler-Maclaurin estimate driven by the asymptotic log-power
 expansion of the term function.  Reaching 1e-10 on sums like
 sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
 in 10^3.  Each term is a list of factors (_Factor), each written once with
-both its head values and its 1/t expansion, so the head and the tail model
-come from the same list.  A factor depends only on its own parameters (the
-order of a harmonic number, n of a binomial, the power and shift of a
+both its head values at k = 0..K and its 1/t expansion, so the head and the
+tail model come from the same list; a sum from k = 1 reads the heads from
+entry 1.  A factor depends only on its own parameters (the order of a
+harmonic number, n or x of a binomial, the power and shift of a
 denominator), so each is built once per process, head values and tail model
 included, and shared by every sum that uses it.  Every harmonic number
 H_k^(order) comes from one memoized compensated table per order, and its tail
@@ -21,7 +22,6 @@ are summed term by term, by _sum_geometric.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -69,40 +69,33 @@ _U = 2.0**-53
 _cache = SimpleNamespace(cache_clear=clear_memos)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @memo
-def _ks(lo: int) -> np.ndarray:
-    """The summed k = lo..K as floats, read-only."""
-    k = np.arange(float(lo), K_CROSSOVER + 1.0)
-    k.setflags(write=False)
-    return k
-
-
-def _kept(head: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
-    """`head` with its array for each lo (0 or 1) kept, read-only, for as long
-    as the factor that owns it."""
-    @lru_cache(maxsize=2)
-    def kept(lo: int) -> np.ndarray:
-        out = head(lo)
-        out.setflags(write=False)
-        return out
-
-    return kept
+def _ks() -> np.ndarray:
+    """k = 0..K as floats, read-only."""
+    return _read_only(np.arange(0.0, K_CROSSOVER + 1.0))
 
 
 class _Factor(NamedTuple):
-    """One factor of a series term.  `head(lo)` gives its values at the
-    summed k = lo..K; `tail` is its expansion in 1/t, built _DEPTH orders past
-    its leading power t^-tail.s0.  `rounding + rounding_per_k k` bounds the
+    """One factor of a series term.  `head` holds its values at k = 0..K,
+    read-only; where the factor has a pole at k = 0 (H_{k-1}, k^-s) entry 0
+    is that infinity, so a sum from k = 0 over it ends in NonFiniteTermError.
+    `tail` is its expansion in 1/t, built _DEPTH orders past its leading
+    power t^-tail.s0.  `rounding + rounding_per_k k` bounds the
     relative rounding error of its value at k, in units of _U; `divides` says
     the term divides by it.  `s_rounding` bounds, in units of _U times the
     model's last exponent, how far the expansion's exponents were rounded.
 
     A factor depends on its constructor's arguments alone, so each
-    constructor below is memoized (special.memo): its head arrays and its
-    tail model are built once per process, read-only, and every sum that
-    shares them only reads them."""
+    constructor below is memoized (special.memo): its head and its tail
+    model are built once per process, read-only, and every sum that shares
+    them only reads them."""
 
-    head: Callable[[int], np.ndarray]
+    head: np.ndarray
     tail: ap.LogPowerSeries
     rounding: float
     rounding_per_k: float = 0.0
@@ -124,14 +117,14 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     NonFiniteTermError; whether the estimate is small enough is for the
     caller to judge (identities.verify, through EvalConfig.converged)."""
     model = factors[0].tail
-    terms = factors[0].head(lo)
+    terms = factors[0].head[lo:]
     for f in factors[1:]:
         model = model * f.tail
-        terms = terms / f.head(lo) if f.divides else terms * f.head(lo)
+        terms = terms / f.head[lo:] if f.divides else terms * f.head[lo:]
     roundings = sum(f.rounding for f in factors) + (len(factors) - 1)
     per_k = sum(f.rounding_per_k for f in factors)
     if per_k:
-        roundings = per_k * _ks(lo) + roundings
+        roundings = per_k * _ks()[lo:] + roundings
     s_rounding = sum(f.s_rounding for f in factors) * _U * (model.s0 + model.depth)
 
     exact = math.fsum(memoryview(terms))  # the same floats in order, without a list
@@ -149,10 +142,10 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
 
 # ------------------------------- the factors --------------------------------
 #
-# Each head is _kept: computed on its factor's first sum from lo and then
-# read, like the tail, by every sum that shares the factor.  Tails are built
-# here, _DEPTH orders past their leading one, by the asymptotics constructors,
-# looked up as ap.<name> at call time.
+# Each head is computed with its factor and read, like the tail, by every sum
+# that shares the factor.  Tails are built here, _DEPTH orders past their
+# leading one, by the asymptotics constructors, looked up as ap.<name> at call
+# time.
 
 
 def _running_neumaier(terms: np.ndarray) -> np.ndarray:
@@ -164,9 +157,7 @@ def _running_neumaier(terms: np.ndarray) -> np.ndarray:
     c_i is that loop's, bit for bit."""
     s = np.cumsum(terms)
     prev = np.concatenate(([0.0], s[:-1]))
-    out = np.concatenate(([0.0], s + np.cumsum((prev - s) + terms)))
-    out.setflags(write=False)
-    return out
+    return _read_only(np.concatenate(([0.0], s + np.cumsum((prev - s) + terms))))
 
 
 @memo
@@ -178,13 +169,16 @@ def _harmonic_numbers(order: int) -> np.ndarray:
 
 @memo
 def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
-    """H_k^(order), or H_{k-1}^(order) with prev, read from _harmonic_numbers.
-    Its compensated sum adds 1 to its terms' rounding: 1/n and 1/n^2 round
-    once (n^2 is exact below 2^26), and 1/n^order past that rounds three
-    times (the pow, 2, and the /).  Hence 2 for orders 1 and 2, 4 above."""
-    head = _kept(lambda lo: _harmonic_numbers(order)[lo - prev : K_CROSSOVER + 1 - prev])
+    """H_k^(order), or H_{k-1}^(order) with prev (-inf at k = 0), read from
+    _harmonic_numbers.  Its compensated sum adds 1 to its terms' rounding:
+    1/n and 1/n^2 round once (n^2 is exact below 2^26), and 1/n^order past
+    that rounds three times (the pow, 2, and the /).  Hence 2 for orders 1
+    and 2, 4 above."""
+    h = _harmonic_numbers(order)
+    if prev:
+        h = _read_only(np.concatenate(([-np.inf], h[:K_CROSSOVER])))
     tail = ap.harmonic_lp(order, _DEPTH, prev)
-    return _Factor(head, tail.frozen(), 2.0 if order <= 2 else 4.0)
+    return _Factor(h[: K_CROSSOVER + 1], tail.frozen(), 2.0 if order <= 2 else 4.0)
 
 
 @memo
@@ -193,17 +187,14 @@ def _harmonic_square_diff(prev: bool = False) -> _Factor:
     difference's rounding peaks at k = 2, at 15."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
     tail = h.tail * h.tail + h2.tail.scaled(-1.0)
-    return _Factor(_kept(lambda lo: h.head(lo) ** 2 - h2.head(lo)), tail.frozen(), 15.0)
+    return _Factor(_read_only(h.head**2 - h2.head), tail.frozen(), 15.0)
 
 
 @memo
 def _central_harmonic_diff() -> _Factor:
     """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
-    @_kept
-    def head(lo: int) -> np.ndarray:
-        h = _harmonic_numbers(1)
-        return h[lo : K_CROSSOVER + 1] - 2.0 * h[2 * lo : 2 * K_CROSSOVER + 1 : 2]
-
+    h = _harmonic_numbers(1)
+    head = _read_only(h[: K_CROSSOVER + 1] - 2.0 * h[::2])
     return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH).frozen(), 7.0)
 
 
@@ -212,50 +203,34 @@ def _inv_binomial(n: int) -> _Factor:
     """1/binom(n+k, k) = n!/((k+1)...(k+n)) = n! Gamma(k + 1) / Gamma(k + n + 1):
     the head takes n ratios i/(k+i), each a / and a *, and the tail is the
     gamma-ratio expansion times n!."""
-    @_kept
-    def head(lo: int) -> np.ndarray:
-        out = np.ones(K_CROSSOVER + 1 - lo)
-        for i in range(1, n + 1):
-            out *= i / (_ks(lo) + i)
-        return out
-
+    head = np.ones(K_CROSSOVER + 1)
+    for i in range(1, n + 1):
+        head *= i / (_ks() + i)
     tail = ap.gamma_ratio_lp(1.0, n + 1.0, _DEPTH).scaled(float(math.factorial(n)))
-    return _Factor(head, tail.frozen(), 2.0 * n)
-
-
-@memo
-def _central_binomial() -> _Factor:
-    """binom(2k, k)/4^k = Gamma(k + 1/2) / (sqrt(pi) Gamma(k + 1)): a running
-    product of the ratios (2k - 1)/(2k), rounded 2k times by term k."""
-    @_kept
-    def head(lo: int) -> np.ndarray:
-        k = _ks(1)
-        return np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))[lo:]
-
-    tail = ap.gamma_ratio_lp(0.5, 1.0, _DEPTH).scaled(1.0 / math.sqrt(math.pi))
-    return _Factor(head, tail.frozen(), 0.0, 2.0)
+    return _Factor(_read_only(head), tail.frozen(), 2.0 * n)
 
 
 @memo
 def _signed_binomial(x: float) -> _Factor:
     """(-1)^k binom(x, k) = Gamma(k - x) / (Gamma(-x) Gamma(k + 1)), falling
-    like k^(-x-1).  The head is the exact first term binom(x, 0) = 1 and the
-    running product of the ratios (k - 1 - x)/k, each rounded 3 times (- x,
-    / k, *); the tail is the gamma-ratio expansion over Gamma(-x), whose
-    exponents, 1 + x + j plus the other factors' own, are rounded up to 3
-    times.  Past x ~ 158 the tail model's coefficients leave binary64, and
-    past x ~ 172 so does 1/Gamma(-x): both end in NonFiniteTermError."""
+    like k^(-x-1); at x = -1/2 it is binom(2k, k)/4^k.  The head is the exact
+    first term binom(x, 0) = 1 and the running product of the ratios
+    (k - 1 - x)/k, each rounded 3 times (- x, / k, *); the tail is the
+    gamma-ratio expansion over Gamma(-x), whose exponents, 1 + x + j plus
+    the other factors' own, are rounded up to 3 times.  At a half-integer x
+    both k - 1 - x and the exponents are exact: 2 roundings per k and none in
+    the exponents.  Past x ~ 158 the tail model's coefficients leave
+    binary64, and past x ~ 172 so does 1/Gamma(-x): both end in
+    NonFiniteTermError."""
     g = math.gamma(-x)
     if g == 0.0:
         raise NonFiniteTermError(f"1/Gamma({-x}) overflows binary64: x = {x} is too large")
-
-    @_kept
-    def head(lo: int) -> np.ndarray:
-        k = _ks(1)
-        return np.concatenate(([1.0], np.cumprod((k - 1.0 - x) / k)))[lo:]
-
+    k = _ks()[1:]
+    head = np.concatenate(([1.0], np.cumprod((k - 1.0 - x) / k)))
     tail = ap.gamma_ratio_lp(-x, 1.0, _DEPTH).scaled(1.0 / g)
-    return _Factor(head, tail.frozen(), 0.0, 3.0, s_rounding=3.0)
+    if (2.0 * x).is_integer():
+        return _Factor(_read_only(head), tail.frozen(), 0.0, 2.0)
+    return _Factor(_read_only(head), tail.frozen(), 0.0, 3.0, s_rounding=3.0)
 
 
 @memo
@@ -268,23 +243,23 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
     a half) or as a tuple of real addends (p, or p and n), summed left to
     right and then added to k, each + rounded once.  The pow adds 2 and its
     base's roundings times s, times_k 1.  At large s the pow overflows to
-    inf, and the term becomes 0, which it would underflow to anyway."""
+    inf, and the term becomes 0, which it would underflow to anyway; k^-s is
+    +inf at k = 0."""
     if isinstance(shift, tuple):
         c, base_roundings = sum(shift[1:], shift[0]), len(shift)
     else:
         c, base_roundings = shift, 0
 
-    @_kept
-    def head(lo: int) -> np.ndarray:
-        k = _ks(lo)
-        with np.errstate(over="ignore"):
-            out = (c + k) ** (s if divides else -float(s))
-            return k * out if times_k else out
-
+    k = _ks()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        head = (c + k) ** (s if divides else -float(s))
+        if times_k:  # at k = 0, 0 or, where c^s overflowed, nan: the term's pole either way
+            head = k * head
     tail = ap.recip_power_shift(c, float(s), _DEPTH)
     if times_k:  # k^-1 (c + k)^-s: the same coefficients, each one order down
         tail = ap.LogPowerSeries._of(tail.s0 + 1.0, tail.depth, tail.rows)
-    return _Factor(head, tail.frozen(), 2.0 + base_roundings * s + times_k, divides=divides)
+    return _Factor(_read_only(head), tail.frozen(), 2.0 + base_roundings * s + times_k,
+                   divides=divides)
 
 
 def _check_nm(n: int, m: int, m_min: int) -> None:
@@ -349,11 +324,12 @@ def lhs_variant4(p: float, n: int, m: int) -> SumResult:
 
 
 def lhs_central_binom(p: float, m: int) -> SumResult:
-    """sum_{k>=0} (H_k - 2 H_{2k}) binom(2k,k) / (4^k (p+k)^(m+1))."""
+    """sum_{k>=0} (H_k - 2 H_{2k}) binom(2k,k) / (4^k (p+k)^(m+1)), with
+    binom(2k,k)/4^k the signed binomial at x = -1/2."""
     _check_p(p)
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    return _em_sum(1, _central_harmonic_diff(), _central_binomial(), _power(m + 1, (p,)))
+    return _em_sum(1, _central_harmonic_diff(), _signed_binomial(-0.5), _power(m + 1, (p,)))
 
 
 def half_shift_series(m: int) -> SumResult:

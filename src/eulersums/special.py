@@ -8,9 +8,9 @@ are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
 parameter-only builders (series factors and their harmonic-number tables,
 psi-derivative tuples, ln Gamma, psi and gamma-ratio jets, the closed forms'
-harmonic-number tuples, scalar harmonic numbers) in bounded tables that
-clear_memos empties.  gen_harmonic, and harmonic through it, checks its
-arguments on every call and keeps each fsum by its exact (n, m).
+harmonic-number tuples) in bounded tables that clear_memos empties.
+gen_harmonic keeps nothing: the closed forms read its fsums through their
+memoized tuples.
 """
 
 from __future__ import annotations
@@ -112,12 +112,14 @@ def polygamma(k: int, x: float) -> float:
     """psi^(k)(x) for k >= 1 and real x off the poles.
 
     Shifts upward with psi^(k)(x) = psi^(k)(x+1) - (-1)^k k!/x^(k+1) until
-    x >= 10 + k, then sums the Bernoulli asymptotic series truncated at its
-    smallest term (at most 12 Bernoulli terms).  The order-dependent
-    threshold keeps the truncation floor below 1e-13 relative through
-    k ~ 16; a flat threshold of 10 degrades to ~1e-10 by k = 16.  If k!, a
-    power or a recurrence term k!/y^(k+1) leaves binary64 (k! does from
-    k = 171; y^(k+1) underflows to 0 near a pole), DomainError.
+    the argument y >= 10 + k, then adds the 12 Bernoulli terms of the
+    asymptotic series.  There each term is below the one before by about
+    ((2j + k + 1) / (2 pi y))^2 < 0.12, so none lies past the smallest.  The
+    order-dependent threshold keeps the truncation floor below 1e-13
+    relative through k ~ 16; a flat threshold of 10 degrades to ~1e-10 by
+    k = 16.  If k!, a power or a recurrence term k!/y^(k+1) leaves binary64
+    (k! does from k = 171; y^(k+1) underflows to 0 near a pole),
+    DomainError.
     """
     if k < 1:
         raise DomainError(f"polygamma requires k >= 1, got {k}")
@@ -134,13 +136,8 @@ def polygamma(k: int, x: float) -> float:
             y += 1.0
         inv = 1.0 / y
         s = math.factorial(k - 1) * inv**k + 0.5 * fact_k * inv ** (k + 1)
-        prev = math.inf
         for j, b in enumerate(BERNOULLI_2J, start=1):
-            t = b * math.factorial(2 * j + k - 1) / math.factorial(2 * j) * inv ** (2 * j + k)
-            if abs(t) > prev:
-                break
-            s += t
-            prev = abs(t)
+            s += b * math.factorial(2 * j + k - 1) / math.factorial(2 * j) * inv ** (2 * j + k)
         out = sign * s + acc
     except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: y^(k+1) rounded to 0
         out = math.inf
@@ -200,7 +197,7 @@ def gen_harmonic(n: int, m: int) -> float:
         raise DomainError(f"gen_harmonic requires n >= 0, got {n}")
     if m < 1:
         raise DomainError(f"gen_harmonic requires m >= 1, got {m}")
-    return _gen_harmonic(n, m)
+    return math.fsum(k**-m if m > 1 else 1.0 / k for k in range(1, n + 1))
 
 
 # ------------------- parameter-only values, built once ----------------------
@@ -209,10 +206,10 @@ def gen_harmonic(n: int, m: int) -> float:
 # One pass over the default grid builds 163 distinct series factors, 114
 # distinct ln Gamma jets from 115 psi-derivative tuples, 250 gamma-ratio jets
 # for its 500 gamma_ratio_jet calls (the 375 at x-order >= 1 share 125) and 15
-# harmonic numbers in 15 tuples; one over the closed_form benchmark builds 347
-# psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio jets for
-# 1760 calls (the 1320 at x-order >= 1 share 440) and 33 harmonic numbers in
-# 33 tuples, which it reads 3520 times.
+# harmonic-number tuples from 45 fsums; one over the closed_form benchmark
+# builds 347 psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio
+# jets for 1760 calls (the 1320 at x-order >= 1 share 440) and 33
+# harmonic-number tuples from 198 fsums, which it reads 3520 times.
 MEMO_SIZE = 1024
 
 _MEMOS: list = []
@@ -233,8 +230,3 @@ def clear_memos() -> None:
     """Empty every memo table, so each value is built again on its next use."""
     for kept in _MEMOS:
         kept.cache_clear()
-
-
-@memo
-def _gen_harmonic(n: int, m: int) -> float:
-    return math.fsum(k**-m if m > 1 else 1.0 / k for k in range(1, n + 1))

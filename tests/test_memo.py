@@ -1,6 +1,7 @@
 """The parameter-only memo tables: the series factors (each with its tail
-model), the ln Gamma / psi and gamma-ratio jets and the harmonic numbers and
-their tuples are built once per process, give the same bits cold and warm, are dropped by
+model and its head), the ln Gamma / psi and gamma-ratio jets, the
+harmonic-number tables and the closed forms' harmonic-number tuples are
+built once per process, give the same bits cold and warm, are dropped by
 series._cache.cache_clear(), stay within special.MEMO_SIZE and cannot be
 written through."""
 
@@ -164,7 +165,7 @@ def test_clear_empties_every_memo_table_and_the_next_pass_rebuilds_them():
     grid = default_grid()
     first = _grid_pass(grid)
     tables = {order: series._harmonic_numbers(order) for order in (1, 2)}
-    ks = series._ks(1)
+    ks = series._ks()
     series._cache.cache_clear()
     assert series._ks.cache_info().currsize == 0
     assert series._harmonic_numbers.cache_info().currsize == 0
@@ -173,7 +174,7 @@ def test_clear_empties_every_memo_table_and_the_next_pass_rebuilds_them():
     for order, table in tables.items():
         rebuilt = series._harmonic_numbers(order)
         assert rebuilt is not table and rebuilt.tobytes() == table.tobytes()
-    assert series._ks(1) is not ks and series._ks(1).tobytes() == ks.tobytes()
+    assert series._ks() is not ks and series._ks().tobytes() == ks.tobytes()
 
 
 def test_memo_stays_within_its_bound():
@@ -244,15 +245,22 @@ def test_memoized_tail_models_are_read_only():
 
 
 def test_memoized_heads_are_kept_and_read_only():
-    from_one = (series._harmonic(), series._harmonic(4), series._harmonic_square_diff())
-    from_zero = (series._inv_binomial(2), series._power(3, 1.0), series._signed_binomial(0.5))
-    for lo, factors in ((1, from_one + from_zero), (0, from_zero)):
-        for factor in factors:
-            head = factor.head(lo)
-            assert factor.head(lo) is head
-            assert len(head) == series.K_CROSSOVER + 1 - lo
-            with pytest.raises(ValueError):
-                head[0] = 0.0
+    """Every head holds k = 0..K and is built once, with its factor; where
+    the factor has a pole at k = 0, entry 0 is that infinity."""
+    builds = (lambda: series._harmonic(), lambda: series._harmonic(4, True),
+              lambda: series._harmonic_square_diff(True), series._central_harmonic_diff,
+              lambda: series._inv_binomial(2), lambda: series._power(3, 1.0),
+              lambda: series._power(2, divides=False),
+              lambda: series._power(2, (0.5, 1), times_k=True),
+              lambda: series._signed_binomial(0.5))
+    for build in builds:
+        head = build().head
+        assert build().head is head
+        assert len(head) == series.K_CROSSOVER + 1
+        with pytest.raises(ValueError):
+            head[1] = 0.0
+    assert series._harmonic(prev=True).head[0] == -math.inf
+    assert series._power(2, divides=False).head[0] == math.inf
 
 
 def _fresh_harmonic(n, m):
@@ -269,21 +277,6 @@ def test_harmonic_numbers_keep_their_bits():
     assert all(special.harmonic(n).hex() == _fresh_harmonic(n, 1).hex() for n in ns)
 
 
-def test_clear_drops_the_harmonic_memo():
-    identities.rhs_thm_t25(4, 2)
-    assert special._gen_harmonic.cache_info().currsize > 0
-    series._cache.cache_clear()
-    assert special._gen_harmonic.cache_info().currsize == 0
-
-
-def test_harmonic_keys_are_typed():
-    special.gen_harmonic(10, 2)
-    special.gen_harmonic(10, 2.0)
-    special.gen_harmonic(True, 2)
-    special.gen_harmonic(1, 2)
-    assert special._gen_harmonic.cache_info().currsize == 4
-
-
 @pytest.mark.parametrize("n,m", [(-1, 1), (-1, 2), (3, 0), (-2, -1)])
 def test_harmonic_domain_errors_are_not_kept(n, m):
     for _ in range(2):
@@ -292,12 +285,3 @@ def test_harmonic_domain_errors_are_not_kept(n, m):
     if m == 1:
         with pytest.raises(DomainError):
             special.harmonic(n)
-    assert special._gen_harmonic.cache_info().currsize == 0
-
-
-def test_harmonic_memo_stays_within_its_bound():
-    for n in range(MEMO_SIZE + 10):
-        special.gen_harmonic(n, 2)
-    info = special._gen_harmonic.cache_info()
-    assert info.maxsize == MEMO_SIZE
-    assert info.currsize == MEMO_SIZE

@@ -1,8 +1,9 @@
 """Every statement of the numeric layers runs on the default grid.
 
 Under stdlib trace, one verify pass over every default_grid() point and two
-non-integer-x points, after series._cache.cache_clear(), must run every
-function-body statement of asymptotics, summation, series and jets, but for
+non-integer-x points, after series._cache.cache_clear() and
+identities._declared.cache_clear(), must run every function-body statement
+of asymptotics, summation, series, jets, identities and special, but for
 docstrings, raise statements and the commented ALLOWED list.  A statement it
 leaves out is either dead code or a path the grid does not check.
 """
@@ -11,10 +12,10 @@ import ast
 import inspect
 import trace
 
-from eulersums import asymptotics, identities, jets, series, summation
+from eulersums import asymptotics, identities, jets, series, special, summation
 from eulersums.identities import IdentityId
 
-MODULES = (asymptotics, summation, series, jets)
+MODULES = (asymptotics, summation, series, jets, identities, special)
 
 # (module, function) -> the first source lines of the statements in it that
 # may stay unrun, or None for its whole body.
@@ -28,10 +29,23 @@ ALLOWED = {
     ("summation", "EvalConfig.__post_init__"): None,
     # em_tail's error guards: a tail that grows, an integral that diverges
     ("summation", "em_tail"): {"x = float(K + 1)", "if row[j]:"},
+    # a closed form of the paper that no REGISTRY row uses (ROADMAP item 6)
+    ("identities", "rhs_cor_34a"): None,
+    # p ** e overflowing: the grid's p are small
+    ("identities", "_check_p"): {"least, most = _MIN_NORMAL, math.inf"},
+    # these run at import, building REGISTRY and wrapping the memoized builders
+    ("identities", "_axes"): None,
+    ("special", "memo"): None,
+    # library API that only tests call
+    ("special", "gamma"): None,
+    ("special", "harmonic"): None,
+    # k! or a power leaving binary64: the grid's orders are small
+    ("special", "polygamma"): {"out = math.inf"},
 }
 
-# The grid has integer x only; these reach the signed-binomial factor.
-EXTRA_POINTS = ((IdentityId.THM_BASE_E15, {"x": 2.5, "m": 2}),
+# The grid has integer x only; these reach the signed-binomial factor, at x =
+# 2.3 with rounded exponents (_em_sum's s_rounding branch).
+EXTRA_POINTS = ((IdentityId.THM_BASE_E15, {"x": 2.3, "m": 2}),
                 (IdentityId.THM_BASE_35, {"x": -0.5, "p": 1.0, "m": 1}))
 
 
@@ -74,6 +88,7 @@ def _is_docstring(stmt):
 
 def _run():
     series._cache.cache_clear()
+    identities._declared.cache_clear()  # a functools.cache that earlier tests may have filled
     for ident, params in identities.default_grid() + list(EXTRA_POINTS):
         identities.verify(ident, params, 1e-7)
 

@@ -27,7 +27,7 @@ from eulersums import (
     lhs_variant4,
     riemann_zeta,
 )
-from eulersums import series
+from eulersums import asymptotics, series
 from eulersums.series import (
     K_CROSSOVER,
     half_shift_series,
@@ -147,6 +147,21 @@ class TestCentralBinom:
         # closed form reduces to -32/9 at (2, 0)
         assert_close(lhs_central_binom(2.0, 0).value, -32.0 / 9.0, 1e-11)
 
+    def test_factor_is_the_signed_binomial_at_minus_half(self):
+        """binom(2k, k)/4^k is (-1)^k binom(-1/2, k): the running product of
+        (2k - 1)/(2k), and the gamma-ratio tail over sqrt(pi), bit for bit.
+        Its operands are exact, so it rounds twice per k and not in its
+        exponents (test_signed_binomial_rounding checks other x)."""
+        f = series._signed_binomial(-0.5)
+        k = np.arange(1.0, K_CROSSOVER + 1.0)
+        head = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
+        assert f.head.tobytes() == head.tobytes()
+        tail = asymptotics.gamma_ratio_lp(0.5, 1.0, series._DEPTH).scaled(1.0 / math.sqrt(math.pi))
+        assert (f.tail.s0, f.tail.depth) == (tail.s0, tail.depth)
+        assert [[c.hex() for c in row] for row in f.tail.rows] == [
+            [c.hex() for c in row] for row in tail.rows]
+        assert (f.rounding, f.rounding_per_k, f.s_rounding) == (0.0, 2.0, 0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lhs_central_binom(-1.0, 0)
@@ -180,6 +195,16 @@ class TestBaseBinomial:
         r = lhs_base_binomial(x, m)
         assert EvalConfig().converged(r)
         assert_close(r.value, REFS[("e15", x, m)], DIRECT_TOL)
+
+    @pytest.mark.parametrize("x, exact", [(-0.5, True), (0.5, True), (2.5, True), (7.5, True),
+                                          (-0.9, False), (0.3, False), (2.3, False)])
+    def test_signed_binomial_rounding(self, x, exact):
+        """At a half-integer x, k - 1 - x and the exponents 1 + x + j are
+        exact: 2 roundings per k and none in the exponents; else 3 and 3."""
+        f = series._signed_binomial(x)
+        assert (f.rounding, f.rounding_per_k, f.s_rounding) == (
+            (0.0, 2.0, 0.0) if exact else (0.0, 3.0, 3.0))
+        assert all((2.0 * s).is_integer() for _a, s in f.tail.terms) == exact
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -396,11 +421,17 @@ class TestOracleContracts:
         H_{k-1}^(order) with prev, within the factor's stated rounding of the
         correctly rounded sum of the correctly rounded terms."""
         f = series._harmonic(order, prev)
-        head = f.head(1)
+        assert f.head[0] == (-math.inf if prev else 0.0)
         for k in (1, 2, 3, 10, 100, 500, 999, K_CROSSOVER):
             want = math.fsum(1 / j**order for j in range(1, k - prev + 1))
             bound = (f.rounding + f.rounding_per_k * k) * series._U * want
-            assert abs(head[k - 1] - want) <= bound, (k, head[k - 1], want)
+            assert abs(f.head[k] - want) <= bound, (k, f.head[k], want)
+
+    def test_a_sum_from_zero_over_a_pole_is_not_finite(self):
+        """H_{k-1} is -inf at k = 0, so a sum from k = 0 over it ends in
+        NonFiniteTermError rather than a value."""
+        with pytest.raises(NonFiniteTermError):
+            series._em_sum(0, series._harmonic(prev=True), series._power(2, 1.0))
 
     def test_terms_used_reports_crossover(self):
         assert lhs_variant1(0, 1).terms_used == K_CROSSOVER

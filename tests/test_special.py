@@ -22,6 +22,7 @@ from eulersums import (
 )
 
 from eulersums.series import _harmonic_numbers
+from eulersums.special import BERNOULLI_2J
 
 from conftest import REFS, assert_close
 
@@ -103,6 +104,15 @@ class TestPolygamma:
     def test_overflow_is_domain_error(self):
         with pytest.raises(DomainError, match="overflows binary64"):
             polygamma(400, 1.0)
+
+    def test_asymptotic_terms_fall(self):
+        """From y = 10 + k on, each of the 12 Bernoulli terms
+        B_2j (2j+k-1)!/(2j)! y^-(2j+k) is below 0.12 of the one before, so
+        the series is summed before its smallest term and needs no cut."""
+        worst = max(abs(BERNOULLI_2J[j] / BERNOULLI_2J[j - 1])
+                    * (2 * j + k + 1) * (2 * j + k) / ((2 * j + 2) * (2 * j + 1)) / (10.0 + k) ** 2
+                    for k in range(1, 171) for j in range(1, len(BERNOULLI_2J)))
+        assert worst < 0.12
 
     @pytest.mark.parametrize("k, x", [(24, 2e-12), (23, -1e-12), (30, 1e-11), (30, -1 + 1e-11)])
     def test_near_pole_overflow_is_domain_error(self, k, x):
