@@ -33,19 +33,20 @@ next to the corrected comparison.
 from __future__ import annotations
 
 import enum
-import functools
 import inspect
 import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping
 
 from .jets import (
     MAX_OZ,
     RatioVariant,
     gamma_ratio_jet,
     jet_exp,
+    jet_mul,
     ln_gamma_jet,
     mixed_partial,
     psi_derivatives,
@@ -288,11 +289,10 @@ def rhs_cor_36(p: float, m: int) -> float:
     _check_m(m, 0)
     if p <= 0.0:
         raise DomainError(f"p must be > 0, got {p}")
-    ratio = jet_exp(ln_gamma_jet(p, m) - ln_gamma_jet(p + 0.5, m))
-    delta = -psi_jet(p + 0.5, m)
+    ratio = jet_exp([u - v for u, v in zip(ln_gamma_jet(p, m), ln_gamma_jet(p + 0.5, m))])
+    delta = [-d for d in psi_jet(p + 0.5, m)]
     delta[0] += digamma(0.5)
-    # coefficient m of the Cauchy product ratio * delta, as one dot
-    return SQRT_PI * _sign(m) * float(ratio.dot(delta[::-1]))
+    return SQRT_PI * _sign(m) * jet_mul(ratio, delta)[m]
 
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:
@@ -461,10 +461,11 @@ class Identity:
         return sides, {**full, **params}
 
 
-@functools.cache
-def _declared(sides: Sides) -> dict[str, Any]:
+@memo
+def _declared(sides: Sides) -> Mapping[str, Any]:
     """The parameters `sides` takes, with their defaults or _NONE."""
-    return {p.name: p.default for p in inspect.signature(sides).parameters.values()}
+    return MappingProxyType({p.name: p.default
+                             for p in inspect.signature(sides).parameters.values()})
 
 
 def _axes(**axes: Iterable[Any]) -> list[dict[str, Any]]:

@@ -8,7 +8,8 @@ are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
 parameter-only builders (series factors and their harmonic-number tables,
 psi-derivative tuples, ln Gamma, psi and gamma-ratio jets, the closed forms'
-harmonic-number tuples) in bounded tables that clear_memos empties.
+harmonic-number tuples, the registry rows' declared parameters) in bounded
+tables that clear_memos empties.
 gen_harmonic keeps nothing: the closed forms read its fsums through their
 memoized tuples.
 """
@@ -219,8 +220,10 @@ def memo(fn: Callable) -> Callable:
     """fn with its results kept by its exact arguments, typed so that the
     arguments 1 and 1.0 (whose results may differ in the last bit) are kept
     apart; the items of a tuple argument compare by value.  Every caller
-    shares a kept result, so it must be immutable.  clear_memos() empties
-    every table made here."""
+    shares a kept result, so no caller may be able to change it: the jets and
+    harmonic-number tuples are tuples of floats, the series factors frozen
+    records holding read-only arrays.  clear_memos() empties every table made
+    here."""
     kept = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
     _MEMOS.append(kept)
     return kept

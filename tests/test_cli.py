@@ -370,14 +370,14 @@ def test_import_leaves_the_process_pool_out():
 
 
 def test_import_builds_no_memoized_value():
-    """The jets' gather tables, the series' summed k and the harmonic-number
-    tuples, like every memo table, are built on first use: import builds
-    none of them, so start-up does not pay for them."""
-    code = ("import eulersums; from eulersums import identities, jets, series, special; "
-            "print(jets._gather.cache_info().currsize, series._ks.cache_info().currsize, "
+    """The series' summed k and the harmonic-number tuples, like every memo
+    table, are built on first use: import builds none of them, so start-up
+    does not pay for them."""
+    code = ("import eulersums; from eulersums import identities, series, special; "
+            "print(series._ks.cache_info().currsize, "
             "identities._harmonics.cache_info().currsize, "
             "sum(kept.cache_info().currsize for kept in special._MEMOS))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
-    assert out.stdout.split() == ["0", "0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]

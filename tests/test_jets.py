@@ -8,10 +8,14 @@ mpmath's own gamma, fully independent of the package code under test.
 
 import inspect
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from eulersums import (
@@ -62,14 +66,11 @@ class TestLnGammaJet:
 
 class TestJetArithmetic:
     def test_exp_of_zero_is_unit(self):
-        e = jet_exp(np.zeros(6))
-        assert e[0] == 1.0
-        assert np.all(e[1:] == 0.0)
+        assert jet_exp((0.0,) * 6) == (1.0,) + (0.0,) * 5
 
     def test_mul_by_unit(self):
         j = ln_gamma_jet(2.5, 6)
-        unit = np.array([1.0] + [0.0] * 6)
-        assert np.allclose(jets._conv1(j, unit), j, rtol=0, atol=0)
+        assert jets.jet_mul(j, (1.0,) + (0.0,) * 6) == list(j)
 
     def test_exp_value_part(self):
         assert_close(jet_exp(ln_gamma_jet(1.0, 2))[0], 1.0, 1e-15)
@@ -82,9 +83,9 @@ class TestJetArithmetic:
     @pytest.mark.parametrize("a", [0.7, 1.0, 3.2])
     def test_exp_inverse_property(self, a):
         j = ln_gamma_jet(a, 8)
-        prod = _ref_conv1(jet_exp(j), jet_exp(-j))
+        prod = _ref_conv1(jet_exp(j), jet_exp([-v for v in j]))
         assert abs(prod[0] - 1.0) < 1e-12
-        assert np.max(np.abs(prod[1:])) < 1e-12
+        assert max(abs(v) for v in prod[1:]) < 1e-12
 
 
 def _ratio_mp(variant: RatioVariant, x, z):
@@ -94,8 +95,7 @@ def _ratio_mp(variant: RatioVariant, x, z):
 
 class TestGammaRatioJet:
     def test_value_at_origin(self):
-        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, 0, 0)
-        assert j.shape == (1, 1) and j[0, 0] == 1.0
+        assert gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, 0, 0) == ((1.0,),)
 
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("m", range(0, 5))
@@ -214,37 +214,36 @@ def test_base_theorem_consistency(x, m):
 
 # ------------------- the kernels against their loop reference -------------------
 #
-# The loop kernels below are the jets as they were written before the batched
-# dots: one np.dot per coefficient and the exp recurrence summed by sum().
-# The kernels must give their bits, so every closed form keeps its bits.
+# The loop kernels below are the jets written out one coefficient at a time,
+# every sum an explicit left-to-right loop (sum() compensates from Python 3.12
+# on).  The kernels must give their bits, whatever the CPU, so every closed
+# form keeps its bits.
+
+
+def _ref_dot(a, b):
+    acc = 0.0
+    for u, v in zip(a, b):
+        acc += u * v
+    return acc
 
 
 def _ref_conv1(ca, cb):
-    n = len(ca)
-    out = np.zeros(n)
-    for k in range(n):
-        out[k] = np.dot(ca[: k + 1], cb[k::-1])
-    return out
+    return [_ref_dot(ca[: k + 1], cb[k::-1]) for k in range(len(ca))]
 
 
 def _ref_exp_series1(c):
-    n = len(c)
-    out = np.zeros(n)
-    out[0] = math.exp(c[0])
-    for k in range(1, n):
-        out[k] = sum(j * c[j] * out[k - j] for j in range(1, k + 1)) / k
+    out = [math.exp(c[0])]
+    for k in range(1, len(c)):
+        out.append(_ref_dot([j * c[j] for j in range(1, k + 1)], out[k - 1 :: -1]) / k)
     return out
 
 
 def _ref_exp2(f):
-    ox, oz = f.shape[0] - 1, f.shape[1] - 1
-    g = np.zeros_like(f)
-    g[0] = _ref_exp_series1(f[0])
+    ox, oz = len(f) - 1, len(f[0]) - 1
+    g = [_ref_exp_series1(f[0])]
     for k in range(1, ox + 1):
-        row = np.zeros(oz + 1)
-        for i in range(1, k + 1):
-            row += i * _ref_conv1(f[i], g[k - i])
-        g[k] = row / k
+        products = [_ref_conv1(f[i], g[k - i]) for i in range(1, k + 1)]
+        g.append([_ref_dot(range(1, k + 1), [p[b] for p in products]) / k for b in range(oz + 1)])
     return g
 
 
@@ -254,17 +253,20 @@ def _ref_gamma_ratio_jet(variant, x0, z0, ox, oz):
     ux = ln_gamma_jet(x0 + 1.0, ox)
     uz = ln_gamma_jet(z0, oz)
     uw = ln_gamma_jet(w0, ox + oz)
-    log_jet = np.zeros((ox + 1, oz + 1))
-    log_jet[:, 0] += ux
-    log_jet[0, :] += uz
+    log_jet = [[0.0] * (oz + 1) for _ in range(ox + 1)]
     for a in range(ox + 1):
         for b in range(oz + 1):
-            log_jet[a, b] -= uw[a + b] * math.comb(a + b, a)
+            if b == 0:
+                log_jet[a][b] += ux[a]
+            if a == 0:
+                log_jet[a][b] += uz[b]
+            log_jet[a][b] -= uw[a + b] * math.comb(a + b, a)
     return _ref_exp2(log_jet)
 
 
 def _hex(coeffs):
-    return [float(v).hex() for v in np.ravel(coeffs)]
+    rows = coeffs if isinstance(coeffs[0], (tuple, list)) else [coeffs]
+    return [[float(v).hex() for v in row] for row in rows]
 
 
 def _recording(monkeypatch, name):
@@ -321,34 +323,47 @@ def test_cor_36_products_keep_the_loop_bits(monkeypatch):
     against coefficient m of the loop's Cauchy product, up to m = 20."""
     exps = _recording(monkeypatch, "jet_exp")
     for p, m in itertools.product([0.5, 1.0, 1.5, 2.5, 4.0], range(21)):
-        ratio = jet_exp(ln_gamma_jet(p, m) - ln_gamma_jet(p + 0.5, m))
-        delta = -jets.psi_jet(p + 0.5, m)
+        ratio = jet_exp([u - v for u, v in zip(ln_gamma_jet(p, m), ln_gamma_jet(p + 0.5, m))])
+        delta = [-d for d in jets.psi_jet(p + 0.5, m)]
         delta[0] += digamma(0.5)
-        want = SQRT_PI * (-1.0) ** m * _ref_conv1(ratio, delta)[m]
+        want = SQRT_PI * (-1.0) ** m * _ref_dot(ratio, delta[::-1])
         assert identities.rhs_cor_36(p, m).hex() == want.hex(), (p, m)
     assert len(exps) == 105
     for (a,) in exps:
         assert _hex(jet_exp(a)) == _hex(_ref_exp_series1(a))
 
 
-@pytest.mark.parametrize("n", [2, 5, 13])
-def test_strided_operands_get_the_contiguous_bits(n):
-    """The exp kernel's bits do not depend on how an operand is laid out: a
-    strided view gives the loop's bits on a contiguous copy, up to the
-    MAX_OZ + 1 = 13 coefficients a row of a gamma-ratio jet has.  (The loop's
-    own bits did: np.dot hands a positive stride to BLAS, whose strided dot
-    rounds differently, so a strided loop reference would not do here.)"""
-    rng = np.random.default_rng(n)
-    f = rng.standard_normal((n, 4)).T
-    assert not f[1].flags.c_contiguous
-    assert _hex(jets._exp2(f)) == _hex(_ref_exp2(f.copy()))
+_RHS_BITS = """
+import inspect, itertools, json, sys
+from eulersums import identities
+from eulersums.special import DomainError
+axes = json.loads(sys.argv[1])
+for name in sorted(n for n in dir(identities) if n.startswith("rhs_")):
+    fn = getattr(identities, name)
+    for args in itertools.product(*(axes[p] for p in inspect.signature(fn).parameters)):
+        try:
+            print(name, args, float(fn(*args)).hex())
+        except DomainError as exc:
+            print(name, args, exc)
+"""
 
 
-def test_gather_tables_are_read_only():
-    idx = jets._gather(2, 4)
-    assert idx.shape == (2, 8, 4)
-    with pytest.raises(ValueError):
-        idx[0, 0, 0] = 1
+def _rhs_bits(**env_extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_NUM_THREADS="1",
+               **env_extra)
+    out = subprocess.run([sys.executable, "-c", _RHS_BITS, json.dumps(_AXES)], capture_output=True,
+                         text=True, env=env, check=True)
+    return out.stdout.splitlines()
+
+
+def test_right_sides_do_not_depend_on_the_blas_kernel():
+    """Every rhs_* over the closed-form axes gives the same bits in a process
+    whose OpenBLAS runs its Nehalem kernels (no fused multiply-add) as in
+    one that picks its kernels for this CPU: no right side goes through BLAS."""
+    default = _rhs_bits()
+    assert sum(" 0x" in line or " -0x" in line for line in default) > 1500
+    assert _rhs_bits(OPENBLAS_CORETYPE="Nehalem") == default
 
 
 # ----------------- one shared jet per base point and z-order -----------------
@@ -369,10 +384,9 @@ def test_shared_jets_keep_the_bits_of_a_fresh_build():
             orders = list(range(jets.MAX_OX + 1))
             for ox in orders[k % 4:] + orders[: k % 4]:  # each order goes first somewhere
                 got = gamma_ratio_jet(variant, x0, z0, ox, oz)
-                assert got.shape == (ox + 1, oz + 1)
+                assert type(got) is tuple and len(got) == ox + 1
+                assert all(type(row) is tuple and len(row) == oz + 1 for row in got)
                 assert _hex(got) == _hex(fresh(variant, x0, z0, ox, oz)), (variant, x0, z0, ox, oz)
-                with pytest.raises(ValueError):
-                    got[0, 0] = 0.0
             assert jets._ratio_jet.cache_info().misses == builds + 2
 
 

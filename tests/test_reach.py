@@ -1,11 +1,11 @@
 """Every statement of the numeric layers runs on the default grid.
 
 Under stdlib trace, one verify pass over every default_grid() point and two
-non-integer-x points, after series._cache.cache_clear() and
-identities._declared.cache_clear(), must run every function-body statement
-of asymptotics, summation, series, jets, identities and special, but for
-docstrings, raise statements and the commented ALLOWED list.  A statement it
-leaves out is either dead code or a path the grid does not check.
+non-integer-x points, after series._cache.cache_clear(), must run every
+function-body statement of asymptotics, summation, series, jets, identities
+and special, but for docstrings, raise statements and the commented ALLOWED
+list.  A statement it leaves out is either dead code or a path the grid does
+not check.
 """
 
 import ast
@@ -88,7 +88,6 @@ def _is_docstring(stmt):
 
 def _run():
     series._cache.cache_clear()
-    identities._declared.cache_clear()  # a functools.cache that earlier tests may have filled
     for ident, params in identities.default_grid() + list(EXTRA_POINTS):
         identities.verify(ident, params, 1e-7)
 
