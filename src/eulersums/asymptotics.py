@@ -2,120 +2,84 @@
 
 A LogPowerSeries is t^-s0 times a polynomial in ln t and 1/t,
 sum_{a, j} C[a][j] ln(t)^a t^-j for j = 0..depth, stored densely as one row
-of coefficients per power of ln t.  Every slowly convergent series in this
-package has a tail whose terms admit such an expansion, on one lattice
-s0 + j: harmonic numbers of every order expand, in harmonic_lp, through the
-Bernoulli series for psi and its derivatives (s0 = 0), and every
-binomial-type factor is a gamma ratio Gamma(t + a) / Gamma(t + b) up to a
-constant: 1/binom(n+t, t) = n! Gamma(t+1) / Gamma(t+n+1) (s0 = n),
-binom(2t, t)/4^t and (-1)^t binom(x, t).  gamma_ratio_lp expands each as a
-power t^-s0 times the exp of the difference of two Stirling series, through
-the exp recurrence the jets use.  A series keeps the orders
+of coefficients per power of ln t, and each constructor writes its rows by
+formula.  Every slowly convergent series in this package has a tail whose
+terms admit such an expansion, on one lattice s0 + j: harmonic numbers of
+every order expand, in harmonic_lp, through the Bernoulli series for psi and
+its derivatives (s0 = 0), and every binomial-type factor is a gamma ratio
+Gamma(t + a) / Gamma(t + b) up to a constant: 1/binom(n+t, t) =
+n! Gamma(t+1) / Gamma(t+n+1) (s0 = n), binom(2t, t)/4^t and
+(-1)^t binom(x, t).  gamma_ratio_lp expands each as a power t^-s0 times the
+exp of the difference of two Stirling series, through the jets' exp
+recurrence, and a product takes the jets' Cauchy product, jets.jet_mul, on
+each pair of ln rows: the package has one of each.  A series keeps the orders
 s0 .. s0 + depth, and the integer depth is the only truncation it knows: each
 constructor takes the number of orders to keep past its own leading one, so a
 product keeps the smaller depth of its operands and no factor is built deeper
-than the product can use.  The class supplies point values and termwise derivatives, and
-log_power_integral the closed-form tail integral int_K^inf ln^a t / t^s dt,
-from which summation.em_tail builds its Euler-Maclaurin weights.
+than the product can use.  The class supplies point values and termwise
+derivatives, and log_power_integral the closed-form tail integral
+int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
+Euler-Maclaurin weights.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .jets import _exp_series1
-from .special import BERNOULLI_2J, EULER_GAMMA, DomainError, bernoulli_poly, riemann_zeta
-
-
-def _offset(s0: float, s: float) -> int:
-    """The integer j with s0 + j == s; DomainError off that lattice."""
-    j = round(s - s0)
-    if s0 + j != s:
-        raise DomainError(f"exponent {s} is not {s0} plus an integer")
-    return j
+from .jets import _exp_series1, jet_mul
+from .special import BERNOULLI_2J, EULER_GAMMA, LN2, DomainError, bernoulli_poly, riemann_zeta
 
 
 class LogPowerSeries:
     """t^-s0 sum_{a, j} C[a][j] ln(t)^a t^-j over the orders j = 0..depth,
     exact up to t^-(s0 + depth).
 
-    `rows[a]` holds C[a][0..depth].  Built from monomials,
-    LogPowerSeries(depth, {(a, s): c}), every exponent s must be the smallest
-    one, s0, plus an integer, and the orders past s0 + depth are dropped.  A
-    product keeps the smaller of its operands' depths: each is counted from
-    its own leading order, so a factor built deeper than its partner is cut,
-    not carried."""
+    `rows[a]` holds C[a][0..depth].  A sum needs one s0 in both operands; a
+    product keeps the smaller depth, each counted from its operand's own
+    leading order, so a factor built deeper than its partner is cut."""
 
     __slots__ = ("s0", "depth", "rows")
 
-    def __init__(self, depth: int, terms: Mapping[tuple[int, float], float]) -> None:
-        s0 = min((s for _a, s in terms), default=0.0)
-        rows = [[0.0] * (depth + 1) for _ in range(1 + max((a for a, _s in terms), default=-1))]
-        for (a, s), c in terms.items():
-            j = _offset(s0, s)
-            if j <= depth:
-                rows[a][j] += c
+    def __init__(self, s0: float, depth: int, rows: Sequence[Sequence[float]]) -> None:
         self.s0, self.depth, self.rows = s0, depth, rows
-
-    @classmethod
-    def _of(cls, s0: float, depth: int, rows: Sequence[Sequence[float]]) -> "LogPowerSeries":
-        out = cls.__new__(cls)
-        out.s0, out.depth, out.rows = s0, depth, rows
-        return out
-
-    def _monomials(self) -> Iterator[tuple[int, float, float]]:
-        """(a, s, c) for every nonzero c ln^a t / t^s."""
-        s0 = self.s0
-        for a, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    yield a, s0 + j, c
 
     @property
     def terms(self) -> Mapping[tuple[int, float], float]:
         """The nonzero monomials as a read-only {(a, s): c}."""
-        return MappingProxyType({(a, s): c for a, s, c in self._monomials()})
+        return MappingProxyType({(a, self.s0 + j): c for a, row in enumerate(self.rows)
+                                 for j, c in enumerate(row) if c})
 
     def __repr__(self) -> str:
-        return f"LogPowerSeries({self.depth!r}, {dict(self.terms)!r})"
+        return f"LogPowerSeries({self.s0!r}, {self.depth!r}, {self.rows!r})"
 
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        s0 = min(self.s0, other.s0)
-        parts = [(_offset(s0, f.s0), f.rows) for f in (self, other)]
-        depth = min(self.depth + parts[0][0], other.depth + parts[1][0])
-        rows = [[0.0] * (depth + 1) for _ in range(max(len(self.rows), len(other.rows)))]
-        for off, f_rows in parts:
-            for row, f_row in zip(rows, f_rows):
-                for j, c in enumerate(f_row[: max(depth + 1 - off, 0)]):
-                    row[off + j] += c
-        return self._of(s0, depth, rows)
+        if self.s0 != other.s0:
+            raise DomainError(f"cannot add series that lead with t^-{self.s0} and t^-{other.s0}")
+        n = min(self.depth, other.depth) + 1
+        rows = [[u + v for u, v in zip(r1[:n], r2[:n])]
+                for r1, r2 in itertools.zip_longest(self.rows, other.rows, fillvalue=[0.0] * n)]
+        return LogPowerSeries(self.s0, n - 1, rows)
 
     def __mul__(self, other: "LogPowerSeries") -> "LogPowerSeries":
+        """jets.jet_mul of each pair of ln rows, summed over the pairs in order."""
         n = min(self.depth, other.depth) + 1
-        rows = [[0.0] * max(n, 0) for _ in range(len(self.rows) + len(other.rows) - 1)]
+        rows: list = [None] * (len(self.rows) + len(other.rows) - 1)
         for a1, r1 in enumerate(self.rows):
             for a2, r2 in enumerate(other.rows):
-                out = rows[a1 + a2]
-                for j1 in range(n):
-                    c1 = r1[j1]
-                    if c1:
-                        for j2 in range(n - j1):
-                            out[j1 + j2] += c1 * r2[j2]
-        return self._of(self.s0 + other.s0, n - 1, rows)
+                prod, out = jet_mul(r1[:n], r2[:n]), rows[a1 + a2]
+                rows[a1 + a2] = prod if out is None else [u + v for u, v in zip(out, prod)]
+        return LogPowerSeries(self.s0 + other.s0, n - 1, rows)
 
     def frozen(self) -> "LogPowerSeries":
         """The same series with tuple rows, safe to share: every operation
         reads its operands and builds a new series."""
-        return self._of(self.s0, self.depth, tuple(map(tuple, self.rows)))
+        return LogPowerSeries(self.s0, self.depth, tuple(map(tuple, self.rows)))
 
     def scaled(self, c: float) -> "LogPowerSeries":
-        return self._of(self.s0, self.depth, [[c * v for v in row] for row in self.rows])
-
-    def plus_const(self, c: float) -> "LogPowerSeries":
-        """The series plus c t^0, the constant kept to the same last order."""
-        return self + LogPowerSeries(round(self.s0) + self.depth, {(0, 0.0): c})
+        return LogPowerSeries(self.s0, self.depth, [[c * v for v in row] for row in self.rows])
 
     def diff(self) -> "LogPowerSeries":
         """Termwise d/dt: C[a][j] ln^a t t^-(s0+j) gives a C[a][j] ln^(a-1) t
@@ -130,15 +94,12 @@ class LogPowerSeries:
             if a + 1 < len(rows):
                 new = [(a + 1) * d + v for d, v in zip(rows[a + 1], new)]
             out.append(new)
-        return self._of(s0 + 1.0, self.depth, out)
+        return LogPowerSeries(s0 + 1.0, self.depth, out)
 
     def __call__(self, t: float) -> float:
         lt, s0 = math.log(t), self.s0
         return math.fsum([c * lt**a * t**-(s0 + j)
                           for a, row in enumerate(self.rows) for j, c in enumerate(row) if c])
-
-    def min_decay(self) -> float:
-        return min((s for _a, s, _c in self._monomials()), default=math.inf)
 
 
 def log_power_integral(a: int, s: float, K: float) -> float:
@@ -155,35 +116,34 @@ def log_power_integral(a: int, s: float, K: float) -> float:
     return acc
 
 
-def psi_shifted(scale: float, depth: int) -> LogPowerSeries:
-    """Expansion of psi(scale*t + 1) for large t:
-    ln(scale) + ln t + 1/(2 scale t) - sum_j B_2j / (2j (scale t)^{2j})."""
-    terms = {(0, 0.0): math.log(scale), (1, 0.0): 1.0, (0, 1.0): 0.5 / scale}
-    for j, b in enumerate(BERNOULLI_2J, start=1):
-        terms[(0, 2.0 * j)] = -b / (2 * j * scale ** (2 * j))
-    return LogPowerSeries(depth, terms)
-
-
 def harmonic_lp(m: int, depth: int, prev: bool = False) -> LogPowerSeries:
-    """H_t^(m) for m >= 1: gamma + psi(t+1) at m = 1 and
-    zeta(m) + (-1)^(m-1)/(m-1)! psi^(m-1)(t+1) above.  With prev,
-    H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
+    """H_t^(m) for m >= 1, from psi(t+1) = ln t + 1/(2t) - sum_j B_2j / (2j t^2j):
+    gamma + psi(t+1) at m = 1, and with k = m - 1 >= 1 the k-th derivative
+    zeta(m) + (-1)^k/k! psi^(k)(t+1) = zeta(m) - t^-k/k + t^-m/2
+    - sum_j B_2j (2j)(2j+1)...(2j+k-1) / (2j k!) t^-(2j+k) above, one row on
+    the orders t^0 .. t^-(depth+k).  With prev, H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
     if m < 1:
         raise DomainError(f"harmonic_lp requires m >= 1, got {m}")
-    d = psi_shifted(1.0, depth)
-    for _ in range(m - 1):
-        d = d.diff()
-    sign = 1.0 if (m - 1) % 2 == 0 else -1.0
-    out = d.scaled(sign / math.factorial(m - 1))
-    out = out.plus_const(EULER_GAMMA if m == 1 else riemann_zeta(float(m)))
-    if prev:
-        out = out + LogPowerSeries(depth - m, {(0, float(m)): -1.0})
-    return out
+    k = m - 1
+    row = [0.0] * (depth + k + 2 * len(BERNOULLI_2J) + 1)
+    row[0] = EULER_GAMMA if m == 1 else riemann_zeta(float(m))
+    row[m] = 0.5 - prev
+    for j, b in enumerate(BERNOULLI_2J, start=1):
+        row[2 * j + k] = -b * math.prod(range(2 * j, 2 * j + k)) / (2 * j * math.factorial(k))
+    if m == 1:
+        return LogPowerSeries(0.0, depth, [row[: depth + 1], [1.0] + [0.0] * depth])
+    row[k] = -1.0 / k
+    return LogPowerSeries(0.0, depth + k, [row[: depth + k + 1]])
 
 
 def central_harmonic_diff_lp(depth: int) -> LogPowerSeries:
-    """H_t - 2 H_{2t} = psi(t+1) - 2 psi(2t+1) - gamma."""
-    return (psi_shifted(1.0, depth) + psi_shifted(2.0, depth).scaled(-2.0)).plus_const(-EULER_GAMMA)
+    """H_t - 2 H_{2t} = psi(t+1) - 2 psi(2t+1) - gamma
+    = -ln t - gamma - 2 ln 2 - sum_j B_2j (1 - 2^(1-2j)) / (2j t^2j)."""
+    row = [0.0] * (depth + 2 * len(BERNOULLI_2J) + 1)
+    row[0] = -EULER_GAMMA - 2.0 * LN2
+    for j, b in enumerate(BERNOULLI_2J, start=1):
+        row[2 * j] = -b * (1.0 - 2.0 ** (1 - 2 * j)) / (2 * j)
+    return LogPowerSeries(0.0, depth, [row[: depth + 1], [-1.0] + [0.0] * depth])
 
 
 def recip_power_shift(c: float, s: float, depth: int) -> LogPowerSeries:
@@ -193,7 +153,7 @@ def recip_power_shift(c: float, s: float, depth: int) -> LogPowerSeries:
     for j in range(depth + 1):
         row.append(coeff)
         coeff *= -(s + j) * c / (j + 1)
-    return LogPowerSeries._of(s, depth, [row])
+    return LogPowerSeries(s, depth, [row])
 
 
 def gamma_ratio_lp(a: float, b: float, depth: int) -> LogPowerSeries:
@@ -211,13 +171,12 @@ def gamma_ratio_lp(a: float, b: float, depth: int) -> LogPowerSeries:
     for n in range(1, depth + 1):
         d = (bernoulli_poly(n + 1, a) - bernoulli_poly(n + 1, b)) / (n * (n + 1))
         exponent.append(d if n % 2 else -d)
-    return LogPowerSeries._of(b - a, depth, [_exp_series1(exponent)])
+    return LogPowerSeries(b - a, depth, [_exp_series1(exponent)])
 
 
 __all__ = [
     "LogPowerSeries",
     "log_power_integral",
-    "psi_shifted",
     "harmonic_lp",
     "central_harmonic_diff_lp",
     "recip_power_shift",

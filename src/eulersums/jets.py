@@ -15,7 +15,9 @@ exp(sum of log-gamma jets), so one exp code path serves everything.  That
 path is _exp_series1, the exp recurrence on a coefficient list: jet_exp and
 the first row of _exp2 take it, and so does asymptotics.gamma_ratio_lp, whose
 tail models of the binomial-type series factors are the exp of a Stirling
-exponent in 1/t.  This module imports nothing from asymptotics.
+exponent in 1/t.  jet_mul is likewise the one Cauchy product: _exp2 takes it,
+and so does LogPowerSeries.__mul__, on each pair of a product's ln rows.
+This module imports nothing from asymptotics.
 
 The closed forms take x-orders 1, 2 and 3 of one ratio at one base point, so
 gamma_ratio_jet keeps one jet per (variant, x0, z0, oz) at x-order MAX_OX

@@ -113,9 +113,10 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     own plus 1 per * or /) and the two final roundings.  A model whose
     exponents were rounded, by up to s_rounding, also adds what that moves
     the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative of
-    int_K^inf t^-s dt relative to it.  A sum that is not finite raises
-    NonFiniteTermError; whether the estimate is small enough is for the
-    caller to judge (identities.verify, through EvalConfig.converged)."""
+    int_K^inf t^-s dt relative to it; s0 is the model's leading decay, as the
+    products that carry s_rounding lead with 1/Gamma(-x) != 0.  A sum that is
+    not finite raises NonFiniteTermError; whether the estimate is small enough
+    is for the caller to judge (identities.verify, through EvalConfig.converged)."""
     model = factors[0].tail
     terms = factors[0].head[lo:]
     for f in factors[1:]:
@@ -130,7 +131,7 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     exact = math.fsum(memoryview(terms))  # the same floats in order, without a list
     tail, err = em_tail(model, K_CROSSOVER)
     if s_rounding:
-        err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.min_decay() - 1.0))
+        err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.s0 - 1.0))
     value = exact + tail
     head_err = float(np.sum(roundings * np.abs(terms)))
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
@@ -257,7 +258,7 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
             head = k * head
     tail = ap.recip_power_shift(c, float(s), _DEPTH)
     if times_k:  # k^-1 (c + k)^-s: the same coefficients, each one order down
-        tail = ap.LogPowerSeries._of(tail.s0 + 1.0, tail.depth, tail.rows)
+        tail = ap.LogPowerSeries(tail.s0 + 1.0, tail.depth, tail.rows)
     return _Factor(_read_only(head), tail.frozen(), 2.0 + base_roundings * s + times_k,
                    divides=divides)
 

@@ -65,11 +65,9 @@ def bernoulli_poly(n: int, a: float) -> float:
     return math.fsum(math.comb(n, k) * _BERNOULLI[k] * a ** (n - k) for k in range(n + 1))
 
 
-_INT_TOL = 1e-12
-
-
 def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.5 and abs(x - round(x)) < _INT_TOL
+    """Exactly 0, -1, -2, ...: next to a pole the recurrence is exact enough."""
+    return x <= 0.0 and float(x).is_integer()
 
 
 def ln_gamma(x: float) -> float:

@@ -115,7 +115,7 @@ def _em_row(s0: float, depth: int, a: int, K: int, order: int) -> tuple:
     lx, lx1 = math.log(x), math.log(x + 1.0)
     diverges = _diverges(s0, depth)
     basis = [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)]
-    model = LogPowerSeries._of(s0, depth, basis)
+    model = LogPowerSeries(s0, depth, basis)
     f0 = tuple(_columns(model, x, lx))
     f1 = tuple(_columns(model, x + 1.0, lx1))
     integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0

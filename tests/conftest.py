@@ -90,6 +90,12 @@ GAMMA = 0.5772156649015328606
 LN_SQRT_PI = 0.5 * math.log(math.pi)
 
 
+def row(depth: int, *coeffs: float) -> list[float]:
+    """A LogPowerSeries row of depth + 1 coefficients: `coeffs` on the first
+    orders, zeros after them."""
+    return list(coeffs) + [0.0] * (depth + 1 - len(coeffs))
+
+
 def tail_integral(model: LogPowerSeries, K: float) -> float:
     """int_K^inf of the model; every monomial must have s > 1."""
     return math.fsum([c * log_power_integral(a, s, K) for (a, s), c in model.terms.items()])

@@ -151,6 +151,13 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert out == "" and err == f"error: polygamma({k}, {float(p)}) overflows binary64\n"
 
+    def test_p_next_to_the_pole_is_evaluated(self, capsys):
+        # psi at p = 1e-13 is finite, so the point is judged, not refused; its
+        # right side cancels as p -> 0 and fails
+        code, out, err = run(capsys, "eval", "THM_V3_37", "--p", "1e-13", "--n", "0", "--m", "1")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["pass"] is False
+
     @pytest.mark.parametrize("argv", [("COR_38", "--p", "1e-300", "--m", "2"),
                                       ("THM_V4_311", "--p", "1e-300", "--n", "1", "--m", "3"),
                                       ("COR_310", "--p", "1e-200", "--m", "3")])

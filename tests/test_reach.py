@@ -111,3 +111,27 @@ def test_every_numeric_statement_runs():
                 continue
             unrun.append(f"{short}.{func}:{stmt.lineno}: {text}")
     assert not unrun, "\n".join(unrun)
+
+
+def test_allowlist_names_what_exists():
+    """Every ALLOWED key names a function of its module, and every listed
+    line begins a statement of that function, so a deleted function or line
+    cannot leave a dead entry behind."""
+    stale = []
+    for mod in MODULES:
+        short = mod.__name__.rsplit(".", 1)[-1]
+        source = inspect.getsource(mod)
+        lines = source.splitlines()
+        found = {}
+        for func, stmt in _statements(ast.parse(source)):
+            found.setdefault(func, set()).add(lines[stmt.lineno - 1].strip())
+        for (name, func), allowed in ALLOWED.items():
+            if name != short:
+                continue
+            if func not in found:
+                stale.append(f"{short}.{func}: no such function")
+            for text in sorted(allowed or ()):
+                if text not in found.get(func, ()):
+                    stale.append(f"{short}.{func}: no statement {text!r}")
+    assert {name for name, _ in ALLOWED} <= {m.__name__.rsplit(".", 1)[-1] for m in MODULES}
+    assert not stale, "\n".join(stale)

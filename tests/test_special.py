@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from eulersums import (
@@ -317,6 +318,16 @@ def test_psi_cube_limit_sweep(k):
         got = (psi**3 - 3.0 * psi * polygamma(1, z) + polygamma(2, z)) / gamma(z)
         errs.append(abs(got - want))
     _ratio_checks(errs)
+
+
+@pytest.mark.parametrize("x", [1e-13, -1.0 + 1e-13, -2.0000000000001])
+def test_psi_next_to_a_pole(x):
+    """Only an exact non-positive integer is a pole: a hair from one, psi and
+    psi' are large, finite and within an ulp of 40-digit mpmath."""
+    with mp.workdps(40):
+        for got, k in ((digamma(x), 0), (polygamma(1, x), 1)):
+            want = mp.psi(k, mp.mpf(x))
+            assert abs(got - want) <= 2.0**-52 * abs(want), (x, k)
 
 
 def test_constants():

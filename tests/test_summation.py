@@ -19,7 +19,7 @@ from eulersums.asymptotics import (
 from eulersums.special import BERNOULLI_2J, MEMO_SIZE, ZETA3, bernoulli_poly
 from eulersums.summation import NonMonotoneTailError
 
-from conftest import assert_close, tail_integral, truncation_bound
+from conftest import assert_close, row, tail_integral, truncation_bound
 from test_em_oracles import ORACLES
 
 mp.mp.dps = 30
@@ -79,7 +79,7 @@ class TestEvalConfig:
 
 class TestLogPowerSeries:
     def test_eval_and_diff(self):
-        f = LogPowerSeries(8, {(1, 2.0): 1.0})  # ln t / t^2
+        f = LogPowerSeries(2.0, 8, [row(8), row(8, 1.0)])  # ln t / t^2
         t = 7.0
         assert_close(f(t), math.log(t) / t**2, 1e-14)
         df = f.diff()
@@ -96,26 +96,30 @@ class TestLogPowerSeries:
     def test_truncation_bound_is_last_kept_order(self):
         # em_tail's error is the first omitted correction plus the tail
         # integral of the last kept order, taken with |C|
-        f = LogPowerSeries(2, {(0, 2.5): 1.0, (0, 3.5): 0.5, (1, 4.5): -2.0})
+        f = LogPowerSeries(2.5, 2, [[1.0, 0.5, 0.0], [0.0, 0.0, -2.0]])
         K = 50
         x = K + 1.0
         last = 2.0 * log_power_integral(1, 4.5, x)
         assert truncation_bound(f, x) == last
         assert em_tail(f, K)[1] == pytest.approx(_omitted_correction(f, x) + last, rel=4 * ULP)
-        g = LogPowerSeries(3, {(0, 2.0): 1.0})  # its last order is 0
+        g = LogPowerSeries(2.0, 3, [row(3, 1.0)])  # its last order is 0
         assert truncation_bound(g, x) == 0.0
         assert em_tail(g, K)[1] == pytest.approx(_omitted_correction(g, x), rel=4 * ULP)
         # a derivative keeps as many orders as the series it came from
         assert f.diff().depth == f.depth
 
-    def test_exponents_off_one_lattice_are_rejected(self):
-        # the dense form stores orders s0 + j for integer j only
+    def test_sum_needs_one_leading_order(self):
+        # a sum adds coefficients order by order, so both operands lead with one s0
+        f = LogPowerSeries(2.0, 3, [row(3, 1.0)])
+        assert (f + f.scaled(2.0)).rows == [row(3, 3.0)]
         with pytest.raises(DomainError):
-            LogPowerSeries(3, {(0, 2.0): 1.0, (0, 3.5): 0.5})
+            f + LogPowerSeries(3.0, 3, [row(3, 1.0)])
+        with pytest.raises(DomainError):
+            f + LogPowerSeries(2.5, 3, [row(3, 0.5)])
 
     def test_product(self):
-        f = LogPowerSeries(9, {(1, 1.0): 2.0})
-        g = LogPowerSeries(8, {(1, 2.0): 3.0})
+        f = LogPowerSeries(1.0, 9, [row(9), row(9, 2.0)])
+        g = LogPowerSeries(2.0, 8, [row(8), row(8, 3.0)])
         h = f * g
         t = 5.0
         assert_close(h(t), 6.0 * math.log(t) ** 2 / t**3, 1e-14)
@@ -130,16 +134,19 @@ class TestAsymptoticModels:
         h = math.fsum(1.0 / k for k in range(1, self.T + 1))
         assert_close(harmonic_lp(1, 14)(float(self.T)), h, 1e-14)
 
-    def test_gen_harmonic(self):
-        h2 = math.fsum(k**-2.0 for k in range(1, self.T + 1))
-        assert_close(harmonic_lp(2, 14)(float(self.T)), h2, 1e-14)
-        h3 = math.fsum(k**-3.0 for k in range(1, self.T + 1))
-        assert_close(harmonic_lp(3, 14)(float(self.T)), h3, 1e-14)
+    @staticmethod
+    def _gen_harmonic(n, m):
+        """H_n^(m) from 30-digit mpmath."""
+        return float(mp.fsum(mp.mpf(k) ** -m for k in range(1, n + 1)))
 
-    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_gen_harmonic(self, m):
+        assert_close(harmonic_lp(m, 14)(float(self.T)), self._gen_harmonic(self.T, m), 1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 5])
     def test_prev(self, m):
-        h = math.fsum(k ** -float(m) for k in range(1, self.T))
-        assert_close(harmonic_lp(m, 14, prev=True)(float(self.T)), h, 1e-14)
+        assert_close(harmonic_lp(m, 14, prev=True)(float(self.T)),
+                     self._gen_harmonic(self.T - 1, m), 1e-14)
 
     def test_central_binomial(self):
         cb = 1.0
@@ -236,13 +243,13 @@ class TestGammaRatio:
 
 class TestEmTail:
     def test_inverse_square(self):
-        f = LogPowerSeries(12, {(0, 2.0): 1.0})
+        f = LogPowerSeries(2.0, 12, [row(12, 1.0)])
         tail, err = em_tail(f, 100)
         assert_close(tail, hurwitz_zeta(2.0, 101.0), 1e-12)
         assert err < 1e-20
 
     def test_inverse_fourth(self):
-        f = LogPowerSeries(12, {(0, 4.0): 1.0})
+        f = LogPowerSeries(4.0, 12, [row(12, 1.0)])
         tail, _ = em_tail(f, 50)
         assert_close(tail, hurwitz_zeta(4.0, 51.0), 1e-13)
 
@@ -254,7 +261,7 @@ class TestEmTail:
         for k in range(1, K + 1):
             h += 1.0 / k
             partial += h / k**2
-        model = harmonic_lp(1, 14) * LogPowerSeries(12, {(0, 2.0): 1.0})
+        model = harmonic_lp(1, 14) * LogPowerSeries(2.0, 12, [row(12, 1.0)])
         tail, _ = em_tail(model, K)
         assert_close(partial + tail, 2.0 * ZETA3, 1e-9)
 
@@ -267,8 +274,8 @@ class TestEmTail:
         # be fixed low without hiding error.
         monkeypatch.setattr(summation, "_EM_ORDER", order)
         cases = [
-            (LogPowerSeries(38, {(0, 2.0): 1.0}), 100, mp.zeta(2, 101)),
-            (LogPowerSeries(37, {(2, 2.5): 1.0, (1, 3.5): -0.3}), 50,
+            (LogPowerSeries(2.0, 38, [row(38, 1.0)]), 100, mp.zeta(2, 101)),
+            (LogPowerSeries(2.5, 37, [row(37), row(37, 0.0, -0.3), row(37, 1.0)]), 50,
              mp.zeta(2.5, 51, 2) + 0.3 * mp.zeta(3.5, 51, 1)),
         ]
         for model, K, exact in cases:
@@ -277,7 +284,7 @@ class TestEmTail:
             assert err <= 1e-8 * float(exact)
 
     def test_non_monotone_rejected(self):
-        grows = LogPowerSeries(5, {(2, 0.0): 1.0})  # ln^2 t
+        grows = LogPowerSeries(0.0, 5, [row(5), row(5), row(5, 1.0)])  # ln^2 t
         with pytest.raises(NonMonotoneTailError):
             em_tail(grows, 100)
 
@@ -318,10 +325,10 @@ class TestEmWeights:
         # after the monotone check, a nonzero order with s <= 1 is an error;
         # a zero one on the same lattice is left out
         with pytest.raises(DomainError):
-            em_tail(LogPowerSeries(5, {(0, 1.0): 1.0, (0, 2.0): 1.0}), 100)
-        zero_first = LogPowerSeries(5, {(0, 1.0): 0.0, (0, 2.0): 1.0})
+            em_tail(LogPowerSeries(1.0, 5, [row(5, 1.0, 1.0)]), 100)
+        zero_first = LogPowerSeries(1.0, 5, [row(5, 0.0, 1.0)])
         assert zero_first.s0 == 1.0
-        assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(5, {(0, 2.0): 1.0}), 100)
+        assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(2.0, 5, [row(5, 1.0)]), 100)
 
     def test_shapes_are_shared(self, oracle_models):
         shapes = {(m.s0, m.depth, len(m.rows), K) for m, K in oracle_models}
@@ -352,14 +359,14 @@ class TestEmWeights:
         series._cache.cache_clear()
         for i in range(MEMO_SIZE + 10):
             s = 2.0 + i / 64.0
-            em_tail(LogPowerSeries(1, {(0, s): 1.0}), 100)
+            em_tail(LogPowerSeries(s, 1, [row(1, 1.0)]), 100)
         info = summation._em_weights.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert info.currsize == MEMO_SIZE
         series._cache.cache_clear()
 
     def test_clear_drops_the_tables(self):
-        em_tail(LogPowerSeries(1, {(0, 2.0): 1.0}), 100)
+        em_tail(LogPowerSeries(2.0, 1, [row(1, 1.0)]), 100)
         assert summation._em_weights.cache_info().currsize > 0
         series._cache.cache_clear()
         assert summation._em_weights.cache_info().currsize == 0
