@@ -1,7 +1,13 @@
 """Scalar special functions: gamma, digamma, polygamma, zeta, harmonic numbers.
 
 Everything here is a pure function of binary64 inputs.  Accuracy targets:
-ln_gamma 1e-13 relative, digamma 1e-12, polygamma 1e-11, Hurwitz zeta 1e-12.
+ln_gamma 1e-13 relative, digamma 1e-12, polygamma 1e-11.  Hurwitz zeta is
+within series._HURWITZ_ROUNDING = 4 units of 2^-53, relative, of 30-digit
+mpmath at every (s, a) measured: s = 2..80, 100, 200 and 1000 at a = 1 + p,
+p on a 0.001 grid.  It has two branches: where the Euler-Maclaurin split holds
+enough terms (large s), the fewest direct terms whose remainder is bounded by
+2^-55 a^-s; elsewhere the direct terms up to that split plus the
+Euler-Maclaurin tail.
 The digamma/polygamma evaluators use upward recurrence to a large argument
 followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
@@ -36,6 +42,8 @@ ZETA3 = 1.2020569031595942854
 ZETA4 = 1.0823232337111381916  # pi^4/90
 LN2 = 0.6931471805599453094
 SQRT_PI = 1.7724538509055160273
+
+_U = 2.0**-53  # the unit roundoff of binary64
 
 # Bernoulli numbers B_2, B_4, ..., B_24 (exact rationals rounded to binary64).
 BERNOULLI_2J = (
@@ -145,19 +153,54 @@ def polygamma(k: int, x: float) -> float:
     return out
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{j>=0} 1/(j+a)^s for s > 1, a > 0, by Euler-Maclaurin.
+def _direct_terms(s: float, a: float, most: int) -> list[float] | None:
+    """The terms (j + a)^-s, j < N, for the fewest N with
+    (N + a)^-s (1 + (N + a)/(s - 1)) <= _U/4 a^-s, or None if N > most.
 
-    Direct terms are taken until j + a is comfortably inside the asymptotic
-    regime, then the tail is the integral plus boundary plus Bernoulli
-    corrections to order 8.  The split point grows with s so the correction
-    series keeps a ~(s/(2 pi N))^2 per-term decay.
+    The left side is f(N) plus the integral of f from N, f(j) = (j + a)^-s,
+    which bounds the remainder sum_{j>=N} f(j); and a^-s <= zeta(s, a).  It
+    falls as N grows, so one test at N = most says whether N <= most.  That
+    test reads the ratio (a / (most + a))^s, which only underflows where it is
+    negligible, in place of a^-s, which may leave binary64 (a^-s = 0 would
+    pass it at any N)."""
+    x = most + a
+    if (a / x) ** s * (1.0 + x / (s - 1.0)) > 0.25 * _U:
+        return None
+    terms = []
+    t = a ** -s
+    limit = 0.25 * _U * t
+    j = 0
+    while t * (1.0 + (j + a) / (s - 1.0)) > limit:
+        terms.append(t)
+        j += 1
+        t = (j + a) ** -s
+    return terms
+
+
+def hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) = sum_{j>=0} 1/(j+a)^s for 1 < s < inf, 0 < a < inf.
+
+    Two branches, both summing their direct terms with fsum:
+    - direct: when _direct_terms finds N no larger than the Euler-Maclaurin
+      split below, the sum of its N terms; the remainder it drops is
+      below (N + a)^-s (1 + (N + a)/(s - 1)) <= _U/4 a^-s <= _U/4 zeta(s, a).
+      There the split x is so small that the corrections would diverge (at
+      s = 56, a = 2, x = 4 they add about 4e-12 relative), so none are added.
+    - Euler-Maclaurin: N = 20 + 0.8 s - a direct terms, then the tail is the
+      integral plus boundary plus Bernoulli corrections to order 8.  The split
+      grows with s so the correction series keeps a ~(s/(2 pi N))^2 per-term
+      decay.
+    Both are within 4 _U of zeta(s, a) at every (s, a) the tests measure
+    (series._HURWITZ_ROUNDING).
     """
-    if s <= 1.0:
-        raise DomainError(f"hurwitz_zeta requires s > 1, got s = {s}")
-    if a <= 0.0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got a = {a}")
+    if not 1.0 < s < math.inf:
+        raise DomainError(f"hurwitz_zeta requires 1 < s < inf, got s = {s}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"hurwitz_zeta requires 0 < a < inf, got a = {a}")
     n_direct = max(0, int(math.ceil(20.0 + 0.8 * s - a)))
+    terms = _direct_terms(s, a, n_direct)
+    if terms is not None:
+        return math.fsum(terms)
     direct = math.fsum((j + a) ** -s for j in range(n_direct))
     x = n_direct + a  # tail is sum over j >= n_direct of (j + a)^(-s)
     tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s

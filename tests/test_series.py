@@ -27,7 +27,7 @@ from eulersums import (
     lhs_variant4,
     riemann_zeta,
 )
-from eulersums import asymptotics, series
+from eulersums import asymptotics, series, special
 from eulersums.series import (
     K_CROSSOVER,
     half_shift_series,
@@ -318,6 +318,13 @@ GEOMETRIC_POINTS = [("zeta_tail_sum", (m,), 0.5) for m in range(11)]
 GEOMETRIC_POINTS += [("zeta_power_series", (p, m), p / (p + 1.0))
                      for p in (0.1, 0.4, 0.9) for m in range(6)]
 
+# (s, a) for hurwitz_zeta: the a the two series reach at s up to 1000, with
+# s = 10..20 crossing its switch to the direct branch, and the a = 1 of the
+# riemann_zeta(5..13) the closed forms read
+HURWITZ_POINTS = [(11, 1.457)] + [(s, a) for a in [2.0] + [1.0 + k / 50 for k in range(1, 50)]
+                                  for s in [*range(2, 21), 40, 70, 100, 200, 1000]]
+HURWITZ_POINTS += [(s, 1.0) for s in range(5, 14)]
+
 
 class TestZetaTailSeries:
     def test_goldbach(self):
@@ -359,15 +366,39 @@ class TestZetaTailSeries:
 
     def test_hurwitz_rounding_covers_the_terms(self):
         """hurwitz_zeta within _HURWITZ_ROUNDING U over the (s, a) the two
-        series reach: integer s >= 2, a = 2 and a = 1 + p, 0 < p < 1; (11,
-        1.457) is the worst point measured on a finer grid."""
-        points = [(11, 1.457)] + [(s, a) for a in [2.0] + [1.0 + k / 50 for k in range(1, 50)]
-                                  for s in [*range(2, 13), 20, 40, 70]]
+        series reach, integer s >= 2, a = 2 and a = 1 + p, 0 < p < 1, on both
+        sides of its switch to the direct branch (s = 12 at a = 1, s = 15 at
+        a = 2); and at the riemann_zeta(5..13) the closed forms read.  (11,
+        1.457) is the worst point measured on a finer grid before the direct
+        branch existed."""
         with mp.workdps(30):
-            for s, a in points:
+            for s, a in HURWITZ_POINTS:
                 want = mp.zeta(s, a)
                 got = hurwitz_zeta(float(s), a)
                 assert abs(got - want) <= series._HURWITZ_ROUNDING * series._U * want, (s, a)
+
+    def test_hurwitz_direct_branch_drops_below_a_quarter_ulp(self):
+        """Where hurwitz_zeta takes its direct branch, it returns the fsum of
+        N terms, N the fewest whose remainder bound, (N + a)^-s (1 + (N +
+        a)/(s - 1)) over a^-s, is at most U/4; the remainder it drops,
+        zeta(s, a + N), is at most U/4 zeta(s, a); and the points reach both
+        branches."""
+        branches = set()
+        with mp.workdps(30):
+            for s, a in HURWITZ_POINTS:
+                n_direct = max(0, math.ceil(20.0 + 0.8 * s - a))
+                terms = special._direct_terms(float(s), a, n_direct)
+                branches.add(terms is not None)
+                if terms is not None:
+                    n = len(terms)
+
+                    def bound(n):
+                        return (a / (n + mp.mpf(a))) ** s * (1 + (n + mp.mpf(a)) / (s - 1))
+                    assert n <= n_direct and bound(n) <= series._U / 4 < bound(n - 1), (s, a, n)
+                    assert mp.zeta(s, a + n) <= series._U / 4 * mp.zeta(s, a), (s, a, n)
+                    assert terms == [(j + a) ** -float(s) for j in range(n)], (s, a)
+                    assert hurwitz_zeta(float(s), a) == math.fsum(terms), (s, a)
+        assert branches == {True, False}
 
     def test_underflowing_zeta_tail_stops_at_once(self):
         # zeta(1102, 2) is below the least binary64: the first term is 0

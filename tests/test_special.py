@@ -22,6 +22,7 @@ from eulersums import (
     riemann_zeta,
 )
 
+from eulersums import special
 from eulersums.series import _harmonic_numbers
 from eulersums.special import BERNOULLI_2J
 
@@ -167,6 +168,22 @@ class TestHurwitz:
     def test_frozen_points(self):
         assert_close(hurwitz_zeta(2.0, 101.0), REFS[("hurwitz", 2, 101)], 1e-13)
         assert_close(hurwitz_zeta(4.0, 51.0), REFS[("hurwitz", 4, 51)], 1e-13)
+
+    @pytest.mark.parametrize("s, a", [(math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
+                                      (2.0, math.nan), (2.0, math.inf)])
+    def test_nan_and_infinite_arguments_are_domain_errors(self, s, a):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(s, a)
+
+    @pytest.mark.parametrize("s, a, most", [(57.0, 2.0, 3), (2001.0, 1.0, 1)])
+    def test_direct_branch_takes_only_the_terms_its_bound_needs(self, s, a, most):
+        """At large s the terms past the first few are below U/4 of the first,
+        so the direct branch sums at most `most` of them in place of the
+        Euler-Maclaurin branch's 20 + 0.8 s - a, and hurwitz_zeta returns
+        their sum."""
+        terms = special._direct_terms(s, a, math.ceil(20.0 + 0.8 * s - a))
+        assert len(terms) <= most
+        assert hurwitz_zeta(s, a) == math.fsum(terms)
 
 
 class TestHarmonic:
