@@ -12,7 +12,10 @@ n! Gamma(t+1) / Gamma(t+n+1) (s0 = n), binom(2t, t)/4^t and
 (-1)^t binom(x, t).  gamma_ratio_lp expands each as a power t^-s0 times the
 exp of the difference of two Stirling series, through the jets' exp
 recurrence, and a product takes the jets' Cauchy product, jets.jet_mul, on
-each pair of ln rows: the package has one of each.  A series keeps the orders
+each pair of ln rows: the package has one of each.  A pair in which one row
+is the unit [1, 0, ..., 0], the ln t row of H_t and of its products, and the
+other is finite is a copy of the other row plus 0.0, which is jet_mul's
+product bit for bit (_row_product).  A series keeps the orders
 s0 .. s0 + depth, and the integer depth is the only truncation it knows: each
 constructor takes the number of orders to keep past its own leading one, so a
 product keeps the smaller depth of its operands and no factor is built deeper
@@ -64,12 +67,13 @@ class LogPowerSeries:
         return LogPowerSeries(self.s0, n - 1, rows)
 
     def __mul__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        """jets.jet_mul of each pair of ln rows, summed over the pairs in order."""
+        """jets.jet_mul of each pair of ln rows, summed over the pairs in order,
+        a pair with a unit row taken as a copy (_row_product)."""
         n = min(self.depth, other.depth) + 1
         rows: list = [None] * (len(self.rows) + len(other.rows) - 1)
         for a1, r1 in enumerate(self.rows):
             for a2, r2 in enumerate(other.rows):
-                prod, out = jet_mul(r1[:n], r2[:n]), rows[a1 + a2]
+                prod, out = _row_product(r1[:n], r2[:n]), rows[a1 + a2]
                 rows[a1 + a2] = prod if out is None else [u + v for u, v in zip(out, prod)]
         return LogPowerSeries(self.s0 + other.s0, n - 1, rows)
 
@@ -100,6 +104,24 @@ class LogPowerSeries:
         lt, s0 = math.log(t), self.s0
         return math.fsum([c * lt**a * t**-(s0 + j)
                           for a, row in enumerate(self.rows) for j, c in enumerate(row) if c])
+
+
+def _is_unit(row: Sequence[float]) -> bool:
+    return row[0] == 1.0 and not any(row[1:])
+
+
+def _row_product(r1: Sequence[float], r2: Sequence[float]) -> list[float]:
+    """jet_mul(r1, r2), bit for bit.  Where one row is the unit [1, 0, ..., 0]
+    (H_t's ln t row) and the other is finite, it is that other row plus 0.0:
+    each jet_mul entry is 0.0 + 1 b[q] plus products 0 b, which add nothing
+    to a finite sum but turn -0.0 into +0.0, as + 0.0 does.  A float sum of a
+    row is finite only if every entry is, so it stands in for that test; a
+    finite row whose sum overflows only takes jet_mul."""
+    if _is_unit(r1) and math.isfinite(sum(r2)):
+        return [v + 0.0 for v in r2]
+    if _is_unit(r2) and math.isfinite(sum(r1)):
+        return [v + 0.0 for v in r1]
+    return jet_mul(r1, r2)
 
 
 def log_power_integral(a: int, s: float, K: float) -> float:

@@ -5,13 +5,18 @@ Each slow series is split at K = 10^3: terms up to K are summed exactly, and
 the tail is an Euler-Maclaurin estimate driven by the asymptotic log-power
 expansion of the term function.  Reaching 1e-10 on sums like
 sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
-in 10^3.  Each term is a list of factors (_Factor), each written once with
-both its head values at k = 0..K and its 1/t expansion, so the head and the
-tail model come from the same list; a sum from k = 1 reads the heads from
-entry 1.  A factor depends only on its own parameters (the order of a
-harmonic number, n or x of a binomial, the power and shift of a
-denominator), so each is built once per process, head values and tail model
-included, and shared by every sum that uses it.  Every harmonic number
+in 10^3.  The exact head sum is math.fsum's value, bit for bit, without a
+10^3-term fsum: _certified_sum splits each term at one power of 2, sums the
+high parts exactly and the low parts within a bound, both in numpy, and
+returns the rounded total where the bound proves it.  Where it cannot (a sum
+near a tie, one that cancels below about 1e-5 of its largest term, or terms
+outside its range), fsum sums the terms.  Each term is a list of factors
+(_Factor), each written once with both its head values at k = 0..K and its
+1/t expansion, so the head and the tail model come from the same list; a sum
+from k = 1 reads the heads from entry 1.  A factor depends only on its own
+parameters (the order of a harmonic number, n or x of a binomial, the power
+and shift of a denominator), so each is built once per process, head values
+and tail model included, and shared by every sum that uses it.  Every harmonic number
 H_k^(order) comes from one memoized compensated table per order, and its tail
 from one constructor, ap.harmonic_lp.  _cache.cache_clear() drops these memo
 tables together with the jets' and em_tail's weights.  Only the two
@@ -102,11 +107,53 @@ class _Factor(NamedTuple):
     s_rounding: float = 0.0
 
 
+# _certified_sum certifies heads whose largest |term| lies in this range, so
+# that its split point sigma and its bound stay normal binary64 numbers.
+_CERTIFIED_RANGE = (2.0**-900, 2.0**1000)
+
+
+def _certified_sum(terms: np.ndarray, mags: np.ndarray) -> float | None:
+    """math.fsum(terms), bit for bit, from vectorized sums, or None where it
+    cannot prove that; mags = |terms|.
+
+    After Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
+    SIAM J. Sci. Comput. 31 (2008), section 3 (ExtractVector).  With n terms,
+    the largest |term| M below 2^e and sigma = 2^(e + bitlength(n) + 2),
+    each q = (sigma + t) - sigma is a multiple of _U sigma, and r = t - q is
+    exact with |r| <= _U sigma.  Every partial sum of the q is a multiple of
+    _U sigma below sigma, so their sum tau is exact in any order.  The sum s
+    of the r is within gamma_(n-1) n _U sigma < b = 4 n^2 _U^2 sigma of
+    theirs in any order too, so numpy's summation order cannot matter; b is
+    a product of powers of 2 and n^2 < 2^40, so it is exact.  The sum of the
+    terms lies in [tau + s - b, tau + s + b].  Rounding is monotone, so where
+    fsum rounds both ends to one float, that float is the rounded sum, which
+    is what fsum(terms) returns.
+
+    None where the ends round apart: a sum within b of a rounding boundary,
+    such as a tie, or one that cancels below about 128 n^3 _U M (1.4e-5 M at
+    n = 10^3), where b exceeds half its ulp.  None too for n >= 2^20 or M
+    outside _CERTIFIED_RANGE, 0, inf and nan included."""
+    n = len(terms)
+    most = float(np.maximum.reduce(mags, initial=0.0))
+    if not (_CERTIFIED_RANGE[0] < most < _CERTIFIED_RANGE[1] and n < 1 << 20):
+        return None
+    sigma = math.ldexp(1.0, math.frexp(most)[1] + n.bit_length() + 2)
+    q = (sigma + terms) - sigma
+    tau = float(np.add.reduce(q))
+    s = float(np.add.reduce(terms - q))
+    b = 4.0 * n * n * _U * _U * sigma
+    low = math.fsum((tau, s, -b))
+    return low if low == math.fsum((tau, s, b)) else None
+
+
 def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
     k <= K exactly, the rest by em_tail on the product of their tails.  Each
     tail keeps _DEPTH orders past its own leading one, and so does the
-    product, up to t^-(model.s0 + model.depth).
+    product, up to t^-(model.s0 + model.depth).  The head's sum is
+    math.fsum's, bit for bit: _certified_sum's where it proves it (every
+    head of the default grid), fsum's own where it returns None, so every
+    value and every exception is fsum's.
 
     The estimate adds the em_tail error, the head's rounding (the factors'
     own plus 1 per * or /) and the two final roundings.  A model whose
@@ -127,12 +174,15 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
         roundings = per_k * _ks()[lo:] + roundings
     s_rounding = sum(f.s_rounding for f in factors) * _U * (model.s0 + model.depth)
 
-    exact = math.fsum(memoryview(terms))  # the same floats in order, without a list
+    mags = np.abs(terms)
+    exact = _certified_sum(terms, mags)
+    if exact is None:  # fsum reads the same floats in order, without a list
+        exact = math.fsum(memoryview(terms))
     tail, err = em_tail(model, K_CROSSOVER)
     if s_rounding:
         err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.s0 - 1.0))
     value = exact + tail
-    head_err = float(np.sum(roundings * np.abs(terms)))
+    head_err = float(np.add.reduce(roundings * mags))
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
     if not (math.isfinite(value) and math.isfinite(tail_estimate)):
         raise NonFiniteTermError(f"the series sums to {value} with error {tail_estimate}, "

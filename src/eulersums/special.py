@@ -191,17 +191,21 @@ def hurwitz_zeta(s: float, a: float) -> float:
       grows with s so the correction series keeps a ~(s/(2 pi N))^2 per-term
       decay.
     Both are within 4 _U of zeta(s, a) at every (s, a) the tests measure
-    (series._HURWITZ_ROUNDING).
+    (series._HURWITZ_ROUNDING).  A direct term or their sum that leaves
+    binary64 (a^-s does at a small enough a) is a DomainError.
     """
     if not 1.0 < s < math.inf:
         raise DomainError(f"hurwitz_zeta requires 1 < s < inf, got s = {s}")
     if not 0.0 < a < math.inf:
         raise DomainError(f"hurwitz_zeta requires 0 < a < inf, got a = {a}")
     n_direct = max(0, int(math.ceil(20.0 + 0.8 * s - a)))
-    terms = _direct_terms(s, a, n_direct)
-    if terms is not None:
-        return math.fsum(terms)
-    direct = math.fsum((j + a) ** -s for j in range(n_direct))
+    try:  # the powers (j + a)^-s, and their fsum, may leave binary64 at a small a
+        terms = _direct_terms(s, a, n_direct)
+        if terms is not None:
+            return math.fsum(terms)
+        direct = math.fsum((j + a) ** -s for j in range(n_direct))
+    except OverflowError:
+        raise DomainError(f"hurwitz_zeta({s}, {a}) overflows binary64") from None
     x = n_direct + a  # tail is sum over j >= n_direct of (j + a)^(-s)
     tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s
     # Bernoulli corrections: + sum_j B_2j/(2j)! (s)_{2j-1} x^{-s-2j+1}

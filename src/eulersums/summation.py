@@ -8,19 +8,20 @@ derivative corrections.  At the fixed point x = K + 1 each of these, and the
 error estimate's parts, is a linear functional of the model's coefficients,
 whose weight on each monomial depends only on the model's leading decay,
 depth and ln power.  _em_row builds the weights of one ln row, by termwise
-differentiation of a basis model, and _em_weights stacks them into a table
-per shape; both are memoized (so series._cache.cache_clear() drops them), and
-tables with more ln rows reuse the rows of smaller ones.  em_tail is a few
-fsums of coefficients times weights.  The oracles only compute: a SumResult
-carries a value and its error estimate, and EvalConfig.converged is the one
-place that judges it.
+differentiation of a basis model, and _em_weights lays them out, row after
+row, as one flat tuple per functional for each shape; both are memoized (so
+series._cache.cache_clear() drops them), and tables with more ln rows reuse
+the rows of smaller ones.  em_tail flattens the model's rows once and takes
+each functional as one fsum of coefficients times weights.  The oracles only
+compute: a SumResult carries a value and its error estimate, and
+EvalConfig.converged is the one place that judges it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 from .asymptotics import LogPowerSeries, log_power_integral
 from .special import BERNOULLI_2J, DomainError, memo
@@ -73,7 +74,7 @@ class SumResult:
 # moves 145 tail estimates, order 2 moves 439, and order 1 moves 37 values.
 _EM_ORDER = 4
 
-_Rows = tuple[tuple[float, ...], ...]
+_Flat = tuple[float, ...]
 
 
 def _columns(model: LogPowerSeries, x: float, lx: float) -> list[float]:
@@ -85,18 +86,19 @@ def _columns(model: LogPowerSeries, x: float, lx: float) -> list[float]:
 
 @memo
 def _em_weights(s0: float, depth: int, n_rows: int, K: int,
-                order: int) -> tuple[_Rows, _Rows, _Rows, _Rows, tuple[float, ...], int]:
+                order: int) -> tuple[_Flat, _Flat, _Flat, _Flat, _Flat, int]:
     """What em_tail computes from every model with this leading decay, depth
     and number of ln rows, as weights on its coefficients, at x = K + 1 with
     `order` Bernoulli corrections: (f0, f1, tail, omitted, last, diverges).
-    The first four hold at [a][j] the value, for the monomial
-    ln^a t t^-(s0+j), of f at x and at x + 1, of the Euler-Maclaurin tail
-    estimate and of the first omitted correction; last[a] is the tail
-    integral of the last kept order, j = depth.  The first `diverges` orders
-    have s <= 1 and no tail integral.  Row a comes from _em_row, which
-    tables of every n_rows > a share."""
+    The first four are flat, row after row: each holds at a (depth + 1) + j
+    the value, for the monomial ln^a t t^-(s0+j), of f at x and at x + 1, of
+    the Euler-Maclaurin tail estimate and of the first omitted correction,
+    so that it lines up with the model's rows flattened in order.  last[a]
+    is the tail integral of the last kept order, j = depth.  The first
+    `diverges` orders have s <= 1 and no tail integral.  Row a comes from
+    _em_row, which tables of every n_rows > a share."""
     rows = [_em_row(s0, depth, a, K, order) for a in range(n_rows)]
-    f0, f1, tail, omitted = (tuple(row[i] for row in rows) for i in range(4))
+    f0, f1, tail, omitted = (tuple(v for row in rows for v in row[i]) for i in range(4))
     last = tuple(v for row in rows for v in row[4])
     return f0, f1, tail, omitted, last, _diverges(s0, depth)
 
@@ -135,8 +137,8 @@ def _em_row(s0: float, depth: int, a: int, K: int, order: int) -> tuple:
     return f0, f1, tail, omitted, tuple(integral[-1:])
 
 
-def _apply(rows: Sequence[Sequence[float]], weights: _Rows) -> float:
-    return math.fsum([c * w for row, w_row in zip(rows, weights) for c, w in zip(row, w_row)])
+def _apply(flat: list[float], weights: _Flat) -> float:
+    return math.fsum(map(operator.mul, flat, weights))
 
 
 def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
@@ -151,15 +153,22 @@ def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
     by a further factor of about c (s0 + depth) / x; the tail integral of
     that order, taken with |C| so that no cancellation hides it, bounds them.
 
-    Each of these is one fsum of the model's coefficients times their
-    _em_weights.  A tail that grows from x to x + 1 raises
-    NonMonotoneTailError, and then a nonzero monomial with s <= 1, whose
-    integral diverges, DomainError.
+    Each of these is one fsum of the model's coefficients, its rows
+    flattened once, times their flat _em_weights: each product c w is the
+    same float in any layout, and an fsum does not depend on the order of
+    its terms.  Rows that do not hold depth + 1 coefficients each, so that
+    the flat rows cannot line up with the weights, raise DomainError.  A
+    tail that grows from x to x + 1 raises NonMonotoneTailError, and then a
+    nonzero monomial with s <= 1, whose integral diverges, DomainError.
     """
     rows = model.rows
     w0, w1, tail, omitted, last, diverges = _em_weights(model.s0, model.depth, len(rows), K,
                                                         _EM_ORDER)
-    f0, f1 = _apply(rows, w0), _apply(rows, w1)
+    flat = [c for row in rows for c in row]
+    if len(flat) != len(w0):
+        raise DomainError(f"a model of depth {model.depth} needs {model.depth + 1} "
+                          "coefficients in each ln row")
+    f0, f1 = _apply(flat, w0), _apply(flat, w1)
     if abs(f1) > abs(f0):
         x = float(K + 1)
         raise NonMonotoneTailError(f"tail not decreasing at K={K}: |f({x + 1})| > |f({x})|")
@@ -168,4 +177,4 @@ def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
             if row[j]:
                 raise DomainError(f"tail integral diverges for monomial with s = {model.s0 + j}")
     truncation = math.fsum([abs(row[-1]) * v for row, v in zip(rows, last)])
-    return _apply(rows, tail), abs(_apply(rows, omitted)) + truncation
+    return _apply(flat, tail), abs(_apply(flat, omitted)) + truncation

@@ -1,7 +1,14 @@
 """Direct-summation oracles: frozen references, classical values, invariants."""
 
+import json
 import math
+import os
+import platform
+import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +34,7 @@ from eulersums import (
     lhs_variant4,
     riemann_zeta,
 )
-from eulersums import asymptotics, series, special
+from eulersums import asymptotics, identities, series, special
 from eulersums.series import (
     K_CROSSOVER,
     half_shift_series,
@@ -471,3 +478,164 @@ class TestOracleContracts:
         r = lhs_variant1(0, 1)
         assert EvalConfig().converged(r)
         assert r.tail_estimate <= 1e-10 * max(1.0, abs(r.value))
+
+
+# ------------------------------ exact head sums ------------------------------
+
+
+def _packed(v: float) -> bytes:
+    """The bits of v, so that equal values of opposite sign of zero differ."""
+    return struct.pack("<d", v)
+
+
+def _random_heads(seed: int, count: int) -> list[np.ndarray]:
+    """Seeded arrays of up to 1002 terms (3 for near ties), a quarter of each
+    kind: magnitudes spread over 60 decades with mixed signs; sums that
+    cancel, to about 1e-4 of their largest term, as a head of alternating
+    terms may; sums that cancel deeply, each term beside its negation plus
+    terms 1e-12 smaller; and near ties, a float plus half its ulp, give or
+    take a little or nothing.  The powers of 10 are libm's, not numpy's,
+    whose AVX-512 loop rounds differently: the arrays are the same bits
+    whatever numpy's CPU features."""
+    rng = np.random.default_rng(seed)
+
+    def tens(lo, hi, n):
+        return np.array([10.0**v for v in rng.uniform(lo, hi, n)])
+
+    heads = []
+    for i in range(count):
+        n = int(rng.integers(1, 1002))
+        if i % 4 == 0:
+            t = rng.choice([-1.0, 1.0], n) * tens(-30.0, 30.0, n)
+        elif i % 4 < 3:
+            n = (n + 2) // 3
+            x = rng.standard_normal(n) * tens(-3.0, 3.0, n)
+            small = (1e-4 if i % 4 == 1 else 1e-12) * rng.standard_normal(n)
+            t = np.concatenate((x, -x * (1.0 + small) if i % 4 == 1 else -x, small))
+            t = t[rng.permutation(len(t))]
+        else:
+            x = float(rng.uniform(0.5, 2.0) * 2.0 ** int(rng.integers(-300, 300)))
+            half = math.ulp(x) / 2.0
+            nudge = half * 2.0 ** -int(rng.integers(20, 80)) * rng.choice([-1.0, 0.0, 1.0])
+            t = np.array([x, half, nudge])
+        heads.append(t)
+    return heads
+
+
+def _em_head(monkeypatch, terms) -> float:
+    """_em_sum's head value for `terms`: they are the first factor's head,
+    times a head of ones, which keeps every bit, and em_tail returns a tail
+    of -0.0, which adds nothing to any value, the sign of zero included."""
+    monkeypatch.setattr(series, "em_tail", lambda model, K: (-0.0, 0.0))
+    unit = asymptotics.LogPowerSeries(2.0, 0, ((1.0,),))
+    terms = np.asarray(terms, dtype=float)
+    head = series._Factor(terms, unit, 0.0)
+    ones = series._Factor(np.ones(len(terms)), unit, 0.0)
+    return series._em_sum(0, head, ones).value
+
+
+class TestExactHeadSum:
+    """_em_sum sums its head to math.fsum's bits: by _certified_sum where it
+    proves its value, by fsum itself where it returns None."""
+
+    def test_every_grid_head_is_certified(self, monkeypatch):
+        seen = []
+        real = series._certified_sum
+
+        def spy(terms, mags):
+            out = real(terms, mags)
+            seen.append((terms.copy(), out))
+            return out
+
+        monkeypatch.setattr(series, "_certified_sum", spy)
+        series._cache.cache_clear()
+        for ident, params in identities.default_grid():
+            identities.verify(ident, params, 1e-7)
+        monkeypatch.undo()
+        assert len(seen) > 400
+        for terms, got in seen:
+            assert got is not None, terms
+            assert _packed(got) == _packed(math.fsum(terms))
+
+    def test_random_cancelling_and_near_tie_heads(self, monkeypatch):
+        certified = [0] * 4
+        for i, terms in enumerate(_random_heads(23, 600)):
+            want = math.fsum(terms)
+            got = series._certified_sum(terms, np.abs(terms))
+            assert got is None or _packed(got) == _packed(want), terms
+            certified[i % 4] += got is not None
+            assert _packed(_em_head(monkeypatch, terms)) == _packed(want), terms
+        # the wide sums are all certified and nearly all the cancelling ones;
+        # a sum that cancels to 1e-14 of its largest term, or lies within
+        # 2^-97 of a tie, is what the fallback is for
+        assert certified[0] == 150 and certified[1] >= 140
+        assert certified[2] == 0 and 0 < certified[3] < 150
+
+    @pytest.mark.parametrize("terms", [[1.0, 2.0**-53], [2.0**-53, 1.0], [-1.0, -(2.0**-53)],
+                                       [1.5, 2.0**-53], [3.0, -(2.0**-52)], [1.0, -1.0]])
+    def test_exact_ties_and_exact_zero_fall_back(self, monkeypatch, terms):
+        """A sum exactly on a tie, or exactly 0, has its ends on two sides of
+        a rounding boundary: no certificate, and fsum's value."""
+        t = np.array(terms)
+        assert series._certified_sum(t, np.abs(t)) is None
+        assert _packed(_em_head(monkeypatch, t)) == _packed(math.fsum(terms))
+
+    @pytest.mark.parametrize("terms", [[0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0],
+                                       [2.0**1000, 1.0], [2.0**-901, -(2.0**-950)],
+                                       [1e308, 1e308], [1.0, math.inf], [-math.inf, 2.0],
+                                       [math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan]])
+    def test_zeros_and_non_finite_heads_are_fsums(self, monkeypatch, terms):
+        """Outside the certificate's range, fsum sums the head: the same
+        value, or the same exception.  A head fsum sums to inf or nan ends,
+        as any sum that is not finite does, in NonFiniteTermError."""
+        t = np.array(terms)
+        assert series._certified_sum(t, np.abs(t)) is None
+        try:
+            want = math.fsum(terms)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _em_head(monkeypatch, t)
+            assert type(got.value) is type(exc)
+            return
+        if math.isfinite(want):
+            assert _packed(_em_head(monkeypatch, t)) == _packed(want)
+        else:
+            with pytest.raises(NonFiniteTermError):
+                _em_head(monkeypatch, t)
+
+
+_CERTIFIED_BITS = """
+import json, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+sys.path.insert(0, sys.argv[1])
+from eulersums import series
+from test_series import _random_heads
+heads = _random_heads(23, 600)
+sums = [series._certified_sum(t, np.abs(t)) for t in heads]
+print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4"),
+                  "heads": [[v.hex() for v in t.tolist()] for t in heads],
+                  "sums": [None if v is None else v.hex() for v in sums]}))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 CPU features")
+def test_certified_sums_do_not_depend_on_the_cpu_features():
+    """With numpy's AVX-512 loops switched off, as on a CPU without them, the
+    random heads are the same arrays and their certified sums are still
+    fsum's bits: tau is exact and s within its bound in any order numpy adds
+    them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    out = subprocess.run([sys.executable, "-c", _CERTIFIED_BITS, str(Path(__file__).parent)],
+                         capture_output=True, text=True, env=env, check=True)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["x86_v4"] is False
+    heads = _random_heads(23, 600)
+    assert got["heads"] == [[v.hex() for v in t.tolist()] for t in heads]
+    assert sum(v is not None for v in got["sums"]) >= 290
+    for terms, v in zip(heads, got["sums"], strict=True):
+        assert v is None or v == math.fsum(terms).hex(), terms

@@ -175,6 +175,12 @@ class TestHurwitz:
         with pytest.raises(DomainError):
             hurwitz_zeta(s, a)
 
+    @pytest.mark.parametrize("s, a", [(200.0, 1e-3), (2.0, 1e-300), (1.5, 1e-250)])
+    def test_powers_past_binary64_are_domain_errors(self, s, a):
+        """a^-s overflows at these points; the error names s and a."""
+        with pytest.raises(DomainError, match=rf"hurwitz_zeta\({s}, {a}\)"):
+            hurwitz_zeta(s, a)
+
     @pytest.mark.parametrize("s, a, most", [(57.0, 2.0, 3), (2001.0, 1.0, 1)])
     def test_direct_branch_takes_only_the_terms_its_bound_needs(self, s, a, most):
         """At large s the terms past the first few are below U/4 of the first,

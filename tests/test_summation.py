@@ -6,8 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from eulersums import (DomainError, EvalConfig, SumResult, em_tail, hurwitz_zeta, identities,
-                       series, summation)
+from eulersums import (DomainError, EvalConfig, SumResult, asymptotics, em_tail, hurwitz_zeta,
+                       identities, jets, series, summation)
 from eulersums.asymptotics import (
     LogPowerSeries,
     central_harmonic_diff_lp,
@@ -123,6 +123,40 @@ class TestLogPowerSeries:
         h = f * g
         t = 5.0
         assert_close(h(t), 6.0 * math.log(t) ** 2 / t**3, 1e-14)
+
+    @pytest.mark.parametrize("unit", [[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, -0.0, -0.0]])
+    @pytest.mark.parametrize("other, copied", [
+        ([0.5, -0.0, 3.0, -2.5e-300, 0.0], True),
+        ([-0.0, -0.0, 1e308, -1e308, 5e-324], True),
+        ([1.0, 0.0, 0.0, 0.0, 0.0], True),
+        ([1e308, 1e308, 0.0, 0.0, 0.0], False),  # finite, but its sum is not
+        ([1.0, math.inf, 0.0, 2.0, 1.0], False),
+        ([-math.inf, 0.0, 0.0, 0.0, 0.0], False),
+        ([math.nan, 1.0, 0.0, 0.0, 0.0], False),
+    ])
+    def test_unit_row_products_keep_the_jet_mul_bits(self, monkeypatch, unit, other, copied):
+        """A unit ln row [1, 0, ..., 0], H_t's ln t row, times a finite row is
+        that row plus 0.0, without jet_mul: jet_mul's bits, -0.0 turned to
+        +0.0.  A row that is not finite still goes through jet_mul, whose
+        0 * inf is nan, and so does a finite row whose float sum overflows,
+        as the copy reads finiteness from that sum.  Checked with the unit row on either side and as the
+        second ln row of a two-row model."""
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return jets.jet_mul(a, b)
+
+        monkeypatch.setattr(asymptotics, "jet_mul", spy)
+        first = [0.25, -1.5, 0.0, 2.0, 3.0]
+        h = LogPowerSeries(0.0, 4, [first, unit])
+        g = LogPowerSeries(2.0, 4, [other])
+        for got, want in (
+                ((h * g).rows, [jets.jet_mul(first, other), jets.jet_mul(unit, other)]),
+                ((g * h).rows, [jets.jet_mul(other, first), jets.jet_mul(other, unit)])):
+            assert [[v.hex() for v in r] for r in got] == [[v.hex() for v in r] for r in want]
+        assert ((unit, other) in calls) is not copied
+        assert ((other, unit) in calls) is not copied
 
 
 class TestAsymptoticModels:
@@ -330,6 +364,14 @@ class TestEmWeights:
         assert zero_first.s0 == 1.0
         assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(2.0, 5, [row(5, 1.0)]), 100)
 
+    def test_rows_must_line_up_with_the_weights(self):
+        # the weights are flat, depth + 1 per ln row: a short row is refused
+        # rather than read against the next row's weights
+        with pytest.raises(DomainError):
+            em_tail(LogPowerSeries(2.0, 3, [[1.0, 0.5]]), 100)
+        with pytest.raises(DomainError):
+            em_tail(LogPowerSeries(2.0, 3, [row(3, 1.0), [1.0, 0.5, 0.25]]), 100)
+
     def test_shapes_are_shared(self, oracle_models):
         shapes = {(m.s0, m.depth, len(m.rows), K) for m, K in oracle_models}
         assert len(shapes) < len(oracle_models) / 4
@@ -346,14 +388,20 @@ class TestEmWeights:
         series._cache.cache_clear()
 
     def test_tables_are_read_only(self):
+        """Each functional is one flat tuple of floats, row after row, as
+        long as the model's rows flattened; none can be written."""
         weights = summation._em_weights(2.0, 12, 2, 100, summation._EM_ORDER)
         assert isinstance(weights, tuple)
         *tables, last, _diverges = weights
-        for rows in tables:
-            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+        assert len(tables) == 4
+        for flat in tables:
+            assert isinstance(flat, tuple) and len(flat) == 2 * 13
+            assert all(isinstance(w, float) for w in flat)
             with pytest.raises(TypeError):
-                rows[0][0] = 0.0
-        assert isinstance(last, tuple)
+                flat[0] = 0.0
+        assert isinstance(last, tuple) and len(last) == 2
+        with pytest.raises(TypeError):
+            last[0] = 0.0
 
     def test_tables_stay_within_the_memo_bound(self):
         series._cache.cache_clear()
