@@ -11,17 +11,17 @@ Gamma(t + a) / Gamma(t + b) up to a constant: 1/binom(n+t, t) =
 n! Gamma(t+1) / Gamma(t+n+1) (s0 = n), binom(2t, t)/4^t and
 (-1)^t binom(x, t).  gamma_ratio_lp expands each as a power t^-s0 times the
 exp of the difference of two Stirling series, through the jets' exp
-recurrence, and a product takes the jets' Cauchy product, jets.jet_mul, on
-each pair of ln rows: the package has one of each.  A pair in which one row
-is the unit [1, 0, ..., 0], the ln t row of H_t and of its products, and the
-other is finite is a copy of the other row plus 0.0, which is jet_mul's
-product bit for bit (_row_product).  A series keeps the orders
-s0 .. s0 + depth, and the integer depth is the only truncation it knows: each
-constructor takes the number of orders to keep past its own leading one, so a
-product keeps the smaller depth of its operands and no factor is built deeper
-than the product can use.  The class supplies point values and termwise
-derivatives, and log_power_integral the closed-form tail integral
-int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
+recurrence, jets.jet_exp, and a product takes the jets' Cauchy product,
+jets.jet_mul, on every pair of ln rows: the package has one of each.  A
+series holds its rows as tuples from the moment it is made, so it is
+read-only: every operation reads its operands and builds a new series, and
+the series factors and their products can be shared.  A series keeps the
+orders s0 .. s0 + depth, and the integer depth is the only truncation it
+knows: each constructor takes the number of orders to keep past its own
+leading one, so a product keeps the smaller depth of its operands and no
+factor is built deeper than the product can use.  The class supplies point
+values and termwise derivatives, and log_power_integral the closed-form tail
+integral int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
 Euler-Maclaurin weights.
 """
 
@@ -32,7 +32,7 @@ import math
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .jets import _exp_series1, jet_mul
+from .jets import jet_exp, jet_mul
 from .special import BERNOULLI_2J, EULER_GAMMA, LN2, DomainError, bernoulli_poly, riemann_zeta
 
 
@@ -40,14 +40,15 @@ class LogPowerSeries:
     """t^-s0 sum_{a, j} C[a][j] ln(t)^a t^-j over the orders j = 0..depth,
     exact up to t^-(s0 + depth).
 
-    `rows[a]` holds C[a][0..depth].  A sum needs one s0 in both operands; a
-    product keeps the smaller depth, each counted from its operand's own
-    leading order, so a factor built deeper than its partner is cut."""
+    `rows[a]` holds C[a][0..depth], kept as a tuple of tuples.  A sum needs
+    one s0 in both operands; a product keeps the smaller depth, each counted
+    from its operand's own leading order, so a factor built deeper than its
+    partner is cut."""
 
     __slots__ = ("s0", "depth", "rows")
 
     def __init__(self, s0: float, depth: int, rows: Sequence[Sequence[float]]) -> None:
-        self.s0, self.depth, self.rows = s0, depth, rows
+        self.s0, self.depth, self.rows = s0, depth, tuple(map(tuple, rows))
 
     @property
     def terms(self) -> Mapping[tuple[int, float], float]:
@@ -67,20 +68,14 @@ class LogPowerSeries:
         return LogPowerSeries(self.s0, n - 1, rows)
 
     def __mul__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        """jets.jet_mul of each pair of ln rows, summed over the pairs in order,
-        a pair with a unit row taken as a copy (_row_product)."""
+        """jets.jet_mul of each pair of ln rows, summed over the pairs in order."""
         n = min(self.depth, other.depth) + 1
         rows: list = [None] * (len(self.rows) + len(other.rows) - 1)
         for a1, r1 in enumerate(self.rows):
             for a2, r2 in enumerate(other.rows):
-                prod, out = _row_product(r1[:n], r2[:n]), rows[a1 + a2]
+                prod, out = jet_mul(r1[:n], r2[:n]), rows[a1 + a2]
                 rows[a1 + a2] = prod if out is None else [u + v for u, v in zip(out, prod)]
         return LogPowerSeries(self.s0 + other.s0, n - 1, rows)
-
-    def frozen(self) -> "LogPowerSeries":
-        """The same series with tuple rows, safe to share: every operation
-        reads its operands and builds a new series."""
-        return LogPowerSeries(self.s0, self.depth, tuple(map(tuple, self.rows)))
 
     def scaled(self, c: float) -> "LogPowerSeries":
         return LogPowerSeries(self.s0, self.depth, [[c * v for v in row] for row in self.rows])
@@ -104,24 +99,6 @@ class LogPowerSeries:
         lt, s0 = math.log(t), self.s0
         return math.fsum([c * lt**a * t**-(s0 + j)
                           for a, row in enumerate(self.rows) for j, c in enumerate(row) if c])
-
-
-def _is_unit(row: Sequence[float]) -> bool:
-    return row[0] == 1.0 and not any(row[1:])
-
-
-def _row_product(r1: Sequence[float], r2: Sequence[float]) -> list[float]:
-    """jet_mul(r1, r2), bit for bit.  Where one row is the unit [1, 0, ..., 0]
-    (H_t's ln t row) and the other is finite, it is that other row plus 0.0:
-    each jet_mul entry is 0.0 + 1 b[q] plus products 0 b, which add nothing
-    to a finite sum but turn -0.0 into +0.0, as + 0.0 does.  A float sum of a
-    row is finite only if every entry is, so it stands in for that test; a
-    finite row whose sum overflows only takes jet_mul."""
-    if _is_unit(r1) and math.isfinite(sum(r2)):
-        return [v + 0.0 for v in r2]
-    if _is_unit(r2) and math.isfinite(sum(r1)):
-        return [v + 0.0 for v in r1]
-    return jet_mul(r1, r2)
 
 
 def log_power_integral(a: int, s: float, K: float) -> float:
@@ -183,7 +160,7 @@ def gamma_ratio_lp(a: float, b: float, depth: int) -> LogPowerSeries:
     d_n = (-1)^(n+1) (B_{n+1}(a) - B_{n+1}(b)) / (n (n+1)), the difference of
     the Stirling series of ln Gamma(t + a) and ln Gamma(t + b) (Tricomi and
     Erdelyi 1951).  The exp is the jets' recurrence on the coefficients of
-    1/t, jets._exp_series1.  The exponent stops at n = 24, the last Bernoulli
+    1/t, jets.jet_exp.  The exponent stops at n = 24, the last Bernoulli
     number at hand, and so does its exp: the orders past t^(a-b-24) are
     dropped, which are below the leading one by about
     (max(|a|, |b|)^2 / t)^25 / 25!.
@@ -193,7 +170,7 @@ def gamma_ratio_lp(a: float, b: float, depth: int) -> LogPowerSeries:
     for n in range(1, depth + 1):
         d = (bernoulli_poly(n + 1, a) - bernoulli_poly(n + 1, b)) / (n * (n + 1))
         exponent.append(d if n % 2 else -d)
-    return LogPowerSeries(b - a, depth, [_exp_series1(exponent)])
+    return LogPowerSeries(b - a, depth, [jet_exp(exponent)])
 
 
 __all__ = [

@@ -12,11 +12,11 @@ ratios
 that appear in every closed-form right-hand side, and mixed_partial reads
 the derivatives off it.  Division never happens: ratios are assembled as
 exp(sum of log-gamma jets), so one exp code path serves everything.  That
-path is _exp_series1, the exp recurrence on a coefficient list: jet_exp and
-the first row of _exp2 take it, and so does asymptotics.gamma_ratio_lp, whose
-tail models of the binomial-type series factors are the exp of a Stirling
-exponent in 1/t.  jet_mul is likewise the one Cauchy product: _exp2 takes it,
-and so does LogPowerSeries.__mul__, on each pair of a product's ln rows.
+path is jet_exp, the exp recurrence on a coefficient list: the first row of
+_exp2 takes it, and so does asymptotics.gamma_ratio_lp, whose tail models of
+the binomial-type series factors are the exp of a Stirling exponent in 1/t.
+jet_mul is likewise the one Cauchy product: _exp2 takes it, and so does
+LogPowerSeries.__mul__, on every pair of a product's ln rows.
 This module imports nothing from asymptotics.
 
 The closed forms take x-orders 1, 2 and 3 of one ratio at one base point, so
@@ -69,21 +69,17 @@ def jet_mul(a: Sequence[float], b: Sequence[float]) -> list[float]:
     return out
 
 
-def _exp_series1(c: Sequence[float]) -> list[float]:
+def jet_exp(c: Sequence[float]) -> tuple[float, ...]:
     """exp of a univariate normalized-coefficient list, or of a power series
-    in 1/t: out[k] = sum_{j=1..k} j c[j] out[k-j] / k."""
+    in 1/t: out[k] = sum_{j=1..k} j c[j] out[k-j] / k.  It satisfies
+    exp(j) * exp(-j) = 1 to roundoff."""
     out = [math.exp(c[0])]
     for k in range(1, len(c)):
         acc = 0.0
         for j in range(1, k + 1):
             acc += j * c[j] * out[k - j]
         out.append(acc / k)
-    return out
-
-
-def jet_exp(a: Sequence[float]) -> tuple[float, ...]:
-    """exp of a univariate jet; satisfies exp(j) * exp(-j) = 1 to roundoff."""
-    return tuple(_exp_series1(a))
+    return tuple(out)
 
 
 @memo
@@ -122,7 +118,7 @@ class RatioVariant(enum.Enum):
 def _exp2(f: list[list[float]]) -> tuple[tuple[float, ...], ...]:
     """exp of a bivariate jet: univariate exp recurrence in dx over the
     ring of truncated dz-polynomials."""
-    g = [tuple(_exp_series1(f[0]))]
+    g = [jet_exp(f[0])]
     for k in range(1, len(f)):
         row = [0.0] * len(f[0])
         for i in range(1, k + 1):

@@ -16,10 +16,11 @@ outside its range), fsum sums the terms.  Each term is a list of factors
 from k = 1 reads the heads from entry 1.  A factor depends only on its own
 parameters (the order of a harmonic number, n or x of a binomial, the power
 and shift of a denominator), so each is built once per process, head values
-and tail model included, and shared by every sum that uses it.  Every harmonic number
-H_k^(order) comes from one memoized compensated table per order, and its tail
-from one constructor, ap.harmonic_lp.  _cache.cache_clear() drops these memo
-tables together with the jets' and em_tail's weights.  Only the two
+and tail model included, and shared by every sum that uses it; so is each
+product of tail models a sum forms from them, by _product.  Every harmonic
+number H_k^(order) comes from one memoized compensated table per order, and
+its tail from one constructor, ap.harmonic_lp.  _cache.cache_clear() drops
+these memo tables together with the jets' and em_tail's weights.  Only the two
 zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
 are summed term by term, by _sum_geometric.
 """
@@ -65,11 +66,11 @@ _DEPTH = 8
 # constructor below counts its own head; _em_sum adds 1 per * or / that joins
 # the factors.  _U = 2^-53 is special's.
 
-# Everything the oracles build on first use (the factors below, the harmonic
-# tables, _ks) and the closed forms' psi tuples and jets are special.memo
-# tables.  _cache.cache_clear() empties all of them, so the next call builds
-# each piece again; perfbench resets a process through this name before every
-# timed pass.
+# Everything the oracles build on first use (the factors below, their
+# products, the harmonic tables, _ks) and the closed forms' psi tuples and
+# jets are special.memo tables.  _cache.cache_clear() empties all of them, so
+# the next call builds each piece again; perfbench resets a process through
+# this name before every timed pass.
 _cache = SimpleNamespace(cache_clear=clear_memos)
 
 
@@ -96,8 +97,8 @@ class _Factor(NamedTuple):
 
     A factor depends on its constructor's arguments alone, so each
     constructor below is memoized (special.memo): its head and its tail
-    model are built once per process, read-only, and every sum that shares
-    them only reads them."""
+    model are built once per process, read-only (a LogPowerSeries holds
+    tuple rows), and every sum that shares them only reads them."""
 
     head: np.ndarray
     tail: ap.LogPowerSeries
@@ -146,9 +147,18 @@ def _certified_sum(terms: np.ndarray, mags: np.ndarray) -> float | None:
     return low if low == math.fsum((tau, s, b)) else None
 
 
+@memo
+def _product(a: ap.LogPowerSeries, b: ap.LogPowerSeries) -> ap.LogPowerSeries:
+    """a * b, kept by the operands' identity (LogPowerSeries has no __eq__).
+    Each is a memoized factor's tail or product, and the table holds its
+    keys, so no id is reused while it is one; a rebuilt factor is a new key."""
+    return a * b
+
+
 def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
-    k <= K exactly, the rest by em_tail on the product of their tails.  Each
+    k <= K exactly, the rest by em_tail on the product of their tails, each
+    partial product kept by _product for every sum that shares it.  Each
     tail keeps _DEPTH orders past its own leading one, and so does the
     product, up to t^-(model.s0 + model.depth).  The head's sum is
     math.fsum's, bit for bit: _certified_sum's where it proves it (every
@@ -166,7 +176,7 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     model = factors[0].tail
     terms = factors[0].head[lo:]
     for f in factors[1:]:
-        model = model * f.tail
+        model = _product(model, f.tail)
         terms = terms / f.head[lo:] if f.divides else terms * f.head[lo:]
     roundings = sum(f.rounding for f in factors) + (len(factors) - 1)
     per_k = sum(f.rounding_per_k for f in factors)
@@ -228,7 +238,7 @@ def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
     if prev:
         h = _read_only(np.concatenate(([-np.inf], h[:K_CROSSOVER])))
     tail = ap.harmonic_lp(order, _DEPTH, prev)
-    return _Factor(h[: K_CROSSOVER + 1], tail.frozen(), 2.0 if order <= 2 else 4.0)
+    return _Factor(h[: K_CROSSOVER + 1], tail, 2.0 if order <= 2 else 4.0)
 
 
 @memo
@@ -237,7 +247,7 @@ def _harmonic_square_diff(prev: bool = False) -> _Factor:
     difference's rounding peaks at k = 2, at 15."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
     tail = h.tail * h.tail + h2.tail.scaled(-1.0)
-    return _Factor(_read_only(h.head**2 - h2.head), tail.frozen(), 15.0)
+    return _Factor(_read_only(h.head**2 - h2.head), tail, 15.0)
 
 
 @memo
@@ -245,7 +255,7 @@ def _central_harmonic_diff() -> _Factor:
     """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
     h = _harmonic_numbers(1)
     head = _read_only(h[: K_CROSSOVER + 1] - 2.0 * h[::2])
-    return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH).frozen(), 7.0)
+    return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH), 7.0)
 
 
 @memo
@@ -257,7 +267,7 @@ def _inv_binomial(n: int) -> _Factor:
     for i in range(1, n + 1):
         head *= i / (_ks() + i)
     tail = ap.gamma_ratio_lp(1.0, n + 1.0, _DEPTH).scaled(float(math.factorial(n)))
-    return _Factor(_read_only(head), tail.frozen(), 2.0 * n)
+    return _Factor(_read_only(head), tail, 2.0 * n)
 
 
 @memo
@@ -279,8 +289,8 @@ def _signed_binomial(x: float) -> _Factor:
     head = np.concatenate(([1.0], np.cumprod((k - 1.0 - x) / k)))
     tail = ap.gamma_ratio_lp(-x, 1.0, _DEPTH).scaled(1.0 / g)
     if (2.0 * x).is_integer():
-        return _Factor(_read_only(head), tail.frozen(), 0.0, 2.0)
-    return _Factor(_read_only(head), tail.frozen(), 0.0, 3.0, s_rounding=3.0)
+        return _Factor(_read_only(head), tail, 0.0, 2.0)
+    return _Factor(_read_only(head), tail, 0.0, 3.0, s_rounding=3.0)
 
 
 @memo
@@ -308,20 +318,28 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
     tail = ap.recip_power_shift(c, float(s), _DEPTH)
     if times_k:  # k^-1 (c + k)^-s: the same coefficients, each one order down
         tail = ap.LogPowerSeries(tail.s0 + 1.0, tail.depth, tail.rows)
-    return _Factor(_read_only(head), tail.frozen(), 2.0 + base_roundings * s + times_k,
+    return _Factor(_read_only(head), tail, 2.0 + base_roundings * s + times_k,
                    divides=divides)
 
 
-def _check_nm(n: int, m: int, m_min: int) -> None:
-    if n < 0 or n != int(n):
+def _check_nm(n: int, m: int, m_min: int) -> tuple[int, int]:
+    """n and m as ints, so that an integral float such as 2.0 gives the int's
+    bits; DomainError naming either one that is not an integer in range."""
+    if not (n >= 0 and n % 1 == 0):
         raise DomainError(f"n must be a nonnegative integer, got {n}")
-    if m < m_min or m != int(m):
+    if not (m >= m_min and m % 1 == 0):
         raise DomainError(f"m must be an integer >= {m_min}, got {m} (series diverges below)")
+    return int(n), int(m)
 
 
 def _check_p(p: float) -> None:
-    if not p > 0.0:
-        raise DomainError(f"p must be > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be finite and > 0, got {p}")
+
+
+def _check_x(x: float) -> None:
+    if not -1.0 < x < math.inf:
+        raise DomainError(f"x must be finite and > -1, got {x}")
 
 
 # ----------------------- the four variant families --------------------------
@@ -329,13 +347,13 @@ def _check_p(p: float) -> None:
 
 def lhs_variant1(n: int, m: int) -> SumResult:
     """sum_{k>=0} H_k / ((n+k+1)^(m+1) binom(n+k,k))."""
-    _check_nm(n, m, 1)
+    n, m = _check_nm(n, m, 1)
     return _em_sum(1, _harmonic(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
 def lhs_variant2(n: int, m: int) -> SumResult:
     """sum_{k>=0} (H_k^2 - H_k^(2)) / ((n+k+1)^(m+1) binom(n+k,k))."""
-    _check_nm(n, m, 1)
+    n, m = _check_nm(n, m, 1)
     return _em_sum(1, _harmonic_square_diff(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
@@ -344,14 +362,14 @@ def lhs_alt(n: int, m: int) -> SumResult:
 
     The sign factor is constant in k and multiplies the whole sum.
     """
-    _check_nm(n, m, 1)
+    n, m = _check_nm(n, m, 1)
     return _em_sum(0, _inv_binomial(n), _power(m + 1, n + 1.0)).scaled((-1.0) ** (n - 1))
 
 
 def lhs_variant3(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (-1)^n / (k (p+n+k)^(m+1) binom(n+k,k))."""
     _check_p(p)
-    _check_nm(n, m, 0)
+    n, m = _check_nm(n, m, 0)
     res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True))
     return res.scaled((-1.0) ** n)
 
@@ -359,7 +377,7 @@ def lhs_variant3(p: float, n: int, m: int) -> SumResult:
 def lhs_variant3h(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (-1)^n H_{k-1} / (k (p+n+k)^(m+1) binom(n+k,k))."""
     _check_p(p)
-    _check_nm(n, m, 0)
+    n, m = _check_nm(n, m, 0)
     res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
                   _harmonic(prev=True))
     return res.scaled((-1.0) ** n)
@@ -368,7 +386,7 @@ def lhs_variant3h(p: float, n: int, m: int) -> SumResult:
 def lhs_variant4(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (H_{k-1}^2 - H_{k-1}^(2)) / (k (p+n+k)^m binom(n+k,k))."""
     _check_p(p)
-    _check_nm(n, m, 1)
+    n, m = _check_nm(n, m, 1)
     return _em_sum(1, _inv_binomial(n), _power(m, (p, n), times_k=True),
                    _harmonic_square_diff(prev=True))
 
@@ -405,33 +423,38 @@ def _finite_binomial(terms: list[float], rounding: float) -> SumResult:
     return SumResult(value, _U * (rounding * math.fsum(map(abs, terms)) + abs(value)), len(terms))
 
 
+def _binomials(x: float) -> list[float]:
+    """binom(x, k) as floats for k = 0..x at an integer x >= 0; DomainError
+    naming x where one leaves binary64, as the middle ones do from 1030."""
+    n = int(x)
+    try:
+        return [float(math.comb(n, k)) for k in range(n + 1)]
+    except OverflowError:
+        raise DomainError(f"x = {x} puts binom(x, k) outside binary64") from None
+
+
 def lhs_base_binomial(x: float, m: int) -> SumResult:
     """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m."""
-    if not x > -1.0:
-        raise DomainError(f"x must be > -1, got {x}")
+    _check_x(x)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if float(x).is_integer():
-        n = int(x)
-        return _finite_binomial(
-            [(-1.0) ** (k - 1) * math.comb(n, k) / float(k) ** m for k in range(1, n + 1)], 4.0)
+        return _finite_binomial([(-1.0) ** (k - 1) * c / float(k) ** m
+                                 for k, c in enumerate(_binomials(x)[1:], start=1)], 4.0)
     # (-1)^(k-1) = -(-1)^k
     return _em_sum(1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
 
 
 def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
     """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1)."""
-    if not x > -1.0:
-        raise DomainError(f"x must be > -1, got {x}")
+    _check_x(x)
     _check_p(p)
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     if float(x).is_integer():
-        n = int(x)
         # p + k rounds once and is raised to the power m + 1
-        return _finite_binomial(
-            [(-1.0) ** k * math.comb(n, k) / (p + k) ** (m + 1) for k in range(0, n + 1)],
-            4.0 + (m + 1))
+        return _finite_binomial([(-1.0) ** k * c / (p + k) ** (m + 1)
+                                 for k, c in enumerate(_binomials(x))], 4.0 + (m + 1))
     return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
 
 

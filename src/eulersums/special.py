@@ -12,10 +12,10 @@ The digamma/polygamma evaluators use upward recurrence to a large argument
 followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
-parameter-only builders (series factors and their harmonic-number tables,
-psi-derivative tuples, ln Gamma, psi and gamma-ratio jets, the closed forms'
-harmonic-number tuples, the registry rows' declared parameters) in bounded
-tables that clear_memos empties.
+parameter-only builders (series factors, the products of their tail models
+and their harmonic-number tables, psi-derivative tuples, ln Gamma, psi and
+gamma-ratio jets, the closed forms' harmonic-number tuples, the registry
+rows' declared parameters) in bounded tables that clear_memos empties.
 gen_harmonic keeps nothing: the closed forms read its fsums through their
 memoized tuples.
 """
@@ -255,7 +255,10 @@ def gen_harmonic(n: int, m: int) -> float:
 # harmonic-number tuples from 45 fsums; one over the closed_form benchmark
 # builds 347 psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio
 # jets for 1760 calls (the 1320 at x-order >= 1 share 440) and 33
-# harmonic-number tuples from 198 fsums, which it reads 3520 times.
+# harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
+# pass asks for 794 tail-model products, 412 distinct (adaptive: 24); the
+# closed_form benchmark's untimed series values need 1382, so that table
+# evicts, and an evicted product is built again.
 MEMO_SIZE = 1024
 
 _MEMOS: list = []
@@ -267,8 +270,8 @@ def memo(fn: Callable) -> Callable:
     apart; the items of a tuple argument compare by value.  Every caller
     shares a kept result, so no caller may be able to change it: the jets and
     harmonic-number tuples are tuples of floats, the series factors frozen
-    records holding read-only arrays.  clear_memos() empties every table made
-    here."""
+    records holding read-only arrays, their tail models and the products of
+    those tuple rows.  clear_memos() empties every table made here."""
     kept = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
     _MEMOS.append(kept)
     return kept

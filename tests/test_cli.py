@@ -169,6 +169,23 @@ class TestEval:
         assert out == "" and err.startswith(f"error: p = {float(argv[2])} puts p^")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (("THM_V3_37", "--p", "inf", "--n", "1", "--m", "1"), "p must be finite and > 0, got inf"),
+        (("COR_38", "--p", "inf", "--m", "1"), "p must be finite and > 0, got inf"),
+        (("THM_BASE_35", "--x", "0.5", "--p", "nan", "--m", "1"), "p must be finite and > 0, got nan"),
+        (("THM_BASE_E15", "--x", "inf", "--m", "1"), "x must be finite and > -1, got inf"),
+        (("THM_BASE_E15", "--x", "1e6", "--m", "1"),
+         "x = 1000000.0 puts binom(x, k) outside binary64"),
+        (("THM_BASE_35", "--x", "2000", "--p", "1", "--m", "1"),
+         "x = 2000.0 puts binom(x, k) outside binary64"),
+    ])
+    def test_series_parameter_out_of_range_is_named(self, capsys, argv, named):
+        # the series refuses the parameter by name, before any sum or
+        # binomial coefficient leaves binary64
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: {named}\n"
+
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_missing_or_unknown_param_exit_2(self, capsys, ident):
         point = REGISTRY[ident].grid[0]

@@ -246,6 +246,54 @@ def test_memoized_tail_models_are_read_only():
             factor.tail.rows[0][0] = 0.0
 
 
+def _verify_grid():
+    for ident, params in default_grid():
+        identities.verify(ident, params, 1e-7)
+
+
+def test_a_warm_grid_pass_builds_no_product(monkeypatch):
+    """A cold pass builds each distinct product of tail models once, fewer
+    than the sums ask for (414 built for 794 asked today, two of the built
+    being _harmonic_square_diff's H_t^2), and a warm pass builds none."""
+    built = _counting(monkeypatch, asymptotics.LogPowerSeries, "__mul__")
+    asked = _counting(monkeypatch, series, "_product")
+    _verify_grid()
+    assert 0 < len(built) < len(asked)
+    built.clear()
+    _verify_grid()
+    assert built == []
+
+
+def test_clear_drops_the_products():
+    series.lhs_variant3h(0.5, 1, 2)
+    assert series._product.cache_info().currsize == 2
+    series._cache.cache_clear()
+    assert series._product.cache_info().currsize == 0
+
+
+def test_memoized_products_are_read_only_and_keep_their_bits(monkeypatch):
+    """Every product a grid pass keeps has tuple rows, is the same series on
+    every request, and has the bits of a fresh left-to-right a * b."""
+    kept = []
+    real = series._product
+
+    def spy(a, b):
+        out = real(a, b)
+        kept.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(series, "_product", spy)
+    _verify_grid()
+    assert len({id(out) for _, _, out in kept}) < len(kept)
+    for a, b, out in kept:
+        assert out is real(a, b)
+        assert type(out.rows) is tuple and all(type(r) is tuple for r in out.rows)
+        fresh = a * b
+        assert (out.s0, out.depth) == (fresh.s0, fresh.depth)
+        assert [[v.hex() for v in r] for r in out.rows] == [[v.hex() for v in r]
+                                                           for r in fresh.rows]
+
+
 
 def test_memoized_heads_are_kept_and_read_only():
     """Every head holds k = 0..K and is built once, with its factor; where

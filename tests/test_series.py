@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -442,6 +443,50 @@ class TestOracleContracts:
     def test_determinism(self):
         assert lhs_variant1(2, 2) == lhs_variant1(2, 2)
 
+    @pytest.mark.parametrize("fn, args", [(lhs_variant1, (2.0, 1)), (lhs_variant2, (1, 2.0)),
+                                          (lhs_alt, (3.0, 1.0)), (lhs_variant3, (0.5, 2.0, 0.0)),
+                                          (lhs_variant3h, (1.5, 1.0, 1)),
+                                          (lhs_variant4, (0.5, 0, 2.0))])
+    def test_integral_float_n_and_m_are_the_ints(self, fn, args):
+        """An integral n or m given as a float sums as the int, bit for bit."""
+        assert fn(*args) == fn(*(int(v) if i >= len(args) - 2 else v
+                                 for i, v in enumerate(args)))
+
+    @pytest.mark.parametrize("n, m, named", [(2.5, 1, "n"), (math.inf, 1, "n"), (math.nan, 1, "n"),
+                                             (1, 1.5, "m"), (1, math.inf, "m"),
+                                             (1, math.nan, "m")])
+    def test_n_and_m_that_are_not_integers_are_named(self, n, m, named):
+        with pytest.raises(DomainError, match=f"^{named} must be"):
+            lhs_variant1(n, m)
+        with pytest.raises(DomainError, match=f"^{named} must be"):
+            lhs_variant3(0.5, n, m)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
+    def test_p_must_be_finite_and_positive(self, p):
+        for call in (lambda: lhs_variant3(p, 1, 1), lambda: lhs_variant3h(p, 1, 1),
+                     lambda: lhs_variant4(p, 1, 1), lambda: lhs_central_binom(p, 1),
+                     lambda: lhs_binomial_shifted(0.5, p, 1),
+                     lambda: lhs_binomial_shifted(2.0, p, 1)):
+            with pytest.raises(DomainError, match="^p must be finite and > 0"):
+                call()
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -1.0, -2.0])
+    def test_x_must_be_finite_and_above_minus_one(self, x):
+        with pytest.raises(DomainError, match="^x must be finite and > -1"):
+            lhs_base_binomial(x, 1)
+        with pytest.raises(DomainError, match="^x must be finite and > -1"):
+            lhs_binomial_shifted(x, 1.0, 1)
+
+    def test_integer_x_binomials_that_leave_binary64_name_x(self):
+        """binom(1029, 514) is below 2^1024 and binom(1030, 515) is not."""
+        assert math.isfinite(lhs_base_binomial(1029.0, 1).value)
+        for x in (1030.0, 1e6, 1e300):
+            named = "^" + re.escape(f"x = {x} puts binom(x, k) outside binary64")
+            with pytest.raises(DomainError, match=named):
+                lhs_base_binomial(x, 1)
+            with pytest.raises(DomainError, match=named):
+                lhs_binomial_shifted(x, 1.0, 1)
+
     def test_monotone_partial_sums(self):
         # positive-term series: partial sums never exceed value + tail_estimate
         res = lhs_variant1(1, 1)
@@ -602,6 +647,25 @@ class TestExactHeadSum:
         else:
             with pytest.raises(NonFiniteTermError):
                 _em_head(monkeypatch, t)
+
+    def test_low_parts_that_round_past_n_u2_sigma(self, monkeypatch):
+        """Seven terms: 1.0, whose sigma is 2^6 and whose low part is 0, and
+        six below u sigma = 2^-47, each its own low part, in units of 2^-100.
+        numpy adds the low parts left to right, and their partial sums round
+        down by 11 units in all: more than n u^2 sigma = 7 units, within the
+        bound b.  The first of them is moved by a multiple of 64 units, which
+        keeps every rounding, so that the exact total lies 3 units above a
+        midpoint between two floats and tau + s 8 units below it.  A bound
+        of n u^2 sigma would certify the float below fsum's."""
+        unit = 2.0**-100
+        lows = [(9 * 2**53 // 10 & ~63) + o for o in (61, 48, 62, 26, 35, 27)]
+        lows[0] += (2**47 + 3 - sum(lows)) % 2**48
+        terms = np.array([1.0] + [math.ldexp(k, -100) for k in lows])
+        assert sum(lows) - int(float(np.add.reduce(terms[1:])) / unit) == 11
+        want = math.fsum(terms)
+        got = series._certified_sum(terms, np.abs(terms))
+        assert got is None or _packed(got) == _packed(want)
+        assert _packed(_em_head(monkeypatch, terms)) == _packed(want)
 
 
 _CERTIFIED_BITS = """
