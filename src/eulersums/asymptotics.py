@@ -15,13 +15,15 @@ recurrence, jets.jet_exp, and a product takes the jets' Cauchy product,
 jets.jet_mul, on every pair of ln rows: the package has one of each.  A
 series holds its rows as tuples from the moment it is made, so it is
 read-only: every operation reads its operands and builds a new series, and
-the series factors and their products can be shared.  A series keeps the
-orders s0 .. s0 + depth, and the integer depth is the only truncation it
-knows: each constructor takes the number of orders to keep past its own
-leading one, so a product keeps the smaller depth of its operands and no
-factor is built deeper than the product can use.  The class supplies point
-values and termwise derivatives, and log_power_integral the closed-form tail
-integral int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
+the series factors and their products can be shared.  It also flattens its
+coefficients once, at construction, into one tuple, row after row, which
+summation.em_tail reads on every call.  A series keeps the orders
+s0 .. s0 + depth, and the integer depth is the only truncation it knows:
+each constructor takes the number of orders to keep past its own leading
+one, so a product keeps the smaller depth of its operands and no factor is
+built deeper than the product can use.  The class supplies point values and
+termwise derivatives, and log_power_integral the closed-form tail integral
+int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
 Euler-Maclaurin weights.
 """
 
@@ -40,15 +42,17 @@ class LogPowerSeries:
     """t^-s0 sum_{a, j} C[a][j] ln(t)^a t^-j over the orders j = 0..depth,
     exact up to t^-(s0 + depth).
 
-    `rows[a]` holds C[a][0..depth], kept as a tuple of tuples.  A sum needs
-    one s0 in both operands; a product keeps the smaller depth, each counted
-    from its operand's own leading order, so a factor built deeper than its
-    partner is cut."""
+    `rows[a]` holds C[a][0..depth], kept as a tuple of tuples, and `flat`
+    the same coefficients as one tuple, row after row, flattened once here
+    for summation.em_tail.  A sum needs one s0 in both operands; a product
+    keeps the smaller depth, each counted from its operand's own leading
+    order, so a factor built deeper than its partner is cut."""
 
-    __slots__ = ("s0", "depth", "rows")
+    __slots__ = ("s0", "depth", "rows", "flat")
 
     def __init__(self, s0: float, depth: int, rows: Sequence[Sequence[float]]) -> None:
         self.s0, self.depth, self.rows = s0, depth, tuple(map(tuple, rows))
+        self.flat = tuple(itertools.chain.from_iterable(self.rows))
 
     @property
     def terms(self) -> Mapping[tuple[int, float], float]:

@@ -38,8 +38,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, KeysView
 
 from .jets import (
     MAX_OZ,
@@ -74,6 +73,7 @@ from .special import (
     LN2,
     SQRT_PI,
     ZETA2,
+    ZETA3,
     ZETA4,
     DomainError,
     digamma,
@@ -133,23 +133,32 @@ def _harmonics(n: int, order: int) -> tuple[float, ...]:
 
 
 def _cubic_weight(n: int) -> Callable[[int], float]:
-    """k -> H_n^3 + 2H_n^(3) + 3H_n H_n^(2) minus the same at index n-k."""
+    """k -> H_n^3 + 2H_n^(3) + 3H_n H_n^(2) minus the same at index n-k.  The
+    sum is taken left to right, so the n-part, its first three terms, is
+    computed once with the same bits."""
     h, h2, h3 = _harmonics(n, 1), _harmonics(n, 2), _harmonics(n, 3)
-    return lambda k: (h[n] ** 3 + 2 * h3[n] + 3 * h[n] * h2[n]
-                      - h[n - k] ** 3 - 2 * h3[n - k] - 3 * h[n - k] * h2[n - k])
+    top = h[n] ** 3 + 2 * h3[n] + 3 * h[n] * h2[n]
+    return lambda k: top - h[n - k] ** 3 - 2 * h3[n - k] - 3 * h[n - k] * h2[n - k]
 
 
 def _sign(j: int) -> float:
     return 1.0 if j % 2 == 0 else -1.0
 
 
-def _finite_sum(n: int, lo: int, power: Callable[[int], float],
-                weight: Callable[[int], float]) -> float:
-    """sum_{k=lo}^n (-1)^k C(n,k) weight(k) / power(k), each term rounded as
-    written and the terms summed exactly by fsum.  Negating a term negates
-    every rounding in it and fsum is odd, so -_finite_sum is bit for bit the
-    sum whose sign is (-1)^(k-1), but for the sign of an exact zero."""
-    return math.fsum(_sign(k) / power(k) * math.comb(n, k) * weight(k) for k in range(lo, n + 1))
+def _finite_sum(n: int, lo: int, c: float, e: int, weight: Callable[[int], float]) -> float:
+    """sum_{k=lo}^n (-1)^k C(n,k) weight(k) / (c + k)^e, each term rounded as
+    written, (-1)^k / (c + k)^e * C(n,k) * weight(k), and the terms summed
+    exactly by fsum.  The sign and the integer C(n,k) are carried from one k
+    to the next, exactly.  c = 0.0 gives the powers float(k)^e.  Negating a
+    term negates every rounding in it and fsum is odd, so -_finite_sum is
+    bit for bit the sum whose sign is (-1)^(k-1), but for the sign of an
+    exact zero."""
+    terms = []
+    sign, binom = _sign(lo), math.comb(n, lo)
+    for k in range(lo, n + 1):
+        terms.append(sign / (c + k) ** e * binom * weight(k))
+        sign, binom = -sign, binom * (n - k) // (k + 1)
+    return math.fsum(terms)
 
 
 def _x_partials(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -> list[float]:
@@ -203,7 +212,7 @@ def rhs_thm_t25(n: int, m: int) -> float:
     """Finite binomial-harmonic sum minus the first x-partial of the ratio."""
     _check_m(m, 1, MAX_OZ)
     h = _harmonics(n, 1)
-    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, lambda k: h[n] - h[n - k])
+    fs = -_finite_sum(n, 1, 0.0, m, lambda k: h[n] - h[n - k])
     (f1,) = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 1, m)
     return fs - _sign(m) / math.factorial(m) * f1
 
@@ -212,8 +221,7 @@ def rhs_thm_31(n: int, m: int) -> float:
     """Variant-1 closed form: quadratic-harmonic finite sum plus F1/F2 terms."""
     _check_m(m, 1, MAX_OZ)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
-    fs = -_finite_sum(n, 1, lambda k: float(k) ** m,
-                      lambda k: h[n - k] ** 2 + h2[n - k] - h2[n] - h[n] ** 2)
+    fs = -_finite_sum(n, 1, 0.0, m, lambda k: h[n - k] ** 2 + h2[n - k] - h2[n] - h[n] ** 2)
     f1, f2 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 2, m)
     smn = _sign(m + n)
     return (_sign(n) / 2.0 * fs
@@ -221,19 +229,29 @@ def rhs_thm_31(n: int, m: int) -> float:
             + smn * h[n] / math.factorial(m) * f1)
 
 
+def _zetas(top: int) -> list[float]:
+    """[nan, nan, zeta(2), ..., zeta(top)], each riemann_zeta value computed
+    once: the zeta polynomials read zeta(s) at an integer s as z[s], so one
+    call takes each value once however many of its products use it.  It
+    always holds zeta(2..4), the constants riemann_zeta returns there."""
+    z = [math.nan, math.nan, ZETA2, ZETA3, ZETA4]
+    for s in range(5, top + 1):
+        z.append(riemann_zeta(float(s)))
+    return z
+
+
 def rhs_cor_32(m: int) -> float:
     """m zeta(m+1) - sum_{k=1}^{m-2} zeta(k+1) zeta(m-k)  (= 2 sum H_k/(k+1)^m)."""
     _check_m(m, 2)
-    return m * riemann_zeta(m + 1.0) - math.fsum(
-        riemann_zeta(k + 1.0) * riemann_zeta(float(m - k)) for k in range(1, m - 1)
-    )
+    z = _zetas(m - 1)
+    return m * riemann_zeta(m + 1.0) - math.fsum(z[k + 1] * z[m - k] for k in range(1, m - 1))
 
 
 def rhs_thm_33(n: int, m: int) -> float:
     """Variant-2 closed form: cubic-harmonic finite sum plus F1/F2/F3 combination."""
     _check_m(m, 1, MAX_OZ)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
-    fs = -_finite_sum(n, 1, lambda k: float(k) ** m, _cubic_weight(n))
+    fs = -_finite_sum(n, 1, 0.0, m, _cubic_weight(n))
     f1, f2, f3 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 3, m)
     return (_sign(n - 1) / 3.0 * fs
             + _sign(m + n) / math.factorial(m)
@@ -243,18 +261,17 @@ def rhs_thm_33(n: int, m: int) -> float:
 def rhs_cor_34(m: int) -> float:
     """Zeta-polynomial value of sum (H_k^2 - H_k^(2))/(k+1)^(m+1), simplified form."""
     _check_m(m, 1)
+    z = _zetas(m + 1)
     out = (m + 1) * (m + 2) / 3.0 * riemann_zeta(m + 3.0)
-    out -= math.fsum(
-        (j + 1) * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j)) for j in range(1, m)
-    )
-    out += _zeta_double_sum(m)
+    out -= math.fsum((j + 1) * z[j + 2] * z[m + 1 - j] for j in range(1, m))
+    out += _zeta_double_sum(m, z)
     return out
 
 
-def _zeta_double_sum(m: int) -> float:
+def _zeta_double_sum(m: int, z: list[float]) -> float:
+    """The double sum rhs_cor_34 and rhs_cor_34a share, from their z = _zetas(m + 1)."""
     return math.fsum(
-        (m - l) * riemann_zeta(float(m - l + 1))
-        * math.fsum(riemann_zeta(j + 1.0) * riemann_zeta(float(l - j + 1)) for j in range(1, l))
+        (m - l) * z[m - l + 1] * math.fsum(z[j + 1] * z[l - j + 1] for j in range(1, l))
         for l in range(1, m)
     ) / m if m > 1 else 0.0
 
@@ -262,14 +279,11 @@ def _zeta_double_sum(m: int) -> float:
 def rhs_cor_34a(m: int) -> float:
     """Zeta-polynomial value of the k-power form sum (H_k^2 - H_k^(2))/k^(m+1)."""
     _check_m(m, 1)
-    out = (m + 2) * (m + 4) / 3.0 * riemann_zeta(m + 3.0) - ZETA2 * riemann_zeta(m + 1.0)
-    out -= 2.0 * math.fsum(
-        riemann_zeta(j + 1.0) * riemann_zeta(float(m + 2 - j)) for j in range(2, m + 1)
-    )
-    out -= math.fsum(
-        j * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j)) for j in range(1, m)
-    )
-    out += _zeta_double_sum(m)
+    z = _zetas(m + 1)
+    out = (m + 2) * (m + 4) / 3.0 * riemann_zeta(m + 3.0) - ZETA2 * z[m + 1]
+    out -= 2.0 * math.fsum(z[j + 1] * z[m + 2 - j] for j in range(2, m + 1))
+    out -= math.fsum(j * z[j + 2] * z[m + 1 - j] for j in range(1, m))
+    out += _zeta_double_sum(m, z)
     return out
 
 
@@ -300,7 +314,7 @@ def rhs_thm_37(p: float, n: int, m: int) -> float:
     _check_m(m, 0, MAX_OZ)
     _check_p(p, m + 1, n)
     h = _harmonics(n, 1)
-    fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1), lambda k: h[n] - h[n - k])
+    fs = _finite_sum(n, 0, p, m + 1, lambda k: h[n] - h[n - k])
     (g1,) = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 1, m)
     return fs - _sign(m) / math.factorial(m) * g1
 
@@ -323,8 +337,8 @@ def rhs_thm_39(p: float, n: int, m: int) -> float:
     _check_m(m, 0, MAX_OZ)
     _check_p(p, m + 1, n)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
-    fs = _finite_sum(n, 0, lambda k: (p + k) ** (m + 1),
-                     lambda k: h[n] ** 2 + h2[n] - h[n - k] ** 2 - h2[n - k])
+    top = h[n] ** 2 + h2[n]  # the weight's n-part, summed first
+    fs = _finite_sum(n, 0, p, m + 1, lambda k: top - h[n - k] ** 2 - h2[n - k])
     g1, g2 = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 2, m)
     return 0.5 * fs + _sign(m) / (2.0 * math.factorial(m)) * (g2 - 2.0 * h[n] * g1)
 
@@ -357,7 +371,7 @@ def rhs_thm_311(p: float, n: int, m: int) -> float:
     _check_m(m, 1, MAX_OZ + 1)
     _check_p(p, m, n)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
-    fs = _finite_sum(n, 0, lambda k: (p + k) ** m, _cubic_weight(n))
+    fs = _finite_sum(n, 0, p, m, _cubic_weight(n))
     g1, g2, g3 = _x_partials(RatioVariant.BETA_SHIFT1, float(n), p, 3, m - 1)
     smn = _sign(m + n)
     return (_sign(n) / 3.0 * fs
@@ -400,15 +414,14 @@ def ex4_stated_zeta_form(m: int) -> float:
     for the mismatch diagnostics in EX4 reports.
     """
     _check_m(m, 0)
+    z = _zetas(m + 2)
     out = 2.0 * LN2**2 - ZETA2
     tail = 0.0
     for l in range(1, m + 1):
-        brace = ((l + 1) * (1.0 - 2.0 ** (l + 2)) * riemann_zeta(l + 2.0)
-                 + 4.0 * LN2 * (2.0 ** (l + 1) - 1.0) * riemann_zeta(l + 1.0)
-                 + math.fsum(
-                     (2.0 ** (j + 1) - 1.0) * (2.0 ** (l - j + 1) - 1.0)
-                     * riemann_zeta(j + 1.0) * riemann_zeta(float(l - j + 1))
-                     for j in range(1, l)))
+        brace = ((l + 1) * (1.0 - 2.0 ** (l + 2)) * z[l + 2]
+                 + 4.0 * LN2 * (2.0 ** (l + 1) - 1.0) * z[l + 1]
+                 + math.fsum((2.0 ** (j + 1) - 1.0) * (2.0 ** (l - j + 1) - 1.0)
+                             * z[j + 1] * z[l - j + 1] for j in range(1, l)))
         tail += _sign(l) * 2.0**-l * brace
     return out + _sign(m + 1) * 2.0**m * tail
 
@@ -441,8 +454,10 @@ class Identity:
 
     def bind(self, ident: IdentityId, params: dict[str, Any]) -> tuple[Sides, dict[str, Any]]:
         """The function for `params`, and `params` completed with defaults in
-        the order records print them; DomainError for a missing or unknown
-        parameter or sub-form."""
+        the order records print them: the selector, then the defaults in
+        declared order, then the rest of `params`.  DomainError for a missing
+        or unknown parameter or sub-form; the checks are two set differences,
+        and the message listing every bad name is built only when one fails."""
         sides, full = self.sides, {}
         if self.selector is not None:
             choice = params.get(self.selector, next(iter(self.sides)))
@@ -450,22 +465,25 @@ class Identity:
                 raise DomainError(f"unknown {ident.value} {self.selector} {choice!r}; "
                                   f"expected one of {'/'.join(self.sides)}")
             sides, full = self.sides[choice], {self.selector: choice}
-        declared = _declared(sides)
-        bad = [f"missing {name!r}" for name, d in declared.items()
-               if d is _NONE and name not in params]
-        bad += [f"unknown {name!r}" for name in params
-                if name not in declared and name != self.selector]
-        if bad:
-            raise DomainError(f"{ident.value} params={self.signature}: {', '.join(bad)}")
-        full.update((name, d) for name, d in declared.items() if d is not _NONE)
+        required, defaults, names = _declared(sides)
+        missing, unknown = required - params.keys(), params.keys() - names
+        unknown.discard(self.selector)
+        if missing or unknown:
+            raise DomainError(f"{ident.value} params={self.signature}: " + ", ".join(
+                [f"missing {name!r}" for name in names if name in missing]
+                + [f"unknown {name!r}" for name in params if name in unknown]))
+        full.update(defaults)
         return sides, {**full, **params}
 
 
 @memo
-def _declared(sides: Sides) -> Mapping[str, Any]:
-    """The parameters `sides` takes, with their defaults or _NONE."""
-    return MappingProxyType({p.name: p.default
-                             for p in inspect.signature(sides).parameters.values()})
+def _declared(sides: Sides) -> tuple[frozenset[str], tuple[tuple[str, Any], ...], KeysView[str]]:
+    """The parameters `sides` takes: the names without a default, the
+    (name, default) pairs, and every name, the last two in declared order."""
+    declared = inspect.signature(sides).parameters.values()
+    return (frozenset(p.name for p in declared if p.default is _NONE),
+            tuple((p.name, p.default) for p in declared if p.default is not _NONE),
+            dict.fromkeys(p.name for p in declared).keys())
 
 
 def _axes(**axes: Iterable[Any]) -> list[dict[str, Any]]:
@@ -610,12 +628,16 @@ def verify(ident: IdentityId, params: dict[str, Any], tol: float,
            cfg: EvalConfig = DEFAULT_CONFIG) -> VerifyReport:
     """Evaluate both sides of one identity instance and compare at tol; the
     series counts as converged when cfg says so.  A missing or unknown
-    parameter, or a tol that is not positive and finite, is a DomainError."""
+    parameter, or a tol that is not positive and finite, is a DomainError.
+    The sides take bind's completed parameters as they are, less the
+    selector where the row has one; the report keeps all of them."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     row = REGISTRY[ident]
     sides, full = row.bind(ident, params)
-    args = {name: v for name, v in full.items() if name != row.selector}
+    args = full
+    if row.selector is not None:
+        args = {name: v for name, v in full.items() if name != row.selector}
     res, rhs = sides(**args)
     converged = cfg.converged(res)
     lhs = res.value

@@ -8,18 +8,21 @@ sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
 in 10^3.  The exact head sum is math.fsum's value, bit for bit, without a
 10^3-term fsum: _certified_sum splits each term at one power of 2, sums the
 high parts exactly and the low parts within a bound, both in numpy, and
-returns the rounded total where the bound proves it.  Where it cannot (a sum
-near a tie, one that cancels below about 1e-5 of its largest term, or terms
-outside its range), fsum sums the terms.  Each term is a list of factors
-(_Factor), each written once with both its head values at k = 0..K and its
-1/t expansion, so the head and the tail model come from the same list; a sum
-from k = 1 reads the heads from entry 1.  A factor depends only on its own
-parameters (the order of a harmonic number, n or x of a binomial, the power
-and shift of a denominator), so each is built once per process, head values
-and tail model included, and shared by every sum that uses it; so is each
-product of tail models a sum forms from them, by _product.  Every harmonic
-number H_k^(order) comes from one memoized compensated table per order, and
-its tail from one constructor, ap.harmonic_lp.  _cache.cache_clear() drops
+returns the rounded total where the bound proves it, in any summation order.
+Where it cannot (a sum near a tie, one that cancels below about 1e-5 of its
+largest term, or terms outside its range), fsum sums the terms.  Each term
+is a list of factors (_Factor), each written once with both its head values
+at k = 0..K and its 1/t expansion, so the head and the tail model come from
+the same list; a sum from k = 1 reads the heads from entry 1.  A factor
+depends only on its own parameters (the order of a harmonic number, n or x
+of a binomial, the power and shift of a denominator), so each is built once
+per process, head values and tail model included, and shared by every sum
+that uses it; so is each product of tail models a sum forms from them, by
+_product.  A warm sum then costs one pass over its factors, a few array
+operations on the head and one em_tail call, whose model holds its
+coefficients flat.  Every harmonic number H_k^(order) comes from one
+memoized compensated table per order, and its tail from one constructor,
+ap.harmonic_lp.  _cache.cache_clear() drops
 these memo tables together with the jets' and em_tail's weights.  Only the two
 zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
 are summed term by term, by _sum_geometric.
@@ -28,6 +31,7 @@ are summed term by term, by _sum_geometric.
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -108,6 +112,8 @@ class _Factor(NamedTuple):
     s_rounding: float = 0.0
 
 
+_MIN_NORMAL = sys.float_info.min
+
 # _certified_sum certifies heads whose largest |term| lies in this range, so
 # that its split point sigma and its bound stay normal binary64 numbers.
 _CERTIFIED_RANGE = (2.0**-900, 2.0**1000)
@@ -125,10 +131,12 @@ def _certified_sum(terms: np.ndarray, mags: np.ndarray) -> float | None:
     _U sigma below sigma, so their sum tau is exact in any order.  The sum s
     of the r is within gamma_(n-1) n _U sigma < b = 4 n^2 _U^2 sigma of
     theirs in any order too, so numpy's summation order cannot matter; b is
-    a product of powers of 2 and n^2 < 2^40, so it is exact.  The sum of the
-    terms lies in [tau + s - b, tau + s + b].  Rounding is monotone, so where
-    fsum rounds both ends to one float, that float is the rounded sum, which
-    is what fsum(terms) returns.
+    a product of powers of 2 and n^2 < 2^40, so it is exact.  So the q are
+    formed in one array, sigma added and taken away in place, and tau and s
+    are one numpy reduction each, in whatever order numpy adds.  The sum of
+    the terms lies in [tau + s - b, tau + s + b].  Rounding is monotone, so
+    where fsum rounds both ends to one float, that float is the rounded sum,
+    which is what fsum(terms) returns.
 
     None where the ends round apart: a sum within b of a rounding boundary,
     such as a tie, or one that cancels below about 128 n^3 _U M (1.4e-5 M at
@@ -139,9 +147,9 @@ def _certified_sum(terms: np.ndarray, mags: np.ndarray) -> float | None:
     if not (_CERTIFIED_RANGE[0] < most < _CERTIFIED_RANGE[1] and n < 1 << 20):
         return None
     sigma = math.ldexp(1.0, math.frexp(most)[1] + n.bit_length() + 2)
-    q = (sigma + terms) - sigma
-    tau = float(np.add.reduce(q))
-    s = float(np.add.reduce(terms - q))
+    q = np.add(sigma, terms)
+    np.subtract(q, sigma, out=q)
+    tau, s = float(np.add.reduce(q)), float(np.add.reduce(np.subtract(terms, q)))
     b = 4.0 * n * n * _U * _U * sigma
     low = math.fsum((tau, s, -b))
     return low if low == math.fsum((tau, s, b)) else None
@@ -165,24 +173,30 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     head of the default grid), fsum's own where it returns None, so every
     value and every exception is fsum's.
 
-    The estimate adds the em_tail error, the head's rounding (the factors'
-    own plus 1 per * or /) and the two final roundings.  A model whose
-    exponents were rounded, by up to s_rounding, also adds what that moves
-    the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative of
-    int_K^inf t^-s dt relative to it; s0 is the model's leading decay, as the
-    products that carry s_rounding lead with 1/Gamma(-x) != 0.  A sum that is
+    One pass over the factors forms the head's terms, the tail model and the
+    rounding counts; every count is an integer-valued float, so the totals
+    are exact in any order.  The estimate adds the em_tail error, the head's
+    rounding (the factors' own plus 1 per * or /, weighted by |term| in the
+    array of magnitudes, once the certificate has read it) and the two final
+    roundings.  A model whose exponents were rounded, by up to s_rounding,
+    also adds what that moves the tail: |tail| s_rounding (ln K + 1/(s0 - 1)),
+    the s-derivative of int_K^inf t^-s dt relative to it; s0 is the model's
+    leading decay, as the products that carry s_rounding lead with
+    1/Gamma(-x) != 0.  A sum that is
     not finite raises NonFiniteTermError; whether the estimate is small enough
     is for the caller to judge (identities.verify, through EvalConfig.converged)."""
-    model = factors[0].tail
-    terms = factors[0].head[lo:]
+    first = factors[0]
+    model, terms = first.tail, first.head[lo:]
+    roundings, per_k, s_rounding = first.rounding, first.rounding_per_k, first.s_rounding
     for f in factors[1:]:
         model = _product(model, f.tail)
         terms = terms / f.head[lo:] if f.divides else terms * f.head[lo:]
-    roundings = sum(f.rounding for f in factors) + (len(factors) - 1)
-    per_k = sum(f.rounding_per_k for f in factors)
+        roundings += f.rounding + 1.0
+        per_k += f.rounding_per_k
+        s_rounding += f.s_rounding
     if per_k:
         roundings = per_k * _ks()[lo:] + roundings
-    s_rounding = sum(f.s_rounding for f in factors) * _U * (model.s0 + model.depth)
+    s_rounding = s_rounding * _U * (model.s0 + model.depth)
 
     mags = np.abs(terms)
     exact = _certified_sum(terms, mags)
@@ -192,7 +206,7 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     if s_rounding:
         err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.s0 - 1.0))
     value = exact + tail
-    head_err = float(np.add.reduce(roundings * mags))
+    head_err = float(np.add.reduce(np.multiply(roundings, mags, out=mags)))
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
     if not (math.isfinite(value) and math.isfinite(tail_estimate)):
         raise NonFiniteTermError(f"the series sums to {value} with error {tail_estimate}, "
@@ -322,14 +336,17 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
                    divides=divides)
 
 
+def _check_int(name: str, v: int, least: int) -> int:
+    """v as an int, so that an integral float such as 2.0 gives the int's
+    bits; DomainError naming `name` unless v is an integer >= least, the
+    least order or index at which the series is defined."""
+    if not (v >= least and v % 1 == 0):
+        raise DomainError(f"{name} must be an integer >= {least}, got {v}")
+    return int(v)
+
+
 def _check_nm(n: int, m: int, m_min: int) -> tuple[int, int]:
-    """n and m as ints, so that an integral float such as 2.0 gives the int's
-    bits; DomainError naming either one that is not an integer in range."""
-    if not (n >= 0 and n % 1 == 0):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    if not (m >= m_min and m % 1 == 0):
-        raise DomainError(f"m must be an integer >= {m_min}, got {m} (series diverges below)")
-    return int(n), int(m)
+    return _check_int("n", n, 0), _check_int("m", m, m_min)
 
 
 def _check_p(p: float) -> None:
@@ -395,15 +412,13 @@ def lhs_central_binom(p: float, m: int) -> SumResult:
     """sum_{k>=0} (H_k - 2 H_{2k}) binom(2k,k) / (4^k (p+k)^(m+1)), with
     binom(2k,k)/4^k the signed binomial at x = -1/2."""
     _check_p(p)
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _check_int("m", m, 0)
     return _em_sum(1, _central_harmonic_diff(), _signed_binomial(-0.5), _power(m + 1, (p,)))
 
 
 def half_shift_series(m: int) -> SumResult:
     """sum_{k>=1} H_{k-1} / (k (k - 1/2)^(m+1)); every denominator is positive."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _check_int("m", m, 0)
     return _em_sum(1, _harmonic(prev=True), _power(m + 1, -0.5, times_k=True))
 
 
@@ -434,27 +449,43 @@ def _binomials(x: float) -> list[float]:
 
 
 def lhs_base_binomial(x: float, m: int) -> SumResult:
-    """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m."""
+    """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m; at an integer x, a k^m past
+    binary64 is a DomainError naming x and m."""
     _check_x(x)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    m = _check_int("m", m, 1)
     if float(x).is_integer():
-        return _finite_binomial([(-1.0) ** (k - 1) * c / float(k) ** m
-                                 for k, c in enumerate(_binomials(x)[1:], start=1)], 4.0)
+        binomials = _binomials(x)
+        try:
+            terms = [(-1.0) ** (k - 1) * c / float(k) ** m
+                     for k, c in enumerate(binomials[1:], start=1)]
+        except OverflowError:
+            raise DomainError(f"x = {x} and m = {m} put k^m outside binary64") from None
+        return _finite_binomial(terms, 4.0)
     # (-1)^(k-1) = -(-1)^k
     return _em_sum(1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
 
 
 def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
-    """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1)."""
+    """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1).  At an integer x the
+    powers (p + k)^(m+1), k = 0..x, lie between p^(m+1) and (p + x)^(m+1),
+    which must be normal binary64 numbers: one that overflows, or falls
+    below the least normal number, where 1/(p + k)^(m+1) overflows or loses
+    its digits, is a DomainError naming x, p and m."""
     _check_x(x)
     _check_p(p)
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _check_int("m", m, 0)
     if float(x).is_integer():
+        binomials = _binomials(x)
+        try:
+            least, most = p ** (m + 1), (p + x) ** (m + 1)
+        except OverflowError:
+            least = most = math.inf
+        if not (_MIN_NORMAL <= least and most < math.inf):
+            raise DomainError(f"x = {x}, p = {p} and m = {m} put (p + k)^(m + 1) "
+                              "outside binary64")
         # p + k rounds once and is raised to the power m + 1
         return _finite_binomial([(-1.0) ** k * c / (p + k) ** (m + 1)
-                                 for k, c in enumerate(_binomials(x))], 4.0 + (m + 1))
+                                 for k, c in enumerate(binomials)], 4.0 + (m + 1))
     return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
 
 
@@ -463,24 +494,19 @@ def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
 
 def lhs_linear_euler(p: int, q: int) -> SumResult:
     """S(p, q) = sum_{n>=1} H_n^(p) / n^q."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
+    p, q = _check_int("p", p, 1), _check_int("q", q, 2)
     return _em_sum(1, _harmonic(p), _power(q))
 
 
 def lhs_quadratic_euler(q: int) -> SumResult:
     """S(1^2; q) = sum_{n>=1} H_n^2 / n^q."""
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
+    q = _check_int("q", q, 2)
     return _em_sum(1, _harmonic(), _harmonic(), _power(q))
 
 
 def quadratic_minus_linear(q: int) -> SumResult:
     """sum_{k>=1} (H_k^2 - H_k^(2)) / k^q = S(1^2; q) - S(2, q)."""
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
+    q = _check_int("q", q, 2)
     return _em_sum(1, _harmonic_square_diff(), _power(q))
 
 
@@ -529,8 +555,7 @@ def zeta_tail_sum(m: int) -> SumResult:
     """sum_{j>=2} (zeta(m+j) - 1), each term evaluated as zeta(m+j, 2) so no
     cancellation occurs for large j.  Each k^-(s+1) <= k^-s / 2 for k >= 2,
     so zeta(s+1, 2) <= zeta(s, 2) / 2: r = 1/2."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _check_int("m", m, 0)
     return _sum_geometric(lambda j: hurwitz_zeta(m + float(j), 2.0), 2, 0.5,
                           _HURWITZ_ROUNDING, 0.0)
 
@@ -543,8 +568,7 @@ def zeta_power_series(p: float, m: int) -> SumResult:
     m + j + 2."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _check_int("m", m, 0)
     a = p + 1.0
     return _sum_geometric(lambda j: p ** float(j) * hurwitz_zeta(m + float(j) + 2.0, a), 0,
                           p / a, _HURWITZ_ROUNDING + 3.0 + (m + 2.0), 1.0)

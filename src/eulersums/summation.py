@@ -11,10 +11,11 @@ depth and ln power.  _em_row builds the weights of one ln row, by termwise
 differentiation of a basis model, and _em_weights lays them out, row after
 row, as one flat tuple per functional for each shape; both are memoized (so
 series._cache.cache_clear() drops them), and tables with more ln rows reuse
-the rows of smaller ones.  em_tail flattens the model's rows once and takes
-each functional as one fsum of coefficients times weights.  The oracles only
-compute: a SumResult carries a value and its error estimate, and
-EvalConfig.converged is the one place that judges it.
+the rows of smaller ones.  em_tail reads the model's coefficients as the
+flat tuple the model made when it was built, so no call flattens them, and
+takes each functional as one fsum of coefficients times weights.  The
+oracles only compute: a SumResult carries a value and its error estimate,
+and EvalConfig.converged is the one place that judges it.
 """
 
 from __future__ import annotations
@@ -137,10 +138,6 @@ def _em_row(s0: float, depth: int, a: int, K: int, order: int) -> tuple:
     return f0, f1, tail, omitted, tuple(integral[-1:])
 
 
-def _apply(flat: list[float], weights: _Flat) -> float:
-    return math.fsum(map(operator.mul, flat, weights))
-
-
 def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
     """Euler-Maclaurin estimate of sum_{k>K} f(k) for the tail model f, with
     an error estimate.
@@ -153,28 +150,32 @@ def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
     by a further factor of about c (s0 + depth) / x; the tail integral of
     that order, taken with |C| so that no cancellation hides it, bounds them.
 
-    Each of these is one fsum of the model's coefficients, its rows
-    flattened once, times their flat _em_weights: each product c w is the
-    same float in any layout, and an fsum does not depend on the order of
-    its terms.  Rows that do not hold depth + 1 coefficients each, so that
-    the flat rows cannot line up with the weights, raise DomainError.  A
-    tail that grows from x to x + 1 raises NonMonotoneTailError, and then a
-    nonzero monomial with s <= 1, whose integral diverges, DomainError.
+    Each of these is one fsum of the model's flat coefficients, which the
+    model flattened when it was made, times their flat _em_weights: each
+    product c w is the same float in any layout, and an fsum does not depend
+    on the order of its terms.  Rows that do not hold depth + 1 coefficients
+    each, so that the flat rows cannot line up with the weights, raise
+    DomainError.  A tail that grows from x to x + 1 raises
+    NonMonotoneTailError, and then a nonzero monomial with s <= 1, whose
+    integral diverges, DomainError; that scan runs only for models whose
+    leading orders reach s <= 1.
     """
-    rows = model.rows
+    rows, flat = model.rows, model.flat
     w0, w1, tail, omitted, last, diverges = _em_weights(model.s0, model.depth, len(rows), K,
                                                         _EM_ORDER)
-    flat = [c for row in rows for c in row]
     if len(flat) != len(w0):
         raise DomainError(f"a model of depth {model.depth} needs {model.depth + 1} "
                           "coefficients in each ln row")
-    f0, f1 = _apply(flat, w0), _apply(flat, w1)
+    f0, f1 = math.fsum(map(operator.mul, flat, w0)), math.fsum(map(operator.mul, flat, w1))
     if abs(f1) > abs(f0):
         x = float(K + 1)
         raise NonMonotoneTailError(f"tail not decreasing at K={K}: |f({x + 1})| > |f({x})|")
-    for row in rows:
-        for j in range(diverges):
-            if row[j]:
-                raise DomainError(f"tail integral diverges for monomial with s = {model.s0 + j}")
+    if diverges:
+        for row in rows:
+            for j in range(diverges):
+                if row[j]:
+                    raise DomainError("tail integral diverges for monomial with "
+                                      f"s = {model.s0 + j}")
     truncation = math.fsum([abs(row[-1]) * v for row, v in zip(rows, last)])
-    return _apply(flat, tail), abs(_apply(flat, omitted)) + truncation
+    return (math.fsum(map(operator.mul, flat, tail)),
+            abs(math.fsum(map(operator.mul, flat, omitted))) + truncation)

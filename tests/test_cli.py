@@ -178,6 +178,14 @@ class TestEval:
          "x = 1000000.0 puts binom(x, k) outside binary64"),
         (("THM_BASE_35", "--x", "2000", "--p", "1", "--m", "1"),
          "x = 2000.0 puts binom(x, k) outside binary64"),
+        (("THM_BASE_E15", "--x", "5", "--m", "1000"),
+         "x = 5.0 and m = 1000 put k^m outside binary64"),
+        (("THM_BASE_35", "--x", "5", "--p", "1", "--m", "1000"),
+         "x = 5.0, p = 1.0 and m = 1000 put (p + k)^(m + 1) outside binary64"),
+        (("THM_BASE_35", "--x", "5", "--p", "0.001", "--m", "200"),
+         "x = 5.0, p = 0.001 and m = 200 put (p + k)^(m + 1) outside binary64"),
+        (("THM_BASE_35", "--x", "5", "--p", "3e-25", "--m", "12"),
+         "x = 5.0, p = 3e-25 and m = 12 put (p + k)^(m + 1) outside binary64"),
     ])
     def test_series_parameter_out_of_range_is_named(self, capsys, argv, named):
         # the series refuses the parameter by name, before any sum or

@@ -1,6 +1,7 @@
 """Closed-form right sides, the verify harness, and cross-identity chains."""
 
 import functools
+import inspect
 import math
 from fractions import Fraction
 
@@ -36,10 +37,12 @@ from eulersums import (
 from eulersums.identities import (
     P_GRID,
     REGISTRY,
+    Identity,
     _cubic_weight,
     _finite_sum,
     _harmonics,
     _zeta_double_sum,
+    _zetas,
     default_grid,
     ex4_stated_zeta_form,
 )
@@ -80,7 +83,7 @@ def _cor34_unsimplified(m):
         (j + 1) * (m - j) * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j))
         for j in range(0, m)
     ) / m
-    return out + _zeta_double_sum(m)
+    return out + _zeta_double_sum(m, _zetas(m + 1))
 
 
 class TestVariantClosedForms:
@@ -287,6 +290,102 @@ class TestRegistry:
             verify(IdentityId.EX3_GOLDBACH, {"form": "nope"}, 1e-7)
 
 
+def _reference_bind(row, ident, params):
+    """Identity.bind as it was written before its set-difference check: the
+    declared parameters read from the signature, every bad name listed."""
+    sides, full = row.sides, {}
+    if row.selector is not None:
+        choice = params.get(row.selector, next(iter(row.sides)))
+        if choice not in row.sides:
+            raise DomainError(f"unknown {ident.value} {row.selector} {choice!r}; "
+                              f"expected one of {'/'.join(row.sides)}")
+        sides, full = row.sides[choice], {row.selector: choice}
+    declared = {p.name: p.default for p in inspect.signature(sides).parameters.values()}
+    none = inspect.Parameter.empty
+    bad = [f"missing {name!r}" for name, d in declared.items() if d is none and name not in params]
+    bad += [f"unknown {name!r}" for name in params
+            if name not in declared and name != row.selector]
+    if bad:
+        raise DomainError(f"{ident.value} params={row.signature}: {', '.join(bad)}")
+    full.update((name, d) for name, d in declared.items() if d is not none)
+    return sides, {**full, **params}
+
+
+def _bind_outcome(fn, ident, params):
+    """(sides, the completed parameters as ordered pairs), or the error's text."""
+    try:
+        sides, full = fn(REGISTRY[ident], ident, dict(params))
+    except DomainError as exc:
+        return str(exc)
+    return sides, list(full.items())
+
+
+_SELECTOR_POINTS = [
+    (IdentityId.EX1_AUYEUNG, {}), (IdentityId.EX1_AUYEUNG, {"which": "linear"}),
+    (IdentityId.EX2_CENTRAL, {}), (IdentityId.EX2_CENTRAL, {"which": "half"}),
+    (IdentityId.EX3_GOLDBACH, {}), (IdentityId.EX3_GOLDBACH, {"m": 2}),
+    (IdentityId.EX3_GOLDBACH, {"form": "psi-series"}),
+    (IdentityId.EX3_GOLDBACH, {"p": 0.3, "form": "psi-series"}),
+    (IdentityId.EX3_GOLDBACH, {"form": "power-series"}),
+    (IdentityId.EX3_GOLDBACH, {"m": 2, "form": "power-series"}),
+    (IdentityId.EX4_HALF, {}), (IdentityId.EX4_HALF, {"m": 1}),
+]
+
+_BAD_POINTS = [
+    (IdentityId.THM_V4_311, {"p": 1.0}),
+    (IdentityId.THM_V4_311, {"q": 1, "p": 1.0, "n": 1, "m": 1, "x": 2.0}),
+    (IdentityId.THM_V4_311, {"x": 2.0, "m": 1}),
+    (IdentityId.EX1_AUYEUNG, {"which": "cubic"}),
+    (IdentityId.EX1_AUYEUNG, {"which": "linear", "m": 2}),
+    (IdentityId.EX3_GOLDBACH, {"form": "zeta-tail", "p": 0.5}),
+    (IdentityId.EX4_HALF, {"form": "zeta-tail"}),
+    (IdentityId.COR_EULER_32, {"which": "linear"}),
+]
+
+
+class TestBind:
+    """Identity.bind gives what it gave when it read the signature on every
+    call: the same function, the same parameters in the same key order, and
+    the same error text."""
+
+    def test_every_grid_point(self):
+        for ident, params in default_grid():
+            assert (_bind_outcome(Identity.bind, ident, params)
+                    == _bind_outcome(_reference_bind, ident, params)), (ident, params)
+
+    @pytest.mark.parametrize("ident, params", _SELECTOR_POINTS + _BAD_POINTS)
+    def test_selectors_defaults_and_errors(self, ident, params):
+        assert (_bind_outcome(Identity.bind, ident, params)
+                == _bind_outcome(_reference_bind, ident, params))
+
+    def test_key_order(self):
+        # the selector first, then the defaults in declared order, then the rest
+        _, full = REGISTRY[IdentityId.EX3_GOLDBACH].bind(
+            IdentityId.EX3_GOLDBACH, {"m": 2, "form": "power-series"})
+        assert list(full.items()) == [("form", "power-series"), ("p", 0.4), ("m", 2)]
+        _, full = REGISTRY[IdentityId.EX3_GOLDBACH].bind(IdentityId.EX3_GOLDBACH, {"m": 2})
+        assert list(full.items()) == [("form", "zeta-tail"), ("m", 2)]
+        _, full = REGISTRY[IdentityId.THM_V4_311].bind(
+            IdentityId.THM_V4_311, {"m": 1, "n": 0, "p": 0.5})
+        assert list(full.items()) == [("m", 1), ("n", 0), ("p", 0.5)]
+
+    def test_messages(self):
+        def text(ident, params):
+            return _bind_outcome(Identity.bind, ident, params)
+
+        sig = REGISTRY[IdentityId.THM_V4_311].signature
+        assert text(IdentityId.THM_V4_311, {"p": 1.0}) == (
+            f"THM_V4_311 params={sig}: missing 'n', missing 'm'")
+        assert text(IdentityId.THM_V4_311, {"x": 2.0, "m": 1}) == (
+            f"THM_V4_311 params={sig}: missing 'p', missing 'n', unknown 'x'")
+        assert text(IdentityId.EX1_AUYEUNG, {"which": "cubic"}) == (
+            "unknown EX1_AUYEUNG which 'cubic'; expected one of quadratic/linear/difference")
+
+    def test_verify_reports_the_bound_parameters(self):
+        rep = verify(IdentityId.EX3_GOLDBACH, {"m": 1, "form": "power-series"}, 1e-7)
+        assert list(rep.params.items()) == [("form", "power-series"), ("p", 0.4), ("m", 1)]
+
+
 def _example_reports(cfg: EvalConfig = EvalConfig()) -> list:
     """verify at tol 1e-8 over the grid points of the worked-example rows."""
     return [verify(ident, params, 1e-8, cfg) for ident, params in default_grid()
@@ -375,7 +474,7 @@ class TestFiniteSum:
                     lo, e, base_roundings = 0, m + 1, 1
                     power = lambda k: (shift + k) ** (m + 1)  # noqa: E731
                     exact_power = lambda k: (Fraction(shift) + k) ** (m + 1)  # noqa: E731
-                got = _finite_sum(n, lo, power, weight)
+                got = _finite_sum(n, lo, 0.0 if shift is None else shift, e, weight)
                 exact = sum((Fraction((-1) ** k * math.comb(n, k) * sign)
                              * (sum(exact_p[n]) - sum(exact_p[n - k])) / exact_power(k)
                              for k in range(lo, n + 1)), Fraction(0))
@@ -391,3 +490,87 @@ class TestFiniteSum:
                     bound += scale * (16.0 * a + (4.0 + base_roundings * e) * abs(weight(k)))
                 bound = u * (bound + abs(got))
                 assert abs(Fraction(got) - exact) <= Fraction(bound), (n, m)
+
+
+# The zeta polynomials as they were written before each took its zeta values
+# once per call, nested calls to riemann_zeta and all.
+def _nested_cor_32(m):
+    return m * riemann_zeta(m + 1.0) - math.fsum(
+        riemann_zeta(k + 1.0) * riemann_zeta(float(m - k)) for k in range(1, m - 1))
+
+
+def _nested_double_sum(m):
+    return math.fsum(
+        (m - l) * riemann_zeta(float(m - l + 1))
+        * math.fsum(riemann_zeta(j + 1.0) * riemann_zeta(float(l - j + 1)) for j in range(1, l))
+        for l in range(1, m)
+    ) / m if m > 1 else 0.0
+
+
+def _nested_cor_34(m):
+    out = (m + 1) * (m + 2) / 3.0 * riemann_zeta(m + 3.0)
+    out -= math.fsum(
+        (j + 1) * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j)) for j in range(1, m))
+    out += _nested_double_sum(m)
+    return out
+
+
+def _nested_cor_34a(m):
+    out = (m + 2) * (m + 4) / 3.0 * riemann_zeta(m + 3.0) - ZETA2 * riemann_zeta(m + 1.0)
+    out -= 2.0 * math.fsum(
+        riemann_zeta(j + 1.0) * riemann_zeta(float(m + 2 - j)) for j in range(2, m + 1))
+    out -= math.fsum(
+        j * riemann_zeta(j + 2.0) * riemann_zeta(float(m + 1 - j)) for j in range(1, m))
+    out += _nested_double_sum(m)
+    return out
+
+
+def _nested_ex4(m):
+    out = 2.0 * LN2**2 - ZETA2
+    tail = 0.0
+    for l in range(1, m + 1):
+        brace = ((l + 1) * (1.0 - 2.0 ** (l + 2)) * riemann_zeta(l + 2.0)
+                 + 4.0 * LN2 * (2.0 ** (l + 1) - 1.0) * riemann_zeta(l + 1.0)
+                 + math.fsum(
+                     (2.0 ** (j + 1) - 1.0) * (2.0 ** (l - j + 1) - 1.0)
+                     * riemann_zeta(j + 1.0) * riemann_zeta(float(l - j + 1))
+                     for j in range(1, l)))
+        tail += (-1.0) ** l * 2.0**-l * brace
+    return out + (-1.0) ** (m + 1) * 2.0**m * tail
+
+
+class TestBitForBitRewrites:
+    """Closed forms rewritten for speed give the bits of their earlier forms."""
+
+    @pytest.mark.parametrize("new, old, least", [
+        (rhs_cor_32, _nested_cor_32, 2), (rhs_cor_34, _nested_cor_34, 1),
+        (rhs_cor_34a, _nested_cor_34a, 1), (ex4_stated_zeta_form, _nested_ex4, 0)])
+    def test_zeta_values_once_per_call(self, new, old, least):
+        for m in range(least, 41):
+            assert new(m).hex() == old(m).hex(), m
+
+    def test_zetas(self):
+        for top in (1, 4, 9):
+            z = _zetas(top)
+            assert len(z) == max(top, 4) + 1 and math.isnan(z[0]) and math.isnan(z[1])
+            assert z[2:] == [riemann_zeta(float(s)) for s in range(2, len(z))]
+
+    def test_finite_sum_against_the_callable_form(self):
+        def callable_form(n, lo, power, weight):
+            return math.fsum((1.0 if k % 2 == 0 else -1.0) / power(k) * math.comb(n, k) * weight(k)
+                             for k in range(lo, n + 1))
+
+        for n in range(13):
+            h, h2, h3 = _harmonics(n, 1), _harmonics(n, 2), _harmonics(n, 3)
+            cubic = _cubic_weight(n)
+            written_out = (lambda k: h[n] ** 3 + 2 * h3[n] + 3 * h[n] * h2[n]  # noqa: E731
+                           - h[n - k] ** 3 - 2 * h3[n - k] - 3 * h[n - k] * h2[n - k])
+            assert [cubic(k).hex() for k in range(n + 1)] == [written_out(k).hex()
+                                                             for k in range(n + 1)]
+            for e in (1, 2, 5, 11):
+                got = _finite_sum(n, 1, 0.0, e, cubic)
+                assert got.hex() == callable_form(n, 1, lambda k: float(k) ** e, written_out).hex()
+                for c in (0.5, 1.0, 2.5, 0.1):
+                    got = _finite_sum(n, 0, c, e, cubic)
+                    want = callable_form(n, 0, lambda k: (c + k) ** e, written_out)
+                    assert got.hex() == want.hex(), (n, e, c)

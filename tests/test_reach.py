@@ -28,11 +28,15 @@ ALLOWED = {
     # its check runs at import, for identities.DEFAULT_CONFIG
     ("summation", "EvalConfig.__post_init__"): None,
     # em_tail's error guards: a tail that grows, an integral that diverges
-    ("summation", "em_tail"): {"x = float(K + 1)", "if row[j]:"},
+    # (the scan for diverging monomials runs only where an order has s <= 1,
+    # and no grid model has one)
+    ("summation", "em_tail"): {"x = float(K + 1)", "for row in rows:",
+                               "for j in range(diverges):", "if row[j]:"},
     # a closed form of the paper that no REGISTRY row uses (ROADMAP item 6)
     ("identities", "rhs_cor_34a"): None,
     # p ** e overflowing: the grid's p are small
     ("identities", "_check_p"): {"least, most = _MIN_NORMAL, math.inf"},
+    ("series", "lhs_binomial_shifted"): {"least = most = math.inf"},
     # these run at import, building REGISTRY and wrapping the memoized builders
     ("identities", "_axes"): None,
     ("special", "memo"): None,

@@ -461,6 +461,54 @@ class TestOracleContracts:
         with pytest.raises(DomainError, match=f"^{named} must be"):
             lhs_variant3(0.5, n, m)
 
+    # every other oracle with an integer order or index, and the argument it
+    # takes there: (function, arguments, position of the integer, name, least)
+    _INTEGER_ARGS = [
+        (lhs_linear_euler, (2, 3), 0, "p", 1), (lhs_linear_euler, (2, 3), 1, "q", 2),
+        (lhs_quadratic_euler, (3,), 0, "q", 2), (quadratic_minus_linear, (3,), 0, "q", 2),
+        (lhs_central_binom, (0.5, 1), 1, "m", 0), (half_shift_series, (1,), 0, "m", 0),
+        (lhs_base_binomial, (0.5, 2), 1, "m", 1), (lhs_base_binomial, (3.0, 2), 1, "m", 1),
+        (lhs_binomial_shifted, (0.5, 1.0, 1), 2, "m", 0),
+        (lhs_binomial_shifted, (3.0, 1.0, 1), 2, "m", 0),
+        (zeta_tail_sum, (1,), 0, "m", 0), (zeta_power_series, (0.4, 1), 1, "m", 0),
+    ]
+
+    @pytest.mark.parametrize("fn, args, at, name, least", _INTEGER_ARGS)
+    def test_integral_float_orders_are_the_ints(self, fn, args, at, name, least):
+        """An integral float sums as the int, bit for bit, as n and m do."""
+        given = args[:at] + (float(args[at]),) + args[at + 1:]
+        assert fn(*given) == fn(*args)
+
+    @pytest.mark.parametrize("fn, args, at, name, least", _INTEGER_ARGS)
+    def test_orders_that_are_not_integers_are_named(self, fn, args, at, name, least):
+        for bad in (args[at] + 0.5, least - 1, math.inf, math.nan):
+            given = args[:at] + (bad,) + args[at + 1:]
+            with pytest.raises(DomainError,
+                               match=f"^{name} must be an integer >= {least}, got {bad}$"):
+                fn(*given)
+
+    def test_integer_x_powers_that_leave_binary64_are_named(self):
+        """float(k) ** m overflowing, and (p + k) ** (m + 1) overflowing or
+        leaving the normal numbers, name the parameters instead of ending in
+        OverflowError, ZeroDivisionError or an infinite sum."""
+        with pytest.raises(DomainError, match=re.escape(
+                "x = 5.0 and m = 1000 put k^m outside binary64")):
+            lhs_base_binomial(5.0, 1000)
+        # overflowing, underflowing to 0, and below the least normal number,
+        # where the sum was inf and counted as converged
+        for p, m in ((1.0, 1000), (0.001, 200), (3e-25, 12)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"x = 5.0, p = {p} and m = {m} put (p + k)^(m + 1) outside binary64")):
+                lhs_binomial_shifted(5.0, p, m)
+        # just inside binary64: 5^441 < 2^1024 < 5^442
+        assert math.isfinite(lhs_base_binomial(5.0, 441).value)
+        with pytest.raises(DomainError, match="^x = 5.0 and m = 442 put k"):
+            lhs_base_binomial(5.0, 442)
+        # 2^-1022 is the least normal number: 0.5^1022 is one, 0.5^1023 is not
+        assert lhs_binomial_shifted(0.0, 0.5, 1021).value == 2.0**1022
+        with pytest.raises(DomainError, match=r"^x = 0.0, p = 0.5 and m = 1022 put \(p"):
+            lhs_binomial_shifted(0.0, 0.5, 1022)
+
     @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
     def test_p_must_be_finite_and_positive(self, p):
         for call in (lambda: lhs_variant3(p, 1, 1), lambda: lhs_variant3h(p, 1, 1),

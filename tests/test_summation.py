@@ -357,6 +357,24 @@ class TestEmWeights:
         assert zero_first.s0 == 1.0
         assert em_tail(zero_first, 100) == em_tail(LogPowerSeries(2.0, 5, [row(5, 1.0)]), 100)
 
+    def test_divergent_order_in_a_later_ln_row(self):
+        # ln t / t^(1/2) falls at x = 101, so the monotone check passes and the
+        # scan finds the nonzero s = 1/2 monomial in ln row 1
+        model = LogPowerSeries(0.5, 5, [row(5, 0.0, 1.0), row(5, 1.0)])
+        with pytest.raises(DomainError,
+                           match=r"^tail integral diverges for monomial with s = 0\.5$"):
+            em_tail(model, 100)
+
+    def test_flat_is_the_rows_flattened_once(self, oracle_models):
+        for model, _ in oracle_models:
+            assert model.flat == tuple(c for r in model.rows for c in r)
+        f = LogPowerSeries(2.0, 2, [[1.0, 0.5, 0.25], [0.0, 2.0, 0.0]])
+        assert f.flat == (1.0, 0.5, 0.25, 0.0, 2.0, 0.0)
+        for derived in (f * f, f + f, f.scaled(3.0), f.diff()):
+            assert derived.flat == tuple(c for r in derived.rows for c in r)
+        with pytest.raises(TypeError):
+            f.flat[0] = 2.0  # read-only, as the rows are
+
     def test_rows_must_line_up_with_the_weights(self):
         # the weights are flat, depth + 1 per ln row: a short row is refused
         # rather than read against the next row's weights
