@@ -49,9 +49,7 @@ from .special import (
     DomainError,
     PoleError,
     digamma,
-    gamma,
     gen_harmonic,
-    harmonic,
     hurwitz_zeta,
     ln_gamma,
     polygamma,

@@ -25,7 +25,9 @@ memoized compensated table per order, and its tail from one constructor,
 ap.harmonic_lp.  _cache.cache_clear() drops
 these memo tables together with the jets' and em_tail's weights.  Only the two
 zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
-are summed term by term, by _sum_geometric.
+are summed term by term, by _sum_geometric.  At an integer x the two binomial
+base series end at k = x, and _finite_binomial sums them exactly in Python
+ints, rounding once, up to a bound on its work.
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ class _Factor(NamedTuple):
     divides: bool = False
     s_rounding: float = 0.0
 
-
-_MIN_NORMAL = sys.float_info.min
 
 # _certified_sum certifies heads whose largest |term| lies in this range, so
 # that its split point sigma and its bound stay normal binary64 numbers.
@@ -425,67 +425,62 @@ def half_shift_series(m: int) -> SumResult:
 # --------------------- binomial-coefficient base series ---------------------
 #
 # At non-integer x both base series split at K like the others, with the
-# signed binomial as a factor.  Integer x >= 0 ends the series at k = x.
+# signed binomial as a factor.  Integer x >= 0 ends the series at k = x, and
+# _finite_binomial sums it exactly.  _WORK_CAP caps its work, in the units of
+# its bound: the slowest sums it accepts take about 50 ms on a 2-vCPU x86-64.
+_WORK_CAP = 5 * 10**10
 
 
-def _finite_binomial(terms: list[float], rounding: float) -> SumResult:
-    """The fsum of an integer-x series, which ends at k = x.  Its terms
-    alternate and cancel, so nothing bounds its error by |value|: the
-    estimate is `rounding`, each term's rounding in units of _U, times
-    sum |term|, plus the final rounding.  Each term converts comb(x, k) to a
-    float (1), takes a pow (2) and divides (1)."""
-    value = math.fsum(terms)
-    return SumResult(value, _U * (rounding * math.fsum(map(abs, terms)) + abs(value)), len(terms))
+def _named(x: float, p: float, m: int) -> str:
+    return f"x = {x}, p = {p} and m = {m}" if p else f"x = {x} and m = {m}"
 
 
-def _binomials(x: float) -> list[float]:
-    """binom(x, k) as floats for k = 0..x at an integer x >= 0; DomainError
-    naming x where one leaves binary64, as the middle ones do from 1030."""
+def _finite_binomial(x: float, p: float, m: int, e: int, lo: int) -> SumResult:
+    """sum_{k=lo}^{n} (-1)^(k-lo) binom(n, k) / (p + k)^e at the integer
+    n = x, exact in Python ints and rounded once: p = P/Q, a binary64 being
+    a dyadic rational, each denominator is (P + k Q)^e, and the int true
+    division num Q^e / den rounds correctly, so the estimate is that one
+    rounding.  Errors name x, p and m, or x and m at p = 0, the base series.
+    den ends below b (n + 1) bits, b = e bitlength(P + n Q), and each step
+    multiplies by d (b bits) and binom(n, k) (n bits), so (n + 1)^2 b (b + n)
+    bounds the work: past _WORK_CAP it is a DomainError before any summing,
+    as is a value past binary64 or below its normal numbers."""
     n = int(x)
+    P, Q = p.as_integer_ratio()
+    b = e * (P + n * Q).bit_length()
+    if (n + 1) ** 2 * b * (b + n) > _WORK_CAP:
+        raise DomainError(f"{_named(x, p, m)} put the exact finite sum past its work cap")
+    c, num, den = math.comb(n, lo), 0, 1
+    for k in range(lo, n + 1):
+        d = (P + k * Q) ** e
+        num, den = num * d + c * den, den * d
+        c = -c * (n - k) // (k + 1)
     try:
-        return [float(math.comb(n, k)) for k in range(n + 1)]
+        value = num * Q**e / den
     except OverflowError:
-        raise DomainError(f"x = {x} puts binom(x, k) outside binary64") from None
+        raise DomainError(f"{_named(x, p, m)} put the finite sum past binary64") from None
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise DomainError(f"{_named(x, p, m)} put the finite sum below the normal numbers")
+    return SumResult(value, _U * abs(value), n + 1 - lo)
 
 
 def lhs_base_binomial(x: float, m: int) -> SumResult:
-    """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m; at an integer x, a k^m past
-    binary64 is a DomainError naming x and m."""
+    """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m, exact at an integer x."""
     _check_x(x)
     m = _check_int("m", m, 1)
     if float(x).is_integer():
-        binomials = _binomials(x)
-        try:
-            terms = [(-1.0) ** (k - 1) * c / float(k) ** m
-                     for k, c in enumerate(binomials[1:], start=1)]
-        except OverflowError:
-            raise DomainError(f"x = {x} and m = {m} put k^m outside binary64") from None
-        return _finite_binomial(terms, 4.0)
+        return _finite_binomial(x, 0.0, m, m, 1)
     # (-1)^(k-1) = -(-1)^k
     return _em_sum(1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
 
 
 def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
-    """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1).  At an integer x the
-    powers (p + k)^(m+1), k = 0..x, lie between p^(m+1) and (p + x)^(m+1),
-    which must be normal binary64 numbers: one that overflows, or falls
-    below the least normal number, where 1/(p + k)^(m+1) overflows or loses
-    its digits, is a DomainError naming x, p and m."""
+    """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1), exact at an integer x."""
     _check_x(x)
     _check_p(p)
     m = _check_int("m", m, 0)
     if float(x).is_integer():
-        binomials = _binomials(x)
-        try:
-            least, most = p ** (m + 1), (p + x) ** (m + 1)
-        except OverflowError:
-            least = most = math.inf
-        if not (_MIN_NORMAL <= least and most < math.inf):
-            raise DomainError(f"x = {x}, p = {p} and m = {m} put (p + k)^(m + 1) "
-                              "outside binary64")
-        # p + k rounds once and is raised to the power m + 1
-        return _finite_binomial([(-1.0) ** k * c / (p + k) ** (m + 1)
-                                 for k, c in enumerate(binomials)], 4.0 + (m + 1))
+        return _finite_binomial(x, p, m, m + 1, 0)
     return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
 
 

@@ -1,4 +1,4 @@
-"""Scalar special functions: gamma, digamma, polygamma, zeta, harmonic numbers.
+"""Scalar special functions: ln Gamma, digamma, polygamma, zeta, harmonic numbers.
 
 Everything here is a pure function of binary64 inputs.  Accuracy targets:
 ln_gamma 1e-13 relative, digamma 1e-12, polygamma 1e-11.  Hurwitz zeta is
@@ -83,13 +83,6 @@ def ln_gamma(x: float) -> float:
     if x <= 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for any non-pole real x; negative arguments go through reflection."""
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x = {x}")
-    return math.gamma(x)
 
 
 def digamma(x: float) -> float:
@@ -230,11 +223,6 @@ def riemann_zeta(s: float) -> float:
     if s == 4.0:
         return ZETA4
     return hurwitz_zeta(s, 1.0)
-
-
-def harmonic(n: int) -> float:
-    """H_n, exact partial sum with compensated accumulation; H_0 = 0."""
-    return gen_harmonic(n, 1)
 
 
 def gen_harmonic(n: int, m: int) -> float:

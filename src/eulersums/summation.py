@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .asymptotics import LogPowerSeries, log_power_integral
 from .special import BERNOULLI_2J, DomainError, memo
@@ -39,8 +40,9 @@ class NonMonotoneTailError(ValueError):
 @dataclass(frozen=True)
 class EvalConfig:
     """How strictly verify judges a series: a result has converged when its
-    tail_estimate is at most rel_tol max(|value|, 1e-300).  rel_tol must be
-    positive and finite."""
+    value is finite and its tail_estimate is at most rel_tol max(|value|,
+    1e-300), so an infinite or NaN value or estimate never has.  rel_tol
+    must be positive and finite."""
 
     rel_tol: float = 1e-10
 
@@ -49,11 +51,11 @@ class EvalConfig:
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
     def converged(self, res: SumResult) -> bool:
-        return res.tail_estimate <= self.rel_tol * max(abs(res.value), 1e-300)
+        return (math.isfinite(res.value)
+                and res.tail_estimate <= self.rel_tol * max(abs(res.value), 1e-300))
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     """Value of a truncated series, a bound on its error, and the number of
     terms summed exactly."""
 

@@ -114,12 +114,16 @@ class TestEval:
         assert code == EXIT_NOT_CONVERGED
         assert json.loads(out)["converged"] is False
 
-    def test_integer_x_cancellation_exit_3(self, capsys):
-        # the finite sum at x = 60 cancels to 4.19 against H_60 = 4.68: its
-        # rounding bound says so, and the identity is not blamed
-        code, out, _ = run(capsys, "eval", "THM_BASE_E15", "--x", "60", "--m", "1")
-        assert code == EXIT_NOT_CONVERGED
-        assert json.loads(out)["converged"] is False
+    @pytest.mark.parametrize("argv", [("THM_BASE_E15", "--x", "60", "--m", "1"),
+                                      ("THM_BASE_E15", "--x", "400", "--m", "3"),
+                                      ("THM_BASE_35", "--x", "60", "--p", "0.5", "--m", "9")])
+    def test_integer_x_cancellation_passes(self, capsys, argv):
+        # the finite sums cancel from terms up to 1e112, but are summed
+        # exactly, and the identity holds to the last few bits
+        code, out, _ = run(capsys, "eval", *argv)
+        rec = json.loads(out)
+        assert code == EXIT_OK
+        assert rec["converged"] is True and rec["pass"] is True
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ident, extra", [("THM_BASE_E15", ["--m", "1"]),
@@ -175,21 +179,24 @@ class TestEval:
         (("THM_BASE_35", "--x", "0.5", "--p", "nan", "--m", "1"), "p must be finite and > 0, got nan"),
         (("THM_BASE_E15", "--x", "inf", "--m", "1"), "x must be finite and > -1, got inf"),
         (("THM_BASE_E15", "--x", "1e6", "--m", "1"),
-         "x = 1000000.0 puts binom(x, k) outside binary64"),
+         "x = 1000000.0 and m = 1 put the exact finite sum past its work cap"),
+        (("THM_BASE_E15", "--x", "1e300", "--m", "1"),
+         "x = 1e+300 and m = 1 put the exact finite sum past its work cap"),
+        (("THM_BASE_E15", "--x", "5000", "--m", "12"),
+         "x = 5000.0 and m = 12 put the exact finite sum past its work cap"),
         (("THM_BASE_35", "--x", "2000", "--p", "1", "--m", "1"),
-         "x = 2000.0 puts binom(x, k) outside binary64"),
-        (("THM_BASE_E15", "--x", "5", "--m", "1000"),
-         "x = 5.0 and m = 1000 put k^m outside binary64"),
-        (("THM_BASE_35", "--x", "5", "--p", "1", "--m", "1000"),
-         "x = 5.0, p = 1.0 and m = 1000 put (p + k)^(m + 1) outside binary64"),
+         "x = 2000.0, p = 1.0 and m = 1 put the exact finite sum past its work cap"),
+        # the left side sums to 5 and 1; the right side reads jets to m <= 12
+        (("THM_BASE_E15", "--x", "5", "--m", "1000"), "m must be <= 12, got 1000"),
+        (("THM_BASE_35", "--x", "5", "--p", "1", "--m", "1000"), "m must be <= 12, got 1000"),
         (("THM_BASE_35", "--x", "5", "--p", "0.001", "--m", "200"),
-         "x = 5.0, p = 0.001 and m = 200 put (p + k)^(m + 1) outside binary64"),
+         "x = 5.0, p = 0.001 and m = 200 put the finite sum past binary64"),
         (("THM_BASE_35", "--x", "5", "--p", "3e-25", "--m", "12"),
-         "x = 5.0, p = 3e-25 and m = 12 put (p + k)^(m + 1) outside binary64"),
+         "x = 5.0, p = 3e-25 and m = 12 put the finite sum past binary64"),
     ])
     def test_series_parameter_out_of_range_is_named(self, capsys, argv, named):
-        # the series refuses the parameter by name, before any sum or
-        # binomial coefficient leaves binary64
+        # a parameter out of range is refused by name, the finite sum's
+        # before any summing where its work cap refuses it
         code, out, err = run(capsys, "eval", *argv)
         assert code == EXIT_DOMAIN
         assert out == "" and err == f"error: {named}\n"

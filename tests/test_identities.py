@@ -14,7 +14,6 @@ from eulersums import (
     ZETA4,
     DomainError,
     digamma,
-    gamma,
     polygamma,
     riemann_zeta,
     rhs_cor_310,
@@ -122,7 +121,7 @@ class TestVariantClosedForms:
     def test_cor36_order_one_psi_form(self, p):
         # the m=1 closed form written out in psi functions
         want = -(
-            gamma(0.5) * gamma(p) / gamma(p + 0.5)
+            math.gamma(0.5) * math.gamma(p) / math.gamma(p + 0.5)
             * ((digamma(p) - digamma(p + 0.5)) * (digamma(0.5) - digamma(p + 0.5))
                - polygamma(1, p + 0.5))
         )

@@ -25,7 +25,6 @@ from eulersums import (
     DomainError,
     RatioVariant,
     digamma,
-    gamma,
     gamma_ratio_jet,
     jet_exp,
     ln_gamma_jet,
@@ -78,7 +77,7 @@ class TestJetArithmetic:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 4.0])
     def test_exp_log_roundtrip_value(self, a):
         j = jet_exp(ln_gamma_jet(a, 4))
-        assert_close(j[0], gamma(a), 1e-13)
+        assert_close(j[0], math.gamma(a), 1e-13)
 
     @pytest.mark.parametrize("a", [0.7, 1.0, 3.2])
     def test_exp_inverse_property(self, a):

@@ -36,13 +36,9 @@ ALLOWED = {
     ("identities", "rhs_cor_34a"): None,
     # p ** e overflowing: the grid's p are small
     ("identities", "_check_p"): {"least, most = _MIN_NORMAL, math.inf"},
-    ("series", "lhs_binomial_shifted"): {"least = most = math.inf"},
     # these run at import, building REGISTRY and wrapping the memoized builders
     ("identities", "_axes"): None,
     ("special", "memo"): None,
-    # library API that only tests call
-    ("special", "gamma"): None,
-    ("special", "harmonic"): None,
     # k! or a power leaving binary64: the grid's orders are small
     ("special", "polygamma"): {"out = math.inf"},
     # the exact head sum's fsum fallback, for heads the certificate cannot
@@ -50,6 +46,9 @@ ALLOWED = {
     # (2^-900, 2^1000); test_series.TestExactHeadSum runs both
     ("series", "_certified_sum"): {"return None"},
     ("series", "_em_sum"): {"exact = math.fsum(memoryview(terms))"},
+    # the parameters an integer-x finite sum names when it refuses one: no
+    # grid sum is refused
+    ("series", "_named"): None,
 }
 
 # The grid has integer x only; these reach the signed-binomial factor, at x =

@@ -185,18 +185,21 @@ class TestBaseBinomial:
     @pytest.mark.parametrize("x", [10, 30, 60, 120])
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_integer_error_within_estimate(self, x, m):
-        # the finite sum cancels as x grows: at x = 60, m = 1 it gives 4.19
-        # against H_60 = 4.68, and its estimate must cover that
+        # the finite sum cancels as x grows, but it is summed exactly: its
+        # value is the exact sum rounded once, within its estimate
         r = lhs_base_binomial(float(x), m)
         exact = sum(Fraction((-1) ** (k - 1) * math.comb(x, k), k**m) for k in range(1, x + 1))
+        assert r.value == float(exact)
         assert abs(Fraction(r.value) - exact) <= Fraction(r.tail_estimate)
         assert r.tail_estimate > 0.0
 
-    def test_integer_cancellation_not_converged(self):
-        assert EvalConfig().converged(lhs_base_binomial(10.0, 1))
+    def test_integer_cancellation_converged(self):
+        # binom(60, k) up to 1.2e17 cancel to H_60 = 4.68, which the exact
+        # sum keeps to the last bit
         r = lhs_base_binomial(60.0, 1)
-        assert abs(r.value - float(sum(Fraction(1, k) for k in range(1, 61)))) > 0.1
-        assert not EvalConfig().converged(r)
+        assert r.value == float(sum(Fraction(1, k) for k in range(1, 61)))
+        assert (r.tail_estimate, r.terms_used) == (series._U * r.value, 60)
+        assert EvalConfig().converged(r)
 
     @pytest.mark.parametrize("x,m", [(0.5, 1), (0.5, 2), (2.5, 1), (3.5, 3)])
     def test_frozen(self, x, m):
@@ -248,6 +251,7 @@ class TestBinomialShifted:
         r = lhs_binomial_shifted(float(x), p, m)
         exact = sum(Fraction((-1) ** k * math.comb(x, k)) / (Fraction(p) + k) ** (m + 1)
                     for k in range(0, x + 1))
+        assert r.value == float(exact)
         assert abs(Fraction(r.value) - exact) <= Fraction(r.tail_estimate)
         assert r.tail_estimate > 0.0
 
@@ -487,27 +491,43 @@ class TestOracleContracts:
                                match=f"^{name} must be an integer >= {least}, got {bad}$"):
                 fn(*given)
 
-    def test_integer_x_powers_that_leave_binary64_are_named(self):
-        """float(k) ** m overflowing, and (p + k) ** (m + 1) overflowing or
-        leaving the normal numbers, name the parameters instead of ending in
-        OverflowError, ZeroDivisionError or an infinite sum."""
-        with pytest.raises(DomainError, match=re.escape(
-                "x = 5.0 and m = 1000 put k^m outside binary64")):
-            lhs_base_binomial(5.0, 1000)
-        # overflowing, underflowing to 0, and below the least normal number,
-        # where the sum was inf and counted as converged
-        for p, m in ((1.0, 1000), (0.001, 200), (3e-25, 12)):
-            with pytest.raises(DomainError, match=re.escape(
-                    f"x = 5.0, p = {p} and m = {m} put (p + k)^(m + 1) outside binary64")):
-                lhs_binomial_shifted(5.0, p, m)
-        # just inside binary64: 5^441 < 2^1024 < 5^442
-        assert math.isfinite(lhs_base_binomial(5.0, 441).value)
-        with pytest.raises(DomainError, match="^x = 5.0 and m = 442 put k"):
-            lhs_base_binomial(5.0, 442)
-        # 2^-1022 is the least normal number: 0.5^1022 is one, 0.5^1023 is not
-        assert lhs_binomial_shifted(0.0, 0.5, 1021).value == 2.0**1022
-        with pytest.raises(DomainError, match=r"^x = 0.0, p = 0.5 and m = 1022 put \(p"):
-            lhs_binomial_shifted(0.0, 0.5, 1022)
+    def test_integer_x_sums_that_leave_binary64_are_named(self):
+        """A finite sum is exact whatever its terms' size, and only a value
+        past binary64, or below its normal numbers, names the parameters."""
+        # 5 - 10/2^1000 + ... rounds to 5, where 5^1000 leaves binary64
+        assert lhs_base_binomial(5.0, 1000) == (5.0, 5.0 * series._U, 5)
+        assert lhs_binomial_shifted(5.0, 1.0, 1000).value == 1.0
+        # 0.5^-1023 = 2^1023 is the largest power of 2 in binary64
+        assert lhs_binomial_shifted(0.0, 0.5, 1022).value == 2.0**1023
+        for x, p, m in ((0.0, 0.5, 1023), (5.0, 0.001, 200), (5.0, 3e-25, 12)):
+            with pytest.raises(DomainError, match="^" + re.escape(
+                    f"x = {x}, p = {p} and m = {m} put the finite sum past binary64")):
+                lhs_binomial_shifted(x, p, m)
+        # 2^-1022 is the least normal number and 2^-1023 is not
+        assert lhs_binomial_shifted(0.0, 2.0, 1021).value == 2.0**-1022
+        with pytest.raises(DomainError, match="^" + re.escape(
+                "x = 0.0, p = 2.0 and m = 1022 put the finite sum below the normal numbers")):
+            lhs_binomial_shifted(0.0, 2.0, 1022)
+
+    def test_integer_grid_sums_are_correctly_rounded(self):
+        """Every integer-x left side of the default grid is its exact
+        rational sum rounded once, bit for bit."""
+        points = [params for ident, params in identities.default_grid()
+                  if ident in (identities.IdentityId.THM_BASE_E15,
+                               identities.IdentityId.THM_BASE_35)]
+        assert len(points) == 125 and all(float(pt["x"]).is_integer() for pt in points)
+        for pt in points:
+            x, m = int(pt["x"]), pt["m"]
+            if "p" in pt:
+                got = lhs_binomial_shifted(pt["x"], pt["p"], m).value
+                p = Fraction(pt["p"])
+                exact = sum(Fraction((-1) ** k * math.comb(x, k)) / (p + k) ** (m + 1)
+                            for k in range(x + 1))
+            else:
+                got = lhs_base_binomial(pt["x"], m).value
+                exact = sum(Fraction((-1) ** (k - 1) * math.comb(x, k), k**m)
+                            for k in range(1, x + 1))
+            assert got.hex() == float(exact).hex(), pt
 
     @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
     def test_p_must_be_finite_and_positive(self, p):
@@ -525,15 +545,28 @@ class TestOracleContracts:
         with pytest.raises(DomainError, match="^x must be finite and > -1"):
             lhs_binomial_shifted(x, 1.0, 1)
 
-    def test_integer_x_binomials_that_leave_binary64_name_x(self):
-        """binom(1029, 514) is below 2^1024 and binom(1030, 515) is not."""
-        assert math.isfinite(lhs_base_binomial(1029.0, 1).value)
-        for x in (1030.0, 1e6, 1e300):
-            named = "^" + re.escape(f"x = {x} puts binom(x, k) outside binary64")
-            with pytest.raises(DomainError, match=named):
-                lhs_base_binomial(x, 1)
-            with pytest.raises(DomainError, match=named):
-                lhs_binomial_shifted(x, 1.0, 1)
+    @pytest.mark.parametrize("x, m", [(1e6, 1), (1e300, 1), (5000.0, 12)])
+    def test_integer_x_past_the_work_cap_is_refused_unsummed(self, monkeypatch, x, m):
+        """A finite sum whose work bound passes the cap names its parameters
+        before the first term: math.comb, which starts the sum, never runs."""
+        def unsummed(*args):
+            raise AssertionError("the sum was started")
+        monkeypatch.setattr(math, "comb", unsummed)
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"x = {x} and m = {m} put the exact finite sum past its work cap")):
+            lhs_base_binomial(x, m)
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"x = {x}, p = 1.0 and m = {m} put the exact finite sum past its work cap")):
+            lhs_binomial_shifted(x, 1.0, m)
+
+    def test_integer_x_work_cap_edge(self):
+        """binom(1030, 515) is past binary64, which the exact sum does not
+        mind; at m = 12 the work cap falls between x = 708 and 709."""
+        assert lhs_base_binomial(1030.0, 1).value == pytest.approx(
+            math.fsum(1.0 / k for k in range(1, 1031)), rel=1e-15)
+        assert EvalConfig().converged(lhs_base_binomial(708.0, 12))
+        with pytest.raises(DomainError, match="^x = 709.0 and m = 12 put the exact finite sum"):
+            lhs_base_binomial(709.0, 12)
 
     def test_monotone_partial_sums(self):
         # positive-term series: partial sums never exceed value + tail_estimate

@@ -76,6 +76,12 @@ class TestEvalConfig:
         assert cfg.converged(SumResult(0.0, 0.0, 1))
         assert not cfg.converged(SumResult(0.0, 1e-300, 1))
 
+    @pytest.mark.parametrize("value, estimate", [(math.inf, math.inf), (math.nan, 0.0),
+                                                 (1.0, math.nan), (-math.inf, 0.0)])
+    def test_not_finite_is_not_converged(self, value, estimate):
+        # inf <= 1e-10 * inf holds, so the value's finiteness is checked first
+        assert not EvalConfig().converged(SumResult(value, estimate, 1))
+
 
 class TestLogPowerSeries:
     def test_eval_and_diff(self):
@@ -435,3 +441,10 @@ def test_sum_result_is_frozen():
     r = SumResult(1.0, 0.0, 1)
     with pytest.raises(AttributeError):
         r.value = 2.0
+
+
+def test_sum_result_fields_and_scaled():
+    r = SumResult(2.0, 1e-16, 7)
+    assert (r.value, r.tail_estimate, r.terms_used) == (2.0, 1e-16, 7)
+    assert r.scaled(-0.5) == SumResult(-1.0, 5e-17, 7)
+    assert repr(r) == "SumResult(value=2.0, tail_estimate=1e-16, terms_used=7)"
