@@ -195,8 +195,10 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
                         raise DomainError(f"--{key} takes integers, got {_fmt(v)}")
                 vals = [int(v) for v in vals]
             axes[key] = vals
-    # the last axis varies fastest, and an empty axis gives no rows
-    return [(ident, params) for params in _axes(**axes)]
+    # one sub-form for every row, then the axes, the last varying fastest; an
+    # empty axis gives no rows
+    fixed = {key: getattr(args, key) for key in ("which", "form") if getattr(args, key) is not None}
+    return [(ident, {**fixed, **params}) for params in _axes(**axes)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -280,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", default=None, help="range like 0..3")
     p_sweep.add_argument("--m", default=None, help="range like 1..4")
     p_sweep.add_argument("--p", default=None, help="range like 0.5,1,2")
+    p_sweep.add_argument("--which", default=None, help="EX1/EX2 sub-instance, in every row")
+    p_sweep.add_argument("--form", default=None, help="EX3 sub-instance, in every row")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

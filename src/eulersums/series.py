@@ -25,7 +25,8 @@ memoized compensated table per order, and its tail from one constructor,
 ap.harmonic_lp.  _cache.cache_clear() drops
 these memo tables together with the jets' and em_tail's weights.  Only the two
 zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
-are summed term by term, by _sum_geometric.  At an integer x the two binomial
+are summed term by term, by _sum_geometric, each term's zeta value computed
+once per process by special's memo table.  At an integer x the two binomial
 base series end at k = x, and _finite_binomial sums them exactly in Python
 ints, rounding once, up to a bound on its work.
 """
@@ -444,12 +445,16 @@ def _finite_binomial(x: float, p: float, m: int, e: int, lo: int) -> SumResult:
     den ends below b (n + 1) bits, b = e bitlength(P + n Q), and each step
     multiplies by d (b bits) and binom(n, k) (n bits), so (n + 1)^2 b (b + n)
     bounds the work: past _WORK_CAP it is a DomainError before any summing,
-    as is a value past binary64 or below its normal numbers."""
+    as is a value past binary64 or below its normal numbers.  At lo = 0 and
+    p > 0 each (p + k)^e >= 1 for k >= 1, so |sum| >= p^-e - (2^n - 1), and
+    p^-e >= 2^1024 + 2^n puts the sum past binary64 before any summing too."""
     n = int(x)
     P, Q = p.as_integer_ratio()
     b = e * (P + n * Q).bit_length()
     if (n + 1) ** 2 * b * (b + n) > _WORK_CAP:
         raise DomainError(f"{_named(x, p, m)} put the exact finite sum past its work cap")
+    if lo == 0 and Q**e >= (2**1024 + 2**n) * P**e:
+        raise DomainError(f"{_named(x, p, m)} put the finite sum past binary64")
     c, num, den = math.comb(n, lo), 0, 1
     for k in range(lo, n + 1):
         d = (P + k * Q) ** e

@@ -15,7 +15,8 @@ rather than an analytic continuation.  memo keeps the results of the package's
 parameter-only builders (series factors, the products of their tail models
 and their harmonic-number tables, psi-derivative tuples, ln Gamma, psi and
 gamma-ratio jets, the closed forms' harmonic-number tuples, the registry
-rows' declared parameters) in bounded tables that clear_memos empties.
+rows' declared parameters, the Hurwitz and so the Riemann zeta values) in
+bounded tables that clear_memos empties.
 gen_harmonic keeps nothing: the closed forms read its fsums through their
 memoized tuples.
 """
@@ -33,6 +34,45 @@ class DomainError(ValueError):
 
 class PoleError(DomainError):
     """Argument sits exactly on a pole."""
+
+
+# ------------------- parameter-only values, built once ----------------------
+
+# The most results one memo table keeps; past it the least recently used goes.
+# One pass over the default grid builds 163 distinct series factors, 114
+# distinct ln Gamma jets from 115 psi-derivative tuples, 250 gamma-ratio jets
+# for its 500 gamma_ratio_jet calls (the 375 at x-order >= 1 share 125) and 15
+# harmonic-number tuples from 45 fsums; one over the closed_form benchmark
+# builds 347 psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio
+# jets for 1760 calls (the 1320 at x-order >= 1 share 440) and 33
+# harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
+# pass asks for 794 tail-model products, 412 distinct (adaptive: 24); the
+# closed_form benchmark's untimed series values need 1382, so that table
+# evicts, and an evicted product is built again.  A grid pass asks for 263
+# zeta values, 94 distinct (s, a); an adaptive pass 254, 90 distinct, as the
+# EX3 zeta-value series at m and m + 1 share all their terms but one.
+MEMO_SIZE = 1024
+
+_MEMOS: list = []
+
+
+def memo(fn: Callable) -> Callable:
+    """fn with its results kept by its exact arguments, typed so that the
+    arguments 1 and 1.0 (whose results may differ in the last bit) are kept
+    apart; the items of a tuple argument compare by value.  Every caller
+    shares a kept result, so no caller may be able to change it: the jets and
+    harmonic-number tuples are tuples of floats, the series factors frozen
+    records holding read-only arrays, their tail models and the products of
+    those tuple rows.  clear_memos() empties every table made here."""
+    kept = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
+    _MEMOS.append(kept)
+    return kept
+
+
+def clear_memos() -> None:
+    """Empty every memo table, so each value is built again on its next use."""
+    for kept in _MEMOS:
+        kept.cache_clear()
 
 
 # Mathematical constants to full binary64 precision.
@@ -185,12 +225,21 @@ def hurwitz_zeta(s: float, a: float) -> float:
       decay.
     Both are within 4 _U of zeta(s, a) at every (s, a) the tests measure
     (series._HURWITZ_ROUNDING).  A direct term or their sum that leaves
-    binary64 (a^-s does at a small enough a) is a DomainError.
+    binary64 (a^-s does at a small enough a) is a DomainError.  Each (s, a)
+    is computed once per process: the checks run on every call, and the
+    value is kept by _hurwitz_zeta's memo table.
     """
     if not 1.0 < s < math.inf:
         raise DomainError(f"hurwitz_zeta requires 1 < s < inf, got s = {s}")
     if not 0.0 < a < math.inf:
         raise DomainError(f"hurwitz_zeta requires 0 < a < inf, got a = {a}")
+    return _hurwitz_zeta(s, a)
+
+
+@memo
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """hurwitz_zeta past its domain checks, kept by memo.  A DomainError it
+    raises (a direct term or their sum past binary64) is not kept."""
     n_direct = max(0, int(math.ceil(20.0 + 0.8 * s - a)))
     try:  # the powers (j + a)^-s, and their fsum, may leave binary64 at a small a
         terms = _direct_terms(s, a, n_direct)
@@ -232,40 +281,3 @@ def gen_harmonic(n: int, m: int) -> float:
     if m < 1:
         raise DomainError(f"gen_harmonic requires m >= 1, got {m}")
     return math.fsum(k**-m if m > 1 else 1.0 / k for k in range(1, n + 1))
-
-
-# ------------------- parameter-only values, built once ----------------------
-
-# The most results one memo table keeps; past it the least recently used goes.
-# One pass over the default grid builds 163 distinct series factors, 114
-# distinct ln Gamma jets from 115 psi-derivative tuples, 250 gamma-ratio jets
-# for its 500 gamma_ratio_jet calls (the 375 at x-order >= 1 share 125) and 15
-# harmonic-number tuples from 45 fsums; one over the closed_form benchmark
-# builds 347 psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio
-# jets for 1760 calls (the 1320 at x-order >= 1 share 440) and 33
-# harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
-# pass asks for 794 tail-model products, 412 distinct (adaptive: 24); the
-# closed_form benchmark's untimed series values need 1382, so that table
-# evicts, and an evicted product is built again.
-MEMO_SIZE = 1024
-
-_MEMOS: list = []
-
-
-def memo(fn: Callable) -> Callable:
-    """fn with its results kept by its exact arguments, typed so that the
-    arguments 1 and 1.0 (whose results may differ in the last bit) are kept
-    apart; the items of a tuple argument compare by value.  Every caller
-    shares a kept result, so no caller may be able to change it: the jets and
-    harmonic-number tuples are tuples of floats, the series factors frozen
-    records holding read-only arrays, their tail models and the products of
-    those tuple rows.  clear_memos() empties every table made here."""
-    kept = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
-    _MEMOS.append(kept)
-    return kept
-
-
-def clear_memos() -> None:
-    """Empty every memo table, so each value is built again on its next use."""
-    for kept in _MEMOS:
-        kept.cache_clear()

@@ -353,6 +353,32 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(target.read_text())))
         assert rows[0] == CSV_HEADER and len(rows) == 3
 
+    def test_form_goes_into_every_row_as_eval_computes_it(self, capsys):
+        code, out, _ = run(capsys, "sweep", "EX3_GOLDBACH", "--form", "power-series",
+                           "--p", "0.4", "--m", "1..3")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == CSV_HEADER and len(rows) == 4
+        for m, row in zip((1, 2, 3), rows[1:]):
+            code, out, _ = run(capsys, "eval", "EX3_GOLDBACH", "--form", "power-series",
+                               "--p", "0.4", "--m", str(m))
+            rec = json.loads(out)
+            assert code == EXIT_OK and rec["params"] == {"form": "power-series", "p": 0.4, "m": m}
+            assert row == [rec["id"], "", str(m), "0.40000000000000002",
+                           *(format(rec[k], ".17g") for k in ("lhs", "rhs", "abs_err", "rel_err")),
+                           str(rec["lhs_terms"]), str(rec["converged"])]
+
+    def test_which_goes_into_every_row(self, capsys):
+        code, out, _ = run(capsys, "sweep", "EX1_AUYEUNG", "--which", "linear", "--format", "json")
+        assert code == EXIT_OK
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [rec["params"] for rec in recs] == [{"which": "linear"}]
+
+    def test_unknown_form_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "EX3_GOLDBACH", "--form", "nope", "--m", "1..3")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:") and "'nope'" in err
+
     def test_x_maps_to_n_column(self, capsys):
         _, out, _ = run(capsys, "sweep", "THM_BASE_E15", "--x", "0.5,1", "--m", "1..2")
         rows = list(csv.reader(io.StringIO(out)))

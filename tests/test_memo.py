@@ -1,6 +1,7 @@
 """The parameter-only memo tables: the series factors (each with its tail
 model and its head), the ln Gamma / psi and gamma-ratio jets, the
-harmonic-number tables and the closed forms' harmonic-number tuples are
+harmonic-number tables, the closed forms' harmonic-number tuples and the
+Hurwitz zeta values are
 built once per process, give the same bits cold and warm, are dropped by
 series._cache.cache_clear(), stay within special.MEMO_SIZE and cannot be
 written through."""
@@ -332,3 +333,55 @@ def test_harmonic_domain_errors_are_not_kept(n, m):
     for _ in range(2):
         with pytest.raises(DomainError):
             special.gen_harmonic(n, m)
+
+
+def _zetas():
+    return ([special.riemann_zeta(s).hex() for s in range(2, 81)]
+            + [special.hurwitz_zeta(float(s), a).hex() for a in (2.0, 1.4) for s in range(2, 81)])
+
+
+def test_zeta_values_keep_their_bits():
+    """Each zeta value is computed once, with the bits of the kernel left
+    unkept, and read back with the same bits; riemann_zeta's s = 2, 3, 4 are
+    constants, the rest read the table at a = 1."""
+    cold = _zetas()
+    assert special._hurwitz_zeta.cache_info().currsize == 76 + 2 * 79
+    kernel = special._hurwitz_zeta.__wrapped__
+    assert cold == ([special.riemann_zeta(s).hex() for s in (2, 3, 4)]
+                    + [kernel(s, 1.0).hex() for s in range(5, 81)]
+                    + [kernel(float(s), a).hex() for a in (2.0, 1.4) for s in range(2, 81)])
+    assert _zetas() == cold
+    assert special._hurwitz_zeta.cache_info().currsize == 76 + 2 * 79
+
+
+def test_zeta_tails_read_shared_terms_with_the_same_bits():
+    """zeta_tail_sum(m) and zeta_tail_sum(m + 1) share all their terms but
+    one: run ascending from empty tables and descending warm, every value and
+    tail_estimate is the same."""
+    def tails(ms):
+        return {m: (r.value.hex(), r.tail_estimate.hex(), r.terms_used)
+                for m in ms for r in [series.zeta_tail_sum(m)]}
+
+    up = tails(range(61))
+    info = special._hurwitz_zeta.cache_info()
+    assert info.hits > info.misses
+    assert tails(range(60, -1, -1)) == up
+
+
+@pytest.mark.parametrize("s,a", [(1.0, 2.0), (float("nan"), 2.0), (2.0, 0.0), (2.0, math.inf),
+                                 (2.0, 1e-300)])
+def test_zeta_domain_errors_are_not_kept(s, a):
+    """A bad s or a, or a value past binary64, is refused on every call and
+    leaves the table as it was."""
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            special.hurwitz_zeta(s, a)
+    assert special._hurwitz_zeta.cache_info().currsize == 0
+
+
+def test_zeta_table_stays_within_the_bound():
+    for i in range(MEMO_SIZE + 10):
+        special.hurwitz_zeta(2.0 + i / 64.0, 2.0)
+    info = special._hurwitz_zeta.cache_info()
+    assert info.maxsize == MEMO_SIZE
+    assert info.currsize == MEMO_SIZE

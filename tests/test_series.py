@@ -270,6 +270,28 @@ class TestBinomialShifted:
         with pytest.raises(NonFiniteTermError):
             lhs_binomial_shifted(500.5, 1.0, 0)
 
+    # 0x1.51cb453b9536dp-26 is the least p with p^-40 < 2^1024 + 2^3
+    EDGE_P = float.fromhex("0x1.51cb453b9536dp-26")
+
+    @pytest.mark.parametrize("x,p,m", [(59.0, 1e-10, 39),
+                                       (3.0, math.nextafter(EDGE_P, 0.0), 39)])
+    def test_integer_past_binary64_refused_before_summing(self, monkeypatch, x, p, m):
+        # p^-(m+1) alone bounds the sum past binary64: the message of the
+        # final division, without taking the first binomial of the sum
+        def no_sum(*args):
+            raise AssertionError("summed")
+
+        monkeypatch.setattr(series.math, "comb", no_sum)
+        with pytest.raises(DomainError) as err:
+            lhs_binomial_shifted(x, p, m)
+        assert str(err.value) == f"x = {x}, p = {p} and m = {m} put the finite sum past binary64"
+
+    def test_integer_just_inside_the_overflow_bound(self):
+        r = lhs_binomial_shifted(3.0, self.EDGE_P, 39)
+        exact = sum(Fraction((-1) ** k * math.comb(3, k)) / (Fraction(self.EDGE_P) + k) ** 40
+                    for k in range(4))
+        assert r.value == float(exact) == 1.7976931348623071e308
+
     @pytest.mark.filterwarnings("error")
     def test_first_term_past_binary64_raises(self):
         # the k = 0 term 0.1^-401 overflows: an error, without a numpy warning
