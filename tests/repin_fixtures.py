@@ -1,4 +1,5 @@
-"""Re-pin grid_lhs.json and oracle_bits.json to what the oracles compute now.
+"""Re-pin grid_lhs.json, oracle_bits.json and rhs_bits.json to what the
+oracles and the closed forms compute now.
 
     PYTHONPATH=src python tests/repin_fixtures.py            # check, then write
     PYTHONPATH=src python tests/repin_fixtures.py --dry-run  # check only
@@ -15,6 +16,12 @@ it.  If any check fails the script writes nothing and exits 1.  It prints the
 number of moved values and the largest move in ulp, and the number of moved
 tail estimates with the range of new/old.  The 30-digit references take a few
 seconds each.
+
+rhs_bits.json pins every closed form over test_jets._AXES and the right side
+of every default_grid() point.  The closed forms carry no error bound to
+check a moved value against, so their bits are re-pinned unchecked; the
+script prints how many moved and the largest move in ulp, a change between a
+value and an exception counting as a move by inf ulp.
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE))
 
 import test_em_oracles as T  # noqa: E402
+import test_jets  # noqa: E402
 import test_series  # noqa: E402
 from eulersums import identities, series  # noqa: E402
 from eulersums.summation import EvalConfig  # noqa: E402
 
 GRID = HERE / "grid_lhs.json"
 BITS = HERE / "oracle_bits.json"
+RHS = HERE / "rhs_bits.json"
 
 GRID_ABOUT = ("LHS of every default_grid() point through identities.verify at tol 1e-8 and the "
               "default EvalConfig, as float.hex; written by tests/repin_fixtures.py, which checks "
@@ -46,6 +55,10 @@ BITS_ABOUT = ("Every parameter set of test_em_oracles.ORACLES through its series
               "default EvalConfig: [params, value as float.hex, tail_estimate as float.hex, "
               "converged, terms_used]; written by tests/repin_fixtures.py, which checks every moved "
               "value against a 30-digit reference, so any other change here is a change of result.")
+RHS_ABOUT = ("Every rhs_* closed form over test_jets._AXES as [name, args, float.hex of the value or "
+             "the exception's class name], and the right side of every default_grid() point as "
+             "[identity, params, float.hex]; written by tests/repin_fixtures.py, so any other change "
+             "to these bits is a change of result.")
 
 
 def reference(name: str, params: tuple) -> mp.mpf:
@@ -74,7 +87,7 @@ def check(name: str, params: tuple, res) -> str | None:
 
 def move(old: float, new: float) -> tuple[float, float]:
     """How far a pinned value moved: in ulp of the old value, and relative."""
-    return abs(new - old) / math.ulp(old), abs(new - old) / abs(old)
+    return abs(new - old) / math.ulp(old), abs(new - old) / abs(old) if old else math.inf
 
 
 def repin_oracles(moves: list[tuple[float, float]], estimates: list[float],
@@ -143,6 +156,31 @@ def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
     return out
 
 
+def repin_rhs(moves: list[tuple[float, float]], estimates: list[float],
+              problems: list[str]) -> dict[str, list]:
+    """The closed forms' bits, unchecked (so `estimates` and `problems` stay
+    empty).  A point the fixture did not list is not a move."""
+    out = {"rhs": test_jets._right_sides(), "grid": test_jets._grid_right_sides()}
+    pinned = json.loads(RHS.read_text())
+    for part, rows in out.items():
+        old = {json.dumps(row[:2]): row[2] for row in pinned[part]}
+        for row in rows:
+            was = old.get(json.dumps(row[:2]), row[2])
+            if was == row[2]:
+                continue
+            try:
+                moves.append(move(float.fromhex(was), float.fromhex(row[2])))
+            except ValueError:  # an exception's class name on either side
+                moves.append((math.inf, math.inf))
+    return out
+
+
+def dump_rhs(pins: dict[str, list]) -> str:
+    blocks = ",\n".join(f" {json.dumps(part)}: [\n" + ",\n".join("  " + json.dumps(r) for r in rows)
+                        + "\n ]" for part, rows in pins.items())
+    return f'{{"about": {json.dumps(RHS_ABOUT)},\n{blocks}}}\n'
+
+
 def dump_grid(points: list[list]) -> str:
     lines = ",\n".join("  " + json.dumps(p) for p in points)
     return f'{{"about": {json.dumps(GRID_ABOUT)},\n "points": [\n{lines}\n]}}\n'
@@ -160,7 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     problems, texts = [], {}
     for label, path, repin, dump in (("oracle", BITS, repin_oracles, dump_bits),
-                                     ("grid", GRID, repin_grid, dump_grid)):
+                                     ("grid", GRID, repin_grid, dump_grid),
+                                     ("right-side", RHS, repin_rhs, dump_rhs)):
         moves, estimates = [], []
         texts[path] = dump(repin(moves, estimates, problems))
         ulp = max((u for u, _ in moves), default=0.0)

@@ -288,20 +288,43 @@ _AXES = {"x": [float(v) for v in range(11)], "n": list(range(11)), "p": [0.5, 1.
          "m": list(range(11))}
 
 
-def _run_closed_forms():
-    for name in dir(identities):
-        if not name.startswith("rhs_"):
-            continue
+def _right_sides():
+    """[name, args, float.hex of the value or the exception's class name] of
+    every rhs_* over _AXES."""
+    out = []
+    for name in sorted(n for n in dir(identities) if n.startswith("rhs_")):
         fn = getattr(identities, name)
         for args in itertools.product(*(_AXES[p] for p in inspect.signature(fn).parameters)):
             try:
-                fn(*args)
-            except DomainError:
-                pass
+                out.append([name, list(args), float(fn(*args)).hex()])
+            except DomainError as exc:
+                out.append([name, list(args), type(exc).__name__])
+    return out
+
+
+def _grid_right_sides():
+    """[identity, params, float.hex of the right side] of every default_grid()
+    point, through the registry row verify uses."""
+    out = []
     for ident, params in default_grid():
         row = REGISTRY[ident]
         sides, full = row.bind(ident, params)
-        sides(**{k: v for k, v in full.items() if k != row.selector})
+        _, rhs = sides(**{k: v for k, v in full.items() if k != row.selector})
+        out.append([ident.value, params, float(rhs).hex()])
+    return out
+
+
+def _run_closed_forms():
+    _right_sides()
+    _grid_right_sides()
+
+
+def test_right_sides_keep_their_pinned_bits():
+    """rhs_bits.json, written by tests/repin_fixtures.py: any other change to
+    these bits is a change of result."""
+    pinned = json.loads((Path(__file__).parent / "rhs_bits.json").read_text())
+    assert _right_sides() == pinned["rhs"]
+    assert _grid_right_sides() == pinned["grid"]
 
 
 def test_gamma_ratio_jets_keep_the_loop_bits(monkeypatch):
