@@ -60,9 +60,6 @@ class LogPowerSeries:
         return MappingProxyType({(a, self.s0 + j): c for a, row in enumerate(self.rows)
                                  for j, c in enumerate(row) if c})
 
-    def __repr__(self) -> str:
-        return f"LogPowerSeries({self.s0!r}, {self.depth!r}, {self.rows!r})"
-
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
         if self.s0 != other.s0:
             raise DomainError(f"cannot add series that lead with t^-{self.s0} and t^-{other.s0}")

@@ -49,7 +49,6 @@ from .jets import (
     ln_gamma_jet,
     mixed_partial,
     psi_derivatives,
-    psi_jet,
 )
 from .series import (
     half_shift_series,
@@ -73,7 +72,6 @@ from .special import (
     LN2,
     SQRT_PI,
     ZETA2,
-    ZETA3,
     ZETA4,
     DomainError,
     digamma,
@@ -167,6 +165,21 @@ def _x_partials(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -
     return [mixed_partial(j, a, oz) for a in range(1, ox + 1)]
 
 
+def _leibniz(l: int, f: list[float], g: list[float]) -> float:
+    """(f g)^(l) from the derivatives f[j] = f^(j) and g[j] = g^(j):
+    sum_{j=0}^l C(l,j) f[j] g[l-j], the terms summed exactly by fsum."""
+    return math.fsum(math.comb(l, j) * f[j] * g[l - j] for j in range(l + 1))
+
+
+def _at_zero(p: float, e: int, c: list[float]) -> float:
+    """sum_l (-1)^l c[l] / (l! p^(e-l)) over the entries of c, each term
+    rounded as written and summed left to right."""
+    out = 0.0
+    for l, cl in enumerate(c):
+        out += _sign(l) / (math.factorial(l) * p ** (e - l)) * cl
+    return out
+
+
 def _check_m(m: int, least: int, most: float = math.inf) -> None:
     """DomainError naming m unless least <= m <= most; a closed form that
     reads z-order m of a gamma-ratio jet takes most = MAX_OZ."""
@@ -230,14 +243,11 @@ def rhs_thm_31(n: int, m: int) -> float:
 
 
 def _zetas(top: int) -> list[float]:
-    """[nan, nan, zeta(2), ..., zeta(top)], each riemann_zeta value computed
-    once: the zeta polynomials read zeta(s) at an integer s as z[s], so one
-    call takes each value once however many of its products use it.  It
-    always holds zeta(2..4), the constants riemann_zeta returns there."""
-    z = [math.nan, math.nan, ZETA2, ZETA3, ZETA4]
-    for s in range(5, top + 1):
-        z.append(riemann_zeta(float(s)))
-    return z
+    """[nan, nan, zeta(2), ..., zeta(top)], each riemann_zeta value read once:
+    the zeta polynomials read zeta(s) at an integer s as z[s], so one call
+    takes each value once however many of its products use it.  It always
+    holds zeta(2..4)."""
+    return [math.nan, math.nan] + [riemann_zeta(float(s)) for s in range(2, max(top, 4) + 1)]
 
 
 def rhs_cor_32(m: int) -> float:
@@ -301,10 +311,10 @@ def rhs_cor_36(p: float, m: int) -> float:
     same normalized coefficients as jets at p+1/2, only rebased.
     """
     _check_m(m, 0)
-    if p <= 0.0:
-        raise DomainError(f"p must be > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be finite and > 0, got {p}")
     ratio = jet_exp([u - v for u, v in zip(ln_gamma_jet(p, m), ln_gamma_jet(p + 0.5, m))])
-    delta = [-d for d in psi_jet(p + 0.5, m)]
+    delta = [-(d / math.factorial(k)) for k, d in enumerate(psi_derivatives(p + 0.5, m))]
     delta[0] += digamma(0.5)
     return SQRT_PI * _sign(m) * jet_mul(ratio, delta)[m]
 
@@ -353,16 +363,9 @@ def rhs_cor_310(p: float, m: int) -> float:
     _check_m(m, 0)
     _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m + 1)
-    out = 0.0
-    for l in range(0, m + 1):
-        if l == 0:
-            hl = (EULER_GAMMA + pg[0]) ** 2 + ZETA2 - pg[1]
-        else:
-            hl = 2.0 * EULER_GAMMA * pg[l] - pg[l + 1] + math.fsum(
-                math.comb(l, j) * pg[j] * pg[l - j] for j in range(0, l + 1)
-            )
-        out += _sign(l) / (math.factorial(l) * p ** (m - l + 1)) * hl
-    return 0.5 * out
+    h = [(EULER_GAMMA + pg[0]) ** 2 + ZETA2 - pg[1]]
+    h += [2.0 * EULER_GAMMA * pg[l] - pg[l + 1] + _leibniz(l, pg, pg) for l in range(1, m + 1)]
+    return 0.5 * _at_zero(p, m + 1, h)
 
 
 def rhs_thm_311(p: float, n: int, m: int) -> float:
@@ -385,25 +388,17 @@ def rhs_cor_312(p: float, m: int) -> float:
     _check_m(m, 1)
     _check_p(p, m)
     pg = psi_derivatives(p + 1.0, m + 1)
-    out = 0.0
-    for l in range(0, m):
-        if l == 0:
-            gl = (-EULER_GAMMA**3 - 3.0 * EULER_GAMMA * ZETA2 - 2.0 * riemann_zeta(3.0)
-                  - 3.0 * (EULER_GAMMA**2 + ZETA2) * pg[0]
-                  + 3.0 * EULER_GAMMA * pg[1] - pg[2]
-                  + 3.0 * pg[0] * pg[1] - 3.0 * EULER_GAMMA * pg[0] ** 2 - pg[0] ** 3)
-        else:
-            gl = (-3.0 * (EULER_GAMMA**2 + ZETA2) * pg[l]
-                  + 3.0 * EULER_GAMMA * pg[l + 1] - pg[l + 2]
-                  + 3.0 * math.fsum(math.comb(l, j) * pg[j + 1] * pg[l - j] for j in range(0, l + 1))
-                  - 3.0 * EULER_GAMMA * math.fsum(math.comb(l, j) * pg[j] * pg[l - j] for j in range(0, l + 1))
-                  - math.fsum(
-                      math.comb(l, k)
-                      * math.fsum(math.comb(k, j) * pg[j] * pg[k - j] for j in range(0, k + 1))
-                      * pg[l - k]
-                      for k in range(0, l + 1)))
-        out += _sign(l) / (math.factorial(l) * p ** (m - l)) * gl
-    return -out / 3.0
+    sq = [_leibniz(k, pg, pg) for k in range(m)]  # (psi^2)^(k), read twice
+    g = [-EULER_GAMMA**3 - 3.0 * EULER_GAMMA * ZETA2 - 2.0 * riemann_zeta(3.0)
+         - 3.0 * (EULER_GAMMA**2 + ZETA2) * pg[0]
+         + 3.0 * EULER_GAMMA * pg[1] - pg[2]
+         + 3.0 * pg[0] * pg[1] - 3.0 * EULER_GAMMA * pg[0] ** 2 - pg[0] ** 3]
+    g += [-3.0 * (EULER_GAMMA**2 + ZETA2) * pg[l]
+          + 3.0 * EULER_GAMMA * pg[l + 1] - pg[l + 2]
+          + 3.0 * _leibniz(l, pg[1:], pg)
+          - 3.0 * EULER_GAMMA * sq[l]
+          - _leibniz(l, sq, pg) for l in range(1, m)]
+    return -_at_zero(p, m, g) / 3.0
 
 
 def ex4_stated_zeta_form(m: int) -> float:

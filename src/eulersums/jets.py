@@ -19,23 +19,22 @@ jet_mul is likewise the one Cauchy product: _exp2 takes it, and so does
 LogPowerSeries.__mul__, on every pair of a product's ln rows.
 This module imports nothing from asymptotics.
 
-The closed forms take x-orders 1, 2 and 3 of one ratio at one base point, so
-gamma_ratio_jet keeps one jet per (variant, x0, z0, oz) at x-order MAX_OX
-(special.memo) and returns its rows 0..ox.  A truncated Taylor coefficient
-of order <= k does not depend on where the series is truncated (Griewank &
-Walther, Evaluating Derivatives, 2nd ed., ch. 13), and here row a of the exp
-recurrence reads rows <= a only, so the rows keep the bits of a build at ox.
-x-order 0 is kept apart: the x-rows need psi at x0 + 1, a pole at x0 = -1
-where the ox = 0 jet is finite.
+The closed forms take x-orders 0 to 3 of one ratio at one base point, so
+gamma_ratio_jet keeps one jet per (variant, x0, z0, oz), built at x-order
+MAX_OX (special.memo), and returns its rows 0..ox.  A truncated Taylor
+coefficient of order <= k does not depend on where the series is truncated
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), and here row a
+of the exp recurrence reads rows <= a only, so the rows keep the bits of a
+build at ox.
 
 psi_derivatives keeps the raw tuple (psi(a), psi'(a), ..., psi^(top)(a)) by
 its exact (a, top) (special.memo); it is the one source of psi values for
-the jets and for the closed forms' Leibniz sums.  ln_gamma_jet and psi_jet
-divide its entries by k! and are memoized themselves, each tuple kept by its
-exact (a, order), so every caller shares it: a polygamma value is computed
-once per process.  A memo table keeps no raised DomainError, so a bad a or
-base point is checked on every call.  series._cache.cache_clear() drops them
-all, the gamma-ratio jets included.
+the jets and for the closed forms' Leibniz sums.  ln_gamma_jet divides its
+entries by k! and is memoized itself, each tuple kept by its exact
+(a, order), so every caller shares it: a polygamma value is computed once per
+process.  A memo table keeps no raised DomainError, so a bad a or base point,
+nonpositive or not finite, is checked on every call.
+series._cache.cache_clear() drops them all, the gamma-ratio jets included.
 
 Every sum here, each coefficient of jet_mul's Cauchy product and of the exp
 recurrence, runs left to right on Python floats (recursive summation;
@@ -91,18 +90,10 @@ def psi_derivatives(a: float, top: int) -> tuple[float, ...]:
 @memo
 def ln_gamma_jet(a: float, order: int) -> tuple[float, ...]:
     """Jet of ln Gamma at a > 0: (lnGamma(a), psi(a), psi'(a)/2!, ...)."""
-    if a <= 0.0:
-        raise DomainError(f"ln_gamma_jet requires a > 0, got {a}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"ln_gamma_jet requires a finite a > 0, got {a}")
     psi = psi_derivatives(a, order - 1)
     return (ln_gamma(a),) + tuple(d / math.factorial(k) for k, d in enumerate(psi, start=1))
-
-
-@memo
-def psi_jet(a: float, order: int) -> tuple[float, ...]:
-    """Jet of psi at a > 0: c[k] = psi^(k)(a)/k!."""
-    if a <= 0.0:
-        raise DomainError(f"psi_jet requires a > 0, got {a}")
-    return tuple(d / math.factorial(k) for k, d in enumerate(psi_derivatives(a, order)))
 
 
 # --------------------------- bivariate jets ---------------------------------
@@ -132,18 +123,22 @@ def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int,
     """Bivariate jet of the chosen gamma ratio at (x0, z0): ox + 1 rows of
     oz + 1 coefficients d_x^a d_z^b f(x0, z0) / (a! b!).
 
-    Rows 0..ox of the jet kept for (variant, x0, z0, oz) at x-order MAX_OX,
-    or at x-order 0 when ox = 0 (see the module docstring).
+    Rows 0..ox of the one jet kept for (variant, x0, z0, oz) (see the module
+    docstring).  As that jet is built at x-order MAX_OX, every ox needs psi
+    up to order MAX_OX + oz - 1 at w0, and a w0 so small that one of those
+    overflows binary64 raises at ox = 0 too: gamma_ratio_jet(BETA_SHIFT0,
+    1e-300, 1e-300, 0, 1) needs psi'(2e-300).  No closed form reaches such a
+    point, as their w0 = x + 1 or x + p + 1 >= 2^-53.
     """
     if not (0 <= ox <= MAX_OX and 0 <= oz <= MAX_OZ):
         raise DomainError(f"orders ({ox},{oz}) outside supported (<= {MAX_OX}, <= {MAX_OZ})")
-    return _ratio_jet(variant, x0, z0, MAX_OX if ox else 0, oz)[: ox + 1]
+    return _ratio_jet(variant, x0, z0, oz)[: ox + 1]
 
 
 @memo
-def _ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int,
+def _ratio_jet(variant: RatioVariant, x0: float, z0: float,
                oz: int) -> tuple[tuple[float, ...], ...]:
-    """gamma_ratio_jet at exactly (ox, oz).
+    """The gamma_ratio_jet at (x0, z0) of orders (MAX_OX, oz).
 
     Built as exp of  lnGamma(x0+1+dx) + lnGamma(z0+dz) - lnGamma(w0+dx+dz)
     with w0 = x0+z0 (+1 for BETA_SHIFT1); the composite (dx+dz)^r term
@@ -152,14 +147,14 @@ def _ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int,
     shift = 1.0 if variant is RatioVariant.BETA_SHIFT1 else 0.0
     w0 = x0 + z0 + shift
     for arg, name in ((x0 + 1.0, "x0+1"), (z0, "z0"), (w0, "x0+z0+shift")):
-        if arg <= 0.0:
-            raise DomainError(f"gamma_ratio_jet needs {name} > 0, got {arg}")
-    ux = ln_gamma_jet(x0 + 1.0, ox)
+        if not 0.0 < arg < math.inf:
+            raise DomainError(f"gamma_ratio_jet needs a finite {name} > 0, got {arg}")
+    ux = ln_gamma_jet(x0 + 1.0, MAX_OX)
     uz = ln_gamma_jet(z0, oz)
-    uw = ln_gamma_jet(w0, ox + oz)
+    uw = ln_gamma_jet(w0, MAX_OX + oz)
     return _exp2([[(ux[a] if b == 0 else 0.0) + (uz[b] if a == 0 else 0.0)
                    - uw[a + b] * math.comb(a + b, a) for b in range(oz + 1)]
-                  for a in range(ox + 1)])
+                  for a in range(MAX_OX + 1)])
 
 
 def mixed_partial(coeffs: Sequence[Sequence[float]], a: int, b: int) -> float:

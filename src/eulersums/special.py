@@ -13,7 +13,7 @@ followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
 parameter-only builders (series factors, the products of their tail models
-and their harmonic-number tables, psi-derivative tuples, ln Gamma, psi and
+and their harmonic-number tables, psi-derivative tuples, ln Gamma and
 gamma-ratio jets, the closed forms' harmonic-number tuples, the registry
 rows' declared parameters, the Hurwitz and so the Riemann zeta values) in
 bounded tables that clear_memos empties.
@@ -39,12 +39,11 @@ class PoleError(DomainError):
 # ------------------- parameter-only values, built once ----------------------
 
 # The most results one memo table keeps; past it the least recently used goes.
-# One pass over the default grid builds 163 distinct series factors, 114
-# distinct ln Gamma jets from 115 psi-derivative tuples, 250 gamma-ratio jets
-# for its 500 gamma_ratio_jet calls (the 375 at x-order >= 1 share 125) and 15
-# harmonic-number tuples from 45 fsums; one over the closed_form benchmark
-# builds 347 psi-derivative tuples, 380 ln Gamma and psi jets, 880 gamma-ratio
-# jets for 1760 calls (the 1320 at x-order >= 1 share 440) and 33
+# One pass over the default grid builds 163 distinct series factors, 90
+# distinct ln Gamma jets from 93 psi-derivative tuples, 125 gamma-ratio jets
+# for its 500 gamma_ratio_jet calls and 15 harmonic-number tuples from 45
+# fsums; one over the closed_form benchmark builds 288 psi-derivative tuples,
+# 284 ln Gamma jets, 440 gamma-ratio jets for 1760 calls and 33
 # harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
 # pass asks for 794 tail-model products, 412 distinct (adaptive: 24); the
 # closed_form benchmark's untimed series values need 1382, so that table

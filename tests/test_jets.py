@@ -31,7 +31,7 @@ from eulersums import (
     mixed_partial,
     polygamma,
 )
-from eulersums import identities, jets, series
+from eulersums import identities, jets, series, special
 from eulersums.identities import REGISTRY, default_grid
 from eulersums.series import lhs_base_binomial, lhs_variant2
 from eulersums.special import SQRT_PI
@@ -314,11 +314,6 @@ def _grid_right_sides():
     return out
 
 
-def _run_closed_forms():
-    _right_sides()
-    _grid_right_sides()
-
-
 def test_right_sides_keep_their_pinned_bits():
     """rhs_bits.json, written by tests/repin_fixtures.py: any other change to
     these bits is a change of result."""
@@ -331,7 +326,8 @@ def test_gamma_ratio_jets_keep_the_loop_bits(monkeypatch):
     """Every gamma-ratio jet the default grid and the closed-form parameter
     sets reach, coefficient by coefficient."""
     calls = _recording(monkeypatch, "gamma_ratio_jet")
-    _run_closed_forms()
+    _right_sides()
+    _grid_right_sides()
     reached = set(calls)
     assert len(reached) > 1000
     assert {args[3] for args in reached} == {0, 1, 2, 3}
@@ -346,7 +342,7 @@ def test_cor_36_products_keep_the_loop_bits(monkeypatch):
     exps = _recording(monkeypatch, "jet_exp")
     for p, m in itertools.product([0.5, 1.0, 1.5, 2.5, 4.0], range(21)):
         ratio = jet_exp([u - v for u, v in zip(ln_gamma_jet(p, m), ln_gamma_jet(p + 0.5, m))])
-        delta = [-d for d in jets.psi_jet(p + 0.5, m)]
+        delta = [-(d / math.factorial(k)) for k, d in enumerate(jets.psi_derivatives(p + 0.5, m))]
         delta[0] += digamma(0.5)
         want = SQRT_PI * (-1.0) ** m * _ref_dot(ratio, delta[::-1])
         assert identities.rhs_cor_36(p, m).hex() == want.hex(), (p, m)
@@ -395,9 +391,10 @@ _BASES = list(itertools.product(RatioVariant, [float(v) for v in range(11)] + [0
 
 
 def test_shared_jets_keep_the_bits_of_a_fresh_build():
-    """Every x-order reads rows of one kept jet (x-order MAX_OX, or 0 on its
-    own), whichever order asked first: the bits of an unshared build at
-    exactly (ox, oz), read-only."""
+    """Every x-order reads rows of one kept jet, built at x-order MAX_OX,
+    whichever order asked first: the bits of an unshared build, read-only.
+    test_gamma_ratio_jets_keep_the_loop_bits holds them to a build at
+    exactly (ox, oz)."""
     series._cache.cache_clear()
     fresh = jets._ratio_jet.__wrapped__
     for k, (variant, x0, z0) in enumerate(_BASES):
@@ -408,12 +405,26 @@ def test_shared_jets_keep_the_bits_of_a_fresh_build():
                 got = gamma_ratio_jet(variant, x0, z0, ox, oz)
                 assert type(got) is tuple and len(got) == ox + 1
                 assert all(type(row) is tuple and len(row) == oz + 1 for row in got)
-                assert _hex(got) == _hex(fresh(variant, x0, z0, ox, oz)), (variant, x0, z0, ox, oz)
-            assert jets._ratio_jet.cache_info().misses == builds + 2
+                assert _hex(got) == _hex(fresh(variant, x0, z0, oz)[: ox + 1]), (variant, x0, z0, ox, oz)
+            assert jets._ratio_jet.cache_info().misses == builds + 1
+
+
+@pytest.mark.parametrize("first, second", [
+    (lambda: identities.rhs_thm_e15(3.0, 4), lambda: identities.rhs_thm_t25(3, 4)),
+    (lambda: identities.rhs_thm_35(2.0, 0.5, 3), lambda: identities.rhs_thm_37(0.5, 2, 3))],
+    ids=["e15-t25", "35-37"])
+def test_base_theorems_share_the_jet_of_their_x_partials(first, second):
+    """A base theorem reads row 0 of the jet whose x-rows the theorems at the
+    same base point read: the two closed forms build one jet."""
+    series._cache.cache_clear()
+    first()
+    second()
+    assert jets._ratio_jet.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.0, 4, 1), (0.0, 1.0, -1, 1), (0.0, 1.0, 1, 13),
-                                  (-1.0, 1.0, 1, 1), (0.0, 0.0, 0, 1), (-1.0, 0.5, 0, 2)])
+                                  (-1.0, 1.0, 1, 1), (0.0, 0.0, 0, 1), (-1.0, 0.5, 0, 2),
+                                  (1.0, math.inf, 2, 2), (math.nan, 1.0, 0, 1)])
 def test_bad_orders_and_arguments_raise_on_every_call(args):
     series._cache.cache_clear()
     for variant in RatioVariant:
@@ -421,6 +432,19 @@ def test_bad_orders_and_arguments_raise_on_every_call(args):
             with pytest.raises(DomainError):
                 gamma_ratio_jet(variant, *args)
     assert jets._ratio_jet.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("fn, args", [
+    (identities.rhs_thm_e15, (math.nan, 1)), (identities.rhs_thm_e15, (math.inf, 1)),
+    (identities.rhs_thm_35, (1.0, math.nan, 1)), (identities.rhs_thm_35, (1.0, math.inf, 1)),
+    (identities.rhs_cor_36, (math.nan, 2)), (ln_gamma_jet, (math.inf, 2))])
+def test_non_finite_arguments_raise_on_every_call(fn, args):
+    """A non-finite x or p is a DomainError, not a NaN, and is kept nowhere."""
+    series._cache.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="finite"):
+            fn(*args)
+    assert all(table.cache_info().currsize == 0 for table in special._MEMOS)
 
 
 _NEAR_MINUS_ONE = -0.9999999999999999  # -1 + 2^-53
@@ -436,13 +460,33 @@ _NEAR_MINUS_ONE = -0.9999999999999999  # -1 + 2^-53
     (identities.rhs_thm_e15, (-1.0 + 2.0**-20, 3), "0x1.5555555555555p+6"),
 ])
 def test_x_order_zero_jets_stay_finite_next_to_the_pole(fn, args, bits):
-    """The ox = 0 jets of the two base theorems need no psi at x0 + 1, so at
-    x0 = -1 + 2^-53, next to the x-rows' pole at x0 = -1, they keep their
-    values, also after an x-order >= 1 jet at the same point, whose psi at
-    x0 + 1 = 2^-53 is large but finite, has been built."""
+    """At x0 = -1 + 2^-53, next to the x-rows' pole at x0 = -1, psi at
+    x0 + 1 = 2^-53 is large but finite, and the two base theorems, which read
+    row 0 of the jet, keep their values."""
     z0 = args[1] if fn is identities.rhs_thm_35 else 1.0
     variant = RatioVariant.BETA_SHIFT1 if fn is identities.rhs_thm_35 else RatioVariant.BETA_SHIFT0
     rows = gamma_ratio_jet(variant, _NEAR_MINUS_ONE, z0, 1, args[-1])
     assert all(math.isfinite(c) for row in rows for c in row)
     assert fn(*args).hex() == bits
     assert fn(*args).hex() == bits
+
+
+def _outcome(fn, *args):
+    try:
+        return float(fn(*args)).hex()
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_base_theorems_next_to_the_pole_keep_the_bits_of_an_x_order_zero_build(m):
+    """Row 0 of the shared jet is, bit for bit, the jet built at x-order 0,
+    or raises as that build does (polygamma overflows at z0 = 1e-300)."""
+    for fn, variant, z0, args in (
+            (identities.rhs_thm_e15, RatioVariant.BETA_SHIFT0, 1.0, (_NEAR_MINUS_ONE, m)),
+            (identities.rhs_thm_35, RatioVariant.BETA_SHIFT1, 1e-300, (_NEAR_MINUS_ONE, 1e-300, m))):
+        if m == 0 and fn is identities.rhs_thm_e15:
+            continue  # rhs_thm_e15 takes m >= 1
+        want = _outcome(lambda: (-1.0) ** m / math.factorial(m) * mixed_partial(
+            _ref_gamma_ratio_jet(variant, _NEAR_MINUS_ONE, z0, 0, m), 0, m))
+        assert _outcome(fn, *args) == want, (fn.__name__, m)

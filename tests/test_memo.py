@@ -1,5 +1,5 @@
 """The parameter-only memo tables: the series factors (each with its tail
-model and its head), the ln Gamma / psi and gamma-ratio jets, the
+model and its head), the psi tuples, the ln Gamma and gamma-ratio jets, the
 harmonic-number tables, the closed forms' harmonic-number tuples and the
 Hurwitz zeta values are
 built once per process, give the same bits cold and warm, are dropped by
@@ -203,7 +203,7 @@ def test_keys_are_exact():
 
 
 def test_memoized_jets_are_read_only():
-    for jet in (jets.ln_gamma_jet(2.5, 4), jets.psi_jet(2.5, 4)):
+    for jet in (jets.ln_gamma_jet(2.5, 4), jets.psi_derivatives(2.5, 4)):
         assert type(jet) is tuple and len(jet) == 5
         with pytest.raises(TypeError):
             jet[1] = 0.0
@@ -212,11 +212,10 @@ def test_memoized_jets_are_read_only():
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.5, 11.25])
 def test_jets_divide_the_psi_derivatives(a):
-    """ln Gamma and psi jets are the kept psi values over k!, bit for bit, and
-    those are digamma's and polygamma's."""
+    """ln Gamma jets are the kept psi values over k!, bit for bit, and those
+    are digamma's and polygamma's."""
     psi = jets.psi_derivatives(a, 12)
     assert psi == (special.digamma(a),) + tuple(special.polygamma(k, a) for k in range(1, 13))
-    assert jets.psi_jet(a, 12) == tuple(d / math.factorial(k) for k, d in enumerate(psi))
     lg = jets.ln_gamma_jet(a, 13)
     assert lg == (special.ln_gamma(a),) + tuple(d / math.factorial(k + 1) for k, d in enumerate(psi))
     assert jets.ln_gamma_jet(a, 0) == (special.ln_gamma(a),)

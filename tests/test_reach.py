@@ -22,8 +22,7 @@ MODULES = (asymptotics, summation, series, jets, identities, special)
 ALLOWED = {
     # perfbench/tracing.py counts the monomials em_tail is handed through it
     ("asymptotics", "LogPowerSeries.terms"): None,
-    # only tests use these
-    ("asymptotics", "LogPowerSeries.__repr__"): None,
+    # only tests use it
     ("asymptotics", "LogPowerSeries.__call__"): None,
     # its check runs at import, for identities.DEFAULT_CONFIG
     ("summation", "EvalConfig.__post_init__"): None,
