@@ -24,10 +24,18 @@ oracles:
   * COR_310's leading term carries 1/p^(m+1) like every other term of its
     sum (a slip there is invisible at p = 1).
 
-EX4_HALF exercises the half-shifted instance: the unscaled variant of its
-zeta form (leading term without the (-1/2)^-(m+1) factor) disagrees with
-the series, so each report carries that variant's value and a mismatch flag
-next to the corrected comparison.
+Each row's sides are its family's: a worked example that instances a
+statement calls that statement's series and closed form.  EX4_HALF is
+COR_310 at p = -1/2, lhs_variant3h(-0.5, 0, m) against rhs_cor_310(-0.5, m).
+The unscaled variant of its zeta form (leading term without the
+(-1/2)^-(m+1) factor) disagrees with the series, so each report carries that
+variant's value and a mismatch flag next to the corrected comparison.
+
+Both sides check a parameter of one kind the same way: every order and
+index through special.check_int, which returns the int that the closed
+form then uses, and a real x or p through special.check_above (here inside
+_check_p, whose power-range rule is the closed forms' own).  A bad n or m
+is a DomainError naming it, on either side.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .jets import (
     psi_derivatives,
 )
 from .series import (
-    half_shift_series,
     lhs_alt,
     lhs_base_binomial,
     lhs_binomial_shifted,
@@ -74,6 +81,8 @@ from .special import (
     ZETA2,
     ZETA4,
     DomainError,
+    check_above,
+    check_int,
     digamma,
     gen_harmonic,
     memo,
@@ -89,6 +98,7 @@ class IdentityId(enum.Enum):
     COR_EULER_32 = "COR_EULER_32"
     THM_V2_33 = "THM_V2_33"
     COR_34 = "COR_34"
+    COR_34A = "COR_34A"
     THM_BASE_35 = "THM_BASE_35"
     COR_CENTRAL_36 = "COR_CENTRAL_36"
     THM_V3_37 = "THM_V3_37"
@@ -180,15 +190,6 @@ def _at_zero(p: float, e: int, c: list[float]) -> float:
     return out
 
 
-def _check_m(m: int, least: int, most: float = math.inf) -> None:
-    """DomainError naming m unless least <= m <= most; a closed form that
-    reads z-order m of a gamma-ratio jet takes most = MAX_OZ."""
-    if m < least:
-        raise DomainError(f"m must be >= {least}, got {m}")
-    if m > most:
-        raise DomainError(f"m must be <= {most}, got {m}")
-
-
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -197,9 +198,11 @@ def _check_p(p: float, e: int, n: int | None = None) -> None:
     with n, the finite sum's (p + k)^e for k = 0..n, which needs p > 0;
     without, the zeta form's p^1 .. p^e, which needs p nonzero and > -1.
     Either set of powers lies between p^e and its other end, (p + n)^e or
-    p, so those must be normal binary64 numbers."""
-    if not (p > -1.0 and p != 0.0 if n is None else p > 0.0):
-        raise DomainError(f"p must be {'nonzero and > -1' if n is None else '> 0'}, got {p}")
+    p, so those must be normal binary64 numbers; the series on the other
+    side takes any finite p > -1."""
+    check_above("p", p, -1.0 if n is None else 0.0)
+    if p == 0.0:
+        raise DomainError(f"p must be nonzero, got {p}")
     try:
         least = abs(p**e)
         most = abs((p + n) ** e) if n else least
@@ -216,14 +219,14 @@ def _check_p(p: float, e: int, n: int | None = None) -> None:
 
 def rhs_thm_e15(x: float, m: int) -> float:
     """(-1)^m/m! d^m/dz^m Gamma(x+1)Gamma(z)/Gamma(z+x) at z=1."""
-    _check_m(m, 1, MAX_OZ)
+    m = check_int("m", m, 1, MAX_OZ)
     j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, 0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 
 def rhs_thm_t25(n: int, m: int) -> float:
     """Finite binomial-harmonic sum minus the first x-partial of the ratio."""
-    _check_m(m, 1, MAX_OZ)
+    n, m = check_int("n", n, 0), check_int("m", m, 1, MAX_OZ)
     h = _harmonics(n, 1)
     fs = -_finite_sum(n, 1, 0.0, m, lambda k: h[n] - h[n - k])
     (f1,) = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 1, m)
@@ -232,7 +235,7 @@ def rhs_thm_t25(n: int, m: int) -> float:
 
 def rhs_thm_31(n: int, m: int) -> float:
     """Variant-1 closed form: quadratic-harmonic finite sum plus F1/F2 terms."""
-    _check_m(m, 1, MAX_OZ)
+    n, m = check_int("n", n, 0), check_int("m", m, 1, MAX_OZ)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = -_finite_sum(n, 1, 0.0, m, lambda k: h[n - k] ** 2 + h2[n - k] - h2[n] - h[n] ** 2)
     f1, f2 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 2, m)
@@ -252,14 +255,14 @@ def _zetas(top: int) -> list[float]:
 
 def rhs_cor_32(m: int) -> float:
     """m zeta(m+1) - sum_{k=1}^{m-2} zeta(k+1) zeta(m-k)  (= 2 sum H_k/(k+1)^m)."""
-    _check_m(m, 2)
+    m = check_int("m", m, 2)
     z = _zetas(m - 1)
     return m * riemann_zeta(m + 1.0) - math.fsum(z[k + 1] * z[m - k] for k in range(1, m - 1))
 
 
 def rhs_thm_33(n: int, m: int) -> float:
     """Variant-2 closed form: cubic-harmonic finite sum plus F1/F2/F3 combination."""
-    _check_m(m, 1, MAX_OZ)
+    n, m = check_int("n", n, 0), check_int("m", m, 1, MAX_OZ)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = -_finite_sum(n, 1, 0.0, m, _cubic_weight(n))
     f1, f2, f3 = _x_partials(RatioVariant.BETA_SHIFT0, float(n), 1.0, 3, m)
@@ -270,7 +273,7 @@ def rhs_thm_33(n: int, m: int) -> float:
 
 def rhs_cor_34(m: int) -> float:
     """Zeta-polynomial value of sum (H_k^2 - H_k^(2))/(k+1)^(m+1), simplified form."""
-    _check_m(m, 1)
+    m = check_int("m", m, 1)
     z = _zetas(m + 1)
     out = (m + 1) * (m + 2) / 3.0 * riemann_zeta(m + 3.0)
     out -= math.fsum((j + 1) * z[j + 2] * z[m + 1 - j] for j in range(1, m))
@@ -288,7 +291,7 @@ def _zeta_double_sum(m: int, z: list[float]) -> float:
 
 def rhs_cor_34a(m: int) -> float:
     """Zeta-polynomial value of the k-power form sum (H_k^2 - H_k^(2))/k^(m+1)."""
-    _check_m(m, 1)
+    m = check_int("m", m, 1)
     z = _zetas(m + 1)
     out = (m + 2) * (m + 4) / 3.0 * riemann_zeta(m + 3.0) - ZETA2 * z[m + 1]
     out -= 2.0 * math.fsum(z[j + 1] * z[m + 2 - j] for j in range(2, m + 1))
@@ -299,7 +302,7 @@ def rhs_cor_34a(m: int) -> float:
 
 def rhs_thm_35(x: float, p: float, m: int) -> float:
     """(-1)^m/m! d^m/ds^m Gamma(x+1)Gamma(s)/Gamma(x+s+1) at s=p."""
-    _check_m(m, 0, MAX_OZ)
+    m = check_int("m", m, 0, MAX_OZ)
     j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p, 0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
@@ -310,9 +313,8 @@ def rhs_cor_36(p: float, m: int) -> float:
     Both factors are s-jets at s0 = p; the shifted-argument jets share the
     same normalized coefficients as jets at p+1/2, only rebased.
     """
-    _check_m(m, 0)
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"p must be finite and > 0, got {p}")
+    m = check_int("m", m, 0)
+    check_above("p", p, 0.0)
     ratio = jet_exp([u - v for u, v in zip(ln_gamma_jet(p, m), ln_gamma_jet(p + 0.5, m))])
     delta = [-(d / math.factorial(k)) for k, d in enumerate(psi_derivatives(p + 0.5, m))]
     delta[0] += digamma(0.5)
@@ -321,7 +323,7 @@ def rhs_cor_36(p: float, m: int) -> float:
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:
     """Shifted finite sum minus the first x-partial of the shifted ratio."""
-    _check_m(m, 0, MAX_OZ)
+    n, m = check_int("n", n, 0), check_int("m", m, 0, MAX_OZ)
     _check_p(p, m + 1, n)
     h = _harmonics(n, 1)
     fs = _finite_sum(n, 0, p, m + 1, lambda k: h[n] - h[n - k])
@@ -331,7 +333,7 @@ def rhs_thm_37(p: float, n: int, m: int) -> float:
 
 def rhs_cor_38(p: float, m: int) -> float:
     """gamma/p^(m+1) + p^-(m+1) sum_{j=0}^m (-1)^j p^j/j! psi^(j)(p+1)."""
-    _check_m(m, 0)
+    m = check_int("m", m, 0)
     _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m)
     acc = EULER_GAMMA + pg[0]
@@ -344,7 +346,7 @@ def rhs_cor_38(p: float, m: int) -> float:
 
 def rhs_thm_39(p: float, n: int, m: int) -> float:
     """Half the quadratic finite sum plus (G2 - 2 H_n G1)/(2 m!) partials."""
-    _check_m(m, 0, MAX_OZ)
+    n, m = check_int("n", n, 0), check_int("m", m, 0, MAX_OZ)
     _check_p(p, m + 1, n)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     top = h[n] ** 2 + h2[n]  # the weight's n-part, summed first
@@ -360,7 +362,7 @@ def rhs_cor_310(p: float, m: int) -> float:
     Every term carries the p^-(m-l+1) factor, including l = 0; dropping it
     from the leading term reproduces the series only at p = 1.
     """
-    _check_m(m, 0)
+    m = check_int("m", m, 0)
     _check_p(p, m + 1)
     pg = psi_derivatives(p + 1.0, m + 1)
     h = [(EULER_GAMMA + pg[0]) ** 2 + ZETA2 - pg[1]]
@@ -371,7 +373,7 @@ def rhs_cor_310(p: float, m: int) -> float:
 def rhs_thm_311(p: float, n: int, m: int) -> float:
     """Cubic finite sum plus the three x-partials of the shifted ratio at
     z-order m-1 (the order that pairs with the 1/(m-1)! factor)."""
-    _check_m(m, 1, MAX_OZ + 1)
+    n, m = check_int("n", n, 0), check_int("m", m, 1, MAX_OZ + 1)
     _check_p(p, m, n)
     h, h2 = _harmonics(n, 1), _harmonics(n, 2)
     fs = _finite_sum(n, 0, p, m, _cubic_weight(n))
@@ -385,7 +387,7 @@ def rhs_thm_311(p: float, n: int, m: int) -> float:
 def rhs_cor_312(p: float, m: int) -> float:
     """-(1/3) sum_{l=0}^{m-1} (-1)^l/(l! p^(m-l)) g^(l)(p), with g the cubic
     psi polynomial and g^(l) its Leibniz expansion (all psi arguments at p+1)."""
-    _check_m(m, 1)
+    m = check_int("m", m, 1)
     _check_p(p, m)
     pg = psi_derivatives(p + 1.0, m + 1)
     sq = [_leibniz(k, pg, pg) for k in range(m)]  # (psi^2)^(k), read twice
@@ -408,7 +410,7 @@ def ex4_stated_zeta_form(m: int) -> float:
     rhs_cor_310 applies, so this value disagrees with the series; it is kept
     for the mismatch diagnostics in EX4 reports.
     """
-    _check_m(m, 0)
+    m = check_int("m", m, 0)
     z = _zetas(m + 2)
     out = 2.0 * LN2**2 - ZETA2
     tail = 0.0
@@ -493,12 +495,6 @@ def _ex4_stated_form(lhs: float, tol: float, m: int) -> dict[str, Any]:
             "stated_matches": abs(stated - lhs) <= tol * max(abs(lhs), 1.0)}
 
 
-def _euler_32_sides(m: int) -> tuple[SumResult, float]:
-    """COR_EULER_32's series takes m - 1, so m is checked first, as given."""
-    _check_m(m, 2)
-    return lhs_variant1(0, m - 1).scaled(2.0), rhs_cor_32(m)
-
-
 P_GRID = (0.5, 1.0, 1.5, 2.5)
 N_GRID = (0, 1, 2, 3, 4)
 _X_GRID = tuple(float(n) for n in N_GRID)
@@ -527,7 +523,8 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.COR_EULER_32: Identity(
         "(m >= 2)",
         "2 sum H_k/(k+1)^m = m z(m+1) - sum z(k+1) z(m-k)",
-        _euler_32_sides,
+        # the series takes m - 1, so m is checked first, as given
+        lambda m: (lhs_variant1(0, check_int("m", m, 2) - 1).scaled(2.0), rhs_cor_32(m)),
         _axes(m=range(2, 6))),
     IdentityId.THM_V2_33: Identity(
         "(n >= 0, m >= 1)",
@@ -538,6 +535,12 @@ REGISTRY: dict[IdentityId, Identity] = {
         "(m >= 1)",
         "sum (H_k^2-H_k^(2))/(k+1)^(m+1) = zeta polynomial",
         lambda m: (lhs_variant2(0, m), rhs_cor_34(m)),
+        _axes(m=_M1)),
+    IdentityId.COR_34A: Identity(
+        "(m >= 1)",
+        "sum (H_k^2-H_k^(2))/k^(m+1) = zeta polynomial",
+        # the series takes m + 1, so m is checked first, as given
+        lambda m: (quadratic_minus_linear(check_int("m", m, 1) + 1), rhs_cor_34a(m)),
         _axes(m=_M1)),
     IdentityId.THM_BASE_35: Identity(
         "(x > -1, p > 0, m >= 0)",
@@ -555,7 +558,7 @@ REGISTRY: dict[IdentityId, Identity] = {
         lambda p, n, m: (lhs_variant3(p, n, m), rhs_thm_37(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M0)),
     IdentityId.COR_38: Identity(
-        "(p > 0, m >= 0)",
+        "(p > -1, p != 0, m >= 0)",
         "sum 1/(k (p+k)^(m+1)) = gamma/p^(m+1) + psi-series",
         lambda p, m: (lhs_variant3(p, 0, m), rhs_cor_38(p, m)),
         _axes(p=P_GRID, m=_M0)),
@@ -565,7 +568,7 @@ REGISTRY: dict[IdentityId, Identity] = {
         lambda p, n, m: (lhs_variant3h(p, n, m), rhs_thm_39(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M0)),
     IdentityId.COR_310: Identity(
-        "(p > 0, m >= 0)",
+        "(p > -1, p != 0, m >= 0)",
         "sum H_(k-1)/(k (p+k)^(m+1)) = 1/2 sum_l (-1)^l h^(l)(p)/(l! p^(m-l+1))",
         lambda p, m: (lhs_variant3h(p, 0, m), rhs_cor_310(p, m)),
         _axes(p=P_GRID, m=_M0)),
@@ -575,7 +578,7 @@ REGISTRY: dict[IdentityId, Identity] = {
         lambda p, n, m: (lhs_variant4(p, n, m), rhs_thm_311(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M1)),
     IdentityId.COR_312: Identity(
-        "(p > 0, m >= 1)",
+        "(p > -1, p != 0, m >= 1)",
         "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+k)^m) = -1/3 sum_l (-1)^l g^(l)(p)/(l! p^(m-l))",
         lambda p, m: (lhs_variant4(p, 0, m), rhs_cor_312(p, m)),
         _axes(p=P_GRID, m=_M1)),
@@ -610,7 +613,7 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.EX4_HALF: Identity(
         "(m in 0..)",
         "sum H_(k-1)/(k (k-1/2)^(m+1)) vs half-shifted closed form",
-        lambda m=0: (half_shift_series(m), rhs_cor_310(-0.5, m)),
+        lambda m=0: (lhs_variant3h(-0.5, 0, m), rhs_cor_310(-0.5, m)),
         _axes(m=(0, 1)),
         extra=_ex4_stated_form),
 }

@@ -159,8 +159,13 @@ def _ratio_jet(variant: RatioVariant, x0: float, z0: float,
 
 def mixed_partial(coeffs: Sequence[Sequence[float]], a: int, b: int) -> float:
     """d_x^a d_z^b of the function a gamma_ratio_jet expands, at its base
-    point."""
+    point.  It is the one reader of jet coefficients, so a partial past
+    binary64 (the jet's entry or its product with a! b!) is a DomainError
+    here, naming its orders: no closed form returns a jet's inf or nan."""
     ox, oz = len(coeffs) - 1, len(coeffs[0]) - 1
     if not (0 <= a <= ox and 0 <= b <= oz):
         raise DomainError(f"mixed partial ({a},{b}) outside jet orders ({ox},{oz})")
-    return coeffs[a][b] * math.factorial(a) * math.factorial(b)
+    out = coeffs[a][b] * math.factorial(a) * math.factorial(b)
+    if not math.isfinite(out):
+        raise DomainError(f"mixed partial ({a},{b}) is {out}, outside binary64")
+    return out

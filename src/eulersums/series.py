@@ -28,7 +28,12 @@ zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
 are summed term by term, by _sum_geometric, each term's zeta value computed
 once per process by special's memo table.  At an integer x the two binomial
 base series end at k = x, and _finite_binomial sums them exactly in Python
-ints, rounding once, up to a bound on its work.
+ints, rounding once, up to a bound on its work.  Every order and index is
+checked by special.check_int, which returns it as an int (an integral float
+sums as the int), and every real parameter by special.check_above: the
+checks the closed forms share.  The shifted families, variants 3, 3h and 4,
+take any finite p > -1, where every denominator p + n + k, k >= 1, is
+positive; at p = -1/2, n = 0, variant 3h is the half-shifted example EX4.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import asymptotics as ap
-from .special import _U, DomainError, clear_memos, hurwitz_zeta, memo
+from .special import _U, DomainError, check_above, check_int, clear_memos, hurwitz_zeta, memo
 from .summation import NonFiniteTermError, SumResult, em_tail
 
 K_CROSSOVER = 1_000
@@ -337,41 +342,18 @@ def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
                    divides=divides)
 
 
-def _check_int(name: str, v: int, least: int) -> int:
-    """v as an int, so that an integral float such as 2.0 gives the int's
-    bits; DomainError naming `name` unless v is an integer >= least, the
-    least order or index at which the series is defined."""
-    if not (v >= least and v % 1 == 0):
-        raise DomainError(f"{name} must be an integer >= {least}, got {v}")
-    return int(v)
-
-
-def _check_nm(n: int, m: int, m_min: int) -> tuple[int, int]:
-    return _check_int("n", n, 0), _check_int("m", m, m_min)
-
-
-def _check_p(p: float) -> None:
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"p must be finite and > 0, got {p}")
-
-
-def _check_x(x: float) -> None:
-    if not -1.0 < x < math.inf:
-        raise DomainError(f"x must be finite and > -1, got {x}")
-
-
 # ----------------------- the four variant families --------------------------
 
 
 def lhs_variant1(n: int, m: int) -> SumResult:
     """sum_{k>=0} H_k / ((n+k+1)^(m+1) binom(n+k,k))."""
-    n, m = _check_nm(n, m, 1)
+    n, m = check_int("n", n, 0), check_int("m", m, 1)
     return _em_sum(1, _harmonic(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
 def lhs_variant2(n: int, m: int) -> SumResult:
     """sum_{k>=0} (H_k^2 - H_k^(2)) / ((n+k+1)^(m+1) binom(n+k,k))."""
-    n, m = _check_nm(n, m, 1)
+    n, m = check_int("n", n, 0), check_int("m", m, 1)
     return _em_sum(1, _harmonic_square_diff(), _inv_binomial(n), _power(m + 1, n + 1.0))
 
 
@@ -380,31 +362,43 @@ def lhs_alt(n: int, m: int) -> SumResult:
 
     The sign factor is constant in k and multiplies the whole sum.
     """
-    n, m = _check_nm(n, m, 1)
+    n, m = check_int("n", n, 0), check_int("m", m, 1)
     return _em_sum(0, _inv_binomial(n), _power(m + 1, n + 1.0)).scaled((-1.0) ** (n - 1))
 
 
+def _check_shift(p: float, n: int, e: int) -> None:
+    """DomainError naming p unless p > -1 is finite and the first term's
+    denominator (p + n + 1)^e, the least one, is at least 2^-1000, so that
+    the head's terms and their rounding bounds stay inside binary64.  Only
+    a negative p with n = 0 puts it below 1."""
+    check_above("p", p, -1.0)
+    if p < 0.0 and (p + n + 1.0) ** e < 2.0**-1000:
+        raise DomainError(f"p = {p} puts (p + {n} + 1)^{e} below 2^-1000")
+
+
 def lhs_variant3(p: float, n: int, m: int) -> SumResult:
-    """sum_{k>=1} (-1)^n / (k (p+n+k)^(m+1) binom(n+k,k))."""
-    _check_p(p)
-    n, m = _check_nm(n, m, 0)
+    """sum_{k>=1} (-1)^n / (k (p+n+k)^(m+1) binom(n+k,k)), for finite p > -1."""
+    n, m = check_int("n", n, 0), check_int("m", m, 0)
+    _check_shift(p, n, m + 1)
     res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True))
     return res.scaled((-1.0) ** n)
 
 
 def lhs_variant3h(p: float, n: int, m: int) -> SumResult:
-    """sum_{k>=1} (-1)^n H_{k-1} / (k (p+n+k)^(m+1) binom(n+k,k))."""
-    _check_p(p)
-    n, m = _check_nm(n, m, 0)
+    """sum_{k>=1} (-1)^n H_{k-1} / (k (p+n+k)^(m+1) binom(n+k,k)), for finite
+    p > -1; at p = -1/2, n = 0 it is the half-shifted example's series."""
+    n, m = check_int("n", n, 0), check_int("m", m, 0)
+    _check_shift(p, n, m + 1)
     res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
                   _harmonic(prev=True))
     return res.scaled((-1.0) ** n)
 
 
 def lhs_variant4(p: float, n: int, m: int) -> SumResult:
-    """sum_{k>=1} (H_{k-1}^2 - H_{k-1}^(2)) / (k (p+n+k)^m binom(n+k,k))."""
-    _check_p(p)
-    n, m = _check_nm(n, m, 1)
+    """sum_{k>=1} (H_{k-1}^2 - H_{k-1}^(2)) / (k (p+n+k)^m binom(n+k,k)), for
+    finite p > -1."""
+    n, m = check_int("n", n, 0), check_int("m", m, 1)
+    _check_shift(p, n, m)
     return _em_sum(1, _inv_binomial(n), _power(m, (p, n), times_k=True),
                    _harmonic_square_diff(prev=True))
 
@@ -412,15 +406,9 @@ def lhs_variant4(p: float, n: int, m: int) -> SumResult:
 def lhs_central_binom(p: float, m: int) -> SumResult:
     """sum_{k>=0} (H_k - 2 H_{2k}) binom(2k,k) / (4^k (p+k)^(m+1)), with
     binom(2k,k)/4^k the signed binomial at x = -1/2."""
-    _check_p(p)
-    m = _check_int("m", m, 0)
+    check_above("p", p, 0.0)
+    m = check_int("m", m, 0)
     return _em_sum(1, _central_harmonic_diff(), _signed_binomial(-0.5), _power(m + 1, (p,)))
-
-
-def half_shift_series(m: int) -> SumResult:
-    """sum_{k>=1} H_{k-1} / (k (k - 1/2)^(m+1)); every denominator is positive."""
-    m = _check_int("m", m, 0)
-    return _em_sum(1, _harmonic(prev=True), _power(m + 1, -0.5, times_k=True))
 
 
 # --------------------- binomial-coefficient base series ---------------------
@@ -471,8 +459,8 @@ def _finite_binomial(x: float, p: float, m: int, e: int, lo: int) -> SumResult:
 
 def lhs_base_binomial(x: float, m: int) -> SumResult:
     """sum_{k>=1} (-1)^(k-1) binom(x,k) / k^m, exact at an integer x."""
-    _check_x(x)
-    m = _check_int("m", m, 1)
+    check_above("x", x, -1.0)
+    m = check_int("m", m, 1)
     if float(x).is_integer():
         return _finite_binomial(x, 0.0, m, m, 1)
     # (-1)^(k-1) = -(-1)^k
@@ -481,9 +469,9 @@ def lhs_base_binomial(x: float, m: int) -> SumResult:
 
 def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
     """sum_{k>=0} (-1)^k binom(x,k) / (p+k)^(m+1), exact at an integer x."""
-    _check_x(x)
-    _check_p(p)
-    m = _check_int("m", m, 0)
+    check_above("x", x, -1.0)
+    check_above("p", p, 0.0)
+    m = check_int("m", m, 0)
     if float(x).is_integer():
         return _finite_binomial(x, p, m, m + 1, 0)
     return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
@@ -494,19 +482,19 @@ def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
 
 def lhs_linear_euler(p: int, q: int) -> SumResult:
     """S(p, q) = sum_{n>=1} H_n^(p) / n^q."""
-    p, q = _check_int("p", p, 1), _check_int("q", q, 2)
+    p, q = check_int("p", p, 1), check_int("q", q, 2)
     return _em_sum(1, _harmonic(p), _power(q))
 
 
 def lhs_quadratic_euler(q: int) -> SumResult:
     """S(1^2; q) = sum_{n>=1} H_n^2 / n^q."""
-    q = _check_int("q", q, 2)
+    q = check_int("q", q, 2)
     return _em_sum(1, _harmonic(), _harmonic(), _power(q))
 
 
 def quadratic_minus_linear(q: int) -> SumResult:
     """sum_{k>=1} (H_k^2 - H_k^(2)) / k^q = S(1^2; q) - S(2, q)."""
-    q = _check_int("q", q, 2)
+    q = check_int("q", q, 2)
     return _em_sum(1, _harmonic_square_diff(), _power(q))
 
 
@@ -555,7 +543,7 @@ def zeta_tail_sum(m: int) -> SumResult:
     """sum_{j>=2} (zeta(m+j) - 1), each term evaluated as zeta(m+j, 2) so no
     cancellation occurs for large j.  Each k^-(s+1) <= k^-s / 2 for k >= 2,
     so zeta(s+1, 2) <= zeta(s, 2) / 2: r = 1/2."""
-    m = _check_int("m", m, 0)
+    m = check_int("m", m, 0)
     return _sum_geometric(lambda j: hurwitz_zeta(m + float(j), 2.0), 2, 0.5,
                           _HURWITZ_ROUNDING, 0.0)
 
@@ -568,7 +556,7 @@ def zeta_power_series(p: float, m: int) -> SumResult:
     m + j + 2."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
-    m = _check_int("m", m, 0)
+    m = check_int("m", m, 0)
     a = p + 1.0
     return _sum_geometric(lambda j: p ** float(j) * hurwitz_zeta(m + float(j) + 2.0, a), 0,
                           p / a, _HURWITZ_ROUNDING + 3.0 + (m + 2.0), 1.0)

@@ -18,7 +18,8 @@ gamma-ratio jets, the closed forms' harmonic-number tuples, the registry
 rows' declared parameters, the Hurwitz and so the Riemann zeta values) in
 bounded tables that clear_memos empties.
 gen_harmonic keeps nothing: the closed forms read its fsums through their
-memoized tuples.
+memoized tuples.  check_int and check_above, beside DomainError, are the
+parameter checks both sides of every identity share.
 """
 
 from __future__ import annotations
@@ -34,6 +35,25 @@ class DomainError(ValueError):
 
 class PoleError(DomainError):
     """Argument sits exactly on a pole."""
+
+
+def check_int(name: str, v: float, least: int, most: float = math.inf) -> int:
+    """v as an int, so that an integral float such as 2.0 gives the int's
+    bits; DomainError naming `name` unless v is an integer in least..most.
+    Both sides of every identity check their orders and indices here."""
+    if type(v) is int and least <= v <= most:
+        return v
+    if not (v >= least and v % 1 == 0):
+        raise DomainError(f"{name} must be an integer >= {least}, got {v}")
+    if v > most:
+        raise DomainError(f"{name} must be <= {most}, got {v}")
+    return int(v)
+
+
+def check_above(name: str, v: float, least: float) -> None:
+    """DomainError naming `name` unless v is finite and greater than least."""
+    if not least < v < math.inf:
+        raise DomainError(f"{name} must be finite and > {least:g}, got {v}")
 
 
 # ------------------- parameter-only values, built once ----------------------

@@ -14,8 +14,10 @@ converged flag, EvalConfig().converged of its result, may change.  A moved
 grid value is checked through the oracle calls identities.verify makes for
 it.  If any check fails the script writes nothing and exits 1.  It prints the
 number of moved values and the largest move in ulp, and the number of moved
-tail estimates with the range of new/old.  The 30-digit references take a few
-seconds each.
+tail estimates with the range of new/old.  A result the fixtures did not pin
+(a parameter set added to test_em_oracles.ORACLES, a point added to the
+grid) is not a move: it is checked against its reference all the same, and
+counted as added.  The 30-digit references take a few seconds each.
 
 rhs_bits.json pins every closed form over test_jets._AXES and the right side
 of every default_grid() point.  The closed forms carry no error bound to
@@ -91,19 +93,25 @@ def move(old: float, new: float) -> tuple[float, float]:
 
 
 def repin_oracles(moves: list[tuple[float, float]], estimates: list[float],
-                  problems: list[str]) -> dict[str, list]:
-    """The oracles' bits.  A result whose value or tail_estimate moved is
-    checked against its reference; `estimates` gets new/old of each moved
-    tail_estimate."""
+                  problems: list[str], added: list[str]) -> dict[str, list]:
+    """The oracles' bits.  A result whose value or tail_estimate moved, or
+    that was not pinned, is checked against its reference; `estimates` gets
+    new/old of each moved tail_estimate."""
     pinned = json.loads(BITS.read_text())["oracles"]
     out = {}
     for name, (params_list, _) in T.ORACLES.items():
         rows = []
-        for params, old in zip(params_list, pinned[name], strict=True):
+        was = {json.dumps(row[0]): row for row in pinned.get(name, [])}
+        for params in params_list:
             res = getattr(series, name)(*params)
             converged = EvalConfig().converged(res)
             rows.append([list(params), res.value.hex(), res.tail_estimate.hex(), converged,
                          res.terms_used])
+            old = was.get(json.dumps(rows[-1][0]))
+            if old is None:
+                added.append(f"{name}{params}")
+                problems.append(check(name, params, res))
+                continue
             if old[3] != converged:
                 problems.append(f"{name}{params}: converged went from {old[3]} to {converged}")
             if old[1] != rows[-1][1]:
@@ -117,10 +125,10 @@ def repin_oracles(moves: list[tuple[float, float]], estimates: list[float],
 
 
 def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
-               problems: list[str]) -> list[list]:
+               problems: list[str], added: list[str]) -> list[list]:
     """The grid's LHS bits (it pins no estimates, so `estimates` stays
     empty).  Every series oracle identities.verify calls is wrapped, so a
-    moved value can be checked through the calls behind it."""
+    moved or added value can be checked through the calls behind it."""
     calls = []
 
     def recording(name, fn):
@@ -132,7 +140,7 @@ def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
 
     originals = {name: getattr(identities, name)
                  for name in (*T.ORACLES, *test_series.ZETA_REFERENCES)}
-    pinned = json.loads(GRID.read_text())["points"]
+    pinned = {json.dumps(point[:2]): point[2] for point in json.loads(GRID.read_text())["points"]}
     out = []
     try:
         for name, fn in originals.items():
@@ -141,31 +149,37 @@ def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
             calls.clear()
             lhs = identities.verify(ident, params, 1e-8).lhs
             out.append([ident.value, params, lhs.hex()])
-            old = float.fromhex(pinned[len(out) - 1][2])
-            if old.hex() == lhs.hex():
+            was = pinned.get(json.dumps(out[-1][:2]))
+            if was == out[-1][2]:
                 continue
-            moves.append(move(old, lhs))
+            if was is None:
+                added.append(f"{ident.value} {params}")
+            else:
+                moves.append(move(float.fromhex(was), lhs))
             if not calls:
-                problems.append(f"{ident.value} {params}: moved without an oracle call to check")
+                problems.append(f"{ident.value} {params}: changed without an oracle call to check")
             problems.extend(check(name, args, res) for name, args, res in calls)
     finally:
         for name, fn in originals.items():
             setattr(identities, name, fn)
-    if [(n, p) for n, p, _ in pinned] != [(n, p) for n, p, _ in out]:
-        problems.append("default_grid() no longer lists the pinned points")
+    dropped = pinned.keys() - {json.dumps(point[:2]) for point in out}
+    problems.extend(f"default_grid() no longer lists {point}" for point in sorted(dropped))
     return out
 
 
 def repin_rhs(moves: list[tuple[float, float]], estimates: list[float],
-              problems: list[str]) -> dict[str, list]:
+              problems: list[str], added: list[str]) -> dict[str, list]:
     """The closed forms' bits, unchecked (so `estimates` and `problems` stay
-    empty).  A point the fixture did not list is not a move."""
+    empty).  A point the fixture did not list is added, not moved."""
     out = {"rhs": test_jets._right_sides(), "grid": test_jets._grid_right_sides()}
     pinned = json.loads(RHS.read_text())
     for part, rows in out.items():
         old = {json.dumps(row[:2]): row[2] for row in pinned[part]}
         for row in rows:
-            was = old.get(json.dumps(row[:2]), row[2])
+            was = old.get(json.dumps(row[:2]))
+            if was is None:
+                added.append(f"{part} {row[:2]}")
+                continue
             if was == row[2]:
                 continue
             try:
@@ -200,13 +214,14 @@ def main(argv: list[str] | None = None) -> int:
     for label, path, repin, dump in (("oracle", BITS, repin_oracles, dump_bits),
                                      ("grid", GRID, repin_grid, dump_grid),
                                      ("right-side", RHS, repin_rhs, dump_rhs)):
-        moves, estimates = [], []
-        texts[path] = dump(repin(moves, estimates, problems))
+        moves, estimates, added = [], [], []
+        texts[path] = dump(repin(moves, estimates, problems, added))
         ulp = max((u for u, _ in moves), default=0.0)
         rel = max((r for _, r in moves), default=0.0)
         spread = f", new/old {min(estimates):.3g} to {max(estimates):.3g}" if estimates else ""
         print(f"{path.name}: {len(moves)} {label} values moved, the largest by {ulp:.3g} ulp "
-              f"({rel:.3g} relative); {len(estimates)} tail estimates moved{spread}")
+              f"({rel:.3g} relative); {len(estimates)} tail estimates moved{spread}; "
+              f"{len(added)} added")
     problems = [p for p in problems if p]
     if problems:
         print("\n".join(problems))

@@ -33,17 +33,17 @@ def run(capsys, *argv):
 
 
 class TestList:
-    def test_inventory_has_18_lines(self, capsys):
+    def test_inventory_has_one_line_per_identity(self, capsys):
         code, out, _ = run(capsys, "list")
         lines = [l for l in out.splitlines() if l.strip()]
         assert code == EXIT_OK
-        assert len(lines) == 18
+        assert len(lines) == len(IdentityId) == 19
 
     def test_filter_corollaries(self, capsys):
         code, out, _ = run(capsys, "list", "cor_")
         lines = [l for l in out.splitlines() if l.strip()]
         assert code == EXIT_OK
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(l.startswith("COR_") for l in lines)
 
     def test_unknown_filter_empty(self, capsys):
@@ -106,7 +106,25 @@ class TestEval:
         # the series takes m - 1; the error is about the m on the command line
         code, out, err = run(capsys, "eval", "COR_EULER_32", "--m", m)
         assert code == EXIT_DOMAIN
-        assert out == "" and err == f"error: m must be >= 2, got {m}\n"
+        assert out == "" and err == f"error: m must be an integer >= 2, got {m}\n"
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_cor_34a_names_the_given_m(self, capsys, m):
+        # the series takes m + 1; the error is about the m on the command line
+        code, out, err = run(capsys, "eval", "COR_34A", "--m", m)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: m must be an integer >= 1, got {m}\n"
+
+    def test_cor_310_at_minus_one_half_is_the_half_shifted_example(self, capsys):
+        """The corollaries take p > -1, p != 0; at p = -1/2 COR_310 is EX4."""
+        records = []
+        for argv in (("COR_310", "--p", "-0.5", "--m", "1"), ("EX4_HALF", "--m", "1")):
+            code, out, _ = run(capsys, "eval", *argv)
+            assert code == EXIT_OK
+            records.append(json.loads(out))
+        cor, ex4 = records
+        assert cor["pass"] is True
+        assert (cor["lhs"], cor["rhs"], cor["lhs_terms"]) == (ex4["lhs"], ex4["rhs"], ex4["lhs_terms"])
 
     def test_non_convergence_exit_3(self, capsys):
         # the head cancels past what binary64 holds at rel_tol
@@ -174,8 +192,9 @@ class TestEval:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv, named", [
-        (("THM_V3_37", "--p", "inf", "--n", "1", "--m", "1"), "p must be finite and > 0, got inf"),
-        (("COR_38", "--p", "inf", "--m", "1"), "p must be finite and > 0, got inf"),
+        # the shifted series, which runs first, takes any finite p > -1
+        (("THM_V3_37", "--p", "inf", "--n", "1", "--m", "1"), "p must be finite and > -1, got inf"),
+        (("COR_38", "--p", "inf", "--m", "1"), "p must be finite and > -1, got inf"),
         (("THM_BASE_35", "--x", "0.5", "--p", "nan", "--m", "1"), "p must be finite and > 0, got nan"),
         (("THM_BASE_E15", "--x", "inf", "--m", "1"), "x must be finite and > -1, got inf"),
         (("THM_BASE_E15", "--x", "1e6", "--m", "1"),

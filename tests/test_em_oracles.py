@@ -56,7 +56,9 @@ ORACLES = {
                 lambda t, n, m: _inv_binom(n, t) / mp.mpf(n + t + 1) ** (m + 1)),
     "lhs_variant3": ([(p, n, m) for p in P_SET for n in NM for m in NM],
                      lambda t, p, n, m: _inv_binom(n, t) / (t * (mp.mpf(p) + n + t) ** (m + 1))),
-    "lhs_variant3h": ([(p, n, m) for p in P_SET for n in NM for m in NM],
+    # and at p = -1/2, n = 0, the half-shifted example EX4_HALF
+    "lhs_variant3h": ([(p, n, m) for p in P_SET for n in NM for m in NM]
+                      + [(-0.5, 0, m) for m in NM],
                       lambda t, p, n, m: _h(t - 1) * _inv_binom(n, t)
                       / (t * (mp.mpf(p) + n + t) ** (m + 1))),
     "lhs_variant4": ([(p, n, m) for p in P_SET for n in NM for m in NM if m >= 1],
@@ -65,8 +67,6 @@ ORACLES = {
     "lhs_central_binom": ([(p, m) for p in P_SET for m in NM],
                           lambda t, p, m: (_h(t) - 2 * _h(2 * t)) * mp.binomial(2 * t, t)
                           / mp.mpf(4) ** t / (mp.mpf(p) + t) ** (m + 1)),
-    "half_shift_series": ([(m,) for m in NM],
-                          lambda t, m: _h(t - 1) / (t * (t - mp.mpf(0.5)) ** (m + 1))),
     "lhs_linear_euler": ([(p, q) for p in range(1, 11) for q in range(2, 11)],
                          lambda t, p, q: _h(t, p) / mp.mpf(t) ** q),
     "lhs_quadratic_euler": ([(q,) for q in range(2, 11)],
@@ -185,7 +185,7 @@ def _em_rest(f, n, order=8):
 
 # (oracle, parameters, the sign the oracle puts in front of its series)
 EXTREMES = [("lhs_variant1", (10, 10), 1), ("lhs_variant2", (10, 10), 1),
-            ("lhs_alt", (10, 10), -1), ("half_shift_series", (10,), 1),
+            ("lhs_alt", (10, 10), -1), ("lhs_variant3h", (-0.5, 0, 10), 1),
             ("lhs_linear_euler", (10, 10), 1), ("lhs_quadratic_euler", (10,), 1),
             ("quadratic_minus_linear", (10,), 1)]
 EXTREMES += [(name, (p, 10, 10), 1) for name in ("lhs_variant3", "lhs_variant3h", "lhs_variant4")
@@ -209,7 +209,8 @@ LARGE_M = [("lhs_variant1", (0, 400), 2.0**-401), ("lhs_variant2", (0, 400), 3.0
            ("lhs_variant3h", (1.0, 0, 400), 0.5 * 3.0**-401),
            ("lhs_variant4", (1.0, 0, 400), 4.0**-400 / 3.0),
            ("lhs_central_binom", (1.0, 400), -(2.0**-401)),
-           ("half_shift_series", (400,), 0.5 * 1.5**-401), ("lhs_linear_euler", (1, 400), 1.0),
+           ("lhs_variant3h", (-0.5, 0, 400), 0.5 * 1.5**-401),
+           ("lhs_linear_euler", (1, 400), 1.0),
            ("lhs_quadratic_euler", (400,), 1.0), ("quadratic_minus_linear", (400,), 2.0**-400),
            ("lhs_base_binomial", (0.5, 400), 0.5), ("lhs_binomial_shifted", (0.5, 1.0, 400), 1.0)]
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from eulersums import (
 )
 from eulersums import identities, jets, series, special
 from eulersums.identities import REGISTRY, default_grid
+from eulersums.jets import MAX_OZ
 from eulersums.series import lhs_base_binomial, lhs_variant2
 from eulersums.special import SQRT_PI
 from eulersums.summation import EvalConfig
@@ -124,6 +126,21 @@ class TestGammaRatioJet:
             mixed_partial(j, 3, 0)
         with pytest.raises(DomainError):
             mixed_partial(j, 0, 4)
+
+    @pytest.mark.parametrize("coeffs, a, b, named", [
+        (((1.0, -math.inf),), 0, 1, "(0,1) is -inf"), (((1.0,), (math.nan,)), 1, 0, "(1,0) is nan"),
+        (((0.0, 0.0, 1e308),), 0, 2, "(0,2) is inf")])
+    def test_a_partial_past_binary64_is_named(self, coeffs, a, b, named):
+        """mixed_partial reads every jet coefficient a closed form uses, so a
+        non-finite partial, an entry's or one that b! a! takes past binary64,
+        ends there, naming its orders."""
+        with pytest.raises(DomainError, match=re.escape(f"mixed partial {named}, outside binary64")):
+            mixed_partial(coeffs, a, b)
+
+    def test_a_closed_form_past_binary64_raises(self):
+        # jet entry (0, 1) is -inf at z0 = 1e-300
+        with pytest.raises(DomainError, match=re.escape("mixed partial (0,1) is -inf")):
+            identities.rhs_thm_35(0.5, 1e-300, 1)
 
     def test_pole_guard(self):
         with pytest.raises(DomainError):
@@ -312,6 +329,56 @@ def _grid_right_sides():
         _, rhs = sides(**{k: v for k, v in full.items() if k != row.selector})
         out.append([ident.value, params, float(rhs).hex()])
     return out
+
+
+_RHS_NAMES = sorted(name for name in dir(identities) if name.startswith("rhs_"))
+
+# the closed forms that read z-order m of a gamma-ratio jet (rhs_thm_311 reads
+# m - 1), and the most m each takes
+_MOST_M = {name: MAX_OZ for name in ("rhs_thm_e15", "rhs_thm_t25", "rhs_thm_31", "rhs_thm_33",
+                                     "rhs_thm_35", "rhs_thm_37", "rhs_thm_39")}
+_MOST_M["rhs_thm_311"] = MAX_OZ + 1
+
+
+@pytest.mark.parametrize("name", _RHS_NAMES)
+def test_right_sides_take_integral_float_orders_as_the_ints(name):
+    """Every rhs_* over _AXES with n and m given as floats (2.0) gives the
+    int call's bits, or the same DomainError: both checks return the int."""
+    fn = getattr(identities, name)
+    params = list(inspect.signature(fn).parameters)
+    orders = [i for i, p in enumerate(params) if p in ("n", "m")]
+    assert orders
+    for args in itertools.product(*(_AXES[p] for p in params)):
+        given = [float(v) if i in orders else v for i, v in enumerate(args)]
+        want, got = _bits_or_error(fn, *args), _bits_or_error(fn, *given)
+        assert got == want, (name, args)
+
+
+@pytest.mark.parametrize("name", _RHS_NAMES)
+def test_right_sides_refuse_bad_orders_by_name(name):
+    """A negative, non-integral or non-finite n or m, or an m past the jets'
+    MAX_OZ, is a DomainError naming it: never a TypeError, an IndexError or
+    math.comb's ValueError.  The most m is taken."""
+    fn = getattr(identities, name)
+    params = list(inspect.signature(fn).parameters)
+    valid = {p: _AXES[p][2] for p in params}  # x = 2.0, n = 2, p = 2.5, m = 2
+    for key in ("n", "m"):
+        if key not in params:
+            continue
+        bad = [-1, -1.0, -7, 1.5, 2.5, math.inf, -math.inf, math.nan]
+        if key == "m" and name in _MOST_M:
+            assert math.isfinite(fn(**{**valid, "m": _MOST_M[name]}))
+            bad += [_MOST_M[name] + 1, float(_MOST_M[name] + 1)]
+        for v in bad:
+            with pytest.raises(DomainError, match=f"^{key} must be"):
+                fn(**{**valid, key: v})
+
+
+def _bits_or_error(fn, *args):
+    try:
+        return float(fn(*args)).hex()
+    except DomainError as exc:
+        return type(exc).__name__
 
 
 def test_right_sides_keep_their_pinned_bits():

@@ -38,7 +38,6 @@ from eulersums import (
 from eulersums import asymptotics, identities, series, special
 from eulersums.series import (
     K_CROSSOVER,
-    half_shift_series,
     quadratic_minus_linear,
     zeta_power_series,
     zeta_tail_sum,
@@ -46,6 +45,7 @@ from eulersums.series import (
 from eulersums.special import LN2
 from eulersums.summation import NonFiniteTermError
 
+import test_em_oracles as T
 from conftest import REFS, assert_close
 
 EM_TOL = 1e-11       # split-at-K + Euler-Maclaurin routes
@@ -133,10 +133,11 @@ class TestVariant3Family:
         assert_close(lhs_variant4(p, n, m).value, REFS[("v4", p, n, m)], EM_TOL)
 
     def test_domain(self):
+        # p > -1: p = 0 and -1/2 sum (test_shifted_families_take_p_in_minus_one_to_zero)
         with pytest.raises(DomainError):
-            lhs_variant3(0.0, 0, 1)
+            lhs_variant3(-1.0, 0, 1)
         with pytest.raises(DomainError):
-            lhs_variant3(-0.5, 0, 1)
+            lhs_variant3(-1.5, 0, 1)
         with pytest.raises(DomainError):
             lhs_variant4(1.0, 0, 0)
 
@@ -456,13 +457,15 @@ class TestGeometricStop:
 
 
 class TestHalfShift:
+    """The half-shifted example's series is variant 3h at p = -1/2, n = 0."""
+
     def test_m_zero_closed_form(self):
         # 2 zeta(2) - 4 ln^2 2
-        assert_close(half_shift_series(0).value, 2.0 * ZETA2 - 4.0 * LN2**2, 1e-11)
+        assert_close(lhs_variant3h(-0.5, 0, 0).value, 2.0 * ZETA2 - 4.0 * LN2**2, 1e-11)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_frozen(self, m):
-        assert_close(half_shift_series(m).value, REFS[("cor310", -0.5, m)], EM_TOL)
+        assert_close(lhs_variant3h(-0.5, 0, m).value, REFS[("cor310", -0.5, m)], EM_TOL)
 
 
 class TestOracleContracts:
@@ -492,7 +495,7 @@ class TestOracleContracts:
     _INTEGER_ARGS = [
         (lhs_linear_euler, (2, 3), 0, "p", 1), (lhs_linear_euler, (2, 3), 1, "q", 2),
         (lhs_quadratic_euler, (3,), 0, "q", 2), (quadratic_minus_linear, (3,), 0, "q", 2),
-        (lhs_central_binom, (0.5, 1), 1, "m", 0), (half_shift_series, (1,), 0, "m", 0),
+        (lhs_central_binom, (0.5, 1), 1, "m", 0), (lhs_variant3h, (-0.5, 0, 1), 2, "m", 0),
         (lhs_base_binomial, (0.5, 2), 1, "m", 1), (lhs_base_binomial, (3.0, 2), 1, "m", 1),
         (lhs_binomial_shifted, (0.5, 1.0, 1), 2, "m", 0),
         (lhs_binomial_shifted, (3.0, 1.0, 1), 2, "m", 0),
@@ -553,12 +556,42 @@ class TestOracleContracts:
 
     @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
     def test_p_must_be_finite_and_positive(self, p):
-        for call in (lambda: lhs_variant3(p, 1, 1), lambda: lhs_variant3h(p, 1, 1),
-                     lambda: lhs_variant4(p, 1, 1), lambda: lhs_central_binom(p, 1),
-                     lambda: lhs_binomial_shifted(0.5, p, 1),
+        for call in (lambda: lhs_central_binom(p, 1), lambda: lhs_binomial_shifted(0.5, p, 1),
                      lambda: lhs_binomial_shifted(2.0, p, 1)):
             with pytest.raises(DomainError, match="^p must be finite and > 0"):
                 call()
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, -1.0, -2.0])
+    def test_shifted_p_must_be_finite_and_above_minus_one(self, p):
+        for fn in (lhs_variant3, lhs_variant3h, lhs_variant4):
+            for n in (0, 1):
+                with pytest.raises(DomainError, match="^p must be finite and > -1"):
+                    fn(p, n, 1)
+
+    @pytest.mark.parametrize("p", [-0.999, -0.5, -1e-300, 0.0, -0.0])
+    def test_shifted_families_take_p_in_minus_one_to_zero(self, p):
+        """Every denominator p + n + k, k >= 1, is positive for p > -1: the
+        three shifted families sum there, each within its estimate of the
+        30-digit reference test_em_oracles takes for its pinned sets."""
+        for name in ("lhs_variant3", "lhs_variant3h", "lhs_variant4"):
+            for n in (0, 2):
+                res = getattr(series, name)(p, n, 10)
+                sign = 1 if name == "lhs_variant4" else (-1) ** n
+                assert EvalConfig().converged(res), (name, p, n)
+                assert abs(res.value - float(sign * T._reference(name, (p, n, 10)))) \
+                    <= res.tail_estimate, (name, p, n)
+
+    @pytest.mark.filterwarnings("error")
+    def test_shifted_first_denominator_below_2_to_the_minus_1000_is_named(self):
+        """Next to p = -1 the first denominator (p + 1)^e, at k = 1, leaves
+        binary64 as e grows: (1/2)^1000 = 2^-1000 is summed, and one order
+        more is refused by name, before any numpy arithmetic can warn."""
+        for fn in (lhs_variant3, lhs_variant3h, lhs_variant4):
+            m = 1000 if fn is lhs_variant4 else 999  # e = 1000
+            assert math.isfinite(fn(-0.5, 0, m).value)
+            with pytest.raises(DomainError, match=re.escape(
+                    "p = -0.5 puts (p + 0 + 1)^1001 below 2^-1000")):
+                fn(-0.5, 0, m + 1)
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, -1.0, -2.0])
     def test_x_must_be_finite_and_above_minus_one(self, x):
