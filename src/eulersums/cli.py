@@ -34,22 +34,6 @@ EXIT_NOT_CONVERGED = 3
 DEFAULT_TOL = 1e-7
 CSV_HEADER = ["id", "n", "m", "p", "lhs", "rhs", "abs_err", "rel_err", "terms", "converged"]
 
-# Every identity parameter the commands take: name -> (type, help in eval and
-# verify, help in sweep), in the order eval and verify records list the given
-# ones.  The str ones name a worked example's sub-form; sweep takes each
-# numeric one as a range.
-PARAMS = {
-    "n": (int, None, "range like 0..3"),
-    "m": (int, None, "range like 1..4"),
-    "p": (float, None, "range like 0.5,1,2"),
-    "x": (float, None, "range like 0..3 or 0.5,1,2"),
-    "which": (str, "EX1/EX2 sub-instance", "EX1/EX2 sub-instance, in every row"),
-    "form": (str, "EX3 sub-instance", "EX3 sub-instance, in every row"),
-}
-SUB_FORMS = tuple(key for key, (kind, _, _) in PARAMS.items() if kind is str)
-# sweep's axes, in the order its records list them, the last varying fastest
-SWEEP_AXES = ("x", "n", "m", "p")
-
 
 def _fmt(x: Any) -> Any:
     """17-significant-digit float serialization; round-trips binary64 exactly."""
@@ -139,7 +123,8 @@ def _parse_range(key: str, text: str) -> list[float]:
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
-    return {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
+    return {key: getattr(args, key) for key in ("n", "m", "p", "x", "which", "form")
+            if getattr(args, key) is not None}
 
 
 # ------------------------------- commands -----------------------------------
@@ -200,11 +185,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, Any]]]:
     ident = _parse_identity(args.identity)
     axes: dict[str, list[Any]] = {}
-    for key in SWEEP_AXES:
+    for key in ("x", "n", "m", "p"):
         text = getattr(args, key)
         if text is not None:
             vals = _parse_range(key, text)
-            if PARAMS[key][0] is int:
+            if key in ("n", "m"):
                 for v in vals:
                     if not v.is_integer():
                         raise DomainError(f"--{key} takes integers, got {_fmt(v)}")
@@ -212,7 +197,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
             axes[key] = vals
     # one sub-form for every row, then the axes, the last varying fastest; an
     # empty axis gives no rows
-    fixed = {key: getattr(args, key) for key in SUB_FORMS if getattr(args, key) is not None}
+    fixed = {key: getattr(args, key) for key in ("which", "form") if getattr(args, key) is not None}
     return [(ident, {**fixed, **params}) for params in _axes(**axes)]
 
 
@@ -269,8 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=None,
                        help="ignored: grids run in this process (kept so old scripts parse)")
         if with_params:
-            for key, (kind, text, _) in PARAMS.items():
-                p.add_argument(f"--{key}", type=kind, default=None, help=text)
+            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--m", type=int, default=None)
+            p.add_argument("--p", type=float, default=None)
+            p.add_argument("--x", type=float, default=None)
+            p.add_argument("--which", default=None, help="EX1/EX2 sub-instance")
+            p.add_argument("--form", default=None, help="EX3 sub-instance")
 
     p_eval = sub.add_parser("eval", help="evaluate one identity instance")
     p_eval.add_argument("identity")
@@ -289,8 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None, help="output file (default: stdout)")
     add_common(p_sweep, with_params=False)
-    for key in SWEEP_AXES + SUB_FORMS:
-        p_sweep.add_argument(f"--{key}", default=None, help=PARAMS[key][2])
+    p_sweep.add_argument("--x", default=None, help="range like 0..3 or 0.5,1,2")
+    p_sweep.add_argument("--n", default=None, help="range like 0..3")
+    p_sweep.add_argument("--m", default=None, help="range like 1..4")
+    p_sweep.add_argument("--p", default=None, help="range like 0.5,1,2")
+    p_sweep.add_argument("--which", default=None, help="EX1/EX2 sub-instance, in every row")
+    p_sweep.add_argument("--form", default=None, help="EX3 sub-instance, in every row")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

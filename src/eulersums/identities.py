@@ -34,8 +34,10 @@ variant's value and a mismatch flag next to the corrected comparison.
 Both sides check a parameter of one kind the same way: every order and
 index through special.check_int, which returns the int that the closed
 form then uses, and a real x or p through special.check_above (here inside
-_check_p, whose power-range rule is the closed forms' own).  A bad n or m
-is a DomainError naming it, on either side.
+_check_p, whose power-range rule is the closed forms' own, and in the
+THM_V3_37, THM_V3H_39 and THM_V4_311 rows: their series take p > -1, so the
+theorems' p > 0 is checked before the series run).  A bad n or m is a
+DomainError naming it, on either side.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class IdentityId(enum.Enum):
     COR_EULER_32 = "COR_EULER_32"
     THM_V2_33 = "THM_V2_33"
     COR_34 = "COR_34"
-    COR_34A = "COR_34A"
     THM_BASE_35 = "THM_BASE_35"
     COR_CENTRAL_36 = "COR_CENTRAL_36"
     THM_V3_37 = "THM_V3_37"
@@ -536,12 +537,6 @@ REGISTRY: dict[IdentityId, Identity] = {
         "sum (H_k^2-H_k^(2))/(k+1)^(m+1) = zeta polynomial",
         lambda m: (lhs_variant2(0, m), rhs_cor_34(m)),
         _axes(m=_M1)),
-    IdentityId.COR_34A: Identity(
-        "(m >= 1)",
-        "sum (H_k^2-H_k^(2))/k^(m+1) = zeta polynomial",
-        # the series takes m + 1, so m is checked first, as given
-        lambda m: (quadratic_minus_linear(check_int("m", m, 1) + 1), rhs_cor_34a(m)),
-        _axes(m=_M1)),
     IdentityId.THM_BASE_35: Identity(
         "(x > -1, p > 0, m >= 0)",
         "sum (-1)^k C(x,k)/(p+k)^(m+1) = (-1)^m/m! d^m_s R1(x,s)|s=p",
@@ -555,7 +550,8 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.THM_V3_37: Identity(
         "(p > 0, n >= 0, m >= 0)",
         "sum (-1)^n/(k (p+n+k)^(m+1) C(n+k,k)) = finite - dx d^m_s R1",
-        lambda p, n, m: (lhs_variant3(p, n, m), rhs_thm_37(p, n, m)),
+        # the series takes p > -1, so the theorem's p > 0 is checked first
+        lambda p, n, m: (lhs_variant3(check_above("p", p, 0.0), n, m), rhs_thm_37(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M0)),
     IdentityId.COR_38: Identity(
         "(p > -1, p != 0, m >= 0)",
@@ -565,7 +561,8 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.THM_V3H_39: Identity(
         "(p > 0, n >= 0, m >= 0)",
         "sum (-1)^n H_(k-1)/(k (p+n+k)^(m+1) C(n+k,k)) = finite + (G2-2H_n G1)/2",
-        lambda p, n, m: (lhs_variant3h(p, n, m), rhs_thm_39(p, n, m)),
+        # the series takes p > -1, so the theorem's p > 0 is checked first
+        lambda p, n, m: (lhs_variant3h(check_above("p", p, 0.0), n, m), rhs_thm_39(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M0)),
     IdentityId.COR_310: Identity(
         "(p > -1, p != 0, m >= 0)",
@@ -575,7 +572,8 @@ REGISTRY: dict[IdentityId, Identity] = {
     IdentityId.THM_V4_311: Identity(
         "(p > 0, n >= 0, m >= 1)",
         "sum (H_(k-1)^2-H_(k-1)^(2))/(k (p+n+k)^m C(n+k,k)) = finite + {G1,G2,G3}",
-        lambda p, n, m: (lhs_variant4(p, n, m), rhs_thm_311(p, n, m)),
+        # the series takes p > -1, so the theorem's p > 0 is checked first
+        lambda p, n, m: (lhs_variant4(check_above("p", p, 0.0), n, m), rhs_thm_311(p, n, m)),
         _axes(p=P_GRID, n=N_GRID, m=_M1)),
     IdentityId.COR_312: Identity(
         "(p > -1, p != 0, m >= 1)",

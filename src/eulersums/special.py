@@ -41,8 +41,6 @@ def check_int(name: str, v: float, least: int, most: float = math.inf) -> int:
     """v as an int, so that an integral float such as 2.0 gives the int's
     bits; DomainError naming `name` unless v is an integer in least..most.
     Both sides of every identity check their orders and indices here."""
-    if type(v) is int and least <= v <= most:
-        return v
     if not (v >= least and v % 1 == 0):
         raise DomainError(f"{name} must be an integer >= {least}, got {v}")
     if v > most:
@@ -50,10 +48,11 @@ def check_int(name: str, v: float, least: int, most: float = math.inf) -> int:
     return int(v)
 
 
-def check_above(name: str, v: float, least: float) -> None:
-    """DomainError naming `name` unless v is finite and greater than least."""
+def check_above(name: str, v: float, least: float) -> float:
+    """v, or DomainError naming `name` unless v is finite and greater than least."""
     if not least < v < math.inf:
         raise DomainError(f"{name} must be finite and > {least:g}, got {v}")
+    return v
 
 
 # ------------------- parameter-only values, built once ----------------------

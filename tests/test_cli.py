@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from eulersums import identities
 from eulersums.cli import (
     CSV_HEADER,
     DEFAULT_TOL,
@@ -33,17 +34,17 @@ def run(capsys, *argv):
 
 
 class TestList:
-    def test_inventory_has_one_line_per_identity(self, capsys):
+    def test_inventory_has_18_lines(self, capsys):
         code, out, _ = run(capsys, "list")
         lines = [l for l in out.splitlines() if l.strip()]
         assert code == EXIT_OK
-        assert len(lines) == len(IdentityId) == 19
+        assert len(lines) == 18
 
     def test_filter_corollaries(self, capsys):
         code, out, _ = run(capsys, "list", "cor_")
         lines = [l for l in out.splitlines() if l.strip()]
         assert code == EXIT_OK
-        assert len(lines) == 7
+        assert len(lines) == 6
         assert all(l.startswith("COR_") for l in lines)
 
     def test_unknown_filter_empty(self, capsys):
@@ -107,13 +108,6 @@ class TestEval:
         code, out, err = run(capsys, "eval", "COR_EULER_32", "--m", m)
         assert code == EXIT_DOMAIN
         assert out == "" and err == f"error: m must be an integer >= 2, got {m}\n"
-
-    @pytest.mark.parametrize("m", ["0", "-1"])
-    def test_cor_34a_names_the_given_m(self, capsys, m):
-        # the series takes m + 1; the error is about the m on the command line
-        code, out, err = run(capsys, "eval", "COR_34A", "--m", m)
-        assert code == EXIT_DOMAIN
-        assert out == "" and err == f"error: m must be an integer >= 1, got {m}\n"
 
     def test_cor_310_at_minus_one_half_is_the_half_shifted_example(self, capsys):
         """The corollaries take p > -1, p != 0; at p = -1/2 COR_310 is EX4."""
@@ -192,8 +186,8 @@ class TestEval:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv, named", [
-        # the shifted series, which runs first, takes any finite p > -1
-        (("THM_V3_37", "--p", "inf", "--n", "1", "--m", "1"), "p must be finite and > -1, got inf"),
+        (("THM_V3_37", "--p", "inf", "--n", "1", "--m", "1"), "p must be finite and > 0, got inf"),
+        # the corollary, like its series, takes any finite p > -1, p != 0
         (("COR_38", "--p", "inf", "--m", "1"), "p must be finite and > -1, got inf"),
         (("THM_BASE_35", "--x", "0.5", "--p", "nan", "--m", "1"), "p must be finite and > 0, got nan"),
         (("THM_BASE_E15", "--x", "inf", "--m", "1"), "x must be finite and > -1, got inf"),
@@ -219,6 +213,20 @@ class TestEval:
         code, out, err = run(capsys, "eval", *argv)
         assert code == EXIT_DOMAIN
         assert out == "" and err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("p", ["-0.5", "0", "inf"])
+    @pytest.mark.parametrize("ident, series", [
+        ("THM_V3_37", "lhs_variant3"), ("THM_V3H_39", "lhs_variant3h"),
+        ("THM_V4_311", "lhs_variant4")])
+    def test_theorem_p_is_checked_before_its_series(self, capsys, monkeypatch, ident, series, p):
+        """The shifted series take p > -1; the theorems take p > 0, and a p
+        outside that is refused by the theorem's bound before any summing."""
+        def unreachable(*args):
+            raise AssertionError(f"{series} ran at p = {p}")
+        monkeypatch.setattr(identities, series, unreachable)
+        code, out, err = run(capsys, "eval", ident, "--p", p, "--n", "1", "--m", "1")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: p must be finite and > 0, got {float(p)}\n"
 
     @pytest.mark.parametrize("ident", list(IdentityId))
     def test_missing_or_unknown_param_exit_2(self, capsys, ident):

@@ -31,6 +31,8 @@ ALLOWED = {
     # and no grid model has one)
     ("summation", "em_tail"): {"x = float(K + 1)", "for row in rows:",
                                "for j in range(diverges):", "if row[j]:"},
+    # a closed form of the paper that no REGISTRY row uses (ROADMAP item 6)
+    ("identities", "rhs_cor_34a"): None,
     # p ** e overflowing: the grid's p are small
     ("identities", "_check_p"): {"least, most = _MIN_NORMAL, math.inf"},
     # these run at import, building REGISTRY and wrapping the memoized builders
@@ -48,13 +50,10 @@ ALLOWED = {
     ("series", "_named"): None,
 }
 
-# The grid has integer x only; the first two reach the signed-binomial
-# factor, at x = 2.3 with rounded exponents (_em_sum's s_rounding branch).
-# Its orders are ints too; the third, an integral float m, takes
-# special.check_int's general path.
+# The grid has integer x only; these reach the signed-binomial factor, at x =
+# 2.3 with rounded exponents (_em_sum's s_rounding branch).
 EXTRA_POINTS = ((IdentityId.THM_BASE_E15, {"x": 2.3, "m": 2}),
-                (IdentityId.THM_BASE_35, {"x": -0.5, "p": 1.0, "m": 1}),
-                (IdentityId.COR_34A, {"m": 2.0}))
+                (IdentityId.THM_BASE_35, {"x": -0.5, "p": 1.0, "m": 1}))
 
 
 def _statements(tree, prefix=""):
