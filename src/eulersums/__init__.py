@@ -51,7 +51,6 @@ from .special import (
     digamma,
     gen_harmonic,
     hurwitz_zeta,
-    ln_gamma,
     polygamma,
     riemann_zeta,
 )

@@ -35,7 +35,8 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .jets import jet_exp, jet_mul
-from .special import BERNOULLI_2J, EULER_GAMMA, LN2, DomainError, bernoulli_poly, riemann_zeta
+from .special import (BERNOULLI_2J, EULER_GAMMA, LN2, DomainError, bernoulli_poly, check_int,
+                      riemann_zeta)
 
 
 class LogPowerSeries:
@@ -122,8 +123,7 @@ def harmonic_lp(m: int, depth: int, prev: bool = False) -> LogPowerSeries:
     zeta(m) + (-1)^k/k! psi^(k)(t+1) = zeta(m) - t^-k/k + t^-m/2
     - sum_j B_2j (2j)(2j+1)...(2j+k-1) / (2j k!) t^-(2j+k) above, one row on
     the orders t^0 .. t^-(depth+k).  With prev, H_{t-1}^(m) = H_t^(m) - t^-m (exact)."""
-    if m < 1:
-        raise DomainError(f"harmonic_lp requires m >= 1, got {m}")
+    m = check_int("m", m, 1)
     k = m - 1
     row = [0.0] * (depth + k + 2 * len(BERNOULLI_2J) + 1)
     row[0] = EULER_GAMMA if m == 1 else riemann_zeta(float(m))

@@ -16,14 +16,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from typing import Any
 
 from .identities import (DEFAULT_CONFIG, REGISTRY, IdentityId, VerifyReport, _axes, default_grid,
                          verify)
-from .special import DomainError
+from .special import DomainError, check_above
 from .summation import EvalConfig
 
 EXIT_OK = 0
@@ -82,24 +81,6 @@ def record_from_report(rep: VerifyReport, wall_ms: float, side: str = "both") ->
     return rec
 
 
-def _finite_positive(name: str, value: float) -> float:
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def _tol_from(args: argparse.Namespace) -> float:
-    if args.tol is None:
-        return DEFAULT_TOL
-    return _finite_positive("--tol", args.tol)
-
-
-def _cfg_from(args: argparse.Namespace) -> EvalConfig:
-    if args.rel_tol is None:
-        return DEFAULT_CONFIG
-    return EvalConfig(rel_tol=_finite_positive("--rel-tol", args.rel_tol))
-
-
 def _parse_identity(name: str) -> IdentityId:
     try:
         return IdentityId[name.upper()]
@@ -147,8 +128,8 @@ def _verify_timed(ident: IdentityId, params: dict, tol: float, cfg: EvalConfig) 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ident = _parse_identity(args.identity)
-    tol = _tol_from(args)
-    cfg = _cfg_from(args)
+    tol = check_above("--tol", args.tol, 0.0)
+    cfg = EvalConfig(check_above("--rel-tol", args.rel_tol, 0.0))
     rep, ms = _verify_timed(ident, _collect_params(args), tol, cfg)
     print(_json_record(record_from_report(rep, ms, side=args.side)))
     if not rep.converged:
@@ -171,8 +152,8 @@ def _run_grid(grid, tol: float, cfg: EvalConfig) -> list[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tol_from(args)
-    cfg = _cfg_from(args)
+    tol = check_above("--tol", args.tol, 0.0)
+    cfg = EvalConfig(check_above("--rel-tol", args.rel_tol, 0.0))
     records = _run_grid(_grid_for(args), tol, cfg)
     sys.stdout.write(_ndjson(records))
     passed = sum(bool(rec.get("pass")) for rec in records)
@@ -202,8 +183,8 @@ def _sweep_grid(args: argparse.Namespace) -> list[tuple[IdentityId, dict[str, An
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    tol = _tol_from(args)
-    cfg = _cfg_from(args)
+    tol = check_above("--tol", args.tol, 0.0)
+    cfg = EvalConfig(check_above("--rel-tol", args.rel_tol, 0.0))
     records = _run_grid(_sweep_grid(args), tol, cfg)
     if args.format == "csv":
         buf = io.StringIO()
@@ -227,8 +208,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         text = _ndjson(records)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a domain error, not a failed verification
+            raise DomainError(f"--out cannot be written: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -247,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_list)
 
     def add_common(p: argparse.ArgumentParser, with_params: bool = True) -> None:
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="comparison tolerance (default 1e-7)")
-        p.add_argument("--rel-tol", type=float, default=None,
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
                        help="largest tail estimate / |lhs| of a converged series (default 1e-10)")
         p.add_argument("--jobs", type=int, default=None,
                        help="ignored: grids run in this process (kept so old scripts parse)")

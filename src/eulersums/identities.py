@@ -33,11 +33,12 @@ variant's value and a mismatch flag next to the corrected comparison.
 
 Both sides check a parameter of one kind the same way: every order and
 index through special.check_int, which returns the int that the closed
-form then uses, and a real x or p through special.check_above (here inside
-_check_p, whose power-range rule is the closed forms' own, and in the
+form then uses, and a real x, p or tol through special.check_above (here
+inside _check_p, whose power-range rule is the closed forms' own; in
+rhs_thm_e15 and rhs_thm_35, before the jet, as their series do; and in the
 THM_V3_37, THM_V3H_39 and THM_V4_311 rows: their series take p > -1, so the
-theorems' p > 0 is checked before the series run).  A bad n or m is a
-DomainError naming it, on either side.
+theorems' p > 0 is checked before the series run).  A bad argument is a
+DomainError naming it, on either side, never one naming a jet's base point.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _finite_sum(n: int, lo: int, c: float, e: int, weight: Callable[[int], float
 
 def _x_partials(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -> list[float]:
     """d_x^a d_z^oz of the gamma ratio at (x0, z0) for a = 1..ox, from one jet."""
-    j = gamma_ratio_jet(variant, x0, z0, ox, oz)
+    j = gamma_ratio_jet(variant, x0, z0, oz)
     return [mixed_partial(j, a, oz) for a in range(1, ox + 1)]
 
 
@@ -220,8 +221,9 @@ def _check_p(p: float, e: int, n: int | None = None) -> None:
 
 def rhs_thm_e15(x: float, m: int) -> float:
     """(-1)^m/m! d^m/dz^m Gamma(x+1)Gamma(z)/Gamma(z+x) at z=1."""
+    check_above("x", x, -1.0)
     m = check_int("m", m, 1, MAX_OZ)
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, 0, m)
+    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 
@@ -303,8 +305,10 @@ def rhs_cor_34a(m: int) -> float:
 
 def rhs_thm_35(x: float, p: float, m: int) -> float:
     """(-1)^m/m! d^m/ds^m Gamma(x+1)Gamma(s)/Gamma(x+s+1) at s=p."""
+    check_above("x", x, -1.0)
+    check_above("p", p, 0.0)
     m = check_int("m", m, 0, MAX_OZ)
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p, 0, m)
+    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p, m)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 
@@ -624,11 +628,10 @@ def verify(ident: IdentityId, params: dict[str, Any], tol: float,
            cfg: EvalConfig = DEFAULT_CONFIG) -> VerifyReport:
     """Evaluate both sides of one identity instance and compare at tol; the
     series counts as converged when cfg says so.  A missing or unknown
-    parameter, or a tol that is not positive and finite, is a DomainError.
+    parameter, or a tol that is not finite and > 0, is a DomainError.
     The sides take bind's completed parameters as they are, less the
     selector where the row has one; the report keeps all of them."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    check_above("tol", tol, 0.0)
     row = REGISTRY[ident]
     sides, full = row.bind(ident, params)
     args = full

@@ -21,19 +21,19 @@ This module imports nothing from asymptotics.
 
 The closed forms take x-orders 0 to 3 of one ratio at one base point, so
 gamma_ratio_jet keeps one jet per (variant, x0, z0, oz), built at x-order
-MAX_OX (special.memo), and returns its rows 0..ox.  A truncated Taylor
-coefficient of order <= k does not depend on where the series is truncated
-(Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), and here row a
-of the exp recurrence reads rows <= a only, so the rows keep the bits of a
-build at ox.
+MAX_OX (special.memo), and a caller reads the rows it needs.  A truncated
+Taylor coefficient of order <= k does not depend on where the series is
+truncated (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), and
+here row a of the exp recurrence reads rows <= a only, so rows 0..ox keep
+the bits of a build at x-order ox.
 
 psi_derivatives keeps the raw tuple (psi(a), psi'(a), ..., psi^(top)(a)) by
 its exact (a, top) (special.memo); it is the one source of psi values for
 the jets and for the closed forms' Leibniz sums.  ln_gamma_jet divides its
 entries by k! and is memoized itself, each tuple kept by its exact
 (a, order), so every caller shares it: a polygamma value is computed once per
-process.  A memo table keeps no raised DomainError, so a bad a or base point,
-nonpositive or not finite, is checked on every call.
+process.  Each memo table checks its own arguments and keeps no raised
+DomainError, so a bad one is refused on every call, a kept one not rechecked.
 series._cache.cache_clear() drops them all, the gamma-ratio jets included.
 
 Every sum here, each coefficient of jet_mul's Cauchy product and of the exp
@@ -50,7 +50,7 @@ import enum
 import math
 from typing import Sequence
 
-from .special import DomainError, digamma, ln_gamma, memo, polygamma
+from .special import DomainError, check_above, check_int, digamma, memo, polygamma
 
 MAX_OX = 3
 MAX_OZ = 12
@@ -84,16 +84,18 @@ def jet_exp(c: Sequence[float]) -> tuple[float, ...]:
 @memo
 def psi_derivatives(a: float, top: int) -> tuple[float, ...]:
     """(psi(a), psi'(a), ..., psi^(top)(a)), kept by the exact (a, top)."""
+    check_above("a", a, -math.inf)
+    top = check_int("top", top, 0)
     return tuple(digamma(a) if k == 0 else polygamma(k, a) for k in range(top + 1))
 
 
 @memo
 def ln_gamma_jet(a: float, order: int) -> tuple[float, ...]:
-    """Jet of ln Gamma at a > 0: (lnGamma(a), psi(a), psi'(a)/2!, ...)."""
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"ln_gamma_jet requires a finite a > 0, got {a}")
-    psi = psi_derivatives(a, order - 1)
-    return (ln_gamma(a),) + tuple(d / math.factorial(k) for k, d in enumerate(psi, start=1))
+    """Jet of ln Gamma at a > 0 to `order`: (lnGamma(a), psi(a), psi'(a)/2!, ...)."""
+    check_above("a", a, 0.0)
+    order = check_int("order", order, 0)
+    psi = psi_derivatives(a, order - 1) if order else ()
+    return (math.lgamma(a),) + tuple(d / math.factorial(k) for k, d in enumerate(psi, start=1))
 
 
 # --------------------------- bivariate jets ---------------------------------
@@ -118,21 +120,19 @@ def _exp2(f: list[list[float]]) -> tuple[tuple[float, ...], ...]:
     return tuple(g)
 
 
-def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float, ox: int,
+def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float,
                     oz: int) -> tuple[tuple[float, ...], ...]:
-    """Bivariate jet of the chosen gamma ratio at (x0, z0): ox + 1 rows of
-    oz + 1 coefficients d_x^a d_z^b f(x0, z0) / (a! b!).
+    """Bivariate jet of the chosen gamma ratio at (x0, z0): MAX_OX + 1 rows
+    of oz + 1 coefficients d_x^a d_z^b f(x0, z0) / (a! b!), of which a
+    caller reads the rows it needs: the jet _ratio_jet keeps and checks.
+    It stays a plain function, so that perfbench/tracing.py can time it.
 
-    Rows 0..ox of the one jet kept for (variant, x0, z0, oz) (see the module
-    docstring).  As that jet is built at x-order MAX_OX, every ox needs psi
-    up to order MAX_OX + oz - 1 at w0, and a w0 so small that one of those
-    overflows binary64 raises at ox = 0 too: gamma_ratio_jet(BETA_SHIFT0,
-    1e-300, 1e-300, 0, 1) needs psi'(2e-300).  No closed form reaches such a
+    A w0 so small that psi up to order MAX_OX + oz - 1 overflows there
+    raises, even where a caller reads row 0 only: gamma_ratio_jet(BETA_SHIFT0,
+    1e-300, 1e-300, 1) needs psi'(2e-300).  No closed form reaches such a
     point, as their w0 = x + 1 or x + p + 1 >= 2^-53.
     """
-    if not (0 <= ox <= MAX_OX and 0 <= oz <= MAX_OZ):
-        raise DomainError(f"orders ({ox},{oz}) outside supported (<= {MAX_OX}, <= {MAX_OZ})")
-    return _ratio_jet(variant, x0, z0, oz)[: ox + 1]
+    return _ratio_jet(variant, x0, z0, oz)
 
 
 @memo
@@ -142,13 +142,13 @@ def _ratio_jet(variant: RatioVariant, x0: float, z0: float,
 
     Built as exp of  lnGamma(x0+1+dx) + lnGamma(z0+dz) - lnGamma(w0+dx+dz)
     with w0 = x0+z0 (+1 for BETA_SHIFT1); the composite (dx+dz)^r term
-    spreads over the rectangle with binomial weights.
-    """
+    spreads over the rectangle with binomial weights.  A bad oz or base
+    point is a DomainError naming it."""
+    oz = check_int("oz", oz, 0, MAX_OZ)
     shift = 1.0 if variant is RatioVariant.BETA_SHIFT1 else 0.0
     w0 = x0 + z0 + shift
-    for arg, name in ((x0 + 1.0, "x0+1"), (z0, "z0"), (w0, "x0+z0+shift")):
-        if not 0.0 < arg < math.inf:
-            raise DomainError(f"gamma_ratio_jet needs a finite {name} > 0, got {arg}")
+    for name, arg in (("x0+1", x0 + 1.0), ("z0", z0), ("x0+z0+shift", w0)):
+        check_above(name, arg, 0.0)
     ux = ln_gamma_jet(x0 + 1.0, MAX_OX)
     uz = ln_gamma_jet(z0, oz)
     uw = ln_gamma_jet(w0, MAX_OX + oz)
@@ -161,7 +161,9 @@ def mixed_partial(coeffs: Sequence[Sequence[float]], a: int, b: int) -> float:
     """d_x^a d_z^b of the function a gamma_ratio_jet expands, at its base
     point.  It is the one reader of jet coefficients, so a partial past
     binary64 (the jet's entry or its product with a! b!) is a DomainError
-    here, naming its orders: no closed form returns a jet's inf or nan."""
+    here, naming its orders: no closed form returns a jet's inf or nan.  Its
+    callers pass orders they have checked, 1-3 times a call: the bounds test
+    against the jet's shape is all it adds, and it takes no float order."""
     ox, oz = len(coeffs) - 1, len(coeffs[0]) - 1
     if not (0 <= a <= ox and 0 <= b <= oz):
         raise DomainError(f"mixed partial ({a},{b}) outside jet orders ({ox},{oz})")

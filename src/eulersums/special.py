@@ -1,7 +1,7 @@
-"""Scalar special functions: ln Gamma, digamma, polygamma, zeta, harmonic numbers.
+"""Scalar special functions: digamma, polygamma, zeta, harmonic numbers.
 
 Everything here is a pure function of binary64 inputs.  Accuracy targets:
-ln_gamma 1e-13 relative, digamma 1e-12, polygamma 1e-11.  Hurwitz zeta is
+digamma 1e-12, polygamma 1e-11 (ln Gamma is math.lgamma).  Hurwitz zeta is
 within series._HURWITZ_ROUNDING = 4 units of 2^-53, relative, of 30-digit
 mpmath at every (s, a) measured: s = 2..80, 100, 200 and 1000 at a = 1 + p,
 p on a 0.001 grid.  It has two branches: where the Euler-Maclaurin split holds
@@ -18,8 +18,9 @@ gamma-ratio jets, the closed forms' harmonic-number tuples, the registry
 rows' declared parameters, the Hurwitz and so the Riemann zeta values) in
 bounded tables that clear_memos empties.
 gen_harmonic keeps nothing: the closed forms read its fsums through their
-memoized tuples.  check_int and check_above, beside DomainError, are the
-parameter checks both sides of every identity share.
+memoized tuples.  check_int (an order or index) and check_above (a real),
+beside DomainError, are the one way every public function refuses a bad
+argument; a memo table checks inside itself, as it keeps no raised error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class PoleError(DomainError):
 def check_int(name: str, v: float, least: int, most: float = math.inf) -> int:
     """v as an int, so that an integral float such as 2.0 gives the int's
     bits; DomainError naming `name` unless v is an integer in least..most.
-    Both sides of every identity check their orders and indices here."""
+    Every public function checks its orders and indices here."""
     if not (v >= least and v % 1 == 0):
         raise DomainError(f"{name} must be an integer >= {least}, got {v}")
     if v > most:
@@ -126,8 +127,7 @@ _BERNOULLI = (1.0, -0.5) + tuple(v for b in BERNOULLI_2J for v in (b, 0.0))
 def bernoulli_poly(n: int, a: float) -> float:
     """Bernoulli polynomial B_n(a) = sum_k binom(n, k) B_k a^(n-k), for
     0 <= n <= 25 (the numbers in BERNOULLI_2J)."""
-    if not 0 <= n < len(_BERNOULLI):
-        raise DomainError(f"bernoulli_poly requires 0 <= n < {len(_BERNOULLI)}, got {n}")
+    n = check_int("n", n, 0, len(_BERNOULLI) - 1)
     return math.fsum(math.comb(n, k) * _BERNOULLI[k] * a ** (n - k) for k in range(n + 1))
 
 
@@ -136,20 +136,14 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and float(x).is_integer()
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """psi(x) for real x off the poles 0, -1, -2, ...
 
     For x below the asymptotic threshold the recurrence
     psi(x) = psi(x+1) - 1/x is applied upward (also from negative x), then
     psi is evaluated from the ln x - 1/(2x) - sum B_{2j}/(2j x^{2j}) series.
-    """
+    A non-finite x is a DomainError."""
+    check_above("x", x, -math.inf)
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x = {x}")
     acc = 0.0
@@ -177,10 +171,10 @@ def polygamma(k: int, x: float) -> float:
     relative through k ~ 16; a flat threshold of 10 degrades to ~1e-10 by
     k = 16.  If k!, a power or a recurrence term k!/y^(k+1) leaves binary64
     (k! does from k = 171; y^(k+1) underflows to 0 near a pole),
-    DomainError.
+    DomainError, and so is a non-finite x.
     """
-    if k < 1:
-        raise DomainError(f"polygamma requires k >= 1, got {k}")
+    k = check_int("k", k, 1)
+    check_above("x", x, -math.inf)
     if _is_nonpositive_integer(x):
         raise PoleError(f"polygamma pole at x = {x}")
     threshold = 10.0 + k
@@ -243,21 +237,20 @@ def hurwitz_zeta(s: float, a: float) -> float:
       decay.
     Both are within 4 _U of zeta(s, a) at every (s, a) the tests measure
     (series._HURWITZ_ROUNDING).  A direct term or their sum that leaves
-    binary64 (a^-s does at a small enough a) is a DomainError.  Each (s, a)
-    is computed once per process: the checks run on every call, and the
-    value is kept by _hurwitz_zeta's memo table.
+    binary64 (a^-s does at a small enough a) is a DomainError, as is an s
+    or an a outside the domain.  The memo table _hurwitz_zeta checks and
+    computes each (s, a) once per process; this plain function in front of
+    it is what perfbench/tracing.py can time.
     """
-    if not 1.0 < s < math.inf:
-        raise DomainError(f"hurwitz_zeta requires 1 < s < inf, got s = {s}")
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"hurwitz_zeta requires 0 < a < inf, got a = {a}")
     return _hurwitz_zeta(s, a)
 
 
 @memo
 def _hurwitz_zeta(s: float, a: float) -> float:
-    """hurwitz_zeta past its domain checks, kept by memo.  A DomainError it
-    raises (a direct term or their sum past binary64) is not kept."""
+    """hurwitz_zeta, kept by memo.  A DomainError it raises (a bad s or a,
+    a direct term or their sum past binary64) is not kept."""
+    check_above("s", s, 1.0)
+    check_above("a", a, 0.0)
     n_direct = max(0, int(math.ceil(20.0 + 0.8 * s - a)))
     try:  # the powers (j + a)^-s, and their fsum, may leave binary64 at a small a
         terms = _direct_terms(s, a, n_direct)
@@ -294,8 +287,5 @@ def riemann_zeta(s: float) -> float:
 
 def gen_harmonic(n: int, m: int) -> float:
     """H_n^(m) = sum_{k=1..n} k^-m; H_0^(m) = 0."""
-    if n < 0:
-        raise DomainError(f"gen_harmonic requires n >= 0, got {n}")
-    if m < 1:
-        raise DomainError(f"gen_harmonic requires m >= 1, got {m}")
+    n, m = check_int("n", n, 0), check_int("m", m, 1)
     return math.fsum(k**-m if m > 1 else 1.0 / k for k in range(1, n + 1))

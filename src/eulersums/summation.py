@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .asymptotics import LogPowerSeries, log_power_integral
-from .special import BERNOULLI_2J, DomainError, memo
+from .special import BERNOULLI_2J, DomainError, check_above, check_int, memo
 
 
 class NonFiniteTermError(ValueError):
@@ -47,8 +47,7 @@ class EvalConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        check_above("rel_tol", self.rel_tol, 0.0)
 
     def converged(self, res: SumResult) -> bool:
         return (math.isfinite(res.value)
@@ -99,7 +98,8 @@ def _em_weights(s0: float, depth: int, n_rows: int, K: int,
     so that it lines up with the model's rows flattened in order.  last[a]
     is the tail integral of the last kept order, j = depth.  The first
     `diverges` orders have s <= 1 and no tail integral.  Row a comes from
-    _em_row, which tables of every n_rows > a share."""
+    _em_row, which tables of every n_rows > a share.  It checks K for em_tail."""
+    K = check_int("K", K, 0)
     rows = [_em_row(s0, depth, a, K, order) for a in range(n_rows)]
     f0, f1, tail, omitted = (tuple(v for row in rows for v in row[i]) for i in range(4))
     last = tuple(v for row in rows for v in row[4])
@@ -160,7 +160,7 @@ def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:
     DomainError.  A tail that grows from x to x + 1 raises
     NonMonotoneTailError, and then a nonzero monomial with s <= 1, whose
     integral diverges, DomainError; that scan runs only for models whose
-    leading orders reach s <= 1.
+    leading orders reach s <= 1.  So is a K that is not an integer >= 0.
     """
     rows, flat = model.rows, model.flat
     w0, w1, tail, omitted, last, diverges = _em_weights(model.s0, model.depth, len(rows), K,

@@ -1,6 +1,7 @@
 """CLI: inventory, record shapes, exit codes, sweeps, config precedence."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -241,6 +242,101 @@ class TestEval:
             assert code == EXIT_DOMAIN, params
             assert out == "" and err.startswith("error:") and why in err
             assert len(err.splitlines()) == 1
+
+
+# One bad value for each parameter a row's signature names, the others at a
+# valid point, and the one stderr line that refuses it.
+BAD_ARGUMENTS = [
+    ("THM_BASE_E15", {"x": "-2", "m": "1"}, "x", "x must be finite and > -1, got -2.0"),
+    ("THM_BASE_E15", {"x": "2", "m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("THM_ALT_T25", {"n": "-1", "m": "1"}, "n", "n must be an integer >= 0, got -1"),
+    ("THM_ALT_T25", {"n": "1", "m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("THM_V1_31", {"n": "-1", "m": "1"}, "n", "n must be an integer >= 0, got -1"),
+    ("THM_V1_31", {"n": "1", "m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("COR_EULER_32", {"m": "-1"}, "m", "m must be an integer >= 2, got -1"),
+    ("THM_V2_33", {"n": "-1", "m": "1"}, "n", "n must be an integer >= 0, got -1"),
+    ("THM_V2_33", {"n": "1", "m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("COR_34", {"m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("THM_BASE_35", {"x": "-2", "p": "0.5", "m": "1"}, "x", "x must be finite and > -1, got -2.0"),
+    ("THM_BASE_35", {"x": "2", "p": "nan", "m": "1"}, "p", "p must be finite and > 0, got nan"),
+    ("THM_BASE_35", {"x": "2", "p": "0.5", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("COR_CENTRAL_36", {"p": "nan", "m": "1"}, "p", "p must be finite and > 0, got nan"),
+    ("COR_CENTRAL_36", {"p": "0.5", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("THM_V3_37", {"p": "nan", "n": "1", "m": "1"}, "p", "p must be finite and > 0, got nan"),
+    ("THM_V3_37", {"p": "0.5", "n": "-1", "m": "1"}, "n", "n must be an integer >= 0, got -1"),
+    ("THM_V3_37", {"p": "0.5", "n": "1", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("COR_38", {"p": "nan", "m": "1"}, "p", "p must be finite and > -1, got nan"),
+    ("COR_38", {"p": "0.5", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("THM_V3H_39", {"p": "nan", "n": "1", "m": "1"}, "p", "p must be finite and > 0, got nan"),
+    ("THM_V3H_39", {"p": "0.5", "n": "-1", "m": "1"}, "n", "n must be an integer >= 0, got -1"),
+    ("THM_V3H_39", {"p": "0.5", "n": "1", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("COR_310", {"p": "nan", "m": "1"}, "p", "p must be finite and > -1, got nan"),
+    ("COR_310", {"p": "0.5", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("THM_V4_311", {"p": "nan", "n": "1", "m": "1"}, "p", "p must be finite and > 0, got nan"),
+    ("THM_V4_311", {"p": "0.5", "n": "-1", "m": "1"}, "n", "n must be an integer >= 0, got -1"),
+    ("THM_V4_311", {"p": "0.5", "n": "1", "m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("COR_312", {"p": "nan", "m": "1"}, "p", "p must be finite and > -1, got nan"),
+    ("COR_312", {"p": "0.5", "m": "-1"}, "m", "m must be an integer >= 1, got -1"),
+    ("EX1_AUYEUNG", {"which": "cubic"}, "which",
+     "unknown EX1_AUYEUNG which 'cubic'; expected one of quadratic/linear/difference"),
+    ("EX2_CENTRAL", {"which": "cubic"}, "which",
+     "unknown EX2_CENTRAL which 'cubic'; expected one of unit/half"),
+    ("EX3_GOLDBACH", {"form": "cosine", "p": "0.4", "m": "1"}, "form",
+     "unknown EX3_GOLDBACH form 'cosine'; expected one of zeta-tail/psi-series/power-series"),
+    ("EX3_GOLDBACH", {"form": "zeta-tail", "m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+    ("EX3_GOLDBACH", {"form": "psi-series", "p": "nan"}, "p", "p must be finite and > -1, got nan"),
+    ("EX3_GOLDBACH", {"form": "power-series", "p": "nan", "m": "1"}, "p",
+     "p must be in (0, 1), got nan"),
+    ("EX3_GOLDBACH", {"form": "power-series", "p": "0.4", "m": "-1"}, "m",
+     "m must be an integer >= 0, got -1"),
+    ("EX4_HALF", {"m": "-1"}, "m", "m must be an integer >= 0, got -1"),
+]
+
+
+def _row_parameters(ident):
+    """Every parameter a row's functions take, and its selector."""
+    row = REGISTRY[ident]
+    sides = row.sides.values() if row.selector else [row.sides]
+    names = {name for fn in sides for name in inspect.signature(fn).parameters}
+    return names | ({row.selector} if row.selector else set())
+
+
+class TestBadArguments:
+    """Every bad argument ends in exit 2 and one `error:` line naming it:
+    the parameters of every row, the tolerances and the output file."""
+
+    def test_the_matrix_covers_every_row_and_parameter(self):
+        covered = {(ident, key) for ident, _, key, _ in BAD_ARGUMENTS}
+        assert covered == {(ident.value, key) for ident in IdentityId
+                           for key in _row_parameters(ident)}
+
+    @pytest.mark.parametrize("ident, params, key, message", BAD_ARGUMENTS)
+    def test_a_bad_parameter_is_named(self, capsys, ident, params, key, message):
+        argv = [arg for name, val in params.items() for arg in (f"--{name}", val)]
+        code, out, err = run(capsys, "eval", ident, *argv)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: {message}\n"
+        assert key in message
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "sweep"])
+    @pytest.mark.parametrize("flag", ["--tol", "--rel-tol"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+    def test_a_bad_tolerance_is_named(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, "THM_V1_31", "--n", "0", "--m", "1",
+                             f"{flag}={value}")
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: {flag} must be finite and > 0, got {float(value)}\n"
+
+    @pytest.mark.parametrize("where", ["missing/table.csv", "."])
+    def test_an_unwritable_out_is_named(self, capsys, tmp_path, where):
+        """A file that cannot be opened (no such directory, or a directory)
+        is a parameter error, exit 2, not a verification failure."""
+        target = tmp_path / where
+        code, out, err = run(capsys, "sweep", "THM_V1_31", "--n", "0", "--m", "1",
+                             "--out", str(target))
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error: --out cannot be written: ")
+        assert str(target) in err and len(err.splitlines()) == 1
 
 
 class TestTolerances:

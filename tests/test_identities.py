@@ -260,7 +260,7 @@ class TestVerifyHarness:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(DomainError, match="tol must be positive and finite"):
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
             verify(IdentityId.COR_38, {"p": 1.5, "m": 1}, tol)
 
 

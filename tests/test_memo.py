@@ -101,7 +101,7 @@ def test_clear_drops_the_ratio_jets_and_harmonic_tuples():
 
 def test_ratio_jets_and_harmonic_tuples_stay_within_the_bound():
     for i in range(MEMO_SIZE + 10):
-        jets.gamma_ratio_jet(jets.RatioVariant.BETA_SHIFT0, 1.0 + i / 64.0, 1.0, 1, 0)
+        jets.gamma_ratio_jet(jets.RatioVariant.BETA_SHIFT0, 1.0 + i / 64.0, 1.0, 0)
         identities._harmonics(1, i + 1)
     for table in (jets._ratio_jet, identities._harmonics):
         info = table.cache_info()
@@ -217,8 +217,8 @@ def test_jets_divide_the_psi_derivatives(a):
     psi = jets.psi_derivatives(a, 12)
     assert psi == (special.digamma(a),) + tuple(special.polygamma(k, a) for k in range(1, 13))
     lg = jets.ln_gamma_jet(a, 13)
-    assert lg == (special.ln_gamma(a),) + tuple(d / math.factorial(k + 1) for k, d in enumerate(psi))
-    assert jets.ln_gamma_jet(a, 0) == (special.ln_gamma(a),)
+    assert lg == (math.lgamma(a),) + tuple(d / math.factorial(k + 1) for k, d in enumerate(psi))
+    assert jets.ln_gamma_jet(a, 0) == (math.lgamma(a),)
 
 
 def test_repeated_psi_closed_forms_call_no_polygamma(monkeypatch):

@@ -15,7 +15,6 @@ from eulersums import (
     digamma,
     gen_harmonic,
     hurwitz_zeta,
-    ln_gamma,
     polygamma,
     riemann_zeta,
 )
@@ -25,23 +24,6 @@ from eulersums.series import _harmonic_numbers
 from eulersums.special import BERNOULLI_2J
 
 from conftest import REFS, assert_close
-
-
-class TestLnGamma:
-    def test_at_one(self):
-        assert abs(ln_gamma(1.0)) < 1e-13
-
-    def test_half(self):
-        assert_close(ln_gamma(0.5), 0.5 * math.log(math.pi), 1e-13)
-
-    def test_ten(self):
-        assert_close(ln_gamma(10.0), math.log(362880.0), 1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-1.5)
 
 
 class TestGamma:
