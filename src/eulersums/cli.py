@@ -13,7 +13,6 @@ that parsed them; `--jobs` is still accepted and ignored.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -103,6 +102,15 @@ def _parse_range(key: str, text: str) -> list[float]:
         raise DomainError(f"--{key} {rule}, got {text}") from None
 
 
+def _int_or_float(text: str) -> float:
+    """--n and --m: integer text as an int, so that records print it as one;
+    any other number as a float, which the row refuses by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
     return {key: getattr(args, key) for key in ("n", "m", "p", "x", "which", "form")
             if getattr(args, key) is not None}
@@ -187,6 +195,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = EvalConfig(check_above("--rel-tol", args.rel_tol, 0.0))
     records = _run_grid(_sweep_grid(args), tol, cfg)
     if args.format == "csv":
+        import csv  # here, so that no other command pays for its import
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
@@ -238,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=None,
                        help="ignored: grids run in this process (kept so old scripts parse)")
         if with_params:
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--m", type=int, default=None)
+            p.add_argument("--n", type=_int_or_float, default=None)
+            p.add_argument("--m", type=_int_or_float, default=None)
             p.add_argument("--p", type=float, default=None)
             p.add_argument("--x", type=float, default=None)
             p.add_argument("--which", default=None, help="EX1/EX2 sub-instance")

@@ -44,12 +44,11 @@ DomainError naming it, on either side, never one naming a jet's base point.
 from __future__ import annotations
 
 import enum
-import inspect
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, KeysView
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, KeysView, Mapping, NamedTuple
 
 from .jets import (
     MAX_OZ,
@@ -115,11 +114,12 @@ class IdentityId(enum.Enum):
     EX4_HALF = "EX4_HALF"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """One left/right comparison.  It passes when the series converged and
     rel_err = |lhs - rhs| / max(|lhs|, |rhs|) is at most tol, however small
-    the two sides are (rel_err is 0 when both are 0)."""
+    the two sides are (rel_err is 0 when both are 0).  verify gives each
+    report its own `extra` dict; the default is an empty read-only mapping,
+    so that no report can change another's."""
 
     id: IdentityId
     params: dict[str, Any]
@@ -130,7 +130,7 @@ class VerifyReport:
     passed: bool
     lhs_terms: int
     converged: bool = True
-    extra: dict[str, Any] = field(default_factory=dict)
+    extra: Mapping[str, Any] = MappingProxyType({})
 
 
 # -------------------------- finite-sum helpers ------------------------------
@@ -431,11 +431,9 @@ def ex4_stated_zeta_form(m: int) -> float:
 # ------------------------------ the inventory --------------------------------
 
 Sides = Callable[..., tuple[SumResult, float]]
-_NONE = inspect.Parameter.empty
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One statement of the paper, described once.
 
     `sides(**params)` sums the series, then evaluates the closed form, and
@@ -481,11 +479,13 @@ class Identity:
 @memo
 def _declared(sides: Sides) -> tuple[frozenset[str], tuple[tuple[str, Any], ...], KeysView[str]]:
     """The parameters `sides` takes: the names without a default, the
-    (name, default) pairs, and every name, the last two in declared order."""
-    declared = inspect.signature(sides).parameters.values()
-    return (frozenset(p.name for p in declared if p.default is _NONE),
-            tuple((p.name, p.default) for p in declared if p.default is not _NONE),
-            dict.fromkeys(p.name for p in declared).keys())
+    (name, default) pairs, and every name, the last two in declared order.
+    They are read off the function's code and defaults, as a row's functions
+    take positional-or-keyword parameters only."""
+    names = sides.__code__.co_varnames[:sides.__code__.co_argcount]
+    defaults = sides.__defaults__ or ()
+    split = len(names) - len(defaults)
+    return frozenset(names[:split]), tuple(zip(names[split:], defaults)), dict.fromkeys(names).keys()
 
 
 def _axes(**axes: Iterable[Any]) -> list[dict[str, Any]]:

@@ -34,20 +34,36 @@ sums as the int), and every real parameter by special.check_above: the
 checks the closed forms share.  The shifted families, variants 3, 3h and 4,
 take any finite p > -1, where every denominator p + n + k, k >= 1, is
 positive; at p = -1/2, n = 0, variant 3h is the half-shifted example EX4.
+This is the one module that uses numpy, and it loads numpy at the first
+series head: importing the package, the closed forms, `euler-sums list`,
+`--help` and argument errors never run numpy's code.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import asymptotics as ap
 from .special import _U, DomainError, check_above, check_int, clear_memos, hurwitz_zeta, memo
 from .summation import NonFiniteTermError, SumResult, em_tail
+
+# numpy through importlib.util.LazyLoader: found here, so that a missing numpy
+# fails this import, but run at the first attribute read, when a factor
+# constructor builds its first head.  A numpy imported earlier is reused, and
+# once loaded np is a plain module.  The first read is not thread-safe before
+# Python 3.12; the package runs in one thread.
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 K_CROSSOVER = 1_000
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .asymptotics import LogPowerSeries, log_power_integral
@@ -37,17 +36,19 @@ class NonMonotoneTailError(ValueError):
     """em_tail was handed a tail whose magnitude is not decreasing."""
 
 
-@dataclass(frozen=True)
 class EvalConfig:
     """How strictly verify judges a series: a result has converged when its
     value is finite and its tail_estimate is at most rel_tol max(|value|,
     1e-300), so an infinite or NaN value or estimate never has.  rel_tol
-    must be positive and finite."""
+    must be positive and finite; it is read-only once checked."""
 
-    rel_tol: float = 1e-10
+    __slots__ = ("rel_tol",)
 
-    def __post_init__(self) -> None:
-        check_above("rel_tol", self.rel_tol, 0.0)
+    def __init__(self, rel_tol: float = 1e-10) -> None:
+        object.__setattr__(self, "rel_tol", check_above("rel_tol", rel_tol, 0.0))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("EvalConfig is read-only")
 
     def converged(self, res: SumResult) -> bool:
         return (math.isfinite(res.value)

@@ -293,6 +293,13 @@ BAD_ARGUMENTS = [
 ]
 
 
+# The matrix's n and m cases again, with a non-integer in place of -1: each
+# reaches the row, whose check_int refuses it by name.
+NON_INTEGERS = [(ident, {**params, key: {"n": "1.5", "m": "2.5"}[key]}, key,
+                 message.replace("got -1", "got " + {"n": "1.5", "m": "2.5"}[key]))
+                for ident, params, key, message in BAD_ARGUMENTS if key in ("n", "m")]
+
+
 def _row_parameters(ident):
     """Every parameter a row's functions take, and its selector."""
     row = REGISTRY[ident]
@@ -317,6 +324,22 @@ class TestBadArguments:
         assert code == EXIT_DOMAIN
         assert out == "" and err == f"error: {message}\n"
         assert key in message
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("ident, params, key, message", NON_INTEGERS)
+    def test_a_non_integer_order_is_named(self, capsys, command, ident, params, key, message):
+        """--n and --m take any number, as --p and --x do, so a non-integer
+        gets the row's one `error:` line, not argparse's usage."""
+        argv = [arg for name, val in params.items() for arg in (f"--{name}", val)]
+        code, out, err = run(capsys, command, ident, *argv)
+        assert code == EXIT_DOMAIN
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_integer_orders_reach_the_row_as_ints(self, capsys):
+        code, out, _ = run(capsys, "eval", "THM_V1_31", "--n", "2", "--m", "1")
+        assert code == EXIT_OK
+        assert '"params": {"n": 2, "m": 1}' in out
+        assert json.loads(out)["params"] == {"n": 2, "m": 1}
 
     @pytest.mark.parametrize("command", ["eval", "verify", "sweep"])
     @pytest.mark.parametrize("flag", ["--tol", "--rel-tol"])
@@ -555,6 +578,57 @@ def test_import_leaves_the_process_pool_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+# The first closed_form benchmark point of each closed form it times.
+_FIRST_CLOSED_FORM_POINTS = {
+    "rhs_thm_e15": (0.0, 1), "rhs_thm_t25": (0, 1), "rhs_thm_31": (0, 1), "rhs_cor_32": (2,),
+    "rhs_thm_33": (0, 1), "rhs_cor_34": (1,), "rhs_thm_35": (0.0, 0.5, 0), "rhs_cor_36": (0.5, 0),
+    "rhs_thm_37": (0.5, 0, 0), "rhs_cor_38": (0.5, 0), "rhs_thm_39": (0.5, 0, 0),
+    "rhs_cor_310": (0.5, 0), "rhs_thm_311": (0.5, 0, 1), "rhs_cor_312": (0.5, 1),
+}
+
+_IMPORT_SURFACE = """
+import io, json, sys
+WATCHED = ("inspect", "dataclasses", "csv")
+before = set(sys.modules)
+
+def loaded():
+    return sorted(name for name in set(sys.modules) - before
+                  if name.startswith("numpy.") or name in WATCHED)
+
+from eulersums import identities, series
+from eulersums.cli import main
+print(json.dumps(["import", loaded()]))
+sys.stdout = io.StringIO()
+main(["list"])
+sys.stdout = sys.__stdout__
+print(json.dumps(["list", loaded()]))
+sys.stderr = io.StringIO()
+code = main(["eval", "THM_V1_31", "--n", "1.5", "--m", "1"])
+sys.stderr = sys.__stderr__
+print(json.dumps(["bad eval, exit %d" % code, loaded()]))
+for name, args in json.loads(sys.argv[1]).items():
+    getattr(identities, name)(*args)
+print(json.dumps(["closed forms", loaded()]))
+series.lhs_variant1(1, 1)
+print(json.dumps(["series", any(name.startswith("numpy.") for name in loaded())]))
+"""
+
+
+def test_numpy_and_introspection_stay_out_until_a_series_is_summed():
+    """Import, `list`, an argument error and every closed form load no numpy
+    submodule and none of inspect, dataclasses and csv: numpy's code runs at
+    the first series head, and the other three are not needed at all."""
+    rhs = sorted(name for name in dir(identities) if name.startswith("rhs_"))
+    assert sorted(_FIRST_CLOSED_FORM_POINTS) == [name for name in rhs if name != "rhs_cor_34a"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE,
+                          json.dumps(_FIRST_CLOSED_FORM_POINTS)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert [json.loads(line) for line in out.stdout.splitlines()] == [
+        ["import", []], ["list", []], ["bad eval, exit 2", []], ["closed forms", []],
+        ["series", True]]
 
 
 def test_import_builds_no_memoized_value():

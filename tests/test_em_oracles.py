@@ -10,6 +10,9 @@ every oracle's result bit for bit.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -272,6 +275,65 @@ def test_oracle_bits(name):
         got.append([list(params), res.value.hex(), res.tail_estimate.hex(),
                     EvalConfig().converged(res), res.terms_used])
     assert got == _oracle_bits()[name]
+
+
+_LOAD_ORDER = """
+import json, sys
+if sys.argv[1] == "before":
+    import numpy
+from eulersums import series
+if sys.argv[1] == "after":
+    import numpy
+assert series.np is sys.modules["numpy"] is numpy
+for name, params in json.loads(sys.argv[2]).items():
+    res = getattr(series, name)(*params)
+    print(name, res.value.hex(), res.tail_estimate.hex())
+"""
+
+
+def _first_oracle_bits(order):
+    """The first pinned oracle_bits.json entry of each oracle, computed in a
+    fresh interpreter that imports numpy before or after eulersums."""
+    first = {name: entries[0][0] for name, entries in _oracle_bits().items()}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", _LOAD_ORDER, order, json.dumps(first)],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.splitlines()
+
+
+def test_numpy_loaded_before_or_after_gives_the_pinned_bits():
+    """series loads numpy lazily, or reuses a numpy already imported: either
+    way every oracle gives its pinned value and estimate."""
+    pinned = [f"{name} {entries[0][1]} {entries[0][2]}" for name, entries in _oracle_bits().items()]
+    assert _first_oracle_bits("before") == pinned
+    assert _first_oracle_bits("after") == pinned
+
+
+_BLOCKED = """
+import importlib.abc, os, sys
+if sys.argv[1] == "finder":
+    class Blocked(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "numpy":
+                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    sys.meta_path.insert(0, Blocked())
+else:  # no numpy on the path at all
+    sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p or ".", "numpy"))]
+try:
+    import eulersums
+except ModuleNotFoundError as exc:
+    print(exc.name, exc)
+"""
+
+
+@pytest.mark.parametrize("how", ["finder", "path"])
+def test_a_missing_numpy_fails_the_import(how):
+    """numpy is found at import, so a missing numpy fails `import eulersums`,
+    not the first sum."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", _BLOCKED, how], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "numpy No module named 'numpy'\n"
 
 
 def test_default_grid_lhs_bits():

@@ -37,7 +37,9 @@ from eulersums.identities import (
     P_GRID,
     REGISTRY,
     Identity,
+    VerifyReport,
     _cubic_weight,
+    _declared,
     _finite_sum,
     _harmonics,
     _zeta_double_sum,
@@ -380,9 +382,37 @@ class TestBind:
         assert text(IdentityId.EX1_AUYEUNG, {"which": "cubic"}) == (
             "unknown EX1_AUYEUNG which 'cubic'; expected one of quadratic/linear/difference")
 
+    @pytest.mark.parametrize("ident", list(IdentityId))
+    def test_declared_reads_what_the_signature_gives(self, ident):
+        """_declared reads each function's code and defaults, not
+        inspect.signature: for every row and sub-form, the same names without
+        a default, the same (name, default) pairs and the same names, in
+        declared order."""
+        row = REGISTRY[ident]
+        for sides in row.sides.values() if row.selector else [row.sides]:
+            declared = list(inspect.signature(sides).parameters.values())
+            none = inspect.Parameter.empty
+            required, defaults, names = _declared(sides)
+            assert required == frozenset(p.name for p in declared if p.default is none)
+            assert defaults == tuple((p.name, p.default) for p in declared if p.default is not none)
+            assert list(names) == [p.name for p in declared]
+
     def test_verify_reports_the_bound_parameters(self):
         rep = verify(IdentityId.EX3_GOLDBACH, {"m": 1, "form": "power-series"}, 1e-7)
         assert list(rep.params.items()) == [("form", "power-series"), ("p", 0.4), ("m", 1)]
+
+
+def test_reports_share_no_extra_dict():
+    """A report built without `extra` gets an empty read-only mapping, so no
+    report can change another's; verify gives each report its own dict."""
+    fields = (IdentityId.COR_34, {"m": 1}, 1.0, 1.0, 0.0, 0.0, True, 1000)
+    first, second = VerifyReport(*fields), VerifyReport(*fields)
+    assert first.extra == {} and first.converged is True
+    with pytest.raises(TypeError):
+        first.extra["note"] = 1
+    assert second.extra == {}
+    reports = [verify(IdentityId.COR_34, {"m": 1}, 1e-7) for _ in range(2)]
+    assert reports[0].extra == {} and reports[0].extra is not reports[1].extra
 
 
 def _example_reports(cfg: EvalConfig = EvalConfig()) -> list:

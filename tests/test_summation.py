@@ -67,6 +67,12 @@ class TestEvalConfig:
             with pytest.raises(DomainError):
                 EvalConfig(rel_tol=rel_tol)
 
+    def test_read_only(self):
+        cfg = EvalConfig(rel_tol=1e-8)
+        with pytest.raises(AttributeError):
+            cfg.rel_tol = math.nan
+        assert cfg.rel_tol == 1e-8
+
     def test_converged(self):
         cfg = EvalConfig(rel_tol=1e-10)
         assert cfg.converged(SumResult(2.0, 2e-10, 1))
