@@ -94,6 +94,10 @@ from .summation import EvalConfig, SumResult
 
 
 class IdentityId(enum.Enum):
+    # Members are singletons and compare by identity, so they hash by it too:
+    # a REGISTRY lookup then skips enum.Enum.__hash__, a Python-level call.
+    __hash__ = object.__hash__
+
     THM_BASE_E15 = "THM_BASE_E15"
     THM_ALT_T25 = "THM_ALT_T25"
     THM_V1_31 = "THM_V1_31"

@@ -102,7 +102,10 @@ def ln_gamma_jet(a: float, order: int) -> tuple[float, ...]:
 
 
 class RatioVariant(enum.Enum):
-    """Which gamma ratio a bivariate jet expands."""
+    """Which gamma ratio a bivariate jet expands.  Hashed by identity, as
+    IdentityId is, for the _ratio_jet memo keys."""
+
+    __hash__ = object.__hash__
 
     BETA_SHIFT0 = 0  # Gamma(x+1) Gamma(z) / Gamma(x+z)
     BETA_SHIFT1 = 1  # Gamma(x+1) Gamma(z) / Gamma(x+z+1)

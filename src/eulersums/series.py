@@ -1,180 +1,147 @@
 """Direct summation of the variant Euler harmonic sums and their relatives.
 
 These evaluators are the oracles the closed forms are verified against.
-Each slow series is split at K = 10^3: terms up to K are summed exactly, and
-the tail is an Euler-Maclaurin estimate driven by the asymptotic log-power
-expansion of the term function.  Reaching 1e-10 on sums like
-sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the split gets there
-in 10^3.  The exact head sum is math.fsum's value, bit for bit, without a
-10^3-term fsum: _certified_sum splits each term at one power of 2, sums the
-high parts exactly and the low parts within a bound, both in numpy, and
-returns the rounded total where the bound proves it, in any summation order.
-Where it cannot (a sum near a tie, one that cancels below about 1e-5 of its
-largest term, or terms outside its range), fsum sums the terms.  Each term
-is a list of factors (_Factor), each written once with both its head values
-at k = 0..K and its 1/t expansion, so the head and the tail model come from
-the same list; a sum from k = 1 reads the heads from entry 1.  A factor
-depends only on its own parameters (the order of a harmonic number, n or x
-of a binomial, the power and shift of a denominator), so each is built once
-per process, head values and tail model included, and shared by every sum
-that uses it; so is each product of tail models a sum forms from them, by
-_product.  A warm sum then costs one pass over its factors, a few array
-operations on the head and one em_tail call, whose model holds its
-coefficients flat.  Every harmonic number H_k^(order) comes from one
-memoized compensated table per order, and its tail from one constructor,
-ap.harmonic_lp.  _cache.cache_clear() drops
-these memo tables together with the jets' and em_tail's weights.  Only the two
-zeta-value series of EX3, whose terms fall geometrically with a proven ratio,
-are summed term by term, by _sum_geometric, each term's zeta value computed
-once per process by special's memo table.  At an integer x the two binomial
-base series end at k = x, and _finite_binomial sums them exactly in Python
-ints, rounding once, up to a bound on its work.  Every order and index is
-checked by special.check_int, which returns it as an int (an integral float
-sums as the int), and every real parameter by special.check_above: the
-checks the closed forms share.  The shifted families, variants 3, 3h and 4,
-take any finite p > -1, where every denominator p + n + k, k >= 1, is
-positive; at p = -1/2, n = 0, variant 3h is the half-shifted example EX4.
-This is the one module that uses numpy, and it loads numpy at the first
-series head: importing the package, the closed forms, `euler-sums list`,
-`--help` and argument errors never run numpy's code.
+Each slow series is split at a K of its own: terms up to K are summed
+exactly, and the tail is an Euler-Maclaurin estimate driven by the
+asymptotic log-power expansion of the term function.  Reaching 1e-10 on
+sums like  sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the
+split gets there in 64.  The expansions are asymptotic in c/t, c the largest
+scale among the term's factors (the shift of a power, n of a reciprocal
+binomial, |x| + 1 of a signed binomial), so _split picks K from that scale,
+on a short ladder that starts at 64, and the expansions keep _DEPTH orders:
+the split and the expansion order are chosen together.  The exact head sum
+is math.fsum's value.  Each term is a list of factors (_Factor), each written
+once with both its head values at k = 0..K and its 1/t expansion, so the
+head and the tail model come from the same list; a sum from k = lo reads the
+heads from entry lo.  A factor depends only on its own parameters (the
+order of a harmonic number, n or x of a binomial, the power and shift of a
+denominator), so each is built once per process, tail model included, and
+shared by every sum that uses it; its head is built once per split K, as a
+tuple of Python floats.  Each product of tail models a sum forms from them
+is built once too, by _product, and so is each sum's layout of its heads and
+tail model, by _layout.  A warm sum then costs one pass over its factors'
+heads, two fsums and one em_tail call, whose model holds its coefficients
+flat.  Every harmonic number H_k^(order) comes from one memoized compensated
+table per order and K, and its tail from one constructor, ap.harmonic_lp.
+Powers are IEEE multiplies, so every head has the same bits on every CPU.
+_cache.cache_clear() drops these memo tables together with the jets' and
+em_tail's weights.  Only the two zeta-value series of EX3, whose terms fall
+geometrically with a proven ratio, are summed term by term, by
+_sum_geometric, each term's zeta value computed once per process by
+special's memo table.  At an integer x the two binomial base series end at
+k = x, and _finite_binomial sums them exactly in Python ints, rounding once,
+up to a bound on its work.  Every order and index is checked by
+special.check_int, which returns it as an int (an integral float sums as the
+int), and every real parameter by special.check_above: the checks the
+closed forms share.  The shifted families, variants 3, 3h and 4, take any
+finite p > -1, where every denominator p + n + k, k >= 1, is positive; at
+p = -1/2, n = 0, variant 3h is the half-shifted example EX4.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
+import operator
 import sys
+from functools import partial
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import asymptotics as ap
 from .special import _U, DomainError, check_above, check_int, clear_memos, hurwitz_zeta, memo
 from .summation import NonFiniteTermError, SumResult, em_tail
 
-# numpy through importlib.util.LazyLoader: found here, so that a missing numpy
-# fails this import, but run at the first attribute read, when a factor
-# constructor builds its first head.  A numpy imported earlier is reused, and
-# once loaded np is a plain module.  The first read is not thread-safe before
-# Python 3.12; the package runs in one thread.
-np = sys.modules.get("numpy")
-if np is None:
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
-
-K_CROSSOVER = 1_000
-
-# Orders kept in each tail model past its leading decay s0, up to t^-(s0 + _DEPTH).
-# The model is the 1/t expansion of the term, and the shifted power
-# (c + t)^-s in it falls from order j to j + 1 by c (s + j) / ((j + 1) t), c
-# being its shift (p + n, n + 1, p or 1/2; 1/binom(n+t, t) and the harmonic
-# numbers fall faster).  The bound em_tail reports is the tail integral of
-# the last kept order, which is below the tail by about
+# Orders kept in each tail model past its leading decay s0, up to
+# t^-(s0 + _DEPTH), and the splits a sum may take.  The model is the 1/t
+# expansion of the term, and its order j + 1 is about c (s + j) / ((j + 1) t)
+# of order j, c being the largest scale among the term's factors.  The bound
+# em_tail reports is the tail integral of the last kept order, which is below
+# the tail by about
 #     (s0 - 1) / (s0 + _DEPTH - 1) * prod_{j < _DEPTH} c (s + j) / ((j + 1) K),
 # and it must stay below the head's rounding bound, at least
-# 5 _U |value| = 5.5e-16 |value|, for n, m <= 10 and p <= 20.  Each order
-# gains a factor of about K / c = 50 at c = 20.  Each unit of s costs
-# tail/value a factor of K and the product at most (s + _DEPTH) / s, so the
-# worst cases have s <= 2 and the smallest s0:
-#   lhs_binomial_shifted(x=-0.9, p=20, m=1): s = 2, s0 = 2.1,
-#       tail/value = 0.012: 145 _U |value| at depth 7, 2.9 _U at depth 8;
-#   lhs_central_binom(p=20, m=0): s = 1, s0 = 3/2, tail/value = 0.20:
-#       150 _U at depth 7, 2.6 _U at depth 8.
-# Hence depth 8.  test_em_oracles checks the reported bound against 5 _U
-# |value| for every parameter set it pins.
-_DEPTH = 8
+# 5 _U |value| = 5.5e-16 |value|.  _split gives each sum the least K on the
+# ladder _SPLITS with c <= K / _SPLIT_RATIO, and the last one past that.  At
+# depth 20 the worst bound measured at that edge (K = 64, c = 8, every
+# family with a shift or n at n = 0..10, m = 0..12) is 0.005 _U |value|, for
+# variant 4 at n = 0, m = 5, and it passes 5 _U only past c = K / 6.4.  Each
+# unit of s costs tail/value a factor of about K / c, so the worst cases have
+# the smallest s.  test_em_oracles checks the reported bound, and the first
+# omitted Euler-Maclaurin correction, against 5 _U |value| for every
+# parameter set it pins.
+_DEPTH = 20
+_SPLITS = (64, 128, 256, 512, 1024)
+_SPLIT_RATIO = 8.0
+
+_MOST = int(sys.float_info.max)  # the largest int that converts to a finite float
 
 # Head rounding is counted in units of _U, to first order: 1 per rounded
-# +, -, *, /; 2 per pow; a base rounded r times and raised to the power e adds
-# r e; a compensated sum of positive terms adds 1 to the most its terms are
-# rounded; a difference a - b adds (err a + err b) / |a - b|.  Each factor
-# constructor below counts its own head; _em_sum adds 1 per * or / that joins
-# the factors.  _U = 2^-53 is special's.
+# +, -, *, /; a power b^s taken by multiplies adds s - 1, whatever the order
+# of its products (Higham, Accuracy and Stability of Numerical Algorithms,
+# Lemma 3.1), and a base rounded r times adds r s; a compensated sum of
+# positive terms adds 1 to the most its terms are rounded; a difference
+# a - b adds (err a + err b) / |a - b|.  Each factor constructor below counts
+# its own head; _em_sum adds 1 per * or / that joins the factors.  _U = 2^-53
+# is special's.
 
-# Everything the oracles build on first use (the factors below, their
-# products, the harmonic tables, _ks) and the closed forms' psi tuples and
+# Everything the oracles build on first use (the factors below, their heads,
+# their products, the harmonic tables) and the closed forms' psi tuples and
 # jets are special.memo tables.  _cache.cache_clear() empties all of them, so
 # the next call builds each piece again; perfbench resets a process through
 # this name before every timed pass.
 _cache = SimpleNamespace(cache_clear=clear_memos)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _split(scale: float) -> int:
+    """The split K for a sum whose factors' largest expansion scale is `scale`."""
+    return next((K for K in _SPLITS if _SPLIT_RATIO * scale <= K), _SPLITS[-1])
+
+
+def _ipow(b: float, s: int) -> float:
+    """b^s for an integer s >= 1 by binary powering: IEEE multiplies only, so
+    the same bits on every CPU, s - 1 roundings, and an overflow that is
+    inf, not an OverflowError."""
+    out = 1.0
+    while True:
+        if s & 1:
+            out *= b
+        s >>= 1
+        if not s:
+            return out
+        b *= b
 
 
 @memo
-def _ks() -> np.ndarray:
-    """k = 0..K as floats, read-only."""
-    return _read_only(np.arange(0.0, K_CROSSOVER + 1.0))
+def _head(values: Callable[..., Iterable[float]], args: tuple, K: int) -> tuple[float, ...]:
+    """values(*args, K), a factor's head at k = 0..K, as a tuple: built once
+    per factor and split K, and read-only."""
+    return tuple(values(*args, K))
 
 
 class _Factor(NamedTuple):
-    """One factor of a series term.  `head` holds its values at k = 0..K,
-    read-only; where the factor has a pole at k = 0 (H_{k-1}, k^-s) entry 0
-    is that infinity, so a sum from k = 0 over it ends in NonFiniteTermError.
-    `tail` is its expansion in 1/t, built _DEPTH orders past its leading
-    power t^-tail.s0.  `rounding + rounding_per_k k` bounds the
-    relative rounding error of its value at k, in units of _U; `divides` says
-    the term divides by it.  `s_rounding` bounds, in units of _U times the
-    model's last exponent, how far the expansion's exponents were rounded.
+    """One factor of a series term.  `head(K)` holds its values at k = 0..K
+    (_head, with the factor's values function and parameters bound);
+    where the factor has a pole at k = 0 (H_{k-1}) entry 0 is that
+    infinity, so a sum from k = 0 over it ends in NonFiniteTermError.  `tail`
+    is its expansion in 1/t, built _DEPTH orders past its leading power
+    t^-tail.s0 (_inv_binomial keeps fewer past n = 140, where binary64
+    cannot hold its coefficients), and `scale` the c of that expansion's
+    c/t, from which _split picks K.  `rounding + rounding_per_k k` bounds the
+    relative rounding error of its value at k, in units of _U; `divides`
+    says the term divides by it.  `s_rounding` bounds, in units of _U times the model's last
+    exponent, how far the expansion's exponents were rounded.
 
     A factor depends on its constructor's arguments alone, so each
-    constructor below is memoized (special.memo): its head and its tail
-    model are built once per process, read-only (a LogPowerSeries holds
-    tuple rows), and every sum that shares them only reads them."""
+    constructor below is memoized (special.memo): its tail model is built
+    once per process, read-only (a LogPowerSeries holds tuple rows), and
+    every sum that shares it only reads it, as it reads the heads."""
 
-    head: np.ndarray
+    head: Callable[[int], tuple[float, ...]]
     tail: ap.LogPowerSeries
+    scale: float
     rounding: float
     rounding_per_k: float = 0.0
     divides: bool = False
     s_rounding: float = 0.0
-
-
-# _certified_sum certifies heads whose largest |term| lies in this range, so
-# that its split point sigma and its bound stay normal binary64 numbers.
-_CERTIFIED_RANGE = (2.0**-900, 2.0**1000)
-
-
-def _certified_sum(terms: np.ndarray, mags: np.ndarray) -> float | None:
-    """math.fsum(terms), bit for bit, from vectorized sums, or None where it
-    cannot prove that; mags = |terms|.
-
-    After Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
-    SIAM J. Sci. Comput. 31 (2008), section 3 (ExtractVector).  With n terms,
-    the largest |term| M below 2^e and sigma = 2^(e + bitlength(n) + 2),
-    each q = (sigma + t) - sigma is a multiple of _U sigma, and r = t - q is
-    exact with |r| <= _U sigma.  Every partial sum of the q is a multiple of
-    _U sigma below sigma, so their sum tau is exact in any order.  The sum s
-    of the r is within gamma_(n-1) n _U sigma < b = 4 n^2 _U^2 sigma of
-    theirs in any order too, so numpy's summation order cannot matter; b is
-    a product of powers of 2 and n^2 < 2^40, so it is exact.  So the q are
-    formed in one array, sigma added and taken away in place, and tau and s
-    are one numpy reduction each, in whatever order numpy adds.  The sum of
-    the terms lies in [tau + s - b, tau + s + b].  Rounding is monotone, so
-    where fsum rounds both ends to one float, that float is the rounded sum,
-    which is what fsum(terms) returns.
-
-    None where the ends round apart: a sum within b of a rounding boundary,
-    such as a tie, or one that cancels below about 128 n^3 _U M (1.4e-5 M at
-    n = 10^3), where b exceeds half its ulp.  None too for n >= 2^20 or M
-    outside _CERTIFIED_RANGE, 0, inf and nan included."""
-    n = len(terms)
-    most = float(np.maximum.reduce(mags, initial=0.0))
-    if not (_CERTIFIED_RANGE[0] < most < _CERTIFIED_RANGE[1] and n < 1 << 20):
-        return None
-    sigma = math.ldexp(1.0, math.frexp(most)[1] + n.bit_length() + 2)
-    q = np.add(sigma, terms)
-    np.subtract(q, sigma, out=q)
-    tau, s = float(np.add.reduce(q)), float(np.add.reduce(np.subtract(terms, q)))
-    b = 4.0 * n * n * _U * _U * sigma
-    low = math.fsum((tau, s, -b))
-    return low if low == math.fsum((tau, s, b)) else None
 
 
 @memo
@@ -185,96 +152,122 @@ def _product(a: ap.LogPowerSeries, b: ap.LogPowerSeries) -> ap.LogPowerSeries:
     return a * b
 
 
-def _em_sum(lo: int, *factors: _Factor) -> SumResult:
-    """sum_{k>=lo} of the product of `factors`, taken left to right: the head
-    k <= K exactly, the rest by em_tail on the product of their tails, each
-    partial product kept by _product for every sum that shares it.  Each
-    tail keeps _DEPTH orders past its own leading one, and so does the
-    product, up to t^-(model.s0 + model.depth).  The head's sum is
-    math.fsum's, bit for bit: _certified_sum's where it proves it (every
-    head of the default grid), fsum's own where it returns None, so every
-    value and every exception is fsum's.
-
-    One pass over the factors forms the head's terms, the tail model and the
-    rounding counts; every count is an integer-valued float, so the totals
-    are exact in any order.  The estimate adds the em_tail error, the head's
-    rounding (the factors' own plus 1 per * or /, weighted by |term| in the
-    array of magnitudes, once the certificate has read it) and the two final
-    roundings.  A model whose exponents were rounded, by up to s_rounding,
-    also adds what that moves the tail: |tail| s_rounding (ln K + 1/(s0 - 1)),
-    the s-derivative of int_K^inf t^-s dt relative to it; s0 is the model's
-    leading decay, as the products that carry s_rounding lead with
-    1/Gamma(-x) != 0.  A sum that is
-    not finite raises NonFiniteTermError; whether the estimate is small enough
-    is for the caller to judge (identities.verify, through EvalConfig.converged)."""
+@memo
+def _layout(lo: int, factors: tuple[_Factor, ...]) -> tuple:
+    """The part of _em_sum that depends on its factors alone, built once per
+    sum: (K, first, joins, model, roundings, per_k, s_rounding).  K is _split
+    of the factors' largest scale; first the first factor's head from
+    k = lo; joins the operator (* or /) and head from k = lo of each factor
+    that joins it; model the product of their tails, left to right, each
+    partial product kept by _product for every sum that shares it; the rest
+    the rounding counts.  Every count is an integer-valued float, so the
+    totals are exact in any order."""
+    K = _split(max(f.scale for f in factors))
     first = factors[0]
-    model, terms = first.tail, first.head[lo:]
+    model = first.tail
     roundings, per_k, s_rounding = first.rounding, first.rounding_per_k, first.s_rounding
+    joins = []
     for f in factors[1:]:
         model = _product(model, f.tail)
-        terms = terms / f.head[lo:] if f.divides else terms * f.head[lo:]
+        joins.append((operator.truediv if f.divides else operator.mul, f.head(K)[lo:]))
         roundings += f.rounding + 1.0
         per_k += f.rounding_per_k
         s_rounding += f.s_rounding
-    if per_k:
-        roundings = per_k * _ks()[lo:] + roundings
-    s_rounding = s_rounding * _U * (model.s0 + model.depth)
+    return (K, first.head(K)[lo:], tuple(joins), model, roundings, per_k,
+            s_rounding * _U * (model.s0 + model.depth))
 
-    mags = np.abs(terms)
-    exact = _certified_sum(terms, mags)
-    if exact is None:  # fsum reads the same floats in order, without a list
-        exact = math.fsum(memoryview(terms))
-    tail, err = em_tail(model, K_CROSSOVER)
+
+def _em_sum(lo: int, *factors: _Factor) -> SumResult:
+    """sum_{k>=lo} of the product of `factors`, taken left to right: the head
+    k <= K exactly, by math.fsum, the rest by em_tail on the product of their
+    tails.  _layout gives K, the heads and the tail model.  Each tail keeps
+    _DEPTH orders past its own leading one, and so does the product, up to
+    t^-(model.s0 + model.depth).
+
+    The estimate adds the em_tail error, the head's rounding (the factors'
+    own plus 1 per * or /, weighted by |term|) and the two final roundings.
+    A model whose exponents were rounded, by up to s_rounding, also adds what
+    that moves the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the
+    s-derivative of int_K^inf t^-s dt relative to it; s0 is the model's
+    leading decay, as the products that carry s_rounding lead with
+    1/Gamma(-x) != 0.  A sum that is not finite, a term that divides by 0
+    included, raises NonFiniteTermError; a head that fsum cannot sum raises
+    fsum's error.  Whether the estimate is small enough is for the caller to
+    judge (identities.verify, through EvalConfig.converged)."""
+    K, terms, joins, model, roundings, per_k, s_rounding = _layout(lo, factors)
+    for op, head in joins:
+        terms = map(op, terms, head)
+    try:
+        terms = list(terms)
+    except ZeroDivisionError:
+        raise NonFiniteTermError("a term of the series divides by 0") from None
+
+    exact = math.fsum(terms)
+    if per_k:
+        mags = list(map(abs, terms))
+        head_err = roundings * math.fsum(mags)
+        head_err += per_k * math.fsum(map(operator.mul, range(lo, K + 1), mags))
+    else:
+        head_err = roundings * math.fsum(map(abs, terms))
+    tail, err = em_tail(model, K)
     if s_rounding:
-        err += abs(tail) * s_rounding * (math.log(K_CROSSOVER) + 1.0 / (model.s0 - 1.0))
+        err += abs(tail) * s_rounding * (math.log(K) + 1.0 / (model.s0 - 1.0))
     value = exact + tail
-    head_err = float(np.add.reduce(np.multiply(roundings, mags, out=mags)))
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
     if not (math.isfinite(value) and math.isfinite(tail_estimate)):
         raise NonFiniteTermError(f"the series sums to {value} with error {tail_estimate}, "
                                  "outside binary64")
-    return SumResult(value, tail_estimate, K_CROSSOVER)
+    return SumResult(value, tail_estimate, K)
 
 
 # ------------------------------- the factors --------------------------------
 #
-# Each head is computed with its factor and read, like the tail, by every sum
-# that shares the factor.  Tails are built here, _DEPTH orders past their
-# leading one, by the asymptotics constructors, looked up as ap.<name> at call
-# time.
-
-
-def _running_neumaier(terms: np.ndarray) -> np.ndarray:
-    """[0, s_1 + c_1, s_2 + c_2, ...], read-only: Neumaier's compensated
-    running sum s_i = s_(i-1) + t_i, c_i = c_(i-1) + ((s_(i-1) - s_i) + t_i).
-    That form of the error term needs |s_(i-1)| >= |t_i|, which holds for
-    positive terms that never exceed the first (and at i = 1 both forms give
-    0).  cumsum adds left to right, as the scalar loop does, so every s_i and
-    c_i is that loop's, bit for bit."""
-    s = np.cumsum(terms)
-    prev = np.concatenate(([0.0], s[:-1]))
-    return _read_only(np.concatenate(([0.0], s + np.cumsum((prev - s) + terms))))
+# Each head is computed with its factor, once per split K, and read, like the
+# tail, by every sum that shares the factor.  Tails are built here, _DEPTH
+# orders past their leading one, by the asymptotics constructors, looked up
+# as ap.<name> at call time.
 
 
 @memo
-def _harmonic_numbers(order: int) -> np.ndarray:
-    """H_0^(order) .. H_2K^(order), read-only: the central-binomial sums read
-    H_2k."""
-    return _running_neumaier(1.0 / np.arange(1.0, 2 * K_CROSSOVER + 1.0) ** order)
+def _harmonic_numbers(order: int, K: int) -> tuple[float, ...]:
+    """H_0^(order) .. H_2K^(order), the central-binomial sums reading H_2k:
+    Neumaier's compensated running sum s_i = s_(i-1) + t_i,
+    c_i = c_(i-1) + ((s_(i-1) - s_i) + t_i), entry i being s_i + c_i.  That
+    form of the error term needs |s_(i-1)| >= |t_i|, which holds for
+    positive terms that never exceed the first (and at i = 1 both forms give
+    0).  Each entry depends only on the terms before it, so the tables of
+    every K agree where they overlap."""
+    out, s, c = [0.0], 0.0, 0.0
+    for i in range(1, 2 * K + 1):
+        t = 1.0 / _ipow(float(i), order)
+        new = s + t
+        c += (s - new) + t
+        s = new
+        out.append(s + c)
+    return tuple(out)
+
+
+def _harmonic_values(order: int, prev: bool, K: int) -> tuple[float, ...]:
+    h = _harmonic_numbers(order, K)
+    return (-math.inf,) + h[:K] if prev else h[: K + 1]
 
 
 @memo
 def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
     """H_k^(order), or H_{k-1}^(order) with prev (-inf at k = 0), read from
     _harmonic_numbers.  Its compensated sum adds 1 to its terms' rounding:
-    1/n and 1/n^2 round once (n^2 is exact below 2^26), and 1/n^order past
-    that rounds three times (the pow, 2, and the /).  Hence 2 for orders 1
-    and 2, 4 above."""
-    h = _harmonic_numbers(order)
-    if prev:
-        h = _read_only(np.concatenate(([-np.inf], h[:K_CROSSOVER])))
+    1/i^order rounds once where i^order is exact, as it is for every
+    i <= 2 * 1024 at order <= 4 (2048^4 = 2^44), and order times past that
+    (order - 1 multiplies and the /).  Hence 2 up to order 4, order + 1
+    above."""
     tail = ap.harmonic_lp(order, _DEPTH, prev)
-    return _Factor(h[: K_CROSSOVER + 1], tail, 2.0 if order <= 2 else 4.0)
+    return _Factor(partial(_head, _harmonic_values, (order, prev)), tail, 0.0,
+                   2.0 if order <= 4 else order + 1.0)
+
+
+def _harmonic_square_diff_values(prev: bool, K: int) -> Iterable[float]:
+    h, h2 = _harmonic(prev=prev).head(K), _harmonic(2, prev).head(K)
+    return (a * a - b for a, b in zip(h, h2))
 
 
 @memo
@@ -283,27 +276,54 @@ def _harmonic_square_diff(prev: bool = False) -> _Factor:
     difference's rounding peaks at k = 2, at 15."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
     tail = h.tail * h.tail + h2.tail.scaled(-1.0)
-    return _Factor(_read_only(h.head**2 - h2.head), tail, 15.0)
+    return _Factor(partial(_head, _harmonic_square_diff_values, (prev,)), tail, 0.0, 15.0)
+
+
+def _central_harmonic_diff_values(K: int) -> Iterable[float]:
+    h = _harmonic_numbers(1, K)
+    return (a - 2.0 * b for a, b in zip(h, h[::2]))
 
 
 @memo
 def _central_harmonic_diff() -> _Factor:
     """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
-    h = _harmonic_numbers(1)
-    head = _read_only(h[: K_CROSSOVER + 1] - 2.0 * h[::2])
-    return _Factor(head, ap.central_harmonic_diff_lp(_DEPTH), 7.0)
+    return _Factor(partial(_head, _central_harmonic_diff_values, ()),
+                   ap.central_harmonic_diff_lp(_DEPTH), 0.0, 7.0)
+
+
+def _inv_binomial_values(n: int, K: int) -> Iterable[float]:
+    for k in range(K + 1):
+        v = 1.0
+        for i in range(1, n + 1):
+            v *= i / (k + i)
+        yield v
 
 
 @memo
 def _inv_binomial(n: int) -> _Factor:
-    """1/binom(n+k, k) = n!/((k+1)...(k+n)) = n! Gamma(k + 1) / Gamma(k + n + 1):
-    the head takes n ratios i/(k+i), each a / and a *, and the tail is the
-    gamma-ratio expansion times n!."""
-    head = np.ones(K_CROSSOVER + 1)
+    """1/binom(n+k, k) = n!/((k+1)...(k+n)): the head takes n ratios
+    i/(k+i), each a / and a *.  The tail, on the scale n, is
+    t^-n sum_j (-1)^j n! h_j(1..n) t^-j, h_j the complete homogeneous
+    polynomial of degree j, each coefficient exact in Python ints and
+    rounded once.  The coefficients grow with j, and the tail keeps those
+    binary64 holds: all _DEPTH + 1 up to n = 140, fewer past it, and none
+    from n = 171, where n! alone raises OverflowError."""
+    h = [1] + [0] * _DEPTH
     for i in range(1, n + 1):
-        head *= i / (_ks() + i)
-    tail = ap.gamma_ratio_lp(1.0, n + 1.0, _DEPTH).scaled(float(math.factorial(n)))
-    return _Factor(_read_only(head), tail, 2.0 * n)
+        for j in range(1, _DEPTH + 1):
+            h[j] += i * h[j - 1]
+    coeffs = [math.factorial(n) * hj for hj in h]
+    row = [float((-1) ** j * c) for j, c in enumerate(coeffs) if j == 0 or c <= _MOST]
+    tail = ap.LogPowerSeries(float(n), len(row) - 1, [row])
+    return _Factor(partial(_head, _inv_binomial_values, (n,)), tail, float(n), 2.0 * n)
+
+
+def _signed_binomial_values(x: float, K: int) -> Iterable[float]:
+    v = 1.0
+    yield v
+    for k in range(1, K + 1):
+        v *= (k - 1.0 - x) / k
+        yield v
 
 
 @memo
@@ -312,50 +332,49 @@ def _signed_binomial(x: float) -> _Factor:
     like k^(-x-1); at x = -1/2 it is binom(2k, k)/4^k.  The head is the exact
     first term binom(x, 0) = 1 and the running product of the ratios
     (k - 1 - x)/k, each rounded 3 times (- x, / k, *); the tail is the
-    gamma-ratio expansion over Gamma(-x), whose exponents, 1 + x + j plus
-    the other factors' own, are rounded up to 3 times.  At a half-integer x
-    both k - 1 - x and the exponents are exact: 2 roundings per k and none in
-    the exponents.  Past x ~ 158 the tail model's coefficients leave
-    binary64, and past x ~ 172 so does 1/Gamma(-x): both end in
-    NonFiniteTermError."""
+    gamma-ratio expansion over Gamma(-x), on the scale |x| + 1, whose
+    exponents, 1 + x + j plus the other factors' own, are rounded up to 3
+    times.  At a half-integer x both k - 1 - x and the exponents are exact:
+    2 roundings per k and none in the exponents.  Past x ~ 158 the tail
+    model's coefficients leave binary64, and past x ~ 172 so does
+    1/Gamma(-x): both end in NonFiniteTermError."""
     g = math.gamma(-x)
     if g == 0.0:
         raise NonFiniteTermError(f"1/Gamma({-x}) overflows binary64: x = {x} is too large")
-    k = _ks()[1:]
-    head = np.concatenate(([1.0], np.cumprod((k - 1.0 - x) / k)))
+    head = partial(_head, _signed_binomial_values, (x,))
     tail = ap.gamma_ratio_lp(-x, 1.0, _DEPTH).scaled(1.0 / g)
     if (2.0 * x).is_integer():
-        return _Factor(_read_only(head), tail, 0.0, 2.0)
-    return _Factor(_read_only(head), tail, 0.0, 3.0, s_rounding=3.0)
+        return _Factor(head, tail, abs(x) + 1.0, 0.0, 2.0)
+    return _Factor(head, tail, abs(x) + 1.0, 0.0, 3.0, s_rounding=3.0)
+
+
+def _power_values(s: int, c: float, times_k: bool, K: int) -> Iterable[float]:
+    if times_k:  # at k = 0, 0 or, where c^s overflowed, nan: the term's pole either way
+        return (k * _ipow(c + k, s) for k in range(K + 1))
+    return (_ipow(c + k, s) for k in range(K + 1))
 
 
 @memo
-def _power(s: int, shift: float | tuple[float, ...] = 0.0, *,
-           times_k: bool = False, divides: bool = True) -> _Factor:
-    """(c + k)^s, or k (c + k)^s with times_k, which the term divides by; with
-    divides=False the head is (c + k)^-s and the term multiplies by it.
+def _power(s: int, shift: float | tuple[float, ...] = 0.0, *, times_k: bool = False) -> _Factor:
+    """(c + k)^s, or k (c + k)^s with times_k, which the term divides by.
 
     `shift` is c either as a number whose sum with k is exact (an integer or
     a half) or as a tuple of real addends (p, or p and n), summed left to
-    right and then added to k, each + rounded once.  The pow adds 2 and its
-    base's roundings times s, times_k 1.  At large s the pow overflows to
-    inf, and the term becomes 0, which it would underflow to anyway; k^-s is
-    +inf at k = 0."""
+    right and then added to k, each + rounded once.  The power, by
+    multiplies, adds s - 1 and its base's roundings times s, times_k 1, and
+    its expansion's scale is |c|.  At large s the power overflows to inf,
+    and the term becomes 0, which it would underflow to anyway; where it
+    underflows to 0 the term divides by 0 and is not finite."""
     if isinstance(shift, tuple):
         c, base_roundings = sum(shift[1:], shift[0]), len(shift)
     else:
         c, base_roundings = shift, 0
-
-    k = _ks()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        head = (c + k) ** (s if divides else -float(s))
-        if times_k:  # at k = 0, 0 or, where c^s overflowed, nan: the term's pole either way
-            head = k * head
+    c = float(c)
     tail = ap.recip_power_shift(c, float(s), _DEPTH)
     if times_k:  # k^-1 (c + k)^-s: the same coefficients, each one order down
         tail = ap.LogPowerSeries(tail.s0 + 1.0, tail.depth, tail.rows)
-    return _Factor(_read_only(head), tail, 2.0 + base_roundings * s + times_k,
-                   divides=divides)
+    return _Factor(partial(_head, _power_values, (s, c, times_k)), tail, abs(c),
+                   s - 1.0 + base_roundings * s + times_k, divides=True)
 
 
 # ----------------------- the four variant families --------------------------
@@ -382,40 +401,42 @@ def lhs_alt(n: int, m: int) -> SumResult:
     return _em_sum(0, _inv_binomial(n), _power(m + 1, n + 1.0)).scaled((-1.0) ** (n - 1))
 
 
-def _check_shift(p: float, n: int, e: int) -> None:
-    """DomainError naming p unless p > -1 is finite and the first term's
-    denominator (p + n + 1)^e, the least one, is at least 2^-1000, so that
-    the head's terms and their rounding bounds stay inside binary64.  Only
-    a negative p with n = 0 puts it below 1."""
+def _check_shift(p: float, n: int, e: int, k: int) -> None:
+    """DomainError naming p unless p > -1 is finite and the denominator
+    (p + n + k)^e of the first term the sum reads, the least one, is at least
+    2^-1000, so that the head's terms and their rounding bounds stay inside
+    binary64.  Only a negative p with n = 0 and k = 1 puts it below 1."""
     check_above("p", p, -1.0)
-    if p < 0.0 and (p + n + 1.0) ** e < 2.0**-1000:
-        raise DomainError(f"p = {p} puts (p + {n} + 1)^{e} below 2^-1000")
+    if p + n + k < 1.0 and _ipow(p + n + k, e) < 2.0**-1000:
+        raise DomainError(f"p = {p} puts (p + {n} + {k})^{e} below 2^-1000")
 
 
 def lhs_variant3(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (-1)^n / (k (p+n+k)^(m+1) binom(n+k,k)), for finite p > -1."""
     n, m = check_int("n", n, 0), check_int("m", m, 0)
-    _check_shift(p, n, m + 1)
+    _check_shift(p, n, m + 1, 1)
     res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True))
     return res.scaled((-1.0) ** n)
 
 
 def lhs_variant3h(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (-1)^n H_{k-1} / (k (p+n+k)^(m+1) binom(n+k,k)), for finite
-    p > -1; at p = -1/2, n = 0 it is the half-shifted example's series."""
+    p > -1; at p = -1/2, n = 0 it is the half-shifted example's series.  The
+    sum starts at k = 2, as H_0 = 0 makes the k = 1 term exactly 0."""
     n, m = check_int("n", n, 0), check_int("m", m, 0)
-    _check_shift(p, n, m + 1)
-    res = _em_sum(1, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
+    _check_shift(p, n, m + 1, 2)
+    res = _em_sum(2, _inv_binomial(n), _power(m + 1, (p, n), times_k=True),
                   _harmonic(prev=True))
     return res.scaled((-1.0) ** n)
 
 
 def lhs_variant4(p: float, n: int, m: int) -> SumResult:
     """sum_{k>=1} (H_{k-1}^2 - H_{k-1}^(2)) / (k (p+n+k)^m binom(n+k,k)), for
-    finite p > -1."""
+    finite p > -1.  The sum starts at k = 3, as H_0 = 0 and H_1^2 = H_1^(2)
+    make the terms at k = 1 and 2 exactly 0."""
     n, m = check_int("n", n, 0), check_int("m", m, 1)
-    _check_shift(p, n, m)
-    return _em_sum(1, _inv_binomial(n), _power(m, (p, n), times_k=True),
+    _check_shift(p, n, m, 3)
+    return _em_sum(3, _inv_binomial(n), _power(m, (p, n), times_k=True),
                    _harmonic_square_diff(prev=True))
 
 
@@ -480,7 +501,7 @@ def lhs_base_binomial(x: float, m: int) -> SumResult:
     if float(x).is_integer():
         return _finite_binomial(x, 0.0, m, m, 1)
     # (-1)^(k-1) = -(-1)^k
-    return _em_sum(1, _signed_binomial(x), _power(m, divides=False)).scaled(-1.0)
+    return _em_sum(1, _signed_binomial(x), _power(m)).scaled(-1.0)
 
 
 def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
@@ -490,7 +511,7 @@ def lhs_binomial_shifted(x: float, p: float, m: int) -> SumResult:
     m = check_int("m", m, 0)
     if float(x).is_integer():
         return _finite_binomial(x, p, m, m + 1, 0)
-    return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,), divides=False))
+    return _em_sum(0, _signed_binomial(x), _power(m + 1, (p,)))
 
 
 # ----------------------------- Euler sums -----------------------------------

@@ -12,11 +12,11 @@ The digamma/polygamma evaluators use upward recurrence to a large argument
 followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation.  memo keeps the results of the package's
-parameter-only builders (series factors, the products of their tail models
-and their harmonic-number tables, psi-derivative tuples, ln Gamma and
-gamma-ratio jets, the closed forms' harmonic-number tuples, the registry
-rows' declared parameters, the Hurwitz and so the Riemann zeta values) in
-bounded tables that clear_memos empties.
+parameter-only builders (series factors, their heads, the products of their
+tail models, each sum's layout of them and their harmonic-number tables,
+psi-derivative tuples, ln Gamma and gamma-ratio jets, the closed forms'
+harmonic-number tuples, the registry rows' declared parameters, the Hurwitz
+and so the Riemann zeta values) in bounded tables that clear_memos empties.
 gen_harmonic keeps nothing: the closed forms read its fsums through their
 memoized tuples.  check_int (an order or index) and check_above (a real),
 beside DomainError, are the one way every public function refuses a bad
@@ -59,17 +59,20 @@ def check_above(name: str, v: float, least: float) -> float:
 # ------------------- parameter-only values, built once ----------------------
 
 # The most results one memo table keeps; past it the least recently used goes.
-# One pass over the default grid builds 163 distinct series factors, 90
-# distinct ln Gamma jets from 93 psi-derivative tuples, 125 gamma-ratio jets
-# for its 500 gamma_ratio_jet calls and 15 harmonic-number tuples from 45
-# fsums; one over the closed_form benchmark builds 288 psi-derivative tuples,
-# 284 ln Gamma jets, 440 gamma-ratio jets for 1760 calls and 33
-# harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
-# pass asks for 794 tail-model products, 412 distinct (adaptive: 24); the
-# closed_form benchmark's untimed series values need 1382, so that table
-# evicts, and an evicted product is built again.  A grid pass asks for 263
-# zeta values, 94 distinct (s, a); an adaptive pass 254, 90 distinct, as the
-# EX3 zeta-value series at m and m + 1 share all their terms but one.
+# One pass over the default grid builds 163 distinct series factors, 117
+# distinct heads (each at K = 64; factors whose shifts add up to the same c
+# share one), 2 harmonic-number tables, 400 sum layouts, 90 distinct ln Gamma
+# jets from 87 psi-derivative tuples, 125 gamma-ratio jets for its 500
+# gamma_ratio_jet calls and 15 harmonic-number tuples from 45 fsums; one over
+# the closed_form benchmark builds 283 psi-derivative tuples, 284 ln Gamma
+# jets, 440 gamma-ratio jets for 1760 calls and 33 harmonic-number tuples from
+# 198 fsums, which it reads 3520 times.  A grid pass asks for 673 tail-model
+# products, 414 distinct (adaptive: 24); the closed_form benchmark's untimed
+# series values ask for 2275, more than 1024 distinct, from more than 1024
+# sum layouts, so those two tables evict, and an evicted entry is built
+# again.  A grid pass asks for 263 zeta values, 94 distinct (s, a); an
+# adaptive pass 254, 90 distinct, as the EX3 zeta-value series at m and
+# m + 1 share all their terms but one.
 MEMO_SIZE = 1024
 
 _MEMOS: list = []
@@ -79,10 +82,10 @@ def memo(fn: Callable) -> Callable:
     """fn with its results kept by its exact arguments, typed so that the
     arguments 1 and 1.0 (whose results may differ in the last bit) are kept
     apart; the items of a tuple argument compare by value.  Every caller
-    shares a kept result, so no caller may be able to change it: the jets and
-    harmonic-number tuples are tuples of floats, the series factors frozen
-    records holding read-only arrays, their tail models and the products of
-    those tuple rows.  clear_memos() empties every table made here."""
+    shares a kept result, so no caller may be able to change it: the jets,
+    harmonic-number tuples and series heads are tuples of floats, the series
+    factors frozen records, the sum layouts tuples of those, and their tail
+    models and the products of those tuple rows.  clear_memos() empties every table made here."""
     kept = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
     _MEMOS.append(kept)
     return kept

@@ -71,10 +71,13 @@ class SumResult(NamedTuple):
 # Bernoulli corrections em_tail takes.  The reported error includes the first
 # omitted correction, so no order can hide error; a higher one only shrinks a
 # bound that is already far below one ulp.  Correction j is about
-# (s + 2j)^2 / (2 pi x)^2 of correction j - 1, under 3e-5 at x = K + 1 = 1001
-# for the oracles' leading decays s <= 22.  Over the 2171 oracle results
-# pinned in tests/oracle_bits.json, orders 4 to 6 give the same bits; order 3
-# moves 145 tail estimates, order 2 moves 439, and order 1 moves 37 values.
+# (s + 2j)^2 / (2 pi x)^2 of correction j - 1, under 6e-3 at x = K + 1 = 65,
+# the least split, for the oracles' leading decays s <= 22, and
+# test_em_oracles checks that the first omitted one stays below 5 U |value|.
+# Over the 2171 oracle results pinned in tests/oracle_bits.json, orders 5 and
+# 6 give the same values as order 4 (and move 1294 tail estimates, of which
+# the omitted correction is a part); order 3 moves 2 values, order 2 moves
+# 218 and order 1 moves 644.
 _EM_ORDER = 4
 
 _Flat = tuple[float, ...]

@@ -10,7 +10,9 @@ fast and hermetic.
 
 import math
 
+from eulersums import summation
 from eulersums.asymptotics import LogPowerSeries, log_power_integral
+from eulersums.special import BERNOULLI_2J
 
 # (family, params...) -> value; 22 significant digits (rounds to nearest binary64)
 REFS = {
@@ -108,3 +110,14 @@ def truncation_bound(model: LogPowerSeries, K: float) -> float:
     s = model.s0 + model.depth
     return math.fsum([abs(row[-1]) * log_power_integral(a, s, K)
                       for a, row in enumerate(model.rows) if row and row[-1]])
+
+
+def omitted_correction(model: LogPowerSeries, x: float) -> float:
+    """|B_2(r+1) / (2r+2)! f^(2r+1)(x)|, r = summation._EM_ORDER: the first
+    Euler-Maclaurin correction em_tail leaves out, from termwise derivatives
+    of the model."""
+    r = summation._EM_ORDER
+    deriv = model
+    for _ in range(2 * r + 1):
+        deriv = deriv.diff()
+    return abs(BERNOULLI_2J[r] / math.factorial(2 * r + 2) * deriv(x))

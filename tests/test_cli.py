@@ -588,55 +588,86 @@ _FIRST_CLOSED_FORM_POINTS = {
     "rhs_cor_310": (0.5, 0), "rhs_thm_311": (0.5, 0, 1), "rhs_cor_312": (0.5, 1),
 }
 
-_IMPORT_SURFACE = """
-import io, json, sys
-WATCHED = ("inspect", "dataclasses", "csv")
+_WITHOUT_NUMPY = """
+import importlib.abc, io, json, sys
+
+
+class RefuseNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+WATCHED = ("numpy", "inspect", "dataclasses", "csv")
 before = set(sys.modules)
+
 
 def loaded():
     return sorted(name for name in set(sys.modules) - before
-                  if name.startswith("numpy.") or name in WATCHED)
+                  if name.partition(".")[0] in WATCHED)
 
+
+def quietly(argv):
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        return main(argv)
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+
+
+import eulersums
 from eulersums import identities, series
 from eulersums.cli import main
 print(json.dumps(["import", loaded()]))
-sys.stdout = io.StringIO()
-main(["list"])
-sys.stdout = sys.__stdout__
-print(json.dumps(["list", loaded()]))
-sys.stderr = io.StringIO()
-code = main(["eval", "THM_V1_31", "--n", "1.5", "--m", "1"])
-sys.stderr = sys.__stderr__
+print(json.dumps(["list, exit %d" % quietly(["list"]), loaded()]))
+code = quietly(["eval", "THM_V1_31", "--n", "1.5", "--m", "1"])
 print(json.dumps(["bad eval, exit %d" % code, loaded()]))
-for name, args in json.loads(sys.argv[1]).items():
+closed_forms, oracles = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for name, args in closed_forms.items():
     getattr(identities, name)(*args)
 print(json.dumps(["closed forms", loaded()]))
-series.lhs_variant1(1, 1)
-print(json.dumps(["series", any(name.startswith("numpy.") for name in loaded())]))
+print(json.dumps(["verify --all, exit %d" % quietly(["verify", "--all"]), loaded()]))
+codes = set()
+for ident in identities.IdentityId:
+    params = identities.REGISTRY[ident].grid[0]
+    codes.add(quietly(["eval", ident.value] + [f"--{k}={v}" for k, v in params.items()]))
+print(json.dumps(["eval per row, exits %s" % sorted(codes), loaded()]))
+for name, params in oracles.items():
+    getattr(series, name)(*params)
+print(json.dumps(["series oracles", loaded()]))
+code = quietly(["sweep", "THM_V3_37", "--p", "0.5,20", "--n", "0..2", "--m", "0..2"])
+print(json.dumps(["sweep, exit %d" % code, loaded()]))
 """
 
 
-def test_numpy_and_introspection_stay_out_until_a_series_is_summed():
-    """Import, `list`, an argument error and every closed form load no numpy
-    submodule and none of inspect, dataclasses and csv: numpy's code runs at
-    the first series head, and the other three are not needed at all."""
+def test_every_command_and_oracle_runs_without_numpy():
+    """With a meta-path finder that refuses numpy, import, `list`, an
+    argument error, every closed form, `verify --all`, one `eval` per row,
+    every series oracle at its first pinned parameter set and a sweep all
+    run, and none loads numpy; none but the sweep loads inspect, dataclasses
+    or csv, and the sweep only csv, for its output."""
+    from test_em_oracles import ORACLES
+
     rhs = sorted(name for name in dir(identities) if name.startswith("rhs_"))
     assert sorted(_FIRST_CLOSED_FORM_POINTS) == [name for name in rhs if name != "rhs_cor_34a"]
+    oracles = {name: params[0] for name, (params, _) in ORACLES.items()}
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE,
-                          json.dumps(_FIRST_CLOSED_FORM_POINTS)],
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY,
+                          json.dumps(_FIRST_CLOSED_FORM_POINTS), json.dumps(oracles)],
                          capture_output=True, text=True, env=env, check=True)
     assert [json.loads(line) for line in out.stdout.splitlines()] == [
-        ["import", []], ["list", []], ["bad eval, exit 2", []], ["closed forms", []],
-        ["series", True]]
+        ["import", []], ["list, exit 0", []], ["bad eval, exit 2", []], ["closed forms", []],
+        ["verify --all, exit 0", []], ["eval per row, exits [0]", []], ["series oracles", []],
+        ["sweep, exit 0", ["csv"]]]
 
 
 def test_import_builds_no_memoized_value():
-    """The series' summed k and the harmonic-number tuples, like every memo
-    table, are built on first use: import builds none of them, so start-up
-    does not pay for them."""
+    """The series' harmonic tables and the closed forms' harmonic-number
+    tuples, like every memo table, are built on first use: import builds none
+    of them, so start-up does not pay for them."""
     code = ("import eulersums; from eulersums import identities, series, special; "
-            "print(series._ks.cache_info().currsize, "
+            "print(series._harmonic_numbers.cache_info().currsize, "
             "identities._harmonics.cache_info().currsize, "
             "sum(kept.cache_info().currsize for kept in special._MEMOS))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}

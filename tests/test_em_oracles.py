@@ -10,9 +10,6 @@ every oracle's result bit for bit.
 
 import json
 import math
-import os
-import subprocess
-import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,10 +17,9 @@ import mpmath as mp
 import pytest
 
 from eulersums import identities, series
-from eulersums.series import K_CROSSOVER
 from eulersums.summation import EvalConfig, em_tail
 
-from conftest import tail_integral, truncation_bound
+from conftest import omitted_correction, tail_integral, truncation_bound
 
 mp.mp.dps = 30
 ULP = 2.0**-52
@@ -86,11 +82,12 @@ ORACLES = {
 
 @pytest.fixture
 def tail_models(monkeypatch):
-    """Run an oracle and return the tail model it handed to em_tail."""
+    """Run an oracle and return the tail model it handed to em_tail and the
+    split K it handed with it."""
     seen = []
 
     def capture(model, K):
-        seen.append(model)
+        seen.append((model, K))
         return 0.0, 0.0
 
     monkeypatch.setattr(series, "em_tail", capture)
@@ -98,8 +95,8 @@ def tail_models(monkeypatch):
     def run(name, *params):
         seen.clear()
         getattr(series, name)(*params)
-        (model,) = seen
-        return model
+        (model_and_split,) = seen
+        return model_and_split
 
     return run
 
@@ -107,11 +104,10 @@ def tail_models(monkeypatch):
 @pytest.mark.parametrize("name", ORACLES)
 def test_tail_model_is_the_head_term(tail_models, name):
     params_list, exact_term = ORACLES[name]
-    t = K_CROSSOVER + 1
-    x = float(t)
     for params in params_list:
-        model = tail_models(name, *params)
-        want = float(exact_term(t, *params))
+        model, K = tail_models(name, *params)
+        x = float(K + 1)
+        want = float(exact_term(K + 1, *params))
         # a few ulp of rounding, plus what the depth cut may leave out relative
         # to the tail: the bound em_tail itself reports
         depth_bound = truncation_bound(model, x) / abs(tail_integral(model, x))
@@ -128,27 +124,50 @@ def test_every_tail_model_is_built_at_the_depth(tail_models):
     oracle hands to em_tail keeps series._DEPTH orders past its leading one."""
     for name, (params_list, _) in ORACLES.items():
         for params in params_list:
-            assert tail_models(name, *params).depth == series._DEPTH, (name, params)
+            assert tail_models(name, *params)[0].depth == series._DEPTH, (name, params)
 
 
-@pytest.mark.parametrize("name", ORACLES)
-def test_depth_argument(monkeypatch, name):
-    """The argument for series._DEPTH, checked: at t = K + 1 the bound em_tail
-    reports for the orders the tail model drops stays below 5 U |value|, the
-    least head rounding bound, for every parameter set."""
-    models = []
+@pytest.fixture
+def em_calls(monkeypatch):
+    """Run an oracle and return its value with the (model, K) of its em_tail
+    call, which still computes."""
+    seen = []
 
     def capture(model, K):
-        models.append(model)
+        seen.append((model, K))
         return em_tail(model, K)
 
     monkeypatch.setattr(series, "em_tail", capture)
-    for params in ORACLES[name][0]:
-        models.clear()
+
+    def run(name, *params):
+        seen.clear()
         value = getattr(series, name)(*params).value
-        (model,) = models
-        assert truncation_bound(model, K_CROSSOVER + 1.0) <= 5 * series._U * abs(value), \
-            (name, params)
+        (model_and_split,) = seen
+        return value, model_and_split
+
+    return run
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_depth_argument(em_calls, name):
+    """The argument for series._DEPTH and the splits, checked: at t = K + 1,
+    K the split each sum took, the bound em_tail reports for the orders the
+    tail model drops stays below 5 U |value|, the least head rounding bound,
+    for every parameter set."""
+    for params in ORACLES[name][0]:
+        value, (model, K) = em_calls(name, *params)
+        assert K in series._SPLITS, (name, params)
+        assert truncation_bound(model, K + 1.0) <= 5 * series._U * abs(value), (name, params)
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_first_omitted_correction(em_calls, name):
+    """With the split as low as x = K + 1 = 65, the first Euler-Maclaurin
+    correction em_tail leaves out stays below 5 U |value| too, for every
+    parameter set."""
+    for params in ORACLES[name][0]:
+        value, (model, K) = em_calls(name, *params)
+        assert omitted_correction(model, K + 1.0) <= 5 * series._U * abs(value), (name, params)
 
 
 FROM_ZERO = ("lhs_variant1", "lhs_variant2", "lhs_alt", "lhs_central_binom")
@@ -275,65 +294,6 @@ def test_oracle_bits(name):
         got.append([list(params), res.value.hex(), res.tail_estimate.hex(),
                     EvalConfig().converged(res), res.terms_used])
     assert got == _oracle_bits()[name]
-
-
-_LOAD_ORDER = """
-import json, sys
-if sys.argv[1] == "before":
-    import numpy
-from eulersums import series
-if sys.argv[1] == "after":
-    import numpy
-assert series.np is sys.modules["numpy"] is numpy
-for name, params in json.loads(sys.argv[2]).items():
-    res = getattr(series, name)(*params)
-    print(name, res.value.hex(), res.tail_estimate.hex())
-"""
-
-
-def _first_oracle_bits(order):
-    """The first pinned oracle_bits.json entry of each oracle, computed in a
-    fresh interpreter that imports numpy before or after eulersums."""
-    first = {name: entries[0][0] for name, entries in _oracle_bits().items()}
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", _LOAD_ORDER, order, json.dumps(first)],
-                         capture_output=True, text=True, env=env, check=True)
-    return out.stdout.splitlines()
-
-
-def test_numpy_loaded_before_or_after_gives_the_pinned_bits():
-    """series loads numpy lazily, or reuses a numpy already imported: either
-    way every oracle gives its pinned value and estimate."""
-    pinned = [f"{name} {entries[0][1]} {entries[0][2]}" for name, entries in _oracle_bits().items()]
-    assert _first_oracle_bits("before") == pinned
-    assert _first_oracle_bits("after") == pinned
-
-
-_BLOCKED = """
-import importlib.abc, os, sys
-if sys.argv[1] == "finder":
-    class Blocked(importlib.abc.MetaPathFinder):
-        def find_spec(self, name, path=None, target=None):
-            if name.partition(".")[0] == "numpy":
-                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    sys.meta_path.insert(0, Blocked())
-else:  # no numpy on the path at all
-    sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p or ".", "numpy"))]
-try:
-    import eulersums
-except ModuleNotFoundError as exc:
-    print(exc.name, exc)
-"""
-
-
-@pytest.mark.parametrize("how", ["finder", "path"])
-def test_a_missing_numpy_fails_the_import(how):
-    """numpy is found at import, so a missing numpy fails `import eulersums`,
-    not the first sum."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", _BLOCKED, how], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout == "numpy No module named 'numpy'\n"
 
 
 def test_default_grid_lhs_bits():

@@ -6,17 +6,19 @@ built once per process, give the same bits cold and warm, are dropped by
 series._cache.cache_clear(), stay within special.MEMO_SIZE and cannot be
 written through."""
 
+import cProfile
 import inspect
 import itertools
 import json
 import math
+import pstats
 import random
 from pathlib import Path
 
 import pytest
 
 from eulersums import asymptotics, identities, jets, series, special
-from eulersums.identities import REGISTRY, default_grid
+from eulersums.identities import REGISTRY, IdentityId, default_grid
 from eulersums.special import MEMO_SIZE, DomainError
 
 TESTS = Path(__file__).parent
@@ -165,19 +167,20 @@ def test_clear_empties_every_memo_table_and_the_next_pass_rebuilds_them():
     the same bits."""
     grid = default_grid()
     first = _grid_pass(grid)
-    tables = {order: series._harmonic_numbers(order) for order in (1, 2)}
-    ks = series._ks()
+    tables = {order: series._harmonic_numbers(order, 64) for order in (1, 2)}
+    head = series._power(3, 1.0).head(64)
     assert identities._declared.cache_info().currsize > 0
     series._cache.cache_clear()
     assert identities._declared.cache_info().currsize == 0
-    assert series._ks.cache_info().currsize == 0
+    assert series._head.cache_info().currsize == 0
     assert series._harmonic_numbers.cache_info().currsize == 0
     assert all(kept.cache_info().currsize == 0 for kept in special._MEMOS)
     assert _grid_pass(grid) == first
     for order, table in tables.items():
-        rebuilt = series._harmonic_numbers(order)
-        assert rebuilt is not table and rebuilt.tobytes() == table.tobytes()
-    assert series._ks() is not ks and series._ks().tobytes() == ks.tobytes()
+        rebuilt = series._harmonic_numbers(order, 64)
+        assert rebuilt is not table and rebuilt == table
+    rebuilt = series._power(3, 1.0).head(64)
+    assert rebuilt is not head and rebuilt == head
 
 
 def test_memo_stays_within_its_bound():
@@ -253,15 +256,33 @@ def _verify_grid():
 
 def test_a_warm_grid_pass_builds_no_product(monkeypatch):
     """A cold pass builds each distinct product of tail models once, fewer
-    than the sums ask for (414 built for 794 asked today, two of the built
-    being _harmonic_square_diff's H_t^2), and a warm pass builds none."""
+    than the sums ask for (414 built for 673 asked today, two of the built
+    being _harmonic_square_diff's H_t^2), and a warm pass builds none, nor
+    any sum's layout."""
     built = _counting(monkeypatch, asymptotics.LogPowerSeries, "__mul__")
     asked = _counting(monkeypatch, series, "_product")
     _verify_grid()
     assert 0 < len(built) < len(asked)
     built.clear()
+    layouts = series._layout.cache_info().misses
     _verify_grid()
     assert built == []
+    assert series._layout.cache_info().misses == layouts
+
+
+def test_a_warm_grid_pass_calls_no_enum_hash():
+    """IdentityId and jets.RatioVariant hash by identity, so the REGISTRY
+    lookups and the _ratio_jet memo keys of a warm grid pass never call the
+    Python-level enum.Enum.__hash__; names, values and lookups by name stay."""
+    _verify_grid()
+    profile = cProfile.Profile()
+    profile.runcall(_verify_grid)
+    called = {(Path(path).name, func) for path, _line, func in pstats.Stats(profile).stats}
+    assert ("enum.py", "__hash__") not in called
+    assert ("identities.py", "verify") in called
+    assert IdentityId["COR_34"] is IdentityId("COR_34") is IdentityId.COR_34
+    assert {IdentityId.COR_34: 1}[IdentityId["COR_34"]] == 1
+    assert hash(jets.RatioVariant.BETA_SHIFT1) == object.__hash__(jets.RatioVariant.BETA_SHIFT1)
 
 
 def test_clear_drops_the_products():
@@ -296,22 +317,21 @@ def test_memoized_products_are_read_only_and_keep_their_bits(monkeypatch):
 
 
 def test_memoized_heads_are_kept_and_read_only():
-    """Every head holds k = 0..K and is built once, with its factor; where
-    the factor has a pole at k = 0, entry 0 is that infinity."""
+    """Every head holds k = 0..K, a tuple built once per factor and split K;
+    where the factor has a pole at k = 0, entry 0 is that infinity."""
     builds = (lambda: series._harmonic(), lambda: series._harmonic(4, True),
               lambda: series._harmonic_square_diff(True), series._central_harmonic_diff,
               lambda: series._inv_binomial(2), lambda: series._power(3, 1.0),
-              lambda: series._power(2, divides=False),
               lambda: series._power(2, (0.5, 1), times_k=True),
               lambda: series._signed_binomial(0.5))
     for build in builds:
-        head = build().head
-        assert build().head is head
-        assert len(head) == series.K_CROSSOVER + 1
-        with pytest.raises(ValueError):
-            head[1] = 0.0
-    assert series._harmonic(prev=True).head[0] == -math.inf
-    assert series._power(2, divides=False).head[0] == math.inf
+        for K in series._SPLITS:
+            head = build().head(K)
+            assert build().head(K) is head
+            assert type(head) is tuple and len(head) == K + 1
+            with pytest.raises(TypeError):
+                head[1] = 0.0
+    assert series._harmonic(prev=True).head(64)[0] == -math.inf
 
 
 def _fresh_harmonic(n, m):

@@ -40,11 +40,6 @@ ALLOWED = {
     ("special", "memo"): None,
     # k! or a power leaving binary64: the grid's orders are small
     ("special", "polygamma"): {"out = math.inf"},
-    # the exact head sum's fsum fallback, for heads the certificate cannot
-    # settle: the grid has none near a tie or with its largest |term| outside
-    # (2^-900, 2^1000); test_series.TestExactHeadSum runs both
-    ("series", "_certified_sum"): {"return None"},
-    ("series", "_em_sum"): {"exact = math.fsum(memoryview(terms))"},
     # the parameters an integer-x finite sum names when it refuses one: no
     # grid sum is refused
     ("series", "_named"): None,

@@ -1,15 +1,9 @@
 """Direct-summation oracles: frozen references, classical values, invariants."""
 
-import json
 import math
-import os
-import platform
 import re
 import struct
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -37,7 +31,6 @@ from eulersums import (
 )
 from eulersums import asymptotics, identities, series, special
 from eulersums.series import (
-    K_CROSSOVER,
     quadratic_minus_linear,
     zeta_power_series,
     zeta_tail_sum,
@@ -162,9 +155,10 @@ class TestCentralBinom:
         Its operands are exact, so it rounds twice per k and not in its
         exponents (test_signed_binomial_rounding checks other x)."""
         f = series._signed_binomial(-0.5)
-        k = np.arange(1.0, K_CROSSOVER + 1.0)
-        head = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
-        assert f.head.tobytes() == head.tobytes()
+        for K in series._SPLITS:
+            k = np.arange(1.0, K + 1.0)
+            head = np.concatenate(([1.0], np.cumprod((2.0 * k - 1.0) / (2.0 * k))))
+            assert f.head(K) == tuple(head.tolist())
         tail = asymptotics.gamma_ratio_lp(0.5, 1.0, series._DEPTH).scaled(1.0 / math.sqrt(math.pi))
         assert (f.tail.s0, f.tail.depth) == (tail.s0, tail.depth)
         assert [[c.hex() for c in row] for row in f.tail.rows] == [
@@ -293,10 +287,11 @@ class TestBinomialShifted:
                     for k in range(4))
         assert r.value == float(exact) == 1.7976931348623071e308
 
-    @pytest.mark.filterwarnings("error")
     def test_first_term_past_binary64_raises(self):
-        # the k = 0 term 0.1^-401 overflows: an error, without a numpy warning
-        with pytest.raises(NonFiniteTermError):
+        # the k = 0 term divides by 0.1^401, which underflows to 0: the term is
+        # infinite, and the sum ends in NonFiniteTermError, not ZeroDivisionError
+        assert series._power(401, (0.1,)).head(64)[0] == 0.0
+        with pytest.raises(NonFiniteTermError, match="^a term of the series divides by 0$"):
             lhs_binomial_shifted(0.5, 0.1, 400)
 
 
@@ -581,17 +576,30 @@ class TestOracleContracts:
                 assert abs(res.value - float(sign * T._reference(name, (p, n, 10)))) \
                     <= res.tail_estimate, (name, p, n)
 
-    @pytest.mark.filterwarnings("error")
     def test_shifted_first_denominator_below_2_to_the_minus_1000_is_named(self):
-        """Next to p = -1 the first denominator (p + 1)^e, at k = 1, leaves
-        binary64 as e grows: (1/2)^1000 = 2^-1000 is summed, and one order
-        more is refused by name, before any numpy arithmetic can warn."""
-        for fn in (lhs_variant3, lhs_variant3h, lhs_variant4):
-            m = 1000 if fn is lhs_variant4 else 999  # e = 1000
-            assert math.isfinite(fn(-0.5, 0, m).value)
-            with pytest.raises(DomainError, match=re.escape(
-                    "p = -0.5 puts (p + 0 + 1)^1001 below 2^-1000")):
-                fn(-0.5, 0, m + 1)
+        """Next to p = -1 the first denominator of variant 3, (p + 1)^e at
+        k = 1, leaves binary64 as e grows: (1/2)^1000 = 2^-1000 is summed,
+        and one order more is refused by name."""
+        assert math.isfinite(lhs_variant3(-0.5, 0, 999).value)
+        with pytest.raises(DomainError, match=re.escape(
+                "p = -0.5 puts (p + 0 + 1)^1001 below 2^-1000")):
+            lhs_variant3(-0.5, 0, 1000)
+
+    @pytest.mark.parametrize("name, m, want", [("lhs_variant3h", 1000, 2.70159155217585556e-177),
+                                               ("lhs_variant4", 1001, 0.0)])
+    def test_exact_zero_first_terms_are_not_summed(self, name, m, want):
+        """Variants 3h and 4 start at the first k whose term is not an exact
+        zero: H_0 = 0 at k = 1, and H_1^2 - H_1^(2) = 0 at k = 2 for variant 4.
+        So the first denominator they read, at k = 2 or 3, is above 1 for
+        every p > -1, and next to p = -1 they sum where variant 3 is refused:
+        variant 3h at p = -1/2, n = 0, m = 1000 is
+        1/(2 (3/2)^1001) + (3/2)/(3 (5/2)^1001) + ... = 2.70159e-177 (a 30-digit
+        mpmath sum), and variant 4's first term, (1/3) (5/2)^-1001 = 1e-399,
+        underflows to 0.  The terms these sums skip are exact zeros, so no
+        other value moves."""
+        res = getattr(series, name)(-0.5, 0, m)
+        assert EvalConfig().converged(res)
+        assert abs(res.value - want) <= res.tail_estimate
 
     @pytest.mark.parametrize("x", [math.inf, math.nan, -1.0, -2.0])
     def test_x_must_be_finite_and_above_minus_one(self, x):
@@ -626,9 +634,10 @@ class TestOracleContracts:
     def test_monotone_partial_sums(self):
         # positive-term series: partial sums never exceed value + tail_estimate
         res = lhs_variant1(1, 1)
-        n = 2 * K_CROSSOVER  # as far as the harmonic table reaches, past the summed head
+        n = 2 * series._SPLITS[-1]  # as far as the harmonic table reaches, past the summed head
         k = np.arange(1.0, n + 1.0)
-        terms = series._harmonic_numbers(1)[1 : n + 1] / ((k + 2.0) ** 2 * (k + 1.0))
+        h = np.array(series._harmonic_numbers(1, series._SPLITS[-1]))
+        terms = h[1 : n + 1] / ((k + 2.0) ** 2 * (k + 1.0))
         partials = np.cumsum(terms)
         assert (np.diff(partials) >= 0.0).all()
         assert (partials <= res.value + res.tail_estimate).all()
@@ -640,11 +649,15 @@ class TestOracleContracts:
         H_{k-1}^(order) with prev, within the factor's stated rounding of the
         correctly rounded sum of the correctly rounded terms."""
         f = series._harmonic(order, prev)
-        assert f.head[0] == (-math.inf if prev else 0.0)
-        for k in (1, 2, 3, 10, 100, 500, 999, K_CROSSOVER):
+        K = series._SPLITS[-1]
+        head = f.head(K)
+        assert head[0] == (-math.inf if prev else 0.0)
+        for k in (1, 2, 3, 10, 100, 500, 999, K):
             want = math.fsum(1 / j**order for j in range(1, k - prev + 1))
             bound = (f.rounding + f.rounding_per_k * k) * series._U * want
-            assert abs(f.head[k] - want) <= bound, (k, f.head[k], want)
+            assert abs(head[k] - want) <= bound, (k, head[k], want)
+        for K in series._SPLITS[:-1]:
+            assert f.head(K) == head[: K + 1]
 
     def test_a_sum_from_zero_over_a_pole_is_not_finite(self):
         """H_{k-1} is -inf at k = 0, so a sum from k = 0 over it ends in
@@ -652,8 +665,16 @@ class TestOracleContracts:
         with pytest.raises(NonFiniteTermError):
             series._em_sum(0, series._harmonic(prev=True), series._power(2, 1.0))
 
-    def test_terms_used_reports_crossover(self):
-        assert lhs_variant1(0, 1).terms_used == K_CROSSOVER
+    def test_terms_used_reports_the_split(self):
+        """terms_used is the sum's own K: the least on the ladder that is at
+        least 8 times the largest scale among its factors."""
+        assert lhs_variant1(0, 1).terms_used == 64
+        assert lhs_variant1(7, 1).terms_used == 64
+        assert lhs_variant1(8, 1).terms_used == 128  # the power's shift n + 1 = 9
+        assert lhs_variant3(20.0, 2, 1).terms_used == 256  # p + n = 22
+        assert lhs_base_binomial(100.5, 1).terms_used == 1024  # |x| + 1 past 1024 / 8
+        assert [series._split(c) for c in (0.0, 8.0, 8.5, 16.0, 32.0, 64.0, 128.0, 1e6)] == [
+            64, 64, 128, 128, 256, 512, 1024, 1024]
 
     def test_tail_estimate_meets_contract(self):
         r = lhs_variant1(0, 1)
@@ -675,9 +696,7 @@ def _random_heads(seed: int, count: int) -> list[np.ndarray]:
     cancel, to about 1e-4 of their largest term, as a head of alternating
     terms may; sums that cancel deeply, each term beside its negation plus
     terms 1e-12 smaller; and near ties, a float plus half its ulp, give or
-    take a little or nothing.  The powers of 10 are libm's, not numpy's,
-    whose AVX-512 loop rounds differently: the arrays are the same bits
-    whatever numpy's CPU features."""
+    take a little or nothing."""
     rng = np.random.default_rng(seed)
 
     def tens(lo, hi, n):
@@ -709,133 +728,44 @@ def _em_head(monkeypatch, terms) -> float:
     of -0.0, which adds nothing to any value, the sign of zero included."""
     monkeypatch.setattr(series, "em_tail", lambda model, K: (-0.0, 0.0))
     unit = asymptotics.LogPowerSeries(2.0, 0, ((1.0,),))
-    terms = np.asarray(terms, dtype=float)
-    head = series._Factor(terms, unit, 0.0)
-    ones = series._Factor(np.ones(len(terms)), unit, 0.0)
+    terms = tuple(float(t) for t in terms)
+    head = series._Factor(lambda K: terms, unit, 0.0, 0.0)
+    ones = series._Factor(lambda K: (1.0,) * len(terms), unit, 0.0, 0.0)
     return series._em_sum(0, head, ones).value
 
 
 class TestExactHeadSum:
-    """_em_sum sums its head to math.fsum's bits: by _certified_sum where it
-    proves its value, by fsum itself where it returns None."""
-
-    def test_every_grid_head_is_certified(self, monkeypatch):
-        seen = []
-        real = series._certified_sum
-
-        def spy(terms, mags):
-            out = real(terms, mags)
-            seen.append((terms.copy(), out))
-            return out
-
-        monkeypatch.setattr(series, "_certified_sum", spy)
-        series._cache.cache_clear()
-        for ident, params in identities.default_grid():
-            identities.verify(ident, params, 1e-7)
-        monkeypatch.undo()
-        assert len(seen) > 400
-        for terms, got in seen:
-            assert got is not None, terms
-            assert _packed(got) == _packed(math.fsum(terms))
+    """_em_sum sums its head to math.fsum's bits, the sign of zero included,
+    and where fsum raises, it raises fsum's error."""
 
     def test_random_cancelling_and_near_tie_heads(self, monkeypatch):
-        certified = [0] * 4
-        for i, terms in enumerate(_random_heads(23, 600)):
-            want = math.fsum(terms)
-            got = series._certified_sum(terms, np.abs(terms))
-            assert got is None or _packed(got) == _packed(want), terms
-            certified[i % 4] += got is not None
-            assert _packed(_em_head(monkeypatch, terms)) == _packed(want), terms
-        # the wide sums are all certified and nearly all the cancelling ones;
-        # a sum that cancels to 1e-14 of its largest term, or lies within
-        # 2^-97 of a tie, is what the fallback is for
-        assert certified[0] == 150 and certified[1] >= 140
-        assert certified[2] == 0 and 0 < certified[3] < 150
+        for terms in _random_heads(23, 600):
+            assert _packed(_em_head(monkeypatch, terms)) == _packed(math.fsum(terms)), terms
 
     @pytest.mark.parametrize("terms", [[1.0, 2.0**-53], [2.0**-53, 1.0], [-1.0, -(2.0**-53)],
                                        [1.5, 2.0**-53], [3.0, -(2.0**-52)], [1.0, -1.0]])
-    def test_exact_ties_and_exact_zero_fall_back(self, monkeypatch, terms):
-        """A sum exactly on a tie, or exactly 0, has its ends on two sides of
-        a rounding boundary: no certificate, and fsum's value."""
-        t = np.array(terms)
-        assert series._certified_sum(t, np.abs(t)) is None
-        assert _packed(_em_head(monkeypatch, t)) == _packed(math.fsum(terms))
+    def test_exact_ties_and_exact_zero_are_fsums(self, monkeypatch, terms):
+        """A sum exactly on a tie rounds to even, and one exactly 0 is +0.0,
+        as fsum has them."""
+        assert _packed(_em_head(monkeypatch, terms)) == _packed(math.fsum(terms))
 
     @pytest.mark.parametrize("terms", [[0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0],
                                        [2.0**1000, 1.0], [2.0**-901, -(2.0**-950)],
                                        [1e308, 1e308], [1.0, math.inf], [-math.inf, 2.0],
                                        [math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan]])
     def test_zeros_and_non_finite_heads_are_fsums(self, monkeypatch, terms):
-        """Outside the certificate's range, fsum sums the head: the same
-        value, or the same exception.  A head fsum sums to inf or nan ends,
-        as any sum that is not finite does, in NonFiniteTermError."""
-        t = np.array(terms)
-        assert series._certified_sum(t, np.abs(t)) is None
+        """The same value as fsum, or the same exception.  A head fsum sums to
+        inf or nan ends, as any sum that is not finite does, in
+        NonFiniteTermError."""
         try:
             want = math.fsum(terms)
         except (ValueError, OverflowError) as exc:
             with pytest.raises(type(exc)) as got:
-                _em_head(monkeypatch, t)
+                _em_head(monkeypatch, terms)
             assert type(got.value) is type(exc)
             return
         if math.isfinite(want):
-            assert _packed(_em_head(monkeypatch, t)) == _packed(want)
+            assert _packed(_em_head(monkeypatch, terms)) == _packed(want)
         else:
             with pytest.raises(NonFiniteTermError):
-                _em_head(monkeypatch, t)
-
-    def test_low_parts_that_round_past_n_u2_sigma(self, monkeypatch):
-        """Seven terms: 1.0, whose sigma is 2^6 and whose low part is 0, and
-        six below u sigma = 2^-47, each its own low part, in units of 2^-100.
-        numpy adds the low parts left to right, and their partial sums round
-        down by 11 units in all: more than n u^2 sigma = 7 units, within the
-        bound b.  The first of them is moved by a multiple of 64 units, which
-        keeps every rounding, so that the exact total lies 3 units above a
-        midpoint between two floats and tau + s 8 units below it.  A bound
-        of n u^2 sigma would certify the float below fsum's."""
-        unit = 2.0**-100
-        lows = [(9 * 2**53 // 10 & ~63) + o for o in (61, 48, 62, 26, 35, 27)]
-        lows[0] += (2**47 + 3 - sum(lows)) % 2**48
-        terms = np.array([1.0] + [math.ldexp(k, -100) for k in lows])
-        assert sum(lows) - int(float(np.add.reduce(terms[1:])) / unit) == 11
-        want = math.fsum(terms)
-        got = series._certified_sum(terms, np.abs(terms))
-        assert got is None or _packed(got) == _packed(want)
-        assert _packed(_em_head(monkeypatch, terms)) == _packed(want)
-
-
-_CERTIFIED_BITS = """
-import json, sys
-import numpy as np
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
-sys.path.insert(0, sys.argv[1])
-from eulersums import series
-from test_series import _random_heads
-heads = _random_heads(23, 600)
-sums = [series._certified_sum(t, np.abs(t)) for t in heads]
-print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4"),
-                  "heads": [[v.hex() for v in t.tolist()] for t in heads],
-                  "sums": [None if v is None else v.hex() for v in sums]}))
-"""
-
-
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 CPU features")
-def test_certified_sums_do_not_depend_on_the_cpu_features():
-    """With numpy's AVX-512 loops switched off, as on a CPU without them, the
-    random heads are the same arrays and their certified sums are still
-    fsum's bits: tau is exact and s within its bound in any order numpy adds
-    them."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
-               OPENBLAS_NUM_THREADS="1", NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-    out = subprocess.run([sys.executable, "-c", _CERTIFIED_BITS, str(Path(__file__).parent)],
-                         capture_output=True, text=True, env=env, check=True)
-    got = json.loads(out.stdout.splitlines()[-1])
-    assert got["x86_v4"] is False
-    heads = _random_heads(23, 600)
-    assert got["heads"] == [[v.hex() for v in t.tolist()] for t in heads]
-    assert sum(v is not None for v in got["sums"]) >= 290
-    for terms, v in zip(heads, got["sums"], strict=True):
-        assert v is None or v == math.fsum(terms).hex(), terms
+                _em_head(monkeypatch, terms)

@@ -189,38 +189,42 @@ class TestHarmonic:
 
 
 class TestHarmonicCache:
-    """The series' memoized harmonic-number tables, one per order:
-    H_0^(m) .. H_2000^(m)."""
+    """The series' memoized harmonic-number tables, one per order and split
+    K: H_0^(m) .. H_2K^(m), here at the largest K = 1024."""
 
     def test_build(self):
         for m in (1, 2, 3, 4):
-            arr = _harmonic_numbers(m)
-            assert len(arr) == 2001 and arr[0] == 0.0
-            assert (arr[1:] > arr[:-1]).all()
+            arr = _harmonic_numbers(m, 1024)
+            assert len(arr) == 2049 and arr[0] == 0.0
+            assert all(b > a for a, b in zip(arr, arr[1:]))
             # adjacent stored values differ by n^-m up to the entry rounding,
             # which compensation keeps at ~eps * H_n absolute
-            for n in (1, 7, 499, 2000):
+            for n in (1, 7, 499, 2048):
                 assert abs((arr[n] - arr[n - 1]) - float(n) ** -m) <= 5e-15
-            for n in (1, 77, 100, 2000):
+            for n in (1, 77, 100, 2048):
                 assert_close(arr[n], gen_harmonic(n, m), 1e-15)
 
     def test_bits_of_the_scalar_neumaier_loop(self):
-        """The vectorized build gives, bit for bit, the compensated running
-        sum taken one term at a time."""
+        """The build gives, bit for bit, Neumaier's compensated running sum in
+        its two-branch form, with pow for the terms: the one-branch form it
+        takes holds for positive terms that never exceed the first, and
+        n^m by multiplies is exact for these n and m.  The table of each K
+        is the first 2K + 1 entries of the largest."""
         for m in (1, 2, 3):
             s = comp = 0.0
             want = [0.0]
-            for n in range(1, 2001):
+            for n in range(1, 2049):
                 term = 1.0 / float(n) ** m
                 t = s + term
                 comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
                 s = t
                 want.append(s + comp)
-            assert [v.hex() for v in _harmonic_numbers(m).tolist()] == [v.hex() for v in want]
+            assert [v.hex() for v in _harmonic_numbers(m, 1024)] == [v.hex() for v in want]
+            assert _harmonic_numbers(m, 64) == tuple(want[:129])
 
     def test_readonly(self):
-        with pytest.raises(ValueError):
-            _harmonic_numbers(1)[3] = 0.0
+        with pytest.raises(TypeError):
+            _harmonic_numbers(1, 64)[3] = 0.0
 
 
 # ------------------------- invariants and sweeps -----------------------------
