@@ -20,11 +20,11 @@ coefficients once, at construction, into one tuple, row after row, which
 summation.em_tail reads on every call.  A series keeps the orders
 s0 .. s0 + depth, and the integer depth is the only truncation it knows:
 each constructor takes the number of orders to keep past its own leading
-one, so a product keeps the smaller depth of its operands and no factor is
-built deeper than the product can use.  The class supplies point values and
-termwise derivatives, and log_power_integral the closed-form tail integral
-int_K^inf ln^a t / t^s dt, from which summation.em_tail builds its
-Euler-Maclaurin weights.
+one, so a product keeps the smaller depth of its operands, and truncated
+cuts a series to fewer orders, with the bits a build at that depth would
+give wherever coefficient q reads orders <= q alone.  log_power_integral
+is the closed-form tail integral int_K^inf ln^a t / t^s dt, from which
+summation.em_tail builds its Euler-Maclaurin weights.
 """
 
 from __future__ import annotations
@@ -82,25 +82,14 @@ class LogPowerSeries:
     def scaled(self, c: float) -> "LogPowerSeries":
         return LogPowerSeries(self.s0, self.depth, [[c * v for v in row] for row in self.rows])
 
-    def diff(self) -> "LogPowerSeries":
-        """Termwise d/dt: C[a][j] ln^a t t^-(s0+j) gives a C[a][j] ln^(a-1) t
-        and -(s0+j) C[a][j] ln^a t, both at t^-(s0+j+1): a shift of s0 by one
-        and two scalings, at the same depth, so every derivative keeps as many
-        orders as the series it came from.
-        """
-        s0, rows = self.s0, self.rows
-        out = []
-        for a, row in enumerate(rows):
-            new = [-(s0 + j) * c for j, c in enumerate(row)]
-            if a + 1 < len(rows):
-                new = [(a + 1) * d + v for d, v in zip(rows[a + 1], new)]
-            out.append(new)
-        return LogPowerSeries(s0 + 1.0, self.depth, out)
-
-    def __call__(self, t: float) -> float:
-        lt, s0 = math.log(t), self.s0
-        return math.fsum([c * lt**a * t**-(s0 + j)
-                          for a, row in enumerate(self.rows) for j, c in enumerate(row) if c])
+    def truncated(self, depth: int) -> "LogPowerSeries":
+        """The orders s0 .. s0 + depth of this series, itself if it keeps no
+        more: the same bits as a build at that depth wherever every
+        coefficient of order q reads orders <= q alone, as jets.jet_mul's
+        and jets.jet_exp's do."""
+        if depth >= self.depth:
+            return self
+        return LogPowerSeries(self.s0, depth, [row[: depth + 1] for row in self.rows])
 
 
 def log_power_integral(a: int, s: float, K: float) -> float:

@@ -8,21 +8,26 @@ sums like  sum H_k / (k+1)^2  by brute force would take ~1e10 terms; the
 split gets there in 64.  The expansions are asymptotic in c/t, c the largest
 scale among the term's factors (the shift of a power, n of a reciprocal
 binomial, |x| + 1 of a signed binomial), so _split picks K from that scale,
-on a short ladder that starts at 64, and the expansions keep _DEPTH orders:
-the split and the expansion order are chosen together.  The exact head sum
-is math.fsum's value.  Each term is a list of factors (_Factor), each written
-once with both its head values at k = 0..K and its 1/t expansion, so the
-head and the tail model come from the same list; a sum from k = lo reads the
-heads from entry lo.  A factor depends only on its own parameters (the
-order of a harmonic number, n or x of a binomial, the power and shift of a
-denominator), so each is built once per process, tail model included, and
-shared by every sum that uses it; its head is built once per split K, as a
-tuple of Python floats.  Each product of tail models a sum forms from them
-is built once too, by _product, and so is each sum's layout of its heads and
-tail model, by _layout.  A warm sum then costs one pass over its factors'
-heads, two fsums and one em_tail call, whose model holds its coefficients
-flat.  Every harmonic number H_k^(order) comes from one memoized compensated
-table per order and K, and its tail from one constructor, ap.harmonic_lp.
+on a short ladder that starts at 64, and _tail_model gives each sum the
+fewest orders, on the ladder _RUNGS up to _DEPTH, whose truncation bound at
+that K is at most _U/16 of its head sum: the split and the expansion order
+are chosen together (Johansson, Numer. Algorithms 69, 2015, section 2).  The
+exact head sum is math.fsum's value.  Each term is a list of factors
+(_Factor), each written once with both its head values at k = 0..K and its
+1/t expansion, so the head and the tail model come from the same list; a sum
+from k = lo reads the heads from entry lo.  A factor depends only on its
+own parameters (the order of a harmonic number, n or x of a binomial, the
+power and shift of a denominator), so each is built once per process, tail
+model included, and shared by every sum that uses it; its head is built
+once per split K, as a tuple of Python floats.  Each product of tail models
+a sum forms from them is built once too, by _product, at one of the depths
+_BUILDS, and so is each sum's layout of its heads, by _layout, and its tail
+model, by _tail_model, which cuts the least build that holds its depth:
+coefficient q of a product reads orders <= q alone, so the cut has the bits
+of a build at that depth.  A warm sum then costs one pass over its factors' heads, two
+fsums and one em_tail call, whose model holds its coefficients flat.  Every
+harmonic number H_k^(order) comes from one memoized compensated table per
+order and K, and its tail from one constructor, ap.harmonic_lp.
 Powers are IEEE multiplies, so every head has the same bits on every CPU.
 _cache.cache_clear() drops these memo tables together with the jets' and
 em_tail's weights.  Only the two zeta-value series of EX3, whose terms fall
@@ -48,27 +53,35 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple
 
 from . import asymptotics as ap
-from .special import _U, DomainError, check_above, check_int, clear_memos, hurwitz_zeta, memo
-from .summation import NonFiniteTermError, SumResult, em_tail
+from .special import _U, LN2, DomainError, check_above, check_int, clear_memos, hurwitz_zeta, memo
+from .summation import NonFiniteTermError, SumResult, em_tail, em_truncation
 
-# Orders kept in each tail model past its leading decay s0, up to
-# t^-(s0 + _DEPTH), and the splits a sum may take.  The model is the 1/t
+# Orders a tail model may keep past its leading decay s0, up to
+# t^-(s0 + depth), and the splits a sum may take.  The model is the 1/t
 # expansion of the term, and its order j + 1 is about c (s + j) / ((j + 1) t)
 # of order j, c being the largest scale among the term's factors.  The bound
 # em_tail reports is the tail integral of the last kept order, which is below
 # the tail by about
-#     (s0 - 1) / (s0 + _DEPTH - 1) * prod_{j < _DEPTH} c (s + j) / ((j + 1) K),
+#     (s0 - 1) / (s0 + depth - 1) * prod_{j < depth} c (s + j) / ((j + 1) K),
 # and it must stay below the head's rounding bound, at least
 # 5 _U |value| = 5.5e-16 |value|.  _split gives each sum the least K on the
-# ladder _SPLITS with c <= K / _SPLIT_RATIO, and the last one past that.  At
-# depth 20 the worst bound measured at that edge (K = 64, c = 8, every
-# family with a shift or n at n = 0..10, m = 0..12) is 0.005 _U |value|, for
-# variant 4 at n = 0, m = 5, and it passes 5 _U only past c = K / 6.4.  Each
-# unit of s costs tail/value a factor of about K / c, so the worst cases have
-# the smallest s.  test_em_oracles checks the reported bound, and the first
-# omitted Euler-Maclaurin correction, against 5 _U |value| for every
-# parameter set it pins.
+# ladder _SPLITS with c <= K / _SPLIT_RATIO, and the last one past that, and
+# _tail_model the least depth on _RUNGS at which that bound is at most _U/16
+# of the head sum, else _DEPTH, the most the factors are built with: a
+# product builds at 12, 16 or 20 orders (_BUILDS) and a sum reads the least
+# of those that holds the rung it tries.  At depth 20 the worst bound
+# measured at the edge of the splits (K = 64, c = 8, every family with a
+# shift or n at n = 0..10, m = 0..12) is 0.005 _U |value|, for variant 4 at
+# n = 0, m = 5, and it passes 5 _U only past c = K / 6.4: _DEPTH is the
+# fallback where no lower rung meets the rule.  Each unit of s costs
+# tail/value a factor of about K / c, so the worst cases have the smallest s.  The 472 sums of the default grid take depths 8 (97 of them),
+# 10 (184), 12 (161) and 14 (30); the 2171 of test_em_oracles' parameter
+# sets 8 to 16, none 20.  test_em_oracles checks the rule, the reported
+# bound and the first omitted Euler-Maclaurin correction, against
+# 5 _U |value|, for every parameter set it pins.
 _DEPTH = 20
+_RUNGS = (8, 10, 12, 14, 16, _DEPTH)
+_BUILDS = (12, 16, _DEPTH)
 _SPLITS = (64, 128, 256, 512, 1024)
 _SPLIT_RATIO = 8.0
 
@@ -145,56 +158,78 @@ class _Factor(NamedTuple):
 
 
 @memo
-def _product(a: ap.LogPowerSeries, b: ap.LogPowerSeries) -> ap.LogPowerSeries:
-    """a * b, kept by the operands' identity (LogPowerSeries has no __eq__).
-    Each is a memoized factor's tail or product, and the table holds its
-    keys, so no id is reused while it is one; a rebuilt factor is a new key."""
-    return a * b
+def _product(a: ap.LogPowerSeries, b: ap.LogPowerSeries, depth: int) -> ap.LogPowerSeries:
+    """a * b built at most `depth` orders deep, kept by the operands'
+    identity (LogPowerSeries has no __eq__) and the depth.  Each operand is
+    a memoized factor's tail or product, and the table holds its keys, so no
+    id is reused while it is one; a rebuilt factor is a new key."""
+    return a * b.truncated(depth)
+
+
+def _chain(tails: tuple[ap.LogPowerSeries, ...], depth: int) -> ap.LogPowerSeries:
+    """The product of `tails`, left to right, each partial product built at
+    most `depth` orders deep by _product, for every sum that shares it."""
+    model = tails[0]
+    for tail in tails[1:]:
+        model = _product(model, tail, depth)
+    return model
 
 
 @memo
 def _layout(lo: int, factors: tuple[_Factor, ...]) -> tuple:
     """The part of _em_sum that depends on its factors alone, built once per
-    sum: (K, first, joins, model, roundings, per_k, s_rounding).  K is _split
+    sum: (K, first, joins, tails, roundings, per_k, s_rounding).  K is _split
     of the factors' largest scale; first the first factor's head from
     k = lo; joins the operator (* or /) and head from k = lo of each factor
-    that joins it; model the product of their tails, left to right, each
-    partial product kept by _product for every sum that shares it; the rest
+    that joins it; tails the factors' tail models, for _tail_model; the rest
     the rounding counts.  Every count is an integer-valued float, so the
     totals are exact in any order."""
     K = _split(max(f.scale for f in factors))
     first = factors[0]
-    model = first.tail
     roundings, per_k, s_rounding = first.rounding, first.rounding_per_k, first.s_rounding
     joins = []
     for f in factors[1:]:
-        model = _product(model, f.tail)
         joins.append((operator.truediv if f.divides else operator.mul, f.head(K)[lo:]))
         roundings += f.rounding + 1.0
         per_k += f.rounding_per_k
         s_rounding += f.s_rounding
-    return (K, first.head(K)[lo:], tuple(joins), model, roundings, per_k,
-            s_rounding * _U * (model.s0 + model.depth))
+    return (K, first.head(K)[lo:], tuple(joins), tuple(f.tail for f in factors), roundings,
+            per_k, s_rounding)
+
+
+@memo
+def _tail_model(tails: tuple[ap.LogPowerSeries, ...], K: int, exact: float) -> ap.LogPowerSeries:
+    """The product of `tails` at the least depth on _RUNGS whose truncation
+    bound at x = K + 1, the one em_tail reports, is at most _U/16 of |exact|,
+    the head sum, or at the most orders the tails hold, up to _DEPTH.  A
+    rung reads the least depth on _BUILDS that holds it, and a model cut
+    there has the bits of one built at the rung (LogPowerSeries.truncated)."""
+    top = min(_DEPTH, *(t.depth for t in tails))
+    bound = _U / 16.0 * abs(exact)
+    for d in [r for r in _RUNGS if r < top] + [top]:
+        model = _chain(tails, min(top, next(b for b in _BUILDS if b >= d)))
+        if d == top or em_truncation(model, d, K) <= bound:
+            return model.truncated(d)
 
 
 def _em_sum(lo: int, *factors: _Factor) -> SumResult:
     """sum_{k>=lo} of the product of `factors`, taken left to right: the head
     k <= K exactly, by math.fsum, the rest by em_tail on the product of their
-    tails.  _layout gives K, the heads and the tail model.  Each tail keeps
-    _DEPTH orders past its own leading one, and so does the product, up to
-    t^-(model.s0 + model.depth).
+    tails.  _layout gives K and the heads, and _tail_model, once the head
+    is summed, the tail model, up to t^-(model.s0 + model.depth).
 
     The estimate adds the em_tail error, the head's rounding (the factors'
     own plus 1 per * or /, weighted by |term|) and the two final roundings.
-    A model whose exponents were rounded, by up to s_rounding, also adds what
-    that moves the tail: |tail| s_rounding (ln K + 1/(s0 - 1)), the
-    s-derivative of int_K^inf t^-s dt relative to it; s0 is the model's
-    leading decay, as the products that carry s_rounding lead with
-    1/Gamma(-x) != 0.  A sum that is not finite, a term that divides by 0
-    included, raises NonFiniteTermError; a head that fsum cannot sum raises
-    fsum's error.  Whether the estimate is small enough is for the caller to
-    judge (identities.verify, through EvalConfig.converged)."""
-    K, terms, joins, model, roundings, per_k, s_rounding = _layout(lo, factors)
+    A model whose exponents were rounded, by up to s_rounding _U times the
+    last kept exponent, also adds what that moves the tail:
+    |tail| s_rounding (ln K + 1/(s0 - 1)), the s-derivative of
+    int_K^inf t^-s dt relative to it; s0 is the model's leading decay, as the
+    products that carry s_rounding lead with 1/Gamma(-x) != 0.  A sum that
+    is not finite, a term that divides by 0 included, raises
+    NonFiniteTermError; a head that fsum cannot sum raises fsum's error.
+    Whether the estimate is small enough is for the caller to judge
+    (identities.verify, through EvalConfig.converged)."""
+    K, terms, joins, tails, roundings, per_k, s_rounding = _layout(lo, factors)
     for op, head in joins:
         terms = map(op, terms, head)
     try:
@@ -209,8 +244,10 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
         head_err += per_k * math.fsum(map(operator.mul, range(lo, K + 1), mags))
     else:
         head_err = roundings * math.fsum(map(abs, terms))
+    model = _tail_model(tails, K, exact)
     tail, err = em_tail(model, K)
     if s_rounding:
+        s_rounding = s_rounding * _U * (model.s0 + model.depth)
         err += abs(tail) * s_rounding * (math.log(K) + 1.0 / (model.s0 - 1.0))
     value = exact + tail
     tail_estimate = err + _U * (head_err + abs(exact) + abs(value))
@@ -453,8 +490,26 @@ def lhs_central_binom(p: float, m: int) -> SumResult:
 # At non-integer x both base series split at K like the others, with the
 # signed binomial as a factor.  Integer x >= 0 ends the series at k = x, and
 # _finite_binomial sums it exactly.  _WORK_CAP caps its work, in the units of
-# its bound: the slowest sums it accepts take about 50 ms on a 2-vCPU x86-64.
-_WORK_CAP = 5 * 10**10
+# its bound.  Over 25 sums with n = 3 to 2500, e = 1 to 3e5 and p = 0 or
+# 0.1 to 3, the time per unit of work was 2.2e-10 to 6.2e-10 ms, 4.6e-10 at
+# the median, on a 2-vCPU x86-64 under CPython 3.11: a sum at the cap takes
+# 26 to 74 ms, about 55 ms at the median.
+_WORK_CAP = 1.2e11
+
+# CPython multiplies by schoolbook while the shorter operand has at most 70
+# digits of 30 bits, and by Karatsuba past that.
+_KARATSUBA_BITS = 70 * 30
+_LOG2_3 = math.log2(3.0)
+
+
+def _mul_work(bits: float) -> float:
+    """The work of multiplying a long int by one of `bits` bits, per bit of
+    the long one: `bits` by schoolbook, and past _KARATSUBA_BITS 3
+    half-size products per halving, C (bits / C)^(log2 3 - 1) with
+    C = _KARATSUBA_BITS (a longer operand is cut into pieces of that size)."""
+    if bits <= _KARATSUBA_BITS:
+        return bits
+    return _KARATSUBA_BITS ** (2.0 - _LOG2_3) * bits ** (_LOG2_3 - 1.0)
 
 
 def _named(x: float, p: float, m: int) -> str:
@@ -467,16 +522,23 @@ def _finite_binomial(x: float, p: float, m: int, e: int, lo: int) -> SumResult:
     a dyadic rational, each denominator is (P + k Q)^e, and the int true
     division num Q^e / den rounds correctly, so the estimate is that one
     rounding.  Errors name x, p and m, or x and m at p = 0, the base series.
-    den ends below b (n + 1) bits, b = e bitlength(P + n Q), and each step
-    multiplies by d (b bits) and binom(n, k) (n bits), so (n + 1)^2 b (b + n)
-    bounds the work: past _WORK_CAP it is a DomainError before any summing,
-    as is a value past binary64 or below its normal numbers.  At lo = 0 and
-    p > 0 each (p + k)^e >= 1 for k >= 1, so |sum| >= p^-e - (2^n - 1), and
-    p^-e >= 2^1024 + 2^n puts the sum past binary64 before any summing too."""
+    den ends at about D = e sum_k log2(P + k Q) bits, taken by lgamma, and
+    each of the t = n + 1 - lo steps multiplies num and den, at most D bits,
+    by d (D / t bits on average) and den by binom(n, k) (at most n bits), so
+    D t (2 _mul_work(D / t) + _mul_work(n)) bounds the work, _mul_work being
+    concave: past _WORK_CAP, or past lgamma's range, it is a DomainError
+    before any summing, as is a value past binary64 or below its normal
+    numbers.  At lo = 0 and p > 0 each (p + k)^e >= 1 for k >= 1, so
+    |sum| >= p^-e - (2^n - 1), and p^-e >= 2^1024 + 2^n puts the sum past
+    binary64 before any summing too."""
     n = int(x)
     P, Q = p.as_integer_ratio()
-    b = e * (P + n * Q).bit_length()
-    if (n + 1) ** 2 * b * (b + n) > _WORK_CAP:
+    t = max(n + 1 - lo, 1)
+    try:
+        bits = e * (t * math.log2(Q) + (math.lgamma(p + n + 1) - math.lgamma(p + lo)) / LN2)
+    except OverflowError:  # n past lgamma's range
+        bits = math.inf
+    if bits * t * (2.0 * _mul_work(bits / t) + _mul_work(n)) > _WORK_CAP:
         raise DomainError(f"{_named(x, p, m)} put the exact finite sum past its work cap")
     if lo == 0 and Q**e >= (2**1024 + 2**n) * P**e:
         raise DomainError(f"{_named(x, p, m)} put the finite sum past binary64")

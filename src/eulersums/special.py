@@ -11,9 +11,12 @@ Euler-Maclaurin tail.
 The digamma/polygamma evaluators use upward recurrence to a large argument
 followed by the Bernoulli asymptotic series; negative non-integer arguments
 are reached by the same recurrence run from below, which is an exact identity
-rather than an analytic continuation.  memo keeps the results of the package's
+rather than an analytic continuation, and those below -1024 by reflection to
+1 - x, which takes no steps.  memo keeps the results of the package's
 parameter-only builders (series factors, their heads, the products of their
-tail models, each sum's layout of them and their harmonic-number tables,
+tail models, each sum's layout of them and its tail model, their
+harmonic-number tables, the Euler-Maclaurin weights and the monomials they
+are assembled from,
 psi-derivative tuples, ln Gamma and gamma-ratio jets, the closed forms'
 harmonic-number tuples, the registry rows' declared parameters, the Hurwitz
 and so the Riemann zeta values) in bounded tables that clear_memos empties.
@@ -61,17 +64,20 @@ def check_above(name: str, v: float, least: float) -> float:
 # The most results one memo table keeps; past it the least recently used goes.
 # One pass over the default grid builds 163 distinct series factors, 117
 # distinct heads (each at K = 64; factors whose shifts add up to the same c
-# share one), 2 harmonic-number tables, 400 sum layouts, 90 distinct ln Gamma
-# jets from 87 psi-derivative tuples, 125 gamma-ratio jets for its 500
-# gamma_ratio_jet calls and 15 harmonic-number tuples from 45 fsums; one over
-# the closed_form benchmark builds 283 psi-derivative tuples, 284 ln Gamma
-# jets, 440 gamma-ratio jets for 1760 calls and 33 harmonic-number tuples from
-# 198 fsums, which it reads 3520 times.  A grid pass asks for 673 tail-model
-# products, 414 distinct (adaptive: 24); the closed_form benchmark's untimed
-# series values ask for 2275, more than 1024 distinct, from more than 1024
-# sum layouts, so those two tables evict, and an evicted entry is built
-# again.  A grid pass asks for 263 zeta values, 94 distinct (s, a); an
-# adaptive pass 254, 90 distinct, as the EX3 zeta-value series at m and
+# share one), 2 harmonic-number tables, 400 sum layouts and 400 tail models
+# for its 472 sums, 94 Euler-Maclaurin weight tables from 101 monomials, 90
+# distinct ln Gamma jets from 87 psi-derivative tuples, 125 gamma-ratio jets
+# for its 500 gamma_ratio_jet calls and 15 harmonic-number tuples from 45
+# fsums; one over the closed_form benchmark builds 283 psi-derivative tuples,
+# 284 ln Gamma jets, 440 gamma-ratio jets for 1760 calls and 33
+# harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
+# pass asks for 1650 tail-model products, at the depths its sums try, 468
+# distinct (adaptive: 24); the closed_form benchmark's untimed series values
+# ask for 4089, 1530 distinct, from 1359 sum layouts and tail models, so
+# those three tables evict, and an evicted entry is built again: a second
+# such pass builds 1340 products, 1359 layouts and 1359 tail models again,
+# and no weights.  A grid pass asks for 263 zeta values, 94 distinct (s, a);
+# an adaptive pass 254, 90 distinct, as the EX3 zeta-value series at m and
 # m + 1 share all their terms but one.
 MEMO_SIZE = 1024
 
@@ -139,16 +145,55 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and float(x).is_integer()
 
 
+# Below this x digamma and polygamma reflect rather than recur upward, which
+# takes about -x steps: 0.8 s at x = -1e7, and about 4.5e15 steps at
+# -2^52 + 0.5, the least finite x off the poles.  From it up they recur as
+# they always have, in at most 1034 + k steps, and keep their bits.
+_REFLECT_BELOW = -1024.0
+
+
+def _cot_term(k: int, x: float) -> float:
+    """pi^(k+1) cot^(k)(pi x), for the reflection
+    psi^(k)(x) = (-1)^k psi^(k)(1 - x) - pi^(k+1) cot^(k)(pi x).
+
+    cot^(k) = P_k(cot), P_0(c) = c, P_(k+1)(c) = -(1 + c^2) P_k'(c), in
+    Python ints; the nonzero coefficients of P_k all have the sign (-1)^k and
+    the parity of k + 1, so Horner on c^2 adds terms of one sign.
+    cot(pi x) = cot(pi r) with r = x - round(x), exact, and for |r| > 1/4 it
+    is tan(pi (1/2 - |r|)) with the sign of r, 1/2 - |r| exact too, so that
+    it is exactly 0 at a half-integer."""
+    r = x - round(x)
+    if abs(r) <= 0.25:
+        c = 1.0 / math.tan(math.pi * r)
+    else:
+        c = math.copysign(math.tan(math.pi * (0.5 - abs(r))), r)
+    poly = [0, 1]
+    for _ in range(k):
+        deriv = [i * a for i, a in enumerate(poly)][1:]
+        poly = [0] * (len(deriv) + 2)
+        for i, a in enumerate(deriv):
+            poly[i] -= a
+            poly[i + 2] -= a
+    odd = (k + 1) % 2
+    acc, c2 = 0.0, c * c
+    for a in reversed(poly[odd::2]):
+        acc = acc * c2 + a
+    return math.pi ** (k + 1) * (acc * c if odd else acc)
+
+
 def digamma(x: float) -> float:
     """psi(x) for real x off the poles 0, -1, -2, ...
 
     For x below the asymptotic threshold the recurrence
     psi(x) = psi(x+1) - 1/x is applied upward (also from negative x), then
     psi is evaluated from the ln x - 1/(2x) - sum B_{2j}/(2j x^{2j}) series.
+    Below _REFLECT_BELOW it reflects instead, to psi(1 - x) - pi cot(pi x).
     A non-finite x is a DomainError."""
     check_above("x", x, -math.inf)
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x = {x}")
+    if x < _REFLECT_BELOW:
+        return digamma(1.0 - x) - _cot_term(0, x)
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -174,7 +219,10 @@ def polygamma(k: int, x: float) -> float:
     relative through k ~ 16; a flat threshold of 10 degrades to ~1e-10 by
     k = 16.  If k!, a power or a recurrence term k!/y^(k+1) leaves binary64
     (k! does from k = 171; y^(k+1) underflows to 0 near a pole),
-    DomainError, and so is a non-finite x.
+    DomainError, and so is a non-finite x.  Below _REFLECT_BELOW it reflects
+    instead, to (-1)^k psi^(k)(1 - x) - pi^(k+1) cot^(k)(pi x): 1 - x is past
+    the threshold for every k at which k! / y^(k+1) stays in binary64, and
+    (-1)^k (-1)^(k+1) = -1 is the sign of its series.
     """
     k = check_int("k", k, 1)
     check_above("x", x, -math.inf)
@@ -184,8 +232,9 @@ def polygamma(k: int, x: float) -> float:
     sign = -1.0 if k % 2 == 0 else 1.0  # (-1)^(k+1)
     try:
         fact_k = math.factorial(k)
-        acc = 0.0
-        y = x
+        acc, y = 0.0, x
+        if x < _REFLECT_BELOW:
+            acc, y, sign = -_cot_term(k, x), 1.0 - x, -1.0
         while y < threshold:
             acc += sign * fact_k / y ** (k + 1)
             y += 1.0

@@ -6,16 +6,21 @@ LogPowerSeries, to em_tail, which estimates sum_{k>K} f(k) for a smooth
 decreasing tail from its integral, boundary value, and _EM_ORDER Bernoulli
 derivative corrections.  At the fixed point x = K + 1 each of these, and the
 error estimate's parts, is a linear functional of the model's coefficients,
-whose weight on each monomial depends only on the model's leading decay,
-depth and ln power.  _em_row builds the weights of one ln row, by termwise
-differentiation of a basis model, and _em_weights lays them out, row after
-row, as one flat tuple per functional for each shape; both are memoized (so
-series._cache.cache_clear() drops them), and tables with more ln rows reuse
-the rows of smaller ones.  em_tail reads the model's coefficients as the
-flat tuple the model made when it was built, so no call flattens them, and
-takes each functional as one fsum of coefficients times weights.  The
-oracles only compute: a SumResult carries a value and its error estimate,
-and EvalConfig.converged is the one place that judges it.
+whose weight on each monomial ln^a t t^-s depends only on a, s, K and the
+number of corrections.  _em_monomial builds the weights of one monomial
+from its termwise derivatives, and _em_weights lays them out, row after
+row, as one flat tuple per functional for each shape (leading decay, depth
+and number of ln rows); both are memoized (so
+series._cache.cache_clear() drops them), and shapes share every monomial
+they have in common: a table at s0 + 1 shares all but one order of each row
+with one at s0, and a shallower one all of its orders with a deeper one.
+em_truncation reads the same monomials for the truncation bound of a model
+cut at any depth, by which series gives each sum its depth.  em_tail reads
+the model's coefficients as the flat tuple the model made when it was
+built, so no call flattens them, and takes each functional as one fsum of
+coefficients times weights.  The oracles only compute: a SumResult carries
+a value and its error estimate, and EvalConfig.converged is the one place
+that judges it.
 """
 
 from __future__ import annotations
@@ -83,11 +88,15 @@ _EM_ORDER = 4
 _Flat = tuple[float, ...]
 
 
-def _columns(model: LogPowerSeries, x: float, lx: float) -> list[float]:
-    """The model at x, order by order: column j summed over the ln rows."""
-    s0, rows = model.s0, model.rows
-    return [math.fsum([row[j] * lx**a * x**-(s0 + j) for a, row in enumerate(rows)])
-            for j in range(model.depth + 1)]
+def _at(c: list[float], s: float, x: float, lx: float) -> float:
+    """sum_i c[i] ln^i x x^-s, by fsum."""
+    return math.fsum([v * lx**i * x**-s for i, v in enumerate(c)])
+
+
+def _diff(c: list[float], s: float) -> tuple[list[float], float]:
+    """The derivative of sum_i c[i] ln^i t t^-s: its coefficients
+    (i + 1) c[i+1] - s c[i], at t^-(s+1), and s + 1."""
+    return [(i + 1) * c[i + 1] - s * v for i, v in enumerate(c[:-1])] + [-s * c[-1]], s + 1.0
 
 
 @memo
@@ -101,13 +110,13 @@ def _em_weights(s0: float, depth: int, n_rows: int, K: int,
     the Euler-Maclaurin tail estimate and of the first omitted correction,
     so that it lines up with the model's rows flattened in order.  last[a]
     is the tail integral of the last kept order, j = depth.  The first
-    `diverges` orders have s <= 1 and no tail integral.  Row a comes from
-    _em_row, which tables of every n_rows > a share.  It checks K for em_tail."""
+    `diverges` orders have s <= 1 and no tail integral.  Each monomial's
+    weights come from _em_monomial, which every table holding that (a, s)
+    at this K shares.  It checks K for em_tail."""
     K = check_int("K", K, 0)
-    rows = [_em_row(s0, depth, a, K, order) for a in range(n_rows)]
-    f0, f1, tail, omitted = (tuple(v for row in rows for v in row[i]) for i in range(4))
-    last = tuple(v for row in rows for v in row[4])
-    return f0, f1, tail, omitted, last, _diverges(s0, depth)
+    f0, f1, tail, omitted, integral = zip(*[_em_monomial(a, s0 + j, K, order)
+                                            for a in range(n_rows) for j in range(depth + 1)])
+    return f0, f1, tail, omitted, integral[depth::depth + 1], _diverges(s0, depth)
 
 
 def _diverges(s0: float, depth: int) -> int:
@@ -115,33 +124,36 @@ def _diverges(s0: float, depth: int) -> int:
 
 
 @memo
-def _em_row(s0: float, depth: int, a: int, K: int, order: int) -> tuple:
-    """Row a of _em_weights: (f0[a], f1[a], tail[a], omitted[a], (last[a],)),
-    the last one empty at depth < 0.  It comes from the basis model whose
-    row a is all ones and its derivatives by termwise diff(), which maps
-    each order j to itself: column j of each is the monomial (a, j) alone."""
+def _em_monomial(a: int, s: float, K: int,
+                 order: int) -> tuple[float, float, float, float, float]:
+    """The weights of _em_weights on the one monomial ln^a t t^-s: (f0, f1,
+    tail, omitted, integral), integral being its tail integral from x = K + 1
+    (0 at s <= 1, where it diverges), from the monomial and its termwise
+    derivatives (_diff), each evaluated at x by _at."""
     x = float(K + 1)
-    lx, lx1 = math.log(x), math.log(x + 1.0)
-    diverges = _diverges(s0, depth)
-    basis = [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)]
-    model = LogPowerSeries(s0, depth, basis)
-    f0 = tuple(_columns(model, x, lx))
-    f1 = tuple(_columns(model, x + 1.0, lx1))
-    integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0
-                for j in range(depth + 1)]
-    parts = [[w, 0.5 * v] for w, v in zip(integral, f0)]
-    deriv = model.diff()
+    lx = math.log(x)
+    c = [0.0] * a + [1.0]
+    f0 = _at(c, s, x, lx)
+    f1 = _at(c, s, x + 1.0, math.log(x + 1.0))
+    integral = log_power_integral(a, s, x) if s > 1.0 else 0.0
+    parts = [integral, 0.5 * f0]
+    c, s = _diff(c, s)
     fact = 1.0
     for i in range(1, order + 1):
         fact *= (2 * i - 1) * (2 * i)
-        b = BERNOULLI_2J[i - 1] / fact
-        for part, v in zip(parts, _columns(deriv, x, lx)):
-            part.append(-(b * v))
-        deriv = deriv.diff().diff()
-    tail = tuple(math.fsum(part) for part in parts)
+        parts.append(-(BERNOULLI_2J[i - 1] / fact * _at(c, s, x, lx)))
+        c, s = _diff(*_diff(c, s))
     b = BERNOULLI_2J[order] / (fact * (2 * order + 1) * (2 * order + 2))
-    omitted = tuple(b * v for v in _columns(deriv, x, lx))
-    return f0, f1, tail, omitted, tuple(integral[-1:])
+    return f0, f1, math.fsum(parts), b * _at(c, s, x, lx), integral
+
+
+def em_truncation(model: LogPowerSeries, depth: int, K: int) -> float:
+    """The bound em_tail reports for the orders past `depth` that `model`
+    cut there would drop: the tail integral from x = K + 1 of its order
+    j = depth, taken with |C|."""
+    s = model.s0 + depth
+    return math.fsum([abs(row[depth]) * _em_monomial(a, s, K, _EM_ORDER)[4]
+                      for a, row in enumerate(model.rows)])
 
 
 def em_tail(model: LogPowerSeries, K: int) -> tuple[float, float]:

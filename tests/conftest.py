@@ -98,6 +98,26 @@ def row(depth: int, *coeffs: float) -> list[float]:
     return list(coeffs) + [0.0] * (depth + 1 - len(coeffs))
 
 
+def diff(model: LogPowerSeries) -> LogPowerSeries:
+    """Termwise d/dt: C[a][j] ln^a t t^-(s0+j) gives a C[a][j] ln^(a-1) t
+    and -(s0+j) C[a][j] ln^a t, both at t^-(s0+j+1), at the same depth.  It
+    rounds each coefficient as summation._diff rounds one column."""
+    s0, rows = model.s0, model.rows
+    out = []
+    for a, r in enumerate(rows):
+        new = [-(s0 + j) * c for j, c in enumerate(r)]
+        if a + 1 < len(rows):
+            new = [(a + 1) * d + v for d, v in zip(rows[a + 1], new)]
+        out.append(new)
+    return LogPowerSeries(s0 + 1.0, model.depth, out)
+
+
+def value_at(model: LogPowerSeries, t: float) -> float:
+    """The model at t, every nonzero monomial c ln^a t t^-s summed by fsum."""
+    lt = math.log(t)
+    return math.fsum([c * lt**a * t**-s for (a, s), c in model.terms.items()])
+
+
 def tail_integral(model: LogPowerSeries, K: float) -> float:
     """int_K^inf of the model; every monomial must have s > 1."""
     return math.fsum([c * log_power_integral(a, s, K) for (a, s), c in model.terms.items()])
@@ -119,5 +139,5 @@ def omitted_correction(model: LogPowerSeries, x: float) -> float:
     r = summation._EM_ORDER
     deriv = model
     for _ in range(2 * r + 1):
-        deriv = deriv.diff()
-    return abs(BERNOULLI_2J[r] / math.factorial(2 * r + 2) * deriv(x))
+        deriv = diff(deriv)
+    return abs(BERNOULLI_2J[r] / math.factorial(2 * r + 2) * value_at(deriv, x))

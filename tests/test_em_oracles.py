@@ -19,7 +19,7 @@ import pytest
 from eulersums import identities, series
 from eulersums.summation import EvalConfig, em_tail
 
-from conftest import omitted_correction, tail_integral, truncation_bound
+from conftest import omitted_correction, tail_integral, truncation_bound, value_at
 
 mp.mp.dps = 30
 ULP = 2.0**-52
@@ -116,15 +116,36 @@ def test_tail_model_is_the_head_term(tail_models, name):
         # by that times ln t
         rounded = any((2 * s) % 1 for _a, s in model.terms)
         s_bound = 1.5 * ULP * (model.s0 + model.depth) * math.log(x) if rounded else 0.0
-        assert abs(model(x) - want) <= (8 * ULP + depth_bound + s_bound) * abs(want), (name, params)
+        bound = (8 * ULP + depth_bound + s_bound) * abs(want)
+        assert abs(value_at(model, x) - want) <= bound, (name, params)
 
 
-def test_every_tail_model_is_built_at_the_depth(tail_models):
-    """Depth is the one truncation a tail model knows: every model a pinned
-    oracle hands to em_tail keeps series._DEPTH orders past its leading one."""
+def test_every_tail_model_is_built_at_the_depth(monkeypatch):
+    """Depth is the one truncation a tail model knows, and each sum takes the
+    least rung of series._RUNGS at which the bound em_tail reports for the
+    dropped orders is at most U/16 of the head sum, or series._DEPTH: every
+    model a pinned oracle hands to em_tail is at most that deep, meets the
+    rule at its depth and fails it at every lower rung."""
+    seen = []
+    real = series._tail_model
+
+    def capture(tails, K, exact):
+        model = real(tails, K, exact)
+        seen.append((model, K, exact))
+        return model
+
+    monkeypatch.setattr(series, "_tail_model", capture)
     for name, (params_list, _) in ORACLES.items():
         for params in params_list:
-            assert tail_models(name, *params)[0].depth == series._DEPTH, (name, params)
+            seen.clear()
+            getattr(series, name)(*params)
+            ((model, K, exact),) = seen
+            x, bound = K + 1.0, series._U / 16 * abs(exact)
+            assert model.depth in series._RUNGS, (name, params)
+            assert (model.depth == series._DEPTH
+                    or truncation_bound(model, x) <= bound), (name, params)
+            for rung in series._RUNGS[:series._RUNGS.index(model.depth)]:
+                assert truncation_bound(model.truncated(rung), x) > bound, (name, params, rung)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from eulersums import asymptotics, identities, jets, series, special
+from eulersums import asymptotics, identities, jets, series, special, summation
 from eulersums.identities import REGISTRY, IdentityId, default_grid
 from eulersums.special import MEMO_SIZE, DomainError
 
@@ -256,9 +256,9 @@ def _verify_grid():
 
 def test_a_warm_grid_pass_builds_no_product(monkeypatch):
     """A cold pass builds each distinct product of tail models once, fewer
-    than the sums ask for (414 built for 673 asked today, two of the built
-    being _harmonic_square_diff's H_t^2), and a warm pass builds none, nor
-    any sum's layout."""
+    than the sums ask for (470 built for 1650 asked today, two of the built
+    being _harmonic_square_diff's H_t^2, as each rung _tail_model tries asks
+    again), and a warm pass builds none, nor any sum's layout."""
     built = _counting(monkeypatch, asymptotics.LogPowerSeries, "__mul__")
     asked = _counting(monkeypatch, series, "_product")
     _verify_grid()
@@ -294,26 +294,70 @@ def test_clear_drops_the_products():
 
 def test_memoized_products_are_read_only_and_keep_their_bits(monkeypatch):
     """Every product a grid pass keeps has tuple rows, is the same series on
-    every request, and has the bits of a fresh left-to-right a * b."""
+    every request, and has the bits of a fresh left-to-right a * b cut to its
+    depth."""
     kept = []
     real = series._product
 
-    def spy(a, b):
-        out = real(a, b)
-        kept.append((a, b, out))
+    def spy(a, b, depth):
+        out = real(a, b, depth)
+        kept.append((a, b, depth, out))
         return out
 
     monkeypatch.setattr(series, "_product", spy)
     _verify_grid()
-    assert len({id(out) for _, _, out in kept}) < len(kept)
-    for a, b, out in kept:
-        assert out is real(a, b)
+    assert len({id(out) for *_, out in kept}) < len(kept)
+    for a, b, depth, out in kept:
+        assert out is real(a, b, depth)
         assert type(out.rows) is tuple and all(type(r) is tuple for r in out.rows)
         fresh = a * b
-        assert (out.s0, out.depth) == (fresh.s0, fresh.depth)
-        assert [[v.hex() for v in r] for r in out.rows] == [[v.hex() for v in r]
+        assert (out.s0, out.depth) == (fresh.s0, min(fresh.depth, depth))
+        assert [[v.hex() for v in r] for r in out.rows] == [[v.hex() for v in r[:depth + 1]]
                                                            for r in fresh.rows]
 
+
+def test_tail_models_are_the_deepest_products_cut(monkeypatch):
+    """Every tail model a grid pass hands to em_tail, built at the depth d its
+    sum chose, has the bits of the first d + 1 orders of the product of its
+    factors' tails at series._DEPTH, taken left to right without the memo."""
+    seen = []
+    real = series._tail_model
+
+    def spy(tails, K, exact):
+        model = real(tails, K, exact)
+        seen.append((tails, model))
+        return model
+
+    monkeypatch.setattr(series, "_tail_model", spy)
+    _verify_grid()
+    assert {model.depth for _, model in seen} >= {8, 10, 12, 14}
+    for tails, model in seen:
+        deepest = tails[0].truncated(series._DEPTH)
+        for tail in tails[1:]:
+            deepest = deepest * tail
+        assert deepest.depth == series._DEPTH and model.s0 == deepest.s0
+        assert [[v.hex() for v in r] for r in model.rows] == [
+            [v.hex() for v in r[:model.depth + 1]] for r in deepest.rows]
+
+
+def test_a_cold_grid_pass_stays_within_its_work(monkeypatch):
+    """One cold default_grid() pass, every memo table empty, takes at most
+    95337 jet_mul multiply-adds (q + 1 for coefficient q of each product of
+    ln rows) and builds at most 101 Euler-Maclaurin monomials, the counts
+    since each sum's tail model takes its own depth: a deterministic guard
+    on the cold path, whose time no tier-1 test can pin (194502 multiply-adds
+    when every model kept 20 orders)."""
+    madds = []
+    real = asymptotics.jet_mul
+
+    def counted(a, b):
+        madds.append(len(a) * (len(a) + 1) // 2)
+        return real(a, b)
+
+    monkeypatch.setattr(asymptotics, "jet_mul", counted)
+    _verify_grid()
+    assert sum(madds) <= 95337
+    assert summation._em_monomial.cache_info().misses <= 101
 
 
 def test_memoized_heads_are_kept_and_read_only():

@@ -22,8 +22,6 @@ MODULES = (asymptotics, summation, series, jets, identities, special)
 ALLOWED = {
     # perfbench/tracing.py counts the monomials em_tail is handed through it
     ("asymptotics", "LogPowerSeries.terms"): None,
-    # only tests use it
-    ("asymptotics", "LogPowerSeries.__call__"): None,
     # its check runs at import, for identities.DEFAULT_CONFIG
     ("summation", "EvalConfig.__init__"): None,
     # em_tail's error guards: a tail that grows, an integral that diverges
@@ -38,11 +36,19 @@ ALLOWED = {
     # these run at import, building REGISTRY and wrapping the memoized builders
     ("identities", "_axes"): None,
     ("special", "memo"): None,
-    # k! or a power leaving binary64: the grid's orders are small
-    ("special", "polygamma"): {"out = math.inf"},
+    # k! or a power leaving binary64: the grid's orders are small; and the
+    # reflection below x = -1024, as the grid's psi arguments are above it
+    ("special", "polygamma"): {"out = math.inf", "acc, y, sign = -_cot_term(k, x), 1.0 - x, -1.0"},
+    ("special", "digamma"): {"return digamma(1.0 - x) - _cot_term(0, x)"},
+    ("special", "_cot_term"): None,
     # the parameters an integer-x finite sum names when it refuses one: no
     # grid sum is refused
     ("series", "_named"): None,
+    # the work bound of a sum with Karatsuba-sized powers, or an x past
+    # lgamma's range: the grid's integer x and m are small
+    ("series", "_mul_work"): {
+        "return _KARATSUBA_BITS ** (2.0 - _LOG2_3) * bits ** (_LOG2_3 - 1.0)"},
+    ("series", "_finite_binomial"): {"bits = math.inf"},
 }
 
 # The grid has integer x only; these reach the signed-binomial factor, at x =

@@ -608,10 +608,13 @@ class TestOracleContracts:
         with pytest.raises(DomainError, match="^x must be finite and > -1"):
             lhs_binomial_shifted(x, 1.0, 1)
 
-    @pytest.mark.parametrize("x, m", [(1e6, 1), (1e300, 1), (5000.0, 12)])
+    @pytest.mark.parametrize("x, m", [(1e6, 1), (1e300, 1), (1e308, 1), (5000.0, 12),
+                                      (10.0, 30000)])
     def test_integer_x_past_the_work_cap_is_refused_unsummed(self, monkeypatch, x, m):
         """A finite sum whose work bound passes the cap names its parameters
-        before the first term: math.comb, which starts the sum, never runs."""
+        before the first term: math.comb, which starts the sum, never runs.
+        At x = 1e308 lgamma overflows; at x = 10, m = 30000 the powers are
+        multiplied by Karatsuba, and the bound is 1.5^2.6 that of m = 20000."""
         def unsummed(*args):
             raise AssertionError("the sum was started")
         monkeypatch.setattr(math, "comb", unsummed)
@@ -624,12 +627,22 @@ class TestOracleContracts:
 
     def test_integer_x_work_cap_edge(self):
         """binom(1030, 515) is past binary64, which the exact sum does not
-        mind; at m = 12 the work cap falls between x = 708 and 709."""
+        mind; at m = 12 the work cap falls between x = 991 and 992."""
         assert lhs_base_binomial(1030.0, 1).value == pytest.approx(
             math.fsum(1.0 / k for k in range(1, 1031)), rel=1e-15)
-        assert EvalConfig().converged(lhs_base_binomial(708.0, 12))
-        with pytest.raises(DomainError, match="^x = 709.0 and m = 12 put the exact finite sum"):
-            lhs_base_binomial(709.0, 12)
+        assert EvalConfig().converged(lhs_base_binomial(991.0, 12))
+        with pytest.raises(DomainError, match="^x = 992.0 and m = 12 put the exact finite sum"):
+            lhs_base_binomial(992.0, 12)
+
+    def test_karatsuba_sized_powers_are_summed(self):
+        """At x = 10, m = 20000 each power k^m has up to 66439 bits, which
+        CPython multiplies by Karatsuba: the sum takes tens of ms and is
+        under the cap, and it is the exact sum rounded once."""
+        want = float(sum(Fraction((-1) ** (k - 1) * math.comb(10, k), k**20000)
+                         for k in range(1, 11)))
+        res = lhs_base_binomial(10.0, 20000)
+        assert res.value == want == 10.0
+        assert res.tail_estimate == series._U * 10.0
 
     def test_monotone_partial_sums(self):
         # positive-term series: partial sums never exceed value + tail_estimate

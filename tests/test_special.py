@@ -1,6 +1,7 @@
 """Scalar special functions: values, recurrences, reflection, limit sweeps."""
 
 import math
+import time
 
 import mpmath as mp
 import pytest
@@ -335,6 +336,40 @@ def test_psi_next_to_a_pole(x):
         for got, k in ((digamma(x), 0), (polygamma(1, x), 1)):
             want = mp.psi(k, mp.mpf(x))
             assert abs(got - want) <= 2.0**-52 * abs(want), (x, k)
+
+
+@pytest.mark.parametrize("x", [-1e7 - 0.5, -(2.0**52) + 0.5, -1e7 - 0.3, -1024.5, -1025.7])
+def test_psi_far_below_zero_reflects(x):
+    """Below special._REFLECT_BELOW = -1024 psi and its derivatives reflect
+    to 1 - x, so each call returns in milliseconds, not after about -x
+    recurrence steps (4.5e15 at -2^52 + 0.5), within 4 ulp of 40-digit
+    mpmath: its digamma, differentiated numerically, as its own polygamma
+    recurs there too."""
+    with mp.workdps(40):
+        for k in range(4):
+            start = time.perf_counter()
+            got = digamma(x) if k == 0 else polygamma(k, x)
+            assert time.perf_counter() - start < 0.05, (x, k)
+            want = mp.diff(mp.digamma, mp.mpf(x), k)
+            assert abs(got - want) <= 4 * 2.0**-52 * abs(want), (x, k)
+
+
+# psi and psi^(k), k = 1..3, at and above the reflection threshold, with the
+# bits the upward recurrence gave them before reflection was added
+RECURRED = {
+    -1023.7: ("0x1.298bf185d7931p+2", "0x1.e2828f0178dcbp+3", "-0x1.1359a54f35cb1p+6",
+              "0x1.8082ad52221aep+9"),
+    -1000.25: ("0x1.419a667a2a72fp+3", "0x1.3bcfb4d1a2539p+4", "0x1.f019b55087b7ep+6",
+               "0x1.85a2e8c28e5ddp+10"),
+    -2.5: ("0x1.1a68793defc14p+0", "0x1.3141822e1697ap+3", "-0x1.bb342bf188e0ep-4",
+           "0x1.857ee9a1bdbc1p+7"),
+}
+
+
+@pytest.mark.parametrize("x", RECURRED)
+def test_psi_from_the_threshold_up_keeps_its_bits(x):
+    got = [digamma(x)] + [polygamma(k, x) for k in (1, 2, 3)]
+    assert tuple(v.hex() for v in got) == RECURRED[x]
 
 
 def test_constants():

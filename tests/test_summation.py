@@ -19,7 +19,8 @@ from eulersums.asymptotics import (
 from eulersums.special import BERNOULLI_2J, MEMO_SIZE, ZETA3, bernoulli_poly
 from eulersums.summation import NonMonotoneTailError
 
-from conftest import assert_close, omitted_correction, row, tail_integral, truncation_bound
+from conftest import (assert_close, diff, omitted_correction, row, tail_integral,
+                      truncation_bound, value_at)
 from test_em_oracles import ORACLES
 
 mp.mp.dps = 30
@@ -28,22 +29,22 @@ ULP = 2.0**-52
 
 def _reference_em_tail(model, K):
     """em_tail computed directly: each derivative of the model is a series of
-    its own, by termwise diff(), evaluated at x = K + 1.  em_tail applies the
+    its own, by conftest.diff, evaluated at x = K + 1.  em_tail applies the
     same functionals as weights tabulated once per model shape."""
     x = float(K + 1)
-    f0 = model(x)
-    f1 = model(x + 1.0)
+    f0 = value_at(model, x)
+    f1 = value_at(model, x + 1.0)
     if abs(f1) > abs(f0):
         raise NonMonotoneTailError(f"tail not decreasing at K={K}: |f({x + 1})| > |f({x})|")
     r = summation._EM_ORDER
     out = tail_integral(model, x) + 0.5 * f0
-    deriv = model.diff()
+    deriv = diff(model)
     fact = 1.0
     for j in range(1, r + 1):
         fact *= (2 * j - 1) * (2 * j)
-        out -= BERNOULLI_2J[j - 1] / fact * deriv(x)
-        deriv = deriv.diff().diff()
-    err = abs(BERNOULLI_2J[r] / (fact * (2 * r + 1) * (2 * r + 2)) * deriv(x))
+        out -= BERNOULLI_2J[j - 1] / fact * value_at(deriv, x)
+        deriv = diff(diff(deriv))
+    err = abs(BERNOULLI_2J[r] / (fact * (2 * r + 1) * (2 * r + 2)) * value_at(deriv, x))
     return out, err + truncation_bound(model, x)
 
 
@@ -55,7 +56,7 @@ def _mp_em_error(model, K):
     with mp.workdps(40):
         x, s0, lx = mp.mpf(K + 1), mp.mpf(model.s0), mp.log(K + 1)
         rows = [[mp.mpf(c) for c in coeffs] for coeffs in model.rows]
-        for _ in range(2 * r + 1):  # as LogPowerSeries.diff
+        for _ in range(2 * r + 1):  # as conftest.diff
             rows = [[-(s0 + j) * c + ((a + 1) * rows[a + 1][j] if a + 1 < len(rows) else 0)
                      for j, c in enumerate(coeffs)] for a, coeffs in enumerate(rows)]
             s0 += 1
@@ -109,9 +110,9 @@ class TestLogPowerSeries:
     def test_eval_and_diff(self):
         f = LogPowerSeries(2.0, 8, [row(8), row(8, 1.0)])  # ln t / t^2
         t = 7.0
-        assert_close(f(t), math.log(t) / t**2, 1e-14)
-        df = f.diff()
-        assert_close(df(t), (1.0 - 2.0 * math.log(t)) / t**3, 1e-14)
+        assert_close(value_at(f, t), math.log(t) / t**2, 1e-14)
+        df = diff(f)
+        assert_close(value_at(df, t), (1.0 - 2.0 * math.log(t)) / t**3, 1e-14)
 
     def test_tail_integral(self):
         K = 50.0
@@ -133,8 +134,6 @@ class TestLogPowerSeries:
         g = LogPowerSeries(2.0, 3, [row(3, 1.0)])  # its last order is 0
         assert truncation_bound(g, x) == 0.0
         assert em_tail(g, K)[1] == pytest.approx(omitted_correction(g, x), rel=4 * ULP)
-        # a derivative keeps as many orders as the series it came from
-        assert f.diff().depth == f.depth
 
     def test_sum_needs_one_leading_order(self):
         # a sum adds coefficients order by order, so both operands lead with one s0
@@ -150,7 +149,7 @@ class TestLogPowerSeries:
         g = LogPowerSeries(2.0, 8, [row(8), row(8, 3.0)])
         h = f * g
         t = 5.0
-        assert_close(h(t), 6.0 * math.log(t) ** 2 / t**3, 1e-14)
+        assert_close(value_at(h, t), 6.0 * math.log(t) ** 2 / t**3, 1e-14)
 
     @pytest.mark.parametrize("unit", [[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, -0.0, -0.0]])
     @pytest.mark.parametrize("other, copied", [
@@ -187,7 +186,7 @@ class TestAsymptoticModels:
 
     def test_harmonic(self):
         h = math.fsum(1.0 / k for k in range(1, self.T + 1))
-        assert_close(harmonic_lp(1, 14)(float(self.T)), h, 1e-14)
+        assert_close(value_at(harmonic_lp(1, 14), float(self.T)), h, 1e-14)
 
     @staticmethod
     def _gen_harmonic(n, m):
@@ -196,11 +195,12 @@ class TestAsymptoticModels:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_gen_harmonic(self, m):
-        assert_close(harmonic_lp(m, 14)(float(self.T)), self._gen_harmonic(self.T, m), 1e-14)
+        assert_close(value_at(harmonic_lp(m, 14), float(self.T)), self._gen_harmonic(self.T, m),
+                     1e-14)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 5])
     def test_prev(self, m):
-        assert_close(harmonic_lp(m, 14, prev=True)(float(self.T)),
+        assert_close(value_at(harmonic_lp(m, 14, prev=True), float(self.T)),
                      self._gen_harmonic(self.T - 1, m), 1e-14)
 
     def test_central_binomial(self):
@@ -208,18 +208,18 @@ class TestAsymptoticModels:
         for i in range(1, self.T + 1):
             cb *= (2 * i - 1) / (2.0 * i)
         model = gamma_ratio_lp(0.5, 1.0, 13).scaled(1.0 / math.sqrt(math.pi))
-        assert_close(model(float(self.T)), cb, 1e-13)
+        assert_close(value_at(model, float(self.T)), cb, 1e-13)
 
     def test_central_harmonic_diff(self):
         hk = math.fsum(1.0 / k for k in range(1, self.T + 1))
         h2k = math.fsum(1.0 / k for k in range(1, 2 * self.T + 1))
-        assert_close(central_harmonic_diff_lp(14)(float(self.T)), hk - 2.0 * h2k, 1e-13)
+        assert_close(value_at(central_harmonic_diff_lp(14), float(self.T)), hk - 2.0 * h2k, 1e-13)
 
     def test_inv_binomial(self):
         n = 3
         t = float(self.T)
         want = math.factorial(n) / ((t + 1) * (t + 2) * (t + 3))
-        assert_close(series._inv_binomial(n).tail(t), want, 1e-13)
+        assert_close(value_at(series._inv_binomial(n).tail, t), want, 1e-13)
 
     @pytest.mark.parametrize("n", range(11))
     def test_inv_binomial_rows(self, n):
@@ -238,7 +238,7 @@ class TestAsymptoticModels:
 
     def test_recip_power_shift(self):
         f = recip_power_shift(2.5, 3.0, 13)
-        assert_close(f(float(self.T)), (self.T + 2.5) ** -3.0, 1e-13)
+        assert_close(value_at(f, float(self.T)), (self.T + 2.5) ** -3.0, 1e-13)
 
 
 class TestGammaRatio:
@@ -262,7 +262,7 @@ class TestGammaRatio:
     def test_values(self, a, b):
         t = mp.mpf(400)
         want = mp.gamma(t + a) / mp.gamma(t + b)
-        assert abs(gamma_ratio_lp(a, b, 12)(400.0) - want) <= 8 * ULP * abs(want)
+        assert abs(value_at(gamma_ratio_lp(a, b, 12), 400.0) - want) <= 8 * ULP * abs(want)
 
     def test_order_on_the_cap_is_kept(self):
         # a signed-binomial factor leads with t^-(1 + x): at this x,
@@ -365,6 +365,42 @@ def oracle_models():
     return seen
 
 
+def _per_row_weights(s0, depth, n_rows, K, order):
+    """_em_weights built one ln row at a time: row a from the basis model of
+    this depth whose row a is all ones, and its termwise derivatives, each
+    evaluated column by column at x = K + 1."""
+    x = float(K + 1)
+    lx, lx1 = math.log(x), math.log(x + 1.0)
+    diverges = sum(s0 + j <= 1.0 for j in range(depth + 1))
+
+    def columns(model, x, lx):
+        return [math.fsum([r[j] * lx**a * x**-(model.s0 + j) for a, r in enumerate(model.rows)])
+                for j in range(model.depth + 1)]
+
+    f0, f1, tail, omitted, last = [], [], [], [], []
+    for a in range(n_rows):
+        model = LogPowerSeries(s0, depth, [[0.0] * (depth + 1)] * a + [[1.0] * (depth + 1)])
+        v0 = columns(model, x, lx)
+        integral = [log_power_integral(a, s0 + j, x) if j >= diverges else 0.0
+                    for j in range(depth + 1)]
+        parts = [[w, 0.5 * v] for w, v in zip(integral, v0)]
+        deriv = diff(model)
+        fact = 1.0
+        for i in range(1, order + 1):
+            fact *= (2 * i - 1) * (2 * i)
+            b = BERNOULLI_2J[i - 1] / fact
+            for part, v in zip(parts, columns(deriv, x, lx)):
+                part.append(-(b * v))
+            deriv = diff(diff(deriv))
+        b = BERNOULLI_2J[order] / (fact * (2 * order + 1) * (2 * order + 2))
+        f0 += v0
+        f1 += columns(model, x + 1.0, lx1)
+        tail += [math.fsum(part) for part in parts]
+        omitted += [b * v for v in columns(deriv, x, lx)]
+        last.append(integral[-1])
+    return f0, f1, tail, omitted, last, diverges
+
+
 class TestEmWeights:
     """em_tail's tabulated weights: the same tail and error as the direct
     computation, read-only, bounded and dropped with the other memo tables."""
@@ -403,7 +439,7 @@ class TestEmWeights:
             assert model.flat == tuple(c for r in model.rows for c in r)
         f = LogPowerSeries(2.0, 2, [[1.0, 0.5, 0.25], [0.0, 2.0, 0.0]])
         assert f.flat == (1.0, 0.5, 0.25, 0.0, 2.0, 0.0)
-        for derived in (f * f, f + f, f.scaled(3.0), f.diff()):
+        for derived in (f * f, f + f, f.scaled(3.0), f.truncated(1)):
             assert derived.flat == tuple(c for r in derived.rows for c in r)
         with pytest.raises(TypeError):
             f.flat[0] = 2.0  # read-only, as the rows are
@@ -420,15 +456,33 @@ class TestEmWeights:
         shapes = {(m.s0, m.depth, len(m.rows), K) for m, K in oracle_models}
         assert len(shapes) < len(oracle_models) / 4
 
-    def test_rows_are_built_once_per_ln_power(self):
-        """Tables with 3, 1 and 2 ln rows at one decay, depth and K build
-        three rows between them, and a table holds what it holds alone."""
+    def test_monomials_are_built_once(self):
+        """Tables with 3, 1 and 2 ln rows at one decay, depth and K build each
+        of their 3 x 13 monomials once; a table one order further on, or
+        shallower, shares all but its new ones; a table holds what it holds
+        alone."""
         alone = summation._em_weights(2.0, 12, 2, 100, summation._EM_ORDER)
         series._cache.cache_clear()
         tables = [summation._em_weights(2.0, 12, n, 100, summation._EM_ORDER) for n in (3, 1, 2)]
-        assert summation._em_row.cache_info().misses == 3
+        assert summation._em_monomial.cache_info().misses == 3 * 13
+        summation._em_weights(3.0, 12, 3, 100, summation._EM_ORDER)
+        summation._em_weights(2.0, 8, 2, 100, summation._EM_ORDER)
+        assert summation._em_monomial.cache_info().misses == 3 * 13 + 3
         assert tables[2] == alone
         assert all(table[0][0] is tables[0][0][0] for table in tables)
+        series._cache.cache_clear()
+
+    @pytest.mark.parametrize("s0", [0.5, 1.0, 1.5, 2.0, 3.5, 11.0, 22.0])
+    def test_monomial_weights_keep_the_per_row_bits(self, s0):
+        """At integer and half-integer s0 every weight has the bits of a table
+        built one ln row at a time, as _per_row_weights builds it."""
+        series._cache.cache_clear()
+        for depth, n_rows, K in ((20, 3, 64), (8, 2, 128), (14, 1, 1024)):
+            got = summation._em_weights(s0, depth, n_rows, K, summation._EM_ORDER)
+            want = _per_row_weights(s0, depth, n_rows, K, summation._EM_ORDER)
+            assert got[-1] == want[-1]
+            for g, w in zip(got[:-1], want[:-1]):
+                assert [v.hex() for v in g] == [v.hex() for v in w], (depth, n_rows, K)
         series._cache.cache_clear()
 
     def test_tables_are_read_only(self):
