@@ -177,7 +177,7 @@ def _finite_sum(n: int, lo: int, c: float, e: int, weight: Callable[[int], float
 
 def _x_partials(variant: RatioVariant, x0: float, z0: float, ox: int, oz: int) -> list[float]:
     """d_x^a d_z^oz of the gamma ratio at (x0, z0) for a = 1..ox, from one jet."""
-    j = gamma_ratio_jet(variant, x0, z0, oz)
+    j = gamma_ratio_jet(variant, x0, z0)
     return [mixed_partial(j, a, oz) for a in range(1, ox + 1)]
 
 
@@ -227,7 +227,7 @@ def rhs_thm_e15(x: float, m: int) -> float:
     """(-1)^m/m! d^m/dz^m Gamma(x+1)Gamma(z)/Gamma(z+x) at z=1."""
     check_above("x", x, -1.0)
     m = check_int("m", m, 1, MAX_OZ)
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, m)
+    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 
@@ -312,7 +312,7 @@ def rhs_thm_35(x: float, p: float, m: int) -> float:
     check_above("x", x, -1.0)
     check_above("p", p, 0.0)
     m = check_int("m", m, 0, MAX_OZ)
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p, m)
+    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, x, p)
     return _sign(m) / math.factorial(m) * mixed_partial(j, 0, m)
 
 

@@ -19,13 +19,15 @@ jet_mul is likewise the one Cauchy product: _exp2 takes it, and so does
 LogPowerSeries.__mul__, on every pair of a product's ln rows.
 This module imports nothing from asymptotics.
 
-The closed forms take x-orders 0 to 3 of one ratio at one base point, so
-gamma_ratio_jet keeps one jet per (variant, x0, z0, oz), built at x-order
-MAX_OX (special.memo), and a caller reads the rows it needs.  A truncated
-Taylor coefficient of order <= k does not depend on where the series is
-truncated (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), and
-here row a of the exp recurrence reads rows <= a only, so rows 0..ox keep
-the bits of a build at x-order ox.
+The closed forms take x-orders 0 to 3 and z-orders 0 to MAX_OZ of one ratio
+at one base point, so gamma_ratio_jet keeps one jet per (variant, x0, z0),
+built at (MAX_OX, MAX_OZ) (special.memo), and a caller reads the entries it
+needs.  A truncated Taylor coefficient of order <= k does not depend on where
+the series is truncated (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+ch. 13): row a of the exp recurrence reads rows <= a only, and coefficient b
+of jet_mul and jet_exp coefficients <= b only, so entry (a, b) keeps the bits
+of a build at (a, b).  Where psi at a tiny z0 leaves binary64 below MAX_OZ,
+the jet stops at the last z-order that builds.
 
 psi_derivatives keeps the raw tuple (psi(a), psi'(a), ..., psi^(top)(a)) by
 its exact (a, top) (special.memo); it is the one source of psi values for
@@ -71,8 +73,12 @@ def jet_mul(a: Sequence[float], b: Sequence[float]) -> list[float]:
 def jet_exp(c: Sequence[float]) -> tuple[float, ...]:
     """exp of a univariate normalized-coefficient list, or of a power series
     in 1/t: out[k] = sum_{j=1..k} j c[j] out[k-j] / k.  It satisfies
-    exp(j) * exp(-j) = 1 to roundoff."""
-    out = [math.exp(c[0])]
+    exp(j) * exp(-j) = 1 to roundoff.  An exp past binary64 is a DomainError,
+    never inf."""
+    try:
+        out = [math.exp(c[0])]
+    except OverflowError:
+        raise DomainError(f"exp({c[0]!r}) is outside binary64") from None
     for k in range(1, len(c)):
         acc = 0.0
         for j in range(1, k + 1):
@@ -102,8 +108,9 @@ def ln_gamma_jet(a: float, order: int) -> tuple[float, ...]:
 
 
 class RatioVariant(enum.Enum):
-    """Which gamma ratio a bivariate jet expands.  Hashed by identity, as
-    IdentityId is, for the _ratio_jet memo keys."""
+    """Which gamma ratio a bivariate jet expands; its value is the shift of
+    the denominator's argument.  Hashed by identity, as IdentityId is, for
+    the _ratio_jet memo keys."""
 
     __hash__ = object.__hash__
 
@@ -123,38 +130,49 @@ def _exp2(f: list[list[float]]) -> tuple[tuple[float, ...], ...]:
     return tuple(g)
 
 
-def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float,
-                    oz: int) -> tuple[tuple[float, ...], ...]:
+def gamma_ratio_jet(variant: RatioVariant, x0: float, z0: float) -> tuple[tuple[float, ...], ...]:
     """Bivariate jet of the chosen gamma ratio at (x0, z0): MAX_OX + 1 rows
-    of oz + 1 coefficients d_x^a d_z^b f(x0, z0) / (a! b!), of which a
-    caller reads the rows it needs: the jet _ratio_jet keeps and checks.
-    It stays a plain function, so that perfbench/tracing.py can time it.
+    of up to MAX_OZ + 1 coefficients d_x^a d_z^b f(x0, z0) / (a! b!), of
+    which a caller reads the entries it needs: the jet _ratio_jet keeps and
+    checks.  It stays a plain function, so that perfbench/tracing.py can
+    time it.
 
-    A w0 so small that psi up to order MAX_OX + oz - 1 overflows there
-    raises, even where a caller reads row 0 only: gamma_ratio_jet(BETA_SHIFT0,
-    1e-300, 1e-300, 1) needs psi'(2e-300).  No closed form reaches such a
-    point, as their w0 = x + 1 or x + p + 1 >= 2^-53.
+    A base point keeps every z-order at which psi at z0 and at w0 stays in
+    binary64, up to MAX_OZ; a read past the kept orders is mixed_partial's
+    DomainError, as is one whose value leaves binary64.  A w0 so small that
+    psi up to order MAX_OX - 1 overflows there raises, even where a caller
+    reads row 0 only: gamma_ratio_jet(BETA_SHIFT0, 1e-300, 1e-300) needs
+    psi'(2e-300).  No closed form reaches such a point, as their w0 = x + 1
+    or x + p + 1 >= 2^-53.
     """
-    return _ratio_jet(variant, x0, z0, oz)
+    return _ratio_jet(variant, x0, z0)
 
 
 @memo
-def _ratio_jet(variant: RatioVariant, x0: float, z0: float,
-               oz: int) -> tuple[tuple[float, ...], ...]:
-    """The gamma_ratio_jet at (x0, z0) of orders (MAX_OX, oz).
+def _ratio_jet(variant: RatioVariant, x0: float, z0: float) -> tuple[tuple[float, ...], ...]:
+    """The gamma_ratio_jet at (x0, z0), of orders (MAX_OX, oz): oz is MAX_OZ,
+    or, where psi leaves binary64 first, the highest z-order at which the ln
+    Gamma jets at z0 (to oz) and w0 (to MAX_OX + oz) build.  psi'(1e-300)
+    overflows, so the jet at z0 = 1e-300 stops at oz = 1.  A psi tuple holds
+    every lower order, so no order above oz builds either.  Entry (a, b) has
+    the bits of a build at (a, b): row a of the exp recurrence reads rows
+    <= a only, and entry b of a row entries <= b only.
 
     Built as exp of  lnGamma(x0+1+dx) + lnGamma(z0+dz) - lnGamma(w0+dx+dz)
     with w0 = x0+z0 (+1 for BETA_SHIFT1); the composite (dx+dz)^r term
-    spreads over the rectangle with binomial weights.  A bad oz or base
-    point is a DomainError naming it."""
-    oz = check_int("oz", oz, 0, MAX_OZ)
-    shift = 1.0 if variant is RatioVariant.BETA_SHIFT1 else 0.0
-    w0 = x0 + z0 + shift
+    spreads over the rectangle with binomial weights.  A bad base point, or
+    one where not even z-order 0 builds, is a DomainError naming it."""
+    w0 = x0 + z0 + variant.value
     for name, arg in (("x0+1", x0 + 1.0), ("z0", z0), ("x0+z0+shift", w0)):
         check_above(name, arg, 0.0)
     ux = ln_gamma_jet(x0 + 1.0, MAX_OX)
-    uz = ln_gamma_jet(z0, oz)
-    uw = ln_gamma_jet(w0, MAX_OX + oz)
+    for oz in range(MAX_OZ, -1, -1):
+        try:
+            uz, uw = ln_gamma_jet(z0, oz), ln_gamma_jet(w0, MAX_OX + oz)
+            break
+        except DomainError:
+            if not oz:
+                raise
     return _exp2([[(ux[a] if b == 0 else 0.0) + (uz[b] if a == 0 else 0.0)
                    - uw[a + b] * math.comb(a + b, a) for b in range(oz + 1)]
                   for a in range(MAX_OX + 1)])

@@ -65,11 +65,11 @@ def check_above(name: str, v: float, least: float) -> float:
 # One pass over the default grid builds 163 distinct series factors, 117
 # distinct heads (each at K = 64; factors whose shifts add up to the same c
 # share one), 2 harmonic-number tables, 400 sum layouts and 400 tail models
-# for its 472 sums, 94 Euler-Maclaurin weight tables from 101 monomials, 90
-# distinct ln Gamma jets from 87 psi-derivative tuples, 125 gamma-ratio jets
-# for its 500 gamma_ratio_jet calls and 15 harmonic-number tuples from 45
-# fsums; one over the closed_form benchmark builds 283 psi-derivative tuples,
-# 284 ln Gamma jets, 440 gamma-ratio jets for 1760 calls and 33
+# for its 472 sums, 94 Euler-Maclaurin weight tables from 101 monomials, 62
+# psi-derivative tuples, 49 ln Gamma jets, 25 gamma-ratio jets (one per base
+# point) for its 500 gamma_ratio_jet calls and 15 harmonic-number tuples from
+# 45 fsums; one over the closed_form benchmark builds 114 psi-derivative
+# tuples, 92 ln Gamma jets, 44 gamma-ratio jets for 1760 calls and 33
 # harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
 # pass asks for 1650 tail-model products, at the depths its sums try, 468
 # distinct (adaptive: 24); the closed_form benchmark's untimed series values

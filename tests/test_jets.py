@@ -10,10 +10,7 @@ import inspect
 import itertools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -34,7 +31,7 @@ from eulersums import (
 )
 from eulersums import identities, jets, series, special
 from eulersums.identities import REGISTRY, default_grid
-from eulersums.jets import MAX_OZ
+from eulersums.jets import MAX_OX, MAX_OZ
 from eulersums.series import lhs_base_binomial, lhs_variant2
 from eulersums.special import SQRT_PI
 from eulersums.summation import EvalConfig
@@ -96,20 +93,20 @@ def _ratio_mp(variant: RatioVariant, x, z):
 
 class TestGammaRatioJet:
     def test_value_at_origin(self):
-        assert gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, 0)[0] == (1.0,)
+        assert gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0)[0][0] == 1.0
 
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("m", range(0, 5))
     def test_shift1_x_zero_single_term(self, p, m):
         # at x = 0 the alternating binomial series is its k = 0 term
-        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, 0.0, p, m)
+        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, 0.0, p)
         got = (-1.0) ** m / math.factorial(m) * mixed_partial(j, 0, m)
         assert_close(got, p ** -(m + 1), 1e-12)
 
     @pytest.mark.parametrize("z", [1.0, 2.0, 2.5])
     def test_second_x_derivative_formula(self, z):
         # 2! coeff[2][0] = psi^2(z) + 2 gamma psi(z) - psi'(z) + gamma^2 + pi^2/6
-        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, z, 0)
+        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, z)
         got = mixed_partial(j, 2, 0)
         want = (digamma(z) ** 2 + 2.0 * EULER_GAMMA * digamma(z) - polygamma(1, z)
                 + EULER_GAMMA**2 + math.pi**2 / 6.0)
@@ -119,13 +116,13 @@ class TestGammaRatioJet:
             assert_close(got, want, 1e-10)
 
     def test_mixed_partial_value_and_range(self):
-        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 2.0, 1.5, 3)
+        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 2.0, 1.5)
         want = math.exp(math.lgamma(3.0) + math.lgamma(1.5) - math.lgamma(3.5))
         assert_close(mixed_partial(j, 0, 0), want, 1e-13)
         with pytest.raises(DomainError):
-            mixed_partial(j, 4, 0)
+            mixed_partial(j, MAX_OX + 1, 0)
         with pytest.raises(DomainError):
-            mixed_partial(j, 0, 4)
+            mixed_partial(j, 0, MAX_OZ + 1)
 
     @pytest.mark.parametrize("coeffs, a, b, named", [
         (((1.0, -math.inf),), 0, 1, "(0,1) is -inf"), (((1.0,), (math.nan,)), 1, 0, "(1,0) is nan"),
@@ -137,34 +134,40 @@ class TestGammaRatioJet:
         with pytest.raises(DomainError, match=re.escape(f"mixed partial {named}, outside binary64")):
             mixed_partial(coeffs, a, b)
 
-    def test_a_closed_form_past_binary64_raises(self):
+    @pytest.mark.parametrize("fn, args, named", [
         # jet entry (0, 1) is -inf at z0 = 1e-300
-        with pytest.raises(DomainError, match=re.escape("mixed partial (0,1) is -inf")):
-            identities.rhs_thm_35(0.5, 1e-300, 1)
+        (identities.rhs_thm_35, (0.5, 1e-300, 1), "mixed partial (0,1) is -inf"),
+        # Gamma(p) past binary64: the exp of the jets' ln Gamma sum overflows
+        (identities.rhs_thm_35, (1.0, 5e-324, 0), "exp(744.4400719213812) is outside binary64"),
+        (identities.rhs_thm_35, (0.0, 3e-309, 0), "exp(710.400181446492) is outside binary64"),
+        (identities.rhs_cor_36, (5e-324, 0), "exp(743.8677069784566) is outside binary64")],
+        ids=["35-inf-entry", "35-subnormal-p", "35-tiny-p", "cor36-subnormal-p"])
+    def test_a_closed_form_past_binary64_raises(self, fn, args, named):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=re.escape(named)):
+                fn(*args)
 
     def test_pole_guard(self):
         with pytest.raises(DomainError):
-            gamma_ratio_jet(RatioVariant.BETA_SHIFT0, -1.0, 1.0, 1)
-        with pytest.raises(DomainError):
-            gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, MAX_OZ + 1)
+            gamma_ratio_jet(RatioVariant.BETA_SHIFT0, -1.0, 1.0)
 
     def test_frozen_mixed_partials(self):
-        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, 1)
+        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0)
         assert_close(mixed_partial(j, 1, 1), REFS[("F", 1, 1, 0)], 1e-12)
         assert_close(mixed_partial(j, 2, 1), REFS[("F", 2, 1, 0)], 1e-12)
         assert_close(mixed_partial(j, 3, 1), REFS[("F", 3, 1, 0)], 1e-12)
-        j2 = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 2.0, 1.0, 1)
+        j2 = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 2.0, 1.0)
         assert_close(mixed_partial(j2, 3, 1), REFS[("F", 3, 1, 2)], 1e-12)
-        j3 = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 1.0, 1.0, 3)
+        j3 = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 1.0, 1.0)
         assert_close(mixed_partial(j3, 2, 3), REFS[("F", 2, 3, 1)], 1e-12)
-        j4 = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, 1.0, 0.5, 2)
+        j4 = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, 1.0, 0.5)
         assert_close(mixed_partial(j4, 1, 2), REFS[("G", 1, 2, 1, 0.5)], 1e-12)
-        j5 = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, 2.0, 2.5, 0)
+        j5 = gamma_ratio_jet(RatioVariant.BETA_SHIFT1, 2.0, 2.5)
         assert_close(mixed_partial(j5, 3, 0), REFS[("G", 3, 0, 2, 2.5)], 1e-12)
 
     def test_f3_against_series_oracle(self):
         # d^3_x d_z ratio at (0,1) equals -3 * sum (H_k^2-H_k^(2))/(k+1)^2
-        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0, 1)
+        j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 0.0, 1.0)
         f3 = mixed_partial(j, 3, 1)
         oracle = lhs_variant2(0, 1).value
         assert_close(f3, -3.0 * oracle, 1e-8)
@@ -200,7 +203,7 @@ def _fd_mixed(variant: RatioVariant, x0: float, z0: float, a: int, b: int) -> fl
 @pytest.mark.parametrize("variant", [RatioVariant.BETA_SHIFT0, RatioVariant.BETA_SHIFT1])
 @pytest.mark.parametrize("x0,z0", _FD_BASES)
 def test_finite_difference_agreement(variant, x0, z0):
-    jet = gamma_ratio_jet(variant, x0, z0, 4)
+    jet = gamma_ratio_jet(variant, x0, z0)
     for a in range(0, 4):
         for b in range(0, 5):
             exact = mixed_partial(jet, a, b)
@@ -218,7 +221,7 @@ def test_finite_difference_agreement(variant, x0, z0):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_base_theorem_consistency(x, m):
     # (-1)^m/m! d^m_z ratio(x, z)|_{z=1} reproduces the summed series
-    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0, m)
+    j = gamma_ratio_jet(RatioVariant.BETA_SHIFT0, x, 1.0)
     closed = (-1.0) ** m / math.factorial(m) * mixed_partial(j, 0, m)
     series = lhs_base_binomial(x, m)
     assert EvalConfig().converged(series)
@@ -416,18 +419,20 @@ def test_right_sides_keep_their_pinned_bits():
 
 def test_gamma_ratio_jets_keep_the_loop_bits(monkeypatch):
     """Every gamma-ratio jet the default grid and the closed-form parameter
-    sets reach, coefficient by coefficient."""
+    sets reach, coefficient by coefficient: entries (0..ox, 0..oz) of the kept
+    jet are a build at exactly (ox, oz), whatever orders a closed form reads."""
     calls = _recording(monkeypatch, "gamma_ratio_jet")
     _right_sides()
     _grid_right_sides()
     reached = set(calls)
-    assert len(reached) > 400
-    assert {args[3] for args in reached} == set(range(11))
-    for variant, x0, z0, oz in sorted(reached, key=repr):
-        got = gamma_ratio_jet(variant, x0, z0, oz)
-        for ox in range(jets.MAX_OX + 1):  # rows 0..ox are a build at x-order ox
+    assert len(reached) > 40
+    for variant, x0, z0 in sorted(reached, key=repr):
+        got = gamma_ratio_jet(variant, x0, z0)
+        assert len(got[0]) == MAX_OZ + 1
+        for ox, oz in itertools.product(range(MAX_OX + 1), range(MAX_OZ + 1)):
             want = _ref_gamma_ratio_jet(variant, x0, z0, ox, oz)
-            assert _hex(got[: ox + 1]) == _hex(want), (variant, x0, z0, ox, oz)
+            assert _hex([row[: oz + 1] for row in got[: ox + 1]]) == _hex(want), (
+                variant, x0, z0, ox, oz)
 
 
 def test_cor_36_products_keep_the_loop_bits(monkeypatch):
@@ -445,85 +450,70 @@ def test_cor_36_products_keep_the_loop_bits(monkeypatch):
         assert _hex(jet_exp(a)) == _hex(_ref_exp_series1(a))
 
 
-_RHS_BITS = """
-import inspect, itertools, json, sys
-from eulersums import identities
-from eulersums.special import DomainError
-axes = json.loads(sys.argv[1])
-for name in sorted(n for n in dir(identities) if n.startswith("rhs_")):
-    fn = getattr(identities, name)
-    for args in itertools.product(*(axes[p] for p in inspect.signature(fn).parameters)):
-        try:
-            print(name, args, float(fn(*args)).hex())
-        except DomainError as exc:
-            print(name, args, exc)
-"""
-
-
-def _rhs_bits(**env_extra):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env.update(PYTHONPATH=str(Path(__file__).parents[1] / "src"), OPENBLAS_NUM_THREADS="1",
-               **env_extra)
-    out = subprocess.run([sys.executable, "-c", _RHS_BITS, json.dumps(_AXES)], capture_output=True,
-                         text=True, env=env, check=True)
-    return out.stdout.splitlines()
-
-
-def test_right_sides_do_not_depend_on_the_blas_kernel():
-    """Every rhs_* over the closed-form axes gives the same bits in a process
-    whose OpenBLAS runs its Nehalem kernels (no fused multiply-add) as in
-    one that picks its kernels for this CPU: no right side goes through BLAS."""
-    default = _rhs_bits()
-    assert sum(" 0x" in line or " -0x" in line for line in default) > 1500
-    assert _rhs_bits(OPENBLAS_CORETYPE="Nehalem") == default
-
-
-# ----------------- one shared jet per base point and z-order -----------------
+# -------------------- one shared jet per base point --------------------
 
 _BASES = list(itertools.product(RatioVariant, [float(v) for v in range(11)] + [0.5, 2.5],
                                 [0.5, 1.0, 2.5]))
 
 
 def test_shared_jets_keep_the_bits_of_a_fresh_build():
-    """Every caller reads its rows of one kept jet, built at x-order MAX_OX
-    on the first call: the bits of an unshared build, read-only.
-    test_gamma_ratio_jets_keep_the_loop_bits holds rows 0..ox to a build at
-    exactly (ox, oz)."""
+    """Every caller reads its entries of one kept jet per base point, built at
+    (MAX_OX, MAX_OZ) on the first call: the bits of an unshared build,
+    read-only.  test_gamma_ratio_jets_keep_the_loop_bits holds entry (a, b)
+    to a build at exactly (a, b)."""
     series._cache.cache_clear()
     fresh = jets._ratio_jet.__wrapped__
     for variant, x0, z0 in _BASES:
-        for oz in range(jets.MAX_OZ + 1):
-            builds = jets._ratio_jet.cache_info().misses
-            for _ in range(jets.MAX_OX + 1):  # one call for each x-order a closed form reads
-                got = gamma_ratio_jet(variant, x0, z0, oz)
-                assert type(got) is tuple and len(got) == jets.MAX_OX + 1
-                assert all(type(row) is tuple and len(row) == oz + 1 for row in got)
-                assert _hex(got) == _hex(fresh(variant, x0, z0, oz)), (variant, x0, z0, oz)
-            assert jets._ratio_jet.cache_info().misses == builds + 1
+        for _ in range(2):
+            got = gamma_ratio_jet(variant, x0, z0)
+            assert type(got) is tuple and len(got) == MAX_OX + 1
+            assert all(type(row) is tuple and len(row) == MAX_OZ + 1 for row in got)
+            assert _hex(got) == _hex(fresh(variant, x0, z0)), (variant, x0, z0)
+    assert jets._ratio_jet.cache_info().misses == len(_BASES)
+
+
+def test_the_closed_form_axes_keep_one_jet_per_base_point():
+    """Every rhs_* over _AXES, a superset of the closed_form benchmark's
+    points, reads 44 base points: (x0, 1) for the 11 x or n of rhs_thm_e15
+    and the finite-sum theorems, and (x0, p) for the 33 (x or n, p) of
+    rhs_thm_35 and the shifted ones; one jet each, whatever m is read."""
+    series._cache.cache_clear()
+    _right_sides()
+    assert jets._ratio_jet.cache_info().currsize == 44
 
 
 @pytest.mark.parametrize("first, second", [
     (lambda: identities.rhs_thm_e15(3.0, 4), lambda: identities.rhs_thm_t25(3, 4)),
-    (lambda: identities.rhs_thm_35(2.0, 0.5, 3), lambda: identities.rhs_thm_37(0.5, 2, 3))],
-    ids=["e15-t25", "35-37"])
+    (lambda: identities.rhs_thm_35(2.0, 0.5, 3), lambda: identities.rhs_thm_37(0.5, 2, 3)),
+    (lambda: identities.rhs_thm_35(2.0, 0.5, 0), lambda: identities.rhs_thm_311(0.5, 2, 13))],
+    ids=["e15-t25", "35-37", "35-311"])
 def test_base_theorems_share_the_jet_of_their_x_partials(first, second):
     """A base theorem reads row 0 of the jet whose x-rows the theorems at the
-    same base point read: the two closed forms build one jet."""
+    same base point read, at any z-order: the two closed forms build one jet."""
     series._cache.cache_clear()
     first()
     second()
     assert jets._ratio_jet.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("args", [(0.0, 1.0, -1), (0.0, 1.0, 1.5), (0.0, 1.0, 13),
-                                  (-1.0, 1.0, 1), (0.0, 0.0, 1), (-1.0, 0.5, 2),
-                                  (1.0, math.inf, 2), (math.nan, 1.0, 1)])
-def test_bad_orders_and_arguments_raise_on_every_call(args):
+@pytest.mark.parametrize("args", [(-1.0, 1.0), (0.0, 0.0), (-1.0, 0.5), (1.0, math.inf),
+                                  (math.nan, 1.0), (0.0, -0.5)])
+def test_bad_base_points_raise_on_every_call(args):
     series._cache.cache_clear()
     for variant in RatioVariant:
         for _ in range(2):
             with pytest.raises(DomainError):
                 gamma_ratio_jet(variant, *args)
+    assert jets._ratio_jet.cache_info().currsize == 0
+
+
+def test_a_base_point_where_no_z_order_builds_raises_on_every_call():
+    """psi'(2e-300) overflows, so the ln Gamma jet at w0 = 2e-300 does not
+    build at x-order MAX_OX even at z-order 0, and nothing is kept."""
+    series._cache.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match=re.escape("polygamma(1, 2e-300) overflows")):
+            gamma_ratio_jet(RatioVariant.BETA_SHIFT0, 1e-300, 1e-300)
     assert jets._ratio_jet.cache_info().currsize == 0
 
 
@@ -558,28 +548,41 @@ def test_x_order_zero_jets_stay_finite_next_to_the_pole(fn, args, bits):
     row 0 of the jet, keep their values."""
     z0 = args[1] if fn is identities.rhs_thm_35 else 1.0
     variant = RatioVariant.BETA_SHIFT1 if fn is identities.rhs_thm_35 else RatioVariant.BETA_SHIFT0
-    rows = gamma_ratio_jet(variant, _NEAR_MINUS_ONE, z0, args[-1])
+    rows = gamma_ratio_jet(variant, _NEAR_MINUS_ONE, z0)
     assert all(math.isfinite(c) for row in rows for c in row)
     assert fn(*args).hex() == bits
     assert fn(*args).hex() == bits
 
 
-def _outcome(fn, *args):
-    try:
-        return float(fn(*args)).hex()
-    except DomainError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("m", range(13))
+@pytest.mark.parametrize("m", range(MAX_OZ + 1))
 def test_base_theorems_next_to_the_pole_keep_the_bits_of_an_x_order_zero_build(m):
     """Row 0 of the shared jet is, bit for bit, the jet built at x-order 0,
-    or raises as that build does (polygamma overflows at z0 = 1e-300)."""
+    or raises as that build does (psi' overflows at z0 = 1e-300)."""
     for fn, variant, z0, args in (
             (identities.rhs_thm_e15, RatioVariant.BETA_SHIFT0, 1.0, (_NEAR_MINUS_ONE, m)),
             (identities.rhs_thm_35, RatioVariant.BETA_SHIFT1, 1e-300, (_NEAR_MINUS_ONE, 1e-300, m))):
         if m == 0 and fn is identities.rhs_thm_e15:
             continue  # rhs_thm_e15 takes m >= 1
-        want = _outcome(lambda: (-1.0) ** m / math.factorial(m) * mixed_partial(
+        want = _bits_or_error(lambda: (-1.0) ** m / math.factorial(m) * mixed_partial(
             _ref_gamma_ratio_jet(variant, _NEAR_MINUS_ONE, z0, 0, m), 0, m))
-        assert _outcome(fn, *args) == want, (fn.__name__, m)
+        assert _bits_or_error(fn, *args) == want, (fn.__name__, m)
+
+
+_TINY_P = [10.0**-e for e in (20, 25, 26, 30, 100, 300, 308)]
+
+
+@pytest.mark.parametrize("m", range(MAX_OZ + 1))
+def test_base_theorems_at_a_tiny_p_keep_the_bits_of_a_build_at_their_z_order(m, monkeypatch):
+    """At z0 = p below about 1e-25, psi at z0 leaves binary64 before z-order
+    MAX_OZ, and the shared jet stops at the last z-order that builds.  Each
+    read keeps the bits of a jet built at exactly (MAX_OX, m), or is a
+    DomainError where that build raises."""
+    calls = [(identities.rhs_thm_35, (float(k), p, m)) for p in _TINY_P for k in range(3)]
+    calls += [(identities.rhs_thm_37, (p, k, m)) for p in _TINY_P for k in range(3)]
+    series._cache.cache_clear()
+    got = [_bits_or_error(fn, *args) for fn, args in calls]
+    assert len(jets._ratio_jet(RatioVariant.BETA_SHIFT1, 1.0, 1e-30)[0]) == 11
+    assert len(jets._ratio_jet(RatioVariant.BETA_SHIFT1, 1.0, 1e-300)[0]) == 2
+    monkeypatch.setattr(identities, "gamma_ratio_jet", lambda variant, x0, z0: _ref_gamma_ratio_jet(
+        variant, x0, z0, MAX_OX, m))
+    assert got == [_bits_or_error(fn, *args) for fn, args in calls]

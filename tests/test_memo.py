@@ -103,7 +103,7 @@ def test_clear_drops_the_ratio_jets_and_harmonic_tuples():
 
 def test_ratio_jets_and_harmonic_tuples_stay_within_the_bound():
     for i in range(MEMO_SIZE + 10):
-        jets.gamma_ratio_jet(jets.RatioVariant.BETA_SHIFT0, 1.0 + i / 64.0, 1.0, 0)
+        jets.gamma_ratio_jet(jets.RatioVariant.BETA_SHIFT0, 1.0 + i / 64.0, 1.0)
         identities._harmonics(1, i + 1)
     for table in (jets._ratio_jet, identities._harmonics):
         info = table.cache_info()
@@ -252,6 +252,15 @@ def test_memoized_tail_models_are_read_only():
 def _verify_grid():
     for ident, params in default_grid():
         identities.verify(ident, params, 1e-7)
+
+
+def test_a_cold_grid_pass_keeps_one_jet_per_base_point():
+    """The grid's right sides read 25 base points of the two gamma ratios at
+    125 (base point, z-order) pairs, and every z-order reads the one jet
+    kept for its base point."""
+    series._cache.cache_clear()
+    _verify_grid()
+    assert jets._ratio_jet.cache_info().currsize == 25
 
 
 def test_a_warm_grid_pass_builds_no_product(monkeypatch):

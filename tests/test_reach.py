@@ -51,10 +51,13 @@ ALLOWED = {
     ("series", "_finite_binomial"): {"bits = math.inf"},
 }
 
-# The grid has integer x only; these reach the signed-binomial factor, at x =
-# 2.3 with rounded exponents (_em_sum's s_rounding branch).
+# The grid has integer x only; the first two reach the signed-binomial factor,
+# at x = 2.3 with rounded exponents (_em_sum's s_rounding branch).  The grid's
+# p are at least 0.5; at p = 1e-30 psi leaves binary64 before z-order MAX_OZ,
+# and the ratio jet stops at the last z-order that builds.
 EXTRA_POINTS = ((IdentityId.THM_BASE_E15, {"x": 2.3, "m": 2}),
-                (IdentityId.THM_BASE_35, {"x": -0.5, "p": 1.0, "m": 1}))
+                (IdentityId.THM_BASE_35, {"x": -0.5, "p": 1.0, "m": 1}),
+                (IdentityId.THM_BASE_35, {"x": 1.0, "p": 1e-30, "m": 0}))
 
 
 def _statements(tree, prefix=""):
