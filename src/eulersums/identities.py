@@ -320,14 +320,20 @@ def rhs_cor_36(p: float, m: int) -> float:
     """sqrt(pi) (-1)^m/m! d^m/ds^m [Gamma(s)/Gamma(s+1/2) (psi(1/2)-psi(s+1/2))] at s=p.
 
     Both factors are s-jets at s0 = p; the shifted-argument jets share the
-    same normalized coefficients as jets at p+1/2, only rebased.
+    same normalized coefficients as jets at p+1/2, only rebased.  At a tiny
+    p the ratio's coefficients pass binary64 (at p = 1e-100 the order-3 one
+    is -inf) and their product is nan: a value outside binary64 is a
+    DomainError naming p and m.
     """
     m = check_int("m", m, 0)
     check_above("p", p, 0.0)
     ratio = jet_exp([u - v for u, v in zip(ln_gamma_jet(p, m), ln_gamma_jet(p + 0.5, m))])
     delta = [-(d / math.factorial(k)) for k, d in enumerate(psi_derivatives(p + 0.5, m))]
     delta[0] += digamma(0.5)
-    return SQRT_PI * _sign(m) * jet_mul(ratio, delta)[m]
+    out = SQRT_PI * _sign(m) * jet_mul(ratio, delta)[m]
+    if not math.isfinite(out):
+        raise DomainError(f"p = {p} and m = {m} put the closed form outside binary64")
+    return out
 
 
 def rhs_thm_37(p: float, n: int, m: int) -> float:

@@ -97,11 +97,17 @@ def psi_derivatives(a: float, top: int) -> tuple[float, ...]:
 
 @memo
 def ln_gamma_jet(a: float, order: int) -> tuple[float, ...]:
-    """Jet of ln Gamma at a > 0 to `order`: (lnGamma(a), psi(a), psi'(a)/2!, ...)."""
+    """Jet of ln Gamma at a > 0 to `order`: (lnGamma(a), psi(a), psi'(a)/2!, ...).
+    An a past about 2.5e305, where lnGamma(a) leaves binary64, is a
+    DomainError naming a, raised before any psi tuple is built."""
     check_above("a", a, 0.0)
     order = check_int("order", order, 0)
+    try:
+        head = math.lgamma(a)
+    except OverflowError:
+        raise DomainError(f"lnGamma(a) is outside binary64 at a = {a!r}") from None
     psi = psi_derivatives(a, order - 1) if order else ()
-    return (math.lgamma(a),) + tuple(d / math.factorial(k) for k, d in enumerate(psi, start=1))
+    return (head,) + tuple(d / math.factorial(k) for k, d in enumerate(psi, start=1))
 
 
 # --------------------------- bivariate jets ---------------------------------

@@ -26,8 +26,10 @@ model, by _tail_model, which cuts the least build that holds its depth:
 coefficient q of a product reads orders <= q alone, so the cut has the bits
 of a build at that depth.  A warm sum then costs one pass over its factors' heads, two
 fsums and one em_tail call, whose model holds its coefficients flat.  Every
-harmonic number H_k^(order) comes from one memoized compensated table per
-order and K, and its tail from one constructor, ap.harmonic_lp.
+harmonic-type head, H_k^(order), H_k^2 - H_k^(2) and H_k - 2 H_2k, is one
+compensated running sum of terms of one sign, _running_sum, so no head
+subtracts two rounded values; the tail of H_k^(order) comes from one
+constructor, ap.harmonic_lp.
 Powers are IEEE multiplies, so every head has the same bits on every CPU.
 _cache.cache_clear() drops these memo tables together with the jets' and
 em_tail's weights.  Only the two zeta-value series of EX3, whose terms fall
@@ -50,7 +52,7 @@ import operator
 import sys
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import asymptotics as ap
 from .special import _U, LN2, DomainError, check_above, check_int, clear_memos, hurwitz_zeta, memo
@@ -90,14 +92,14 @@ _MOST = int(sys.float_info.max)  # the largest int that converts to a finite flo
 # Head rounding is counted in units of _U, to first order: 1 per rounded
 # +, -, *, /; a power b^s taken by multiplies adds s - 1, whatever the order
 # of its products (Higham, Accuracy and Stability of Numerical Algorithms,
-# Lemma 3.1), and a base rounded r times adds r s; a compensated sum of
-# positive terms adds 1 to the most its terms are rounded; a difference
-# a - b adds (err a + err b) / |a - b|.  Each factor constructor below counts
-# its own head; _em_sum adds 1 per * or / that joins the factors.  _U = 2^-53
-# is special's.
+# Lemma 3.1), and a base rounded r times adds r s; a compensated running sum
+# of terms of one sign adds 1 to the most its terms are rounded; a product by
+# 2 or -2 adds nothing.  Each factor constructor below counts its own head;
+# _em_sum adds 1 per * or / that joins the factors.  _U = 2^-53 is
+# special's.
 
 # Everything the oracles build on first use (the factors below, their heads,
-# their products, the harmonic tables) and the closed forms' psi tuples and
+# their products) and the closed forms' psi tuples and
 # jets are special.memo tables.  _cache.cache_clear() empties all of them, so
 # the next call builds each piece again; perfbench resets a process through
 # this name before every timed pass.
@@ -265,67 +267,70 @@ def _em_sum(lo: int, *factors: _Factor) -> SumResult:
 # as ap.<name> at call time.
 
 
-@memo
-def _harmonic_numbers(order: int, K: int) -> tuple[float, ...]:
-    """H_0^(order) .. H_2K^(order), the central-binomial sums reading H_2k:
-    Neumaier's compensated running sum s_i = s_(i-1) + t_i,
-    c_i = c_(i-1) + ((s_(i-1) - s_i) + t_i), entry i being s_i + c_i.  That
-    form of the error term needs |s_(i-1)| >= |t_i|, which holds for
-    positive terms that never exceed the first (and at i = 1 both forms give
-    0).  Each entry depends only on the terms before it, so the tables of
-    every K agree where they overlap."""
-    out, s, c = [0.0], 0.0, 0.0
-    for i in range(1, 2 * K + 1):
-        t = 1.0 / _ipow(float(i), order)
+def _running_sum(terms: Iterable[float]) -> Iterator[float]:
+    """0, then each partial sum of `terms` by Neumaier's compensated running
+    sum s_i = s_(i-1) + t_i, c_i = c_(i-1) + ((s_(i-1) - s_i) + t_i), entry
+    i being s_i + c_i (Higham, Accuracy and Stability, 4.3).  That form of
+    the error term is exact where |s_(i-1)| >= |t_i|, as it is for terms of
+    one sign that never exceed the sum before them, and where s_(i-1) = 0.
+    Entry i reads the terms up to i alone, so the heads of every K agree
+    where they overlap.  Every harmonic-type head is one such sum."""
+    s = c = 0.0
+    yield s
+    for t in terms:
         new = s + t
         c += (s - new) + t
         s = new
-        out.append(s + c)
-    return tuple(out)
+        yield s + c
 
 
-def _harmonic_values(order: int, prev: bool, K: int) -> tuple[float, ...]:
-    h = _harmonic_numbers(order, K)
-    return (-math.inf,) + h[:K] if prev else h[: K + 1]
+def _harmonic_values(order: int, prev: bool, K: int) -> Iterable[float]:
+    h = _running_sum(1.0 / _ipow(float(i), order) for i in range(1, K + 1 - prev))
+    return (-math.inf, *h) if prev else h
 
 
 @memo
 def _harmonic(order: int = 1, prev: bool = False) -> _Factor:
-    """H_k^(order), or H_{k-1}^(order) with prev (-inf at k = 0), read from
-    _harmonic_numbers.  Its compensated sum adds 1 to its terms' rounding:
-    1/i^order rounds once where i^order is exact, as it is for every
-    i <= 2 * 1024 at order <= 4 (2048^4 = 2^44), and order times past that
-    (order - 1 multiplies and the /).  Hence 2 up to order 4, order + 1
-    above."""
+    """H_k^(order), or H_{k-1}^(order) with prev (-inf at k = 0), its head
+    the _running_sum of 1/i^order, one place on with prev.  The running sum
+    adds 1 to its terms' rounding: 1/i^order rounds once where i^order is
+    exact, as it is for every i <= 1024 at order <= 4 (1024^4 = 2^40), and
+    at most order times past that (order - 1 multiplies and the /).  Hence
+    2 up to order 4, order + 1 above."""
     tail = ap.harmonic_lp(order, _DEPTH, prev)
     return _Factor(partial(_head, _harmonic_values, (order, prev)), tail, 0.0,
                    2.0 if order <= 4 else order + 1.0)
 
 
 def _harmonic_square_diff_values(prev: bool, K: int) -> Iterable[float]:
-    h, h2 = _harmonic(prev=prev).head(K), _harmonic(2, prev).head(K)
-    return (a * a - b for a, b in zip(h, h2))
+    h = _harmonic().head(K)
+    d = _running_sum(2.0 * h[j - 1] / j for j in range(1, K + 1 - prev))
+    return (math.inf, *d) if prev else d
 
 
 @memo
 def _harmonic_square_diff(prev: bool = False) -> _Factor:
-    """H_k^2 - H_k^(2), or H_{k-1}^2 - H_{k-1}^(2) with prev: the
-    difference's rounding peaks at k = 2, at 15."""
+    """H_k^2 - H_k^(2) = 2 sum_{j<=k} H_(j-1)/j, or H_{k-1}^2 - H_{k-1}^(2)
+    with prev (inf at k = 0, the limit there): the _running_sum of the
+    terms 2 H_(j-1)/j >= 0, each read from _harmonic's head (2 roundings)
+    and divided once (2 H_(j-1) is exact), so 3, and the sum adds 1: 4.
+    The tail is the same difference of H_t's and H_t^(2)'s tails."""
     h, h2 = _harmonic(prev=prev), _harmonic(2, prev)
     tail = h.tail * h.tail + h2.tail.scaled(-1.0)
-    return _Factor(partial(_head, _harmonic_square_diff_values, (prev,)), tail, 0.0, 15.0)
+    return _Factor(partial(_head, _harmonic_square_diff_values, (prev,)), tail, 0.0, 4.0)
 
 
 def _central_harmonic_diff_values(K: int) -> Iterable[float]:
-    h = _harmonic_numbers(1, K)
-    return (a - 2.0 * b for a, b in zip(h, h[::2]))
+    return _running_sum(-2.0 / (2.0 * j - 1.0) for j in range(1, K + 1))
 
 
 @memo
 def _central_harmonic_diff() -> _Factor:
-    """H_k - 2 H_2k: the difference peaks as k grows, at 7 roundings."""
+    """H_k - 2 H_2k = -2 sum_{j<=k} 1/(2j - 1): the _running_sum of the terms
+    -2/(2j - 1), all of one sign, each rounded once (2j - 1 and the factor
+    -2 are exact), and the sum adds 1: 2."""
     return _Factor(partial(_head, _central_harmonic_diff_values, ()),
-                   ap.central_harmonic_diff_lp(_DEPTH), 0.0, 7.0)
+                   ap.central_harmonic_diff_lp(_DEPTH), 0.0, 2.0)
 
 
 def _inv_binomial_values(n: int, K: int) -> Iterable[float]:
@@ -343,14 +348,16 @@ def _inv_binomial(n: int) -> _Factor:
     t^-n sum_j (-1)^j n! h_j(1..n) t^-j, h_j the complete homogeneous
     polynomial of degree j, each coefficient exact in Python ints and
     rounded once.  The coefficients grow with j, and the tail keeps those
-    binary64 holds: all _DEPTH + 1 up to n = 140, fewer past it, and none
-    from n = 171, where n! alone raises OverflowError."""
+    binary64 holds: all _DEPTH + 1 up to n = 140 and fewer past it.  From
+    n = 171 on, n! itself leaves binary64: a DomainError naming n."""
+    if math.factorial(n) > _MOST:
+        raise DomainError(f"n = {n} puts n! past binary64")
     h = [1] + [0] * _DEPTH
     for i in range(1, n + 1):
         for j in range(1, _DEPTH + 1):
             h[j] += i * h[j - 1]
     coeffs = [math.factorial(n) * hj for hj in h]
-    row = [float((-1) ** j * c) for j, c in enumerate(coeffs) if j == 0 or c <= _MOST]
+    row = [float((-1) ** j * c) for j, c in enumerate(coeffs) if c <= _MOST]
     tail = ap.LogPowerSeries(float(n), len(row) - 1, [row])
     return _Factor(partial(_head, _inv_binomial_values, (n,)), tail, float(n), 2.0 * n)
 

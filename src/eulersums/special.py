@@ -14,9 +14,8 @@ are reached by the same recurrence run from below, which is an exact identity
 rather than an analytic continuation, and those below -1024 by reflection to
 1 - x, which takes no steps.  memo keeps the results of the package's
 parameter-only builders (series factors, their heads, the products of their
-tail models, each sum's layout of them and its tail model, their
-harmonic-number tables, the Euler-Maclaurin weights and the monomials they
-are assembled from,
+tail models, each sum's layout of them and its tail model, the
+Euler-Maclaurin weights and the monomials they are assembled from,
 psi-derivative tuples, ln Gamma and gamma-ratio jets, the closed forms'
 harmonic-number tuples, the registry rows' declared parameters, the Hurwitz
 and so the Riemann zeta values) in bounded tables that clear_memos empties.
@@ -62,13 +61,13 @@ def check_above(name: str, v: float, least: float) -> float:
 # ------------------- parameter-only values, built once ----------------------
 
 # The most results one memo table keeps; past it the least recently used goes.
-# One pass over the default grid builds 163 distinct series factors, 117
+# One pass over the default grid builds 163 distinct series factors, 116
 # distinct heads (each at K = 64; factors whose shifts add up to the same c
-# share one), 2 harmonic-number tables, 400 sum layouts and 400 tail models
-# for its 472 sums, 94 Euler-Maclaurin weight tables from 101 monomials, 62
-# psi-derivative tuples, 49 ln Gamma jets, 25 gamma-ratio jets (one per base
-# point) for its 500 gamma_ratio_jet calls and 15 harmonic-number tuples from
-# 45 fsums; one over the closed_form benchmark builds 114 psi-derivative
+# share one), 400 sum layouts and 400 tail models for its 472 sums, 94
+# Euler-Maclaurin weight tables from 101 monomials, 62 psi-derivative
+# tuples, 49 ln Gamma jets, 25 gamma-ratio jets (one per base point) for its
+# 500 gamma_ratio_jet calls and 15 harmonic-number tuples from 45 fsums; one
+# over the closed_form benchmark builds 114 psi-derivative
 # tuples, 92 ln Gamma jets, 44 gamma-ratio jets for 1760 calls and 33
 # harmonic-number tuples from 198 fsums, which it reads 3520 times.  A grid
 # pass asks for 1650 tail-model products, at the depths its sums try, 468

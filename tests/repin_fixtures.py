@@ -13,11 +13,13 @@ test_series.ZETA_REFERENCES for the two zeta-value series), and no oracle's
 converged flag, EvalConfig().converged of its result, may change.  A moved
 grid value is checked through the oracle calls identities.verify makes for
 it.  If any check fails the script writes nothing and exits 1.  It prints the
-number of moved values and the largest move in ulp, and the number of moved
-tail estimates with the range of new/old.  A result the fixtures did not pin
-(a parameter set added to test_em_oracles.ORACLES, a point added to the
-grid) is not a move: it is checked against its reference all the same, and
-counted as added.  The 30-digit references take a few seconds each.
+number of moved values and the largest move in ulp, how many of the moved
+values it checks moved closer to their reference and how many farther (a
+grid value counts where it is the value of the one oracle call behind it),
+and the number of moved tail estimates with the range of new/old.  A result
+the fixtures did not pin (a parameter set added to test_em_oracles.ORACLES,
+a point added to the grid) is not a move: it is checked against its
+reference all the same, and counted as added.  The 30-digit references take a few seconds each.
 
 rhs_bits.json pins every closed form over test_jets._AXES and the right side
 of every default_grid() point.  The closed forms carry no error bound to
@@ -78,9 +80,16 @@ def reference(name: str, params: tuple) -> mp.mpf:
     return sign * T._reference(name, params)
 
 
-def check(name: str, params: tuple, res) -> str | None:
-    """Why `res` is not within its tail_estimate of the reference, or None."""
-    err = abs(res.value - reference(name, params))
+def check(name: str, params: tuple, res, old: float | None = None,
+          toward: list[int] | None = None) -> str | None:
+    """Why `res` is not within its tail_estimate of the reference, or None.
+    Given the value `old` that res.value moved from, `toward` gets 1 if the
+    move took it closer to the reference, -1 if farther and 0 if neither."""
+    ref = reference(name, params)
+    err = abs(res.value - ref)
+    if old is not None:
+        was = abs(old - ref)
+        toward.append((err < was) - (err > was))
     if err <= res.tail_estimate:
         return None
     return (f"{name}{params}: value {res.value!r} is {float(err):.3g} off, "
@@ -92,11 +101,12 @@ def move(old: float, new: float) -> tuple[float, float]:
     return abs(new - old) / math.ulp(old), abs(new - old) / abs(old) if old else math.inf
 
 
-def repin_oracles(moves: list[tuple[float, float]], estimates: list[float],
+def repin_oracles(moves: list[tuple[float, float]], estimates: list[float], toward: list[int],
                   problems: list[str], added: list[str]) -> dict[str, list]:
     """The oracles' bits.  A result whose value or tail_estimate moved, or
     that was not pinned, is checked against its reference; `estimates` gets
-    new/old of each moved tail_estimate."""
+    new/old of each moved tail_estimate, and `toward` how each moved value
+    moved (check)."""
     pinned = json.loads(BITS.read_text())["oracles"]
     out = {}
     for name, (params_list, _) in T.ORACLES.items():
@@ -114,21 +124,25 @@ def repin_oracles(moves: list[tuple[float, float]], estimates: list[float],
                 continue
             if old[3] != converged:
                 problems.append(f"{name}{params}: converged went from {old[3]} to {converged}")
-            if old[1] != rows[-1][1]:
+            moved = old[1] != rows[-1][1]
+            if moved:
                 moves.append(move(float.fromhex(old[1]), res.value))
             if old[2] != rows[-1][2]:
                 estimates.append(res.tail_estimate / float.fromhex(old[2]))
             if old[1:3] != rows[-1][1:3]:
-                problems.append(check(name, params, res))
+                problems.append(check(name, params, res,
+                                      float.fromhex(old[1]) if moved else None, toward))
         out[name] = rows
     return out
 
 
-def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
+def repin_grid(moves: list[tuple[float, float]], estimates: list[float], toward: list[int],
                problems: list[str], added: list[str]) -> list[list]:
     """The grid's LHS bits (it pins no estimates, so `estimates` stays
     empty).  Every series oracle identities.verify calls is wrapped, so a
-    moved or added value can be checked through the calls behind it."""
+    moved or added value can be checked through the calls behind it; a
+    moved value that is the value of the one call behind it adds to
+    `toward`."""
     calls = []
 
     def recording(name, fn):
@@ -152,13 +166,16 @@ def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
             was = pinned.get(json.dumps(out[-1][:2]))
             if was == out[-1][2]:
                 continue
+            old = None
             if was is None:
                 added.append(f"{ident.value} {params}")
             else:
                 moves.append(move(float.fromhex(was), lhs))
+                if len(calls) == 1 and calls[0][2].value == lhs:
+                    old = float.fromhex(was)
             if not calls:
                 problems.append(f"{ident.value} {params}: changed without an oracle call to check")
-            problems.extend(check(name, args, res) for name, args, res in calls)
+            problems.extend(check(name, args, res, old, toward) for name, args, res in calls)
     finally:
         for name, fn in originals.items():
             setattr(identities, name, fn)
@@ -167,10 +184,11 @@ def repin_grid(moves: list[tuple[float, float]], estimates: list[float],
     return out
 
 
-def repin_rhs(moves: list[tuple[float, float]], estimates: list[float],
+def repin_rhs(moves: list[tuple[float, float]], estimates: list[float], toward: list[int],
               problems: list[str], added: list[str]) -> dict[str, list]:
-    """The closed forms' bits, unchecked (so `estimates` and `problems` stay
-    empty).  A point the fixture did not list is added, not moved."""
+    """The closed forms' bits, unchecked (so `estimates`, `toward` and
+    `problems` stay empty).  A point the fixture did not list is added, not
+    moved."""
     out = {"rhs": test_jets._right_sides(), "grid": test_jets._grid_right_sides()}
     pinned = json.loads(RHS.read_text())
     for part, rows in out.items():
@@ -214,13 +232,15 @@ def main(argv: list[str] | None = None) -> int:
     for label, path, repin, dump in (("oracle", BITS, repin_oracles, dump_bits),
                                      ("grid", GRID, repin_grid, dump_grid),
                                      ("right-side", RHS, repin_rhs, dump_rhs)):
-        moves, estimates, added = [], [], []
-        texts[path] = dump(repin(moves, estimates, problems, added))
+        moves, estimates, toward, added = [], [], [], []
+        texts[path] = dump(repin(moves, estimates, toward, problems, added))
         ulp = max((u for u, _ in moves), default=0.0)
         rel = max((r for _, r in moves), default=0.0)
         spread = f", new/old {min(estimates):.3g} to {max(estimates):.3g}" if estimates else ""
+        closer = (f" ({toward.count(1)} of {len(toward)} checked moved closer to the reference, "
+                  f"{toward.count(-1)} farther)" if toward else "")
         print(f"{path.name}: {len(moves)} {label} values moved, the largest by {ulp:.3g} ulp "
-              f"({rel:.3g} relative); {len(estimates)} tail estimates moved{spread}; "
+              f"({rel:.3g} relative){closer}; {len(estimates)} tail estimates moved{spread}; "
               f"{len(added)} added")
     problems = [p for p in problems if p]
     if problems:

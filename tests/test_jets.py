@@ -61,6 +61,16 @@ class TestLnGammaJet:
         with pytest.raises(DomainError):
             ln_gamma_jet(-1.0, 2)
 
+    def test_ln_gamma_past_binary64_raises_before_any_psi_tuple(self):
+        """lnGamma(3e305) overflows: a DomainError naming a, on every call,
+        and no psi tuple is built for it."""
+        series._cache.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match=re.escape("at a = 3e+305")):
+                ln_gamma_jet(3e305, 2)
+        assert jets.psi_derivatives.cache_info().currsize == 0
+        assert ln_gamma_jet(2.5e305, 2)[0] > 1e308
+
 
 class TestJetArithmetic:
     def test_exp_of_zero_is_unit(self):
@@ -140,8 +150,18 @@ class TestGammaRatioJet:
         # Gamma(p) past binary64: the exp of the jets' ln Gamma sum overflows
         (identities.rhs_thm_35, (1.0, 5e-324, 0), "exp(744.4400719213812) is outside binary64"),
         (identities.rhs_thm_35, (0.0, 3e-309, 0), "exp(710.400181446492) is outside binary64"),
-        (identities.rhs_cor_36, (5e-324, 0), "exp(743.8677069784566) is outside binary64")],
-        ids=["35-inf-entry", "35-subnormal-p", "35-tiny-p", "cor36-subnormal-p"])
+        (identities.rhs_cor_36, (5e-324, 0), "exp(743.8677069784566) is outside binary64"),
+        # an inf in the ratio jet at a tiny p, whose product with delta is nan
+        (identities.rhs_cor_36, (1e-100, 3),
+         "p = 1e-100 and m = 3 put the closed form outside binary64"),
+        (identities.rhs_cor_36, (1e-200, 1),
+         "p = 1e-200 and m = 1 put the closed form outside binary64"),
+        (identities.rhs_cor_36, (1e-22, 13),
+         "p = 1e-22 and m = 13 put the closed form outside binary64"),
+        # ln Gamma(x + 1) past binary64
+        (identities.rhs_thm_35, (1e306, 1.0, 0), "lnGamma(a) is outside binary64 at a = 1e+306")],
+        ids=["35-inf-entry", "35-subnormal-p", "35-tiny-p", "cor36-subnormal-p",
+             "cor36-nan-m3", "cor36-nan-m1", "cor36-nan-m13", "35-huge-x"])
     def test_a_closed_form_past_binary64_raises(self, fn, args, named):
         for _ in range(2):
             with pytest.raises(DomainError, match=re.escape(named)):

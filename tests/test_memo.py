@@ -1,7 +1,6 @@
 """The parameter-only memo tables: the series factors (each with its tail
 model and its head), the psi tuples, the ln Gamma and gamma-ratio jets, the
-harmonic-number tables, the closed forms' harmonic-number tuples and the
-Hurwitz zeta values are
+closed forms' harmonic-number tuples and the Hurwitz zeta values are
 built once per process, give the same bits cold and warm, are dropped by
 series._cache.cache_clear(), stay within special.MEMO_SIZE and cannot be
 written through."""
@@ -150,34 +149,34 @@ def test_clear_drops_the_jet_memo(monkeypatch):
 
 
 def test_closed_forms_leave_the_harmonic_cache_unbuilt():
-    """No rhs_* builds a harmonic-number table; the first series that needs
-    one builds it."""
+    """No rhs_* builds a series head; the first series that needs one builds
+    it: lhs_variant1 its harmonic, reciprocal binomial and power heads."""
     for name in RHS:
         fn = getattr(identities, name)
         fn(*[_AXES[p][2] for p in inspect.signature(fn).parameters])
-    assert series._harmonic_numbers.cache_info().currsize == 0
+    assert series._head.cache_info().currsize == 0
     series.lhs_variant1(1, 1)
-    assert series._harmonic_numbers.cache_info().currsize == 1
+    assert series._head.cache_info().currsize == 3
 
 
 def test_clear_empties_every_memo_table_and_the_next_pass_rebuilds_them():
     """series._cache.cache_clear(), which perfbench calls before every timed
     pass, leaves every special.memo table empty, the summed k and the
-    harmonic tables included, and the next grid pass builds them again with
+    harmonic heads included, and the next grid pass builds them again with
     the same bits."""
     grid = default_grid()
     first = _grid_pass(grid)
-    tables = {order: series._harmonic_numbers(order, 64) for order in (1, 2)}
+    tables = {order: series._harmonic(order).head(64) for order in (1, 2)}
     head = series._power(3, 1.0).head(64)
     assert identities._declared.cache_info().currsize > 0
     series._cache.cache_clear()
     assert identities._declared.cache_info().currsize == 0
     assert series._head.cache_info().currsize == 0
-    assert series._harmonic_numbers.cache_info().currsize == 0
+    assert series._harmonic.cache_info().currsize == 0
     assert all(kept.cache_info().currsize == 0 for kept in special._MEMOS)
     assert _grid_pass(grid) == first
     for order, table in tables.items():
-        rebuilt = series._harmonic_numbers(order, 64)
+        rebuilt = series._harmonic(order).head(64)
         assert rebuilt is not table and rebuilt == table
     rebuilt = series._power(3, 1.0).head(64)
     assert rebuilt is not head and rebuilt == head

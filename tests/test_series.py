@@ -1,5 +1,6 @@
 """Direct-summation oracles: frozen references, classical values, invariants."""
 
+import functools
 import math
 import re
 import struct
@@ -43,6 +44,15 @@ from conftest import REFS, assert_close
 
 EM_TOL = 1e-11       # split-at-K + Euler-Maclaurin routes
 DIRECT_TOL = 1e-9    # the binomial base series, at the tolerance of their former direct sums
+
+
+@functools.cache
+def _exact_harmonics(order, n):
+    """H_0^(order) .. H_n^(order) as Fractions."""
+    out = [Fraction(0)]
+    for i in range(1, n + 1):
+        out.append(out[-1] + Fraction(1, i**order))
+    return out
 
 
 class TestVariant1:
@@ -647,9 +657,10 @@ class TestOracleContracts:
     def test_monotone_partial_sums(self):
         # positive-term series: partial sums never exceed value + tail_estimate
         res = lhs_variant1(1, 1)
-        n = 2 * series._SPLITS[-1]  # as far as the harmonic table reaches, past the summed head
+        n = series._SPLITS[-1]  # as far as the largest harmonic head reaches, past the summed one
+        assert res.terms_used < n
         k = np.arange(1.0, n + 1.0)
-        h = np.array(series._harmonic_numbers(1, series._SPLITS[-1]))
+        h = np.array(series._harmonic(1).head(n))
         terms = h[1 : n + 1] / ((k + 2.0) ** 2 * (k + 1.0))
         partials = np.cumsum(terms)
         assert (np.diff(partials) >= 0.0).all()
@@ -671,6 +682,43 @@ class TestOracleContracts:
             assert abs(head[k] - want) <= bound, (k, head[k], want)
         for K in series._SPLITS[:-1]:
             assert f.head(K) == head[: K + 1]
+
+    @pytest.mark.parametrize("K", [64, 1024])
+    @pytest.mark.parametrize("name, prev", [("square_diff", False), ("square_diff", True),
+                                            ("central", False)])
+    def test_composite_harmonic_factor_is_its_definition(self, name, prev, K):
+        """Entry k of the H_k^2 - H_k^(2) head, or H_{k-1}^2 - H_{k-1}^(2)
+        with prev, and of the H_k - 2 H_2k head, is within the factor's
+        stated rounding, relative, of its exact value in Fractions; entry 0
+        is 0, or with prev the pole's limit, inf."""
+        h, h2 = _exact_harmonics(1, 2 * K), _exact_harmonics(2, K)
+        if name == "central":
+            f, exact = series._central_harmonic_diff(), lambda k: h[k] - 2 * h[2 * k]
+        else:
+            f = series._harmonic_square_diff(prev)
+            exact = lambda k: h[k - prev] ** 2 - h2[k - prev]  # noqa: E731
+        head = f.head(K)
+        assert len(head) == K + 1 and head[0] == (math.inf if prev else 0.0)
+        for k in [k for k in (1, 2, 3, 10, 100, 500, 999, K) if k <= K]:
+            want = exact(k)
+            bound = Fraction((f.rounding + f.rounding_per_k * k) * series._U) * abs(want)
+            assert abs(Fraction(head[k]) - want) <= bound, (k, head[k], float(want))
+
+    @pytest.mark.parametrize("fn, args, n", [
+        (lhs_variant1, (171, 1), 171), (lhs_variant2, (171, 1), 171), (lhs_alt, (171, 1), 171),
+        (lhs_variant3, (0.5, 200, 1), 200), (lhs_variant3h, (0.5, 171, 0), 171),
+        (lhs_variant4, (0.5, 171, 1), 171)])
+    def test_a_binomial_family_past_n_170_names_n(self, fn, args, n):
+        """1/binom(n+k, k) is n!/((k+1)...(k+n)), and n! leaves binary64 from
+        n = 171 on: a DomainError naming n, on every call."""
+        for _ in range(2):
+            with pytest.raises(DomainError, match=re.escape(f"n = {n} puts n! past binary64")):
+                fn(*args)
+
+    def test_a_binomial_family_at_n_170_sums(self):
+        res = lhs_alt(170, 1)
+        assert res.value == pytest.approx(-3.44e-5, rel=1e-3)
+        assert EvalConfig().converged(res)
 
     def test_a_sum_from_zero_over_a_pole_is_not_finite(self):
         """H_{k-1} is -inf at k = 0, so a sum from k = 0 over it ends in

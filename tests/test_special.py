@@ -21,7 +21,7 @@ from eulersums import (
 )
 
 from eulersums import special
-from eulersums.series import _harmonic_numbers
+from eulersums.series import _harmonic
 from eulersums.special import BERNOULLI_2J
 
 from conftest import REFS, assert_close
@@ -190,42 +190,44 @@ class TestHarmonic:
 
 
 class TestHarmonicCache:
-    """The series' memoized harmonic-number tables, one per order and split
-    K: H_0^(m) .. H_2K^(m), here at the largest K = 1024."""
+    """The series' memoized harmonic heads, one per order and split K:
+    H_0^(m) .. H_K^(m), here at the largest K = 1024."""
 
     def test_build(self):
         for m in (1, 2, 3, 4):
-            arr = _harmonic_numbers(m, 1024)
-            assert len(arr) == 2049 and arr[0] == 0.0
+            arr = _harmonic(m).head(1024)
+            assert len(arr) == 1025 and arr[0] == 0.0
             assert all(b > a for a, b in zip(arr, arr[1:]))
             # adjacent stored values differ by n^-m up to the entry rounding,
             # which compensation keeps at ~eps * H_n absolute
-            for n in (1, 7, 499, 2048):
+            for n in (1, 7, 499, 1024):
                 assert abs((arr[n] - arr[n - 1]) - float(n) ** -m) <= 5e-15
-            for n in (1, 77, 100, 2048):
+            for n in (1, 77, 100, 1024):
                 assert_close(arr[n], gen_harmonic(n, m), 1e-15)
 
     def test_bits_of_the_scalar_neumaier_loop(self):
-        """The build gives, bit for bit, Neumaier's compensated running sum in
+        """The head gives, bit for bit, Neumaier's compensated running sum in
         its two-branch form, with pow for the terms: the one-branch form it
         takes holds for positive terms that never exceed the first, and
-        n^m by multiplies is exact for these n and m.  The table of each K
-        is the first 2K + 1 entries of the largest."""
+        n^m by multiplies is exact for these n and m.  The head of each K
+        is the first K + 1 entries of the largest, and the H_{k-1}^(m) head
+        is the same entries one place on."""
         for m in (1, 2, 3):
             s = comp = 0.0
             want = [0.0]
-            for n in range(1, 2049):
+            for n in range(1, 1025):
                 term = 1.0 / float(n) ** m
                 t = s + term
                 comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
                 s = t
                 want.append(s + comp)
-            assert [v.hex() for v in _harmonic_numbers(m, 1024)] == [v.hex() for v in want]
-            assert _harmonic_numbers(m, 64) == tuple(want[:129])
+            assert [v.hex() for v in _harmonic(m).head(1024)] == [v.hex() for v in want]
+            assert _harmonic(m).head(64) == tuple(want[:65])
+            assert _harmonic(m, prev=True).head(64) == (-math.inf,) + tuple(want[:64])
 
     def test_readonly(self):
         with pytest.raises(TypeError):
-            _harmonic_numbers(1, 64)[3] = 0.0
+            _harmonic(1).head(64)[3] = 0.0
 
 
 # ------------------------- invariants and sweeps -----------------------------
